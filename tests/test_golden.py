@@ -1,0 +1,141 @@
+"""Golden outputs: SHA-256 digests of emitted files, pinned across versions.
+
+Criterion 9 compares a rerun with a rerun, so it cannot see a change of
+bytes between versions of the package. These digests were recorded with the
+all-``Fraction`` pipeline (numpy 2.4.6, scipy 1.17.1); any change to the
+arithmetic inside the sampler, the checker or the experiments must leave
+every one of them unchanged. ``p_hat`` and the Clopper-Pearson columns are
+floats from scipy, so another scipy version may legitimately move the
+``summary.json`` and ``curve.csv`` digests.
+"""
+
+import hashlib
+
+from shadowing import (ExperimentConfig, run_attractor_experiment,
+                       run_dichotomy_experiment)
+from shadowing.cli import DEFAULT_ATTRACTOR, main
+from shadowing.experiment import emit, estimate_probability
+
+EXPERIMENT_FILES = ("summary.json", "curve.csv", "trials.csv")
+
+GOLDEN = {
+    "dichotomy": {
+        "report.json":
+            "4d9366fe42fa1bb20186a619acb4f9110859a0fb3be977f696fa791f0d823eb3",
+        "shadowing/summary.json":
+            "882417d4e7e15890aca0731313205443a07f859e172602d46aa2bc91760b75e3",
+        "shadowing/curve.csv":
+            "65eea24e8be57efe803e270eea102f519579daf640fa68b8186df7c13f85d094",
+        "shadowing/trials.csv":
+            "669f296ddfc081c704f658eff181a3c841952cc5c002ecfcc67277b299f5ccc5",
+        "nonshadowing/summary.json":
+            "4ff3389c45c9231cc2ec27c131bcb32fa526ba488bf74ebb7c399db4b444c212",
+        "nonshadowing/curve.csv":
+            "5b3fc5ac73fcb7c05e04d9602aa677d7ebc2ca701f495f796b3777944afb94bd",
+        "nonshadowing/trials.csv":
+            "298e72329da380aac2f0ca53601918990bb0ab5fd1eb1c442f947e72aa0cf242",
+    },
+    "tent": {
+        "summary.json":
+            "ebac7ab9ee01bb34311b6f1551dd54b5f2a6c73a6bf23b9e828a207429e1747f",
+        "curve.csv":
+            "018db222dad81d1bf7f989bc09e94877553b11ca4e9820c93e9c2fa3bb143a6d",
+        "trials.csv":
+            "c6fa979b0475bb6495d84dadb4752cfeb24b3be7c2c6e8672b6d50640d762c53",
+    },
+    "attractor": {
+        "summary.json":
+            "d8830144203a72ef15d6da5bad52637552747c34736ad5bdf95fbcf9f1de7852",
+        "curve.csv":
+            "5469a3fa7350181e65935567b98a49d9f5c9c5b2f7e4493d0e6777cae5d57a6e",
+        "trials.csv":
+            "04d8e9bc0b480062f269f6007c7e63e86fc286963c30ab3c944edd3a37c5b607",
+        "report.json":
+            "d13209beb99b04ca9ccaf72f370e72fff17131762ddb0bdffd7c88abe62ec94f",
+    },
+    "check": {
+        "traj200.csv":
+            "22ab1692cf99694d2ec937470d02e65c1ee1144a61e8c4219a1569b51d2f1855",
+        "verdict200.json":
+            "bcecdc622b9ade13d988b1eef60c526fcad3928a026870f53320daac893bc426",
+        "traj500.csv":
+            "0b1cc7529dfe03ae77a2db5a52551ba4464b4ba7832c3d148b66b1ea14782ec3",
+        "verdict500.json":
+            "698f9c016450b4015751918555d2b77a1a4ee689a410d9660736524476f44727",
+        "traj1000.csv":
+            "8350a6771605b880b95372143a5d44163f149eaf5a68dedfbd5adf4ae2e9822c",
+        "verdict1000.json":
+            "df657509847f19512999798cf60177d9bd82fa74f8294e977793ae6fcdae552c",
+    },
+}
+
+
+def sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(folder, names) -> dict:
+    return {name: sha(folder / name) for name in names}
+
+
+def dichotomy_digests(out) -> dict:
+    doubling = ExperimentConfig.from_dict({
+        "system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
+        "horizons": [50, 200], "trials": 8, "seed": 42})
+    rotation = ExperimentConfig.from_dict({
+        "system": "rotation:alpha=610/987", "y0": "0", "d": "0.02",
+        "eps": "0.05", "horizons": [10, 50, 200, 500], "trials": 8,
+        "seed": 43})
+    run_dichotomy_experiment(doubling, rotation, out=out)
+    return {"report.json": sha(out / "report.json"),
+            **{f"shadowing/{k}": v for k, v in
+               digests(out / "shadowing", EXPERIMENT_FILES).items()},
+            **{f"nonshadowing/{k}": v for k, v in
+               digests(out / "nonshadowing", EXPERIMENT_FILES).items()}}
+
+
+def tent_digests(out) -> dict:
+    config = ExperimentConfig.from_dict({
+        "system": "tent:s=3/2", "y0": "0.3", "d": "0.02", "eps": "0.05",
+        "horizons": [10, 50, 200], "trials": 8, "seed": 45})
+    emit(estimate_probability(config), out)
+    return digests(out, EXPERIMENT_FILES)
+
+
+def attractor_digests(out) -> dict:
+    data = dict(DEFAULT_ATTRACTOR, trials=8, d="9/800")
+    run_attractor_experiment(ExperimentConfig.from_dict(data), out=out)
+    return digests(out, EXPERIMENT_FILES + ("report.json",))
+
+
+def check_digests(tmp, capsys) -> dict:
+    out = {}
+    for i, n in enumerate((200, 500, 1000)):
+        base = tmp / f"traj{n}"
+        verdict = tmp / f"verdict{n}.json"
+        assert main(["generate", "--system", "doubling", "--y0", "0.3",
+                     "--d", "0.02", "--n", str(n), "--seed", "7",
+                     "--trial", str(i), "--out", str(base)]) == 0
+        assert main(["check", "--traj", str(base), "--eps", "0.05",
+                     "--out", str(verdict)]) == 0
+        out[f"traj{n}.csv"] = sha(base.with_suffix(".csv"))
+        out[f"verdict{n}.json"] = sha(verdict)
+    capsys.readouterr()
+    return out
+
+
+def test_dichotomy_outputs_match_golden(tmp_path):
+    assert dichotomy_digests(tmp_path) == GOLDEN["dichotomy"]
+
+
+def test_tent_outputs_match_golden(tmp_path):
+    assert tent_digests(tmp_path) == GOLDEN["tent"]
+
+
+def test_attractor_outputs_match_golden(tmp_path):
+    assert attractor_digests(tmp_path) == GOLDEN["attractor"]
+
+
+def test_check_outputs_match_golden(tmp_path, capsys):
+    assert check_digests(tmp_path, capsys) == GOLDEN["check"]
+
