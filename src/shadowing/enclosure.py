@@ -9,8 +9,13 @@ of pairwise disjoint fragments:
 * annulus: boxes ``(rlo, rhi, astart, alength)``, a radial segment crossed
   with an angular arc.
 
-Fragments carry whatever numeric type the caller feeds in; exact pipelines
-use Fractions, padded float pipelines use floats through identical code.
+Every fragment coordinate is a numerator over the set's ``unit``: ``1``
+for sets built from ``Fraction`` values (the public API), ``1.0`` for the
+padded float checker, and a positive integer *scale* for the exact kernel,
+whose fragments are Python integers over that common denominator. One copy
+of the arc, segment and box algebra serves all three, because it only adds,
+compares and reduces modulo ``unit``. Reading ``EnclosureSet.fragments``
+of an integer set builds its ``Fraction`` values then, and only then.
 
 The ``variant`` tag tracks certification direction: ``exact`` sets equal
 the abstract set they stand for, ``outer`` sets contain it, ``inner`` sets
@@ -21,14 +26,15 @@ caller as a resource error carrying the merged superset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from fractions import Fraction
+from itertools import chain
 
 from .errors import EnclosureCapError, UsageError
-from .spaces import Space
+from .rationals import scaled
+from .spaces import Space, scaled_point
 
 DEFAULT_FRAGMENT_CAP = 4096
-
-_FULL_ARC = (0, 1)
 
 
 def _combine_variant(a: str, b: str) -> str:
@@ -42,33 +48,41 @@ def _combine_variant(a: str, b: str) -> str:
     raise UsageError(f"cannot combine {a} and {b} enclosures")
 
 
+def _lift(frags, factor):
+    """Fragments re-expressed over a unit ``factor`` times larger."""
+    if factor == 1:
+        return frags
+    return tuple(tuple(c * factor for c in f) for f in frags)
+
+
 # -- circle arcs ---------------------------------------------------------
 
-def _intersect_arcs(a, b):
+def _intersect_arcs(a, b, unit):
     s1, l1 = a
     s2, l2 = b
-    if l1 >= 1:
+    if l1 >= unit:
         return [b]
-    if l2 >= 1:
+    if l2 >= unit:
         return [a]
-    t = (s2 - s1) % 1
+    t = (s2 - s1) % unit
     out = []
-    for base in (t, t - 1):
+    for base in (t, t - unit):
         lo = max(base, 0)
         hi = min(base + l2, l1)
         if lo <= hi:
-            out.append(((s1 + lo) % 1, hi - lo))
+            out.append(((s1 + lo) % unit, hi - lo))
     return out
 
 
-def _normalize_arcs(arcs):
+def _normalize_arcs(arcs, unit):
+    full = [(0, unit)]
     kept = []
     for s, l in arcs:
         if l < 0:
             continue
-        if l >= 1:
-            return [_FULL_ARC]
-        kept.append((s % 1, l))
+        if l >= unit:
+            return full
+        kept.append((s % unit, l))
     if not kept:
         return []
     kept.sort()
@@ -83,43 +97,43 @@ def _normalize_arcs(arcs):
     while len(merged) >= 2:
         ps, pl = merged[-1]
         fs, fl = merged[0]
-        if ps + pl < 1 + fs:
+        if ps + pl < unit + fs:
             break
-        new_len = max(pl, 1 + fs + fl - ps)
-        if new_len >= 1:
-            return [_FULL_ARC]
+        new_len = max(pl, unit + fs + fl - ps)
+        if new_len >= unit:
+            return full
         merged = merged[1:]
         merged[-1] = (ps, new_len)
-    if len(merged) == 1 and merged[0][1] >= 1:
-        return [_FULL_ARC]
+    if len(merged) == 1 and merged[0][1] >= unit:
+        return full
     return merged
 
 
-def _arc_gap(a, b):
+def _arc_gap(a, b, unit):
     """Gap from the end of arc a to the start of arc b, going forward."""
-    return (b[0] - (a[0] + a[1])) % 1
+    return (b[0] - (a[0] + a[1])) % unit
 
 
-def _cap_arcs(arcs, cap):
+def _cap_arcs(arcs, cap, unit):
     arcs = list(arcs)
     degraded = False
     while len(arcs) > cap:
-        gaps = [(_arc_gap(arcs[i], arcs[(i + 1) % len(arcs)]), i)
+        gaps = [(_arc_gap(arcs[i], arcs[(i + 1) % len(arcs)], unit), i)
                 for i in range(len(arcs))]
         _, i = min(gaps)
         j = (i + 1) % len(arcs)
         s, l = arcs[i]
-        hull_len = min((arcs[j][0] - s) % 1 + arcs[j][1], 1)
+        hull_len = min((arcs[j][0] - s) % unit + arcs[j][1], unit)
         arcs[i] = (s, hull_len)
         del arcs[j]
-        arcs = _normalize_arcs(arcs)
+        arcs = _normalize_arcs(arcs, unit)
         degraded = True
     return arcs, degraded
 
 
-def _arc_contains(arc, x):
+def _arc_contains(arc, x, unit):
     s, l = arc
-    return (x - s) % 1 <= l
+    return (x - s) % unit <= l
 
 
 # -- interval segments ---------------------------------------------------
@@ -158,30 +172,30 @@ def _cap_segs(segs, cap):
 
 # -- annulus boxes -------------------------------------------------------
 
-def _intersect_boxes(a, b):
+def _intersect_boxes(a, b, unit):
     rlo = max(a[0], b[0])
     rhi = min(a[1], b[1])
     if rlo > rhi:
         return []
     return [(rlo, rhi, s, l)
-            for s, l in _intersect_arcs((a[2], a[3]), (b[2], b[3]))]
+            for s, l in _intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)]
 
 
-def _boxes_overlap(a, b):
+def _boxes_overlap(a, b, unit):
     if min(a[1], b[1]) - max(a[0], b[0]) <= 0:
         return False
-    pieces = _intersect_arcs((a[2], a[3]), (b[2], b[3]))
+    pieces = _intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)
     return any(l > 0 for _, l in pieces)
 
 
-def _normalize_boxes(boxes):
+def _normalize_boxes(boxes, unit):
     kept = []
     for rlo, rhi, s, l in boxes:
         if rlo > rhi or l < 0:
             continue
-        if l >= 1:
-            s, l = _FULL_ARC
-        kept.append((rlo, rhi, s % 1, l))
+        if l >= unit:
+            s, l = 0, unit
+        kept.append((rlo, rhi, s % unit, l))
     changed = True
     while changed:
         changed = False
@@ -191,7 +205,7 @@ def _normalize_boxes(boxes):
             for i, other in enumerate(out):
                 if box[:2] == other[:2]:
                     joined = _normalize_arcs([(box[2], box[3]),
-                                              (other[2], other[3])])
+                                              (other[2], other[3])], unit)
                     if len(joined) == 1:
                         out[i] = (box[0], box[1], joined[0][0], joined[0][1])
                         merged_in = changed = True
@@ -211,62 +225,166 @@ def _normalize_boxes(boxes):
     result = []
     for box in sorted(kept):
         clash = next((i for i, o in enumerate(result)
-                      if _boxes_overlap(box, o)), None)
+                      if _boxes_overlap(box, o, unit)), None)
         if clash is None:
             result.append(box)
         else:
             o = result[clash]
-            result[clash] = (min(box[0], o[0]), max(box[1], o[1]),
-                             _FULL_ARC[0], _FULL_ARC[1])
+            result[clash] = (min(box[0], o[0]), max(box[1], o[1]), 0, unit)
             degraded = True
     return result, degraded
 
 
+def _cap_boxes_by_angle(boxes, cap, unit):
+    degraded = False
+    boxes = list(boxes)
+    while len(boxes) > cap:
+        a = boxes.pop()
+        b = boxes.pop()
+        boxes.append((min(a[0], b[0]), max(a[1], b[1]), 0, unit))
+        merged, _ = _normalize_boxes(boxes, unit)
+        boxes = merged
+        degraded = True
+    return boxes, degraded
+
+
 # -- the set type --------------------------------------------------------
 
-@dataclass(frozen=True)
 class EnclosureSet:
-    space: Space
-    fragments: tuple
-    variant: str = "exact"
+    """A canonical union of fragments of ``space`` (see the module doc).
+
+    ``EnclosureSet(space, fragments, variant)`` holds the fragment values
+    themselves, at unit 1. The exact kernel builds sets whose ``nums`` are
+    integer numerators over an integer ``unit``; their ``fragments`` are
+    the ``Fraction`` values, built on first read. Instances are immutable.
+    """
+
+    __slots__ = ("space", "nums", "variant", "unit", "_values")
+
+    def __init__(self, space: Space, fragments, variant: str = "exact",
+                 unit=1):
+        self.space = space
+        self.nums = tuple(fragments)
+        self.variant = variant
+        self.unit = unit
+        self._values = self.nums if unit == 1 else None
+
+    @property
+    def fragments(self) -> tuple:
+        if self._values is None:
+            u = self.unit
+            self._values = tuple(tuple(Fraction(c, u) for c in f)
+                                 for f in self.nums)
+        return self._values
+
+    def __eq__(self, other):
+        if not isinstance(other, EnclosureSet):
+            return NotImplemented
+        return (self.space, self.fragments, self.variant) == \
+            (other.space, other.fragments, other.variant)
+
+    def __hash__(self):
+        return hash((self.space, self.fragments, self.variant))
+
+    def __repr__(self):
+        return (f"EnclosureSet(space={self.space!r}, "
+                f"fragments={self.fragments!r}, variant={self.variant!r})")
 
     def is_empty(self) -> bool:
-        return not self.fragments
+        return not self.nums
 
     def fragment_count(self) -> int:
-        return len(self.fragments)
+        return len(self.nums)
 
     def measure(self):
         kind = self.space.kind
         if kind == "circle":
-            return sum(l for _, l in self.fragments)
-        if kind == "interval":
-            return sum(hi - lo for lo, hi in self.fragments)
-        return sum((rhi - rlo) * l for rlo, rhi, _, l in self.fragments)
+            total = sum(l for _, l in self.nums)
+        elif kind == "interval":
+            total = sum(hi - lo for lo, hi in self.nums)
+        else:
+            total = sum((rhi - rlo) * l for rlo, rhi, _, l in self.nums)
+        if self.unit == 1:
+            return total
+        return Fraction(total, self.unit ** self.space.ndim)
 
     def contains(self, point) -> bool:
-        kind = self.space.kind
-        if kind == "circle":
-            return any(_arc_contains(f, point[0]) for f in self.fragments)
-        if kind == "interval":
-            return any(lo <= point[0] <= hi for lo, hi in self.fragments)
-        return any(rlo <= point[0] <= rhi and _arc_contains((s, l), point[1])
-                   for rlo, rhi, s, l in self.fragments)
+        if self.unit == 1:
+            return _contains(self.space.kind, self.nums, point, 1)
+        nums, scale = scaled_point(point)
+        return self.first_inside([nums], scale) is not None
 
-    def pick_point(self):
-        """Deterministic representative: midpoint of the largest fragment."""
+    def first_inside(self, points, scale):
+        """The first of ``points`` (tuples of integer numerators over
+        ``scale``) that lies in this integer set, or None."""
+        frags, unit = self.nums, self.unit
+        if scale % unit:
+            common = math.lcm(scale, unit)
+            factor = common // scale
+            lifted = [tuple(c * factor for c in p) for p in points]
+            frags, scale = _lift(frags, common // unit), common
+        else:
+            lifted = points
+            frags = _lift(frags, scale // unit)
+        kind = self.space.kind
+        for p, q in zip(points, lifted):
+            if _contains(kind, frags, q, scale):
+                return p
+        return None
+
+    def _largest(self):
         if self.is_empty():
             raise UsageError("cannot pick a point from an empty set")
         kind = self.space.kind
         if kind == "circle":
-            s, l = max(self.fragments, key=lambda f: (f[1], -f[0]))
-            return ((s + l / 2) % 1,)
+            return max(self.nums, key=lambda f: (f[1], -f[0]))
         if kind == "interval":
-            lo, hi = max(self.fragments, key=lambda f: (f[1] - f[0], -f[0]))
-            return ((lo + hi) / 2,)
-        rlo, rhi, s, l = max(self.fragments,
-                             key=lambda f: ((f[1] - f[0]) * f[3], -f[0]))
-        return ((rlo + rhi) / 2, (s + l / 2) % 1)
+            return max(self.nums, key=lambda f: (f[1] - f[0], -f[0]))
+        return max(self.nums, key=lambda f: ((f[1] - f[0]) * f[3], -f[0]))
+
+    def pick_point(self):
+        """Deterministic representative: midpoint of the largest fragment,
+        ties going to the smallest start."""
+        if self.unit != 1:
+            nums, scale = self.pick_scaled()
+            return tuple(Fraction(c, scale) for c in nums)
+        f = self._largest()
+        kind = self.space.kind
+        if kind == "circle":
+            return ((f[0] + f[1] / 2) % 1,)
+        if kind == "interval":
+            return ((f[0] + f[1]) / 2,)
+        return ((f[0] + f[1]) / 2, (f[2] + f[3] / 2) % 1)
+
+    def pick_scaled(self):
+        """pick_point of an integer set, as numerators over twice its unit."""
+        f = self._largest()
+        u2 = 2 * self.unit
+        kind = self.space.kind
+        if kind == "circle":
+            return ((2 * f[0] + f[1]) % u2,), u2
+        if kind == "interval":
+            return (f[0] + f[1],), u2
+        return (f[0] + f[1], (2 * f[2] + f[3]) % u2), u2
+
+    def reduced(self, base: int) -> "EnclosureSet":
+        """The same integer set over the smallest unit that is a multiple
+        of ``base`` (one gcd over all numerators)."""
+        g = math.gcd(self.unit // base, *chain.from_iterable(self.nums))
+        if g == 1:
+            return self
+        return EnclosureSet(self.space,
+                            tuple(tuple(c // g for c in f) for f in self.nums),
+                            self.variant, self.unit // g)
+
+
+def _contains(kind, frags, point, unit) -> bool:
+    if kind == "circle":
+        return any(_arc_contains(f, point[0], unit) for f in frags)
+    if kind == "interval":
+        return any(lo <= point[0] <= hi for lo, hi in frags)
+    return any(rlo <= point[0] <= rhi and _arc_contains((s, l), point[1], unit)
+               for rlo, rhi, s, l in frags)
 
 
 def make(space: Space, fragments, variant: str = "exact",
@@ -278,39 +396,31 @@ def make(space: Space, fragments, variant: str = "exact",
     result is then a strict superset, so an exact/inner request fails with
     a resource error carrying the merged outer set.
     """
+    return _make(space, fragments, variant, cap, 1)
+
+
+def _make(space: Space, fragments, variant: str, cap: int,
+          unit) -> EnclosureSet:
+    """make() for fragments whose coordinates are numerators over unit."""
     kind = space.kind
     if kind == "circle":
-        frags = _normalize_arcs(fragments)
-        frags, degraded = _cap_arcs(frags, cap)
+        frags = _normalize_arcs(fragments, unit)
+        frags, degraded = _cap_arcs(frags, cap, unit)
     elif kind == "interval":
         frags = _normalize_segs(fragments)
         frags, degraded = _cap_segs(frags, cap)
     else:
-        frags, merged_overlap = _normalize_boxes(fragments)
-        frags, capped = _cap_boxes_by_angle(frags, cap)
+        frags, merged_overlap = _normalize_boxes(fragments, unit)
+        frags, capped = _cap_boxes_by_angle(frags, cap, unit)
         degraded = merged_overlap or capped
     if degraded:
-        outer = EnclosureSet(space, tuple(frags), "outer")
+        outer = EnclosureSet(space, frags, "outer", unit)
         if variant != "outer":
             raise EnclosureCapError(
                 f"fragment cap {cap} exceeded for {variant} enclosure",
                 partial=outer)
         return outer
-    return EnclosureSet(space, tuple(frags), variant)
-
-
-def _cap_boxes_by_angle(boxes, cap):
-    degraded = False
-    boxes = list(boxes)
-    while len(boxes) > cap:
-        a = boxes.pop()
-        b = boxes.pop()
-        boxes.append((min(a[0], b[0]), max(a[1], b[1]),
-                      _FULL_ARC[0], _FULL_ARC[1]))
-        merged, _ = _normalize_boxes(boxes)
-        boxes = merged
-        degraded = True
-    return boxes, degraded
+    return EnclosureSet(space, frags, variant, unit)
 
 
 def empty(space: Space, variant: str = "exact") -> EnclosureSet:
@@ -319,52 +429,61 @@ def empty(space: Space, variant: str = "exact") -> EnclosureSet:
 
 def full(space: Space, variant: str = "exact") -> EnclosureSet:
     if space.kind == "circle":
-        return EnclosureSet(space, (_FULL_ARC,), variant)
+        return EnclosureSet(space, ((0, 1),), variant)
     if space.kind == "interval":
         return EnclosureSet(space, ((0, 1),), variant)
-    return EnclosureSet(space, ((1 - space.w, 1 + space.w) + _FULL_ARC,),
-                        variant)
+    return EnclosureSet(space, ((1 - space.w, 1 + space.w, 0, 1),), variant)
 
 
 def ball_set(space: Space, center, radius, variant: str = "exact") -> EnclosureSet:
     """The closed radius-ball around center, truncated to the space."""
     if radius <= 0:
         raise UsageError("ball radius must be positive")
+    return EnclosureSet(space, (_ball(space, center, radius, 1),), variant)
+
+
+def _ball(space: Space, center, radius, unit) -> tuple:
+    """The single fragment of ball_set, with center and radius given as
+    numerators over unit."""
     kind = space.kind
     if kind == "circle":
-        if 2 * radius >= 1:
-            return full(space, variant)
-        return EnclosureSet(space, (((center[0] - radius) % 1, 2 * radius),),
-                            variant)
+        if 2 * radius >= unit:
+            return (0, unit)
+        return ((center[0] - radius) % unit, 2 * radius)
     if kind == "interval":
-        lo = max(center[0] - radius, 0)
-        hi = min(center[0] + radius, 1)
-        return EnclosureSet(space, ((lo, hi),), variant)
-    rlo = max(center[0] - radius, 1 - space.w)
-    rhi = min(center[0] + radius, 1 + space.w)
-    if 2 * radius >= 1:
-        s, l = _FULL_ARC
-    else:
-        s, l = (center[1] - radius) % 1, 2 * radius
-    return EnclosureSet(space, ((rlo, rhi, s, l),), variant)
+        return (max(center[0] - radius, 0), min(center[0] + radius, unit))
+    w = scaled(space.w, unit)
+    rlo = max(center[0] - radius, unit - w)
+    rhi = min(center[0] + radius, unit + w)
+    if 2 * radius >= unit:
+        return (rlo, rhi, 0, unit)
+    return (rlo, rhi, (center[1] - radius) % unit, 2 * radius)
 
 
 def intersect(a: EnclosureSet, b: EnclosureSet,
               cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
+    """A & B. Integer sets over different units meet over their lcm."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
     variant = _combine_variant(a.variant, b.variant)
+    unit, fa, fb = a.unit, a.nums, b.nums
+    if b.unit != unit:
+        if unit == 1 or b.unit == 1:
+            unit, fa, fb = 1, a.fragments, b.fragments
+        else:
+            unit = math.lcm(a.unit, b.unit)
+            fa, fb = _lift(fa, unit // a.unit), _lift(fb, unit // b.unit)
     kind = a.space.kind
     pieces = []
-    for fa in a.fragments:
-        for fb in b.fragments:
+    for x in fa:
+        for y in fb:
             if kind == "circle":
-                pieces.extend(_intersect_arcs(fa, fb))
+                pieces.extend(_intersect_arcs(x, y, unit))
             elif kind == "interval":
-                pieces.extend(_intersect_segs(fa, fb))
+                pieces.extend(_intersect_segs(x, y))
             else:
-                pieces.extend(_intersect_boxes(fa, fb))
-    return make(a.space, pieces, variant, cap)
+                pieces.extend(_intersect_boxes(x, y, unit))
+    return _make(a.space, pieces, variant, cap, unit)
 
 
 def expand(a: EnclosureSet, pad) -> EnclosureSet:

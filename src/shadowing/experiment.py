@@ -161,18 +161,21 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     traj = generate(system, config.y0, config.d, config.max_horizon, rng,
                     Provenance("random", config.seed, trial))
     if band is not None:
+        # |r - 1| <= rho on the lattice: |R - S| * den(rho) <= num(rho) * S
         rho, n0 = band
-        for n, p in enumerate(traj.points[n0:], start=n0):
-            if not bounds_mod.in_absorbing_band(p, rho):
+        pts = traj.scaled
+        for n in range(n0, len(pts)):
+            r, s = pts.nums[n][0], pts.scales[n]
+            if abs(r - s) * rho.denominator > rho.numerator * s:
                 raise InvariantViolation(
-                    f"trial {trial}: point {p} at step {n} escaped the "
+                    f"trial {trial}: point {pts[n]} at step {n} escaped the "
                     f"absorbing band of half-width {rho} (entry step {n0})")
     try:
         sets = shadow_set_forward(system, traj, config.eps, config.mode)
         first_empty = next(
             (n for n, s in enumerate(sets) if s.is_empty()), None)
         exact = config.mode == "exact"
-        points = traj.points if exact else [
+        points = traj.scaled if exact else [
             tuple(float(c) for c in p) for p in traj.points]
         eps_c = config.eps if exact else float(config.eps)
         verdicts = []

@@ -10,6 +10,10 @@ that chain.
 Reproducibility: the stream for trial t is derived from the master seed by
 ``numpy.random.SeedSequence(master_seed, spawn_key=(t,))``; trials are
 independent and can run in any order or in parallel.
+
+A trajectory's ``points`` are ``Fraction`` tuples. ``generate`` computes
+them on an integer lattice and keeps them there (``Pseudotrajectory.scaled``);
+their Fractions are built on the first read of ``points``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, SearchFailure, UsageError
 from .rationals import frac, jsonable
-from .spaces import Point
+from .spaces import TWO53, Point, ScaledPoints, scaled_point
 from .systems import orbit
 
 
@@ -36,26 +40,74 @@ class Provenance:
     trial: int | None = None
 
 
-@dataclass(frozen=True)
 class Pseudotrajectory:
-    points: tuple
-    d: Fraction
-    provenance: Provenance
+    """Points y_0, ..., y_N with step bound d. Immutable.
 
-    def __post_init__(self):
-        if not self.points:
+    ``points`` is a tuple of ``Fraction`` tuples and ``scaled`` the same
+    points as integer numerators over per-point scales (``ScaledPoints``),
+    which is what the exact kernel reads. Whichever of the two a trajectory
+    was not built from is derived on first read.
+    """
+
+    __slots__ = ("_points", "_scaled", "d", "provenance")
+
+    def __init__(self, points, d: Fraction, provenance: Provenance):
+        self._init(tuple(points), None, d, provenance)
+
+    @classmethod
+    def from_scaled(cls, points: ScaledPoints, d: Fraction,
+                    provenance: Provenance) -> "Pseudotrajectory":
+        traj = cls.__new__(cls)
+        traj._init(None, points, d, provenance)
+        return traj
+
+    def _init(self, points, scaled, d, provenance):
+        self._points = points
+        self._scaled = scaled
+        self.d = d
+        self.provenance = provenance
+        if not len(points if scaled is None else scaled):
             raise UsageError("a pseudotrajectory needs at least one point")
-        if self.d < 0:
+        if d < 0:
             raise DomainError("step bound must be nonnegative")
 
     @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = tuple(self._scaled)
+        return self._points
+
+    @property
+    def scaled(self) -> ScaledPoints:
+        if self._scaled is None:
+            self._scaled = ScaledPoints.from_points(self._points)
+        return self._scaled
+
+    def __eq__(self, other):
+        if not isinstance(other, Pseudotrajectory):
+            return NotImplemented
+        return (self.points, self.d, self.provenance) == \
+            (other.points, other.d, other.provenance)
+
+    def __hash__(self):
+        return hash((self.points, self.d, self.provenance))
+
+    def __repr__(self):
+        return (f"Pseudotrajectory(points={self.points!r}, d={self.d!r}, "
+                f"provenance={self.provenance!r})")
+
+    @property
     def horizon(self) -> int:
-        return len(self.points) - 1
+        held = self._points if self._points is not None else self._scaled
+        return len(held) - 1
 
     def prefix(self, m: int) -> "Pseudotrajectory":
         if not 0 <= m <= self.horizon:
             raise UsageError(f"prefix horizon {m} outside [0, {self.horizon}]")
-        return Pseudotrajectory(self.points[:m + 1], self.d, self.provenance)
+        if self._points is None:
+            return Pseudotrajectory.from_scaled(self._scaled[:m + 1], self.d,
+                                                self.provenance)
+        return Pseudotrajectory(self._points[:m + 1], self.d, self.provenance)
 
 
 def trial_stream(master_seed: int, trial: int = 0) -> np.random.Generator:
@@ -69,20 +121,37 @@ def generate(system, y0: Point, d, n: int, rng,
     """Sample a random d-pseudotrajectory of length n from y0.
 
     Each step draws y_{k+1} uniformly from the d-ball around f(y_k)
-    intersected with the space. Consumes a fixed number of uniforms per
-    step, so a shorter horizon with the same stream yields a prefix.
+    intersected with the space, from one uniform double per coordinate.
+    All n * ndim doubles are drawn in one call, which numpy makes
+    bit-identical to drawing them one at a time, so a shorter horizon with
+    the same stream yields a prefix and the stream ends where step-by-step
+    draws (``Space.sample_uniform_ball``) would leave it.
+
+    The points are computed on an integer lattice (``Space.sample_scaled``)
+    and equal the step-by-step Fraction chain. Their scale starts at 2**53
+    times the lcm of the denominators of d, y0 and the map's parameters; it
+    grows only by a non-integer slope's denominator and at a step truncated
+    at a boundary of the space.
     """
     if d <= 0:
         raise DomainError("step bound d must be positive")
     if n < 0:
         raise DomainError("horizon must be nonnegative")
     space = system.space
-    pts = [space.canonical(y0)]
+    d = frac(d)
+    y, scale = scaled_point(space.canonical(y0))
+    start = TWO53 * math.lcm(scale, d.denominator, system.lattice_base)
+    y, scale = tuple(c * (start // scale) for c in y), start
+    nums, scales = [y], [scale]
+    doubles = rng.random(n * space.ndim)
+    draws = iter((doubles * TWO53).astype(np.int64).tolist())
     for _ in range(n):
-        center = system.apply(pts[-1])
-        pts.append(space.sample_uniform_ball(center, d, rng))
-    return Pseudotrajectory(tuple(pts), frac(d),
-                            provenance or Provenance("random"))
+        center, center_scale = system.apply_scaled(y, scale)
+        y, scale = space.sample_scaled(center, center_scale, d, draws)
+        nums.append(y)
+        scales.append(scale)
+    return Pseudotrajectory.from_scaled(ScaledPoints(nums, scales), d,
+                                        provenance or Provenance("random"))
 
 
 def exact_orbit(system, x0: Point, n: int) -> Pseudotrajectory:

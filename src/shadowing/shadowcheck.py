@@ -8,9 +8,13 @@ trajectory is eps-shadowable over its horizon iff every A_n is nonempty.
 
 Modes:
 
-* ``exact``: all arithmetic is rational, the sets are exact, and the
+* ``exact``: all arithmetic is exact, the sets are exact, and the
   verdict is Yes (with a certified witness, re-checked against its orbit)
-  or No (with the first empty step). Unknown never occurs.
+  or No (with the first empty step). Propagation, pull-back and re-check
+  run on Python integers over a per-step common denominator, the scale
+  (see ``_forward_exact``); Fractions appear only in the witness and when
+  a caller reads a set's ``fragments``. A set that outgrows the fragment
+  cap raises ``EnclosureCapError`` instead of giving a verdict.
 * ``outer``: float arithmetic with every propagated set padded outward, so
   an empty chain still certifies No; when the chain survives, a witness is
   attempted and the verdict is Yes only if its orbit re-check passes in
@@ -34,7 +38,8 @@ from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, EnclosureCapError, UsageError
 from .pseudotraj import Pseudotrajectory
-from .spaces import signed_circ_diff
+from .rationals import frac, scaled
+from .spaces import ScaledPoints, scaled_point, signed_circ_diff
 from .systems import AnnulusSpiral, PiecewiseLinearMap
 
 OUTER_PAD = 1e-13  # absolute outward padding per step in float mode
@@ -78,15 +83,13 @@ def shadow_set_forward(system, traj: Pseudotrajectory, eps,
         raise DomainError("eps must be positive")
     if mode not in ("exact", "outer"):
         raise UsageError(f"unknown checker mode {mode!r}")
+    if mode == "exact":
+        return _forward_exact(system, traj.scaled, frac(eps))
     space = system.space
-    points = traj.points
-    if mode == "outer":
-        points = _float_points(points)
-        eps = float(eps)
-    first = enclosure.ball_set(space, points[0], eps)
-    if mode == "outer":
-        first = enclosure.expand(first, OUTER_PAD)
-    sets = [first]
+    points = _float_points(traj.points)
+    eps = float(eps)
+    sets = [enclosure.expand(enclosure.ball_set(space, points[0], eps),
+                             OUTER_PAD)]
     for y in points[1:]:
         current = sets[-1]
         if current.is_empty():
@@ -94,35 +97,101 @@ def shadow_set_forward(system, traj: Pseudotrajectory, eps,
             continue
         image = system.apply_set(current)
         nxt = enclosure.intersect(image, enclosure.ball_set(space, y, eps))
-        if mode == "outer":
-            nxt = enclosure.expand(nxt, OUTER_PAD)
+        sets.append(enclosure.expand(nxt, OUTER_PAD))
+    return sets
+
+
+def _forward_exact(system, points: ScaledPoints, eps) -> list[EnclosureSet]:
+    """Exact shadow sets with integer fragments.
+
+    The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
+    lattice_base of the map). The image of A_{n-1} meets it over the lcm
+    of their units, W_n. A generated trajectory's scales nest, so W_n is
+    P_n and no step needs a gcd. Otherwise (points read from a file, say)
+    A_n is reduced by one gcd, so its unit never exceeds the lcm of the
+    denominators that A_{n-1} and the ball really carry.
+    """
+    space = system.space
+    base = math.lcm(eps.denominator, system.lattice_base)
+    sets = []
+    point_scale = None
+    for y, s in zip(points.nums, points.scales):
+        if s != point_scale:
+            point_scale, unit = s, math.lcm(s, base)
+            lift, radius = unit // s, scaled(eps, unit)
+        if lift != 1:
+            y = tuple(c * lift for c in y)
+        ball = EnclosureSet(space, (enclosure._ball(space, y, radius, unit),),
+                            "exact", unit)
+        if not sets:
+            sets.append(ball)
+            continue
+        current = sets[-1]
+        if current.is_empty():
+            sets.append(current)
+            continue
+        nxt = enclosure.intersect(system.apply_set(current), ball)
+        if nxt.unit != unit:
+            nxt = nxt.reduced(base)
         sets.append(nxt)
     return sets
 
 
 def orbit_tracks(system, points, x0, eps) -> bool:
-    """Direct re-check: does the orbit of x0 stay within eps of points."""
+    """Direct re-check: does the orbit of x0 stay within eps of points.
+
+    On ``ScaledPoints`` the orbit runs on the integer lattice, compared
+    with each point over the lcm of the two scales and den(eps)."""
     space = system.space
-    z = space.canonical(x0)
-    for y in points:
-        if space.dist(z, y) > eps:
+    if not isinstance(points, ScaledPoints):
+        z = space.canonical(x0)
+        for y in points:
+            if space.dist(z, y) > eps:
+                return False
+            z = system.apply(z)
+        return True
+    eps = frac(eps)
+    z, z_scale = scaled_point(space.canonical(x0))
+    start = math.lcm(z_scale, system.lattice_base)
+    z, z_scale = tuple(c * (start // z_scale) for c in z), start
+    key = None
+    for y, s in zip(points.nums, points.scales):
+        if key != (z_scale, s):
+            key = (z_scale, s)
+            unit = math.lcm(z_scale, s, eps.denominator)
+            z_lift, y_lift, e = unit // z_scale, unit // s, scaled(eps, unit)
+        if space.dist_over(tuple(c * z_lift for c in z),
+                           tuple(c * y_lift for c in y), unit) > e:
             return False
-        z = system.apply(z)
+        z, z_scale = system.apply_scaled(z, z_scale)
     return True
 
 
 def pull_back_witness(system, sets, m):
     """Candidate witness: a point of A_0 pulled back from a point of A_m
     through per-step preimages, staying inside each recorded shadow set.
-    Returns None if some pull-back step finds no preimage in the set, which
-    can only happen on degraded (outer) sets."""
-    x = sets[m].pick_point()
+    Preimages are tried in increasing order and the first one inside the
+    set is kept. Returns None if some pull-back step finds no preimage in
+    the set, which can only happen on degraded (outer) sets.
+
+    Integer sets (exact mode) are pulled back on the lattice and only the
+    witness is turned into Fractions; the float sets of outer mode go
+    through the public point methods."""
+    if sets[m].unit == 1:
+        x = sets[m].pick_point()
+        for n in range(m - 1, -1, -1):
+            options = [p for p in system.preimages(x) if sets[n].contains(p)]
+            if not options:
+                return None
+            x = options[0]
+        return x
+    x, scale = sets[m].pick_scaled()
     for n in range(m - 1, -1, -1):
-        options = [p for p in system.preimages(x) if sets[n].contains(p)]
-        if not options:
+        candidates, scale = system.preimages_scaled(x, scale)
+        x = sets[n].first_inside(candidates, scale)
+        if x is None:
             return None
-        x = options[0]
-    return x
+    return tuple(Fraction(c, scale) for c in x)
 
 
 def decide_shadowable(system, traj: Pseudotrajectory, eps,
@@ -137,7 +206,7 @@ def decide_shadowable(system, traj: Pseudotrajectory, eps,
     for n, s in enumerate(sets):
         if s.is_empty():
             return ShadowVerdict(Verdict.NO, None, n, s)
-    points = traj.points if mode == "exact" else _float_points(traj.points)
+    points = traj.scaled if mode == "exact" else _float_points(traj.points)
     check_eps = eps if mode == "exact" else float(eps)
     witness = pull_back_witness(system, sets, len(sets) - 1)
     if witness is not None and orbit_tracks(system, points, witness, check_eps):

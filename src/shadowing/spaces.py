@@ -12,29 +12,79 @@ Balls are truncated at non-periodic boundaries, keeping every ball's
 measure strictly positive; the sampling kernel normalizes by the truncated
 measure.
 
-All methods preserve the numeric type of their inputs: exact pipelines pass
-``Fraction`` coordinates through unchanged, while checkers running in
-padded float arithmetic pass floats through the very same code paths.
+The public methods take and return ``Fraction`` coordinates (floats pass
+through them unchanged, which the padded float checker relies on). The
+exact kernel keeps points as integer numerators over a common denominator,
+their *scale*: ``ScaledPoints`` holds a sequence of such points and builds
+a point's Fractions only when it is read, and ``sample_scaled`` draws the
+same point as ``sample_uniform_ball`` on that integer lattice.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .rationals import frac
+from .rationals import frac, scaled
 
 HALF = Fraction(1, 2)
+
+# numpy's Generator.random() returns doubles k / 2**53 with integer k.
+TWO53 = 1 << 53
 
 Point = tuple
 
 
-def circ_dist(a, b):
-    """Arc-length distance on the unit circle, inputs canonical in [0,1)."""
-    t = (a - b) % 1
-    return min(t, 1 - t)
+def circ_dist(a, b, unit=1):
+    """Arc-length distance on the circle, inputs canonical in [0, unit)."""
+    t = (a - b) % unit
+    return min(t, unit - t)
+
+
+def scaled_point(point) -> tuple:
+    """(numerators, scale) of a point of rationals, over the lcm of the
+    denominators of its coordinates."""
+    coords = [Fraction(c) if isinstance(c, float) else c for c in point]
+    scale = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (scale // c.denominator) for c in coords), scale
+
+
+class ScaledPoints(Sequence):
+    """Points held as integer numerators over per-point scales.
+
+    Point n is ``nums[n]`` over ``scales[n]``. Indexing builds that point's
+    ``Fraction`` coordinates; slicing returns another ScaledPoints and
+    builds none.
+    """
+
+    __slots__ = ("nums", "scales")
+
+    def __init__(self, nums: list, scales: list):
+        self.nums = nums
+        self.scales = scales
+
+    @classmethod
+    def from_points(cls, points) -> "ScaledPoints":
+        pairs = [scaled_point(p) for p in points]
+        return cls([n for n, _ in pairs], [s for _, s in pairs])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ScaledPoints(self.nums[i], self.scales[i])
+        scale = self.scales[i]
+        return tuple(Fraction(c, scale) for c in self.nums[i])
+
+
+def _sample_arc_scaled(center, radius, scale, k):
+    if 2 * radius >= scale:
+        return k * (scale >> 53)
+    return (center - radius + (2 * radius >> 53) * k) % scale
 
 
 def signed_circ_diff(a, b):
@@ -114,11 +164,16 @@ class Space:
     def dist(self, a: Point, b: Point):
         if len(a) != self.ndim or len(b) != self.ndim:
             raise UsageError(f"points {a!r}, {b!r} do not belong to a {self.kind}")
+        return self.dist_over(a, b, 1)
+
+    def dist_over(self, a: Point, b: Point, unit):
+        """dist of two points given as numerators over a common unit, as a
+        numerator over that unit."""
         if self.kind == "circle":
-            return circ_dist(a[0], b[0])
+            return circ_dist(a[0], b[0], unit)
         if self.kind == "interval":
             return abs(a[0] - b[0])
-        return max(abs(a[0] - b[0]), circ_dist(a[1], b[1]))
+        return max(abs(a[0] - b[0]), circ_dist(a[1], b[1], unit))
 
     def ball_measure(self, center: Point, radius):
         """Measure of the radius-ball around center, truncated to the space."""
@@ -157,6 +212,39 @@ class Space:
         r = lo + (hi - lo) * Fraction(float(rng.random()))
         theta = self._sample_arc(center[1], radius, rng)
         return (r, theta)
+
+    def sample_scaled(self, center, scale: int, radius, draws) -> tuple:
+        """sample_uniform_ball on the integer lattice.
+
+        ``center`` holds integer numerators over ``scale``; each uniform is
+        taken from ``draws`` as the integer k of its double k / 2**53.
+        Returns the point's numerators and scale, and equals
+        sample_uniform_ball's point for the same doubles. ``scale`` must be
+        a multiple of 2**53 and of the denominators of radius and w. An
+        untruncated step keeps the scale; a step truncated at a boundary
+        multiplies it by the power of two, at most 2**53, that keeps the
+        draw exact.
+        """
+        r = scaled(radius, scale)
+        if self.kind == "circle":
+            return (_sample_arc_scaled(center[0], r, scale, next(draws)),), \
+                scale
+        if self.kind == "interval":
+            lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
+        else:
+            w = scaled(self.w, scale)
+            lo = max(center[0] - r, scale - w)
+            hi = min(center[0] + r, scale + w)
+        span = hi - lo
+        low_bit = span & -span
+        grow = TWO53 // low_bit if low_bit < TWO53 else 1
+        x = lo * grow + (span * grow >> 53) * next(draws)
+        scale *= grow
+        if self.kind == "interval":
+            return (x,), scale
+        theta = _sample_arc_scaled(center[1] * grow, r * grow, scale,
+                                   next(draws))
+        return (x, theta), scale
 
     @staticmethod
     def _sample_arc(center, radius, rng):

@@ -4,11 +4,16 @@ Every shipped map is piecewise linear with rational parameters: circle and
 interval maps are built on one piecewise-linear engine (doubling, tent,
 rotations and general ``pwl`` maps are thin constructors over it), and the
 annulus carries a contraction-rotation. Point evaluation, images of
-enclosure sets and pointwise preimages are therefore computed exactly in
-rational arithmetic; outer and inner image enclosures coincide.
+enclosure sets and pointwise preimages are therefore computed exactly;
+outer and inner image enclosures coincide.
 
-The same methods run unchanged on float inputs, which is how the padded
-float checker mode reuses this module.
+Each map evaluates at a scale: ``apply_scaled`` and ``preimages_scaled``
+take a point as integer numerators over a ``unit`` and return numerators
+over the output unit, which is ``unit`` times the lcm of the slope
+denominators (images) or numerators (preimages), so integer-slope maps
+keep the scale. ``apply_set`` works over the unit of its set. With unit 1
+the same code runs on the ``Fraction`` (or padded float) values
+themselves, which is what the public ``apply`` and ``preimages`` do.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, UsageError
-from .rationals import frac
+from .rationals import frac, scaled
 from .spaces import Space, annulus, circle, interval
 
 
@@ -66,6 +71,13 @@ class PiecewiseLinearMap:
             if any(v < 0 or v > 1 for v in values):
                 raise UsageError("interval map must send [0, 1] into itself")
             object.__setattr__(self, "degree", None)
+        object.__setattr__(self, "lattice_base", math.lcm(
+            *(Fraction(v).denominator for v in tuple(bps) + tuple(values))))
+        object.__setattr__(self, "_slope_den", math.lcm(
+            *(Fraction(sl).denominator for sl in self.slopes)))
+        object.__setattr__(self, "_slope_num", math.lcm(
+            *(abs(Fraction(sl).numerator) for sl in self.slopes)))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def lipschitz(self):
@@ -77,79 +89,124 @@ class PiecewiseLinearMap:
             raise UsageError("alpha is defined for rotations only")
         return self.offset
 
-    def _piece(self, x):
-        i = bisect_right(self.breakpoints, x) - 1
-        return min(i, len(self.slopes) - 1)
-
-    def _value(self, x):
-        """Piecewise value on [0, 1] before any wrap."""
-        i = self._piece(x)
-        return self._values[i] + self.slopes[i] * (x - self.breakpoints[i])
-
-    def _lift(self, x):
-        """Continuous lift on [0, 2), using the winding number on the circle."""
-        if x >= 1:
-            return self._value(x - 1) + self.degree
-        return self._value(x)
+    def _tables(self, unit):
+        """(breakpoints, values, slopes, out) over ``unit``: on piece i the
+        map sends x to values[i] + slopes[i] * (x - breakpoints[i]), all
+        numerators, the result over ``out``. Unit 1 gives the parameters
+        themselves; an integer unit must be a multiple of lattice_base."""
+        if unit == 1:
+            return self.breakpoints, self._values, self.slopes, 1
+        memo = self._memo.get("apply")
+        if memo is None or memo[0] != unit:
+            q = self._slope_den
+            out = unit * q
+            memo = (unit, (tuple(scaled(b, unit) for b in self.breakpoints),
+                           tuple(scaled(v, out) for v in self._values),
+                           tuple(int(sl * q) for sl in self.slopes), out))
+            self._memo["apply"] = memo
+        return memo[1]
 
     def apply(self, point):
+        return self.apply_scaled(point, 1)[0]
+
+    def apply_scaled(self, point, unit):
+        """apply() for numerators over ``unit``: (numerators, out unit)."""
+        bps, vals, slopes, out = self._tables(unit)
         x = point[0]
-        v = self._value(x)
+        i = min(bisect_right(bps, x) - 1, len(slopes) - 1)
+        v = vals[i] + slopes[i] * (x - bps[i])
         if self.space.kind == "circle":
-            return (v % 1,)
-        return (v,)
+            return (v % out,), out
+        return (v,), out
 
     def apply_set(self, s: EnclosureSet) -> EnclosureSet:
         if s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
+        bps, vals, slopes, out = tables = self._tables(s.unit)
         if self.space.kind == "circle":
             frags = []
-            for start, length in s.fragments:
-                frags.extend(self._arc_image(start, length))
-            return enclosure.make(self.space, frags, s.variant)
-        frags = [self._seg_image(lo, hi) for lo, hi in s.fragments]
-        return enclosure.make(self.space, frags, s.variant)
+            for start, length in s.nums:
+                frags.extend(self._arc_image(start, length, tables, s.unit))
+        else:
+            frags = [self._seg_image(lo, hi, tables) for lo, hi in s.nums]
+        return enclosure._make(self.space, frags, s.variant,
+                               enclosure.DEFAULT_FRAGMENT_CAP, out)
 
-    def _cuts(self, lo, hi):
-        cuts = set()
-        for b in self.breakpoints:
-            for m in (0, 1):
-                c = b + m
-                if lo < c < hi:
-                    cuts.add(c)
-        return sorted(cuts)
+    @staticmethod
+    def _value(x, tables):
+        """Piecewise value of x in [0, unit] before any wrap."""
+        bps, vals, slopes, _ = tables
+        i = min(bisect_right(bps, x) - 1, len(slopes) - 1)
+        return vals[i] + slopes[i] * (x - bps[i])
 
-    def _arc_image(self, start, length):
-        xs = [start] + self._cuts(start, start + length) + [start + length]
+    def _lift(self, x, tables, unit):
+        """Continuous lift on [0, 2 unit), using the winding number on the
+        circle."""
+        if x >= unit:
+            return self._value(x - unit, tables) + self.degree * tables[3]
+        return self._value(x, tables)
+
+    def _arc_image(self, start, length, tables, unit):
+        end = start + length
+        cuts = sorted({c for b in tables[0] for c in (b, b + unit)
+                       if start < c < end})
+        xs = [start] + cuts + [end]
+        out = tables[3]
         arcs = []
         for u, v in zip(xs, xs[1:]):
-            fu, fv = self._lift(u), self._lift(v)
+            fu, fv = self._lift(u, tables, unit), self._lift(v, tables, unit)
             lo, hi = (fu, fv) if fu <= fv else (fv, fu)
-            arcs.append((lo % 1, min(hi - lo, 1)))
+            arcs.append((lo % out, min(hi - lo, out)))
         return arcs
 
-    def _seg_image(self, lo, hi):
-        xs = [lo] + [b for b in self.breakpoints if lo < b < hi] + [hi]
-        vals = [self._value(x) for x in xs]
+    def _seg_image(self, lo, hi, tables):
+        xs = [lo] + [b for b in tables[0] if lo < b < hi] + [hi]
+        vals = [self._value(x, tables) for x in xs]
         return (min(vals), max(vals))
+
+    def _preimage_tables(self, unit):
+        """(breakpoints over out plus the end out, values over unit,
+        out / slope, out), out = unit * lcm of the slope numerators."""
+        memo = self._memo.get("preimage")
+        if memo is None or memo[0] != unit:
+            p = self._slope_num
+            out = unit * p
+            memo = (unit, (
+                tuple(scaled(b, out) for b in self.breakpoints) + (out,),
+                tuple(scaled(v, unit) for v in self._values),
+                tuple(p * sl.denominator // sl.numerator
+                      for sl in map(Fraction, self.slopes)), out))
+            self._memo["preimage"] = memo
+        return memo[1]
 
     def preimages(self, point) -> list:
         """All solutions of apply(x) == point, canonical and sorted."""
+        return self.preimages_scaled(point, 1)[0]
+
+    def preimages_scaled(self, point, unit) -> tuple:
+        """preimages() for numerators over ``unit``: (sorted numerator
+        tuples, out unit)."""
+        if unit == 1:
+            bps = tuple(self.breakpoints) + (Fraction(1),)
+            vals, out = self._values, 1
+        else:
+            bps, vals, inverse, out = self._preimage_tables(unit)
         x = point[0]
-        bps = list(self.breakpoints) + [Fraction(1)]
+        circle = self.space.kind == "circle"
         found = set()
         for i, s in enumerate(self.slopes):
-            v_lo, v_hi = self._values[i], self._values[i + 1]
+            v_lo, v_hi = vals[i], vals[i + 1]
             lo, hi = (v_lo, v_hi) if v_lo <= v_hi else (v_hi, v_lo)
-            if self.space.kind == "circle":
-                ms = range(math.ceil(lo - x), math.floor(hi - x) + 1)
+            if circle:
+                ms = range(int(-((x - lo) // unit)), int((hi - x) // unit) + 1)
             else:
                 ms = (0,) if lo <= x <= hi else ()
             for m in ms:
-                t = bps[i] + (x + m - v_lo) / s
+                rise = x + m * unit - v_lo
+                t = bps[i] + (rise / s if unit == 1 else rise * inverse[i])
                 if bps[i] <= t <= bps[i + 1]:
-                    found.add(self.space.canonical((t,))[0])
-        return sorted((t,) for t in found)
+                    found.add(t % out if circle else t)
+        return sorted((t,) for t in found), out
 
 
 @dataclass(frozen=True)
@@ -172,24 +229,57 @@ class AnnulusSpiral:
     def lipschitz(self):
         return max(self.lam, Fraction(1))
 
+    @property
+    def lattice_base(self) -> int:
+        return math.lcm(self.alpha.denominator, self.space.w.denominator)
+
+    def _tables(self, unit):
+        """(lam, lift, alpha, out) over ``unit``: the map sends (r, theta)
+        to (out + lam * (r - unit), (theta * lift + alpha) % out)."""
+        if unit == 1:
+            return self.lam, 1, self.alpha, 1
+        q = self.lam.denominator
+        out = unit * q
+        return self.lam.numerator, q, scaled(self.alpha, out), out
+
     def apply(self, point):
+        return self.apply_scaled(point, 1)[0]
+
+    def apply_scaled(self, point, unit):
+        """apply() for numerators over ``unit``: (numerators, out unit)."""
+        lam, lift, alpha, out = self._tables(unit)
         r, theta = point
-        return (1 + self.lam * (r - 1), (theta + self.alpha) % 1)
+        return (out + lam * (r - unit), (theta * lift + alpha) % out), out
 
     def apply_set(self, s: EnclosureSet) -> EnclosureSet:
         if s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
-        frags = [(1 + self.lam * (rlo - 1), 1 + self.lam * (rhi - 1),
-                  (a + self.alpha) % 1, l)
-                 for rlo, rhi, a, l in s.fragments]
-        return enclosure.make(self.space, frags, s.variant)
+        unit = s.unit
+        lam, lift, alpha, out = self._tables(unit)
+        frags = [(out + lam * (rlo - unit), out + lam * (rhi - unit),
+                  (a * lift + alpha) % out, l * lift)
+                 for rlo, rhi, a, l in s.nums]
+        return enclosure._make(self.space, frags, s.variant,
+                               enclosure.DEFAULT_FRAGMENT_CAP, out)
 
     def preimages(self, point) -> list:
+        return self.preimages_scaled(point, 1)[0]
+
+    def preimages_scaled(self, point, unit) -> tuple:
+        """preimages() for numerators over ``unit``: (numerator tuples,
+        out unit), out = unit * numerator of lam."""
         r, theta = point
-        r_prev = 1 + (r - 1) / self.lam
-        if abs(r_prev - 1) > self.space.w:
-            return []
-        return [(r_prev, (theta - self.alpha) % 1)]
+        if unit == 1:
+            out, r_prev = 1, 1 + (r - 1) / self.lam
+            theta_prev = (theta - self.alpha) % 1
+        else:
+            p = self.lam.numerator
+            out = unit * p
+            r_prev = out + self.lam.denominator * (r - unit)
+            theta_prev = (theta * p - scaled(self.alpha, out)) % out
+        if abs(r_prev - out) > scaled(self.space.w, out):
+            return [], out
+        return [(r_prev, theta_prev)], out
 
 
 def orbit(system, x0, n: int) -> list:
