@@ -71,12 +71,19 @@ class PiecewiseLinearMap:
             if any(v < 0 or v > 1 for v in values):
                 raise UsageError("interval map must send [0, 1] into itself")
             object.__setattr__(self, "degree", None)
-        object.__setattr__(self, "lattice_base", math.lcm(
-            *(Fraction(v).denominator for v in tuple(bps) + tuple(values))))
-        object.__setattr__(self, "_slope_den", math.lcm(
-            *(Fraction(sl).denominator for sl in self.slopes)))
-        object.__setattr__(self, "_slope_num", math.lcm(
-            *(abs(Fraction(sl).numerator) for sl in self.slopes)))
+        base = math.lcm(*(Fraction(v).denominator
+                          for v in tuple(bps) + tuple(values)))
+        slopes = [Fraction(sl) for sl in self.slopes]
+        q = math.lcm(*(sl.denominator for sl in slopes))
+        p = math.lcm(*(abs(sl.numerator) for sl in slopes))
+        object.__setattr__(self, "lattice_base", base)
+        # breakpoints and values as numerators over the lattice base; on a
+        # unit k * base they are these times k
+        object.__setattr__(self, "_lattice", (
+            tuple(int(b * base) for b in bps),
+            tuple(int(v * base) for v in values),
+            q, tuple(int(sl * q) for sl in slopes),
+            p, tuple(p * sl.denominator // sl.numerator for sl in slopes)))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -98,11 +105,10 @@ class PiecewiseLinearMap:
             return self.breakpoints, self._values, self.slopes, 1
         memo = self._memo.get("apply")
         if memo is None or memo[0] != unit:
-            q = self._slope_den
-            out = unit * q
-            memo = (unit, (tuple(scaled(b, unit) for b in self.breakpoints),
-                           tuple(scaled(v, out) for v in self._values),
-                           tuple(int(sl * q) for sl in self.slopes), out))
+            bps, vals, q, slopes, _, _ = self._lattice
+            k = unit // self.lattice_base
+            memo = (unit, (tuple(b * k for b in bps),
+                           tuple(v * k * q for v in vals), slopes, unit * q))
             self._memo["apply"] = memo
         return memo[1]
 
@@ -122,7 +128,7 @@ class PiecewiseLinearMap:
     def apply_set(self, s: EnclosureSet) -> EnclosureSet:
         if s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
-        bps, vals, slopes, out = tables = self._tables(s.unit)
+        tables = self._tables(s.unit)
         if self.space.kind == "circle":
             frags = []
             for start, length in s.nums:
@@ -130,7 +136,7 @@ class PiecewiseLinearMap:
         else:
             frags = [self._seg_image(lo, hi, tables) for lo, hi in s.nums]
         return enclosure._make(self.space, frags, s.variant,
-                               enclosure.DEFAULT_FRAGMENT_CAP, out)
+                               enclosure.DEFAULT_FRAGMENT_CAP, tables[3])
 
     @staticmethod
     def _value(x, tables):
@@ -169,13 +175,11 @@ class PiecewiseLinearMap:
         out / slope, out), out = unit * lcm of the slope numerators."""
         memo = self._memo.get("preimage")
         if memo is None or memo[0] != unit:
-            p = self._slope_num
+            bps, vals, _, _, p, inverse = self._lattice
+            k = unit // self.lattice_base
             out = unit * p
-            memo = (unit, (
-                tuple(scaled(b, out) for b in self.breakpoints) + (out,),
-                tuple(scaled(v, unit) for v in self._values),
-                tuple(p * sl.denominator // sl.numerator
-                      for sl in map(Fraction, self.slopes)), out))
+            memo = (unit, (tuple(b * k * p for b in bps) + (out,),
+                           tuple(v * k for v in vals), inverse, out))
             self._memo["preimage"] = memo
         return memo[1]
 
