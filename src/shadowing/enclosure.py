@@ -10,12 +10,13 @@ of pairwise disjoint fragments:
   with an angular arc.
 
 Every fragment coordinate is a numerator over the set's ``unit``: ``1``
-for sets built from ``Fraction`` values (the public API), ``1.0`` for the
-padded float checker, and a positive integer *scale* for the exact kernel,
-whose fragments are Python integers over that common denominator. One copy
-of the arc, segment and box algebra serves all three, because it only adds,
-compares and reduces modulo ``unit``. Reading ``EnclosureSet.fragments``
-of an integer set builds its ``Fraction`` values then, and only then.
+for sets that hold the values themselves (``Fraction`` values at the
+public API, floats in the padded checker), and a positive integer *scale*
+for the exact kernel, whose fragments are Python integers over that common
+denominator. One copy of the arc, segment and box algebra serves both,
+because it only adds, compares and reduces modulo ``unit``. Reading
+``EnclosureSet.fragments`` of an integer set builds its ``Fraction``
+values then, and only then.
 
 The ``variant`` tag tracks certification direction: ``exact`` sets equal
 the abstract set they stand for, ``outer`` sets contain it, ``inner`` sets
@@ -32,7 +33,7 @@ from itertools import chain
 
 from .errors import EnclosureCapError, UsageError
 from .rationals import scaled
-from .spaces import Space, scaled_point
+from .spaces import HALF, Space, scaled_point
 
 DEFAULT_FRAGMENT_CAP = 4096
 
@@ -256,7 +257,8 @@ class EnclosureSet:
     ``EnclosureSet(space, fragments, variant)`` holds the fragment values
     themselves, at unit 1. The exact kernel builds sets whose ``nums`` are
     integer numerators over an integer ``unit``; their ``fragments`` are
-    the ``Fraction`` values, built on first read. Instances are immutable.
+    the ``Fraction`` values, built on first read. No method changes an
+    instance once built.
     """
 
     __slots__ = ("space", "nums", "variant", "unit", "_values")
@@ -344,17 +346,19 @@ class EnclosureSet:
 
     def pick_point(self):
         """Deterministic representative: midpoint of the largest fragment,
-        ties going to the smallest start."""
+        ties going to the smallest start. Halving multiplies by the
+        ``Fraction`` 1/2, so the int fragment ``(0, 1)`` of a full circle
+        gives ``Fraction(1, 2)``, not the float ``1 / 2``."""
         if self.unit != 1:
             nums, scale = self.pick_scaled()
             return tuple(Fraction(c, scale) for c in nums)
         f = self._largest()
         kind = self.space.kind
         if kind == "circle":
-            return ((f[0] + f[1] / 2) % 1,)
+            return ((f[0] + f[1] * HALF) % 1,)
         if kind == "interval":
-            return ((f[0] + f[1]) / 2,)
-        return ((f[0] + f[1]) / 2, (f[2] + f[3] / 2) % 1)
+            return ((f[0] + f[1]) * HALF,)
+        return ((f[0] + f[1]) * HALF, (f[2] + f[3] * HALF) % 1)
 
     def pick_scaled(self):
         """pick_point of an integer set, as numerators over twice its unit."""

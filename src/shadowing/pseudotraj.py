@@ -41,7 +41,7 @@ class Provenance:
 
 
 class Pseudotrajectory:
-    """Points y_0, ..., y_N with step bound d. Immutable.
+    """Points y_0, ..., y_N with step bound d; no method changes them.
 
     ``points`` is a tuple of ``Fraction`` tuples and ``scaled`` the same
     points as integer numerators over per-point scales (``ScaledPoints``),

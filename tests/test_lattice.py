@@ -77,7 +77,7 @@ def lattice_matches_fractions(name, data):
     n = data.draw(st.integers(0, 60), label="n")
     d = data.draw(st.sampled_from([F(1, 50), F(3, 200), F(1, 7), F(9, 800)]),
                   label="d")
-    eps = data.draw(st.sampled_from([F(1, 20), F(1, 30), F(2, 21)]),
+    eps = data.draw(st.sampled_from([F(1, 20), F(1, 30), F(2, 21), F(3, 5)]),
                     label="eps")
     y0 = start_point(system, data)
 
@@ -128,6 +128,22 @@ def test_spiral_lattice_equals_fractions(data):
 @given(data=st.data())
 def test_pwl_lattice_equals_fractions(data):
     lattice_matches_fractions("pwl", data)
+
+
+def test_saturated_sets_give_exact_witnesses():
+    """eps >= 1/2 makes the shadow sets the whole circle or interval, whose
+    fragments are the ints (0, 1). Their midpoint must be the Fraction 1/2,
+    not the float 1 / 2, so the witness stays exact."""
+    for name in ("doubling", "tent", "spiral"):
+        system = SYSTEMS[name]
+        y0 = (F(13, 10), F(1, 2)) if name == "spiral" else (F(1, 3),)
+        traj = generate(system, y0, F(1, 10), 12, trial_stream(416))
+        verdict = decide_shadowable(system, traj, F(3, 5))
+        ref = reference_sets(system, traj.points, F(3, 5))
+        assert verdict.verdict.value == "Yes"
+        assert all(type(c) is F for c in verdict.witness), name
+        assert verdict.witness == reference_witness(system, ref, 12)
+        assert all(type(c) is F for c in ref[12].pick_point()), name
 
 
 def primes_above(low, count):
