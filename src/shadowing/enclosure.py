@@ -317,8 +317,9 @@ class EnclosureSet:
         return self.first_inside([nums], scale) is not None
 
     def first_inside(self, points, scale):
-        """The first of ``points`` (tuples of integer numerators over
-        ``scale``) that lies in this integer set, or None."""
+        """The first of ``points`` (tuples of numerators over ``scale``)
+        that lies in this set, or None. With scale and unit 1 the points
+        and fragments are the values themselves."""
         frags, unit = self.nums, self.unit
         if scale % unit:
             common = math.lcm(scale, unit)
@@ -346,22 +347,16 @@ class EnclosureSet:
 
     def pick_point(self):
         """Deterministic representative: midpoint of the largest fragment,
-        ties going to the smallest start. Halving multiplies by the
-        ``Fraction`` 1/2, so the int fragment ``(0, 1)`` of a full circle
-        gives ``Fraction(1, 2)``, not the float ``1 / 2``."""
-        if self.unit != 1:
-            nums, scale = self.pick_scaled()
-            return tuple(Fraction(c, scale) for c in nums)
-        f = self._largest()
-        kind = self.space.kind
-        if kind == "circle":
-            return ((f[0] + f[1] * HALF) % 1,)
-        if kind == "interval":
-            return ((f[0] + f[1]) * HALF,)
-        return ((f[0] + f[1]) * HALF, (f[2] + f[3] * HALF) % 1)
+        ties going to the smallest start."""
+        nums, scale = self.pick_scaled()
+        if self.unit == 1:
+            # times the Fraction 1/2: the int fragment (0, 1) of a whole
+            # circle must give Fraction(1, 2), not the float 1 / 2
+            return tuple(c * HALF for c in nums)
+        return tuple(Fraction(c, scale) for c in nums)
 
     def pick_scaled(self):
-        """pick_point of an integer set, as numerators over twice its unit."""
+        """pick_point as numerators over twice the unit."""
         f = self._largest()
         u2 = 2 * self.unit
         kind = self.space.kind

@@ -175,23 +175,18 @@ def pull_back_witness(system, sets, m):
     the set, which can only happen on degraded (outer) sets.
 
     Integer sets (exact mode) are pulled back on the lattice and only the
-    witness is turned into Fractions; the float sets of outer mode go
-    through the public point methods."""
+    witness is turned into Fractions; sets of values (unit 1, such as the
+    float sets of outer mode) are pulled back on the values themselves."""
     if sets[m].unit == 1:
-        x = sets[m].pick_point()
-        for n in range(m - 1, -1, -1):
-            options = [p for p in system.preimages(x) if sets[n].contains(p)]
-            if not options:
-                return None
-            x = options[0]
-        return x
-    x, scale = sets[m].pick_scaled()
+        x, scale = sets[m].pick_point(), 1
+    else:
+        x, scale = sets[m].pick_scaled()
     for n in range(m - 1, -1, -1):
         candidates, scale = system.preimages_scaled(x, scale)
         x = sets[n].first_inside(candidates, scale)
         if x is None:
             return None
-    return tuple(Fraction(c, scale) for c in x)
+    return x if scale == 1 else tuple(Fraction(c, scale) for c in x)
 
 
 def decide_shadowable(system, traj: Pseudotrajectory, eps,

@@ -117,10 +117,8 @@ class PiecewiseLinearMap:
 
     def apply_scaled(self, point, unit):
         """apply() for numerators over ``unit``: (numerators, out unit)."""
-        bps, vals, slopes, out = self._tables(unit)
-        x = point[0]
-        i = min(bisect_right(bps, x) - 1, len(slopes) - 1)
-        v = vals[i] + slopes[i] * (x - bps[i])
+        tables = self._tables(unit)
+        v, out = self._value(point[0], tables), tables[3]
         if self.space.kind == "circle":
             return (v % out,), out
         return (v,), out
