@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .errors import DomainError, SearchFailure, UsageError
+from .errors import DomainError, EnclosureCapError, SearchFailure, UsageError
 from .experiment import (ExperimentConfig, emit, estimate_probability,
                          result_summary, run_attractor_experiment,
                          run_dichotomy_experiment)
@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DomainError, SearchFailure) as exc:
+    except (UsageError, DomainError, SearchFailure, EnclosureCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import EnclosureCapError, UsageError
-from .rationals import scaled
 from .spaces import HALF, Space, scaled_point
 
 DEFAULT_FRAGMENT_CAP = 4096
@@ -451,7 +450,11 @@ def _ball(space: Space, center, radius, unit) -> tuple:
         return ((center[0] - radius) % unit, 2 * radius)
     if kind == "interval":
         return (max(center[0] - radius, 0), min(center[0] + radius, unit))
-    w = scaled(space.w, unit)
+    if unit == 1:
+        w = space.w
+    else:
+        w_num, w_den = space.w_ratio
+        w = w_num * (unit // w_den)
     rlo = max(center[0] - radius, unit - w)
     rhi = min(center[0] + radius, unit + w)
     if 2 * radius >= unit:

@@ -163,10 +163,11 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     if band is not None:
         # |r - 1| <= rho on the lattice: |R - S| * den(rho) <= num(rho) * S
         rho, n0 = band
+        rho_num, rho_den = rho.numerator, rho.denominator
         pts = traj.scaled
         for n in range(n0, len(pts)):
             r, s = pts.nums[n][0], pts.scales[n]
-            if abs(r - s) * rho.denominator > rho.numerator * s:
+            if abs(r - s) * rho_den > rho_num * s:
                 raise InvariantViolation(
                     f"trial {trial}: point {pts[n]} at step {n} escaped the "
                     f"absorbing band of half-width {rho} (entry step {n0})")

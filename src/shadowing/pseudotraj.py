@@ -131,7 +131,8 @@ def generate(system, y0: Point, d, n: int, rng,
     and equal the step-by-step Fraction chain. Their scale starts at 2**53
     times the lcm of the denominators of d, y0 and the map's parameters; it
     grows only by a non-integer slope's denominator and at a step truncated
-    at a boundary of the space.
+    at a boundary of the space. d is converted to integers once, before the
+    loop, and the loop reads no ``Fraction``.
     """
     if d <= 0:
         raise DomainError("step bound d must be positive")
@@ -139,15 +140,17 @@ def generate(system, y0: Point, d, n: int, rng,
         raise DomainError("horizon must be nonnegative")
     space = system.space
     d = frac(d)
+    d_num, d_den = d.numerator, d.denominator
     y, scale = scaled_point(space.canonical(y0))
-    start = TWO53 * math.lcm(scale, d.denominator, system.lattice_base)
+    start = TWO53 * math.lcm(scale, d_den, system.lattice_base)
     y, scale = tuple(c * (start // scale) for c in y), start
     nums, scales = [y], [scale]
     doubles = rng.random(n * space.ndim)
     draws = iter((doubles * TWO53).astype(np.int64).tolist())
     for _ in range(n):
         center, center_scale = system.apply_scaled(y, scale)
-        y, scale = space.sample_scaled(center, center_scale, d, draws)
+        y, scale = space.sample_scaled(
+            center, center_scale, d_num * (center_scale // d_den), draws)
         nums.append(y)
         scales.append(scale)
     return Pseudotrajectory.from_scaled(ScaledPoints(nums, scales), d,

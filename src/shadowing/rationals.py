@@ -5,8 +5,9 @@ At the API every coordinate, step bound and radius is a
 by a user are interpreted with decimal semantics: ``frac(0.02)`` and
 ``frac("0.02")`` both give 1/50. Code that needs a float's exact binary
 value calls ``Fraction(x)`` directly instead. Inside, the exact kernel
-works on integer numerators over a common denominator, its *scale*;
-``scaled`` moves a rational onto such a lattice.
+works on integer numerators over a common denominator, its *scale*; it
+takes each parameter's numerator and denominator once, before its loop,
+and moves the parameter to a scale s as numerator * (s // denominator).
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def scaled(value, scale):
-    """The numerator of ``value`` over ``scale``.
-
-    With ``scale`` 1 the value itself is returned (the unit of
-    ``Fraction`` arithmetic). Otherwise ``scale`` must be an integer
-    multiple of the value's denominator and the result is an exact int.
-    """
-    if scale == 1:
-        return value
-    return value.numerator * (scale // value.denominator)
 
 
 def parse_point(text) -> tuple:

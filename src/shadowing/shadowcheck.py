@@ -38,7 +38,7 @@ from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, EnclosureCapError, UsageError
 from .pseudotraj import Pseudotrajectory
-from .rationals import frac, scaled
+from .rationals import frac
 from .spaces import ScaledPoints, scaled_point, signed_circ_diff
 from .systems import AnnulusSpiral, PiecewiseLinearMap
 
@@ -78,7 +78,11 @@ def _float_points(points):
 
 def shadow_set_forward(system, traj: Pseudotrajectory, eps,
                        mode: str = "exact") -> list[EnclosureSet]:
-    """The shadow sets A_0, ..., A_N; empty tails stay empty."""
+    """The shadow sets A_0, ..., A_N; empty tails stay empty.
+
+    Always N + 1 sets. Once some A_n is empty every later entry is that
+    same empty set: exact mode stops propagating there, outer mode copies
+    it forward without building a ball."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     if mode not in ("exact", "outer"):
@@ -110,30 +114,32 @@ def _forward_exact(system, points: ScaledPoints, eps) -> list[EnclosureSet]:
     P_n and no step needs a gcd. Otherwise (points read from a file, say)
     A_n is reduced by one gcd, so its unit never exceeds the lcm of the
     denominators that A_{n-1} and the ball really carry.
+
+    An empty set stays empty, so the loop stops at the first empty A_n
+    and repeats that set for the remaining steps: no ball is built and no
+    image is taken after it. eps is converted to integers once, here.
     """
     space = system.space
-    base = math.lcm(eps.denominator, system.lattice_base)
+    eps_num, eps_den = eps.numerator, eps.denominator
+    base = math.lcm(eps_den, system.lattice_base)
     sets = []
     point_scale = None
     for y, s in zip(points.nums, points.scales):
         if s != point_scale:
             point_scale, unit = s, math.lcm(s, base)
-            lift, radius = unit // s, scaled(eps, unit)
+            lift, radius = unit // s, eps_num * (unit // eps_den)
         if lift != 1:
             y = tuple(c * lift for c in y)
-        ball = EnclosureSet(space, (enclosure._ball(space, y, radius, unit),),
-                            "exact", unit)
-        if not sets:
-            sets.append(ball)
-            continue
-        current = sets[-1]
-        if current.is_empty():
-            sets.append(current)
-            continue
-        nxt = enclosure.intersect(system.apply_set(current), ball)
-        if nxt.unit != unit:
-            nxt = nxt.reduced(base)
+        nxt = EnclosureSet(space, (enclosure._ball(space, y, radius, unit),),
+                           "exact", unit)
+        if sets:
+            nxt = enclosure.intersect(system.apply_set(sets[-1]), nxt)
+            if nxt.unit != unit:
+                nxt = nxt.reduced(base)
         sets.append(nxt)
+        if nxt.is_empty():
+            break
+    sets.extend([sets[-1]] * (len(points) - len(sets)))
     return sets
 
 
@@ -151,6 +157,7 @@ def orbit_tracks(system, points, x0, eps) -> bool:
             z = system.apply(z)
         return True
     eps = frac(eps)
+    eps_num, eps_den = eps.numerator, eps.denominator
     z, z_scale = scaled_point(space.canonical(x0))
     start = math.lcm(z_scale, system.lattice_base)
     z, z_scale = tuple(c * (start // z_scale) for c in z), start
@@ -158,8 +165,9 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     for y, s in zip(points.nums, points.scales):
         if key != (z_scale, s):
             key = (z_scale, s)
-            unit = math.lcm(z_scale, s, eps.denominator)
-            z_lift, y_lift, e = unit // z_scale, unit // s, scaled(eps, unit)
+            unit = math.lcm(z_scale, s, eps_den)
+            z_lift, y_lift = unit // z_scale, unit // s
+            e = eps_num * (unit // eps_den)
         if space.dist_over(tuple(c * z_lift for c in z),
                            tuple(c * y_lift for c in y), unit) > e:
             return False

@@ -17,7 +17,9 @@ through them unchanged, which the padded float checker relies on). The
 exact kernel keeps points as integer numerators over a common denominator,
 their *scale*: ``ScaledPoints`` holds a sequence of such points and builds
 a point's Fractions only when it is read, and ``sample_scaled`` draws the
-same point as ``sample_uniform_ball`` on that integer lattice.
+same point as ``sample_uniform_ball`` on that integer lattice. The annulus
+half-width is kept as an integer pair too (``Space.w_ratio``), so a step
+at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .rationals import frac, scaled
+from .rationals import frac
 
 HALF = Fraction(1, 2)
 
@@ -68,8 +70,21 @@ class ScaledPoints(Sequence):
 
     @classmethod
     def from_points(cls, points) -> "ScaledPoints":
-        pairs = [scaled_point(p) for p in points]
-        return cls([n for n, _ in pairs], [s for _, s in pairs])
+        """The points over nested scales: a point whose reduced denominator
+        divides the previous point's scale stays on that scale, any other
+        point starts a new scale at its own reduced denominator. So the
+        scale changes only where it must (which keeps a map's integer
+        tables valid from step to step) and never exceeds the largest
+        reduced denominator among the points."""
+        nums, scales = [], []
+        for p in points:
+            num, scale = scaled_point(p)
+            if scales and scales[-1] % scale == 0:
+                lift, scale = scales[-1] // scale, scales[-1]
+                num = tuple(c * lift for c in num)
+            nums.append(num)
+            scales.append(scale)
+        return cls(nums, scales)
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -97,8 +112,10 @@ class Space:
     """A compact metric space with a reference measure.
 
     kind is one of ``circle``, ``interval``, ``annulus``; ``w`` is the
-    annulus half-width (None otherwise). Instances are immutable and safe
-    to share across concurrent readers.
+    annulus half-width (None otherwise) and ``w_ratio`` the same width as
+    an integer (numerator, denominator) pair, converted once here for the
+    integer kernel. Instances are immutable and safe to share across
+    concurrent readers.
     """
 
     kind: str
@@ -110,6 +127,7 @@ class Space:
         if self.kind == "annulus":
             if self.w is None or self.w <= 0:
                 raise DomainError("annulus half-width w must be positive")
+            object.__setattr__(self, "w_ratio", self.w.as_integer_ratio())
         elif self.w is not None:
             raise UsageError(f"{self.kind} space takes no width parameter")
 
@@ -213,26 +231,27 @@ class Space:
         theta = self._sample_arc(center[1], radius, rng)
         return (r, theta)
 
-    def sample_scaled(self, center, scale: int, radius, draws) -> tuple:
+    def sample_scaled(self, center, scale: int, r: int, draws) -> tuple:
         """sample_uniform_ball on the integer lattice.
 
-        ``center`` holds integer numerators over ``scale``; each uniform is
-        taken from ``draws`` as the integer k of its double k / 2**53.
-        Returns the point's numerators and scale, and equals
-        sample_uniform_ball's point for the same doubles. ``scale`` must be
-        a multiple of 2**53 and of the denominators of radius and w. An
+        ``center`` and the radius ``r`` are integer numerators over
+        ``scale``; each uniform is taken from ``draws`` as the integer k of
+        its double k / 2**53. Returns the point's numerators and scale,
+        and equals sample_uniform_ball's point for the same doubles.
+        ``scale`` must be a multiple of 2**53 and of the denominator of w,
+        which is read from ``w_ratio``, so no ``Fraction`` is touched. An
         untruncated step keeps the scale; a step truncated at a boundary
         multiplies it by the power of two, at most 2**53, that keeps the
         draw exact.
         """
-        r = scaled(radius, scale)
         if self.kind == "circle":
             return (_sample_arc_scaled(center[0], r, scale, next(draws)),), \
                 scale
         if self.kind == "interval":
             lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
         else:
-            w = scaled(self.w, scale)
+            w_num, w_den = self.w_ratio
+            w = w_num * (scale // w_den)
             lo = max(center[0] - r, scale - w)
             hi = min(center[0] + r, scale + w)
         span = hi - lo

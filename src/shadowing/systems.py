@@ -13,7 +13,9 @@ over the output unit, which is ``unit`` times the lcm of the slope
 denominators (images) or numerators (preimages), so integer-slope maps
 keep the scale. ``apply_set`` works over the unit of its set. With unit 1
 the same code runs on the ``Fraction`` (or padded float) values
-themselves, which is what the public ``apply`` and ``preimages`` do.
+themselves, which is what the public ``apply`` and ``preimages`` do. Each
+map converts its ``Fraction`` parameters to integers once, when it is
+built, so evaluating at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, UsageError
-from .rationals import frac, scaled
+from .rationals import frac
 from .spaces import Space, annulus, circle, interval
 
 
@@ -226,6 +228,9 @@ class AnnulusSpiral:
             raise UsageError("spiral maps live on an annulus")
         if not 0 < self.lam < 1:
             raise DomainError("contraction factor must satisfy 0 < lam < 1")
+        # lam = p / q and alpha = a / b as ints: (p, q, a, b)
+        object.__setattr__(self, "_lattice", self.lam.as_integer_ratio()
+                           + self.alpha.as_integer_ratio())
 
     @property
     def lipschitz(self):
@@ -240,9 +245,9 @@ class AnnulusSpiral:
         to (out + lam * (r - unit), (theta * lift + alpha) % out)."""
         if unit == 1:
             return self.lam, 1, self.alpha, 1
-        q = self.lam.denominator
+        p, q, a, b = self._lattice
         out = unit * q
-        return self.lam.numerator, q, scaled(self.alpha, out), out
+        return p, q, a * (out // b), out
 
     def apply(self, point):
         return self.apply_scaled(point, 1)[0]
@@ -274,12 +279,15 @@ class AnnulusSpiral:
         if unit == 1:
             out, r_prev = 1, 1 + (r - 1) / self.lam
             theta_prev = (theta - self.alpha) % 1
+            w = self.space.w
         else:
-            p = self.lam.numerator
+            p, q, a, b = self._lattice
+            w_num, w_den = self.space.w_ratio
             out = unit * p
-            r_prev = out + self.lam.denominator * (r - unit)
-            theta_prev = (theta * p - scaled(self.alpha, out)) % out
-        if abs(r_prev - out) > scaled(self.space.w, out):
+            r_prev = out + q * (r - unit)
+            theta_prev = (theta * p - a * (out // b)) % out
+            w = w_num * (out // w_den)
+        if abs(r_prev - out) > w:
             return [], out
         return [(r_prev, theta_prev)], out
 

@@ -2,6 +2,7 @@
 
 import json
 
+from shadowing import enclosure
 from shadowing.cli import main
 
 
@@ -130,3 +131,15 @@ def test_rejected_attractor_noise_exits_nonzero(capsys):
                        "--horizons", "10", "--d", "0.1")
     assert code == 2
     assert "d0" in err
+
+
+def test_check_reports_fragment_cap_error(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "t"
+    run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
+        "--d", "0.02", "--n", "30", "--seed", "1", "--out", str(base))
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 0)
+    code, out, err = run(capsys, "check", "--traj", str(base),
+                         "--eps", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: fragment cap 0 exceeded")

@@ -77,8 +77,10 @@ def lattice_matches_fractions(name, data):
     n = data.draw(st.integers(0, 60), label="n")
     d = data.draw(st.sampled_from([F(1, 50), F(3, 200), F(1, 7), F(9, 800)]),
                   label="d")
-    eps = data.draw(st.sampled_from([F(1, 20), F(1, 30), F(2, 21), F(3, 5)]),
-                    label="eps")
+    # 1/200 against d = 1/7 empties most sets within a few steps, so the
+    # shortened propagation meets reference_sets' walk over the empty tail
+    eps = data.draw(st.sampled_from([F(1, 20), F(1, 30), F(2, 21), F(3, 5),
+                                     F(1, 200)]), label="eps")
     y0 = start_point(system, data)
 
     rng_lattice, rng_ref = trial_stream(seed), trial_stream(seed)
@@ -128,6 +130,21 @@ def test_spiral_lattice_equals_fractions(data):
 @given(data=st.data())
 def test_pwl_lattice_equals_fractions(data):
     lattice_matches_fractions("pwl", data)
+
+
+def test_empty_tails_match_the_full_walk():
+    """Propagation stops at the first empty set; the sets it returns must
+    still be the reference's, which steps apply_set and intersect over the
+    whole horizon."""
+    for name in ("tent", "spiral", "pwl"):
+        system = SYSTEMS[name]
+        y0 = (F(7, 5), F(0)) if name == "spiral" else (F(3, 10),)
+        traj = generate(system, y0, F(1, 7), 40, trial_stream(3))
+        sets = shadow_set_forward(system, traj, F(1, 200))
+        ref = reference_sets(system, traj.points, F(1, 200))
+        assert len(sets) == 41
+        assert sets[5].is_empty(), name
+        assert [s.fragments for s in sets] == [s.fragments for s in ref]
 
 
 def test_saturated_sets_give_exact_witnesses():
@@ -187,3 +204,16 @@ def test_hostile_denominators_keep_the_scale_down(tmp_path):
         previous = denominator(v for f in ref[k - 1].fragments for v in f)
         ball = denominator(ball_set(system.space, hostile[k], eps).fragments[0])
         assert math.lcm(previous, ball) % sets[k].unit == 0, k
+
+
+def test_loaded_points_nest_their_scales(tmp_path):
+    """A stored doubling trajectory's points keep the previous point's scale
+    whenever their reduced denominator divides it, so the map's integer
+    tables stay valid from step to step."""
+    traj = generate(doubling(), (F(3, 10),), F(1, 50), 200, trial_stream(7))
+    save_trajectory(traj, "doubling", tmp_path / "stored")
+    loaded, _ = load_trajectory(tmp_path / "stored")
+    scales = loaded.scaled.scales
+    assert tuple(loaded.scaled) == traj.points
+    assert len(set(scales)) <= 3
+    assert max(scales) == max(p[0].denominator for p in traj.points)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shadowing import enclosure
 from shadowing import (DomainError, UsageError, annulus_spiral, ball_set,
                        brute_force_oracle, decide_shadowable, doubling,
                        exact_orbit, first_empty_step, generate, orbit,
@@ -56,6 +57,48 @@ def test_worst_case_sets_shrink_linearly_then_empty():
         else:
             assert a.is_empty()
     assert first_empty_step(ROT, wc, EPS) == 11
+
+
+def count_propagation_calls(monkeypatch, system) -> dict:
+    """Count the balls built and the images taken from here on."""
+    calls = {"ball": 0, "apply_set": 0}
+    ball, apply_set = enclosure._ball, type(system).apply_set
+
+    def counted_ball(*args):
+        calls["ball"] += 1
+        return ball(*args)
+
+    def counted_apply_set(self, s):
+        calls["apply_set"] += 1
+        return apply_set(self, s)
+
+    monkeypatch.setattr(enclosure, "_ball", counted_ball)
+    monkeypatch.setattr(type(system), "apply_set", counted_apply_set)
+    return calls
+
+
+def drift_past_failure(n):
+    """The worst-case drift of worst_case_pseudotrajectory, run on to n."""
+    step = ROT.alpha + D / 2
+    return Pseudotrajectory(tuple(((step * k) % 1,) for k in range(n + 1)),
+                            D / 2, Provenance("worst_case"))
+
+
+@pytest.mark.parametrize("case", ["rotation", "annulus"])
+def test_propagation_stops_at_first_empty_set(monkeypatch, case):
+    if case == "rotation":
+        system, traj, first = ROT, drift_past_failure(30), 11
+    else:
+        system, first = SPIRAL, 100
+        traj = generate(SPIRAL, (F(7, 5), F(0)), F(9, 800), 300,
+                        trial_stream(44, 0))
+    assert first_empty_step(system, traj, EPS) == first
+    calls = count_propagation_calls(monkeypatch, system)
+    sets = shadow_set_forward(system, traj, EPS)
+    assert calls == {"ball": first + 1, "apply_set": first}
+    assert len(sets) == traj.horizon + 1
+    assert not sets[first - 1].is_empty()
+    assert all(s.is_empty() for s in sets[first:])
 
 
 def test_doubling_exact_orbit_sets_stay_full_balls():
