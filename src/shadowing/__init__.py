@@ -7,7 +7,7 @@ from .bounds import (CoverTime, EtaBracket, ProofQuantities,
                      delta_for_inclusion, eta, in_absorbing_band,
                      nonshadow_lower_bound, tube_delta,
                      tube_probability_bound)
-from .enclosure import EnclosureSet, ball_set, expand, intersect
+from .enclosure import EnclosureSet, ball_set, intersect
 from .errors import (DomainError, EnclosureCapError, InvariantViolation,
                      SearchFailure, UsageError)
 from .experiment import (ExperimentConfig, ExperimentResult, HorizonStat,
@@ -18,9 +18,10 @@ from .pseudotraj import (Provenance, Pseudotrajectory, exact_orbit, generate,
                          load_trajectory, save_trajectory, splice,
                          trial_stream, validate, worst_case_pseudotrajectory)
 from .shadowcheck import (BruteForceResult, ShadowVerdict, Verdict,
-                          brute_force_oracle, decide_shadowable,
-                          first_empty_step, orbit_tracks, rotation_oracle,
-                          rotation_first_failure, shadow_set_forward)
+                          brute_force_oracle, decide_horizons,
+                          decide_shadowable, first_empty_step, orbit_tracks,
+                          rotation_oracle, rotation_first_failure,
+                          shadow_set_forward)
 from .spaces import Point, Space, annulus, circle, interval, parse_space
 from .systems import (AnnulusSpiral, PiecewiseLinearMap, annulus_spiral,
                       doubling, orbit, parse_system, pwl, rotation, tent)

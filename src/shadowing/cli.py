@@ -27,19 +27,18 @@ from .systems import AnnulusSpiral, parse_system
 DEFAULT_DICHOTOMY = {
     "shadowing": {
         "system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
-        "horizons": [200], "trials": 200, "seed": 42, "mode": "exact",
+        "horizons": [200], "trials": 200, "seed": 42,
     },
     "nonshadowing": {
         "system": "rotation:alpha=610/987", "y0": "0", "d": "0.02",
         "eps": "0.05", "horizons": [10, 50, 200, 500], "trials": 400,
-        "seed": 43, "mode": "exact",
+        "seed": 43,
     },
 }
 
 DEFAULT_ATTRACTOR = {
     "system": "annulus:lambda=1/2,alpha=610/987,w=0.5", "y0": "1.4,0",
     "eps": "0.2", "horizons": [100, 300, 1000], "trials": 200, "seed": 44,
-    "mode": "exact",
 }
 
 
@@ -52,7 +51,6 @@ def _add_config_flags(p):
     p.add_argument("--horizons", help="comma-separated horizons, e.g. 10,50,200")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["exact", "outer"])
     p.add_argument("--out", help="output directory")
     p.add_argument("--workers", type=int, default=1)
 
@@ -62,7 +60,7 @@ def _merge_config(args, defaults=None) -> dict:
     if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))
-    for key in ("system", "y0", "d", "eps", "trials", "seed", "mode", "out"):
+    for key in ("system", "y0", "d", "eps", "trials", "seed", "out"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
@@ -91,7 +89,7 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     traj, system_spec = load_trajectory(args.traj)
     system = parse_system(system_spec)
-    verdict = decide_shadowable(system, traj, frac(args.eps), args.mode)
+    verdict = decide_shadowable(system, traj, frac(args.eps))
     payload = verdict.to_json()
     if args.out:
         Path(args.out).write_text(
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide shadowability of a stored trajectory")
     p.add_argument("--traj", required=True, help="base path written by generate")
     p.add_argument("--eps", required=True)
-    p.add_argument("--mode", choices=["exact", "outer"], default="exact")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 

@@ -11,18 +11,15 @@ of pairwise disjoint fragments:
 
 Every fragment coordinate is a numerator over the set's ``unit``: ``1``
 for sets that hold the values themselves (``Fraction`` values at the
-public API, floats in the padded checker), and a positive integer *scale*
-for the exact kernel, whose fragments are Python integers over that common
-denominator. One copy of the arc, segment and box algebra serves both,
-because it only adds, compares and reduces modulo ``unit``. Reading
-``EnclosureSet.fragments`` of an integer set builds its ``Fraction``
-values then, and only then.
+public API), and a positive integer *scale* for the exact kernel, whose
+fragments are Python integers over that common denominator. One copy of
+the arc, segment and box algebra serves both, because it only adds,
+compares and reduces modulo ``unit``. Reading ``EnclosureSet.fragments``
+of an integer set builds its ``Fraction`` values then, and only then.
 
-The ``variant`` tag tracks certification direction: ``exact`` sets equal
-the abstract set they stand for, ``outer`` sets contain it, ``inner`` sets
-are contained in it. Normalization that must merge fragments to respect
-the fragment cap degrades ``exact`` to ``outer`` and is reported to the
-caller as a resource error carrying the merged superset.
+Every set equals the abstract set it stands for. Normalization that
+would have to merge fragments to respect the fragment cap raises a
+resource error carrying the merged superset instead.
 """
 
 from __future__ import annotations
@@ -35,17 +32,6 @@ from .errors import EnclosureCapError, UsageError
 from .spaces import HALF, Space, scaled_point
 
 DEFAULT_FRAGMENT_CAP = 4096
-
-
-def _combine_variant(a: str, b: str) -> str:
-    if a == b:
-        return a
-    pair = {a, b}
-    if pair == {"exact", "outer"}:
-        return "outer"
-    if pair == {"exact", "inner"}:
-        return "inner"
-    raise UsageError(f"cannot combine {a} and {b} enclosures")
 
 
 def _lift(frags, factor):
@@ -220,7 +206,7 @@ def _normalize_boxes(boxes, unit):
                 out.append(box)
         kept = out
     # remaining overlaps cannot be represented as a disjoint box union;
-    # widen to an angular hull, which is sound for outer enclosures
+    # widen to an angular hull, a superset that _make reports as degraded
     degraded = False
     result = []
     for box in sorted(kept):
@@ -253,20 +239,18 @@ def _cap_boxes_by_angle(boxes, cap, unit):
 class EnclosureSet:
     """A canonical union of fragments of ``space`` (see the module doc).
 
-    ``EnclosureSet(space, fragments, variant)`` holds the fragment values
+    ``EnclosureSet(space, fragments)`` holds the fragment values
     themselves, at unit 1. The exact kernel builds sets whose ``nums`` are
     integer numerators over an integer ``unit``; their ``fragments`` are
     the ``Fraction`` values, built on first read. No method changes an
     instance once built.
     """
 
-    __slots__ = ("space", "nums", "variant", "unit", "_values")
+    __slots__ = ("space", "nums", "unit", "_values")
 
-    def __init__(self, space: Space, fragments, variant: str = "exact",
-                 unit=1):
+    def __init__(self, space: Space, fragments, unit=1):
         self.space = space
         self.nums = tuple(fragments)
-        self.variant = variant
         self.unit = unit
         self._values = self.nums if unit == 1 else None
 
@@ -281,15 +265,14 @@ class EnclosureSet:
     def __eq__(self, other):
         if not isinstance(other, EnclosureSet):
             return NotImplemented
-        return (self.space, self.fragments, self.variant) == \
-            (other.space, other.fragments, other.variant)
+        return (self.space, self.fragments) == (other.space, other.fragments)
 
     def __hash__(self):
-        return hash((self.space, self.fragments, self.variant))
+        return hash((self.space, self.fragments))
 
     def __repr__(self):
         return (f"EnclosureSet(space={self.space!r}, "
-                f"fragments={self.fragments!r}, variant={self.variant!r})")
+                f"fragments={self.fragments!r})")
 
     def is_empty(self) -> bool:
         return not self.nums
@@ -373,7 +356,7 @@ class EnclosureSet:
             return self
         return EnclosureSet(self.space,
                             tuple(tuple(c // g for c in f) for f in self.nums),
-                            self.variant, self.unit // g)
+                            self.unit // g)
 
 
 def _contains(kind, frags, point, unit) -> bool:
@@ -385,20 +368,19 @@ def _contains(kind, frags, point, unit) -> bool:
                for rlo, rhi, s, l in frags)
 
 
-def make(space: Space, fragments, variant: str = "exact",
+def make(space: Space, fragments,
          cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
     """Normalize fragments into a canonical EnclosureSet.
 
     Overlapping or touching fragments are merged. If the fragment count
-    exceeds ``cap``, nearest fragments are hull-merged until it fits; the
-    result is then a strict superset, so an exact/inner request fails with
-    a resource error carrying the merged outer set.
+    exceeds ``cap``, nearest fragments are hull-merged until it fits; that
+    result is a strict superset, so the request fails with a resource
+    error carrying it.
     """
-    return _make(space, fragments, variant, cap, 1)
+    return _make(space, fragments, cap, 1)
 
 
-def _make(space: Space, fragments, variant: str, cap: int,
-          unit) -> EnclosureSet:
+def _make(space: Space, fragments, cap: int, unit) -> EnclosureSet:
     """make() for fragments whose coordinates are numerators over unit."""
     kind = space.kind
     if kind == "circle":
@@ -412,32 +394,17 @@ def _make(space: Space, fragments, variant: str, cap: int,
         frags, capped = _cap_boxes_by_angle(frags, cap, unit)
         degraded = merged_overlap or capped
     if degraded:
-        outer = EnclosureSet(space, frags, "outer", unit)
-        if variant != "outer":
-            raise EnclosureCapError(
-                f"fragment cap {cap} exceeded for {variant} enclosure",
-                partial=outer)
-        return outer
-    return EnclosureSet(space, frags, variant, unit)
+        raise EnclosureCapError(
+            f"fragment cap {cap} exceeded for exact enclosure",
+            partial=EnclosureSet(space, frags, unit))
+    return EnclosureSet(space, frags, unit)
 
 
-def empty(space: Space, variant: str = "exact") -> EnclosureSet:
-    return EnclosureSet(space, (), variant)
-
-
-def full(space: Space, variant: str = "exact") -> EnclosureSet:
-    if space.kind == "circle":
-        return EnclosureSet(space, ((0, 1),), variant)
-    if space.kind == "interval":
-        return EnclosureSet(space, ((0, 1),), variant)
-    return EnclosureSet(space, ((1 - space.w, 1 + space.w, 0, 1),), variant)
-
-
-def ball_set(space: Space, center, radius, variant: str = "exact") -> EnclosureSet:
+def ball_set(space: Space, center, radius) -> EnclosureSet:
     """The closed radius-ball around center, truncated to the space."""
     if radius <= 0:
         raise UsageError("ball radius must be positive")
-    return EnclosureSet(space, (_ball(space, center, radius, 1),), variant)
+    return EnclosureSet(space, (_ball(space, center, radius, 1),))
 
 
 def _ball(space: Space, center, radius, unit) -> tuple:
@@ -467,7 +434,6 @@ def intersect(a: EnclosureSet, b: EnclosureSet,
     """A & B. Integer sets over different units meet over their lcm."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
-    variant = _combine_variant(a.variant, b.variant)
     unit, fa, fb = a.unit, a.nums, b.nums
     if b.unit != unit:
         if unit == 1 or b.unit == 1:
@@ -485,22 +451,5 @@ def intersect(a: EnclosureSet, b: EnclosureSet,
                 pieces.extend(_intersect_segs(x, y))
             else:
                 pieces.extend(_intersect_boxes(x, y, unit))
-    return _make(a.space, pieces, variant, cap, unit)
+    return _make(a.space, pieces, cap, unit)
 
-
-def expand(a: EnclosureSet, pad) -> EnclosureSet:
-    """Grow every fragment outward by pad; result is an outer enclosure."""
-    if pad < 0:
-        raise UsageError("pad must be nonnegative")
-    kind = a.space.kind
-    frags = []
-    for f in a.fragments:
-        if kind == "circle":
-            frags.append(((f[0] - pad) % 1, f[1] + 2 * pad))
-        elif kind == "interval":
-            frags.append((max(f[0] - pad, 0), min(f[1] + pad, 1)))
-        else:
-            frags.append((max(f[0] - pad, 1 - a.space.w),
-                          min(f[1] + pad, 1 + a.space.w),
-                          (f[2] - pad) % 1, f[3] + 2 * pad))
-    return make(a.space, frags, "outer")

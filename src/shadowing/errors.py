@@ -27,8 +27,8 @@ class SearchFailure(RuntimeError):
 class EnclosureCapError(RuntimeError):
     """A set operation exceeded the fragment cap.
 
-    ``partial`` carries the outer (merged) enclosure computed so far, so a
-    caller can still use the sound superset.
+    ``partial`` carries the merged superset computed so far, so a caller
+    can still use it as a sound outer bound.
     """
 
     def __init__(self, message, partial=None):

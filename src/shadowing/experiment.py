@@ -7,9 +7,10 @@ construction. Each trial owns a stream derived from (master seed, trial),
 making runs reproducible and trials order-independent; reruns of the same
 config produce byte-identical output files.
 
-Unknown verdicts (possible only outside exact arithmetic, or when a checker
-resource error aborts a trial) are excluded from both the numerator and the
-denominator of p_hat and reported separately.
+Every verdict is exact. A trial whose shadow sets outgrow the fragment cap
+gets Unknown at every horizon, with the error text; Unknowns are excluded
+from both the numerator and the denominator of p_hat and reported
+separately.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ from . import bounds as bounds_mod
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
 from .pseudotraj import Provenance, generate, trial_stream
 from .rationals import frac, jsonable, parse_point
-from .shadowcheck import orbit_tracks, pull_back_witness, shadow_set_forward
+# orbit_tracks, pull_back_witness and shadow_set_forward are unused here;
+# the benchmark's span probes (bench/probes.py) look them up in this module
+from .shadowcheck import (decide_horizons, orbit_tracks, pull_back_witness,
+                          shadow_set_forward)
 from .systems import AnnulusSpiral, parse_system
 
 
@@ -41,7 +45,6 @@ class ExperimentConfig:
     horizons: tuple
     trials: int
     seed: int
-    mode: str = "exact"
     out: str | None = None
 
     def __post_init__(self):
@@ -53,8 +56,6 @@ class ExperimentConfig:
             raise DomainError("horizons must increase strictly")
         if any(h < 0 for h in self.horizons):
             raise DomainError("horizons must be nonnegative")
-        if self.mode not in ("exact", "outer"):
-            raise UsageError(f"unknown checker mode {self.mode!r}")
 
     @property
     def system(self):
@@ -66,6 +67,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if data.get("mode", "exact") != "exact":
+            raise UsageError(f"checker mode {data['mode']!r} is not "
+                             "supported; every check is exact")
         return cls(
             system_spec=data["system"],
             y0=parse_point(data["y0"]),
@@ -74,7 +78,6 @@ class ExperimentConfig:
             horizons=tuple(int(h) for h in data.get("horizons", [])),
             trials=int(data.get("trials", 1)),
             seed=int(data.get("seed", 0)),
-            mode=data.get("mode", "exact"),
             out=data.get("out"),
         )
 
@@ -87,7 +90,7 @@ class ExperimentConfig:
             "horizons": list(self.horizons),
             "trials": self.trials,
             "seed": self.seed,
-            "mode": self.mode,
+            "mode": "exact",  # the only checker; kept in the output
         }
 
 
@@ -172,32 +175,12 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
                     f"trial {trial}: point {pts[n]} at step {n} escaped the "
                     f"absorbing band of half-width {rho} (entry step {n0})")
     try:
-        sets = shadow_set_forward(system, traj, config.eps, config.mode)
-        first_empty = next(
-            (n for n, s in enumerate(sets) if s.is_empty()), None)
-        exact = config.mode == "exact"
-        points = traj.scaled if exact else [
-            tuple(float(c) for c in p) for p in traj.points]
-        eps_c = config.eps if exact else float(config.eps)
-        verdicts = []
-        for m in config.horizons:
-            if first_empty is not None and m >= first_empty:
-                verdicts.append("No")
-                continue
-            witness = pull_back_witness(system, sets, m)
-            if witness is not None and orbit_tracks(
-                    system, points[:m + 1], witness, eps_c):
-                verdicts.append("Yes")
-            elif exact:
-                raise EnclosureCapError(
-                    f"witness extraction failed at horizon {m}",
-                    partial=sets[m])
-            else:
-                verdicts.append("Unknown")
-        return TrialOutcome(trial, first_empty, tuple(verdicts))
+        found = decide_horizons(system, traj, config.eps, config.horizons)
     except EnclosureCapError as exc:
         return TrialOutcome(trial, None, ("Unknown",) * len(config.horizons),
                             error=str(exc))
+    return TrialOutcome(trial, found.first_empty,
+                        tuple(v.value for v in found.verdicts))
 
 
 def _trial_task(args):
@@ -330,7 +313,7 @@ def run_attractor_experiment(config: ExperimentConfig, out=None,
     inner = ExperimentConfig(
         system_spec=config.system_spec, y0=config.y0, d=config.d,
         eps=q.eps0, horizons=config.horizons, trials=config.trials,
-        seed=config.seed, mode=config.mode)
+        seed=config.seed)
     result = estimate_probability(inner, workers, _band=(q.rho, q.n0))
     result = result.with_bounds({}, {"quantities": q.to_json()})
     report = {

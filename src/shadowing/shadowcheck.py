@@ -6,19 +6,14 @@ y_{n+1}. A point lies in A_n exactly when it is the n-th iterate of some
 orbit that has stayed within eps of the pseudotrajectory so far, so the
 trajectory is eps-shadowable over its horizon iff every A_n is nonempty.
 
-Modes:
-
-* ``exact``: all arithmetic is exact, the sets are exact, and the
-  verdict is Yes (with a certified witness, re-checked against its orbit)
-  or No (with the first empty step). Propagation, pull-back and re-check
-  run on Python integers over a per-step common denominator, the scale
-  (see ``_forward_exact``); Fractions appear only in the witness and when
-  a caller reads a set's ``fragments``. A set that outgrows the fragment
-  cap raises ``EnclosureCapError`` instead of giving a verdict.
-* ``outer``: float arithmetic with every propagated set padded outward, so
-  an empty chain still certifies No; when the chain survives, a witness is
-  attempted and the verdict is Yes only if its orbit re-check passes in
-  float arithmetic, otherwise Unknown.
+All arithmetic is exact and the sets are exact. The verdict is Yes, with a
+certified witness re-checked against its orbit, or No, with the first
+empty step; ``decide_horizons`` is the one routine that reaches either.
+Propagation, pull-back and re-check run on Python integers over a per-step
+common denominator, the scale (see ``shadow_set_forward``); Fractions
+appear only in the witness and when a caller reads a set's ``fragments``.
+A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
+of giving a verdict.
 
 Two independent oracles cross-check the propagation: a closed-form span
 criterion for rotations and a brute-force grid search over candidate
@@ -42,13 +37,10 @@ from .rationals import frac
 from .spaces import ScaledPoints, scaled_point, signed_circ_diff
 from .systems import AnnulusSpiral, PiecewiseLinearMap
 
-OUTER_PAD = 1e-13  # absolute outward padding per step in float mode
-
 
 class Verdict(str, Enum):
     YES = "Yes"
     NO = "No"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -67,46 +59,26 @@ class ShadowVerdict:
             "set_stats": {
                 "fragments": self.final_set.fragment_count(),
                 "measure": str(self.final_set.measure()),
-                "variant": self.final_set.variant,
+                "variant": "exact",  # every set is exact; kept in the output
             },
         }
 
 
-def _float_points(points):
-    return [tuple(float(c) for c in p) for p in points]
+@dataclass(frozen=True)
+class HorizonVerdicts:
+    """What ``decide_horizons`` found: a verdict per horizon, the first
+    empty step (None if every A_n is nonempty), the witness of the longest
+    Yes prefix (None if no horizon is Yes) and the shadow sets A_0..A_N."""
+
+    verdicts: tuple
+    first_empty: int | None
+    witness: tuple | None
+    sets: list
 
 
-def shadow_set_forward(system, traj: Pseudotrajectory, eps,
-                       mode: str = "exact") -> list[EnclosureSet]:
-    """The shadow sets A_0, ..., A_N; empty tails stay empty.
-
-    Always N + 1 sets. Once some A_n is empty every later entry is that
-    same empty set: exact mode stops propagating there, outer mode copies
-    it forward without building a ball."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if mode not in ("exact", "outer"):
-        raise UsageError(f"unknown checker mode {mode!r}")
-    if mode == "exact":
-        return _forward_exact(system, traj.scaled, frac(eps))
-    space = system.space
-    points = _float_points(traj.points)
-    eps = float(eps)
-    sets = [enclosure.expand(enclosure.ball_set(space, points[0], eps),
-                             OUTER_PAD)]
-    for y in points[1:]:
-        current = sets[-1]
-        if current.is_empty():
-            sets.append(current)
-            continue
-        image = system.apply_set(current)
-        nxt = enclosure.intersect(image, enclosure.ball_set(space, y, eps))
-        sets.append(enclosure.expand(nxt, OUTER_PAD))
-    return sets
-
-
-def _forward_exact(system, points: ScaledPoints, eps) -> list[EnclosureSet]:
-    """Exact shadow sets with integer fragments.
+def shadow_set_forward(system, traj: Pseudotrajectory,
+                       eps) -> list[EnclosureSet]:
+    """The shadow sets A_0, ..., A_N with integer fragments.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map). The image of A_{n-1} meets it over the lcm
@@ -115,10 +87,15 @@ def _forward_exact(system, points: ScaledPoints, eps) -> list[EnclosureSet]:
     A_n is reduced by one gcd, so its unit never exceeds the lcm of the
     denominators that A_{n-1} and the ball really carry.
 
-    An empty set stays empty, so the loop stops at the first empty A_n
-    and repeats that set for the remaining steps: no ball is built and no
-    image is taken after it. eps is converted to integers once, here.
+    Always N + 1 sets. An empty set stays empty, so the loop stops at the
+    first empty A_n and repeats that set for the remaining steps: no ball
+    is built and no image is taken after it. eps is converted to integers
+    once, here.
     """
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    eps = frac(eps)
+    points = traj.scaled
     space = system.space
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
@@ -131,7 +108,7 @@ def _forward_exact(system, points: ScaledPoints, eps) -> list[EnclosureSet]:
         if lift != 1:
             y = tuple(c * lift for c in y)
         nxt = EnclosureSet(space, (enclosure._ball(space, y, radius, unit),),
-                           "exact", unit)
+                           unit)
         if sets:
             nxt = enclosure.intersect(system.apply_set(sets[-1]), nxt)
             if nxt.unit != unit:
@@ -180,57 +157,62 @@ def pull_back_witness(system, sets, m):
     through per-step preimages, staying inside each recorded shadow set.
     Preimages are tried in increasing order and the first one inside the
     set is kept. Returns None if some pull-back step finds no preimage in
-    the set, which can only happen on degraded (outer) sets.
+    the set, which exact sets rule out (A_n lies in the image of A_{n-1}).
 
-    Integer sets (exact mode) are pulled back on the lattice and only the
-    witness is turned into Fractions; sets of values (unit 1, such as the
-    float sets of outer mode) are pulled back on the values themselves."""
-    if sets[m].unit == 1:
-        x, scale = sets[m].pick_point(), 1
-    else:
-        x, scale = sets[m].pick_scaled()
+    The sets' integer fragments are pulled back on the lattice and only
+    the witness is turned into Fractions."""
+    x, scale = sets[m].pick_scaled()
     for n in range(m - 1, -1, -1):
         candidates, scale = system.preimages_scaled(x, scale)
         x = sets[n].first_inside(candidates, scale)
         if x is None:
             return None
-    return x if scale == 1 else tuple(Fraction(c, scale) for c in x)
+    return tuple(Fraction(c, scale) for c in x)
 
 
-def decide_shadowable(system, traj: Pseudotrajectory, eps,
-                      mode: str = "exact") -> ShadowVerdict:
+def decide_horizons(system, traj: Pseudotrajectory, eps,
+                    horizons) -> HorizonVerdicts:
+    """Certified verdicts for eps-shadowability of each horizon prefix.
+
+    Propagates once: horizon m is No when some A_n with n <= m is empty,
+    else Yes. One witness is pulled back, at the largest Yes horizon, and
+    its orbit re-checked against that prefix; it then tracks every shorter
+    prefix too. Verdicts are monotone under prefix extension (Yes can turn
+    into No, never back). Exact sets always yield a witness that passes,
+    so a failure raises ``EnclosureCapError`` rather than a verdict.
+    """
+    sets = shadow_set_forward(system, traj, eps)
+    first_empty = next((n for n, s in enumerate(sets) if s.is_empty()), None)
+    verdicts = tuple(
+        Verdict.NO if first_empty is not None and m >= first_empty
+        else Verdict.YES for m in horizons)
+    yes = [m for m, v in zip(horizons, verdicts) if v is Verdict.YES]
+    witness = None
+    if yes:
+        m = max(yes)
+        witness = pull_back_witness(system, sets, m)
+        if witness is None or not orbit_tracks(
+                system, traj.scaled[:m + 1], witness, eps):
+            raise EnclosureCapError(
+                f"witness extraction failed at horizon {m}", partial=sets[m])
+    return HorizonVerdicts(verdicts, first_empty, witness, sets)
+
+
+def decide_shadowable(system, traj: Pseudotrajectory, eps) -> ShadowVerdict:
     """Certified verdict for eps-shadowability over the trajectory horizon.
 
     Yes always carries a witness initial point whose orbit has been
-    re-checked directly against the trajectory. Verdicts are monotone under
-    prefix extension (Yes can turn into No, never back).
+    re-checked directly against the trajectory; No names the first empty
+    step.
     """
-    sets = shadow_set_forward(system, traj, eps, mode)
-    for n, s in enumerate(sets):
-        if s.is_empty():
-            return ShadowVerdict(Verdict.NO, None, n, s)
-    points = traj.scaled if mode == "exact" else _float_points(traj.points)
-    check_eps = eps if mode == "exact" else float(eps)
-    witness = pull_back_witness(system, sets, len(sets) - 1)
-    if witness is not None and orbit_tracks(system, points, witness, check_eps):
-        return ShadowVerdict(Verdict.YES, witness, None, sets[-1])
-    if mode == "exact":
-        # exact sets cannot produce a failing witness unless a cap merge
-        # degraded them; surface that as the resource problem it is
-        raise EnclosureCapError(
-            "witness extraction failed on exact sets (cap degradation)",
-            partial=sets[-1])
-    return ShadowVerdict(Verdict.UNKNOWN, None, None, sets[-1])
+    found = decide_horizons(system, traj, eps, (traj.horizon,))
+    return ShadowVerdict(found.verdicts[0], found.witness, found.first_empty,
+                         found.sets[-1])
 
 
-def first_empty_step(system, traj: Pseudotrajectory, eps,
-                     mode: str = "exact") -> int | None:
+def first_empty_step(system, traj: Pseudotrajectory, eps) -> int | None:
     """Smallest n with A_n empty, or None; prefix verdicts derive from it."""
-    sets = shadow_set_forward(system, traj, eps, mode)
-    for n, s in enumerate(sets):
-        if s.is_empty():
-            return n
-    return None
+    return decide_horizons(system, traj, eps, ()).first_empty
 
 
 # -- closed-form rotation oracle ------------------------------------------

@@ -12,9 +12,8 @@ Balls are truncated at non-periodic boundaries, keeping every ball's
 measure strictly positive; the sampling kernel normalizes by the truncated
 measure.
 
-The public methods take and return ``Fraction`` coordinates (floats pass
-through them unchanged, which the padded float checker relies on). The
-exact kernel keeps points as integer numerators over a common denominator,
+The public methods take and return ``Fraction`` coordinates. The exact
+kernel keeps points as integer numerators over a common denominator,
 their *scale*: ``ScaledPoints`` holds a sequence of such points and builds
 a point's Fractions only when it is read, and ``sample_scaled`` draws the
 same point as ``sample_uniform_ball`` on that integer lattice. The annulus

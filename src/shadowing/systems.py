@@ -12,10 +12,10 @@ take a point as integer numerators over a ``unit`` and return numerators
 over the output unit, which is ``unit`` times the lcm of the slope
 denominators (images) or numerators (preimages), so integer-slope maps
 keep the scale. ``apply_set`` works over the unit of its set. With unit 1
-the same code runs on the ``Fraction`` (or padded float) values
-themselves, which is what the public ``apply`` and ``preimages`` do. Each
-map converts its ``Fraction`` parameters to integers once, when it is
-built, so evaluating at a new scale reads no ``Fraction``.
+the same code runs on the ``Fraction`` values themselves, which is what
+the public ``apply`` and ``preimages`` do. Each map converts its
+``Fraction`` parameters to integers once, when it is built, so evaluating
+at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class PiecewiseLinearMap:
                 frags.extend(self._arc_image(start, length, tables, s.unit))
         else:
             frags = [self._seg_image(lo, hi, tables) for lo, hi in s.nums]
-        return enclosure._make(self.space, frags, s.variant,
+        return enclosure._make(self.space, frags,
                                enclosure.DEFAULT_FRAGMENT_CAP, tables[3])
 
     @staticmethod
@@ -266,7 +266,7 @@ class AnnulusSpiral:
         frags = [(out + lam * (rlo - unit), out + lam * (rhi - unit),
                   (a * lift + alpha) % out, l * lift)
                  for rlo, rhi, a, l in s.nums]
-        return enclosure._make(self.space, frags, s.variant,
+        return enclosure._make(self.space, frags,
                                enclosure.DEFAULT_FRAGMENT_CAP, out)
 
     def preimages(self, point) -> list:

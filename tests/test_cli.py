@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from shadowing import enclosure
 from shadowing.cli import main
 
@@ -143,3 +145,17 @@ def test_check_reports_fragment_cap_error(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: fragment cap 0 exceeded")
+
+
+def test_removed_outer_mode_exits_nonzero(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["check", "--traj", str(tmp_path / "t"), "--eps", "0.05",
+              "--mode", "outer"])
+    assert stop.value.code == 2
+    config = tmp_path / "outer.json"
+    config.write_text(json.dumps({
+        "system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
+        "horizons": [10], "trials": 1, "mode": "outer"}))
+    code, out, err = run(capsys, "estimate", "--config", str(config))
+    assert code == 2
+    assert out == "" and "'outer'" in err

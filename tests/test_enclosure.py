@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from shadowing import (EnclosureCapError, annulus, ball_set, circle, expand,
+from shadowing import (EnclosureCapError, annulus, ball_set, circle,
                        intersect, interval, trial_stream)
 from shadowing import enclosure as enc
 
@@ -128,16 +128,7 @@ def test_annulus_box_union_merges_aligned():
     assert stacked.fragments == ((F(1), F(13, 10), F(0), F(1, 10)),)
 
 
-# -- variants, caps, expansion -------------------------------------------------
-
-def test_variant_combination_rules():
-    sp = circle()
-    a = enc.make(sp, [(F(0), F(1, 2))], "outer")
-    b = ball_set(sp, (F(1, 4),), F(1, 10))
-    assert intersect(a, b).variant == "outer"
-    c = enc.make(sp, [(F(0), F(1, 2))], "inner")
-    assert intersect(c, b).variant == "inner"
-
+# -- fragment cap --------------------------------------------------------------
 
 def test_fragment_cap_raises_with_partial_outer():
     sp = circle()
@@ -145,18 +136,6 @@ def test_fragment_cap_raises_with_partial_outer():
     with pytest.raises(EnclosureCapError) as err:
         enc.make(sp, frags, cap=10)
     partial = err.value.partial
-    assert partial.variant == "outer"
     assert partial.fragment_count() <= 10
-    for s, _ in frags:  # outer fallback keeps every original point
+    for s, _ in frags:  # the merged superset keeps every original point
         assert partial.contains((s,))
-    capped = enc.make(sp, frags, "outer", cap=10)
-    assert capped.variant == "outer"
-
-
-def test_expand_pads_outward():
-    sp = circle()
-    es = enc.make(sp, [(F(1, 4), F(1, 10))])
-    grown = expand(es, F(1, 100))
-    assert grown.variant == "outer"
-    assert arcs(grown) == [(F(6, 25), F(3, 25))]
-    assert expand(es, 0).measure() == es.measure()

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import beta
 
 from shadowing import (DomainError, ExperimentConfig, InvariantViolation,
-                       clopper_pearson, emit, estimate_probability,
+                       UsageError, clopper_pearson, emit, estimate_probability,
                        run_attractor_experiment, run_dichotomy_experiment)
 from shadowing.experiment import (TrialOutcome, _aggregate, _run_trial,
                                   dichotomy_bound_curve, result_summary)
@@ -16,7 +16,7 @@ from shadowing.experiment import (TrialOutcome, _aggregate, _run_trial,
 def config(**kw):
     base = dict(system_spec="rotation:alpha=610/987", y0=(F(0),),
                 d=F(1, 50), eps=F(1, 20), horizons=(10, 40), trials=10,
-                seed=7, mode="exact")
+                seed=7)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -30,8 +30,12 @@ def test_config_validation():
         config(horizons=(10, 10))
     with pytest.raises(DomainError):
         config(d=F(0))
-    with pytest.raises(Exception):
-        config(mode="fast")
+    # config files may still name the one checker mode; any other is refused
+    data = {"system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
+            "horizons": [10], "mode": "exact"}
+    assert ExperimentConfig.from_dict(data).to_jsonable()["mode"] == "exact"
+    with pytest.raises(UsageError):
+        ExperimentConfig.from_dict({**data, "mode": "outer"})
 
 
 def test_config_from_dict_parses_exact_rationals():
@@ -127,17 +131,6 @@ def test_unknowns_excluded_from_counts():
     assert stat.p_hat == pytest.approx(2 / 3)
 
 
-def test_outer_mode_estimation_reports_unknown_separately():
-    cfg = config(system_spec="doubling", y0=(F(1, 3),), horizons=(30,),
-                 trials=10, seed=22, mode="outer")
-    res = estimate_probability(cfg)
-    stat = res.horizon_stats[0]
-    assert stat.shadowable + stat.unknown == 10
-    assert stat.decided == 10 - stat.unknown
-    if stat.decided:
-        assert stat.p_hat == 1.0  # padded float mode never certifies a false No
-
-
 def test_band_violation_raises():
     cfg = config(system_spec="annulus:lambda=1/2,alpha=610/987,w=0.5",
                  y0=(F(7, 5), F(0)), d=F(1, 100), eps=F(1, 20),
@@ -221,7 +214,7 @@ def test_dichotomy_bound_skipped_for_doubling():
 def test_attractor_report_and_rejection(tmp_path):
     base = dict(system_spec="annulus:lambda=1/2,alpha=610/987,w=0.5",
                 y0=(F(7, 5), F(0)), eps=F(1, 5), horizons=(30, 100),
-                trials=12, seed=21, mode="exact")
+                trials=12, seed=21)
     cfg = ExperimentConfig(d=F(9, 1600), **base)
     report = run_attractor_experiment(cfg, out=tmp_path)
     q = report["quantities"]

@@ -78,7 +78,7 @@ def digests(folder, names) -> dict:
     return {name: sha(folder / name) for name in names}
 
 
-def dichotomy_digests(out) -> dict:
+def dichotomy_digests(out, workers=1) -> dict:
     doubling = ExperimentConfig.from_dict({
         "system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
         "horizons": [50, 200], "trials": 8, "seed": 42})
@@ -86,7 +86,7 @@ def dichotomy_digests(out) -> dict:
         "system": "rotation:alpha=610/987", "y0": "0", "d": "0.02",
         "eps": "0.05", "horizons": [10, 50, 200, 500], "trials": 8,
         "seed": 43})
-    run_dichotomy_experiment(doubling, rotation, out=out)
+    run_dichotomy_experiment(doubling, rotation, out=out, workers=workers)
     return {"report.json": sha(out / "report.json"),
             **{f"shadowing/{k}": v for k, v in
                digests(out / "shadowing", EXPERIMENT_FILES).items()},
@@ -102,9 +102,10 @@ def tent_digests(out) -> dict:
     return digests(out, EXPERIMENT_FILES)
 
 
-def attractor_digests(out) -> dict:
+def attractor_digests(out, workers=1) -> dict:
     data = dict(DEFAULT_ATTRACTOR, trials=8, d="9/800")
-    run_attractor_experiment(ExperimentConfig.from_dict(data), out=out)
+    run_attractor_experiment(ExperimentConfig.from_dict(data), out=out,
+                             workers=workers)
     return digests(out, EXPERIMENT_FILES + ("report.json",))
 
 
@@ -128,12 +129,20 @@ def test_dichotomy_outputs_match_golden(tmp_path):
     assert dichotomy_digests(tmp_path) == GOLDEN["dichotomy"]
 
 
+def test_dichotomy_outputs_match_golden_at_two_workers(tmp_path):
+    assert dichotomy_digests(tmp_path, workers=2) == GOLDEN["dichotomy"]
+
+
 def test_tent_outputs_match_golden(tmp_path):
     assert tent_digests(tmp_path) == GOLDEN["tent"]
 
 
 def test_attractor_outputs_match_golden(tmp_path):
     assert attractor_digests(tmp_path) == GOLDEN["attractor"]
+
+
+def test_attractor_outputs_match_golden_at_two_workers(tmp_path):
+    assert attractor_digests(tmp_path, workers=2) == GOLDEN["attractor"]
 
 
 def test_check_outputs_match_golden(tmp_path, capsys):

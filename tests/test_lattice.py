@@ -100,6 +100,9 @@ def lattice_matches_fractions(name, data):
         assert witness == reference_witness(system, ref, m)
         assert orbit_tracks(system, traj.scaled[:m + 1], witness, eps)
         assert orbit_tracks(system, points[:m + 1], witness, eps)
+        # so one pull-back at the longest Yes prefix serves every shorter one
+        assert all(orbit_tracks(system, traj.scaled[:k + 1], witness, eps)
+                   for k in range(m))
 
 
 @PROPERTY

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from shadowing import enclosure
-from shadowing import (DomainError, UsageError, annulus_spiral, ball_set,
-                       brute_force_oracle, decide_shadowable, doubling,
+from shadowing import enclosure, shadowcheck
+from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
+                       ball_set, brute_force_oracle, decide_horizons,
+                       decide_shadowable, doubling,
                        exact_orbit, first_empty_step, generate, orbit,
                        rotation, rotation_first_failure, rotation_oracle,
                        shadow_set_forward, trial_stream,
@@ -155,6 +156,47 @@ def test_worst_case_certified_no():
     assert v.verdict.value == "No"
     assert v.n_empty == 11
     assert v.witness is None
+
+
+def count_pull_backs(monkeypatch) -> list:
+    """The horizon of every witness pull-back from here on."""
+    calls = []
+    pull_back = shadowcheck.pull_back_witness
+
+    def counted(system, sets, m):
+        calls.append(m)
+        return pull_back(system, sets, m)
+
+    monkeypatch.setattr(shadowcheck, "pull_back_witness", counted)
+    return calls
+
+
+def test_one_pull_back_per_decision(monkeypatch):
+    horizons = (10, 50, 200, 500)
+    calls = count_pull_backs(monkeypatch)
+    # a rotation trajectory that is Yes at horizons 10 and 50 only
+    traj = next(t for t in (generate(ROT, (F(0),), D, 500,
+                                     trial_stream(43, k)) for k in range(20))
+                if 50 < (first_empty_step(ROT, t, EPS) or 0) <= 200)
+    assert calls == []
+    found = decide_horizons(ROT, traj, EPS, horizons)
+    assert found.verdicts == (Verdict.YES, Verdict.YES, Verdict.NO,
+                              Verdict.NO)
+    assert calls == [50]
+
+    calls.clear()
+    found = decide_horizons(ROT, exact_orbit(ROT, (F(1, 3),), 500), EPS,
+                            horizons)
+    assert found.verdicts == (Verdict.YES,) * 4 and calls == [500]
+
+    # drifting by the full step bound empties A_6, before every horizon
+    calls.clear()
+    step = ROT.alpha + D
+    drift = Pseudotrajectory(tuple(((step * k) % 1,) for k in range(501)), D,
+                             Provenance("worst_case"))
+    found = decide_horizons(ROT, drift, EPS, horizons)
+    assert found.first_empty <= 10 and found.witness is None
+    assert found.verdicts == (Verdict.NO,) * 4 and calls == []
 
 
 def test_yes_witness_passes_direct_recheck():
@@ -346,35 +388,3 @@ def test_saturated_tolerance_keeps_full_circle():
     assert all(s.measure() == 1 for s in sets)
     assert decide_shadowable(DBL, traj, F(3, 5)).verdict.value == "Yes"
 
-
-# -- outer (padded float) mode ------------------------------------------------------
-
-def test_outer_mode_matches_exact_on_clear_cases():
-    wc = worst_case_pseudotrajectory(ROT, D, EPS)
-    assert decide_shadowable(ROT, wc, EPS, mode="outer").verdict.value == "No"
-    traj = exact_orbit(DBL, (F(1, 7),), 25)
-    v = decide_shadowable(DBL, traj, EPS, mode="outer")
-    assert v.verdict.value == "Yes"
-    for trial in range(30):
-        rnd = generate(ROT, (F(0),), D, 40, trial_stream(413, trial))
-        exact = decide_shadowable(ROT, rnd, EPS).verdict.value
-        outer = decide_shadowable(ROT, rnd, EPS, mode="outer").verdict.value
-        assert outer in (exact, "Unknown")
-
-
-def test_outer_mode_on_annulus_boxes():
-    traj = generate(SPIRAL, (F(7, 5), F(0)), F(1, 100), 30, trial_stream(417))
-    exact = decide_shadowable(SPIRAL, traj, F(1, 25))
-    outer = decide_shadowable(SPIRAL, traj, F(1, 25), mode="outer")
-    assert outer.verdict.value in (exact.verdict.value, "Unknown")
-    sets = shadow_set_forward(SPIRAL, traj, F(1, 25), mode="outer")
-    assert all(s.variant == "outer" for s in sets)
-
-
-def test_outer_mode_final_sets_are_outer():
-    traj = generate(ROT, (F(0),), D, 10, trial_stream(414))
-    sets = shadow_set_forward(ROT, traj, EPS, mode="outer")
-    assert all(s.variant == "outer" for s in sets)
-    exact_sets = shadow_set_forward(ROT, traj, EPS)
-    for s_outer, s_exact in zip(sets, exact_sets):
-        assert float(s_outer.measure()) >= float(s_exact.measure()) - 1e-9
