@@ -2,9 +2,10 @@
 shadowing checks, Monte Carlo shadowing-probability experiments, and the
 constructive quantities behind the transitive-map dichotomy."""
 
-from .bounds import (CoverTime, EtaBracket, ProofQuantities,
-                     attractor_quantities, blocks_for_confidence, cover_time,
-                     delta_for_inclusion, eta, in_absorbing_band,
+from .bounds import (CoverTime, DichotomyQuantities, EtaBracket,
+                     ProofQuantities, attractor_quantities,
+                     blocks_for_confidence, cover_time, delta_for_inclusion,
+                     dichotomy_quantities, eta, in_absorbing_band,
                      nonshadow_lower_bound, tube_delta,
                      tube_probability_bound)
 from .enclosure import EnclosureSet, ball_set, intersect

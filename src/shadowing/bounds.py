@@ -7,17 +7,23 @@ into checkable numbers: the uniform-continuity radius delta, the ball
 measure ratio eta, cover times of transitive orbits, the geometric block
 bound 1 - (1 - eta^L)^k, and the absorbing-band data for the annulus
 contraction.
+
+Two records collect them: ``dichotomy_quantities`` for transitive maps and
+``attractor_quantities`` for the annulus. ``shadowing bounds`` prints
+them, and the experiment reports embed the same records (the rotation
+branch's ``diagnostics``, the attractor run's ``quantities``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, SearchFailure, UsageError
-from .rationals import frac
+from .pseudotraj import worst_case_pseudotrajectory
+from .rationals import frac, jsonable
 from .spaces import Space
 from .systems import AnnulusSpiral
 
@@ -58,9 +64,6 @@ class EtaBracket:
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
-
-    def __float__(self) -> float:
-        return float(self.lo)
 
 
 def eta(space: Space, delta, d, net_radius=None) -> EtaBracket:
@@ -171,13 +174,22 @@ def blocks_for_confidence(eta_value, block_length: int, confidence) -> int:
     return math.ceil(math.log(1 - confidence) / math.log(miss))
 
 
-@dataclass(frozen=True)
-class ProofQuantities:
-    """Bundle of the constructive quantities; unused fields stay None."""
+class _Record:
+    def to_json(self) -> dict:
+        """The fields with Fractions as 'a/b' strings; None is left out."""
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
-    d: Fraction | None = None
-    delta: Fraction | None = None
-    delta1: Fraction | None = None
+
+@dataclass(frozen=True)
+class DichotomyQuantities(_Record):
+    """Constructive quantities of the transitive-map branch: the tube
+    radius delta, the net radius delta1 = delta/4, the eta bracket, the
+    cover time and, on a rotation, the drift tail N and the block length
+    L = K + N + 1. A value that was not computed is None."""
+
+    delta: Fraction
+    delta1: Fraction
     eta_lo: Fraction | None = None
     eta_hi: Fraction | None = None
     cover_k1: int | None = None
@@ -185,25 +197,57 @@ class ProofQuantities:
     cover_k: int | None = None
     tail_n: int | None = None
     block_length: int | None = None
-    # absorbing-band data for attractor experiments
-    eps0: Fraction | None = None
-    rho: Fraction | None = None
-    band_lo: Fraction | None = None
-    band_hi: Fraction | None = None
-    n0: int | None = None
-    d0: Fraction | None = None
-    settle_s: int | None = None
-    extra: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        from .rationals import jsonable
-        out = {}
-        for name in ("d", "delta", "delta1", "eta_lo", "eta_hi", "cover_k1",
-                     "cover_k2", "cover_k", "tail_n", "block_length", "eps0",
-                     "rho", "band_lo", "band_hi", "n0", "d0", "settle_s"):
-            out[name] = jsonable(getattr(self, name))
-        out.update(jsonable(self.extra))
-        return out
+
+def dichotomy_quantities(system, d, eps=None, y0=None,
+                         cover_horizon: int = 10 ** 6) -> DichotomyQuantities:
+    """Quantities behind the block bound 1 - (1 - eta^L)^k.
+
+    delta is tube_delta(d, eps) when eps is given, else
+    delta_for_inclusion(d). The eta bracket is left out on the annulus,
+    where the net at radius delta/20 has a quadratic number of centers;
+    the cover time needs a start point y0; the drift tail and the block
+    length need a rotation and eps < 1/4, the range of the drift
+    construction (and y0 for L).
+    """
+    delta = (delta_for_inclusion(system, d) if eps is None
+             else tube_delta(system, d, eps))
+    delta1 = delta / 4
+    q = {}
+    if system.space.kind != "annulus":
+        bracket = eta(system.space, delta, d)
+        q["eta_lo"], q["eta_hi"] = bracket.lo, bracket.hi
+    if y0 is not None:
+        cov = cover_time(system, y0, delta1, cover_horizon)
+        q["cover_k1"], q["cover_k2"], q["cover_k"] = cov
+    if system.kind == "rotation" and eps is not None \
+            and frac(eps) < Fraction(1, 4):
+        q["tail_n"] = worst_case_pseudotrajectory(system, d, eps).horizon
+        if y0 is not None:
+            q["block_length"] = q["cover_k"] + q["tail_n"] + 1
+    return DichotomyQuantities(delta, delta1, **q)
+
+
+@dataclass(frozen=True)
+class ProofQuantities(_Record):
+    """Absorbing-band data of an attractor run (see attractor_quantities):
+    the working noise level d, its inclusion radius delta, the quarter
+    scale eps0, the band half-width rho with its ends, the entry time n0,
+    the noise ceiling d0, the settling time S (``settle_s``), the
+    contraction lam, the margin and the canonical start point y0."""
+
+    d: Fraction
+    delta: Fraction
+    eps0: Fraction
+    rho: Fraction
+    band_lo: Fraction
+    band_hi: Fraction
+    n0: int
+    d0: Fraction
+    settle_s: int
+    lam: Fraction
+    margin: Fraction
+    y0: tuple
 
 
 def attractor_quantities(system: AnnulusSpiral, eps, y0, d=None,
@@ -259,7 +303,7 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0, d=None,
     return ProofQuantities(
         d=d_used, delta=delta, eps0=eps / 4, rho=rho,
         band_lo=1 - rho, band_hi=1 + rho, n0=n0, d0=d0, settle_s=settle,
-        extra={"lam": lam, "margin": margin, "y0": list(y0)})
+        lam=lam, margin=margin, y0=y0)
 
 
 def in_absorbing_band(point, rho) -> bool:

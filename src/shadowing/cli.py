@@ -111,31 +111,18 @@ def cmd_estimate(args) -> int:
 def cmd_bounds(args) -> int:
     system = parse_system(args.system)
     d = frac(args.d)
-    q = {"d": d, "lipschitz": system.lipschitz}
-    delta = bounds_mod.delta_for_inclusion(system, d)
-    q["delta"] = delta
-    if args.eps:
-        delta = bounds_mod.tube_delta(system, d, frac(args.eps))
-        q["delta"] = delta
-        q["eps"] = frac(args.eps)
-    q["delta1"] = delta / 4
-    if not isinstance(system, AnnulusSpiral):
-        br = bounds_mod.eta(system.space, delta, d)
-        q["eta_lo"], q["eta_hi"] = br.lo, br.hi
-    if args.cover_r is not None:
-        cov = bounds_mod.cover_time(system, parse_point(args.cover_r),
-                                    q["delta1"], args.horizon)
-        q["cover_k1"], q["cover_k2"], q["cover_k"] = cov
-        if args.tail_n is not None:
-            q["block_length"] = cov.k + args.tail_n + 1
+    eps = frac(args.eps) if args.eps else None
+    y0 = parse_point(args.y0) if args.y0 else None
     if isinstance(system, AnnulusSpiral):
-        if not args.eps or not args.y0:
+        if eps is None or y0 is None:
             raise UsageError("annulus bounds need --eps and --y0")
-        aq = bounds_mod.attractor_quantities(
-            system, frac(args.eps), parse_point(args.y0),
-            d=frac(args.d_run) if args.d_run else None)
-        q.update(aq.to_json())
-    _print(q)
+        q = bounds_mod.attractor_quantities(system, eps, y0, d=d)
+    else:
+        q = bounds_mod.dichotomy_quantities(system, d, eps, y0, args.horizon)
+    payload = {**q.to_json(), "d": d, "lipschitz": system.lipschitz}
+    if eps is not None:
+        payload["eps"] = eps
+    _print(payload)
     return 0
 
 
@@ -202,16 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print the constructive quantities")
     p.add_argument("--system", required=True)
-    p.add_argument("--d", required=True)
+    p.add_argument("--d", required=True,
+                   help="step bound; on the annulus, the working noise level")
     p.add_argument("--eps")
-    p.add_argument("--y0")
-    p.add_argument("--d-run", dest="d_run",
-                   help="working noise level for annulus settling time")
-    p.add_argument("--cover-r", dest="cover_r",
-                   help="transit point for cover-time search")
-    p.add_argument("--tail-n", dest="tail_n", type=int,
-                   help="tail length for the block length L = K + N + 1")
-    p.add_argument("--horizon", type=int, default=10 ** 6)
+    p.add_argument("--y0", help="start of the cover-time search; on the "
+                                "annulus, the band's entry point")
+    p.add_argument("--horizon", type=int, default=10 ** 6,
+                   help="step budget of the cover-time search")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("dichotomy", help="run both dichotomy branches")

@@ -229,43 +229,25 @@ def dichotomy_bound_curve(config: ExperimentConfig,
                           cover_horizon: int = 10 ** 6) -> tuple[dict, dict]:
     """Theoretical nonshadowability bound for a rotation branch.
 
-    Uses the tube radius min(eps/4, d/(2(1+Lip))), the measure ratio eta at
-    that radius, the cover time of the rotation orbit over the delta/4 net
-    and the drift witness length to form blocks of length L = K + N + 1;
-    the chance that a k-block prefix shadows is then at most
-    (1 - eta^L)^k. Returns (bound by horizon, diagnostics).
+    Blocks of length L = K + N + 1 come from
+    ``bounds.dichotomy_quantities``; the chance that a k-block prefix
+    shadows is then at most (1 - eta^L)^k. Returns (bound by horizon,
+    diagnostics): the quantities record plus the bound curve.
     """
     system = config.system
     if system.kind != "rotation":
         return {}, {}
-    delta = bounds_mod.tube_delta(system, config.d, config.eps)
-    delta1 = delta / 4
-    eta = bounds_mod.eta(system.space, delta, config.d)
-    from .pseudotraj import worst_case_pseudotrajectory
-    tail = worst_case_pseudotrajectory(system, config.d, config.eps)
-    cov = bounds_mod.cover_time(system, config.y0, delta1, cover_horizon)
-    block = cov.k + tail.horizon + 1
-    eta_l = float(eta.value) ** block
+    q = bounds_mod.dichotomy_quantities(system, config.d, config.eps,
+                                        config.y0, cover_horizon)
+    eta_l = float(q.eta_lo) ** q.block_length
     by_horizon = {}
     curve = []
     for m in config.horizons:
-        k = max((m + 1) // block - 1, 0)
+        k = max((m + 1) // q.block_length - 1, 0)
         lower = 1.0 - (1.0 - eta_l) ** k
         by_horizon[m] = 1.0 - lower  # upper bound on p_hat
         curve.append({"horizon": m, "blocks": k, "nonshadow_lower": lower})
-    diagnostics = {
-        "delta": str(delta),
-        "delta1": str(delta1),
-        "eta_lo": str(eta.lo),
-        "eta_hi": str(eta.hi),
-        "cover_k1": cov.k1,
-        "cover_k2": cov.k2,
-        "cover_k": cov.k,
-        "tail_n": tail.horizon,
-        "block_length": block,
-        "nonshadow_bound_curve": curve,
-    }
-    return by_horizon, diagnostics
+    return by_horizon, {**q.to_json(), "nonshadow_bound_curve": curve}
 
 
 def run_dichotomy_experiment(config_shadowing: ExperimentConfig,

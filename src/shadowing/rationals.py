@@ -42,10 +42,6 @@ def parse_point(text) -> tuple:
     return tuple(frac(part) for part in s.split(","))
 
 
-def format_point(point) -> str:
-    return ",".join(str(c) for c in point)
-
-
 def jsonable(value):
     """Recursively convert Fractions to 'a/b' strings for JSON output."""
     if isinstance(value, Fraction):

@@ -135,10 +135,6 @@ class Space:
         return 2 if self.kind == "annulus" else 1
 
     @property
-    def total_measure(self):
-        return 2 * self.w if self.kind == "annulus" else Fraction(1)
-
-    @property
     def diameter(self):
         if self.kind == "circle":
             return HALF
@@ -169,12 +165,6 @@ class Space:
         if not 1 - self.w <= r <= 1 + self.w:
             raise DomainError(f"radial coordinate {r} outside the annulus band")
         return (r, theta % 1)
-
-    def exact_point(self, coords) -> Point:
-        """Canonical point with coordinates coerced to exact Fractions."""
-        if not isinstance(coords, (tuple, list)):
-            coords = (coords,)
-        return self.canonical(tuple(frac(c) for c in coords))
 
     # -- metric and measure ---------------------------------------------
 

@@ -1,11 +1,14 @@
 """End-to-end CLI behavior."""
 
 import json
+import math
+from fractions import Fraction as F
 
 import pytest
 
-from shadowing import enclosure
-from shadowing.cli import main
+from shadowing import ExperimentConfig, enclosure, run_attractor_experiment
+from shadowing.cli import DEFAULT_ATTRACTOR, DEFAULT_DICHOTOMY, main
+from shadowing.experiment import dichotomy_bound_curve
 
 
 def run(capsys, *argv):
@@ -76,16 +79,36 @@ def test_bounds_circle(capsys):
     assert payload["delta"] == "1/40"
     assert payload["delta1"] == "1/160"
     assert payload["eta_lo"] == payload["eta_hi"] == "1/4"
+    # the drift tail needs eps < 1/4; above it the tail is left out
+    code, out, _ = run(capsys, "bounds", "--system", "rotation:alpha=610/987",
+                       "--d", "0.1", "--eps", "0.3")
+    assert code == 0
+    assert "tail_n" not in json.loads(out)
 
 
 def test_bounds_with_eps_and_cover(capsys):
     code, out, _ = run(capsys, "bounds", "--system", "rotation:alpha=610/987",
-                       "--d", "0.8", "--cover-r", "0", "--tail-n", "5",
+                       "--d", "0.8", "--eps", "0.2", "--y0", "0",
                        "--horizon", "5000")
     assert code == 0
     payload = json.loads(out)
     assert payload["cover_k"] == payload["cover_k1"] + payload["cover_k2"] + 1
-    assert payload["block_length"] == payload["cover_k"] + 6
+    # drift tail N = ceil(4 eps / d) + 1, as in the dichotomy report
+    assert payload["tail_n"] == math.ceil(4 * F(1, 5) / F(4, 5)) + 1
+    assert payload["block_length"] == (payload["cover_k"]
+                                       + payload["tail_n"] + 1)
+
+
+def test_bounds_prints_the_rotation_report_record(capsys):
+    base = ExperimentConfig.from_dict(DEFAULT_DICHOTOMY["nonshadowing"])
+    _, diagnostics = dichotomy_bound_curve(base)
+    code, out, _ = run(capsys, "bounds", "--system", "rotation:alpha=610/987",
+                       "--d", "0.02", "--eps", "0.05", "--y0", "0")
+    assert code == 0
+    payload = json.loads(out)
+    del diagnostics["nonshadow_bound_curve"]
+    assert {k: payload[k] for k in diagnostics} == diagnostics
+    assert set(payload) == set(diagnostics) | {"d", "eps", "lipschitz"}
 
 
 def test_bounds_annulus(capsys):
@@ -97,6 +120,31 @@ def test_bounds_annulus(capsys):
     assert payload["rho"] == "1/20"
     assert payload["n0"] == 4
     assert payload["d0"] == "9/400"
+    # --d is the working noise level, not replaced by d0 / 2
+    assert payload["d"] == "1/100"
+    assert payload["delta"] == "1/400"
+    assert None not in payload.values()
+
+
+def test_bounds_annulus_rejects_noise_above_d0(capsys):
+    code, _, err = run(capsys, "bounds", "--system",
+                       "annulus:lambda=1/2,alpha=610/987,w=0.5",
+                       "--d", "0.03", "--eps", "0.2", "--y0", "1.4,0")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_bounds_annulus_prints_the_attractor_report_record(capsys):
+    data = dict(DEFAULT_ATTRACTOR, d="9/800", trials=2, horizons=[10])
+    report = run_attractor_experiment(ExperimentConfig.from_dict(data))
+    code, out, _ = run(capsys, "bounds", "--system", data["system"],
+                       "--d", data["d"], "--eps", data["eps"],
+                       "--y0", data["y0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("eps") == "1/5"
+    assert payload.pop("lipschitz") == "1"
+    assert payload == report["quantities"]
 
 
 def test_dichotomy_with_config(tmp_path, capsys):
