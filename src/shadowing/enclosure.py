@@ -1,13 +1,24 @@
 """Canonical finite unions of arcs, segments and boxes.
 
 An ``EnclosureSet`` represents a closed subset of a space as a sorted tuple
-of pairwise disjoint fragments:
+of fragments whose interiors are pairwise disjoint:
 
 * circle: arcs ``(start, length)`` with start in [0,1), length in [0,1];
-  the full circle is the single canonical fragment ``(0, 1)``;
-* interval: segments ``(lo, hi)`` with 0 <= lo <= hi <= 1;
+  the full circle is the single canonical fragment ``(0, 1)``; no two
+  arcs touch;
+* interval: segments ``(lo, hi)`` with 0 <= lo <= hi <= 1; no two
+  segments touch;
 * annulus: boxes ``(rlo, rhi, astart, alength)``, a radial segment crossed
-  with an angular arc.
+  with an angular arc. Cutting the circle at every angle where the radial
+  section of the set changes gives maximal angular slabs, and each slab
+  holds one box per radial segment of its section (a slab that is the
+  whole circle holds full rings ``(rlo, rhi, 0, 1)``). Each cut angle
+  keeps, as zero-width boxes ``(rlo, rhi, angle, 0)``, the segments of
+  its section that its two neighbouring slabs do not cover.
+
+Each form depends only on the point set, so ``EnclosureSet.__eq__``, which
+compares fragments, is equality of sets, however the fragments given to
+``make`` overlap or were cut.
 
 Every fragment coordinate is a numerator over the set's ``unit``: ``1``
 for sets that hold the values themselves (``Fraction`` values at the
@@ -17,9 +28,9 @@ the arc, segment and box algebra serves both, because it only adds,
 compares and reduces modulo ``unit``. Reading ``EnclosureSet.fragments``
 of an integer set builds its ``Fraction`` values then, and only then.
 
-Every set equals the abstract set it stands for. Normalization that
-would have to merge fragments to respect the fragment cap raises a
-resource error carrying the merged superset instead.
+Every set equals the abstract set it stands for. A normal form with more
+fragments than the fragment cap raises a resource error that carries the
+exact set.
 """
 
 from __future__ import annotations
@@ -95,28 +106,6 @@ def _normalize_arcs(arcs, unit):
     return merged
 
 
-def _arc_gap(a, b, unit):
-    """Gap from the end of arc a to the start of arc b, going forward."""
-    return (b[0] - (a[0] + a[1])) % unit
-
-
-def _cap_arcs(arcs, cap, unit):
-    arcs = list(arcs)
-    degraded = False
-    while len(arcs) > cap:
-        gaps = [(_arc_gap(arcs[i], arcs[(i + 1) % len(arcs)], unit), i)
-                for i in range(len(arcs))]
-        _, i = min(gaps)
-        j = (i + 1) % len(arcs)
-        s, l = arcs[i]
-        hull_len = min((arcs[j][0] - s) % unit + arcs[j][1], unit)
-        arcs[i] = (s, hull_len)
-        del arcs[j]
-        arcs = _normalize_arcs(arcs, unit)
-        degraded = True
-    return arcs, degraded
-
-
 def _arc_contains(arc, x, unit):
     s, l = arc
     return (x - s) % unit <= l
@@ -144,18 +133,6 @@ def _normalize_segs(segs):
     return merged
 
 
-def _cap_segs(segs, cap):
-    segs = list(segs)
-    degraded = False
-    while len(segs) > cap:
-        gaps = [(segs[i + 1][0] - segs[i][1], i) for i in range(len(segs) - 1)]
-        _, i = min(gaps)
-        segs[i] = (segs[i][0], segs[i + 1][1])
-        del segs[i + 1]
-        degraded = True
-    return segs, degraded
-
-
 # -- annulus boxes -------------------------------------------------------
 
 def _intersect_boxes(a, b, unit):
@@ -167,71 +144,51 @@ def _intersect_boxes(a, b, unit):
             for s, l in _intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)]
 
 
-def _boxes_overlap(a, b, unit):
-    if min(a[1], b[1]) - max(a[0], b[0]) <= 0:
-        return False
-    pieces = _intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)
-    return any(l > 0 for _, l in pieces)
-
-
 def _normalize_boxes(boxes, unit):
+    """The box normal form of the module doc, by one angular sweep."""
     kept = []
     for rlo, rhi, s, l in boxes:
         if rlo > rhi or l < 0:
             continue
-        if l >= unit:
-            s, l = 0, unit
-        kept.append((rlo, rhi, s % unit, l))
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for box in sorted(kept):
-            merged_in = False
-            for i, other in enumerate(out):
-                if box[:2] == other[:2]:
-                    joined = _normalize_arcs([(box[2], box[3]),
-                                              (other[2], other[3])], unit)
-                    if len(joined) == 1:
-                        out[i] = (box[0], box[1], joined[0][0], joined[0][1])
-                        merged_in = changed = True
-                        break
-                if (box[2], box[3]) == (other[2], other[3]) \
-                        and box[0] <= other[1] and other[0] <= box[1]:
-                    out[i] = (min(box[0], other[0]), max(box[1], other[1]),
-                              other[2], other[3])
-                    merged_in = changed = True
-                    break
-            if not merged_in:
-                out.append(box)
-        kept = out
-    # remaining overlaps cannot be represented as a disjoint box union;
-    # widen to an angular hull, a superset that _make reports as degraded
-    degraded = False
-    result = []
-    for box in sorted(kept):
-        clash = next((i for i, o in enumerate(result)
-                      if _boxes_overlap(box, o, unit)), None)
-        if clash is None:
-            result.append(box)
+        kept.append((rlo, rhi, 0, unit) if l >= unit
+                    else (rlo, rhi, s % unit, l))
+    if len(kept) <= 1:
+        return kept
+    # cut the circle at every box end; a wrapping box splits at 0
+    pieces = []
+    for rlo, rhi, s, l in kept:
+        if s + l > unit:
+            pieces += [(rlo, rhi, s, unit), (rlo, rhi, 0, s + l - unit)]
         else:
-            o = result[clash]
-            result[clash] = (min(box[0], o[0]), max(box[1], o[1]), 0, unit)
-            degraded = True
-    return result, degraded
-
-
-def _cap_boxes_by_angle(boxes, cap, unit):
-    degraded = False
-    boxes = list(boxes)
-    while len(boxes) > cap:
-        a = boxes.pop()
-        b = boxes.pop()
-        boxes.append((min(a[0], b[0]), max(a[1], b[1]), 0, unit))
-        merged, _ = _normalize_boxes(boxes, unit)
-        boxes = merged
-        degraded = True
-    return boxes, degraded
+            pieces.append((rlo, rhi, s, s + l))
+    cuts = sorted({0, unit, *chain.from_iterable(p[2:] for p in pieces)})
+    at = {c: i for i, c in enumerate(cuts)}
+    gaps = [[] for _ in cuts[1:]]  # radial segments over (cuts[k], cuts[k+1])
+    points = [[] for _ in cuts]    # radial segments at the angle cuts[k]
+    for rlo, rhi, a, b in pieces:
+        i, j = at[a], at[b]
+        for k in range(i, j):
+            gaps[k].append((rlo, rhi))
+        for k in range(i, j + 1):
+            points[k].append((rlo, rhi))
+    points[0] += points.pop()  # the angle unit is the angle 0
+    gaps = [tuple(_normalize_segs(g)) for g in gaps]
+    runs = []  # maximal angular slabs [start, end, radial segments]
+    for lo, hi, segs in zip(cuts, cuts[1:], gaps):
+        if runs and runs[-1][2] == segs:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, segs])
+    if len(runs) > 1 and runs[0][2] == runs[-1][2]:
+        runs[-1][1] = unit + runs.pop(0)[1]
+    out = [(rlo, rhi, lo, hi - lo) for lo, hi, segs in runs
+           for rlo, rhi in segs]
+    # a cut keeps the radial segments its two neighbouring slabs leave out
+    for k, c in enumerate(cuts[:-1]):
+        covered = _normalize_segs(gaps[k - 1] + gaps[k])
+        out += [(rlo, rhi, c, 0) for rlo, rhi in _normalize_segs(points[k])
+                if (rlo, rhi) not in covered]
+    return sorted(out)
 
 
 # -- the set type --------------------------------------------------------
@@ -372,10 +329,9 @@ def make(space: Space, fragments,
          cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
     """Normalize fragments into a canonical EnclosureSet.
 
-    Overlapping or touching fragments are merged. If the fragment count
-    exceeds ``cap``, nearest fragments are hull-merged until it fits; that
-    result is a strict superset, so the request fails with a resource
-    error carrying it.
+    Overlapping or touching fragments are merged exactly (see the module
+    doc). If the normal form has more than ``cap`` fragments, the request
+    fails with ``EnclosureCapError``, whose ``partial`` is that exact set.
     """
     return _make(space, fragments, cap, 1)
 
@@ -385,19 +341,15 @@ def _make(space: Space, fragments, cap: int, unit) -> EnclosureSet:
     kind = space.kind
     if kind == "circle":
         frags = _normalize_arcs(fragments, unit)
-        frags, degraded = _cap_arcs(frags, cap, unit)
     elif kind == "interval":
         frags = _normalize_segs(fragments)
-        frags, degraded = _cap_segs(frags, cap)
     else:
-        frags, merged_overlap = _normalize_boxes(fragments, unit)
-        frags, capped = _cap_boxes_by_angle(frags, cap, unit)
-        degraded = merged_overlap or capped
-    if degraded:
+        frags = _normalize_boxes(fragments, unit)
+    es = EnclosureSet(space, frags, unit)
+    if len(frags) > cap:
         raise EnclosureCapError(
-            f"fragment cap {cap} exceeded for exact enclosure",
-            partial=EnclosureSet(space, frags, unit))
-    return EnclosureSet(space, frags, unit)
+            f"fragment cap {cap} exceeded for exact enclosure", partial=es)
+    return es
 
 
 def ball_set(space: Space, center, radius) -> EnclosureSet:

@@ -27,8 +27,8 @@ class SearchFailure(RuntimeError):
 class EnclosureCapError(RuntimeError):
     """A set operation exceeded the fragment cap.
 
-    ``partial`` carries the merged superset computed so far, so a caller
-    can still use it as a sound outer bound.
+    ``partial`` carries the exact set that has too many fragments, so a
+    caller can still use it as a sound outer bound.
     """
 
     def __init__(self, message, partial=None):

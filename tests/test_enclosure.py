@@ -126,6 +126,16 @@ def test_annulus_box_union_merges_aligned():
     c = (F(6, 5), F(13, 10), F(0), F(1, 10))
     stacked = enc.make(sp, [a, c])
     assert stacked.fragments == ((F(1), F(13, 10), F(0), F(1, 10)),)
+    across = enc.make(sp, [(F(1), F(6, 5), F(9, 10), F(1, 10)), a])
+    assert across.fragments == ((F(1), F(6, 5), F(9, 10), F(1, 5)),)
+
+
+def test_zero_width_box_at_angle_zero_keeps_its_whole_section():
+    sp = annulus(F(1, 2))
+    ends_at_one = (F(1), F(5, 4), F(3, 4), F(1, 4))
+    got = enc.make(sp, [ends_at_one, (F(9, 8), F(3, 2), F(0), F(0))])
+    # the section at angle 0 is [1, 3/2]; the slab before it covers [1, 5/4]
+    assert got.fragments == (ends_at_one, (F(1), F(3, 2), F(0), F(0)))
 
 
 # -- fragment cap --------------------------------------------------------------
@@ -135,7 +145,7 @@ def test_fragment_cap_raises_with_partial_outer():
     frags = [(F(k, 100), F(1, 1000)) for k in range(0, 100, 2)]
     with pytest.raises(EnclosureCapError) as err:
         enc.make(sp, frags, cap=10)
-    partial = err.value.partial
-    assert partial.fragment_count() <= 10
-    for s, _ in frags:  # the merged superset keeps every original point
-        assert partial.contains((s,))
+    assert str(err.value) == "fragment cap 10 exceeded for exact enclosure"
+    # the exact 50-arc set, itself a sound outer bound
+    assert err.value.partial == enc.make(sp, frags)
+    assert enc.make(sp, frags, cap=50).fragment_count() == 50

@@ -5,9 +5,9 @@ coordinates have small denominators, so touching, nested, wrapping and
 single-point fragments come up often. Membership is compared with a direct
 reading of the raw fragments: an arc ``(s, l)`` holds the points s + t mod
 1 for 0 <= t <= l, a segment ``(lo, hi)`` the points lo..hi, a box the
-product of a radial segment and an arc. Boxes are drawn as cells of a
-random grid, because overlapping boxes cannot be normalized without a
-superset (``make`` raises ``EnclosureCapError`` for them).
+product of a radial segment and an arc. Boxes are drawn freely, so they
+overlap, wrap, cover the whole ring or have zero width or height; their
+normal form is exact and depends only on the point set.
 """
 
 from fractions import Fraction as F
@@ -17,40 +17,27 @@ from hypothesis import given, strategies as st
 
 from shadowing import annulus, circle, intersect, interval
 from shadowing import enclosure as enc
-from test_lattice import PROPERTY
+from test_lattice import PROPERTY, SYSTEMS
 
 SPACES = {"circle": circle(), "interval": interval(), "annulus": annulus(F(1, 2))}
 
 coord = st.fractions(0, 1, max_denominator=12)
+angle = coord.map(lambda s: s % 1)
+# lengths up to 5/4 include the whole circle; negative ones are empty
+length = st.one_of(st.sampled_from([F(0), F(1)]),
+                   st.fractions(F(-1, 4), F(5, 4), max_denominator=12))
+radius = st.fractions(F(1, 2), F(3, 2), max_denominator=12)
 
-
-# arc lengths up to 5/4 include the whole circle; negative ones are empty
-raw_arcs = st.lists(st.tuples(coord.map(lambda s: s % 1),
-                              st.fractions(F(-1, 4), F(5, 4),
-                                           max_denominator=12)),
-                    max_size=5)
+raw_arcs = st.lists(st.tuples(angle, length), max_size=5)
 # lo > hi gives an empty segment
 raw_segments = st.lists(st.tuples(coord, coord), max_size=5)
+raw_boxes = st.lists(
+    st.tuples(st.one_of(st.tuples(radius, radius).map(sorted),
+                        radius.map(lambda r: (r, r))),
+              angle, length).map(lambda t: (*t[0], t[1], t[2])),
+    max_size=5)
 
-
-@st.composite
-def raw_boxes(draw):
-    radii = sorted(set(draw(st.lists(
-        st.fractions(F(1, 2), F(3, 2), max_denominator=12),
-        min_size=2, max_size=4))))
-    angles = sorted(set(draw(st.lists(coord.map(lambda a: a % 1),
-                                      min_size=1, max_size=4))))
-    arcs = [(a, ((b - a) % 1) or 1)
-            for a, b in zip(angles, angles[1:] + angles[:1])]
-    cells = [(r0, r1, s, l) for r0, r1 in zip(radii, radii[1:])
-             for s, l in arcs]
-    if not cells:  # one distinct radius: a zero-width ring
-        cells = [(radii[0], radii[0], s, l) for s, l in arcs]
-    return draw(st.lists(st.sampled_from(cells), max_size=len(cells),
-                         unique=True))
-
-
-RAW = {"circle": raw_arcs, "interval": raw_segments, "annulus": raw_boxes()}
+RAW = {"circle": raw_arcs, "interval": raw_segments, "annulus": raw_boxes}
 
 
 def in_arc(s, l, x):
@@ -106,22 +93,19 @@ def test_normalizing_twice_equals_once(kind, data):
 
 
 def split(kind, frag, data):
-    """Two fragments whose union is ``frag``, cut strictly inside it (for
-    an arc crossing 0, often at 0 itself). A cut at an end would leave a
-    zero-width box inside another box, which box normalization keeps as a
-    fragment of its own."""
-    u = data.draw(st.fractions(F(1, 24), F(23, 24), max_denominator=24),
-                  label="cut")
+    """Two fragments whose union is ``frag``, cut inside it or at one of
+    its ends (for an arc crossing 0, often at 0 itself)."""
+    u = data.draw(st.fractions(0, 1, max_denominator=24), label="cut")
     if kind == "interval":
         lo, hi = frag
         m = lo + u * (hi - lo)
-        return [(lo, m), (m, hi)] if lo < hi else [frag]
+        return [(lo, m), (m, hi)] if lo <= hi else [frag]
     if kind == "annulus" and data.draw(st.booleans(), label="radial"):
         rlo, rhi, s, l = frag
         m = rlo + u * (rhi - rlo)
-        return [(rlo, m, s, l), (m, rhi, s, l)] if rlo < rhi else [frag]
+        return [(rlo, m, s, l), (m, rhi, s, l)] if rlo <= rhi else [frag]
     *radial, s, l = frag
-    if not 0 < l < 1:
+    if not 0 <= l < 1:
         return [frag]
     cuts = [u * l] + ([1 - s] if s + l > 1 else [])
     t = data.draw(st.sampled_from(cuts), label="which")
@@ -135,14 +119,50 @@ def test_normal_form_ignores_how_fragments_are_cut(kind, data):
     raw, es = draw_set(kind, data, "a")
     pieces = [p for f in raw for p in split(kind, f, data)]
     cut = enc.make(SPACES[kind], pieces)
-    if kind != "annulus":
-        assert cut.fragments == es.fragments
-        return
-    # an L-shaped union has two box decompositions, and merge order picks
-    # one, so boxes are compared as point sets
-    assert cut.measure() == es.measure()
-    for p in probe_points(kind, data, raw):
-        assert cut.contains(p) == es.contains(p), p
+    assert cut.fragments == es.fragments
+
+
+def arcs_overlap(a, b):
+    """Whether two arcs share an arc of positive length."""
+    (s1, l1), (s2, l2) = a, b
+    return any(min(s1 + l1, s2 + l2 + k) > max(s1, s2 + k) for k in (-1, 0, 1))
+
+
+def interiors_meet(kind, a, b):
+    if kind == "circle":
+        return arcs_overlap(a, b)
+    radial = min(a[1], b[1]) > max(a[0], b[0])
+    if kind == "interval":
+        return radial
+    return radial and arcs_overlap(a[2:], b[2:])
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+@PROPERTY
+@given(data=st.data())
+def test_fragments_are_disjoint_in_their_interiors(kind, data):
+    _, es = draw_set(kind, data, "a")
+    frags = es.fragments
+    for i, a in enumerate(frags):
+        for b in frags[i + 1:]:
+            assert not interiors_meet(kind, a, b), (a, b)
+
+
+def test_zero_width_box_on_an_edge_joins_the_ring():
+    sp = SPACES["annulus"]
+    got = enc.make(sp, [(F(3, 4), 1, 0, F(1, 2)), (F(3, 4), 1, F(1, 2), F(1, 2)),
+                        (1, 1, F(1, 2), F(1, 2))])
+    assert got.fragments == ((F(3, 4), 1, 0, 1),)
+
+
+def test_l_shaped_union_has_one_normal_form():
+    sp, h = SPACES["annulus"], F(1, 2)
+    cells = enc.make(sp, [(h, 1, 0, h), (1, F(3, 2), 0, h),
+                          (1, F(3, 2), h, h)])
+    recut = enc.make(sp, [(h, 1, 0, h), (1, F(3, 2), 0, F(1, 4)),
+                          (1, F(3, 2), F(1, 4), F(3, 4))])
+    assert cells == recut
+    assert cells.fragments == ((h, F(3, 2), 0, h), (1, F(3, 2), h, h))
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -152,6 +172,38 @@ def test_contains_matches_brute_force(kind, data):
     raw, es = draw_set(kind, data, "a")
     for p in probe_points(kind, data, raw):
         assert es.contains(p) == brute_contains(kind, raw, p), p
+
+
+def points_in(kind, frags, data):
+    """Every end and midpoint of ``frags``, plus one random point of each."""
+    pts = []
+    for f in frags:
+        ts = [F(0), F(1), F(1, 2),
+              data.draw(st.fractions(0, 1, max_denominator=50), label="t")]
+        if kind == "interval":
+            pts += [(f[0] + t * (f[1] - f[0]),) for t in ts]
+            continue
+        *radial, s, l = f
+        thetas = [(s + t * l) % 1 for t in ts]
+        if kind == "circle":
+            pts += [(x,) for x in thetas]
+        else:
+            pts += [(radial[0] + t * (radial[1] - radial[0]), x)
+                    for t in ts for x in thetas]
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@PROPERTY
+@given(data=st.data())
+def test_image_of_a_set_contains_the_images_of_its_points(name, data):
+    system = SYSTEMS[name]
+    kind = system.space.kind
+    s = enc.make(system.space, data.draw(RAW[kind], label="s"))
+    image = system.apply_set(s)
+    for x in points_in(kind, s.fragments, data):
+        assert s.contains(x), x
+        assert image.contains(system.apply(x)), x
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))

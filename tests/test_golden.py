@@ -12,6 +12,9 @@ The attractor ``summary.json`` and ``report.json`` digests were re-recorded
 once, when the eight always-null dichotomy keys (``delta1``, ``eta_lo``,
 ``eta_hi``, ``cover_k1``, ``cover_k2``, ``cover_k``, ``tail_n``,
 ``block_length``) left their ``quantities`` objects; no other byte moved.
+
+The annulus ``check`` digests pin the bytes of the box algebra's path
+through ``check``.
 """
 
 import hashlib
@@ -72,6 +75,16 @@ GOLDEN = {
         "verdict1000.json":
             "df657509847f19512999798cf60177d9bd82fa74f8294e977793ae6fcdae552c",
     },
+    "annulus-check": {
+        "verdict50_eps0.05.json":
+            "f062552b82d31b3dfb1dfbdedd5d56c5587ddd96876ed1b6d5fa2070a47a235f",
+        "verdict50_eps0.2.json":
+            "f9bea204713037996594bd15e144be7bab35d7596aceadb4b528b60cd8bf5288",
+        "verdict1000_eps0.05.json":
+            "8a4bae6b2d2dd3d8d76b80ce9868d8a90c8ba45711669b1746edd245bef2a378",
+        "verdict1000_eps0.2.json":
+            "e442bf5baf535df550862bcaa5d155d12688732fcae984d10031fb5cf3e9a0f3",
+    },
 }
 
 
@@ -130,6 +143,24 @@ def check_digests(tmp, capsys) -> dict:
     return out
 
 
+def annulus_check_digests(tmp, capsys) -> dict:
+    """``check`` JSONs of one spiral trajectory: the box algebra's bytes."""
+    out = {}
+    for n in (50, 1000):
+        base = tmp / f"traj{n}"
+        assert main(["generate", "--system",
+                     "annulus:lambda=1/2,alpha=610/987,w=0.5", "--y0", "1.4,0",
+                     "--d", "9/800", "--n", str(n), "--seed", "44",
+                     "--out", str(base)]) == 0
+        for eps in ("0.05", "0.2"):
+            verdict = tmp / f"verdict{n}_eps{eps}.json"
+            assert main(["check", "--traj", str(base), "--eps", eps,
+                         "--out", str(verdict)]) == 0
+            out[verdict.name] = sha(verdict)
+    capsys.readouterr()
+    return out
+
+
 def test_dichotomy_outputs_match_golden(tmp_path):
     assert dichotomy_digests(tmp_path) == GOLDEN["dichotomy"]
 
@@ -153,3 +184,7 @@ def test_attractor_outputs_match_golden_at_two_workers(tmp_path):
 def test_check_outputs_match_golden(tmp_path, capsys):
     assert check_digests(tmp_path, capsys) == GOLDEN["check"]
 
+
+
+def test_annulus_check_outputs_match_golden(tmp_path, capsys):
+    assert annulus_check_digests(tmp_path, capsys) == GOLDEN["annulus-check"]
