@@ -1,9 +1,11 @@
 """Monte Carlo estimation of shadowing probability and the shipped experiments.
 
-An experiment draws independent random pseudotrajectories to the largest
-requested horizon and decides shadowability of every horizon prefix on the
-same samples, so the estimated curve p_hat(N) is nonincreasing by
-construction. Each trial owns a stream derived from (master seed, trial),
+An experiment draws independent random pseudotrajectories and decides
+shadowability of every horizon prefix on the same samples, so the
+estimated curve p_hat(N) is nonincreasing by construction. A trial samples
+its trajectory only while its shadow set lives: up to the first empty set,
+or to the largest horizon if none is empty, since no verdict reads a later
+point. Each trial owns a stream derived from (master seed, trial),
 making runs reproducible and trials order-independent; reruns of the same
 config produce byte-identical output files.
 
@@ -21,18 +23,18 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
-
-from scipy.stats import beta as _beta
 
 from . import bounds as bounds_mod
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
-from .pseudotraj import Provenance, generate, trial_stream
+from .pseudotraj import LatticeWalk, generate, trial_stream
 from .rationals import frac, jsonable, parse_point
-# orbit_tracks, pull_back_witness and shadow_set_forward are unused here;
-# the benchmark's span probes (bench/probes.py) look them up in this module
-from .shadowcheck import (decide_horizons, orbit_tracks, pull_back_witness,
-                          shadow_set_forward)
+# orbit_tracks, pull_back_witness and shadow_set_forward are unused here,
+# and a trial calls generate only to report a band violation; the
+# benchmark's span probes (bench/probes.py) look all four up in this module
+from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
+                          shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
 
 
@@ -121,12 +123,6 @@ class ExperimentResult:
     trial_outcomes: tuple
     diagnostics: dict = field(default_factory=dict)
 
-    def p_hat(self, horizon: int) -> float:
-        for stat in self.horizon_stats:
-            if stat.horizon == horizon:
-                return stat.p_hat
-        raise KeyError(f"horizon {horizon} not in experiment")
-
     def with_bounds(self, bound_by_horizon: dict,
                     diagnostics: dict) -> "ExperimentResult":
         stats = tuple(
@@ -146,46 +142,49 @@ def clopper_pearson(successes: int, n: int, alpha: float = 0.05):
         raise DomainError("need 0 <= successes <= n")
     if n == 0:
         return 0.0, 1.0
+    from scipy.stats import beta  # imported here: nothing else needs scipy
+
     lo = 0.0 if successes == 0 else float(
-        _beta.ppf(alpha / 2, successes, n - successes + 1))
+        beta.ppf(alpha / 2, successes, n - successes + 1))
     hi = 1.0 if successes == n else float(
-        _beta.ppf(1 - alpha / 2, successes + 1, n - successes))
+        beta.ppf(1 - alpha / 2, successes + 1, n - successes))
     return lo, hi
 
 
 def _run_trial(system, config: ExperimentConfig, trial: int,
                band=None) -> TrialOutcome:
-    """Generate one trajectory, decide every horizon prefix on it.
+    """Sample one trajectory while its shadow set lives, decide every
+    horizon prefix on it.
 
-    ``band`` is (rho, n0) for attractor runs: every point from step n0 on
-    must lie in the absorbing band, else the bound computation is wrong.
+    Sampling and propagation are one loop that stops at the first empty
+    set; no verdict reads a later point. ``band`` is (rho, n0) for
+    attractor runs: every point from step n0 on must lie in the absorbing
+    band, else the bound computation is wrong. Past the sampled points the
+    check reads the radial chain alone (``LatticeWalk.radii``).
     """
-    rng = trial_stream(config.seed, trial)
-    traj = generate(system, config.y0, config.d, config.max_horizon, rng,
-                    Provenance("random", config.seed, trial))
+    walk = LatticeWalk(system, config.y0, config.d, config.max_horizon,
+                       trial_stream(config.seed, trial))
+    try:
+        found = horizon_verdicts(system,
+                                 list(shadow_sets(system, walk, config.eps)),
+                                 walk.taken, config.eps, config.horizons)
+        outcome = TrialOutcome(trial, found.first_empty,
+                               tuple(v.value for v in found.verdicts))
+    except EnclosureCapError as exc:
+        outcome = TrialOutcome(trial, None,
+                               ("Unknown",) * len(config.horizons),
+                               error=str(exc))
     if band is not None:
         # |r - 1| <= rho on the lattice: |R - S| * den(rho) <= num(rho) * S
         rho, n0 = band
-        rho_num, rho_den = rho.numerator, rho.denominator
-        pts = traj.scaled
-        for n in range(n0, len(pts)):
-            r, s = pts.nums[n][0], pts.scales[n]
-            if abs(r - s) * rho_den > rho_num * s:
+        for n, (r, s) in enumerate(walk.radii()):
+            if n >= n0 and abs(r - s) * rho.denominator > rho.numerator * s:
+                point = generate(system, config.y0, config.d, n,
+                                 trial_stream(config.seed, trial)).points[n]
                 raise InvariantViolation(
-                    f"trial {trial}: point {pts[n]} at step {n} escaped the "
+                    f"trial {trial}: point {point} at step {n} escaped the "
                     f"absorbing band of half-width {rho} (entry step {n0})")
-    try:
-        found = decide_horizons(system, traj, config.eps, config.horizons)
-    except EnclosureCapError as exc:
-        return TrialOutcome(trial, None, ("Unknown",) * len(config.horizons),
-                            error=str(exc))
-    return TrialOutcome(trial, found.first_empty,
-                        tuple(v.value for v in found.verdicts))
-
-
-def _trial_task(args):
-    system, config, trial, band = args
-    return _run_trial(system, config, trial, band)
+    return outcome
 
 
 def _aggregate(config: ExperimentConfig, outcomes) -> ExperimentResult:
@@ -212,14 +211,13 @@ def estimate_probability(config: ExperimentConfig,
     seed; ``workers`` > 1 fans trials out to processes without changing any
     output.
     """
-    system = config.system
-    tasks = [(system, config, t, _band) for t in range(config.trials)]
+    args = (repeat(config.system), repeat(config), range(config.trials),
+            repeat(_band))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=8))
+            outcomes = list(pool.map(_run_trial, *args, chunksize=8))
     else:
-        outcomes = [_trial_task(t) for t in tasks]
-    outcomes.sort(key=lambda o: o.trial)
+        outcomes = list(map(_run_trial, *args))
     return _aggregate(config, outcomes)
 
 

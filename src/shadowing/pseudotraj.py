@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -116,44 +117,79 @@ def trial_stream(master_seed: int, trial: int = 0) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=(trial,)))
 
 
+class LatticeWalk:
+    """The random d-pseudotrajectory of length n from y0, one step at a time.
+
+    Each step draws y_{k+1} uniformly from the d-ball around f(y_k) in the
+    space, from one uniform double per coordinate, on an integer lattice
+    (``Space.sample_scaled``). The n * ndim doubles are drawn in one call,
+    which numpy makes bit-identical to drawing them one at a time, so the
+    points equal the step-by-step Fraction chain
+    (``Space.sample_uniform_ball``), leave the stream where it would, and a
+    shorter horizon gives a prefix. The scale starts at 2**53 times the lcm
+    of the denominators of d, y0 and the map's parameters; it grows only by
+    a non-integer slope's denominator and at a step truncated at a boundary.
+
+    Iterating (once) yields y_0, ..., y_n as (numerators, scale) pairs and
+    adds each to ``taken``; a step is sampled only when it is asked for.
+    """
+
+    def __init__(self, system, y0: Point, d, n: int, rng):
+        if d <= 0:
+            raise DomainError("step bound d must be positive")
+        if n < 0:
+            raise DomainError("horizon must be nonnegative")
+        space = system.space
+        self.system, self.d, self.n = system, frac(d), n
+        y, scale = scaled_point(space.canonical(y0))
+        start = TWO53 * math.lcm(scale, self.d.denominator,
+                                 system.lattice_base)
+        self.taken = ScaledPoints([tuple(c * (start // scale) for c in y)],
+                                  [start])
+        doubles = rng.random(n * space.ndim)
+        self._draws = iter((doubles * TWO53).astype(np.int64).tolist())
+
+    def __iter__(self):
+        apply = self.system.apply_scaled
+        sample = self.system.space.sample_scaled
+        d_num, d_den = self.d.numerator, self.d.denominator
+        nums, scales = self.taken.nums, self.taken.scales
+        y, scale = nums[0], scales[0]
+        yield y, scale
+        for _ in range(self.n):
+            center, center_scale = apply(y, scale)
+            y, scale = sample(center, center_scale,
+                              d_num * (center_scale // d_den), self._draws)
+            nums.append(y)
+            scales.append(scale)
+            yield y, scale
+
+    def radii(self):
+        """(numerator, scale) of the radius of every point y_0, ..., y_n of
+        an annulus chain: those of ``taken``, then the radial chain alone.
+        Under the max metric a step's radial double comes first and the
+        map's radius reads only the radius, so each step takes its radial
+        double and skips the angular one unread."""
+        for (r, _), scale in zip(self.taken.nums, self.taken.scales):
+            yield r, scale
+        system, space = self.system, self.system.space
+        d_num, d_den = self.d.numerator, self.d.denominator
+        for k in islice(self._draws, 0, None, 2):
+            r, out = system.radius_scaled(r, scale)
+            r, grow = space.sample_segment_scaled(r, out,
+                                                  d_num * (out // d_den), k)
+            scale = out * grow
+            yield r, scale
+
+
 def generate(system, y0: Point, d, n: int, rng,
              provenance: Provenance | None = None) -> Pseudotrajectory:
-    """Sample a random d-pseudotrajectory of length n from y0.
-
-    Each step draws y_{k+1} uniformly from the d-ball around f(y_k)
-    intersected with the space, from one uniform double per coordinate.
-    All n * ndim doubles are drawn in one call, which numpy makes
-    bit-identical to drawing them one at a time, so a shorter horizon with
-    the same stream yields a prefix and the stream ends where step-by-step
-    draws (``Space.sample_uniform_ball``) would leave it.
-
-    The points are computed on an integer lattice (``Space.sample_scaled``)
-    and equal the step-by-step Fraction chain. Their scale starts at 2**53
-    times the lcm of the denominators of d, y0 and the map's parameters; it
-    grows only by a non-integer slope's denominator and at a step truncated
-    at a boundary of the space. d is converted to integers once, before the
-    loop, and the loop reads no ``Fraction``.
-    """
-    if d <= 0:
-        raise DomainError("step bound d must be positive")
-    if n < 0:
-        raise DomainError("horizon must be nonnegative")
-    space = system.space
-    d = frac(d)
-    d_num, d_den = d.numerator, d.denominator
-    y, scale = scaled_point(space.canonical(y0))
-    start = TWO53 * math.lcm(scale, d_den, system.lattice_base)
-    y, scale = tuple(c * (start // scale) for c in y), start
-    nums, scales = [y], [scale]
-    doubles = rng.random(n * space.ndim)
-    draws = iter((doubles * TWO53).astype(np.int64).tolist())
-    for _ in range(n):
-        center, center_scale = system.apply_scaled(y, scale)
-        y, scale = space.sample_scaled(
-            center, center_scale, d_num * (center_scale // d_den), draws)
-        nums.append(y)
-        scales.append(scale)
-    return Pseudotrajectory.from_scaled(ScaledPoints(nums, scales), d,
+    """Sample a random d-pseudotrajectory of length n from y0: every step
+    of a ``LatticeWalk``."""
+    walk = LatticeWalk(system, y0, d, n, rng)
+    for _ in walk:
+        pass
+    return Pseudotrajectory.from_scaled(walk.taken, walk.d,
                                         provenance or Provenance("random"))
 
 

@@ -8,9 +8,9 @@ trajectory is eps-shadowable over its horizon iff every A_n is nonempty.
 
 All arithmetic is exact and the sets are exact. The verdict is Yes, with a
 certified witness re-checked against its orbit, or No, with the first
-empty step; ``decide_horizons`` is the one routine that reaches either.
+empty step; ``horizon_verdicts`` is the one routine that reaches either.
 Propagation, pull-back and re-check run on Python integers over a per-step
-common denominator, the scale (see ``shadow_set_forward``); Fractions
+common denominator, the scale (see ``shadow_sets``); Fractions
 appear only in the witness and when a caller reads a set's ``fragments``.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
@@ -66,9 +66,9 @@ class ShadowVerdict:
 
 @dataclass(frozen=True)
 class HorizonVerdicts:
-    """What ``decide_horizons`` found: a verdict per horizon, the first
+    """What ``horizon_verdicts`` found: a verdict per horizon, the first
     empty step (None if every A_n is nonempty), the witness of the longest
-    Yes prefix (None if no horizon is Yes) and the shadow sets A_0..A_N."""
+    Yes prefix (None if no horizon is Yes) and the shadow sets it read."""
 
     verdicts: tuple
     first_empty: int | None
@@ -76,32 +76,27 @@ class HorizonVerdicts:
     sets: list
 
 
-def shadow_set_forward(system, traj: Pseudotrajectory,
-                       eps) -> list[EnclosureSet]:
-    """The shadow sets A_0, ..., A_N with integer fragments.
+def shadow_sets(system, points, eps):
+    """The shadow sets A_0, A_1, ..., up to and including the first empty
+    one, of points given as (numerators, scale) pairs. A point is read only
+    when its set is built, so a ``LatticeWalk`` samples none after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map). The image of A_{n-1} meets it over the lcm
     of their units, W_n. A generated trajectory's scales nest, so W_n is
     P_n and no step needs a gcd. Otherwise (points read from a file, say)
     A_n is reduced by one gcd, so its unit never exceeds the lcm of the
-    denominators that A_{n-1} and the ball really carry.
-
-    Always N + 1 sets. An empty set stays empty, so the loop stops at the
-    first empty A_n and repeats that set for the remaining steps: no ball
-    is built and no image is taken after it. eps is converted to integers
-    once, here.
+    denominators that A_{n-1} and the ball really carry. eps is converted
+    to integers once, here.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     eps = frac(eps)
-    points = traj.scaled
     space = system.space
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
-    sets = []
-    point_scale = None
-    for y, s in zip(points.nums, points.scales):
+    prev = point_scale = None
+    for y, s in points:
         if s != point_scale:
             point_scale, unit = s, math.lcm(s, base)
             lift, radius = unit // s, eps_num * (unit // eps_den)
@@ -109,13 +104,22 @@ def shadow_set_forward(system, traj: Pseudotrajectory,
             y = tuple(c * lift for c in y)
         nxt = EnclosureSet(space, (enclosure._ball(space, y, radius, unit),),
                            unit)
-        if sets:
-            nxt = enclosure.intersect(system.apply_set(sets[-1]), nxt)
+        if prev is not None:
+            nxt = enclosure.intersect(system.apply_set(prev), nxt)
             if nxt.unit != unit:
                 nxt = nxt.reduced(base)
-        sets.append(nxt)
+        yield nxt
         if nxt.is_empty():
-            break
+            return
+        prev = nxt
+
+
+def shadow_set_forward(system, traj: Pseudotrajectory,
+                       eps) -> list[EnclosureSet]:
+    """The N + 1 shadow sets A_0, ..., A_N: ``shadow_sets``, with the first
+    empty set repeated for the remaining steps (an empty set stays empty)."""
+    points = traj.scaled
+    sets = list(shadow_sets(system, zip(points.nums, points.scales), eps))
     sets.extend([sets[-1]] * (len(points) - len(sets)))
     return sets
 
@@ -170,18 +174,19 @@ def pull_back_witness(system, sets, m):
     return tuple(Fraction(c, scale) for c in x)
 
 
-def decide_horizons(system, traj: Pseudotrajectory, eps,
-                    horizons) -> HorizonVerdicts:
-    """Certified verdicts for eps-shadowability of each horizon prefix.
+def horizon_verdicts(system, sets, points: ScaledPoints, eps,
+                     horizons) -> HorizonVerdicts:
+    """Certified verdicts for eps-shadowability of each horizon prefix,
+    from the shadow sets A_0, A_1, ... (all N + 1, or to the first empty
+    one) and the points they were built from.
 
-    Propagates once: horizon m is No when some A_n with n <= m is empty,
-    else Yes. One witness is pulled back, at the largest Yes horizon, and
-    its orbit re-checked against that prefix; it then tracks every shorter
-    prefix too. Verdicts are monotone under prefix extension (Yes can turn
-    into No, never back). Exact sets always yield a witness that passes,
-    so a failure raises ``EnclosureCapError`` rather than a verdict.
+    Horizon m is No when some A_n with n <= m is empty, else Yes. One
+    witness is pulled back, at the largest Yes horizon, and its orbit
+    re-checked against that prefix of ``points``; it then tracks every
+    shorter prefix too, so Yes can turn into No, never back. Exact sets
+    always yield a witness that passes, so a failure raises
+    ``EnclosureCapError`` rather than a verdict.
     """
-    sets = shadow_set_forward(system, traj, eps)
     first_empty = next((n for n, s in enumerate(sets) if s.is_empty()), None)
     verdicts = tuple(
         Verdict.NO if first_empty is not None and m >= first_empty
@@ -192,10 +197,17 @@ def decide_horizons(system, traj: Pseudotrajectory, eps,
         m = max(yes)
         witness = pull_back_witness(system, sets, m)
         if witness is None or not orbit_tracks(
-                system, traj.scaled[:m + 1], witness, eps):
+                system, points[:m + 1], witness, eps):
             raise EnclosureCapError(
                 f"witness extraction failed at horizon {m}", partial=sets[m])
     return HorizonVerdicts(verdicts, first_empty, witness, sets)
+
+
+def decide_horizons(system, traj: Pseudotrajectory, eps,
+                    horizons) -> HorizonVerdicts:
+    """``horizon_verdicts`` on all N + 1 sets of a whole trajectory."""
+    return horizon_verdicts(system, shadow_set_forward(system, traj, eps),
+                            traj.scaled, eps, horizons)
 
 
 def decide_shadowable(system, traj: Pseudotrajectory, eps) -> ShadowVerdict:

@@ -80,12 +80,14 @@ class PiecewiseLinearMap:
         p = math.lcm(*(abs(sl.numerator) for sl in slopes))
         object.__setattr__(self, "lattice_base", base)
         # breakpoints and values as numerators over the lattice base; on a
-        # unit k * base they are these times k
+        # unit k * base they are these times k. Preimages land on p times
+        # the unit, so their breakpoints, with the end 1, are kept times p.
         object.__setattr__(self, "_lattice", (
             tuple(int(b * base) for b in bps),
             tuple(int(v * base) for v in values),
             q, tuple(int(sl * q) for sl in slopes),
-            p, tuple(p * sl.denominator // sl.numerator for sl in slopes)))
+            p, tuple(p * sl.denominator // sl.numerator for sl in slopes),
+            tuple(int(b * base) * p for b in bps) + (base * p,)))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -107,7 +109,7 @@ class PiecewiseLinearMap:
             return self.breakpoints, self._values, self.slopes, 1
         memo = self._memo.get("apply")
         if memo is None or memo[0] != unit:
-            bps, vals, q, slopes, _, _ = self._lattice
+            bps, vals, q, slopes, *_ = self._lattice
             k = unit // self.lattice_base
             memo = (unit, (tuple(b * k for b in bps),
                            tuple(v * k * q for v in vals), slopes, unit * q))
@@ -170,19 +172,6 @@ class PiecewiseLinearMap:
         vals = [self._value(x, tables) for x in xs]
         return (min(vals), max(vals))
 
-    def _preimage_tables(self, unit):
-        """(breakpoints over out plus the end out, values over unit,
-        out / slope, out), out = unit * lcm of the slope numerators."""
-        memo = self._memo.get("preimage")
-        if memo is None or memo[0] != unit:
-            bps, vals, _, _, p, inverse = self._lattice
-            k = unit // self.lattice_base
-            out = unit * p
-            memo = (unit, (tuple(b * k * p for b in bps) + (out,),
-                           tuple(v * k for v in vals), inverse, out))
-            self._memo["preimage"] = memo
-        return memo[1]
-
     def preimages(self, point) -> list:
         """All solutions of apply(x) == point, canonical and sorted."""
         return self.preimages_scaled(point, 1)[0]
@@ -192,23 +181,27 @@ class PiecewiseLinearMap:
         tuples, out unit)."""
         if unit == 1:
             bps = tuple(self.breakpoints) + (Fraction(1),)
-            vals, out = self._values, 1
+            vals, k, out = self._values, 1, 1
         else:
-            bps, vals, inverse, out = self._preimage_tables(unit)
+            # the lattice tables, scaled by k = unit / lattice_base here:
+            # no table is built per unit
+            _, vals, _, _, p, inverse, bps = self._lattice
+            k, out = unit // self.lattice_base, unit * p
         x = point[0]
         circle = self.space.kind == "circle"
         found = set()
         for i, s in enumerate(self.slopes):
-            v_lo, v_hi = vals[i], vals[i + 1]
+            v_lo, v_hi = vals[i] * k, vals[i + 1] * k
             lo, hi = (v_lo, v_hi) if v_lo <= v_hi else (v_hi, v_lo)
             if circle:
                 ms = range(int(-((x - lo) // unit)), int((hi - x) // unit) + 1)
             else:
                 ms = (0,) if lo <= x <= hi else ()
+            b_lo, b_hi = bps[i] * k, bps[i + 1] * k
             for m in ms:
                 rise = x + m * unit - v_lo
-                t = bps[i] + (rise / s if unit == 1 else rise * inverse[i])
-                if bps[i] <= t <= bps[i + 1]:
+                t = b_lo + (rise / s if unit == 1 else rise * inverse[i])
+                if b_lo <= t <= b_hi:
                     found.add(t % out if circle else t)
         return sorted((t,) for t in found), out
 
@@ -257,6 +250,13 @@ class AnnulusSpiral:
         lam, lift, alpha, out = self._tables(unit)
         r, theta = point
         return (out + lam * (r - unit), (theta * lift + alpha) % out), out
+
+    def radius_scaled(self, r: int, unit: int) -> tuple:
+        """The radius of apply_scaled, which reads no angle: (numerator,
+        out unit) for a radius numerator over an integer ``unit``."""
+        p, q = self._lattice[:2]
+        out = unit * q
+        return out + p * (r - unit), out
 
     def apply_set(self, s: EnclosureSet) -> EnclosureSet:
         if s.space != self.space:

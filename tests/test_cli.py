@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import shadowing
 from shadowing import ExperimentConfig, enclosure, run_attractor_experiment
 from shadowing.cli import DEFAULT_ATTRACTOR, DEFAULT_DICHOTOMY, main
 from shadowing.experiment import dichotomy_bound_curve
@@ -207,3 +212,28 @@ def test_removed_outer_mode_exits_nonzero(tmp_path, capsys):
     code, out, err = run(capsys, "estimate", "--config", str(config))
     assert code == 2
     assert out == "" and "'outer'" in err
+
+
+def run_python(*args):
+    src = str(Path(shadowing.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_and_check_never_import_scipy(tmp_path, capsys):
+    # only clopper_pearson needs scipy, and it imports it when called
+    found = run_python("-c", "import sys, shadowing.cli; "
+                             "print(sorted(m for m in sys.modules "
+                             "if m.split('.')[0] == 'scipy'))")
+    assert found.returncode == 0 and found.stdout.strip() == "[]"
+    base = tmp_path / "traj"
+    run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
+        "--d", "0.02", "--n", "50", "--seed", "2", "--out", str(base))
+    check = run_python("-X", "importtime", "-m", "shadowing.cli", "check",
+                       "--traj", str(base), "--eps", "0.05")
+    assert check.returncode == 0
+    assert json.loads(check.stdout)["verdict"] == "Yes"
+    imported = [line for line in check.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert any("shadowing.experiment" in line for line in imported)
+    assert not any("scipy" in line for line in imported)

@@ -8,9 +8,10 @@ from shadowing import enclosure, shadowcheck
 from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
                        ball_set, brute_force_oracle, decide_horizons,
                        decide_shadowable, doubling,
-                       exact_orbit, first_empty_step, generate, orbit,
-                       rotation, rotation_first_failure, rotation_oracle,
-                       shadow_set_forward, trial_stream,
+                       exact_orbit, first_empty_step, generate,
+                       load_trajectory, orbit, rotation,
+                       rotation_first_failure, rotation_oracle,
+                       save_trajectory, shadow_set_forward, trial_stream,
                        worst_case_pseudotrajectory)
 from shadowing.pseudotraj import Pseudotrajectory, Provenance
 
@@ -388,3 +389,35 @@ def test_saturated_tolerance_keeps_full_circle():
     assert all(s.measure() == 1 for s in sets)
     assert decide_shadowable(DBL, traj, F(3, 5)).verdict.value == "Yes"
 
+
+
+def test_pull_backs_build_no_table_per_step(tmp_path, monkeypatch):
+    # each pull-back step lands on the slope numerator times its unit, so a
+    # table memo keyed by the unit would miss at every step
+    system = doubling()
+    for i in range(5):
+        save_trajectory(generate(system, (F(3, 10),), F(1, 50), 1000,
+                                 trial_stream(3, i)),
+                        "doubling", tmp_path / f"t{i}")
+    writes = []
+
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    object.__setattr__(system, "_memo", CountingMemo())
+    pull_back = shadowcheck.pull_back_witness
+    rebuilds = []
+
+    def counting(*args):
+        before = len(writes)
+        witness = pull_back(*args)
+        rebuilds.append(len(writes) - before)
+        return witness
+
+    monkeypatch.setattr(shadowcheck, "pull_back_witness", counting)
+    for i in range(5):
+        traj, _ = load_trajectory(tmp_path / f"t{i}")
+        assert decide_shadowable(system, traj, F(1, 20)).verdict is Verdict.YES
+    assert len(rebuilds) == 5 and max(rebuilds) <= 1

@@ -1,0 +1,182 @@
+"""The streaming trial kernel against the whole-trajectory decision.
+
+``experiment._run_trial`` samples a trajectory only while its shadow set
+lives and carries the annulus band check on with the radial chain alone.
+The references here sample every point with ``generate`` and decide with
+``decide_horizons``, as ``check`` does.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from shadowing import (ExperimentConfig, InvariantViolation,
+                       attractor_quantities, decide_horizons, enclosure,
+                       generate, trial_stream)
+from shadowing.errors import EnclosureCapError
+from shadowing.experiment import TrialOutcome, _run_trial
+from shadowing.pseudotraj import LatticeWalk
+from shadowing.spaces import Space
+
+from test_lattice import SYSTEMS
+
+STARTS = {
+    "doubling": ((F(3, 10),), F(1, 50)),
+    "rotation": ((F(0),), F(1, 50)),
+    "tent": ((F(1, 3),), F(1, 50)),
+    "spiral": ((F(7, 5), F(0)), F(9, 800)),
+    "pwl": ((F(1, 2),), F(1, 50)),
+}
+
+SPIRAL_SPEC = "annulus:lambda=1/2,alpha=610/987,w=0.5"
+
+
+def config(name, eps, horizons, seed=11, trials=1):
+    y0, d = STARTS[name]
+    return ExperimentConfig(system_spec=name, y0=y0, d=d, eps=eps,
+                            horizons=horizons, trials=trials, seed=seed)
+
+
+def whole_trajectory_outcome(system, cfg, trial):
+    """The trial decided on every point up to the largest horizon."""
+    traj = generate(system, cfg.y0, cfg.d, cfg.max_horizon,
+                    trial_stream(cfg.seed, trial))
+    try:
+        found = decide_horizons(system, traj, cfg.eps, cfg.horizons)
+    except EnclosureCapError as exc:
+        return TrialOutcome(trial, None, ("Unknown",) * len(cfg.horizons),
+                            error=str(exc))
+    return TrialOutcome(trial, found.first_empty,
+                        tuple(v.value for v in found.verdicts))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_streamed_trials_equal_whole_trajectory_decisions(name):
+    system = SYSTEMS[name]
+    seen_no = seen_yes = False
+    for eps in (F(1, 200), F(1, 20), F(1, 4)):
+        for horizons in ((), (0,), (5, 40), (10, 50, 120)):
+            cfg = config(name, eps, horizons)
+            for trial in range(3):
+                got = _run_trial(system, cfg, trial)
+                assert got == whole_trajectory_outcome(system, cfg, trial)
+                seen_no |= "No" in got.verdicts
+                seen_yes |= "Yes" in got.verdicts
+    # eps = 1/200 empties the sets early on every system
+    assert seen_no and seen_yes
+
+
+def test_streamed_cap_errors_equal_whole_trajectory(monkeypatch):
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 0)
+    cfg = config("rotation", F(1, 20), (10, 50))
+    got = _run_trial(SYSTEMS["rotation"], cfg, 0)
+    assert got.error and got.verdicts == ("Unknown", "Unknown")
+    assert got == whole_trajectory_outcome(SYSTEMS["rotation"], cfg, 0)
+
+
+def count_samples(monkeypatch):
+    calls = []
+    original = Space.sample_scaled
+
+    def counting(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(Space, "sample_scaled", counting)
+    return calls
+
+
+def test_a_no_trial_samples_only_to_its_first_empty_step(monkeypatch):
+    cfg = ExperimentConfig(system_spec="rotation:alpha=610/987", y0=(F(0),),
+                           d=F(1, 50), eps=F(1, 20),
+                           horizons=(10, 50, 200, 500), trials=1, seed=43)
+    calls = count_samples(monkeypatch)
+    out = _run_trial(cfg.system, cfg, 0)
+    assert out.first_empty is not None and out.first_empty < 500
+    assert len(calls) == out.first_empty
+
+
+def test_an_all_yes_trial_samples_every_step(monkeypatch):
+    cfg = ExperimentConfig(system_spec="doubling", y0=(F(3, 10),),
+                           d=F(1, 50), eps=F(1, 20), horizons=(200,),
+                           trials=1, seed=42)
+    calls = count_samples(monkeypatch)
+    out = _run_trial(cfg.system, cfg, 0)
+    assert out.verdicts == ("Yes",)
+    assert len(calls) == 200
+
+
+# -- the annulus band check ---------------------------------------------------
+
+def test_radial_tail_equals_the_sampled_radii():
+    system = SYSTEMS["spiral"]
+    y0, d = STARTS["spiral"]
+    for trial in range(4):
+        traj = generate(system, y0, d, 1000, trial_stream(44, trial)).scaled
+        for stop in (0, 1, 37, 500, 999, 1000):
+            walk = LatticeWalk(system, y0, d, 1000, trial_stream(44, trial))
+            for n, (y, s) in zip(range(stop + 1), walk):
+                assert (y, s) == (traj.nums[n], traj.scales[n])
+            assert len(walk.taken) == stop + 1
+            assert list(walk.radii()) == [
+                (traj.nums[n][0], traj.scales[n]) for n in range(1001)]
+
+
+def band_message(system, cfg, trial, rho, n0):
+    """The first band violation from step n0 on, found on every point."""
+    pts = generate(system, cfg.y0, cfg.d, cfg.max_horizon,
+                   trial_stream(cfg.seed, trial)).scaled
+    for n in range(n0, len(pts)):
+        r, s = pts.nums[n][0], pts.scales[n]
+        if abs(r - s) * rho.denominator > rho.numerator * s:
+            return (f"trial {trial}: point {pts[n]} at step {n} escaped the "
+                    f"absorbing band of half-width {rho} (entry step {n0})")
+    return None
+
+
+def late_violation_case():
+    """A band that only the farthest radius from step 700 on leaves: one
+    violation, well after the first empty step."""
+    system = SYSTEMS["spiral"]
+    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
+                           d=F(9, 800), eps=F(1, 200),
+                           horizons=(100, 300, 1000), trials=1, seed=44)
+    n0 = 700
+    pts = generate(system, cfg.y0, cfg.d, 1000, trial_stream(44, 0)).scaled
+    gaps = [abs(F(pts.nums[n][0] - pts.scales[n], pts.scales[n]))
+            for n in range(n0, 1001)]
+    widest, second = sorted(set(gaps))[:-3:-1]
+    rho = (widest + second) / 2
+    step = n0 + gaps.index(widest)
+    message = band_message(system, cfg, 0, rho, n0)
+    assert f" at step {step} " in message
+    assert band_message(system, cfg, 0, rho, step + 1) is None
+    assert whole_trajectory_outcome(system, cfg, 0).first_empty < n0
+    return system, cfg, (rho, n0), message
+
+
+def test_band_violation_after_the_first_empty_step_raises():
+    system, cfg, band, message = late_violation_case()
+    with pytest.raises(InvariantViolation) as info:
+        _run_trial(system, cfg, 0, band)
+    assert str(info.value) == message
+
+
+def test_band_violation_after_a_cap_error_raises(monkeypatch):
+    system, cfg, band, message = late_violation_case()
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 0)
+    with pytest.raises(InvariantViolation) as info:
+        _run_trial(system, cfg, 0, band)
+    assert str(info.value) == message
+
+
+def test_shipped_attractor_trials_stay_in_their_band():
+    system = SYSTEMS["spiral"]
+    q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)), d=F(9, 800))
+    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
+                           d=F(9, 800), eps=q.eps0,
+                           horizons=(100, 300, 1000), trials=4, seed=44)
+    for trial in range(4):
+        assert band_message(system, cfg, trial, q.rho, q.n0) is None
+        got = _run_trial(system, cfg, trial, (q.rho, q.n0))
+        assert got == whole_trajectory_outcome(system, cfg, trial)
