@@ -52,6 +52,13 @@ def _lift(frags, factor):
     return tuple(tuple(c * factor for c in f) for f in frags)
 
 
+def _values(frags, unit):
+    """The Fraction values of fragments over ``unit``."""
+    if unit == 1:
+        return frags
+    return tuple(tuple(Fraction(c, unit) for c in f) for f in frags)
+
+
 # -- circle arcs ---------------------------------------------------------
 
 def _intersect_arcs(a, b, unit):
@@ -61,13 +68,14 @@ def _intersect_arcs(a, b, unit):
         return [b]
     if l2 >= unit:
         return [a]
-    t = (s2 - s1) % unit
+    t = (s2 - s1) % unit  # b starts t into a, or t - unit before it
     out = []
-    for base in (t, t - unit):
-        lo = max(base, 0)
-        hi = min(base + l2, l1)
-        if lo <= hi:
-            out.append(((s1 + lo) % unit, hi - lo))
+    hi = min(t + l2, l1)
+    if t <= hi:
+        out.append(((s1 + t) % unit, hi - t))
+    hi = min(t - unit + l2, l1)
+    if hi >= 0:
+        out.append((s1 % unit, hi))
     return out
 
 
@@ -106,14 +114,9 @@ def _normalize_arcs(arcs, unit):
     return merged
 
 
-def _arc_contains(arc, x, unit):
-    s, l = arc
-    return (x - s) % unit <= l
-
-
 # -- interval segments ---------------------------------------------------
 
-def _intersect_segs(a, b):
+def _intersect_segs(a, b, unit=None):
     lo = max(a[0], b[0])
     hi = min(a[1], b[1])
     return [(lo, hi)] if lo <= hi else []
@@ -191,6 +194,10 @@ def _normalize_boxes(boxes, unit):
     return sorted(out)
 
 
+_INTERSECT = {"circle": _intersect_arcs, "interval": _intersect_segs,
+              "annulus": _intersect_boxes}
+
+
 # -- the set type --------------------------------------------------------
 
 class EnclosureSet:
@@ -214,9 +221,7 @@ class EnclosureSet:
     @property
     def fragments(self) -> tuple:
         if self._values is None:
-            u = self.unit
-            self._values = tuple(tuple(Fraction(c, u) for c in f)
-                                 for f in self.nums)
+            self._values = _values(self.nums, self.unit)
         return self._values
 
     def __eq__(self, other):
@@ -318,10 +323,14 @@ class EnclosureSet:
 
 def _contains(kind, frags, point, unit) -> bool:
     if kind == "circle":
-        return any(_arc_contains(f, point[0], unit) for f in frags)
+        x = point[0]
+        for s, l in frags:
+            if (x - s) % unit <= l:
+                return True
+        return False
     if kind == "interval":
         return any(lo <= point[0] <= hi for lo, hi in frags)
-    return any(rlo <= point[0] <= rhi and _arc_contains((s, l), point[1], unit)
+    return any(rlo <= point[0] <= rhi and (point[1] - s) % unit <= l
                for rlo, rhi, s, l in frags)
 
 
@@ -386,22 +395,34 @@ def intersect(a: EnclosureSet, b: EnclosureSet,
     """A & B. Integer sets over different units meet over their lcm."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
-    unit, fa, fb = a.unit, a.nums, b.nums
-    if b.unit != unit:
-        if unit == 1 or b.unit == 1:
-            unit, fa, fb = 1, a.fragments, b.fragments
+    return _meet(a.space, a.nums, a.unit, b.nums, b.unit, cap)
+
+
+def meet_ball(space: Space, image, image_unit, ball, unit,
+              cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
+    """``intersect(apply_set(A), B)`` from A's raw image over ``image_unit``
+    and B's ``_ball`` fragment over ``unit``, normalized once. The image
+    of a normal form has no more fragments normalized than raw, so it is
+    normalized alone (failing as ``apply_set`` would) only above the cap."""
+    if len(image) > DEFAULT_FRAGMENT_CAP:
+        image = _make(space, image, DEFAULT_FRAGMENT_CAP, image_unit).nums
+    return _meet(space, image, image_unit, (ball,), unit, cap)
+
+
+def _meet(space: Space, fa, unit_a, fb, unit_b, cap: int) -> EnclosureSet:
+    """The normal form of the pairwise intersections of two fragment
+    lists. Over different integer units they meet over the lcm; if one
+    unit is 1, over the Fraction values."""
+    unit = unit_a
+    if unit_b != unit:
+        if unit == 1 or unit_b == 1:
+            unit, fa, fb = 1, _values(fa, unit_a), _values(fb, unit_b)
         else:
-            unit = math.lcm(a.unit, b.unit)
-            fa, fb = _lift(fa, unit // a.unit), _lift(fb, unit // b.unit)
-    kind = a.space.kind
+            unit = math.lcm(unit_a, unit_b)
+            fa, fb = _lift(fa, unit // unit_a), _lift(fb, unit // unit_b)
+    meet = _INTERSECT[space.kind]
     pieces = []
     for x in fa:
         for y in fb:
-            if kind == "circle":
-                pieces.extend(_intersect_arcs(x, y, unit))
-            elif kind == "interval":
-                pieces.extend(_intersect_segs(x, y))
-            else:
-                pieces.extend(_intersect_boxes(x, y, unit))
-    return _make(a.space, pieces, cap, unit)
-
+            pieces += meet(x, y, unit)
+    return _make(space, pieces, cap, unit)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -305,14 +306,34 @@ def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
     base = Path(base)
     with open(base.with_suffix(".json")) as fh:
         sidecar = json.load(fh)
-    points = []
     with open(base.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         ncoords = len(header) - 1
-        for row in reader:
-            points.append(tuple(Fraction(c) for c in row[1:1 + ncoords]))
+        points = ScaledPoints.nested(
+            _scaled_row(row[1:1 + ncoords]) for row in reader)
     prov = Provenance(sidecar.get("provenance", "loaded"),
                       sidecar.get("seed"), sidecar.get("trial"))
-    traj = Pseudotrajectory(tuple(points), Fraction(sidecar["d"]), prov)
+    traj = Pseudotrajectory.from_scaled(points, Fraction(sidecar["d"]), prov)
     return traj, sidecar["system"]
+
+
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _scaled_row(tokens) -> tuple:
+    """(numerators, scale) of a stored point, as ``scaled_point`` gives it
+    for ``Fraction(token)``: an integer or a ratio with a nonzero
+    denominator is parsed to ints, any other token by ``Fraction``."""
+    ratios = []
+    for token in tokens:
+        m = _INT_RATIO.fullmatch(token)
+        if m is None:
+            c = Fraction(token)
+            num, den = c.numerator, c.denominator
+        else:
+            num, den = int(m[1]), int(m[2] or 1)
+        g = math.gcd(num, den)
+        ratios.append((num // g, den // g))
+    scale = math.lcm(*(den for _, den in ratios))
+    return tuple(num * (scale // den) for num, den in ratios), scale

@@ -12,6 +12,8 @@ empty step; ``horizon_verdicts`` is the one routine that reaches either.
 Propagation, pull-back and re-check run on Python integers over a per-step
 common denominator, the scale (see ``shadow_sets``); Fractions
 appear only in the witness and when a caller reads a set's ``fragments``.
+A propagation step puts one set in normal form: the map's raw image of
+A_n meets the ball around y_{n+1} and only the result is normalized.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
@@ -82,12 +84,12 @@ def shadow_sets(system, points, eps):
     when its set is built, so a ``LatticeWalk`` samples none after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
-    lattice_base of the map). The image of A_{n-1} meets it over the lcm
-    of their units, W_n. A generated trajectory's scales nest, so W_n is
-    P_n and no step needs a gcd. Otherwise (points read from a file, say)
-    A_n is reduced by one gcd, so its unit never exceeds the lcm of the
-    denominators that A_{n-1} and the ball really carry. eps is converted
-    to integers once, here.
+    lattice_base of the map). The raw image of A_{n-1} meets it over the
+    lcm of their units, W_n, and is normalized once (``meet_ball``). A
+    generated trajectory's scales nest, so W_n is P_n and no step needs a
+    gcd. Otherwise (points read from a file, say) A_n is reduced by one
+    gcd, so its unit never exceeds the lcm of the denominators that
+    A_{n-1} and the ball really carry. eps is converted to integers once.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -102,10 +104,12 @@ def shadow_sets(system, points, eps):
             lift, radius = unit // s, eps_num * (unit // eps_den)
         if lift != 1:
             y = tuple(c * lift for c in y)
-        nxt = EnclosureSet(space, (enclosure._ball(space, y, radius, unit),),
-                           unit)
-        if prev is not None:
-            nxt = enclosure.intersect(system.apply_set(prev), nxt)
+        ball = enclosure._ball(space, y, radius, unit)
+        if prev is None:
+            nxt = EnclosureSet(space, (ball,), unit)
+        else:
+            image, out = system.image_fragments(prev)
+            nxt = enclosure.meet_ball(space, image, out, ball, unit)
             if nxt.unit != unit:
                 nxt = nxt.reduced(base)
         yield nxt

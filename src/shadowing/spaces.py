@@ -69,15 +69,19 @@ class ScaledPoints(Sequence):
 
     @classmethod
     def from_points(cls, points) -> "ScaledPoints":
-        """The points over nested scales: a point whose reduced denominator
-        divides the previous point's scale stays on that scale, any other
-        point starts a new scale at its own reduced denominator. So the
+        """The points over nested scales (see ``nested``)."""
+        return cls.nested(scaled_point(p) for p in points)
+
+    @classmethod
+    def nested(cls, pairs) -> "ScaledPoints":
+        """Points given as (numerators, scale) pairs in lowest terms, over
+        nested scales: a point whose scale divides the previous point's
+        scale moves to that scale, any other point keeps its own. So the
         scale changes only where it must (which keeps a map's integer
         tables valid from step to step) and never exceeds the largest
         reduced denominator among the points."""
         nums, scales = [], []
-        for p in points:
-            num, scale = scaled_point(p)
+        for num, scale in pairs:
             if scales and scales[-1] % scale == 0:
                 lift, scale = scales[-1] // scale, scales[-1]
                 num = tuple(c * lift for c in num)

@@ -11,11 +11,12 @@ Each map evaluates at a scale: ``apply_scaled`` and ``preimages_scaled``
 take a point as integer numerators over a ``unit`` and return numerators
 over the output unit, which is ``unit`` times the lcm of the slope
 denominators (images) or numerators (preimages), so integer-slope maps
-keep the scale. ``apply_set`` works over the unit of its set. With unit 1
-the same code runs on the ``Fraction`` values themselves, which is what
-the public ``apply`` and ``preimages`` do. Each map converts its
-``Fraction`` parameters to integers once, when it is built, so evaluating
-at a new scale reads no ``Fraction``.
+keep the scale. ``image_fragments`` is the image of a set before
+normalization, which ``apply_set`` adds and the shadow-set step defers
+(``enclosure.meet_ball``). With unit 1 the same code runs on the
+``Fraction`` values themselves, as the public ``apply`` and ``preimages``
+do. Each map converts its ``Fraction`` parameters to integers once, when
+it is built, so evaluating at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from .enclosure import EnclosureSet
 from .errors import DomainError, UsageError
 from .rationals import frac
 from .spaces import Space, annulus, circle, interval
+
+
+def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
+    """The image of s: its raw image fragments, normalized."""
+    frags, out = system.image_fragments(s)
+    return enclosure._make(system.space, frags,
+                           enclosure.DEFAULT_FRAGMENT_CAP, out)
 
 
 @dataclass(frozen=True)
@@ -127,44 +135,53 @@ class PiecewiseLinearMap:
             return (v % out,), out
         return (v,), out
 
-    def apply_set(self, s: EnclosureSet) -> EnclosureSet:
-        if s.space != self.space:
+    def image_fragments(self, s: EnclosureSet) -> tuple:
+        """(fragments, out unit) of the image of s before normalization:
+        one arc per linear piece that an arc of s crosses, one segment per
+        segment of s."""
+        if s.space is not self.space and s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
         tables = self._tables(s.unit)
         if self.space.kind == "circle":
             frags = []
             for start, length in s.nums:
-                frags.extend(self._arc_image(start, length, tables, s.unit))
+                frags += self._arc_image(start, length, tables, s.unit)
         else:
             frags = [self._seg_image(lo, hi, tables) for lo, hi in s.nums]
-        return enclosure._make(self.space, frags,
-                               enclosure.DEFAULT_FRAGMENT_CAP, tables[3])
+        return frags, tables[3]
+
+    apply_set = _apply_set
 
     @staticmethod
     def _value(x, tables):
         """Piecewise value of x in [0, unit] before any wrap."""
         bps, vals, slopes, _ = tables
-        i = min(bisect_right(bps, x) - 1, len(slopes) - 1)
+        i = bisect_right(bps, x) - 1
         return vals[i] + slopes[i] * (x - bps[i])
 
-    def _lift(self, x, tables, unit):
-        """Continuous lift on [0, 2 unit), using the winding number on the
-        circle."""
-        if x >= unit:
-            return self._value(x - unit, tables) + self.degree * tables[3]
-        return self._value(x, tables)
-
     def _arc_image(self, start, length, tables, unit):
+        """The image arcs of the arc (start, length), one per linear piece
+        it crosses, through the continuous lift of the map on [0, 2 unit)."""
+        bps, out = tables[0], tables[3]
         end = start + length
-        cuts = sorted({c for b in tables[0] for c in (b, b + unit)
-                       if start < c < end})
-        xs = [start] + cuts + [end]
-        out = tables[3]
+        xs = [start]  # the breakpoints, then those one turn on, come sorted
+        for b in bps:
+            if start < b < end:
+                xs.append(b)
+        for b in bps:
+            if start < b + unit < end:
+                xs.append(b + unit)
+        xs.append(end)
+        value, turn = self._value, self.degree * out
         arcs = []
-        for u, v in zip(xs, xs[1:]):
-            fu, fv = self._lift(u, tables, unit), self._lift(v, tables, unit)
-            lo, hi = (fu, fv) if fu <= fv else (fv, fu)
-            arcs.append((lo % out, min(hi - lo, out)))
+        fu = None
+        for x in xs:
+            fv = (value(x, tables) if x < unit
+                  else value(x - unit, tables) + turn)
+            if fu is not None:
+                lo, hi = (fu, fv) if fu <= fv else (fv, fu)
+                arcs.append((lo % out, min(hi - lo, out)))
+            fu = fv
         return arcs
 
     def _seg_image(self, lo, hi, tables):
@@ -182,6 +199,7 @@ class PiecewiseLinearMap:
         if unit == 1:
             bps = tuple(self.breakpoints) + (Fraction(1),)
             vals, k, out = self._values, 1, 1
+            inverse = [1 / s for s in self.slopes]
         else:
             # the lattice tables, scaled by k = unit / lattice_base here:
             # no table is built per unit
@@ -190,17 +208,16 @@ class PiecewiseLinearMap:
         x = point[0]
         circle = self.space.kind == "circle"
         found = set()
-        for i, s in enumerate(self.slopes):
+        for i in range(len(inverse)):
             v_lo, v_hi = vals[i] * k, vals[i + 1] * k
             lo, hi = (v_lo, v_hi) if v_lo <= v_hi else (v_hi, v_lo)
             if circle:
-                ms = range(int(-((x - lo) // unit)), int((hi - x) // unit) + 1)
+                ms = range(-((x - lo) // unit), (hi - x) // unit + 1)
             else:
                 ms = (0,) if lo <= x <= hi else ()
             b_lo, b_hi = bps[i] * k, bps[i + 1] * k
             for m in ms:
-                rise = x + m * unit - v_lo
-                t = b_lo + (rise / s if unit == 1 else rise * inverse[i])
+                t = b_lo + (x + m * unit - v_lo) * inverse[i]
                 if b_lo <= t <= b_hi:
                     found.add(t % out if circle else t)
         return sorted((t,) for t in found), out
@@ -258,16 +275,18 @@ class AnnulusSpiral:
         out = unit * q
         return out + p * (r - unit), out
 
-    def apply_set(self, s: EnclosureSet) -> EnclosureSet:
-        if s.space != self.space:
+    def image_fragments(self, s: EnclosureSet) -> tuple:
+        """(fragments, out unit) of the image of s before normalization:
+        one box per box of s."""
+        if s.space is not self.space and s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
         unit = s.unit
         lam, lift, alpha, out = self._tables(unit)
-        frags = [(out + lam * (rlo - unit), out + lam * (rhi - unit),
-                  (a * lift + alpha) % out, l * lift)
-                 for rlo, rhi, a, l in s.nums]
-        return enclosure._make(self.space, frags,
-                               enclosure.DEFAULT_FRAGMENT_CAP, out)
+        return [(out + lam * (rlo - unit), out + lam * (rhi - unit),
+                 (a * lift + alpha) % out, l * lift)
+                for rlo, rhi, a, l in s.nums], out
+
+    apply_set = _apply_set
 
     def preimages(self, point) -> list:
         return self.preimages_scaled(point, 1)[0]

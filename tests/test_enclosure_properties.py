@@ -10,13 +10,16 @@ overlap, wrap, cover the whole ring or have zero width or height; their
 normal form is exact and depends only on the point set.
 """
 
+import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from shadowing import annulus, circle, intersect, interval
+from shadowing import EnclosureCapError, annulus, circle, intersect, interval
 from shadowing import enclosure as enc
+from shadowing import pwl
 from test_lattice import PROPERTY, SYSTEMS
 
 SPACES = {"circle": circle(), "interval": interval(), "annulus": annulus(F(1, 2))}
@@ -238,3 +241,78 @@ def test_intersection_measure_is_at_most_the_smaller(kind, data):
     _, a = draw_set(kind, data, "a")
     _, b = draw_set(kind, data, "b")
     assert intersect(a, b).measure() <= min(a.measure(), b.measure())
+
+
+# every shipped map, plus a circle map with two pieces and a negative slope
+STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)])}
+
+
+def draw_ball(space, data):
+    """A ball's center and radius (both Fractions)."""
+    x = data.draw(angle, label="center")
+    r = data.draw(st.fractions(F(1, 24), F(3, 4), max_denominator=24),
+                  label="radius")
+    if space.kind == "annulus":
+        return (data.draw(radius, label="center r"), x), r
+    return (x,), r
+
+
+def over(frags, unit):
+    """Fraction fragments or a point as numerators over ``unit``."""
+    return tuple(tuple(int(c * unit) for c in f) for f in frags)
+
+
+def draw_step(name, data):
+    """The map, a normal-form set A and the fragment of a ball B with its
+    unit: both at unit 1, or both over integer units that are multiples
+    of the map's lattice base and need not be equal."""
+    system = STEP_SYSTEMS[name]
+    space = system.space
+    a = enc.make(space, data.draw(RAW[space.kind], label="a"))
+    center, r = draw_ball(space, data)
+    if data.draw(st.booleans(), label="integer units"):
+        dens = [c.denominator for f in a.fragments for c in f]
+        unit = math.lcm(system.lattice_base, *dens) * data.draw(
+            st.integers(1, 3), label="lift a")
+        a = enc.EnclosureSet(space, over(a.fragments, unit), unit)
+        ball_unit = math.lcm(r.denominator, system.lattice_base,
+                             *(c.denominator for c in center))
+        ball_unit *= data.draw(st.integers(1, 2), label="lift ball")
+        ball = enc._ball(space, over([center], ball_unit)[0],
+                         int(r * ball_unit), ball_unit)
+    else:
+        ball_unit, ball = 1, enc._ball(space, center, r, 1)
+    return system, a, ball, ball_unit
+
+
+def outcome(step):
+    """What a step gives: its set, or its cap error's message and set."""
+    try:
+        s = step()
+    except EnclosureCapError as exc:
+        return str(exc), exc.partial.nums, exc.partial.unit
+    return s.nums, s.unit
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+@PROPERTY
+@given(data=st.data())
+def test_one_step_equals_image_then_intersect(name, data):
+    """``meet_ball`` on a map's raw image is intersect(apply_set(A), B):
+    the same set over the same unit, and with the fragment cap patched to
+    0, 1 or 2 the same cap error carrying the same exact set."""
+    system, a, ball, ball_unit = draw_step(name, data)
+    space = system.space
+
+    def fused():
+        return enc.meet_ball(space, *system.image_fragments(a), ball,
+                             ball_unit)
+
+    def composed():
+        return intersect(system.apply_set(a),
+                         enc.EnclosureSet(space, (ball,), ball_unit))
+
+    assert outcome(fused) == outcome(composed)
+    for cap in (0, 1, 2):
+        with mock.patch.object(enc, "DEFAULT_FRAGMENT_CAP", cap):
+            assert outcome(fused) == outcome(composed), cap

@@ -1,5 +1,6 @@
 """Generator contract, splicing and the drift witness."""
 
+import csv
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,9 +11,9 @@ from shadowing import (DomainError, SearchFailure, UsageError, decide_shadowable
                        doubling, exact_orbit, generate, load_trajectory,
                        rotation, rotation_oracle, save_trajectory, splice,
                        trial_stream, validate, worst_case_pseudotrajectory)
-from shadowing import annulus_spiral
+from shadowing import annulus_spiral, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
-from shadowing.spaces import signed_circ_diff
+from shadowing.spaces import ScaledPoints, signed_circ_diff
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -195,6 +196,64 @@ def test_worst_case_round_trip_keeps_verdict(tmp_path):
     assert loaded.points == wc.points and loaded.d == wc.d
     assert decide_shadowable(ROT, loaded, F(1, 20)).verdict.value == "No"
     assert not rotation_oracle(ROT, loaded, F(1, 20))
+
+
+def fraction_loaded(base) -> ScaledPoints:
+    """The stored points as ``Fraction(token)`` coordinates, over the
+    nested scales of ``ScaledPoints.from_points``."""
+    with open(base.with_suffix(".csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    ncoords = len(rows[0]) - 1
+    return ScaledPoints.from_points(
+        tuple(F(c) for c in row[1:1 + ncoords]) for row in rows[1:])
+
+
+@pytest.mark.parametrize("name", ["doubling", "rotation", "tent", "annulus"])
+def test_loaded_points_equal_fraction_parsing(tmp_path, name):
+    system, spec, y0 = {
+        "doubling": (DBL, "doubling", (F(3, 10),)),
+        "rotation": (ROT, "rotation:alpha=610/987", (F(0),)),
+        "tent": (tent(F(3, 2)), "tent:s=3/2", (F(1, 3),)),
+        "annulus": (annulus_spiral(F(1, 2), F(610, 987), F(1, 2)),
+                    "annulus:lambda=1/2,alpha=610/987,w=0.5",
+                    (F(7, 5), F(0))),
+    }[name]
+    traj = generate(system, y0, F(1, 50), 200, trial_stream(13))
+    base = tmp_path / name
+    save_trajectory(traj, spec, base)
+    loaded, _ = load_trajectory(base)
+    ref = fraction_loaded(base)
+    assert loaded.scaled.nums == ref.nums
+    assert loaded.scaled.scales == ref.scales
+    assert loaded.points == tuple(ref) == traj.points
+
+
+def test_loader_parses_other_tokens_as_fractions(tmp_path):
+    base = tmp_path / "hand"
+    base.with_suffix(".json").write_text(
+        '{"system": "doubling", "d": "1/50"}')
+    base.with_suffix(".csv").write_text(
+        "n,coord0\n0,2/4\n1,0.5\n2,-0\n3, 3/7\n4,1_000/3\n5,6/14\n")
+    loaded, _ = load_trajectory(base)
+    ref = fraction_loaded(base)
+    assert loaded.scaled.nums == ref.nums
+    assert loaded.scaled.scales == ref.scales
+    assert loaded.points == tuple(ref)
+
+
+@pytest.mark.parametrize("token, error", [("1/0", ZeroDivisionError),
+                                          ("3 /4", ValueError),
+                                          ("", ValueError)])
+def test_loader_rejects_what_fraction_rejects(tmp_path, token, error):
+    base = tmp_path / "bad"
+    base.with_suffix(".json").write_text(
+        '{"system": "doubling", "d": "1/50"}')
+    base.with_suffix(".csv").write_text(f"n,coord0\n0,1/3\n1,{token}\n")
+    with pytest.raises(error) as got:
+        load_trajectory(base)
+    with pytest.raises(error) as expected:
+        F(token)
+    assert str(got.value) == str(expected.value)
 
 
 def test_annulus_trajectory_round_trip(tmp_path):

@@ -63,19 +63,19 @@ def test_worst_case_sets_shrink_linearly_then_empty():
 
 def count_propagation_calls(monkeypatch, system) -> dict:
     """Count the balls built and the images taken from here on."""
-    calls = {"ball": 0, "apply_set": 0}
-    ball, apply_set = enclosure._ball, type(system).apply_set
+    calls = {"ball": 0, "image": 0}
+    ball, image = enclosure._ball, type(system).image_fragments
 
     def counted_ball(*args):
         calls["ball"] += 1
         return ball(*args)
 
-    def counted_apply_set(self, s):
-        calls["apply_set"] += 1
-        return apply_set(self, s)
+    def counted_image(self, s):
+        calls["image"] += 1
+        return image(self, s)
 
     monkeypatch.setattr(enclosure, "_ball", counted_ball)
-    monkeypatch.setattr(type(system), "apply_set", counted_apply_set)
+    monkeypatch.setattr(type(system), "image_fragments", counted_image)
     return calls
 
 
@@ -97,10 +97,28 @@ def test_propagation_stops_at_first_empty_set(monkeypatch, case):
     assert first_empty_step(system, traj, EPS) == first
     calls = count_propagation_calls(monkeypatch, system)
     sets = shadow_set_forward(system, traj, EPS)
-    assert calls == {"ball": first + 1, "apply_set": first}
+    assert calls == {"ball": first + 1, "image": first}
     assert len(sets) == traj.horizon + 1
     assert not sets[first - 1].is_empty()
     assert all(s.is_empty() for s in sets[first:])
+
+
+def test_propagation_normalizes_once_per_step(monkeypatch):
+    """A step meets the raw image of the previous set with the ball and
+    normalizes the result; the image is not normalized on its own."""
+    traj = generate(DBL, (F(3, 10),), D, 200, trial_stream(7))
+    calls = 0
+    make = enclosure._make
+
+    def counted_make(*args):
+        nonlocal calls
+        calls += 1
+        return make(*args)
+
+    monkeypatch.setattr(enclosure, "_make", counted_make)
+    sets = shadow_set_forward(DBL, traj, EPS)
+    assert not sets[-1].is_empty()
+    assert calls <= 200
 
 
 def test_doubling_exact_orbit_sets_stay_full_balls():

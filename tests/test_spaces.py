@@ -194,9 +194,20 @@ def test_epsilon_net_examples():
 def test_epsilon_net_covers(space, delta1):
     centers = space.epsilon_net(delta1)
     rng = trial_stream(110)
-    for _ in range(1000):
-        p = space.random_point(rng)
-        assert min(space.dist(p, c) for c in centers) < delta1
+    points = [space.random_point(rng) for _ in range(1000)]
+    # the exact check on integers: every point, every center and delta1
+    # as numerators over one common scale
+    scale = math.lcm(delta1.denominator,
+                     *(c.denominator for p in points + centers for c in p))
+
+    def over(p):
+        return tuple(c.numerator * (scale // c.denominator) for c in p)
+
+    grid = [over(c) for c in centers]
+    bound = delta1.numerator * (scale // delta1.denominator)
+    for p in points:
+        q = over(p)
+        assert min(space.dist_over(q, c, scale) for c in grid) < bound, p
 
 
 def test_parse_space_grammar():
