@@ -334,19 +334,19 @@ def _contains(kind, frags, point, unit) -> bool:
                for rlo, rhi, s, l in frags)
 
 
-def make(space: Space, fragments,
-         cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
+def make(space: Space, fragments, cap: int | None = None) -> EnclosureSet:
     """Normalize fragments into a canonical EnclosureSet.
 
     Overlapping or touching fragments are merged exactly (see the module
-    doc). If the normal form has more than ``cap`` fragments, the request
-    fails with ``EnclosureCapError``, whose ``partial`` is that exact set.
+    doc). Above ``cap`` fragments (the module cap at call time if None)
+    it fails with ``EnclosureCapError``, whose ``partial`` is the exact set.
     """
     return _make(space, fragments, cap, 1)
 
 
-def _make(space: Space, fragments, cap: int, unit) -> EnclosureSet:
+def _make(space: Space, fragments, cap, unit) -> EnclosureSet:
     """make() for fragments whose coordinates are numerators over unit."""
+    cap = DEFAULT_FRAGMENT_CAP if cap is None else cap
     kind = space.kind
     if kind == "circle":
         frags = _normalize_arcs(fragments, unit)
@@ -391,7 +391,7 @@ def _ball(space: Space, center, radius, unit) -> tuple:
 
 
 def intersect(a: EnclosureSet, b: EnclosureSet,
-              cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
+              cap: int | None = None) -> EnclosureSet:
     """A & B. Integer sets over different units meet over their lcm."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
@@ -399,17 +399,17 @@ def intersect(a: EnclosureSet, b: EnclosureSet,
 
 
 def meet_ball(space: Space, image, image_unit, ball, unit,
-              cap: int = DEFAULT_FRAGMENT_CAP) -> EnclosureSet:
+              cap: int | None = None) -> EnclosureSet:
     """``intersect(apply_set(A), B)`` from A's raw image over ``image_unit``
     and B's ``_ball`` fragment over ``unit``, normalized once. The image
     of a normal form has no more fragments normalized than raw, so it is
     normalized alone (failing as ``apply_set`` would) only above the cap."""
     if len(image) > DEFAULT_FRAGMENT_CAP:
-        image = _make(space, image, DEFAULT_FRAGMENT_CAP, image_unit).nums
+        image = _make(space, image, None, image_unit).nums
     return _meet(space, image, image_unit, (ball,), unit, cap)
 
 
-def _meet(space: Space, fa, unit_a, fb, unit_b, cap: int) -> EnclosureSet:
+def _meet(space: Space, fa, unit_a, fb, unit_b, cap) -> EnclosureSet:
     """The normal form of the pairwise intersections of two fragment
     lists. Over different integer units they meet over the lcm; if one
     unit is 1, over the Fraction values."""

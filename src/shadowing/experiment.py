@@ -23,16 +23,16 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
-from .pseudotraj import LatticeWalk, generate, trial_stream
+from .pseudotraj import TAIL_BITS, LatticeWalk, generate, trial_stream
 from .rationals import frac, jsonable, parse_point
-# orbit_tracks, pull_back_witness and shadow_set_forward are unused here,
-# and a trial calls generate only to report a band violation; the
-# benchmark's span probes (bench/probes.py) look all four up in this module
+# orbit_tracks, pull_back_witness and shadow_set_forward are unused here;
+# generate runs only to confirm exactly a band exit that the sampled points
+# or the 64-bit tail enclosure show. bench/probes.py looks all four up here
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
                           shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
@@ -159,8 +159,10 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     Sampling and propagation are one loop that stops at the first empty
     set; no verdict reads a later point. ``band`` is (rho, n0) for
     attractor runs: every point from step n0 on must lie in the absorbing
-    band, else the bound computation is wrong. Past the sampled points the
-    check reads the radial chain alone (``LatticeWalk.radii``).
+    band, else the bound computation is wrong. Past the sampled points,
+    checked exactly, it reads a 64-bit directed-rounding integer enclosure
+    of the radius, no float (``LatticeWalk.radius_enclosures``); where that
+    leaves the band, every point is checked exactly before any report.
     """
     walk = LatticeWalk(system, config.y0, config.d, config.max_horizon,
                        trial_stream(config.seed, trial))
@@ -175,16 +177,31 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
                                ("Unknown",) * len(config.horizons),
                                error=str(exc))
     if band is not None:
-        # |r - 1| <= rho on the lattice: |R - S| * den(rho) <= num(rho) * S
         rho, n0 = band
-        for n, (r, s) in enumerate(walk.radii()):
-            if n >= n0 and abs(r - s) * rho.denominator > rho.numerator * s:
-                point = generate(system, config.y0, config.d, n,
-                                 trial_stream(config.seed, trial)).points[n]
-                raise InvariantViolation(
-                    f"trial {trial}: point {point} at step {n} escaped the "
-                    f"absorbing band of half-width {rho} (entry step {n0})")
+        taken = walk.taken
+        bound = (rho.numerator << TAIL_BITS) // rho.denominator
+        tail = islice(walk.radius_enclosures(), max(n0 - len(taken), 0), None)
+        if not (all(_in_band(y[0], s, rho) for y, s in
+                    zip(taken.nums[n0:], taken.scales[n0:]))
+                and all(-bound <= lo and hi <= bound for lo, hi in tail)):
+            _check_band(system, config, trial, rho, n0)
     return outcome
+
+
+def _in_band(r: int, s: int, rho: Fraction) -> bool:
+    """|r/s - 1| <= rho: |r - s| * den(rho) <= num(rho) * s."""
+    return abs(r - s) * rho.denominator <= rho.numerator * s
+
+
+def _check_band(system, config: ExperimentConfig, trial: int, rho, n0):
+    """Raise the first exact escape from the band from step n0 on."""
+    pts = generate(system, config.y0, config.d, config.max_horizon,
+                   trial_stream(config.seed, trial)).scaled
+    for n in range(n0, len(pts)):
+        if not _in_band(pts.nums[n][0], pts.scales[n], rho):
+            raise InvariantViolation(
+                f"trial {trial}: point {pts[n]} at step {n} escaped the "
+                f"absorbing band of half-width {rho} (entry step {n0})")
 
 
 def _aggregate(config: ExperimentConfig, outcomes) -> ExperimentResult:

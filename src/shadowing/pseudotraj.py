@@ -34,6 +34,9 @@ from .rationals import frac, jsonable
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
 from .systems import orbit
 
+# Fixed-point bits of the band tail's enclosure (``radius_enclosures``).
+TAIL_BITS = 64
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -133,6 +136,8 @@ class LatticeWalk:
 
     Iterating (once) yields y_0, ..., y_n as (numerators, scale) pairs and
     adds each to ``taken``; a step is sampled only when it is asked for.
+    ``radius_enclosures`` carries an annulus chain's radius on past ``taken``
+    as a 64-bit directed-rounding integer enclosure; no float enters it.
     """
 
     def __init__(self, system, y0: Point, d, n: int, rng):
@@ -165,22 +170,34 @@ class LatticeWalk:
             scales.append(scale)
             yield y, scale
 
-    def radii(self):
-        """(numerator, scale) of the radius of every point y_0, ..., y_n of
-        an annulus chain: those of ``taken``, then the radial chain alone.
-        Under the max metric a step's radial double comes first and the
-        map's radius reads only the radius, so each step takes its radial
-        double and skips the angular one unread."""
-        for (r, _), scale in zip(self.taken.nums, self.taken.scales):
-            yield r, scale
-        system, space = self.system, self.system.space
-        d_num, d_den = self.d.numerator, self.d.denominator
+    def radius_enclosures(self):
+        """lo <= (r - 1) * 2**TAIL_BITS <= hi for the radius r of each step
+        past ``taken``, from its radial double alone (the map's radius reads
+        no angle). With x = r - 1 a step is a + (b - a) * k / 2**53 for
+        a = max(lam*x - d, -w) and b = min(lam*x + d, w), nondecreasing in
+        x, a and b: lo steps with a and b rounded down, hi rounded up."""
+        (r, _), scale = self.taken.nums[-1], self.taken.scales[-1]
+        lo, hi = _fixed(r - scale, scale)
+        p, q = self.system.lam.as_integer_ratio()
+        d_lo, d_hi = _fixed(self.d.numerator, self.d.denominator)
+        w_lo, w_hi = _fixed(*self.system.space.w_ratio)
         for k in islice(self._draws, 0, None, 2):
-            r, out = system.radius_scaled(r, scale)
-            r, grow = space.sample_segment_scaled(r, out,
-                                                  d_num * (out // d_den), k)
-            scale = out * grow
-            yield r, scale
+            # max and min written out: calling them doubles a step's time
+            c = p * lo // q
+            a, b = c - d_hi, c + d_lo
+            a, b = a if a > -w_hi else -w_hi, b if b < w_lo else w_lo
+            lo = a + ((b - a) * k >> 53)
+            c = -(-p * hi // q)
+            a, b = c - d_lo, c + d_hi
+            a, b = a if a > -w_lo else -w_lo, b if b < w_hi else w_hi
+            hi = a - ((a - b) * k >> 53)
+            yield lo, hi
+
+
+def _fixed(num: int, den: int) -> tuple:
+    """Floor and ceiling of num / den * 2**TAIL_BITS."""
+    num <<= TAIL_BITS
+    return num // den, -(-num // den)
 
 
 def generate(system, y0: Point, d, n: int, rng,

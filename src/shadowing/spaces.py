@@ -240,29 +240,23 @@ class Space:
         if self.kind == "circle":
             return (_sample_arc_scaled(center[0], r, scale, next(draws)),), \
                 scale
-        x, grow = self.sample_segment_scaled(center[0], scale, r, next(draws))
+        if self.kind == "interval":
+            lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
+        else:
+            w_num, w_den = self.w_ratio
+            w = w_num * (scale // w_den)
+            lo = max(center[0] - r, scale - w)
+            hi = min(center[0] + r, scale + w)
+        span = hi - lo
+        low_bit = span & -span
+        grow = TWO53 // low_bit if low_bit < TWO53 else 1
+        x = lo * grow + (span * grow >> 53) * next(draws)
         scale *= grow
         if self.kind == "interval":
             return (x,), scale
         theta = _sample_arc_scaled(center[1] * grow, r * grow, scale,
                                    next(draws))
         return (x, theta), scale
-
-    def sample_segment_scaled(self, center: int, scale: int, r: int,
-                              k: int) -> tuple:
-        """(numerator over scale * grow, grow) of the first coordinate of
-        sample_scaled on the interval or the annulus, from the integer k of
-        its double. On the annulus this radius reads no angle."""
-        if self.kind == "interval":
-            lo, hi = max(center - r, 0), min(center + r, scale)
-        else:
-            w_num, w_den = self.w_ratio
-            w = w_num * (scale // w_den)
-            lo, hi = max(center - r, scale - w), min(center + r, scale + w)
-        span = hi - lo
-        low_bit = span & -span
-        grow = TWO53 // low_bit if low_bit < TWO53 else 1
-        return lo * grow + (span * grow >> 53) * k, grow
 
     @staticmethod
     def _sample_arc(center, radius, rng):

@@ -36,8 +36,7 @@ from .spaces import Space, annulus, circle, interval
 def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     """The image of s: its raw image fragments, normalized."""
     frags, out = system.image_fragments(s)
-    return enclosure._make(system.space, frags,
-                           enclosure.DEFAULT_FRAGMENT_CAP, out)
+    return enclosure._make(system.space, frags, None, out)
 
 
 @dataclass(frozen=True)
@@ -267,13 +266,6 @@ class AnnulusSpiral:
         lam, lift, alpha, out = self._tables(unit)
         r, theta = point
         return (out + lam * (r - unit), (theta * lift + alpha) % out), out
-
-    def radius_scaled(self, r: int, unit: int) -> tuple:
-        """The radius of apply_scaled, which reads no angle: (numerator,
-        out unit) for a radius numerator over an integer ``unit``."""
-        p, q = self._lattice[:2]
-        out = unit * q
-        return out + p * (r - unit), out
 
     def image_fragments(self, s: EnclosureSet) -> tuple:
         """(fragments, out unit) of the image of s before normalization:

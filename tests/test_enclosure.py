@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from shadowing import (EnclosureCapError, annulus, ball_set, circle,
-                       intersect, interval, trial_stream)
+                       intersect, interval, parse_system, trial_stream)
 from shadowing import enclosure as enc
 
 
@@ -149,3 +149,17 @@ def test_fragment_cap_raises_with_partial_outer():
     # the exact 50-arc set, itself a sound outer bound
     assert err.value.partial == enc.make(sp, frags)
     assert enc.make(sp, frags, cap=50).fragment_count() == 50
+
+
+def test_every_operation_reads_the_module_cap_at_call_time(monkeypatch):
+    doubling = parse_system("doubling")
+    a = enc.EnclosureSet(doubling.space, ((F(0), F(1, 10)),
+                                          (F(1, 4), F(1, 10))))
+    b = enc.EnclosureSet(doubling.space, ((F(0), F(3, 5)),))
+    assert intersect(a, b).fragment_count() == 2
+    monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 1)
+    for step in (lambda: doubling.apply_set(a), lambda: intersect(a, b),
+                 lambda: enc.make(a.space, a.fragments)):
+        with pytest.raises(EnclosureCapError) as err:
+            step()
+        assert str(err.value) == "fragment cap 1 exceeded for exact enclosure"

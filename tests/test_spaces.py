@@ -189,24 +189,28 @@ def test_epsilon_net_examples():
         circle().epsilon_net(F(0))
 
 
-@pytest.mark.parametrize("space", SPACES, ids=ids)
-@pytest.mark.parametrize("delta1", [F(1, 4), F(1, 10), F(3, 100)])
-def test_epsilon_net_covers(space, delta1):
-    centers = space.epsilon_net(delta1)
-    rng = trial_stream(110)
-    points = [space.random_point(rng) for _ in range(1000)]
-    # the exact check on integers: every point, every center and delta1
-    # as numerators over one common scale
+def on_one_scale(delta1, centers, points):
+    """The exact distance checks on integers: (scale, centers, delta1,
+    points), each as numerators over one common scale."""
     scale = math.lcm(delta1.denominator,
                      *(c.denominator for p in points + centers for c in p))
 
     def over(p):
         return tuple(c.numerator * (scale // c.denominator) for c in p)
 
-    grid = [over(c) for c in centers]
-    bound = delta1.numerator * (scale // delta1.denominator)
-    for p in points:
-        q = over(p)
+    return (scale, [over(c) for c in centers],
+            delta1.numerator * (scale // delta1.denominator),
+            [over(p) for p in points])
+
+
+@pytest.mark.parametrize("space", SPACES, ids=ids)
+@pytest.mark.parametrize("delta1", [F(1, 4), F(1, 10), F(3, 100)])
+def test_epsilon_net_covers(space, delta1):
+    centers = space.epsilon_net(delta1)
+    rng = trial_stream(110)
+    points = [space.random_point(rng) for _ in range(1000)]
+    scale, grid, bound, qs = on_one_scale(delta1, centers, points)
+    for p, q in zip(points, qs):
         assert min(space.dist_over(q, c, scale) for c in grid) < bound, p
 
 
@@ -228,9 +232,10 @@ def test_parse_space_grammar():
 def test_net_neighbors_match_linear_scan(space, delta1):
     centers = space.epsilon_net(delta1)
     rng = trial_stream(111)
-    for _ in range(300):
-        p = space.random_point(rng)
-        expected = [i for i, c in enumerate(centers)
-                    if space.dist(p, c) < delta1]
+    points = [space.random_point(rng) for _ in range(300)]
+    scale, grid, bound, qs = on_one_scale(delta1, centers, points)
+    for p, q in zip(points, qs):
+        expected = [i for i, c in enumerate(grid)
+                    if space.dist_over(q, c, scale) < bound]
         assert sorted(space.net_neighbors(p, delta1)) == expected
         assert expected  # the net covers, so some center is always near

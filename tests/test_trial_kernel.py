@@ -1,7 +1,8 @@
 """The streaming trial kernel against the whole-trajectory decision.
 
 ``experiment._run_trial`` samples a trajectory only while its shadow set
-lives and carries the annulus band check on with the radial chain alone.
+lives and carries the annulus band check on with an integer enclosure of
+the radial chain alone, confirmed exactly before a violation is reported.
 The references here sample every point with ``generate`` and decide with
 ``decide_horizons``, as ``check`` does.
 """
@@ -12,10 +13,10 @@ import pytest
 
 from shadowing import (ExperimentConfig, InvariantViolation,
                        attractor_quantities, decide_horizons, enclosure,
-                       generate, trial_stream)
+                       experiment, generate, parse_system, trial_stream)
 from shadowing.errors import EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
-from shadowing.pseudotraj import LatticeWalk
+from shadowing.pseudotraj import TAIL_BITS, LatticeWalk
 from shadowing.spaces import Space
 
 from test_lattice import SYSTEMS
@@ -108,18 +109,37 @@ def test_an_all_yes_trial_samples_every_step(monkeypatch):
 
 # -- the annulus band check ---------------------------------------------------
 
-def test_radial_tail_equals_the_sampled_radii():
-    system = SYSTEMS["spiral"]
-    y0, d = STARTS["spiral"]
-    for trial in range(4):
+ENCLOSED = {
+    # the shipped spiral; a non-dyadic contraction; a band narrower than
+    # d, where every step is truncated at one edge or at both
+    "shipped": (SPIRAL_SPEC, (F(7, 5), F(0)), F(9, 800)),
+    "lambda=2/3": ("annulus:lambda=2/3,alpha=610/987,w=0.5",
+                   (F(7, 5), F(0)), F(3, 400)),
+    "narrow": ("annulus:lambda=1/2,alpha=610/987,w=1/100", (F(1), F(0)),
+               F(9, 800)),
+    # d, w and y0 dyadic: only lam * x is rounded, so the interval is tight
+    "lambda=1/3": ("annulus:lambda=1/3,alpha=610/987,w=0.5",
+                   (F(5, 4), F(0)), F(1, 128)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCLOSED))
+def test_tail_enclosures_hold_the_exact_radii(name):
+    spec, y0, d = ENCLOSED[name]
+    system = parse_system(spec)
+    for trial in range(2):
         traj = generate(system, y0, d, 1000, trial_stream(44, trial)).scaled
         for stop in (0, 1, 37, 500, 999, 1000):
             walk = LatticeWalk(system, y0, d, 1000, trial_stream(44, trial))
             for n, (y, s) in zip(range(stop + 1), walk):
                 assert (y, s) == (traj.nums[n], traj.scales[n])
-            assert len(walk.taken) == stop + 1
-            assert list(walk.radii()) == [
-                (traj.nums[n][0], traj.scales[n]) for n in range(1001)]
+            tail = list(walk.radius_enclosures())
+            assert len(tail) == 1000 - stop
+            for n, (lo, hi) in enumerate(tail, stop + 1):
+                r, s = traj.nums[n][0], traj.scales[n]
+                # lo <= (r/s - 1) * 2**TAIL_BITS <= hi, and a tight interval
+                assert lo * s <= (r - s) << TAIL_BITS <= hi * s
+                assert hi - lo <= 16
 
 
 def band_message(system, cfg, trial, rho, n0):
@@ -134,17 +154,24 @@ def band_message(system, cfg, trial, rho, n0):
     return None
 
 
+LATE_CONFIG = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
+                               d=F(9, 800), eps=F(1, 200),
+                               horizons=(100, 300, 1000), trials=1, seed=44)
+
+
+def band_gaps(system, cfg, n0):
+    """|r - 1| of trial 0 at every step from n0 on."""
+    pts = generate(system, cfg.y0, cfg.d, cfg.max_horizon,
+                   trial_stream(cfg.seed, 0)).scaled
+    return [abs(F(pts.nums[n][0] - pts.scales[n], pts.scales[n]))
+            for n in range(n0, len(pts))]
+
+
 def late_violation_case():
     """A band that only the farthest radius from step 700 on leaves: one
     violation, well after the first empty step."""
-    system = SYSTEMS["spiral"]
-    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
-                           d=F(9, 800), eps=F(1, 200),
-                           horizons=(100, 300, 1000), trials=1, seed=44)
-    n0 = 700
-    pts = generate(system, cfg.y0, cfg.d, 1000, trial_stream(44, 0)).scaled
-    gaps = [abs(F(pts.nums[n][0] - pts.scales[n], pts.scales[n]))
-            for n in range(n0, 1001)]
+    system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
+    gaps = band_gaps(system, cfg, n0)
     widest, second = sorted(set(gaps))[:-3:-1]
     rho = (widest + second) / 2
     step = n0 + gaps.index(widest)
@@ -180,3 +207,50 @@ def test_shipped_attractor_trials_stay_in_their_band():
         assert band_message(system, cfg, trial, q.rho, q.n0) is None
         got = _run_trial(system, cfg, trial, (q.rho, q.n0))
         assert got == whole_trajectory_outcome(system, cfg, trial)
+
+
+def test_the_band_is_checked_from_its_entry_step_on():
+    system, cfg, (rho, n0), _ = late_violation_case()
+    gaps = band_gaps(system, cfg, n0)
+    step = n0 + gaps.index(max(gaps))
+    with pytest.raises(InvariantViolation) as info:
+        _run_trial(system, cfg, 0, (rho, step))
+    assert str(info.value) == band_message(system, cfg, 0, rho, step)
+    got = _run_trial(system, cfg, 0, (rho, step + 1))
+    assert got == whole_trajectory_outcome(system, cfg, 0)
+
+
+def count_exact_scans(monkeypatch):
+    calls = []
+    original = experiment.generate
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(experiment, "generate", counting)
+    return calls
+
+
+def test_a_band_met_with_equality_is_confirmed_exactly(monkeypatch):
+    """rho equal to the widest gap from n0 on: the enclosure cannot show
+    that radius inside the closed band, the exact scan finds no escape."""
+    system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
+    rho = max(band_gaps(system, cfg, n0))
+    assert band_message(system, cfg, 0, rho, n0) is None
+    scans = count_exact_scans(monkeypatch)
+    got = _run_trial(system, cfg, 0, (rho, n0))
+    assert len(scans) == 1
+    assert got == whole_trajectory_outcome(system, cfg, 0)
+
+
+def test_shipped_attractor_trials_need_no_exact_scan(monkeypatch):
+    system = SYSTEMS["spiral"]
+    q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
+    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
+                           d=q.d0 / 2, eps=q.eps0,
+                           horizons=(100, 300, 1000), trials=4, seed=44)
+    scans = count_exact_scans(monkeypatch)
+    for trial in range(4):
+        _run_trial(system, cfg, trial, (q.rho, q.n0))
+    assert scans == []
