@@ -50,12 +50,12 @@ def tube_delta(system, d, eps) -> Fraction:
 
 @dataclass(frozen=True)
 class EtaBracket:
-    """Two-sided bracket for the ball-measure ratio; ``value`` is the sound
-    lower end, which keeps every probability lower bound valid."""
+    """The ball-measure ratio as a bracket ``lo <= eta <= hi``; every space
+    has a closed form, so ``lo == hi``. ``value`` is the lower end, which
+    keeps every probability lower bound valid."""
 
     lo: Fraction
     hi: Fraction
-    method: str
 
     @property
     def value(self) -> Fraction:
@@ -66,16 +66,16 @@ class EtaBracket:
         return self.lo == self.hi
 
 
-def eta(space: Space, delta, d, net_radius=None) -> EtaBracket:
+def eta(space: Space, delta, d) -> EtaBracket:
     """Ratio of the smallest delta-ball measure to the largest d-ball measure.
 
-    Closed form on the circle (balls are congruent). Elsewhere the inf and
-    sup are bracketed over an epsilon-net: evaluating at net centers bounds
-    the ratio from above, while shrinking/growing the radii by the net
-    radius bounds it from below. The default net radius delta/20 keeps the
-    bracket width well under 10% of eta on the interval; pass a coarser
-    ``net_radius`` on the annulus, where the product net grows
-    quadratically as the radius shrinks.
+    A ball truncated to the space is a radial segment crossed with an arc.
+    In a segment of length L (1 on the interval, 2w on the annulus) a
+    radius-r ball spans at least min(r, L), at an end, and at most
+    min(2r, L); an arc always spans min(2r, 1). So eta is
+    min(delta, 1) / min(2d, 1) on the interval,
+    min(2 delta, 1) / min(2d, 1) on the circle and
+    min(delta, 2w) min(2 delta, 1) / (min(2d, 2w) min(2d, 1)) on the annulus.
     """
     delta = frac(delta)
     d = frac(d)
@@ -83,18 +83,16 @@ def eta(space: Space, delta, d, net_radius=None) -> EtaBracket:
         raise DomainError("delta must be positive")
     if delta > d:
         raise DomainError("expected delta <= d")
+    one = Fraction(1)
     if space.kind == "circle":
-        value = min(2 * delta, Fraction(1)) / min(2 * d, Fraction(1))
-        return EtaBracket(value, value, "closed_form")
-    h = frac(net_radius) if net_radius is not None else delta / 20
-    if not 0 < h < delta:
-        raise DomainError("net radius must lie in (0, delta)")
-    centers = space.epsilon_net(h)
-    inf_hi = min(space.ball_measure(c, delta) for c in centers)
-    sup_lo = max(space.ball_measure(c, d) for c in centers)
-    inf_lo = min(space.ball_measure(c, delta - h) for c in centers)
-    sup_hi = max(space.ball_measure(c, d + h) for c in centers)
-    return EtaBracket(inf_lo / sup_hi, inf_hi / sup_lo, "net_bracket")
+        value = min(2 * delta, one) / min(2 * d, one)
+    elif space.kind == "interval":
+        value = min(delta, one) / min(2 * d, one)
+    else:
+        width = 2 * space.w
+        value = (min(delta, width) * min(2 * delta, one)
+                 / (min(2 * d, width) * min(2 * d, one)))
+    return EtaBracket(value, value)
 
 
 def tube_probability_bound(eta_value, length: int) -> Fraction:
@@ -184,14 +182,15 @@ class _Record:
 @dataclass(frozen=True)
 class DichotomyQuantities(_Record):
     """Constructive quantities of the transitive-map branch: the tube
-    radius delta, the net radius delta1 = delta/4, the eta bracket, the
-    cover time and, on a rotation, the drift tail N and the block length
-    L = K + N + 1. A value that was not computed is None."""
+    radius delta, the net radius delta1 = delta/4, eta (its closed form at
+    both ends of the bracket), the cover time and, on a rotation, the drift
+    tail N and the block length L = K + N + 1. A value that was not
+    computed is None."""
 
     delta: Fraction
     delta1: Fraction
-    eta_lo: Fraction | None = None
-    eta_hi: Fraction | None = None
+    eta_lo: Fraction
+    eta_hi: Fraction
     cover_k1: int | None = None
     cover_k2: int | None = None
     cover_k: int | None = None
@@ -204,19 +203,17 @@ def dichotomy_quantities(system, d, eps=None, y0=None,
     """Quantities behind the block bound 1 - (1 - eta^L)^k.
 
     delta is tube_delta(d, eps) when eps is given, else
-    delta_for_inclusion(d). The eta bracket is left out on the annulus,
-    where the net at radius delta/20 has a quadratic number of centers;
-    the cover time needs a start point y0; the drift tail and the block
+    delta_for_inclusion(d). eta is the closed form of ``eta`` on every
+    space, so ``eta_lo == eta_hi``. The cover time needs a start point y0
+    (and searches ``cover_horizon`` steps); the drift tail and the block
     length need a rotation and eps < 1/4, the range of the drift
     construction (and y0 for L).
     """
     delta = (delta_for_inclusion(system, d) if eps is None
              else tube_delta(system, d, eps))
     delta1 = delta / 4
-    q = {}
-    if system.space.kind != "annulus":
-        bracket = eta(system.space, delta, d)
-        q["eta_lo"], q["eta_hi"] = bracket.lo, bracket.hi
+    bracket = eta(system.space, delta, d)
+    q = {"eta_lo": bracket.lo, "eta_hi": bracket.hi}
     if y0 is not None:
         cov = cover_time(system, y0, delta1, cover_horizon)
         q["cover_k1"], q["cover_k2"], q["cover_k"] = cov
@@ -226,6 +223,11 @@ def dichotomy_quantities(system, d, eps=None, y0=None,
         if y0 is not None:
             q["block_length"] = q["cover_k"] + q["tail_n"] + 1
     return DichotomyQuantities(delta, delta1, **q)
+
+
+# Share of the absorbing band's noise ceiling held back: d0 is this much
+# below the largest noise level that keeps the band forward-invariant.
+BAND_MARGIN = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
@@ -250,8 +252,8 @@ class ProofQuantities(_Record):
     y0: tuple
 
 
-def attractor_quantities(system: AnnulusSpiral, eps, y0, d=None,
-                         margin=Fraction(1, 10)) -> ProofQuantities:
+def attractor_quantities(system: AnnulusSpiral, eps, y0,
+                         d=None) -> ProofQuantities:
     """Absorbing-band data for the annulus contraction-rotation.
 
     The invariant circle r = 1 attracts the whole annulus. With
@@ -260,7 +262,7 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0, d=None,
     because |r_{n+1} - 1| <= lam |r_n - 1| + d.
 
     Returns rho, the entry time n0 (first n with lam^n |r0 - 1| <= lam*rho,
-    strict interior entry), the noise ceiling d0 = (1 - margin) *
+    strict interior entry), the noise ceiling d0 = (1 - BAND_MARGIN) *
     min(eps/4, (1 - lam) rho) that keeps the band forward-invariant for
     every d < d0, and the settling time S (first n with lam^n rho <=
     delta/4, the time by which true orbits started in W are delta/4-close
@@ -272,13 +274,11 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0, d=None,
     eps = frac(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if not 0 <= margin < 1:
-        raise DomainError("margin must lie in [0, 1)")
     space = system.space
     y0 = space.canonical(tuple(frac(c) for c in y0))
     lam = system.lam
     rho = min(eps / 4, space.w / 2)
-    d0 = (1 - margin) * min(eps / 4, (1 - lam) * rho)
+    d0 = (1 - BAND_MARGIN) * min(eps / 4, (1 - lam) * rho)
     if d is None:
         d_used = d0 / 2
     else:
@@ -303,7 +303,7 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0, d=None,
     return ProofQuantities(
         d=d_used, delta=delta, eps0=eps / 4, rho=rho,
         band_lo=1 - rho, band_hi=1 + rho, n0=n0, d0=d0, settle_s=settle,
-        lam=lam, margin=margin, y0=y0)
+        lam=lam, margin=BAND_MARGIN, y0=y0)
 
 
 def in_absorbing_band(point, rho) -> bool:

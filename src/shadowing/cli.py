@@ -76,10 +76,9 @@ def _print(payload):
 
 def cmd_generate(args) -> int:
     system = parse_system(args.system)
-    trial = args.trial or 0
-    rng = trial_stream(args.seed, trial)
+    rng = trial_stream(args.seed, args.trial)
     traj = generate(system, parse_point(args.y0), frac(args.d), args.n, rng,
-                    Provenance("random", args.seed, trial))
+                    Provenance("random", args.seed, args.trial))
     save_trajectory(traj, args.system, args.out)
     print(f"wrote {args.out}.csv and {args.out}.json "
           f"({traj.horizon + 1} points, d={traj.d})")
@@ -101,9 +100,8 @@ def cmd_check(args) -> int:
 def cmd_estimate(args) -> int:
     config = ExperimentConfig.from_dict(_merge_config(args))
     result = estimate_probability(config, workers=args.workers)
-    out = config.out or getattr(args, "out", None)
-    if out:
-        emit(result, out)
+    if config.out:
+        emit(result, config.out)
     _print(result_summary(result))
     return 0
 
@@ -154,7 +152,7 @@ def cmd_attractor(args) -> int:
                                             parse_point(data["y0"]))
         data["d"] = str(q.d0 / 2)
     config = ExperimentConfig.from_dict(data)
-    report = run_attractor_experiment(config, out=config.out or args.out,
+    report = run_attractor_experiment(config, out=config.out,
                                       workers=args.workers)
     _print(report)
     return 0

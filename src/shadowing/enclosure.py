@@ -334,19 +334,18 @@ def _contains(kind, frags, point, unit) -> bool:
                for rlo, rhi, s, l in frags)
 
 
-def make(space: Space, fragments, cap: int | None = None) -> EnclosureSet:
+def make(space: Space, fragments) -> EnclosureSet:
     """Normalize fragments into a canonical EnclosureSet.
 
     Overlapping or touching fragments are merged exactly (see the module
-    doc). Above ``cap`` fragments (the module cap at call time if None)
-    it fails with ``EnclosureCapError``, whose ``partial`` is the exact set.
+    doc). Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call time, it
+    fails with ``EnclosureCapError``, whose ``partial`` is the exact set.
     """
-    return _make(space, fragments, cap, 1)
+    return _make(space, fragments, 1)
 
 
-def _make(space: Space, fragments, cap, unit) -> EnclosureSet:
+def _make(space: Space, fragments, unit) -> EnclosureSet:
     """make() for fragments whose coordinates are numerators over unit."""
-    cap = DEFAULT_FRAGMENT_CAP if cap is None else cap
     kind = space.kind
     if kind == "circle":
         frags = _normalize_arcs(fragments, unit)
@@ -355,9 +354,9 @@ def _make(space: Space, fragments, cap, unit) -> EnclosureSet:
     else:
         frags = _normalize_boxes(fragments, unit)
     es = EnclosureSet(space, frags, unit)
-    if len(frags) > cap:
-        raise EnclosureCapError(
-            f"fragment cap {cap} exceeded for exact enclosure", partial=es)
+    if len(frags) > DEFAULT_FRAGMENT_CAP:
+        raise EnclosureCapError(f"fragment cap {DEFAULT_FRAGMENT_CAP} "
+                                "exceeded for exact enclosure", partial=es)
     return es
 
 
@@ -390,26 +389,25 @@ def _ball(space: Space, center, radius, unit) -> tuple:
     return (rlo, rhi, (center[1] - radius) % unit, 2 * radius)
 
 
-def intersect(a: EnclosureSet, b: EnclosureSet,
-              cap: int | None = None) -> EnclosureSet:
+def intersect(a: EnclosureSet, b: EnclosureSet) -> EnclosureSet:
     """A & B. Integer sets over different units meet over their lcm."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
-    return _meet(a.space, a.nums, a.unit, b.nums, b.unit, cap)
+    return _meet(a.space, a.nums, a.unit, b.nums, b.unit)
 
 
-def meet_ball(space: Space, image, image_unit, ball, unit,
-              cap: int | None = None) -> EnclosureSet:
+def meet_ball(space: Space, image, image_unit, ball, unit) -> EnclosureSet:
     """``intersect(apply_set(A), B)`` from A's raw image over ``image_unit``
     and B's ``_ball`` fragment over ``unit``, normalized once. The image
     of a normal form has no more fragments normalized than raw, so it is
-    normalized alone (failing as ``apply_set`` would) only above the cap."""
+    normalized alone (failing as ``apply_set`` would) only above the
+    fragment cap. Both normalizations read the cap at call time."""
     if len(image) > DEFAULT_FRAGMENT_CAP:
-        image = _make(space, image, None, image_unit).nums
-    return _meet(space, image, image_unit, (ball,), unit, cap)
+        image = _make(space, image, image_unit).nums
+    return _meet(space, image, image_unit, (ball,), unit)
 
 
-def _meet(space: Space, fa, unit_a, fb, unit_b, cap) -> EnclosureSet:
+def _meet(space: Space, fa, unit_a, fb, unit_b) -> EnclosureSet:
     """The normal form of the pairwise intersections of two fragment
     lists. Over different integer units they meet over the lcm; if one
     unit is 1, over the Fraction values."""
@@ -425,4 +423,4 @@ def _meet(space: Space, fa, unit_a, fb, unit_b, cap) -> EnclosureSet:
     for x in fa:
         for y in fb:
             pieces += meet(x, y, unit)
-    return _make(space, pieces, cap, unit)
+    return _make(space, pieces, unit)

@@ -11,9 +11,9 @@ Reproducibility: the stream for trial t is derived from the master seed by
 ``numpy.random.SeedSequence(master_seed, spawn_key=(t,))``; trials are
 independent and can run in any order or in parallel.
 
-A trajectory's ``points`` are ``Fraction`` tuples. ``generate`` computes
-them on an integer lattice and keeps them there (``Pseudotrajectory.scaled``);
-their Fractions are built on the first read of ``points``.
+A trajectory holds its points on an integer lattice
+(``Pseudotrajectory.scaled``), where ``generate`` computes them; their
+``Fraction`` tuples (``points``) are built on first read.
 """
 
 from __future__ import annotations
@@ -48,45 +48,38 @@ class Provenance:
 class Pseudotrajectory:
     """Points y_0, ..., y_N with step bound d; no method changes them.
 
-    ``points`` is a tuple of ``Fraction`` tuples and ``scaled`` the same
-    points as integer numerators over per-point scales (``ScaledPoints``),
-    which is what the exact kernel reads. Whichever of the two a trajectory
-    was not built from is derived on first read.
+    The points are held once, as ``scaled``: integer numerators over
+    per-point scales (``ScaledPoints``), which is what the exact kernel
+    reads. Points given any other way are converted once, with
+    ``ScaledPoints.from_points``. ``points`` caches their ``Fraction``
+    tuples, built on first read.
     """
 
-    __slots__ = ("_points", "_scaled", "d", "provenance")
+    __slots__ = ("scaled", "d", "provenance", "_points")
 
     def __init__(self, points, d: Fraction, provenance: Provenance):
-        self._init(tuple(points), None, d, provenance)
+        if not isinstance(points, ScaledPoints):
+            points = ScaledPoints.from_points(points)
+        if not len(points):
+            raise UsageError("a pseudotrajectory needs at least one point")
+        if d < 0:
+            raise DomainError("step bound must be nonnegative")
+        self.scaled = points
+        self.d = d
+        self.provenance = provenance
+        self._points = None
 
     @classmethod
     def from_scaled(cls, points: ScaledPoints, d: Fraction,
                     provenance: Provenance) -> "Pseudotrajectory":
-        traj = cls.__new__(cls)
-        traj._init(None, points, d, provenance)
-        return traj
-
-    def _init(self, points, scaled, d, provenance):
-        self._points = points
-        self._scaled = scaled
-        self.d = d
-        self.provenance = provenance
-        if not len(points if scaled is None else scaled):
-            raise UsageError("a pseudotrajectory needs at least one point")
-        if d < 0:
-            raise DomainError("step bound must be nonnegative")
+        """The trajectory of lattice points, held as they are."""
+        return cls(points, d, provenance)
 
     @property
     def points(self) -> tuple:
         if self._points is None:
-            self._points = tuple(self._scaled)
+            self._points = tuple(self.scaled)
         return self._points
-
-    @property
-    def scaled(self) -> ScaledPoints:
-        if self._scaled is None:
-            self._scaled = ScaledPoints.from_points(self._points)
-        return self._scaled
 
     def __eq__(self, other):
         if not isinstance(other, Pseudotrajectory):
@@ -103,16 +96,12 @@ class Pseudotrajectory:
 
     @property
     def horizon(self) -> int:
-        held = self._points if self._points is not None else self._scaled
-        return len(held) - 1
+        return len(self.scaled) - 1
 
     def prefix(self, m: int) -> "Pseudotrajectory":
         if not 0 <= m <= self.horizon:
             raise UsageError(f"prefix horizon {m} outside [0, {self.horizon}]")
-        if self._points is None:
-            return Pseudotrajectory.from_scaled(self._scaled[:m + 1], self.d,
-                                                self.provenance)
-        return Pseudotrajectory(self._points[:m + 1], self.d, self.provenance)
+        return Pseudotrajectory(self.scaled[:m + 1], self.d, self.provenance)
 
 
 def trial_stream(master_seed: int, trial: int = 0) -> np.random.Generator:

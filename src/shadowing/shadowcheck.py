@@ -254,9 +254,7 @@ def rotation_oracle(system, traj: Pseudotrajectory, eps) -> bool:
     eps < 1/4 and step bounds below 1/4, where the lift is unambiguous
     and a span window corresponds to an actual shadowing orbit.
     """
-    _check_oracle_region(traj, eps)
-    w = rotation_deviations(system, traj.points)
-    return max(w) - min(w) <= 2 * eps
+    return rotation_first_failure(system, traj, eps) is None
 
 
 def rotation_first_failure(system, traj: Pseudotrajectory, eps) -> int | None:

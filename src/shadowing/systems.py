@@ -36,7 +36,7 @@ from .spaces import Space, annulus, circle, interval
 def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     """The image of s: its raw image fragments, normalized."""
     frags, out = system.image_fragments(s)
-    return enclosure._make(system.space, frags, None, out)
+    return enclosure._make(system.space, frags, out)
 
 
 @dataclass(frozen=True)

@@ -104,17 +104,50 @@ def test_eta_circle_closed_form():
 
 
 def test_eta_interval_bracket_contains_analytic_value():
+    # end ball: delta; largest: 2d
     br = eta(interval(), F(1, 100), F(1, 10))
-    assert not br.exact
-    assert br.lo <= F(1, 20) <= br.hi
-    assert br.hi - br.lo <= F(1, 200)
+    assert br.exact and br.value == F(1, 20)
 
 
 def test_eta_annulus_bracket_contains_analytic_value():
     # corner ball: radial delta, angular 2*delta; largest: radial 2d by 2d
-    br = eta(annulus(F(1, 2)), F(1, 100), F(1, 10), net_radius=F(1, 200))
+    br = eta(annulus(F(1, 2)), F(1, 100), F(1, 10))
     analytic = (F(1, 100) * F(2, 100)) / (F(2, 10) * F(2, 10))
-    assert br.lo <= analytic <= br.hi
+    assert br.exact and br.value == analytic
+
+
+def net_bracket(space, delta, d, h):
+    """The ratio's inf and sup bracketed over the epsilon-net at radius h:
+    net centers bound it from above, radii shrunk or grown by h from
+    below."""
+    centers = space.epsilon_net(h)
+    inf_hi = min(space.ball_measure(c, delta) for c in centers)
+    sup_lo = max(space.ball_measure(c, d) for c in centers)
+    inf_lo = min(space.ball_measure(c, delta - h) for c in centers)
+    sup_hi = max(space.ball_measure(c, d + h) for c in centers)
+    return inf_lo / sup_hi, inf_hi / sup_lo
+
+
+ETA_CASES = {  # space, delta, d, net radius
+    "interval": (interval(), F(1, 100), F(1, 10), F(1, 500)),
+    "interval-wide": (interval(), F(1, 10), F(3, 5), F(1, 50)),
+    "interval-delta=d": (interval(), F(3, 5), F(3, 5), F(1, 50)),
+    "w=1/100-delta=w": (annulus(F(1, 100)), F(1, 100), F(1, 20), F(1, 500)),
+    "w=1/100-delta>2w": (annulus(F(1, 100)), F(1, 20), F(1, 10), F(1, 100)),
+    "w=1/10": (annulus(F(1, 10)), F(1, 20), F(1, 10), F(1, 100)),
+    "w=1/10-delta>2w-d>=1/2": (annulus(F(1, 10)), F(3, 10), F(1, 2),
+                               F(1, 50)),
+    "w=1/2": (annulus(F(1, 2)), F(1, 20), F(1, 10), F(1, 100)),
+    "w=1/2-d>=1/2": (annulus(F(1, 2)), F(1, 4), F(3, 5), F(1, 50)),
+    "w=1/2-delta>1/2": (annulus(F(1, 2)), F(3, 5), F(7, 10), F(1, 50)),
+}
+
+
+@pytest.mark.parametrize("case", ETA_CASES)
+def test_eta_closed_form_lies_in_the_net_bracket(case):
+    space, delta, d, h = ETA_CASES[case]
+    lo, hi = net_bracket(space, delta, d, h)
+    assert lo <= eta(space, delta, d).value <= hi
 
 
 def test_eta_rejects_bad_arguments():
@@ -122,8 +155,6 @@ def test_eta_rejects_bad_arguments():
         eta(circle(), F(0), F(1, 10))
     with pytest.raises(DomainError):
         eta(circle(), F(1, 5), F(1, 10))
-    with pytest.raises(DomainError):
-        eta(interval(), F(1, 100), F(1, 10), net_radius=F(1, 100))
 
 
 # -- tube probability ------------------------------------------------------------

@@ -140,15 +140,18 @@ def test_zero_width_box_at_angle_zero_keeps_its_whole_section():
 
 # -- fragment cap --------------------------------------------------------------
 
-def test_fragment_cap_raises_with_partial_outer():
+def test_fragment_cap_raises_with_partial_outer(monkeypatch):
     sp = circle()
     frags = [(F(k, 100), F(1, 1000)) for k in range(0, 100, 2)]
+    exact = enc.make(sp, frags)
+    monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 10)
     with pytest.raises(EnclosureCapError) as err:
-        enc.make(sp, frags, cap=10)
+        enc.make(sp, frags)
     assert str(err.value) == "fragment cap 10 exceeded for exact enclosure"
     # the exact 50-arc set, itself a sound outer bound
-    assert err.value.partial == enc.make(sp, frags)
-    assert enc.make(sp, frags, cap=50).fragment_count() == 50
+    assert err.value.partial == exact
+    monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 50)
+    assert enc.make(sp, frags).fragment_count() == 50
 
 
 def test_every_operation_reads_the_module_cap_at_call_time(monkeypatch):

@@ -173,6 +173,26 @@ def test_worst_case_rejects_invalid_inputs():
         worst_case_pseudotrajectory(DBL, F(1, 50), F(1, 20))
 
 
+@pytest.mark.parametrize("system,y0,eps", [
+    (DBL, (F(3, 10),), F(1, 20)),
+    (ROT, (F(0),), F(1, 20)),
+    (annulus_spiral(F(1, 2), F(610, 987), F(1, 2)), (F(7, 5), F(0)), F(1, 5)),
+], ids=["doubling", "rotation", "spiral"])
+def test_fraction_built_trajectory_equals_the_generated_one(system, y0, eps):
+    """A trajectory built from Fraction points holds them as ScaledPoints,
+    as ``generate``'s does: the two agree on every reading."""
+    sampled = generate(system, y0, F(1, 50), 300, trial_stream(5))
+    built = Pseudotrajectory(sampled.points, sampled.d, sampled.provenance)
+    assert built == sampled
+    assert built.points == sampled.points
+    assert built.horizon == sampled.horizon == 300
+    for m in (0, 1, 37, 300):
+        assert built.prefix(m).points == sampled.prefix(m).points
+        assert built.prefix(m).horizon == m
+    assert decide_shadowable(system, built, eps).to_json() == \
+        decide_shadowable(system, sampled, eps).to_json()
+
+
 # -- serialization -------------------------------------------------------------
 
 def test_trajectory_round_trip(tmp_path):
