@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
+from .enclosure import ball_set, intersect
 from .errors import DomainError, SearchFailure, UsageError
 from .pseudotraj import worst_case_pseudotrajectory
 from .rationals import frac, jsonable
@@ -120,11 +121,25 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     delta1-ball of the net; k2 repeats the search restarted at step k1 + 1;
     k = k1 + k2 + 1. Fails loudly, naming an unvisited ball, if the horizon
     is exhausted (finite arithmetic cannot certify transitivity).
+
+    Every orbit point from step 1 on lies in the image f(X) of the whole
+    space, which is computed exactly first: a net ball whose closure f(X)
+    misses can never be entered by the restarted scan, so the search fails
+    at once, naming the first such ball, without scanning.
     """
     delta1 = frac(delta1)
     space = system.space
     centers = space.epsilon_net(delta1)
     point = space.canonical(r)
+    whole = ball_set(space, point, space.diameter)
+    image = system.apply_set(whole)
+    if image != whole:
+        for c in centers:
+            if intersect(image, ball_set(space, c, delta1)).is_empty():
+                raise SearchFailure(
+                    f"the image of the space misses the open {delta1}-ball "
+                    f"around net center {c}, so no orbit point after the "
+                    "first can enter it", target=c, radius=delta1, horizon=0)
 
     def scan(start_point, budget):
         unvisited = set(range(len(centers)))

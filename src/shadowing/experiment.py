@@ -27,6 +27,9 @@ from itertools import islice, repeat
 from pathlib import Path
 
 from . import bounds as bounds_mod
+# _aggregate calls clopper_pearson through this module's namespace, where
+# bench/probes.py wraps it
+from .binomial import clopper_pearson
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
 from .pseudotraj import TAIL_BITS, LatticeWalk, generate, trial_stream
 from .rationals import frac, jsonable, parse_point
@@ -131,21 +134,6 @@ class ExperimentResult:
                        diagnostics={**self.diagnostics, **diagnostics})
 
 
-def clopper_pearson(successes: int, n: int, alpha: float = 0.05):
-    """Exact two-sided binomial confidence interval."""
-    if n < 0 or not 0 <= successes <= n:
-        raise DomainError("need 0 <= successes <= n")
-    if n == 0:
-        return 0.0, 1.0
-    from scipy.stats import beta  # imported here: nothing else needs scipy
-
-    lo = 0.0 if successes == 0 else float(
-        beta.ppf(alpha / 2, successes, n - successes + 1))
-    hi = 1.0 if successes == n else float(
-        beta.ppf(1 - alpha / 2, successes + 1, n - successes))
-    return lo, hi
-
-
 def _run_trial(system, config: ExperimentConfig, trial: int,
                band=None) -> TrialOutcome:
     """Sample one trajectory while its shadow set lives, decide every
@@ -240,22 +228,24 @@ def dichotomy_bound_curve(config: ExperimentConfig) -> tuple[dict, dict]:
 
     Blocks of length L = K + N + 1 come from
     ``bounds.dichotomy_quantities``; the chance that a k-block prefix
-    shadows is then at most (1 - eta^L)^k. Returns (bound by horizon,
-    diagnostics): the quantities record plus the bound curve.
+    shadows is then at most (1 - eta^L)^k, evaluated exactly by
+    ``bounds.nonshadow_lower_bound`` and rounded to a float only when
+    written. Returns (bound by horizon, diagnostics): the quantities record
+    plus the bound curve.
     """
     system = config.system
     if system.kind != "rotation":
         return {}, {}
     q = bounds_mod.dichotomy_quantities(system, config.d, config.eps,
                                         config.y0)
-    eta_l = float(q.eta_lo) ** q.block_length
     by_horizon = {}
     curve = []
     for m in config.horizons:
         k = max((m + 1) // q.block_length - 1, 0)
-        lower = 1.0 - (1.0 - eta_l) ** k
-        by_horizon[m] = 1.0 - lower  # upper bound on p_hat
-        curve.append({"horizon": m, "blocks": k, "nonshadow_lower": lower})
+        lower = bounds_mod.nonshadow_lower_bound(q.eta_lo, q.block_length, k)
+        by_horizon[m] = float(1 - lower)  # upper bound on p_hat
+        curve.append({"horizon": m, "blocks": k,
+                      "nonshadow_lower": float(lower)})
     return by_horizon, {**q.to_json(), "nonshadow_bound_curve": curve}
 
 

@@ -1,6 +1,7 @@
 """Constructive quantities: inclusion radius, eta, cover times, block bounds,
 absorbing-band data."""
 
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,8 +12,9 @@ from shadowing import (DomainError, SearchFailure, annulus, annulus_spiral,
                        attractor_quantities, blocks_for_confidence, circle,
                        cover_time, delta_for_inclusion, doubling, eta,
                        generate, in_absorbing_band, interval,
-                       nonshadow_lower_bound, rotation, trial_stream,
+                       nonshadow_lower_bound, rotation, tent, trial_stream,
                        tube_probability_bound)
+from shadowing.cli import main
 from shadowing.pseudotraj import exact_orbit
 
 ROT = rotation(F(610, 987))
@@ -254,6 +256,25 @@ def test_cover_time_failure_names_unvisited_ball():
         cover_time(DBL, (F(1, 3),), F(1, 10), horizon=200)
     assert err.value.target == (F(0),)
     assert err.value.horizon == 200
+
+
+def test_cover_time_refuses_a_net_ball_outside_the_image(capsys):
+    # the tent s = 3/2 maps [0, 1] onto [0, 3/4]; the orbit of 0.3 can
+    # never enter the net balls above 3/4 + delta1, and the search used to
+    # scan all 10**6 steps in Fractions whose denominators double per step
+    tent_map = tent(F(3, 2))
+    start = time.perf_counter()
+    with pytest.raises(SearchFailure) as err:
+        cover_time(tent_map, (F(3, 10),), F(1, 1000))
+    assert time.perf_counter() - start < 1
+    assert err.value.target == (F(1503, 2000),)
+    assert err.value.horizon == 0
+    assert F(3, 4) + F(1, 1000) < err.value.target[0]
+    start = time.perf_counter()
+    assert main(["bounds", "--system", "tent:s=3/2", "--d", "0.02",
+                 "--y0", "0.3"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "Fraction(1503, 2000)" in capsys.readouterr().err
 
 
 # -- block bound --------------------------------------------------------------------

@@ -221,7 +221,7 @@ def run_python(*args):
 
 
 def test_cli_and_check_never_import_scipy(tmp_path, capsys):
-    # only clopper_pearson needs scipy, and it imports it when called
+    # the runtime needs only numpy: not even the intervals load scipy
     found = run_python("-c", "import sys, shadowing.cli; "
                              "print(sorted(m for m in sys.modules "
                              "if m.split('.')[0] == 'scipy'))")
@@ -229,11 +229,30 @@ def test_cli_and_check_never_import_scipy(tmp_path, capsys):
     base = tmp_path / "traj"
     run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
         "--d", "0.02", "--n", "50", "--seed", "2", "--out", str(base))
-    check = run_python("-X", "importtime", "-m", "shadowing.cli", "check",
-                       "--traj", str(base), "--eps", "0.05")
-    assert check.returncode == 0
-    assert json.loads(check.stdout)["verdict"] == "Yes"
-    imported = [line for line in check.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert any("shadowing.experiment" in line for line in imported)
-    assert not any("scipy" in line for line in imported)
+    config = tmp_path / "dichotomy.json"
+    config.write_text(json.dumps({
+        "shadowing": {"trials": 3, "horizons": [20]},
+        "nonshadowing": {"trials": 3, "horizons": [10, 50]}}))
+    runs = {
+        "check": ["check", "--traj", str(base), "--eps", "0.05"],
+        "estimate": ["estimate", "--system", "doubling", "--y0", "0.3",
+                     "--d", "0.02", "--eps", "0.05", "--horizons", "10,50",
+                     "--trials", "3", "--out", str(tmp_path / "estimate")],
+        "dichotomy": ["dichotomy", "--config", str(config),
+                      "--out", str(tmp_path / "dichotomy")],
+        "attractor": ["attractor", "--trials", "3", "--horizons", "30,100",
+                      "--out", str(tmp_path / "attractor")],
+    }
+    for name, argv in runs.items():
+        done = run_python("-X", "importtime", "-m", "shadowing.cli", *argv)
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in done.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert done.returncode == 0, (name, done.stderr[-2000:])
+        assert "shadowing.experiment" in imported
+        assert not any(m.split(".")[0] == "scipy" for m in imported), name
+        if name == "check":
+            assert json.loads(done.stdout)["verdict"] == "Yes"
+    summary = json.loads((tmp_path / "estimate" / "summary.json").read_text())
+    assert all(0 <= h["ci_lo"] <= h["p_hat"] <= h["ci_hi"] <= 1
+               for h in summary["horizons"])

@@ -1,14 +1,18 @@
 """Monte Carlo estimation, reports and persistence."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import beta
 
 from shadowing import (DomainError, ExperimentConfig, InvariantViolation,
                        UsageError, clopper_pearson, emit, estimate_probability,
-                       run_attractor_experiment, run_dichotomy_experiment)
+                       nonshadow_lower_bound, run_attractor_experiment,
+                       run_dichotomy_experiment)
+from shadowing.cli import DEFAULT_DICHOTOMY
 from shadowing.experiment import (TrialOutcome, _aggregate, _run_trial,
                                   dichotomy_bound_curve, result_summary)
 
@@ -64,6 +68,114 @@ def test_clopper_pearson_reference_values():
 def test_clopper_pearson_rejects_bad_counts():
     with pytest.raises(DomainError):
         clopper_pearson(5, 4)
+    with pytest.raises(DomainError):
+        clopper_pearson(-1, 4)
+    with pytest.raises(DomainError):
+        clopper_pearson(0, -1)
+
+
+HALF_ALPHA = F(1, 40)
+
+
+def mass(n, p, ks):
+    """P_p(X in ks) for X ~ Binomial(n, p), as an exact Fraction."""
+    p = F(p)
+    return sum(math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in ks)
+
+
+def at_least(k, n, p):
+    if n - k < k:
+        return mass(n, p, range(k, n + 1))
+    return 1 - mass(n, p, range(k))
+
+
+def at_most(k, n, p):
+    return 1 - at_least(k + 1, n, p)
+
+
+def assert_certified(k, n):
+    """ci_lo is the largest double at or below the exact lower root,
+    ci_hi the smallest double at or above the exact upper root."""
+    lo, hi = clopper_pearson(k, n)
+    if k == 0:
+        assert lo == 0.0
+    else:
+        assert at_least(k, n, lo) <= HALF_ALPHA
+        assert at_least(k, n, math.nextafter(lo, 1)) > HALF_ALPHA
+    if k == n:
+        assert hi == 1.0
+    else:
+        assert at_most(k, n, hi) <= HALF_ALPHA
+        assert at_most(k, n, math.nextafter(hi, 0)) > HALF_ALPHA
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_clopper_pearson_ends_are_the_outer_doubles(kn):
+    assert_certified(*kn)
+
+
+def test_clopper_pearson_closed_form_ends():
+    # k = 0: (1 - hi)^n = 1/40; k = n: lo^n = 1/40
+    for n in (1, 2, 7, 200, 400):
+        assert_certified(0, n)
+        assert_certified(n, n)
+        assert clopper_pearson(0, n)[1] == pytest.approx(
+            1 - 40 ** (-1 / n), rel=1e-14)
+        assert clopper_pearson(n, n)[0] == pytest.approx(
+            40 ** (-1 / n), rel=1e-14)
+    assert clopper_pearson(0, 0) == (0.0, 1.0)
+
+
+def ulps_apart(x, y):
+    return abs(x - y) / math.ulp(max(x, y))
+
+
+def test_clopper_pearson_agrees_with_beta_quantiles():
+    # scipy 1.17.1 puts one end of this grid, the lower one at (66, 200),
+    # 7 ulps above the certified end; an end more than 4 ulps away must be
+    # scipy's error, on the inside of the exact interval
+    for n in (1, 2, 3, 5, 6, 10, 37, 100, 200, 400):
+        for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            lo, hi = clopper_pearson(k, n)
+            if k > 0:
+                ref = float(beta.ppf(0.025, k, n - k + 1))
+                assert ulps_apart(lo, ref) <= 16
+                if ulps_apart(lo, ref) > 4:
+                    assert at_least(k, n, ref) > HALF_ALPHA
+            if k < n:
+                ref = float(beta.ppf(0.975, k + 1, n - k))
+                assert ulps_apart(hi, ref) <= 16
+                if ulps_apart(hi, ref) > 4:
+                    assert at_most(k, n, ref) > HALF_ALPHA
+
+
+@pytest.mark.parametrize("k, n, scipy_hi", [
+    (0, 400, 0.00917980458366526),
+    (125, 200, 0.6922861517823592),
+    (10, 200, 0.09002753770135137),
+    (0, 200, 0.01827534035513624),
+])
+def test_clopper_pearson_upper_end_on_the_safe_side(k, n, scipy_hi):
+    # scipy 1.17.1's beta.ppf rounds these upper ends to nearest, 1-2 ulps
+    # inside the exact root: the interval it gives is too narrow
+    assert at_most(k, n, scipy_hi) > HALF_ALPHA
+    assert clopper_pearson(k, n)[1] > scipy_hi
+    assert_certified(k, n)
+
+
+@pytest.mark.parametrize("k, n, scipy_lo", [
+    (200, 200, 0.9817246596448638),
+    (396, 400, 0.9745951990926638),
+    (126, 400, 0.2697447150566541),
+    (10, 200, 0.024234165472108552),
+])
+def test_clopper_pearson_lower_end_on_the_safe_side(k, n, scipy_lo):
+    # the same rounding puts these lower ends one ulp above the exact root
+    assert at_least(k, n, scipy_lo) > HALF_ALPHA
+    assert clopper_pearson(k, n)[0] == math.nextafter(scipy_lo, 0)
+    assert_certified(k, n)
 
 
 # -- estimation -------------------------------------------------------------------
@@ -203,6 +315,32 @@ def test_dichotomy_bound_curve_diagnostics():
     assert all(b >= a for a, b in zip(lowers, lowers[1:]))
     assert diag["block_length"] == diag["cover_k"] + diag["tail_n"] + 1
     assert F(diag["eta_lo"]) > 0
+
+
+def test_dichotomy_bound_curve_is_the_exact_block_bound():
+    # the default rotation branch has L = 1231 and eta = 1/4: its first
+    # block starts to count at horizon 2461, where eta^L = 2^-2462 is below
+    # the smallest double
+    data = dict(DEFAULT_DICHOTOMY["nonshadowing"],
+                horizons=[500, 2460, 2461, 5000])
+    by_horizon, diag = dichotomy_bound_curve(ExperimentConfig.from_dict(data))
+    assert diag["block_length"] == 1231 and diag["eta_lo"] == "1/4"
+    curve = diag["nonshadow_bound_curve"]
+    assert [row["blocks"] for row in curve] == [0, 0, 1, 3]
+    for row in curve:
+        exact = nonshadow_lower_bound(F(1, 4), 1231, row["blocks"])
+        assert row["nonshadow_lower"] == float(exact)
+        assert by_horizon[row["horizon"]] == float(1 - exact)
+    # with L = 114, eta^L = 2^-228 is a double, but 1 - eta^L rounds to 1:
+    # the float formula 1 - (1 - eta^L)^k would read 0 here
+    small = config(d=F(1, 5), eps=F(1, 5), horizons=(500,), y0=(F(0),))
+    _, diag = dichotomy_bound_curve(small)
+    assert diag["block_length"] == 114
+    (row,) = diag["nonshadow_bound_curve"]
+    assert row["blocks"] == 3
+    assert row["nonshadow_lower"] == float(
+        nonshadow_lower_bound(F(1, 4), 114, 3)) > 0
+    assert 1 - (1 - 0.25 ** 114) ** 3 == 0.0
 
 
 def test_dichotomy_bound_skipped_for_doubling():

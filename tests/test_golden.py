@@ -2,11 +2,17 @@
 
 Criterion 9 compares a rerun with a rerun, so it cannot see a change of
 bytes between versions of the package. These digests were recorded with the
-all-``Fraction`` pipeline (numpy 2.4.6, scipy 1.17.1); any change to the
-arithmetic inside the sampler, the checker or the experiments must leave
-every one of them unchanged. ``p_hat`` and the Clopper-Pearson columns are
-floats from scipy, so another scipy version may legitimately move the
-``summary.json`` and ``curve.csv`` digests.
+all-``Fraction`` pipeline (numpy 2.4.6); any change to the arithmetic inside
+the sampler, the checker or the experiments must leave every one of them
+unchanged. ``p_hat`` is a quotient of two counts, and the Clopper-Pearson
+columns are certified doubles computed in the standard library
+(``shadowing.binomial``), so no library version moves these bytes.
+
+The ``summary.json``, ``curve.csv`` and ``report.json`` digests whose
+``ci_lo`` or ``ci_hi`` digits moved were re-recorded once, when the
+intervals stopped coming from scipy's ``beta.ppf``, which rounds to nearest,
+and became the outward-rounded exact ends; no other byte moved, and no
+``trials.csv`` or ``check`` digest changed.
 
 The attractor ``summary.json`` and ``report.json`` digests were re-recorded
 once, when the eight always-null dichotomy keys (``delta1``, ``eta_lo``,
@@ -29,7 +35,7 @@ EXPERIMENT_FILES = ("summary.json", "curve.csv", "trials.csv")
 GOLDEN = {
     "dichotomy": {
         "report.json":
-            "4d9366fe42fa1bb20186a619acb4f9110859a0fb3be977f696fa791f0d823eb3",
+            "e0ba83da04a14335f9ec56b7ec814f38a628412faf57bc011daa51b464a40fe2",
         "shadowing/summary.json":
             "882417d4e7e15890aca0731313205443a07f859e172602d46aa2bc91760b75e3",
         "shadowing/curve.csv":
@@ -37,29 +43,29 @@ GOLDEN = {
         "shadowing/trials.csv":
             "669f296ddfc081c704f658eff181a3c841952cc5c002ecfcc67277b299f5ccc5",
         "nonshadowing/summary.json":
-            "4ff3389c45c9231cc2ec27c131bcb32fa526ba488bf74ebb7c399db4b444c212",
+            "aec0e48f84d179201ac42538484f26946ba522348a3242c8087f7267844f437d",
         "nonshadowing/curve.csv":
-            "5b3fc5ac73fcb7c05e04d9602aa677d7ebc2ca701f495f796b3777944afb94bd",
+            "a04bd6df7ba025c476589a20f376d918fa78f1703805a5d5c24abcde70bf8c91",
         "nonshadowing/trials.csv":
             "298e72329da380aac2f0ca53601918990bb0ab5fd1eb1c442f947e72aa0cf242",
     },
     "tent": {
         "summary.json":
-            "ebac7ab9ee01bb34311b6f1551dd54b5f2a6c73a6bf23b9e828a207429e1747f",
+            "8e29e469488657bd096aff32bd40c0a64f3c8c594070b68733d5d67c4ec524fb",
         "curve.csv":
-            "018db222dad81d1bf7f989bc09e94877553b11ca4e9820c93e9c2fa3bb143a6d",
+            "614dfe2f9c475e6ef44d39b37ff3b2a6d5c9932a22b1f4df19de252b4816ce2e",
         "trials.csv":
             "c6fa979b0475bb6495d84dadb4752cfeb24b3be7c2c6e8672b6d50640d762c53",
     },
     "attractor": {
         "summary.json":
-            "0c38f893d6e61aad4c9129aa4f54ffa377bf051d1b766b87e6b4372e70deed45",
+            "18c4e3652785d69a802a2a20d2a350ad1de52aa12637be33ee5b38ed7aade405",
         "curve.csv":
-            "5469a3fa7350181e65935567b98a49d9f5c9c5b2f7e4493d0e6777cae5d57a6e",
+            "2ea1f81e94c3bcfda19e13890546d4c659ed78b089e0fa1048be33593df3c7c1",
         "trials.csv":
             "04d8e9bc0b480062f269f6007c7e63e86fc286963c30ab3c944edd3a37c5b607",
         "report.json":
-            "292301637c426fc418665b1cbe53ab08ed6f0c5922524d0a3c3027b50b668b9e",
+            "ac568b1c10741072e869aef56d3de71958e8c482d0bf26243f011a15874bf084",
     },
     "check": {
         "traj200.csv":
