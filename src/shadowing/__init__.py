@@ -2,11 +2,10 @@
 shadowing checks, Monte Carlo shadowing-probability experiments, and the
 constructive quantities behind the transitive-map dichotomy."""
 
-from .bounds import (CoverTime, DichotomyQuantities, EtaBracket,
-                     ProofQuantities, attractor_quantities,
-                     blocks_for_confidence, cover_time, delta_for_inclusion,
-                     dichotomy_quantities, eta, in_absorbing_band,
-                     nonshadow_lower_bound, tube_delta,
+from .bounds import (CoverTime, DichotomyQuantities, ProofQuantities,
+                     attractor_quantities, blocks_for_confidence, cover_time,
+                     delta_for_inclusion, dichotomy_quantities, eta,
+                     in_absorbing_band, nonshadow_lower_bound, tube_delta,
                      tube_probability_bound)
 from .enclosure import EnclosureSet, ball_set, intersect
 from .errors import (DomainError, EnclosureCapError, InvariantViolation,
@@ -18,12 +17,11 @@ from .experiment import (ExperimentConfig, ExperimentResult, HorizonStat,
 from .pseudotraj import (Provenance, Pseudotrajectory, exact_orbit, generate,
                          load_trajectory, save_trajectory, splice,
                          trial_stream, validate, worst_case_pseudotrajectory)
-from .shadowcheck import (BruteForceResult, ShadowVerdict, Verdict,
-                          brute_force_oracle, decide_horizons,
+from .shadowcheck import (ShadowVerdict, Verdict, decide_horizons,
                           decide_shadowable, first_empty_step, orbit_tracks,
                           rotation_oracle, rotation_first_failure,
                           shadow_set_forward)
-from .spaces import Point, Space, annulus, circle, interval, parse_space
+from .spaces import Point, Space, annulus, circle, interval
 from .systems import (AnnulusSpiral, PiecewiseLinearMap, annulus_spiral,
                       doubling, orbit, parse_system, pwl, rotation, tent)
 

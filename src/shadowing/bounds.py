@@ -49,25 +49,7 @@ def tube_delta(system, d, eps) -> Fraction:
     return min(frac(eps) / 4, delta_for_inclusion(system, d))
 
 
-@dataclass(frozen=True)
-class EtaBracket:
-    """The ball-measure ratio as a bracket ``lo <= eta <= hi``; every space
-    has a closed form, so ``lo == hi``. ``value`` is the lower end, which
-    keeps every probability lower bound valid."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def value(self) -> Fraction:
-        return self.lo
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-
-def eta(space: Space, delta, d) -> EtaBracket:
+def eta(space: Space, delta, d) -> Fraction:
     """Ratio of the smallest delta-ball measure to the largest d-ball measure.
 
     A ball truncated to the space is a radial segment crossed with an arc.
@@ -93,7 +75,7 @@ def eta(space: Space, delta, d) -> EtaBracket:
         width = 2 * space.w
         value = (min(delta, width) * min(2 * delta, one)
                  / (min(2 * d, width) * min(2 * d, one)))
-    return EtaBracket(value, value)
+    return value
 
 
 def tube_probability_bound(eta_value, length: int) -> Fraction:
@@ -120,7 +102,10 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     k1 is the first time by which the orbit has entered every open
     delta1-ball of the net; k2 repeats the search restarted at step k1 + 1;
     k = k1 + k2 + 1. Fails loudly, naming an unvisited ball, if the horizon
-    is exhausted (finite arithmetic cannot certify transitivity).
+    is exhausted (finite arithmetic cannot certify transitivity) or the
+    orbit is seen to cycle: a scan keeps its point at each power-of-two
+    step (Brent, *BIT* 20, 1980), and a return to it means that only
+    points already scanned follow.
 
     Every orbit point from step 1 on lies in the image f(X) of the whole
     space, which is computed exactly first: a net ball whose closure f(X)
@@ -143,16 +128,22 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
 
     def scan(start_point, budget):
         unvisited = set(range(len(centers)))
-        p = start_point
+        p = saved = start_point
+        cycle = ""
         for n in range(budget + 1):
             unvisited.difference_update(space.net_neighbors(p, delta1))
             if not unvisited:
                 return n, p
             p = system.apply(p)
+            if p == saved:
+                cycle = f"; it cycles by step {n + 1}, so it never will"
+                break
+            if n & (n + 1) == 0:  # keep the point at each power-of-two step
+                saved = p
         i = min(unvisited)
         raise SearchFailure(
             f"orbit never entered the open {delta1}-ball around net center "
-            f"{centers[i]} within {budget} steps",
+            f"{centers[i]} within {budget} steps{cycle}",
             target=centers[i], radius=delta1, horizon=budget)
 
     k1, p = scan(point, horizon)
@@ -181,10 +172,13 @@ def blocks_for_confidence(eta_value, block_length: int, confidence) -> int:
     confidence = frac(confidence)
     if not 0 < confidence < 1:
         raise DomainError("confidence must lie in (0, 1)")
-    miss = 1 - eta_value ** block_length
-    if miss == 0:
+    tube = eta_value ** block_length
+    if tube == 1:
         return 1
-    return math.ceil(math.log(1 - confidence) / math.log(miss))
+    log_miss = math.log1p(-float(tube))  # 1 - eta^L may round to 1.0
+    if log_miss == 0:
+        raise DomainError(f"eta^L = ({eta_value})^{block_length} underflows")
+    return math.ceil(math.log(1 - confidence) / log_miss)
 
 
 class _Record:
@@ -197,9 +191,9 @@ class _Record:
 @dataclass(frozen=True)
 class DichotomyQuantities(_Record):
     """Constructive quantities of the transitive-map branch: the tube
-    radius delta, the net radius delta1 = delta/4, eta (its closed form at
-    both ends of the bracket), the cover time and, on a rotation, the drift
-    tail N and the block length L = K + N + 1. A value that was not
+    radius delta, the net radius delta1 = delta/4, eta (exact, in both
+    ``eta_lo`` and ``eta_hi``), the cover time and, on a rotation, the
+    drift tail N and the block length L = K + N + 1. A value that was not
     computed is None."""
 
     delta: Fraction
@@ -218,8 +212,8 @@ def dichotomy_quantities(system, d, eps=None, y0=None,
     """Quantities behind the block bound 1 - (1 - eta^L)^k.
 
     delta is tube_delta(d, eps) when eps is given, else
-    delta_for_inclusion(d). eta is the closed form of ``eta`` on every
-    space, so ``eta_lo == eta_hi``. The cover time needs a start point y0
+    delta_for_inclusion(d). eta is the exact value of ``eta``, written to
+    both ``eta_lo`` and ``eta_hi``. The cover time needs a start point y0
     (and searches ``cover_horizon`` steps); the drift tail and the block
     length need a rotation and eps < 1/4, the range of the drift
     construction (and y0 for L).
@@ -227,8 +221,7 @@ def dichotomy_quantities(system, d, eps=None, y0=None,
     delta = (delta_for_inclusion(system, d) if eps is None
              else tube_delta(system, d, eps))
     delta1 = delta / 4
-    bracket = eta(system.space, delta, d)
-    q = {"eta_lo": bracket.lo, "eta_hi": bracket.hi}
+    q = dict.fromkeys(("eta_lo", "eta_hi"), eta(system.space, delta, d))
     if y0 is not None:
         cov = cover_time(system, y0, delta1, cover_horizon)
         q["cover_k1"], q["cover_k2"], q["cover_k"] = cov

@@ -14,7 +14,8 @@ class SearchFailure(RuntimeError):
     """An orbit search exhausted its horizon before reaching its target.
 
     ``target`` is the point whose neighborhood was never visited, ``radius``
-    the neighborhood radius, ``horizon`` the number of steps scanned.
+    the neighborhood radius, ``horizon`` the steps ruled out (all of them
+    once the orbit is seen to cycle).
     """
 
     def __init__(self, message, target=None, radius=None, horizon=None):

@@ -231,13 +231,15 @@ def dichotomy_bound_curve(config: ExperimentConfig) -> tuple[dict, dict]:
     shadows is then at most (1 - eta^L)^k, evaluated exactly by
     ``bounds.nonshadow_lower_bound`` and rounded to a float only when
     written. Returns (bound by horizon, diagnostics): the quantities record
-    plus the bound curve.
+    plus the bound curve, or the record alone where eps >= 1/4 leaves no L.
     """
     system = config.system
     if system.kind != "rotation":
         return {}, {}
     q = bounds_mod.dichotomy_quantities(system, config.d, config.eps,
                                         config.y0)
+    if q.block_length is None:
+        return {}, q.to_json()
     by_horizon = {}
     curve = []
     for m in config.horizons:
@@ -257,14 +259,15 @@ def run_dichotomy_experiment(config_shadowing: ExperimentConfig,
 
     The first config should exhibit p_hat near 1 at every horizon, the
     second a decay of p_hat toward 0; the rotation branch report includes
-    the theoretical block bound for comparison.
+    the theoretical block bound. It is computed first, so a failing cover
+    search ends the run before any trial.
     """
+    bound_by_h, diag = (dichotomy_bound_curve(config_nonshadowing)
+                        if with_bound_curve else ({}, {}))
     res_a = estimate_probability(config_shadowing, workers)
     res_b = estimate_probability(config_nonshadowing, workers)
-    if with_bound_curve:
-        bound_by_h, diag = dichotomy_bound_curve(config_nonshadowing)
-        if bound_by_h:
-            res_b = res_b.with_bounds(bound_by_h, diag)
+    if diag:
+        res_b = res_b.with_bounds(bound_by_h, diag)
     report = {
         "shadowing_branch": result_summary(res_a),
         "nonshadowing_branch": result_summary(res_b),

@@ -69,12 +69,6 @@ class Pseudotrajectory:
         self.provenance = provenance
         self._points = None
 
-    @classmethod
-    def from_scaled(cls, points: ScaledPoints, d: Fraction,
-                    provenance: Provenance) -> "Pseudotrajectory":
-        """The trajectory of lattice points, held as they are."""
-        return cls(points, d, provenance)
-
     @property
     def points(self) -> tuple:
         if self._points is None:
@@ -196,8 +190,8 @@ def generate(system, y0: Point, d, n: int, rng,
     walk = LatticeWalk(system, y0, d, n, rng)
     for _ in walk:
         pass
-    return Pseudotrajectory.from_scaled(walk.taken, walk.d,
-                                        provenance or Provenance("random"))
+    return Pseudotrajectory(walk.taken, walk.d,
+                            provenance or Provenance("random"))
 
 
 def exact_orbit(system, x0: Point, n: int) -> Pseudotrajectory:
@@ -320,7 +314,7 @@ def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
             _scaled_row(row[1:1 + ncoords]) for row in reader)
     prov = Provenance(sidecar.get("provenance", "loaded"),
                       sidecar.get("seed"), sidecar.get("trial"))
-    traj = Pseudotrajectory.from_scaled(points, Fraction(sidecar["d"]), prov)
+    traj = Pseudotrajectory(points, Fraction(sidecar["d"]), prov)
     return traj, sidecar["system"]
 
 

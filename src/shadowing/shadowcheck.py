@@ -17,9 +17,8 @@ A_n meets the ball around y_{n+1} and only the result is normalized.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
-Two independent oracles cross-check the propagation: a closed-form span
-criterion for rotations and a brute-force grid search over candidate
-initial points.
+A closed-form span criterion for rotations cross-checks the propagation;
+the tests keep a float grid search of their own (``tests/grid_oracle.py``).
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, EnclosureCapError, UsageError
 from .pseudotraj import Pseudotrajectory
 from .rationals import frac
 from .spaces import ScaledPoints, scaled_point, signed_circ_diff
-from .systems import AnnulusSpiral, PiecewiseLinearMap
 
 
 class Verdict(str, Enum):
@@ -241,7 +237,7 @@ def rotation_deviations(system, points) -> list:
     """
     if system.kind != "rotation":
         raise UsageError("deviation lift is defined for rotations")
-    w = [Fraction(0) if isinstance(points[0][0], Fraction) else 0.0]
+    w = [Fraction(0)]
     for a, b in zip(points[1:], points):
         w.append(w[-1] + signed_circ_diff(a[0], b[0] + system.alpha))
     return w
@@ -278,89 +274,3 @@ def _check_oracle_region(traj, eps):
     if traj.d >= Fraction(1, 4):
         raise DomainError("rotation oracle requires step bound below 1/4")
 
-
-# -- brute-force grid oracle ----------------------------------------------
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    """Outcome of the grid search over candidate initial points.
-
-    ``found`` grants each candidate a slack of lipschitz^n * resolution at
-    step n (so a true witness is never missed); ``strict`` reports whether
-    some candidate passed with zero slack.
-    """
-
-    found: bool
-    strict: bool
-    candidate: float | None
-    max_slack: float
-
-    def __bool__(self) -> bool:
-        return self.found
-
-
-def _apply_array(system, xs: np.ndarray) -> np.ndarray:
-    if isinstance(system, PiecewiseLinearMap):
-        bps = np.array([float(b) for b in system.breakpoints])
-        slopes = np.array([float(s) for s in system.slopes])
-        values = np.array([float(v) for v in system._values[:-1]])
-        idx = np.clip(np.searchsorted(bps, xs, side="right") - 1,
-                      0, len(slopes) - 1)
-        out = values[idx] + slopes[idx] * (xs - bps[idx])
-        return out % 1.0 if system.space.kind == "circle" else out
-    raise UsageError("grid oracle supports one-dimensional maps only")
-
-
-def _dist_array(system, xs: np.ndarray, y: float) -> np.ndarray:
-    if system.space.kind == "circle":
-        t = np.abs((xs - y) % 1.0)
-        return np.minimum(t, 1.0 - t)
-    return np.abs(xs - y)
-
-
-def brute_force_oracle(system, traj: Pseudotrajectory, eps,
-                       grid_resolution) -> BruteForceResult:
-    """Grid search for a shadowing initial point, with growing slack.
-
-    Candidates are the grid of spacing ``grid_resolution`` over the closed
-    eps-ball around y_0 (endpoints included, so halving the resolution
-    refines the grid in place). Intended as a statistical cross-check for
-    short horizons on one-dimensional spaces.
-    """
-    if grid_resolution <= 0:
-        raise DomainError("grid resolution must be positive")
-    if isinstance(system, AnnulusSpiral):
-        raise UsageError("grid oracle supports one-dimensional maps only")
-    eps_f = float(eps)
-    res = float(grid_resolution)
-    y = [float(p[0]) for p in traj.points]
-    lo = y[0] - eps_f
-    k = math.floor(2 * eps_f / res)
-    grid = lo + res * np.arange(k + 1)
-    if grid[-1] < y[0] + eps_f:
-        grid = np.append(grid, y[0] + eps_f)
-    if system.space.kind == "circle":
-        grid = grid % 1.0
-    else:
-        grid = np.clip(grid, 0.0, 1.0)
-    lip = float(system.lipschitz)
-
-    alive = np.ones(grid.shape, dtype=bool)
-    strict_alive = alive.copy()
-    xs = grid.copy()
-    slack = res
-    max_slack = 0.0
-    for n, yn in enumerate(y):
-        if n > 0:
-            xs = _apply_array(system, xs)
-            slack = min(slack * lip, 1.0)
-        dist = _dist_array(system, xs, yn)
-        max_slack = max(max_slack, min(slack, 1.0))
-        alive &= dist <= eps_f + slack
-        strict_alive &= dist <= eps_f
-        if not alive.any():
-            break
-    found = bool(alive.any())
-    candidate = float(grid[int(np.argmax(alive))]) if found else None
-    return BruteForceResult(found, bool(strict_alive.any()), candidate,
-                            max_slack)

@@ -354,27 +354,3 @@ def interval() -> Space:
 def annulus(w) -> Space:
     return Space("annulus", frac(w))
 
-
-def parse_space(text: str) -> Space:
-    """Parse a space spec: ``circle``, ``interval`` or ``annulus:w=<float>``."""
-    s = text.strip()
-    if s == "circle":
-        return circle()
-    if s == "interval":
-        return interval()
-    if s.startswith("annulus:"):
-        params = _parse_params(s[len("annulus:"):])
-        if set(params) != {"w"}:
-            raise UsageError(f"annulus space takes exactly w=..., got {text!r}")
-        return annulus(params["w"])
-    raise UsageError(f"unknown space spec {text!r}")
-
-
-def _parse_params(body: str) -> dict:
-    out = {}
-    for part in body.split(","):
-        if "=" not in part:
-            raise UsageError(f"malformed parameter {part!r}")
-        key, _, value = part.partition("=")
-        out[key.strip()] = frac(value)
-    return out

@@ -12,7 +12,7 @@ from scipy.stats import binomtest, chisquare
 import numpy as np
 
 from shadowing import (ExperimentConfig, annulus_spiral, blocks_for_confidence,
-                       brute_force_oracle, circle, decide_shadowable,
+                       circle, decide_shadowable,
                        delta_for_inclusion, doubling, estimate_probability,
                        eta, exact_orbit, generate, in_absorbing_band, interval,
                        nonshadow_lower_bound, orbit, rotation,
@@ -20,6 +20,8 @@ from shadowing import (ExperimentConfig, annulus_spiral, blocks_for_confidence,
                        run_dichotomy_experiment, trial_stream, validate)
 from shadowing.bounds import attractor_quantities, tube_probability_bound
 from shadowing.pseudotraj import Provenance
+
+from grid_oracle import brute_force_oracle
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -117,7 +119,7 @@ def test_criterion_4_tube_probability_bound():
     # stated numeric floor 0.001; one-sided binomial non-rejection at 0.001
     assert binomtest(hits, trials, 0.001, alternative="less").pvalue >= 0.001
     # the sharp bound eta^3 with eta = mu(B(delta))/mu(B(d)) = 1/4 also holds
-    sharp = tube_probability_bound(eta(circle(), delta, d).value, length)
+    sharp = tube_probability_bound(eta(circle(), delta, d), length)
     assert sharp == F(1, 64)
     assert binomtest(hits, trials, float(sharp),
                      alternative="less").pvalue >= 0.001
@@ -128,13 +130,10 @@ def test_criterion_4_tube_probability_bound():
 
 
 def test_criterion_5_eta_closed_form_and_bracket():
-    br = eta(circle(), F(1, 100), F(1, 10))
-    assert br.exact and br.value == F(1, 10)
-    ivl = eta(interval(), F(1, 100), F(1, 10))
-    assert ivl.lo <= F(1, 20) <= ivl.hi
-    assert ivl.hi - ivl.lo <= F(1, 200)
-    print(f"\nPASS criterion 5: circle eta = 1/10 exact; interval bracket "
-          f"[{ivl.lo}, {ivl.hi}] contains 1/20, width <= 1/200")
+    assert eta(circle(), F(1, 100), F(1, 10)) == F(1, 10)
+    assert eta(interval(), F(1, 100), F(1, 10)) == F(1, 20)
+    print("\nPASS criterion 5: circle eta = 1/10 and interval eta = 1/20, "
+          "both exact")
 
 
 def test_criterion_6_block_bound_arithmetic():

@@ -1,6 +1,7 @@
 """Constructive quantities: inclusion radius, eta, cover times, block bounds,
 absorbing-band data."""
 
+import math
 import time
 from fractions import Fraction as F
 
@@ -53,7 +54,7 @@ def _probe_arrays(system, d, n, seed):
         fzr, fzt = apply(zr, zt)
         tt = np.abs((yt - fzt) % 1.0)
         return np.maximum(np.abs(yr - fzr), np.minimum(tt, 1.0 - tt))
-    from shadowing.shadowcheck import _apply_array
+    from grid_oracle import _apply_array
     if system.space.kind == "circle":
         x = rng.random(n)
         z = (x + rng.uniform(-delta, delta, n)) % 1.0
@@ -100,22 +101,19 @@ def test_delta_inclusion_probe_oracle_exact(system, d):
 # -- eta -----------------------------------------------------------------------
 
 def test_eta_circle_closed_form():
-    br = eta(circle(), F(1, 100), F(1, 10))
-    assert br.exact and br.value == F(1, 10)
-    assert eta(circle(), F(1, 10), F(1, 10)).value == 1
+    assert eta(circle(), F(1, 100), F(1, 10)) == F(1, 10)
+    assert eta(circle(), F(1, 10), F(1, 10)) == 1
 
 
 def test_eta_interval_bracket_contains_analytic_value():
     # end ball: delta; largest: 2d
-    br = eta(interval(), F(1, 100), F(1, 10))
-    assert br.exact and br.value == F(1, 20)
+    assert eta(interval(), F(1, 100), F(1, 10)) == F(1, 20)
 
 
 def test_eta_annulus_bracket_contains_analytic_value():
     # corner ball: radial delta, angular 2*delta; largest: radial 2d by 2d
-    br = eta(annulus(F(1, 2)), F(1, 100), F(1, 10))
     analytic = (F(1, 100) * F(2, 100)) / (F(2, 10) * F(2, 10))
-    assert br.exact and br.value == analytic
+    assert eta(annulus(F(1, 2)), F(1, 100), F(1, 10)) == analytic
 
 
 def net_bracket(space, delta, d, h):
@@ -149,7 +147,7 @@ ETA_CASES = {  # space, delta, d, net radius
 def test_eta_closed_form_lies_in_the_net_bracket(case):
     space, delta, d, h = ETA_CASES[case]
     lo, hi = net_bracket(space, delta, d, h)
-    assert lo <= eta(space, delta, d).value <= hi
+    assert lo <= eta(space, delta, d) <= hi
 
 
 def test_eta_rejects_bad_arguments():
@@ -185,7 +183,7 @@ def _tube_frequency_vectorized(alpha, d, delta, length, trials, seed):
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
 def test_tube_frequency_beats_bound_vectorized(length):
     d, delta = F(1, 10), delta_for_inclusion(ROT, F(1, 10))
-    bound = tube_probability_bound(eta(circle(), delta, d).value, length)
+    bound = tube_probability_bound(eta(circle(), delta, d), length)
     trials = 100_000
     hits = _tube_frequency_vectorized(float(ROT.alpha), float(d),
                                       float(delta), length, trials, 502)
@@ -205,7 +203,7 @@ def test_tube_frequency_with_real_generator():
         if all(ROT.space.dist(z, p) < delta
                for z, p in zip(traj.points[1:], anchor.points[1:])):
             hits += 1
-    bound = tube_probability_bound(eta(circle(), delta, d).value, length)
+    bound = tube_probability_bound(eta(circle(), delta, d), length)
     assert binomtest(hits, trials, float(bound),
                      alternative="less").pvalue >= 0.001
     # point estimate near (delta/d)^3 = 1/64
@@ -277,6 +275,24 @@ def test_cover_time_refuses_a_net_ball_outside_the_image(capsys):
     assert "Fraction(1503, 2000)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system,d,y0,repeat", [
+    # 3/10 -> 3/5 -> 1/5 -> 2/5 -> 4/5 -> 3/5: step 8 repeats step 4
+    ("doubling", "0.02", "0.3", "it cycles by step 8,"),
+    # period 987 on the multiples of 1/987; delta1 = 1/4000 falls between
+    # them, and step 2011 repeats step 1024
+    ("rotation:alpha=610/987", "0.004", "0", "it cycles by step 2011,"),
+])
+def test_cover_time_stops_on_an_eventually_periodic_orbit(capsys, system, d,
+                                                          y0, repeat):
+    # both searches used to run all 10**6 steps before failing
+    start = time.perf_counter()
+    assert main(["bounds", "--system", system, "--d", d, "--eps", "0.05",
+                 "--y0", y0]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "within 1000000 steps" in err and repeat in err
+
+
 # -- block bound --------------------------------------------------------------------
 
 def test_nonshadow_lower_bound_exact_value():
@@ -298,6 +314,16 @@ def test_blocks_for_confidence_reaches_target():
     k = blocks_for_confidence(F(1, 2), 2, F(99, 100))
     assert nonshadow_lower_bound(F(1, 2), 2, k) >= F(99, 100)
     assert nonshadow_lower_bound(F(1, 2), 2, k - 1) < F(99, 100)
+
+
+def test_blocks_for_confidence_refuses_an_underflowing_tube_bound():
+    # 1 - 4^-40 rounds to 1.0 in floats, which once divided by log(1.0) = 0;
+    # k is about log(2) 4^40, the first k with (1 - 4^-40)^k <= 1/2
+    k = blocks_for_confidence(F(1, 4), 40, F(1, 2))
+    assert abs(k - math.log(2) * 4 ** 40) <= 1e-9 * k
+    # at the shipped rotation block length 4^-1231 underflows a float
+    with pytest.raises(DomainError, match="underflows"):
+        blocks_for_confidence(F(1, 4), 1231, F(1, 2))
 
 
 # -- absorbing band -------------------------------------------------------------------

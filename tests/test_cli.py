@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -164,6 +165,45 @@ def test_dichotomy_with_config(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["shadowing_branch"]["horizons"][0]["p_hat"] == 1.0
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_dichotomy_bound_fails_before_any_trial(tmp_path, capsys):
+    # at d = 0.004 the rotation orbit of 0 is periodic on the multiples of
+    # 1/987 and misses net balls of radius 1/4000: the cover search fails,
+    # and it ran all 10**6 steps after every trial had run
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({"nonshadowing": {"d": "0.004"}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dichotomy", "--config", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "it cycles by step 2011, so it never will" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_dichotomy_without_a_block_length(tmp_path, capsys):
+    # eps >= 1/4 lies outside the drift construction: no block length, no
+    # bound, and the diagnostics are still the bounds record
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({
+        "shadowing": {"trials": 2, "horizons": [10]},
+        "nonshadowing": {"eps": "0.3", "trials": 4, "horizons": [10, 30]}}))
+    code, out, _ = run(capsys, "dichotomy", "--config", str(cfg),
+                       "--out", str(tmp_path / "run"))
+    assert code == 0
+    branch = json.loads(out)["nonshadowing_branch"]
+    assert [h["bound"] for h in branch["horizons"]] == [None, None]
+    curve = (tmp_path / "run" / "nonshadowing" / "curve.csv").read_text()
+    assert all(line.endswith(",") for line in curve.splitlines()[1:])
+    code, record, _ = run(capsys, "bounds", "--system",
+                          "rotation:alpha=610/987", "--d", "0.02",
+                          "--eps", "0.3", "--y0", "0")
+    record = json.loads(record)
+    for key in ("d", "eps", "lipschitz"):
+        del record[key]
+    assert branch["diagnostics"] == record
+    assert "block_length" not in record
 
 
 def test_attractor_cli(tmp_path, capsys):

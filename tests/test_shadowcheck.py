@@ -6,7 +6,7 @@ import pytest
 
 from shadowing import enclosure, shadowcheck
 from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
-                       ball_set, brute_force_oracle, decide_horizons,
+                       ball_set, decide_horizons,
                        decide_shadowable, doubling,
                        exact_orbit, first_empty_step, generate,
                        load_trajectory, orbit, rotation,
@@ -14,6 +14,8 @@ from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
                        save_trajectory, shadow_set_forward, trial_stream,
                        worst_case_pseudotrajectory)
 from shadowing.pseudotraj import Pseudotrajectory, Provenance
+
+from grid_oracle import brute_force_oracle
 
 ROT = rotation(F(610, 987))
 DBL = doubling()

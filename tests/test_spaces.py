@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from shadowing import (DomainError, UsageError, annulus, circle, interval,
-                       parse_space, trial_stream)
+from shadowing import (DomainError, UsageError, Space, annulus, circle,
+                       interval, trial_stream)
 from shadowing.spaces import circ_dist, signed_circ_diff
 
 SPACES = [circle(), interval(), annulus(F(1, 2))]
@@ -214,17 +214,15 @@ def test_epsilon_net_covers(space, delta1):
         assert min(space.dist_over(q, c, scale) for c in grid) < bound, p
 
 
-def test_parse_space_grammar():
-    assert parse_space("circle") == circle()
-    assert parse_space("interval") == interval()
-    assert parse_space("annulus:w=0.5") == annulus(F(1, 2))
-    assert parse_space("annulus:w=1/3").w == F(1, 3)
-    with pytest.raises(UsageError):
-        parse_space("torus")
-    with pytest.raises(UsageError):
-        parse_space("annulus:width=0.5")
+def test_annulus_needs_a_positive_half_width():
+    assert annulus("1/3").w == F(1, 3)
+    for w in (0, F(-1, 2)):
+        with pytest.raises(DomainError):
+            annulus(w)
     with pytest.raises(DomainError):
-        parse_space("annulus:w=0")
+        Space("annulus")
+    with pytest.raises(UsageError):
+        Space("torus")
 
 
 @pytest.mark.parametrize("space", SPACES, ids=ids)
