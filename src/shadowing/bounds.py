@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .enclosure import ball_set, intersect
 from .errors import DomainError, SearchFailure, UsageError
 from .pseudotraj import worst_case_pseudotrajectory
-from .rationals import frac, jsonable
+from .rationals import frac, jsonable, point_text
 from .spaces import Space
 from .systems import AnnulusSpiral
 
@@ -123,8 +123,9 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
             if intersect(image, ball_set(space, c, delta1)).is_empty():
                 raise SearchFailure(
                     f"the image of the space misses the open {delta1}-ball "
-                    f"around net center {c}, so no orbit point after the "
-                    "first can enter it", target=c, radius=delta1, horizon=0)
+                    f"around net center {point_text(c)}, so no orbit point "
+                    "after the first can enter it",
+                    target=c, radius=delta1, horizon=0)
 
     def scan(start_point, budget):
         unvisited = set(range(len(centers)))
@@ -143,7 +144,7 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
         i = min(unvisited)
         raise SearchFailure(
             f"orbit never entered the open {delta1}-ball around net center "
-            f"{centers[i]} within {budget} steps{cycle}",
+            f"{point_text(centers[i])} within {budget} steps{cycle}",
             target=centers[i], radius=delta1, horizon=budget)
 
     k1, p = scan(point, horizon)

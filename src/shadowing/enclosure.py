@@ -256,26 +256,27 @@ class EnclosureSet:
 
     def contains(self, point) -> bool:
         if self.unit == 1:
-            return _contains(self.space.kind, self.nums, point, 1)
+            return _contains(self.space.kind, self.nums, point, 1, (0, 0))
         nums, scale = scaled_point(point)
         return self.first_inside([nums], scale) is not None
 
     def first_inside(self, points, scale):
         """The first of ``points`` (tuples of numerators over ``scale``)
-        that lies in this set, or None. With scale and unit 1 the points
-        and fragments are the values themselves."""
-        frags, unit = self.nums, self.unit
-        if scale % unit:
-            common = math.lcm(scale, unit)
-            factor = common // scale
-            lifted = [tuple(c * factor for c in p) for p in points]
-            frags, scale = _lift(frags, common // unit), common
-        else:
-            lifted = points
-            frags = _lift(frags, scale // unit)
-        kind = self.space.kind
-        for p, q in zip(points, lifted):
-            if _contains(kind, frags, q, scale):
+        that lies in this integer set, or None.
+
+        A coordinate c is read over the set's unit as floor(c * unit /
+        scale), marked short when the division leaves a remainder (the
+        value then lies strictly inside the next lattice cell), so the
+        fragments are compared as they are: none is lifted to the points'
+        scale."""
+        frags, unit, kind = self.nums, self.unit, self.space.kind
+        for p in points:
+            floors, shorts = [], []
+            for c in p:
+                f, rem = divmod(c * unit, scale)
+                floors.append(f)
+                shorts.append(1 if rem else 0)
+            if _contains(kind, frags, floors, unit, shorts):
                 return p
         return None
 
@@ -321,17 +322,29 @@ class EnclosureSet:
                             self.unit // g)
 
 
-def _contains(kind, frags, point, unit) -> bool:
+def _contains(kind, frags, point, unit, shorts) -> bool:
+    """Whether point, numerators over unit, lies in the fragments. A
+    coordinate whose ``shorts`` entry is 1 stands for a value strictly
+    between it and the next integer, which stays at or below an integer
+    end e only if the coordinate is at most e - 1."""
     if kind == "circle":
-        x = point[0]
+        x, short = point[0], shorts[0]
         for s, l in frags:
-            if (x - s) % unit <= l:
+            if (x - s) % unit <= l - short:
                 return True
         return False
     if kind == "interval":
-        return any(lo <= point[0] <= hi for lo, hi in frags)
-    return any(rlo <= point[0] <= rhi and (point[1] - s) % unit <= l
-               for rlo, rhi, s, l in frags)
+        x, short = point[0], shorts[0]
+        for lo, hi in frags:
+            if lo <= x <= hi - short:
+                return True
+        return False
+    r, theta = point
+    r_short, theta_short = shorts
+    for rlo, rhi, s, l in frags:
+        if rlo <= r <= rhi - r_short and (theta - s) % unit <= l - theta_short:
+            return True
+    return False
 
 
 def make(space: Space, fragments) -> EnclosureSet:

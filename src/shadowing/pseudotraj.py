@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, SearchFailure, UsageError
-from .rationals import frac, jsonable
+from .rationals import frac, jsonable, point_text
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
 from .systems import orbit
 
@@ -239,8 +239,8 @@ def splice(system, r: Point, z0: Point, tail: Pseudotrajectory, delta1,
     else:
         missing = z0 if n1 is None else target
         raise SearchFailure(
-            f"transit orbit never entered the {bound}-ball around {missing} "
-            f"within {horizon} steps",
+            f"transit orbit never entered the {bound}-ball around "
+            f"{point_text(missing)} within {horizon} steps",
             target=missing, radius=bound, horizon=horizon)
 
     segment = orbit(system, r, n2)[n1:n2]

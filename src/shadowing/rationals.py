@@ -42,6 +42,11 @@ def parse_point(text) -> tuple:
     return tuple(frac(part) for part in s.split(","))
 
 
+def point_text(point) -> str:
+    """A point's coordinates as 'a/b' strings, for messages: '(3/10, 0)'."""
+    return "(" + ", ".join(str(frac(c)) for c in point) + ")"
+
+
 def jsonable(value):
     """Recursively convert Fractions to 'a/b' strings for JSON output."""
     if isinstance(value, Fraction):

@@ -14,6 +14,13 @@ common denominator, the scale (see ``shadow_sets``); Fractions
 appear only in the witness and when a caller reads a set's ``fragments``.
 A propagation step puts one set in normal form: the map's raw image of
 A_n meets the ball around y_{n+1} and only the result is normalized.
+A pull-back step takes the preimages of its point on a scale that grows
+by the slope numerators, and reads each on the shadow set's own unit by
+one division (``EnclosureSet.first_inside``), so no fragment is lifted to
+the growing scale. A re-check step applies the map on the integer lattice
+and compares the orbit point with the trajectory point by
+cross-multiplying their scales (``orbit_tracks``): no gcd, no table and
+no lifted point.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
@@ -127,32 +134,29 @@ def shadow_set_forward(system, traj: Pseudotrajectory,
 def orbit_tracks(system, points, x0, eps) -> bool:
     """Direct re-check: does the orbit of x0 stay within eps of points.
 
-    On ``ScaledPoints`` the orbit runs on the integer lattice, compared
-    with each point over the lcm of the two scales and den(eps)."""
+    The orbit runs on the integer lattice (``apply_scaled``) from x0 over
+    the lcm of its denominator and the map's lattice base. Point n, over
+    its scale s, is compared with the orbit point over z_scale * s *
+    den(eps), by cross-multiplying: no step takes a gcd or builds a lifted
+    point. ``Fraction`` points are put on scales first."""
     space = system.space
     if not isinstance(points, ScaledPoints):
-        z = space.canonical(x0)
-        for y in points:
-            if space.dist(z, y) > eps:
-                return False
-            z = system.apply(z)
-        return True
+        points = ScaledPoints.from_points(points)
     eps = frac(eps)
     eps_num, eps_den = eps.numerator, eps.denominator
     z, z_scale = scaled_point(space.canonical(x0))
     start = math.lcm(z_scale, system.lattice_base)
     z, z_scale = tuple(c * (start // z_scale) for c in z), start
+    apply, beyond = system.apply_scaled, space.beyond
     key = None
     for y, s in zip(points.nums, points.scales):
         if key != (z_scale, s):
             key = (z_scale, s)
-            unit = math.lcm(z_scale, s, eps_den)
-            z_lift, y_lift = unit // z_scale, unit // s
-            e = eps_num * (unit // eps_den)
-        if space.dist_over(tuple(c * z_lift for c in z),
-                           tuple(c * y_lift for c in y), unit) > e:
+            z_lift, y_lift = s * eps_den, z_scale * eps_den
+            common, bound = z_scale * z_lift, eps_num * z_scale * s
+        if beyond(z, z_lift, y, y_lift, common, bound):
             return False
-        z, z_scale = system.apply_scaled(z, z_scale)
+        z, z_scale = apply(z, z_scale)
     return True
 
 
@@ -163,8 +167,10 @@ def pull_back_witness(system, sets, m):
     set is kept. Returns None if some pull-back step finds no preimage in
     the set, which exact sets rule out (A_n lies in the image of A_{n-1}).
 
-    The sets' integer fragments are pulled back on the lattice and only
-    the witness is turned into Fractions."""
+    A step is the map's ``preimages_scaled``, whose scale grows by the
+    slope numerators, and ``first_inside``, which reads each candidate
+    over A_n's own unit by one division; only the witness is turned into
+    Fractions."""
     x, scale = sets[m].pick_scaled()
     for n in range(m - 1, -1, -1):
         candidates, scale = system.preimages_scaled(x, scale)

@@ -186,6 +186,20 @@ class Space:
             return abs(a[0] - b[0])
         return max(abs(a[0] - b[0]), circ_dist(a[1], b[1], unit))
 
+    def beyond(self, a: Point, a_lift, b: Point, b_lift, unit, bound) -> bool:
+        """Whether a * a_lift and b * b_lift, numerators over unit, lie
+        more than bound (a numerator over unit) apart; dist_over without
+        building the lifted points."""
+        if self.kind == "circle":
+            t = (a[0] * a_lift - b[0] * b_lift) % unit
+            return t > bound and unit - t > bound
+        if self.kind == "interval":
+            return abs(a[0] * a_lift - b[0] * b_lift) > bound
+        if abs(a[0] * a_lift - b[0] * b_lift) > bound:
+            return True
+        t = (a[1] * a_lift - b[1] * b_lift) % unit
+        return t > bound and unit - t > bound
+
     def ball_measure(self, center: Point, radius):
         """Measure of the radius-ball around center, truncated to the space."""
         if radius <= 0:

@@ -8,15 +8,20 @@ enclosure sets and pointwise preimages are therefore computed exactly;
 outer and inner image enclosures coincide.
 
 Each map evaluates at a scale: ``apply_scaled`` and ``preimages_scaled``
-take a point as integer numerators over a ``unit`` and return numerators
-over the output unit, which is ``unit`` times the lcm of the slope
-denominators (images) or numerators (preimages), so integer-slope maps
-keep the scale. ``image_fragments`` is the image of a set before
-normalization, which ``apply_set`` adds and the shadow-set step defers
-(``enclosure.meet_ball``). With unit 1 the same code runs on the
-``Fraction`` values themselves, as the public ``apply`` and ``preimages``
-do. Each map converts its ``Fraction`` parameters to integers once, when
-it is built, so evaluating at a new scale reads no ``Fraction``.
+take a point as integer numerators over a ``unit``, a multiple of the
+map's ``lattice_base``, and return numerators over the output unit, which
+is ``unit`` times the lcm of the slope denominators (images) or numerators
+(preimages), so integer-slope maps keep the scale. Neither builds a table
+for the unit: a piecewise-linear map reads its parameters over the
+lattice base and scales them by unit / lattice_base as it goes.
+``image_fragments`` is the image of a set before normalization, which
+``apply_set`` adds and the shadow-set step defers
+(``enclosure.meet_ball``); its tables over the set's unit are kept while
+the unit stays, and with unit 1 they are the ``Fraction`` parameters
+themselves, on which the public ``apply`` runs. The public ``preimages``
+puts its point on the lattice and reads the result back as ``Fraction``
+values. Each map converts its ``Fraction`` parameters to integers once,
+when it is built, so evaluating at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,24 @@ from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, UsageError
 from .rationals import frac
-from .spaces import Space, annulus, circle, interval
+from .spaces import Space, annulus, circle, interval, scaled_point
 
 
 def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     """The image of s: its raw image fragments, normalized."""
     frags, out = system.image_fragments(s)
     return enclosure._make(system.space, frags, out)
+
+
+def _preimages(system, point) -> list:
+    """All solutions of apply(x) == point, canonical and sorted: the
+    map's ``preimages_scaled`` over the lcm of the point's denominators and
+    the lattice base, read back as Fractions."""
+    nums, scale = scaled_point(point)
+    unit = math.lcm(scale, system.lattice_base)
+    found, out = system.preimages_scaled(
+        tuple(c * (unit // scale) for c in nums), unit)
+    return [tuple(Fraction(c, out) for c in t) for t in found]
 
 
 @dataclass(frozen=True)
@@ -87,14 +103,26 @@ class PiecewiseLinearMap:
         p = math.lcm(*(abs(sl.numerator) for sl in slopes))
         object.__setattr__(self, "lattice_base", base)
         # breakpoints and values as numerators over the lattice base; on a
-        # unit k * base they are these times k. Preimages land on p times
-        # the unit, so their breakpoints, with the end 1, are kept times p.
+        # unit k * base they are these times k. On piece i the map sends x
+        # (over the unit) to consts[i] * k + slopes[i] * x over q times it.
+        bps_base = tuple(int(b * base) for b in bps)
+        vals_base = tuple(int(v * base) for v in values)
+        slopes_q = tuple(int(sl * q) for sl in slopes)
         object.__setattr__(self, "_lattice", (
-            tuple(int(b * base) for b in bps),
-            tuple(int(v * base) for v in values),
-            q, tuple(int(sl * q) for sl in slopes),
-            p, tuple(p * sl.denominator // sl.numerator for sl in slopes),
-            tuple(int(b * base) * p for b in bps) + (base * p,)))
+            bps_base, vals_base, q, slopes_q,
+            tuple(v * q - sl * b
+                  for b, v, sl in zip(bps_base, vals_base, slopes_q))))
+        # per piece: its value range over the base and the preimage line
+        # t = (c + J * inv) * k + r * inv over p times the unit (see
+        # preimages_scaled), inv = p / slope
+        pieces = []
+        for b, v_start, v_end, sl in zip(bps_base, vals_base, vals_base[1:],
+                                         slopes):
+            inv = p * sl.denominator // sl.numerator
+            pieces.append((min(v_start, v_end), max(v_start, v_end),
+                           b * p - v_start * inv, inv))
+        object.__setattr__(self, "_pieces", (
+            p, base, self.space.kind == "circle", tuple(pieces)))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -114,22 +142,29 @@ class PiecewiseLinearMap:
         themselves; an integer unit must be a multiple of lattice_base."""
         if unit == 1:
             return self.breakpoints, self._values, self.slopes, 1
-        memo = self._memo.get("apply")
+        memo = self._memo.get("tables")
         if memo is None or memo[0] != unit:
-            bps, vals, q, slopes, *_ = self._lattice
+            bps, vals, q, slopes, _ = self._lattice
             k = unit // self.lattice_base
             memo = (unit, (tuple(b * k for b in bps),
                            tuple(v * k * q for v in vals), slopes, unit * q))
-            self._memo["apply"] = memo
+            self._memo["tables"] = memo
         return memo[1]
 
     def apply(self, point):
-        return self.apply_scaled(point, 1)[0]
+        v = self._value(point[0], self._tables(1))
+        return (v % 1,) if self.space.kind == "circle" else (v,)
 
     def apply_scaled(self, point, unit):
-        """apply() for numerators over ``unit``: (numerators, out unit)."""
-        tables = self._tables(unit)
-        v, out = self._value(point[0], tables), tables[3]
+        """apply() for numerators over an integer ``unit`` (a multiple of
+        lattice_base): (numerators, out unit). With k = unit / lattice_base
+        the piece of x is that of floor(x / k) on the base's breakpoints,
+        so no table is built for the unit."""
+        bps, _, q, slopes, consts = self._lattice
+        k = unit // self.lattice_base
+        x = point[0]
+        i = bisect_right(bps, x // k) - 1 if len(bps) > 1 else 0
+        v, out = consts[i] * k + slopes[i] * x, unit * q
         if self.space.kind == "circle":
             return (v % out,), out
         return (v,), out
@@ -188,38 +223,41 @@ class PiecewiseLinearMap:
         vals = [self._value(x, tables) for x in xs]
         return (min(vals), max(vals))
 
-    def preimages(self, point) -> list:
-        """All solutions of apply(x) == point, canonical and sorted."""
-        return self.preimages_scaled(point, 1)[0]
+    preimages = _preimages
 
     def preimages_scaled(self, point, unit) -> tuple:
-        """preimages() for numerators over ``unit``: (sorted numerator
-        tuples, out unit)."""
-        if unit == 1:
-            bps = tuple(self.breakpoints) + (Fraction(1),)
-            vals, k, out = self._values, 1, 1
-            inverse = [1 / s for s in self.slopes]
-        else:
-            # the lattice tables, scaled by k = unit / lattice_base here:
-            # no table is built per unit
-            _, vals, _, _, p, inverse, bps = self._lattice
-            k, out = unit // self.lattice_base, unit * p
+        """All solutions of apply(x) == point for numerators over an
+        integer ``unit`` (a multiple of lattice_base): (sorted numerator
+        tuples, out unit), out = unit * lcm of the slope numerators.
+
+        With k = unit / lattice_base and (j, r) = divmod(x, k), the point
+        is (j + r/k) / lattice_base, so which pieces and windings J = j +
+        m * lattice_base reach it is decided on small integers, and each
+        preimage costs two products by k-sized numbers. The pieces come
+        in order and each yields its preimages in increasing order, so the
+        list comes sorted; only a preimage at a breakpoint is found twice,
+        once by each piece, and on the circle the preimage 1 is the
+        preimage 0."""
         x = point[0]
-        circle = self.space.kind == "circle"
-        found = set()
-        for i in range(len(inverse)):
-            v_lo, v_hi = vals[i] * k, vals[i + 1] * k
-            lo, hi = (v_lo, v_hi) if v_lo <= v_hi else (v_hi, v_lo)
+        p, base, circle, pieces = self._pieces
+        k = unit // base
+        j, r = divmod(x, k)
+        top = 1 if r else 0  # J + r/k <= hi needs J <= hi - top
+        out = unit * p
+        found = []
+        for lo, hi, c, inv in pieces:
             if circle:
-                ms = range(-((x - lo) // unit), (hi - x) // unit + 1)
+                js = range(j - (j - lo) // base * base, hi - top + 1, base)
             else:
-                ms = (0,) if lo <= x <= hi else ()
-            b_lo, b_hi = bps[i] * k, bps[i + 1] * k
-            for m in ms:
-                t = b_lo + (x + m * unit - v_lo) * inverse[i]
-                if b_lo <= t <= b_hi:
-                    found.add(t % out if circle else t)
-        return sorted((t,) for t in found), out
+                js = (j,) if lo <= j <= hi - top else ()
+            if inv < 0:
+                js = reversed(js)
+            for J in js:
+                t = (c + J * inv) * k + r * inv
+                if found and found[-1][0] == t or circle and t == out:
+                    continue
+                found.append((t,))
+        return found, out
 
 
 @dataclass(frozen=True)
@@ -280,27 +318,20 @@ class AnnulusSpiral:
 
     apply_set = _apply_set
 
-    def preimages(self, point) -> list:
-        return self.preimages_scaled(point, 1)[0]
+    preimages = _preimages
 
     def preimages_scaled(self, point, unit) -> tuple:
-        """preimages() for numerators over ``unit``: (numerator tuples,
-        out unit), out = unit * numerator of lam."""
+        """preimages() for numerators over an integer ``unit`` (a multiple
+        of lattice_base): (numerator tuples, out unit), out = unit *
+        numerator of lam."""
         r, theta = point
-        if unit == 1:
-            out, r_prev = 1, 1 + (r - 1) / self.lam
-            theta_prev = (theta - self.alpha) % 1
-            w = self.space.w
-        else:
-            p, q, a, b = self._lattice
-            w_num, w_den = self.space.w_ratio
-            out = unit * p
-            r_prev = out + q * (r - unit)
-            theta_prev = (theta * p - a * (out // b)) % out
-            w = w_num * (out // w_den)
-        if abs(r_prev - out) > w:
+        p, q, a, b = self._lattice
+        w_num, w_den = self.space.w_ratio
+        out = unit * p
+        r_prev = out + q * (r - unit)
+        if abs(r_prev - out) > w_num * (out // w_den):
             return [], out
-        return [(r_prev, theta_prev)], out
+        return [(r_prev, (theta * p - a * (out // b)) % out)], out
 
 
 def orbit(system, x0, n: int) -> list:

@@ -254,6 +254,7 @@ def test_cover_time_failure_names_unvisited_ball():
         cover_time(DBL, (F(1, 3),), F(1, 10), horizon=200)
     assert err.value.target == (F(0),)
     assert err.value.horizon == 200
+    assert "around net center (0) within 200 steps" in str(err.value)
 
 
 def test_cover_time_refuses_a_net_ball_outside_the_image(capsys):
@@ -272,7 +273,7 @@ def test_cover_time_refuses_a_net_ball_outside_the_image(capsys):
     assert main(["bounds", "--system", "tent:s=3/2", "--d", "0.02",
                  "--y0", "0.3"]) == 2
     assert time.perf_counter() - start < 1
-    assert "Fraction(1503, 2000)" in capsys.readouterr().err
+    assert "around net center (1503/2000)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system,d,y0,repeat", [

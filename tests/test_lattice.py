@@ -28,6 +28,9 @@ SYSTEMS = {
     # negative and non-integer slopes, breakpoints off the dyadic grid
     "pwl": pwl([(0, F(3, 2)), (F(1, 3), F(-3, 4)), (F(2, 3), F(3, 2))],
                space_kind="interval"),
+    # a degree-2 circle map with two non-integer slopes: its preimages
+    # come from both pieces and from several windings
+    "circle-pwl": pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))]),
 }
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None,
@@ -133,6 +136,12 @@ def test_spiral_lattice_equals_fractions(data):
 @given(data=st.data())
 def test_pwl_lattice_equals_fractions(data):
     lattice_matches_fractions("pwl", data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_circle_pwl_lattice_equals_fractions(data):
+    lattice_matches_fractions("circle-pwl", data)
 
 
 def test_empty_tails_match_the_full_walk():

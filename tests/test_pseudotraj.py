@@ -146,6 +146,7 @@ def test_splice_reports_unreachable_ball():
         splice(quarter, (F(0),), (F(1, 8),), tail, F(1, 100), horizon=50)
     assert err.value.target == (F(1, 8),)
     assert err.value.radius == F(1, 50)
+    assert "1/50-ball around (1/8) within 50 steps" in str(err.value)
 
 
 # -- the drift witness -------------------------------------------------------

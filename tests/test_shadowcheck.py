@@ -1,5 +1,6 @@
 """Certified verdicts against independent closed-form and grid oracles."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,12 @@ from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
                        ball_set, decide_horizons,
                        decide_shadowable, doubling,
                        exact_orbit, first_empty_step, generate,
-                       load_trajectory, orbit, rotation,
+                       load_trajectory, orbit, orbit_tracks, pwl, rotation,
                        rotation_first_failure, rotation_oracle,
-                       save_trajectory, shadow_set_forward, trial_stream,
-                       worst_case_pseudotrajectory)
+                       save_trajectory, shadow_set_forward, tent,
+                       trial_stream, worst_case_pseudotrajectory)
 from shadowing.pseudotraj import Pseudotrajectory, Provenance
+from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
 
@@ -411,6 +413,18 @@ def test_saturated_tolerance_keeps_full_circle():
 
 
 
+class CountingMemo(dict):
+    """A map's table memo that records every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
 def test_pull_backs_build_no_table_per_step(tmp_path, monkeypatch):
     # each pull-back step lands on the slope numerator times its unit, so a
     # table memo keyed by the unit would miss at every step
@@ -419,21 +433,15 @@ def test_pull_backs_build_no_table_per_step(tmp_path, monkeypatch):
         save_trajectory(generate(system, (F(3, 10),), F(1, 50), 1000,
                                  trial_stream(3, i)),
                         "doubling", tmp_path / f"t{i}")
-    writes = []
-
-    class CountingMemo(dict):
-        def __setitem__(self, key, value):
-            writes.append(key)
-            super().__setitem__(key, value)
-
-    object.__setattr__(system, "_memo", CountingMemo())
+    memo = CountingMemo()
+    object.__setattr__(system, "_memo", memo)
     pull_back = shadowcheck.pull_back_witness
     rebuilds = []
 
     def counting(*args):
-        before = len(writes)
+        before = memo.writes
         witness = pull_back(*args)
-        rebuilds.append(len(writes) - before)
+        rebuilds.append(memo.writes - before)
         return witness
 
     monkeypatch.setattr(shadowcheck, "pull_back_witness", counting)
@@ -441,3 +449,43 @@ def test_pull_backs_build_no_table_per_step(tmp_path, monkeypatch):
         traj, _ = load_trajectory(tmp_path / f"t{i}")
         assert decide_shadowable(system, traj, F(1, 20)).verdict is Verdict.YES
     assert len(rebuilds) == 5 and max(rebuilds) <= 1
+
+
+@pytest.mark.parametrize("system", [
+    tent(F(3, 2)), pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])])
+def test_re_checks_build_no_table_per_step(system):
+    # a non-integer slope moves the orbit to a new unit at every step, so a
+    # table memo keyed by the unit would miss at every step
+    traj = exact_orbit(system, (F(3, 10),), 200)
+    memo = CountingMemo()
+    object.__setattr__(system, "_memo", memo)
+    assert orbit_tracks(system, traj.scaled, traj.points[0], F(1, 20))
+    assert memo.writes <= 1
+
+
+@pytest.mark.parametrize("system,x0,eps,shift", [
+    # the rotation by 1/4 is at 1/100 at steps 0, 4 and 8, where a shift
+    # by -eps crosses the wrap at 0
+    (rotation(F(1, 4)), (F(1, 100),), F(1, 20), (-1,)),
+    (tent(F(3, 2)), (F(3, 10),), F(1, 20), (1,)),
+    (tent(F(3, 2)), (F(3, 10),), F(1, 20), (-1,)),
+    (SPIRAL, (F(7, 5), F(0)), F(1, 5), (-1, 0)),
+    # the angle is 0 at step 0
+    (SPIRAL, (F(7, 5), F(0)), F(1, 5), (0, -1)),
+])
+def test_orbit_tracks_rejects_one_lattice_unit_past_eps(system, x0, eps,
+                                                        shift):
+    n = 8
+    exact = orbit(system, x0, n)
+    space = system.space
+    for k in (0, n // 2, n):
+        tick = F(1, 1000 * math.lcm(eps.denominator,
+                                    *(c.denominator for c in exact[k])))
+        for excess, tracks in ((0, True), (tick, False)):
+            points = list(exact)
+            points[k] = space.canonical(tuple(
+                c + sign * (eps + excess) for c, sign in zip(exact[k], shift)))
+            assert space.dist(points[k], exact[k]) == eps + excess
+            for given in (points, ScaledPoints.from_points(points)):
+                assert orbit_tracks(system, given, x0, eps) is tracks, \
+                    (k, excess, type(given))

@@ -151,6 +151,19 @@ def test_doubling_has_two_preimages():
     assert pres == [(F(1, 10),), (F(3, 5),)]
 
 
+def test_preimages_come_sorted_and_once():
+    # a preimage at a breakpoint is found by both pieces, and on the circle
+    # the preimage 1 is the preimage 0; a decreasing piece runs backwards
+    two_turns = pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])
+    assert two_turns.preimages((F(0),)) == [(F(0),), (F(2, 5),)]
+    assert two_turns.preimages((F(1, 2),)) == [(F(1, 5),), (F(7, 10),)]
+    backwards = pwl([(0, 1), (F(1, 2), -3)])
+    assert backwards.preimages((F(1, 4),)) == [(F(1, 4),), (F(7, 12),),
+                                                (F(11, 12),)]
+    assert tent(F(3, 2)).preimages((F(3, 4),)) == [(F(1, 2),)]
+    assert tent(F(3, 2)).preimages((F(0),)) == [(F(0),), (F(1),)]
+
+
 def test_spiral_preimage_leaves_band():
     spiral = annulus_spiral(F(1, 2), F(1, 4), F(1, 2))
     assert spiral.preimages((F(29, 20), F(0))) == []

@@ -27,6 +27,7 @@ STARTS = {
     "tent": ((F(1, 3),), F(1, 50)),
     "spiral": ((F(7, 5), F(0)), F(9, 800)),
     "pwl": ((F(1, 2),), F(1, 50)),
+    "circle-pwl": ((F(3, 10),), F(1, 50)),
 }
 
 SPIRAL_SPEC = "annulus:lambda=1/2,alpha=610/987,w=0.5"
