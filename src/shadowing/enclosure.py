@@ -26,7 +26,14 @@ public API), and a positive integer *scale* for the exact kernel, whose
 fragments are Python integers over that common denominator. One copy of
 the arc, segment and box algebra serves both, because it only adds,
 compares and reduces modulo ``unit``. Reading ``EnclosureSet.fragments``
-of an integer set builds its ``Fraction`` values then, and only then.
+of an integer set builds its ``Fraction`` values then, and only then. A
+set at unit 1 that meets an integer set is put on integers first, over
+the lcm of its denominators.
+
+A single fragment is a normal form as it stands, once a full arc is
+written ``(0, unit)``; the shadow-set step (each map's ``image_in_ball``)
+relies on that, clipping every image piece to the ball fragment of
+``_ball`` and calling ``_make`` only when more than one piece is left.
 
 Every set equals the abstract set it stands for. A normal form with more
 fragments than the fragment cap raises a resource error that carries the
@@ -50,6 +57,13 @@ def _lift(frags, factor):
     if factor == 1:
         return frags
     return tuple(tuple(c * factor for c in f) for f in frags)
+
+
+def _integers(frags, base=1):
+    """(numerators, unit) of Fraction fragments over the lcm of ``base``
+    and their denominators."""
+    unit = math.lcm(base, *(c.denominator for f in frags for c in f))
+    return tuple(tuple(int(c * unit) for c in f) for f in frags), unit
 
 
 def _values(frags, unit):
@@ -403,34 +417,25 @@ def _ball(space: Space, center, radius, unit) -> tuple:
 
 
 def intersect(a: EnclosureSet, b: EnclosureSet) -> EnclosureSet:
-    """A & B. Integer sets over different units meet over their lcm."""
+    """A & B. Sets over different units meet over their lcm (see
+    ``_meet``)."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
     return _meet(a.space, a.nums, a.unit, b.nums, b.unit)
 
 
-def meet_ball(space: Space, image, image_unit, ball, unit) -> EnclosureSet:
-    """``intersect(apply_set(A), B)`` from A's raw image over ``image_unit``
-    and B's ``_ball`` fragment over ``unit``, normalized once. The image
-    of a normal form has no more fragments normalized than raw, so it is
-    normalized alone (failing as ``apply_set`` would) only above the
-    fragment cap. Both normalizations read the cap at call time."""
-    if len(image) > DEFAULT_FRAGMENT_CAP:
-        image = _make(space, image, image_unit).nums
-    return _meet(space, image, image_unit, (ball,), unit)
-
-
 def _meet(space: Space, fa, unit_a, fb, unit_b) -> EnclosureSet:
     """The normal form of the pairwise intersections of two fragment
-    lists. Over different integer units they meet over the lcm; if one
-    unit is 1, over the Fraction values."""
+    lists. Over different units they meet over the lcm, a unit of 1
+    counting as the lcm of its fragments' denominators."""
     unit = unit_a
     if unit_b != unit:
-        if unit == 1 or unit_b == 1:
-            unit, fa, fb = 1, _values(fa, unit_a), _values(fb, unit_b)
-        else:
-            unit = math.lcm(unit_a, unit_b)
-            fa, fb = _lift(fa, unit // unit_a), _lift(fb, unit // unit_b)
+        if unit_a == 1:
+            fa, unit_a = _integers(fa)
+        if unit_b == 1:
+            fb, unit_b = _integers(fb)
+        unit = math.lcm(unit_a, unit_b)
+        fa, fb = _lift(fa, unit // unit_a), _lift(fb, unit // unit_b)
     meet = _INTERSECT[space.kind]
     pieces = []
     for x in fa:

@@ -209,8 +209,10 @@ def estimate_probability(config: ExperimentConfig,
     All horizon prefixes of a trial are decided on the same trajectory, so
     the p_hat column is nonincreasing. Fully reproducible from the master
     seed; ``workers`` > 1 fans trials out to processes without changing any
-    output.
+    output, and fewer than 1 is a ``UsageError``.
     """
+    if workers < 1:
+        raise UsageError("workers must be at least 1")
     args = (repeat(config.system), repeat(config), range(config.trials),
             repeat(_band))
     if workers > 1:

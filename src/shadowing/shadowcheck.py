@@ -12,8 +12,10 @@ empty step; ``horizon_verdicts`` is the one routine that reaches either.
 Propagation, pull-back and re-check run on Python integers over a per-step
 common denominator, the scale (see ``shadow_sets``); Fractions
 appear only in the witness and when a caller reads a set's ``fragments``.
-A propagation step puts one set in normal form: the map's raw image of
-A_n meets the ball around y_{n+1} and only the result is normalized.
+A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
+alone: the map walks the linear pieces of each fragment of A_n and clips
+each image piece to the ball as it is made, and only when more than one
+piece is left are they put in normal form.
 A pull-back step takes the preimages of its point on a scale that grows
 by the slope numerators, and reads each on the shadow set's own unit by
 one division (``EnclosureSet.first_inside``), so no fragment is lifted to
@@ -87,12 +89,14 @@ def shadow_sets(system, points, eps):
     when its set is built, so a ``LatticeWalk`` samples none after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
-    lattice_base of the map). The raw image of A_{n-1} meets it over the
-    lcm of their units, W_n, and is normalized once (``meet_ball``). A
-    generated trajectory's scales nest, so W_n is P_n and no step needs a
-    gcd. Otherwise (points read from a file, say) A_n is reduced by one
-    gcd, so its unit never exceeds the lcm of the denominators that
-    A_{n-1} and the ball really carry. eps is converted to integers once.
+    lattice_base of the map). The map walks the pieces of A_{n-1} and
+    clips each image piece to the ball as it is made, over the lcm of the
+    image's unit and P_n, W_n (``image_in_ball``); only more than one
+    clipped piece is normalized. A generated trajectory's scales nest, so
+    W_n is P_n and no step needs a gcd. Otherwise (points read from a
+    file, say) A_n is reduced by one gcd, so its unit never exceeds the
+    lcm of the denominators that A_{n-1} and the ball really carry. eps
+    is converted to integers once.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -111,8 +115,7 @@ def shadow_sets(system, points, eps):
         if prev is None:
             nxt = EnclosureSet(space, (ball,), unit)
         else:
-            image, out = system.image_fragments(prev)
-            nxt = enclosure.meet_ball(space, image, out, ball, unit)
+            nxt = system.image_in_ball(prev, ball, unit)
             if nxt.unit != unit:
                 nxt = nxt.reduced(base)
         yield nxt

@@ -77,9 +77,9 @@ class ScaledPoints(Sequence):
         """Points given as (numerators, scale) pairs in lowest terms, over
         nested scales: a point whose scale divides the previous point's
         scale moves to that scale, any other point keeps its own. So the
-        scale changes only where it must (which keeps a map's integer
-        tables valid from step to step) and never exceeds the largest
-        reduced denominator among the points."""
+        scale changes only where it must (so a shadow-set step meets its
+        ball on the ball's own unit, with no gcd) and never exceeds the
+        largest reduced denominator among the points."""
         nums, scales = [], []
         for num, scale in pairs:
             if scales and scales[-1] % scale == 0:

@@ -11,17 +11,19 @@ Each map evaluates at a scale: ``apply_scaled`` and ``preimages_scaled``
 take a point as integer numerators over a ``unit``, a multiple of the
 map's ``lattice_base``, and return numerators over the output unit, which
 is ``unit`` times the lcm of the slope denominators (images) or numerators
-(preimages), so integer-slope maps keep the scale. Neither builds a table
-for the unit: a piecewise-linear map reads its parameters over the
-lattice base and scales them by unit / lattice_base as it goes.
-``image_fragments`` is the image of a set before normalization, which
-``apply_set`` adds and the shadow-set step defers
-(``enclosure.meet_ball``); its tables over the set's unit are kept while
-the unit stays, and with unit 1 they are the ``Fraction`` parameters
-themselves, on which the public ``apply`` runs. The public ``preimages``
-puts its point on the lattice and reads the result back as ``Fraction``
-values. Each map converts its ``Fraction`` parameters to integers once,
-when it is built, so evaluating at a new scale reads no ``Fraction``.
+(preimages), so integer-slope maps keep the scale. No method builds a
+table for the unit: a piecewise-linear map reads its parameters over the
+lattice base and scales them by k = unit / lattice_base as it goes.
+``image_in_ball`` is the shadow-set step, ``intersect(apply_set(A), B)``
+for a ball B given as one fragment: each map walks the linear pieces of
+every fragment of A on those parameters and clips each image arc, segment
+or box to B as it is made, so only pieces that can overlap are put in
+normal form. ``apply_set`` is the same walk with the whole space as the
+ball. A set at unit 1 is put on the lattice first, as a point is by the
+public ``preimages``, which reads its result back as ``Fraction`` values;
+the public ``apply`` runs on the ``Fraction`` parameters themselves. Each
+map converts its ``Fraction`` parameters to integers once, when it is
+built, so evaluating at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -32,16 +34,53 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import enclosure
-from .enclosure import EnclosureSet
+from .enclosure import (EnclosureSet, _intersect_arcs, _intersect_boxes,
+                        _intersect_segs)
 from .errors import DomainError, UsageError
 from .rationals import frac
 from .spaces import Space, annulus, circle, interval, scaled_point
 
 
+def _on_lattice(system, s: EnclosureSet) -> EnclosureSet:
+    """A set at unit 1 over the lcm of its denominators and the lattice
+    base."""
+    return EnclosureSet(s.space,
+                        *enclosure._integers(s.nums, system.lattice_base))
+
+
 def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
-    """The image of s: its raw image fragments, normalized."""
-    frags, out = system.image_fragments(s)
-    return enclosure._make(system.space, frags, out)
+    """The image of s, normalized: its pieces clipped to the whole space,
+    which clips nothing."""
+    space = system.space
+    whole = enclosure._ball(space, (1, 0) if space.kind == "annulus"
+                            else (0,), 1, 1)
+    if s.unit == 1:
+        s = _on_lattice(system, s)
+    pieces, _, out = system.clip_image(s, *scaled_point(whole))
+    return enclosure._make(space, pieces, out)
+
+
+def _image_in_ball(system, s: EnclosureSet, ball, unit) -> EnclosureSet:
+    """intersect(apply_set(s), B) for the ball B given as its one fragment
+    ``ball``, numerators over ``unit``: the same set over the same unit
+    (the lcm of the image's unit and ``unit``), and the same cap error.
+
+    Only an image with more raw pieces than the fragment cap can have a
+    normal form above it, so only such an image is normalized alone,
+    failing as ``apply_set`` would. One clipped piece is a normal form
+    already; more are normalized once. Both read the cap at call time."""
+    if s.unit == 1:
+        s = _on_lattice(system, s)
+    if unit == 1 != s.unit:
+        # as intersect lifts a unit-1 set that meets an integer one; a set
+        # still at unit 1 (lattice base 1) meets the ball over its values
+        ball, unit = scaled_point(ball)
+    pieces, raw, out = system.clip_image(s, ball, unit)
+    if raw > enclosure.DEFAULT_FRAGMENT_CAP:
+        system.apply_set(s)
+    if len(pieces) > 1:
+        return enclosure._make(system.space, pieces, out)
+    return EnclosureSet(system.space, pieces, out)
 
 
 def _preimages(system, point) -> list:
@@ -109,7 +148,7 @@ class PiecewiseLinearMap:
         vals_base = tuple(int(v * base) for v in values)
         slopes_q = tuple(int(sl * q) for sl in slopes)
         object.__setattr__(self, "_lattice", (
-            bps_base, vals_base, q, slopes_q,
+            bps_base, q, slopes_q,
             tuple(v * q - sl * b
                   for b, v, sl in zip(bps_base, vals_base, slopes_q))))
         # per piece: its value range over the base and the preimage line
@@ -123,7 +162,17 @@ class PiecewiseLinearMap:
                            b * p - v_start * inv, inv))
         object.__setattr__(self, "_pieces", (
             p, base, self.space.kind == "circle", tuple(pieces)))
-        object.__setattr__(self, "_memo", {})
+        # the corners of the map past 0: (position, piece after it, value),
+        # numerators over the base. A circle map's lift runs on over
+        # [1, 2), one turn up; it has a corner at 1 only where the last and
+        # first slopes differ, else the last piece runs on past the wrap
+        cuts = [(b, j, v) for j, (b, v)
+                in enumerate(zip(bps_base, vals_base)) if j]
+        if self.space.kind == "circle":
+            wrap = [(0, 0, vals_base[0])] if slopes[0] != slopes[-1] else []
+            cuts += [(b + base, j, v + self.degree * base)
+                     for b, j, v in wrap + cuts]
+        object.__setattr__(self, "_cuts", tuple(cuts))
 
     @property
     def lipschitz(self):
@@ -136,23 +185,19 @@ class PiecewiseLinearMap:
         return self.offset
 
     def _tables(self, unit):
-        """(breakpoints, values, slopes, out) over ``unit``: on piece i the
-        map sends x to values[i] + slopes[i] * (x - breakpoints[i]), all
-        numerators, the result over ``out``. Unit 1 gives the parameters
-        themselves; an integer unit must be a multiple of lattice_base."""
-        if unit == 1:
-            return self.breakpoints, self._values, self.slopes, 1
-        memo = self._memo.get("tables")
-        if memo is None or memo[0] != unit:
-            bps, vals, q, slopes, _ = self._lattice
-            k = unit // self.lattice_base
-            memo = (unit, (tuple(b * k for b in bps),
-                           tuple(v * k * q for v in vals), slopes, unit * q))
-            self._memo["tables"] = memo
-        return memo[1]
+        """(breakpoints, values, slopes) of the map over unit 1, the
+        ``Fraction`` parameters themselves, on which ``apply`` runs: on
+        piece i it sends x to values[i] + slopes[i] * (x - breakpoints[i]).
+        Integer units read ``_lattice`` instead and build no table."""
+        if unit != 1:
+            raise UsageError("integer units read the lattice constants")
+        return self.breakpoints, self._values, self.slopes
 
     def apply(self, point):
-        v = self._value(point[0], self._tables(1))
+        bps, vals, slopes = self._tables(1)
+        x = point[0]
+        i = bisect_right(bps, x) - 1
+        v = vals[i] + slopes[i] * (x - bps[i])
         return (v % 1,) if self.space.kind == "circle" else (v,)
 
     def apply_scaled(self, point, unit):
@@ -160,7 +205,7 @@ class PiecewiseLinearMap:
         lattice_base): (numerators, out unit). With k = unit / lattice_base
         the piece of x is that of floor(x / k) on the base's breakpoints,
         so no table is built for the unit."""
-        bps, _, q, slopes, consts = self._lattice
+        bps, q, slopes, consts = self._lattice
         k = unit // self.lattice_base
         x = point[0]
         i = bisect_right(bps, x // k) - 1 if len(bps) > 1 else 0
@@ -169,59 +214,72 @@ class PiecewiseLinearMap:
             return (v % out,), out
         return (v,), out
 
-    def image_fragments(self, s: EnclosureSet) -> tuple:
-        """(fragments, out unit) of the image of s before normalization:
-        one arc per linear piece that an arc of s crosses, one segment per
-        segment of s."""
+    def clip_image(self, s: EnclosureSet, ball, unit) -> tuple:
+        """(pieces, raw, W): the image of the integer set s, each image
+        piece clipped to the ball fragment ``ball`` (numerators over
+        ``unit``) as it is made, all over W = lcm(s.unit * q, unit), and
+        the number of image pieces before clipping.
+
+        A fragment of s is walked from the piece of its start through the
+        corners it crosses (``_cuts``); an arc on the lift of the map to
+        twice the unit. With k = s.unit / lattice_base and m = W / (s.unit
+        * q), the corner (b, j, v) lies at b * k and goes to v * W /
+        lattice_base; the start x of piece i goes to consts[i] * k * m +
+        slopes[i] * m * x, and a point past a corner moves from its image
+        by the slope times m, so no table is built for the unit. Each
+        linear piece of an arc gives one image arc, and a segment one
+        image segment."""
         if s.space is not self.space and s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
-        tables = self._tables(s.unit)
-        if self.space.kind == "circle":
-            frags = []
-            for start, length in s.nums:
-                frags += self._arc_image(start, length, tables, s.unit)
-        else:
-            frags = [self._seg_image(lo, hi, tables) for lo, hi in s.nums]
-        return frags, tables[3]
+        bps, q, slopes, consts = self._lattice
+        base, n, cuts = self.lattice_base, len(bps), self._cuts
+        u = s.unit
+        out = u * q
+        w = out if unit == out else math.lcm(out, unit)
+        km = k = u // base
+        if w != out:
+            m = w // out
+            km, slopes = k * m, tuple(sl * m for sl in slopes)
+        if unit != w:
+            ball = tuple(c * (w // unit) for c in ball)
+        vk = km * q
+        pieces = []
+        if self.space.kind == "interval":
+            for lo, hi in s.nums:
+                i = bisect_right(bps, lo // k) - 1 if n > 1 else 0
+                x, sl = lo, slopes[i]
+                a = b = fx = consts[i] * km + sl * lo
+                for c, j, v in cuts[i:]:
+                    if c * k >= hi:
+                        break
+                    x, sl, fx = c * k, slopes[j], v * vk
+                    a, b = min(a, fx), max(b, fx)
+                fx += sl * (hi - x)
+                pieces += _intersect_segs((min(a, fx), max(b, fx)), ball)
+            return pieces, len(s.nums), w
+        raw = 0
+        for start, length in s.nums:
+            end = start + length
+            i = bisect_right(bps, start // k) - 1 if n > 1 else 0
+            x, sl = start, slopes[i]
+            fx = consts[i] * km + sl * start
+            for c, j, v in cuts[i:]:
+                if c * k >= end:
+                    break
+                fv = v * vk
+                lo, hi = (fx, fv) if fx <= fv else (fv, fx)
+                pieces += _intersect_arcs((lo % w, hi - lo), ball, w)
+                x, sl, fx = c * k, slopes[j], fv
+                raw += 1
+            fv = fx + sl * (end - x)
+            lo, hi = (fx, fv) if fx <= fv else (fv, fx)
+            pieces += _intersect_arcs((lo % w, hi - lo), ball, w)
+            raw += 1
+        return pieces, raw, w
 
     apply_set = _apply_set
 
-    @staticmethod
-    def _value(x, tables):
-        """Piecewise value of x in [0, unit] before any wrap."""
-        bps, vals, slopes, _ = tables
-        i = bisect_right(bps, x) - 1
-        return vals[i] + slopes[i] * (x - bps[i])
-
-    def _arc_image(self, start, length, tables, unit):
-        """The image arcs of the arc (start, length), one per linear piece
-        it crosses, through the continuous lift of the map on [0, 2 unit)."""
-        bps, out = tables[0], tables[3]
-        end = start + length
-        xs = [start]  # the breakpoints, then those one turn on, come sorted
-        for b in bps:
-            if start < b < end:
-                xs.append(b)
-        for b in bps:
-            if start < b + unit < end:
-                xs.append(b + unit)
-        xs.append(end)
-        value, turn = self._value, self.degree * out
-        arcs = []
-        fu = None
-        for x in xs:
-            fv = (value(x, tables) if x < unit
-                  else value(x - unit, tables) + turn)
-            if fu is not None:
-                lo, hi = (fu, fv) if fu <= fv else (fv, fu)
-                arcs.append((lo % out, min(hi - lo, out)))
-            fu = fv
-        return arcs
-
-    def _seg_image(self, lo, hi, tables):
-        xs = [lo] + [b for b in tables[0] if lo < b < hi] + [hi]
-        vals = [self._value(x, tables) for x in xs]
-        return (min(vals), max(vals))
+    image_in_ball = _image_in_ball
 
     preimages = _preimages
 
@@ -305,16 +363,29 @@ class AnnulusSpiral:
         r, theta = point
         return (out + lam * (r - unit), (theta * lift + alpha) % out), out
 
-    def image_fragments(self, s: EnclosureSet) -> tuple:
-        """(fragments, out unit) of the image of s before normalization:
-        one box per box of s."""
+    def clip_image(self, s: EnclosureSet, ball, unit) -> tuple:
+        """(pieces, raw, W): the image of the integer set s, one box per
+        box of s, each clipped to the ball fragment ``ball`` (numerators
+        over ``unit``) as it is made, over W = lcm(s.unit * q, unit), and
+        the number of image boxes before clipping."""
         if s.space is not self.space and s.space != self.space:
             raise UsageError("enclosure set belongs to a different space")
-        unit = s.unit
-        lam, lift, alpha, out = self._tables(unit)
-        return [(out + lam * (rlo - unit), out + lam * (rhi - unit),
-                 (a * lift + alpha) % out, l * lift)
-                for rlo, rhi, a, l in s.nums], out
+        p, q, a, b = self._lattice
+        u = s.unit
+        out = u * q
+        w = out if unit == out else math.lcm(out, unit)
+        m = w // out
+        if unit != w:
+            ball = tuple(c * (w // unit) for c in ball)
+        lam, lift, alpha = p * m, q * m, a * (w // b)
+        pieces = []
+        for rlo, rhi, start, length in s.nums:
+            pieces += _intersect_boxes(
+                (w + lam * (rlo - u), w + lam * (rhi - u),
+                 (start * lift + alpha) % w, length * lift), ball, w)
+        return pieces, len(s.nums), w
+
+    image_in_ball = _image_in_ball
 
     apply_set = _apply_set
 

@@ -221,6 +221,22 @@ def test_bad_system_spec_exits_nonzero(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--system", "doubling", "--y0", "0.3", "--d", "0.02",
+     "--eps", "0.05", "--horizons", "10", "--trials", "2"),
+    ("attractor", "--trials", "2", "--horizons", "10"),
+    ("dichotomy",),
+], ids=["estimate", "attractor", "dichotomy"])
+def test_workers_below_one_exit_nonzero(tmp_path, capsys, argv, workers):
+    code, out, err = run(capsys, *argv, "--workers", workers,
+                         "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: workers must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_rejected_attractor_noise_exits_nonzero(capsys):
     code, _, err = run(capsys, "attractor", "--trials", "2",
                        "--horizons", "10", "--d", "0.1")

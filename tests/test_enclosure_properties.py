@@ -248,10 +248,12 @@ STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)])}
 
 
 def draw_ball(space, data):
-    """A ball's center and radius (both Fractions)."""
+    """A ball's center and radius (both Fractions); radii of 1/2 and more
+    cover the whole circle."""
     x = data.draw(angle, label="center")
-    r = data.draw(st.fractions(F(1, 24), F(3, 4), max_denominator=24),
-                  label="radius")
+    r = data.draw(st.one_of(
+        st.sampled_from([F(1, 2), F(3, 4)]),
+        st.fractions(F(1, 24), F(3, 4), max_denominator=24)), label="radius")
     if space.kind == "annulus":
         return (data.draw(radius, label="center r"), x), r
     return (x,), r
@@ -262,22 +264,61 @@ def over(frags, unit):
     return tuple(tuple(int(c * unit) for c in f) for f in frags)
 
 
+def draw_arcs(system, data):
+    """Raw arcs, plus sometimes an arc that crosses 0 and then the map's
+    first breakpoint past 0 (0 itself for a one-piece map), or an arc
+    whose image is longer than the circle."""
+    arcs = data.draw(raw_arcs, label="a")
+    cut = (list(system.breakpoints[1:]) + [F(1)])[0]
+    before = data.draw(st.fractions(F(1, 24), F(1, 4), max_denominator=24),
+                       label="before 0")
+    extra = data.draw(st.fractions(0, F(1, 4), max_denominator=24),
+                      label="past the cut")
+    long = data.draw(st.fractions(1 / system.lipschitz, 1,
+                                  max_denominator=24), label="long")
+    which = data.draw(st.sampled_from(["raw", "crossing", "long"]),
+                      label="which")
+    if which == "crossing":
+        arcs.append((1 - before, min(before + cut % 1 + extra, F(1))))
+    elif which == "long":
+        arcs.append((before, long))
+    return arcs
+
+
+def touching_ball(system, a, data):
+    """Sometimes a ball whose arc starts where an image arc of A ends, or
+    ends where one starts, so the two meet in a single angle."""
+    image = system.apply_set(a).fragments
+    if (system.space.kind == "interval" or not image
+            or not data.draw(st.booleans(), label="touching ball")):
+        return None
+    *radial, s, l = data.draw(st.sampled_from(image), label="image arc")
+    r = data.draw(st.fractions(F(1, 24), F(1, 4), max_denominator=24),
+                  label="touching radius")
+    x = (s + l + r if data.draw(st.booleans(), label="after") else s - r) % 1
+    return ((radial[0], x) if radial else (x,)), r
+
+
 def draw_step(name, data):
     """The map, a normal-form set A and the fragment of a ball B with its
-    unit: both at unit 1, or both over integer units that are multiples
-    of the map's lattice base and need not be equal."""
+    unit: each at unit 1 or over an integer unit. A's unit is a multiple
+    of the map's lattice base, B's need not be, and the two are lifted by
+    small primes so that the image's unit and B's often do not nest."""
     system = STEP_SYSTEMS[name]
     space = system.space
-    a = enc.make(space, data.draw(RAW[space.kind], label="a"))
-    center, r = draw_ball(space, data)
-    if data.draw(st.booleans(), label="integer units"):
+    raw = (draw_arcs(system, data) if space.kind == "circle"
+           else data.draw(RAW[space.kind], label="a"))
+    a = enc.make(space, raw)
+    center, r = touching_ball(system, a, data) or draw_ball(space, data)
+    lifts = st.sampled_from([1, 2, 3, 5, 7])
+    if data.draw(st.booleans(), label="integer unit a"):
         dens = [c.denominator for f in a.fragments for c in f]
         unit = math.lcm(system.lattice_base, *dens) * data.draw(
-            st.integers(1, 3), label="lift a")
+            lifts, label="lift a")
         a = enc.EnclosureSet(space, over(a.fragments, unit), unit)
-        ball_unit = math.lcm(r.denominator, system.lattice_base,
-                             *(c.denominator for c in center))
-        ball_unit *= data.draw(st.integers(1, 2), label="lift ball")
+    if data.draw(st.booleans(), label="integer unit ball"):
+        ball_unit = math.lcm(r.denominator, *(c.denominator for c in center))
+        ball_unit *= data.draw(lifts, label="lift ball")
         ball = enc._ball(space, over([center], ball_unit)[0],
                          int(r * ball_unit), ball_unit)
     else:
@@ -298,15 +339,14 @@ def outcome(step):
 @PROPERTY
 @given(data=st.data())
 def test_one_step_equals_image_then_intersect(name, data):
-    """``meet_ball`` on a map's raw image is intersect(apply_set(A), B):
-    the same set over the same unit, and with the fragment cap patched to
-    0, 1 or 2 the same cap error carrying the same exact set."""
+    """The map's shadow-set step is intersect(apply_set(A), B): the same
+    set over the same unit, and with the fragment cap patched to 0, 1 or
+    2 the same cap error carrying the same exact set."""
     system, a, ball, ball_unit = draw_step(name, data)
     space = system.space
 
     def fused():
-        return enc.meet_ball(space, *system.image_fragments(a), ball,
-                             ball_unit)
+        return system.image_in_ball(a, ball, ball_unit)
 
     def composed():
         return intersect(system.apply_set(a),

@@ -228,6 +228,12 @@ def test_determinism_and_worker_independence():
     assert result_summary(a) == result_summary(c)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_refused(workers):
+    with pytest.raises(UsageError, match="workers must be at least 1"):
+        estimate_probability(config(trials=2), workers=workers)
+
+
 def test_unknowns_excluded_from_counts():
     outcomes = [
         TrialOutcome(0, None, ("Yes",)),

@@ -68,18 +68,18 @@ def test_worst_case_sets_shrink_linearly_then_empty():
 def count_propagation_calls(monkeypatch, system) -> dict:
     """Count the balls built and the images taken from here on."""
     calls = {"ball": 0, "image": 0}
-    ball, image = enclosure._ball, type(system).image_fragments
+    ball, image = enclosure._ball, type(system).image_in_ball
 
     def counted_ball(*args):
         calls["ball"] += 1
         return ball(*args)
 
-    def counted_image(self, s):
+    def counted_image(self, *args):
         calls["image"] += 1
-        return image(self, s)
+        return image(self, *args)
 
     monkeypatch.setattr(enclosure, "_ball", counted_ball)
-    monkeypatch.setattr(type(system), "image_fragments", counted_image)
+    monkeypatch.setattr(type(system), "image_in_ball", counted_image)
     return calls
 
 
@@ -413,54 +413,71 @@ def test_saturated_tolerance_keeps_full_circle():
 
 
 
-class CountingMemo(dict):
-    """A map's table memo that records every write."""
+def count_integer_tables(monkeypatch, system) -> dict:
+    """Count the calls of the map's ``_tables`` with an integer unit from
+    here on: each would stand for a table built over that unit."""
+    calls = {"tables": 0}
+    tables = type(system)._tables
 
-    def __init__(self):
-        super().__init__()
-        self.writes = 0
+    def counted(self, unit):
+        if unit != 1:
+            calls["tables"] += 1
+        return tables(self, unit)
 
-    def __setitem__(self, key, value):
-        self.writes += 1
-        super().__setitem__(key, value)
+    monkeypatch.setattr(type(system), "_tables", counted)
+    return calls
 
 
 def test_pull_backs_build_no_table_per_step(tmp_path, monkeypatch):
     # each pull-back step lands on the slope numerator times its unit, so a
-    # table memo keyed by the unit would miss at every step
+    # table keyed by the unit would be built at every step
     system = doubling()
     for i in range(5):
         save_trajectory(generate(system, (F(3, 10),), F(1, 50), 1000,
                                  trial_stream(3, i)),
                         "doubling", tmp_path / f"t{i}")
-    memo = CountingMemo()
-    object.__setattr__(system, "_memo", memo)
+    calls = count_integer_tables(monkeypatch, system)
     pull_back = shadowcheck.pull_back_witness
     rebuilds = []
 
     def counting(*args):
-        before = memo.writes
+        before = calls["tables"]
         witness = pull_back(*args)
-        rebuilds.append(memo.writes - before)
+        rebuilds.append(calls["tables"] - before)
         return witness
 
     monkeypatch.setattr(shadowcheck, "pull_back_witness", counting)
     for i in range(5):
         traj, _ = load_trajectory(tmp_path / f"t{i}")
         assert decide_shadowable(system, traj, F(1, 20)).verdict is Verdict.YES
-    assert len(rebuilds) == 5 and max(rebuilds) <= 1
+    assert len(rebuilds) == 5 and max(rebuilds) == 0
+    assert calls["tables"] == 0
 
 
-@pytest.mark.parametrize("system", [
-    tent(F(3, 2)), pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])])
-def test_re_checks_build_no_table_per_step(system):
+NON_INTEGER_SLOPES = [tent(F(3, 2)), pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])]
+
+
+@pytest.mark.parametrize("system", NON_INTEGER_SLOPES)
+def test_re_checks_build_no_table_per_step(monkeypatch, system):
     # a non-integer slope moves the orbit to a new unit at every step, so a
-    # table memo keyed by the unit would miss at every step
+    # table keyed by the unit would be built at every step
     traj = exact_orbit(system, (F(3, 10),), 200)
-    memo = CountingMemo()
-    object.__setattr__(system, "_memo", memo)
+    calls = count_integer_tables(monkeypatch, system)
     assert orbit_tracks(system, traj.scaled, traj.points[0], F(1, 20))
-    assert memo.writes <= 1
+    assert calls["tables"] == 0
+
+
+@pytest.mark.parametrize("system", NON_INTEGER_SLOPES)
+def test_propagation_builds_no_table_per_step(monkeypatch, system):
+    # the sampler multiplies the scale by the slope denominator at every
+    # step, so each shadow set has a new unit and a table keyed by the
+    # unit would be built at every step
+    traj = generate(system, (F(3, 10),), F(1, 100), 200, trial_stream(7))
+    assert len(set(traj.scaled.scales)) == 201
+    calls = count_integer_tables(monkeypatch, system)
+    sets = shadow_set_forward(system, traj, F(1, 20))
+    assert not sets[-1].is_empty()
+    assert calls["tables"] == 0
 
 
 @pytest.mark.parametrize("system,x0,eps,shift", [
