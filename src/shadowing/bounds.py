@@ -270,13 +270,16 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0,
     is the band of half-width lam * rho, and pseudotrajectories re-enter
     because |r_{n+1} - 1| <= lam |r_n - 1| + d.
 
-    Returns rho, the entry time n0 (first n with lam^n |r0 - 1| <= lam*rho,
-    strict interior entry), the noise ceiling d0 = (1 - BAND_MARGIN) *
-    min(eps/4, (1 - lam) rho) that keeps the band forward-invariant for
-    every d < d0, and the settling time S (first n with lam^n rho <=
-    delta/4, the time by which true orbits started in W are delta/4-close
-    to the invariant circle). S and delta are evaluated at the working
-    noise level ``d`` (default d0/2).
+    Returns rho, the entry time n0, the noise ceiling d0 = (1 -
+    BAND_MARGIN) * min(eps/4, (1 - lam) rho) that keeps the band
+    forward-invariant for every d < d0, and the settling time S (first n
+    with lam^n rho <= delta/4, the time by which true orbits started in W
+    are delta/4-close to the invariant circle). Unrolling the step gives
+    |r_n - 1| <= lam^n |r0 - 1| + d/(1 - lam), nonincreasing in n, so n0 is
+    the first n with lam^n |r0 - 1| + d/(1 - lam) <= rho: every point from
+    step n0 on lies in the band. n0, S and delta are evaluated at the
+    working noise level ``d`` (default d0/2); as d < d0 < (1 - lam) rho,
+    the search ends.
     """
     if not isinstance(system, AnnulusSpiral):
         raise UsageError("attractor quantities are defined for annulus spirals")
@@ -295,10 +298,10 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0,
         if not 0 < d_used < d0:
             raise DomainError(f"need 0 < d < d0 = {d0}, got {d_used}")
 
-    r_gap = abs(y0[0] - 1)
     n0 = 0
-    gap = r_gap
-    while gap > rho * lam:
+    gap = abs(y0[0] - 1)
+    room = rho - d_used / (1 - lam)
+    while gap > room:
         gap *= lam
         n0 += 1
 

@@ -146,6 +146,11 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     checked exactly, it reads a 64-bit directed-rounding integer enclosure
     of the radius, no float (``LatticeWalk.radius_enclosures``); where that
     leaves the band, every point is checked exactly before any report.
+    When the band is closed under the enclosure's step
+    (``LatticeWalk.band_closed``, true in every shipped run), the first
+    checked enclosure inside it puts every later one inside, so the tail
+    stops there; otherwise every enclosure up to the largest horizon is
+    read.
     """
     walk = LatticeWalk(system, config.y0, config.d, config.max_horizon,
                        trial_stream(config.seed, trial))
@@ -164,6 +169,8 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
         taken = walk.taken
         bound = (rho.numerator << TAIL_BITS) // rho.denominator
         tail = islice(walk.radius_enclosures(), max(n0 - len(taken), 0), None)
+        if walk.band_closed(bound):
+            tail = islice(tail, 1)
         if not (all(_in_band(y[0], s, rho) for y, s in
                     zip(taken.nums[n0:], taken.scales[n0:]))
                 and all(-bound <= lo and hi <= bound for lo, hi in tail)):
@@ -336,9 +343,8 @@ def result_summary(result: ExperimentResult) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # one write: json.dump writes each token on its own
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit(result: ExperimentResult, path) -> None:

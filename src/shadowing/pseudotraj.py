@@ -121,6 +121,8 @@ class LatticeWalk:
     adds each to ``taken``; a step is sampled only when it is asked for.
     ``radius_enclosures`` carries an annulus chain's radius on past ``taken``
     as a 64-bit directed-rounding integer enclosure; no float enters it.
+    ``band_closed`` tells whether a band holds every enclosure after one
+    that lies in it, so a band check can stop at that one.
     """
 
     def __init__(self, system, y0: Point, d, n: int, rng):
@@ -158,7 +160,9 @@ class LatticeWalk:
         past ``taken``, from its radial double alone (the map's radius reads
         no angle). With x = r - 1 a step is a + (b - a) * k / 2**53 for
         a = max(lam*x - d, -w) and b = min(lam*x + d, w), nondecreasing in
-        x, a and b: lo steps with a and b rounded down, hi rounded up."""
+        x, a and b: lo steps with a and b rounded down, hi rounded up.
+        A band closed under this step (``band_closed``) holds every
+        enclosure after the first one inside it."""
         (r, _), scale = self.taken.nums[-1], self.taken.scales[-1]
         lo, hi = _fixed(r - scale, scale)
         p, q = self.system.lam.as_integer_ratio()
@@ -175,6 +179,25 @@ class LatticeWalk:
             a, b = a if a > -w_lo else -w_lo, b if b < w_hi else w_hi
             hi = a - ((a - b) * k >> 53)
             yield lo, hi
+
+    def band_closed(self, bound: int) -> bool:
+        """Whether -bound <= lo and hi <= bound, once met by an enclosure
+        of ``radius_enclosures``, hold for every later one: the exact test
+        ceil(p*bound/q) + d_hi <= bound, with lam = p/q and d_hi the
+        ceiling of d * 2**TAIL_BITS.
+
+        Proof, by induction over the steps. A step's hi' lies between its
+        a and b, whatever the draw k, so hi' <= max(a, b) <= max(c + d_hi, 0)
+        with c = ceil(p*hi/q). As 0 < lam, c is nondecreasing in hi, so
+        hi <= bound gives hi' <= max(ceil(p*bound/q) + d_hi, 0) <= bound.
+        Symmetrically lo' >= min(floor(p*lo/q) - d_hi, 0), and lo >= -bound
+        gives lo' >= -(ceil(p*bound/q) + d_hi) >= -bound (the test forces
+        bound >= 0, as lam < 1). This is the
+        trapping-region argument (Milnor, *On the concept of attractor*,
+        CMP 99, 1985) on the enclosure's own rounded step."""
+        p, q = self.system.lam.as_integer_ratio()
+        d_hi = _fixed(self.d.numerator, self.d.denominator)[1]
+        return -(-p * bound // q) + d_hi <= bound
 
 
 def _fixed(num: int, den: int) -> tuple:
@@ -296,9 +319,9 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
         "trial": traj.provenance.trial,
         "provenance": traj.provenance.kind,
     }
-    with open(base.with_suffix(".json"), "w") as fh:
-        json.dump(jsonable(sidecar), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # one write: json.dump writes each token on its own
+    base.with_suffix(".json").write_text(
+        json.dumps(jsonable(sidecar), indent=2, sort_keys=True) + "\n")
 
 
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:

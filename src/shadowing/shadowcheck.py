@@ -107,7 +107,9 @@ def shadow_sets(system, points, eps):
     prev = point_scale = None
     for y, s in points:
         if s != point_scale:
-            point_scale, unit = s, math.lcm(s, base)
+            # a generated annulus scale doubles every step, and base
+            # divides it: no lcm is needed there
+            point_scale, unit = s, s if s % base == 0 else math.lcm(s, base)
             lift, radius = unit // s, eps_num * (unit // eps_den)
         if lift != 1:
             y = tuple(c * lift for c in y)

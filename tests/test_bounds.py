@@ -370,11 +370,11 @@ def test_pseudotrajectories_confined_after_entry():
 
 def test_entry_time_matches_direct_iteration():
     lam, rho = SPIRAL.lam, F(1, 20)
-    gap = F(2, 5)
-    n = 0
-    while gap > rho * lam:
-        gap *= lam
-        n += 1
-    assert n == 4
-    q = attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)))
-    assert q.n0 == n
+    for d, entry in ((F(9, 800), 4), (F(111, 5000), 7)):
+        # |r_n - 1| <= lam^n |r0 - 1| + d / (1 - lam), at most rho from n0 on
+        n = 0
+        while lam ** n * F(2, 5) + d / (1 - lam) > rho:
+            n += 1
+        assert n == entry
+        q = attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)), d=d)
+        assert q.n0 == n

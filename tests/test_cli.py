@@ -215,6 +215,16 @@ def test_attractor_cli(tmp_path, capsys):
     assert (tmp_path / "a" / "curve.csv").exists()
 
 
+def test_attractor_near_the_noise_ceiling_stays_in_its_band(capsys):
+    # d = 111/5000 just below d0 = 9/400: the noise term d/(1 - lam) of
+    # |r_n - 1| moves the entry step from 4 to 7, and every trial stays in
+    # the band from there on
+    code, out, _ = run(capsys, "attractor", "--d", "111/5000",
+                       "--trials", "40")
+    assert code == 0
+    assert json.loads(out)["quantities"]["n0"] == 7
+
+
 def test_bad_system_spec_exits_nonzero(capsys):
     code, _, err = run(capsys, "bounds", "--system", "squaring", "--d", "0.1")
     assert code == 2

@@ -7,8 +7,10 @@ The references here sample every point with ``generate`` and decide with
 ``decide_horizons``, as ``check`` does.
 """
 
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from shadowing import (ExperimentConfig, InvariantViolation,
@@ -255,3 +257,129 @@ def test_shipped_attractor_trials_need_no_exact_scan(monkeypatch):
     for trial in range(4):
         _run_trial(system, cfg, trial, (q.rho, q.n0))
     assert scans == []
+
+
+# -- closing the band tail by induction ----------------------------------------
+
+class Draws:
+    """A stand-in for a trial stream whose doubles are k / 2**53 for the
+    given draws k, so ``LatticeWalk`` reads exactly those k."""
+
+    def __init__(self, ks):
+        self.ks = ks
+
+    def random(self, size):
+        return np.array(self.ks[:size], dtype=float) / 2 ** 53
+
+
+def step_from(system, d, m, k):
+    """The tail enclosure one step past the radius 1 + m / 2**TAIL_BITS,
+    which the walk holds as lo = hi = m, for the radial draw k."""
+    walk = LatticeWalk(system, (1 + F(m, 2 ** TAIL_BITS), F(0)), d, 1,
+                       Draws([k, 0]))
+    (lo, hi), = walk.radius_enclosures()
+    return lo, hi
+
+
+def closure_cases():
+    """(system, d, bound) at random contractions, widths, noise levels and
+    bands rho <= w, and one built so that ceil(p*B/q) + d_hi is B + 1
+    while floor(p*B/q) + d_hi is B."""
+    rng = random.Random(15)
+    for _ in range(150):
+        q = rng.randint(2, 40)
+        lam = F(rng.randint(1, q - 1), q)
+        w = F(rng.randint(1, 100), 100)
+        rho = w * F(rng.randint(1, 100), 100)
+        d = F(rng.randint(1, 999), 10 ** rng.randint(2, 6))
+        system = parse_system(f"annulus:lambda={lam},alpha=610/987,w={w}")
+        yield system, d, (rho.numerator << TAIL_BITS) // rho.denominator
+    # d * 2**64 = 2**44 exactly and B = 2**45 - 1: hi = B steps to B + 1
+    # at the largest draw, which the floor would admit
+    yield parse_system(SPIRAL_SPEC), F(1, 2 ** 20), 2 ** 45 - 1
+
+
+def escapes(system, d, bound):
+    """Whether one step from an enclosure in [-B, B] leaves it, for ends
+    and random points of the band and draws 0, 2**53 - 1 and random ones."""
+    rng = random.Random(bound)
+    starts = (-bound, -bound + 1, 0, bound - 1, bound,
+              rng.randint(-bound, bound))
+    draws = (0, 1, 2 ** 52, 2 ** 53 - 1, rng.randrange(2 ** 53))
+    for m in starts:
+        for k in draws:
+            lo, hi = step_from(system, d, m, k)
+            if lo < -bound or hi > bound:
+                return True
+    return False
+
+
+def closes(system, d, bound):
+    return LatticeWalk(system, (F(1), F(0)), d, 0, Draws([])).band_closed(bound)
+
+
+def test_a_closed_band_keeps_every_enclosure_step_inside():
+    closed = [closes(*case) for case in closure_cases()]
+    for case, is_closed in zip(closure_cases(), closed):
+        if is_closed:
+            assert not escapes(*case)
+    assert any(closed) and not all(closed)
+
+
+def test_weaker_closure_tests_admit_escapes():
+    """Dropping d_hi or rounding p*B/q down claims bands that a step
+    leaves: the brute force catches both."""
+    no_noise = dropped_ceiling = 0
+    for system, d, bound in closure_cases():
+        if closes(system, d, bound) or not escapes(system, d, bound):
+            continue
+        p, q = system.lam.as_integer_ratio()
+        d_hi = -(-(d.numerator << TAIL_BITS) // d.denominator)
+        no_noise += -(-p * bound // q) <= bound
+        dropped_ceiling += p * bound // q + d_hi <= bound
+    assert no_noise and dropped_ceiling
+
+
+def count_tail_reads(monkeypatch):
+    reads = []
+    original = LatticeWalk.radius_enclosures
+
+    def counting(self):
+        for pair in original(self):
+            reads.append(pair)
+            yield pair
+
+    monkeypatch.setattr(LatticeWalk, "radius_enclosures", counting)
+    return reads
+
+
+def test_a_shipped_trial_reads_one_tail_enclosure(monkeypatch):
+    system = SYSTEMS["spiral"]
+    q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
+    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
+                           d=q.d, eps=q.eps0, horizons=(100, 300, 1000),
+                           trials=4, seed=44)
+    reads = count_tail_reads(monkeypatch)
+    for trial in range(4):
+        reads.clear()
+        got = _run_trial(system, cfg, trial, (q.rho, q.n0))
+        assert q.n0 < got.first_empty < cfg.max_horizon
+        assert len(reads) == 1
+
+
+def test_a_band_that_is_not_closed_is_read_to_its_end(monkeypatch):
+    """rho = 1/50 holds every radius from step 700 on but is not closed
+    (ceil(B/2) + d_hi > B at d = 9/800): the tail is read to the largest
+    horizon. The late-violation band is read up to its violation."""
+    system, cfg, (rho, n0), message = late_violation_case()
+    reads = count_tail_reads(monkeypatch)
+    assert not closes(system, cfg.d, (1 << TAIL_BITS) // 50)
+    first_empty = _run_trial(system, cfg, 0, (F(1, 50), n0)).first_empty
+    assert len(reads) == cfg.max_horizon - first_empty
+    reads.clear()
+    gaps = band_gaps(system, cfg, n0)
+    step = n0 + gaps.index(max(gaps))
+    with pytest.raises(InvariantViolation) as info:
+        _run_trial(system, cfg, 0, (rho, n0))
+    assert str(info.value) == message
+    assert len(reads) == step - first_empty
