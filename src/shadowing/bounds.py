@@ -23,9 +23,8 @@ from typing import NamedTuple
 
 from .enclosure import ball_set, intersect
 from .errors import DomainError, SearchFailure, UsageError
-from .pseudotraj import worst_case_pseudotrajectory
 from .rationals import frac, jsonable, point_text
-from .spaces import Space
+from .spaces import Space, scaled_point
 from .systems import AnnulusSpiral
 
 
@@ -97,7 +96,8 @@ class CoverTime(NamedTuple):
 
 
 def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
-    """Visitation times of the orbit of r over the delta1-net.
+    """Visitation times of the orbit of r over the delta1-net of a circle
+    or interval map.
 
     k1 is the first time by which the orbit has entered every open
     delta1-ball of the net; k2 repeats the search restarted at step k1 + 1;
@@ -105,12 +105,17 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     is exhausted (finite arithmetic cannot certify transitivity) or the
     orbit is seen to cycle: a scan keeps its point at each power-of-two
     step (Brent, *BIT* 20, 1980), and a return to it means that only
-    points already scanned follow.
+    points already scanned follow. An annulus map is a ``UsageError``:
+    its bounds are ``attractor_quantities``.
 
     Every orbit point from step 1 on lies in the image f(X) of the whole
     space, which is computed exactly first: a net ball whose closure f(X)
     misses can never be entered by the restarted scan, so the search fails
     at once, naming the first such ball, without scanning.
+
+    The orbit runs on integers (``apply_scaled``, ``net_neighbors``), each
+    point over the smallest unit that is a multiple of the lattice base,
+    so the cycle check compares (numerator, unit) pairs.
     """
     delta1 = frac(delta1)
     space = system.space
@@ -126,30 +131,37 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
                     f"around net center {point_text(c)}, so no orbit point "
                     "after the first can enter it",
                     target=c, radius=delta1, horizon=0)
+    base, apply = system.lattice_base, system.apply_scaled
 
-    def scan(start_point, budget):
+    def step(x, unit):
+        (x,), out = apply((x,), unit)
+        g = math.gcd(x, out // base)
+        return x // g, out // g
+
+    def scan(x, unit, budget):
         unvisited = set(range(len(centers)))
-        p = saved = start_point
+        saved = x, unit
         cycle = ""
         for n in range(budget + 1):
-            unvisited.difference_update(space.net_neighbors(p, delta1))
+            unvisited.difference_update(space.net_neighbors(x, unit, delta1))
             if not unvisited:
-                return n, p
-            p = system.apply(p)
-            if p == saved:
+                return n, x, unit
+            x, unit = step(x, unit)
+            if (x, unit) == saved:
                 cycle = f"; it cycles by step {n + 1}, so it never will"
                 break
             if n & (n + 1) == 0:  # keep the point at each power-of-two step
-                saved = p
+                saved = x, unit
         i = min(unvisited)
         raise SearchFailure(
             f"orbit never entered the open {delta1}-ball around net center "
             f"{point_text(centers[i])} within {budget} steps{cycle}",
             target=centers[i], radius=delta1, horizon=budget)
 
-    k1, p = scan(point, horizon)
-    restart = system.apply(p)  # f^(k1+1)(r)
-    k2, _ = scan(restart, horizon)
+    (x,), scale = scaled_point(point)
+    unit = math.lcm(scale, base)
+    k1, x, unit = scan(x * (unit // scale), unit, horizon)
+    k2, *_ = scan(*step(x, unit), horizon)  # restarted at f^(k1+1)(r)
     return CoverTime(k1, k2, k1 + k2 + 1)
 
 
@@ -228,7 +240,8 @@ def dichotomy_quantities(system, d, eps=None, y0=None,
         q["cover_k1"], q["cover_k2"], q["cover_k"] = cov
     if system.kind == "rotation" and eps is not None \
             and frac(eps) < Fraction(1, 4):
-        q["tail_n"] = worst_case_pseudotrajectory(system, d, eps).horizon
+        # the drift construction's horizon (worst_case_pseudotrajectory)
+        q["tail_n"] = math.ceil(4 * frac(eps) / frac(d)) + 1
         if y0 is not None:
             q["block_length"] = q["cover_k"] + q["tail_n"] + 1
     return DichotomyQuantities(delta, delta1, **q)
@@ -317,7 +330,3 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0,
         band_lo=1 - rho, band_hi=1 + rho, n0=n0, d0=d0, settle_s=settle,
         lam=lam, margin=BAND_MARGIN, y0=y0)
 
-
-def in_absorbing_band(point, rho) -> bool:
-    """Membership in the band {|r - 1| <= rho} of an annulus point."""
-    return abs(point[0] - 1) <= rho

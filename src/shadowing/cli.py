@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .errors import DomainError, EnclosureCapError, SearchFailure, UsageError
+from .errors import (DomainError, EnclosureCapError, InvariantViolation,
+                     SearchFailure, UsageError)
 from .experiment import (ExperimentConfig, emit, estimate_probability,
                          result_summary, run_attractor_experiment,
                          run_dichotomy_experiment)
@@ -218,6 +219,10 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, SearchFailure, EnclosureCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        # a computed bound failed to hold: a bug, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

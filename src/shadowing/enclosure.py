@@ -20,15 +20,14 @@ Each form depends only on the point set, so ``EnclosureSet.__eq__``, which
 compares fragments, is equality of sets, however the fragments given to
 ``make`` overlap or were cut.
 
-Every fragment coordinate is a numerator over the set's ``unit``: ``1``
-for sets that hold the values themselves (``Fraction`` values at the
-public API), and a positive integer *scale* for the exact kernel, whose
-fragments are Python integers over that common denominator. One copy of
-the arc, segment and box algebra serves both, because it only adds,
-compares and reduces modulo ``unit``. Reading ``EnclosureSet.fragments``
-of an integer set builds its ``Fraction`` values then, and only then. A
-set at unit 1 that meets an integer set is put on integers first, over
-the lcm of its denominators.
+Every fragment coordinate is a Python integer, a numerator over the
+set's ``unit``, a positive integer *scale*: the arc, segment and box
+algebra only adds, compares and reduces modulo ``unit``. Values enter as
+``Fraction`` coordinates only through ``make`` and ``ball_set``, which put
+them on integers once, over the lcm of their denominators, and leave
+only through ``EnclosureSet.fragments`` and ``measure``, which build the
+``Fraction`` values when they are read. Sets over different units meet
+over the lcm of the two.
 
 A single fragment is a normal form as it stands, once a full arc is
 written ``(0, unit)``; the shadow-set step (each map's ``image_in_ball``)
@@ -47,7 +46,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import EnclosureCapError, UsageError
-from .spaces import HALF, Space, scaled_point
+from .spaces import Space, scaled_point
 
 DEFAULT_FRAGMENT_CAP = 4096
 
@@ -60,17 +59,11 @@ def _lift(frags, factor):
 
 
 def _integers(frags, base=1):
-    """(numerators, unit) of Fraction fragments over the lcm of ``base``
-    and their denominators."""
+    """(numerators, unit) of fragments of rationals over the lcm of
+    ``base`` and their denominators; a float is read as its exact value."""
+    frags = [[Fraction(c) for c in f] for f in frags]
     unit = math.lcm(base, *(c.denominator for f in frags for c in f))
     return tuple(tuple(int(c * unit) for c in f) for f in frags), unit
-
-
-def _values(frags, unit):
-    """The Fraction values of fragments over ``unit``."""
-    if unit == 1:
-        return frags
-    return tuple(tuple(Fraction(c, unit) for c in f) for f in frags)
 
 
 # -- circle arcs ---------------------------------------------------------
@@ -217,25 +210,25 @@ _INTERSECT = {"circle": _intersect_arcs, "interval": _intersect_segs,
 class EnclosureSet:
     """A canonical union of fragments of ``space`` (see the module doc).
 
-    ``EnclosureSet(space, fragments)`` holds the fragment values
-    themselves, at unit 1. The exact kernel builds sets whose ``nums`` are
-    integer numerators over an integer ``unit``; their ``fragments`` are
+    ``EnclosureSet(space, nums, unit)`` holds fragments whose ``nums`` are
+    integer numerators over the integer ``unit``; their ``fragments`` are
     the ``Fraction`` values, built on first read. No method changes an
     instance once built.
     """
 
     __slots__ = ("space", "nums", "unit", "_values")
 
-    def __init__(self, space: Space, fragments, unit=1):
+    def __init__(self, space: Space, nums, unit: int):
         self.space = space
-        self.nums = tuple(fragments)
+        self.nums = tuple(nums)
         self.unit = unit
-        self._values = self.nums if unit == 1 else None
+        self._values = None
 
     @property
     def fragments(self) -> tuple:
         if self._values is None:
-            self._values = _values(self.nums, self.unit)
+            self._values = tuple(tuple(Fraction(c, self.unit) for c in f)
+                                 for f in self.nums)
         return self._values
 
     def __eq__(self, other):
@@ -264,19 +257,15 @@ class EnclosureSet:
             total = sum(hi - lo for lo, hi in self.nums)
         else:
             total = sum((rhi - rlo) * l for rlo, rhi, _, l in self.nums)
-        if self.unit == 1:
-            return total
         return Fraction(total, self.unit ** self.space.ndim)
 
     def contains(self, point) -> bool:
-        if self.unit == 1:
-            return _contains(self.space.kind, self.nums, point, 1, (0, 0))
         nums, scale = scaled_point(point)
         return self.first_inside([nums], scale) is not None
 
     def first_inside(self, points, scale):
         """The first of ``points`` (tuples of numerators over ``scale``)
-        that lies in this integer set, or None.
+        that lies in this set, or None.
 
         A coordinate c is read over the set's unit as floor(c * unit /
         scale), marked short when the division leaves a remainder (the
@@ -304,18 +293,10 @@ class EnclosureSet:
             return max(self.nums, key=lambda f: (f[1] - f[0], -f[0]))
         return max(self.nums, key=lambda f: ((f[1] - f[0]) * f[3], -f[0]))
 
-    def pick_point(self):
-        """Deterministic representative: midpoint of the largest fragment,
-        ties going to the smallest start."""
-        nums, scale = self.pick_scaled()
-        if self.unit == 1:
-            # times the Fraction 1/2: the int fragment (0, 1) of a whole
-            # circle must give Fraction(1, 2), not the float 1 / 2
-            return tuple(c * HALF for c in nums)
-        return tuple(Fraction(c, scale) for c in nums)
-
     def pick_scaled(self):
-        """pick_point as numerators over twice the unit."""
+        """Deterministic representative, as numerators over twice the
+        unit: the midpoint of the largest fragment, ties going to the
+        smallest start."""
         f = self._largest()
         u2 = 2 * self.unit
         kind = self.space.kind
@@ -326,7 +307,7 @@ class EnclosureSet:
         return (f[0] + f[1], (2 * f[2] + f[3]) % u2), u2
 
     def reduced(self, base: int) -> "EnclosureSet":
-        """The same integer set over the smallest unit that is a multiple
+        """The same set over the smallest unit that is a multiple
         of ``base`` (one gcd over all numerators)."""
         g = math.gcd(self.unit // base, *chain.from_iterable(self.nums))
         if g == 1:
@@ -362,13 +343,14 @@ def _contains(kind, frags, point, unit, shorts) -> bool:
 
 
 def make(space: Space, fragments) -> EnclosureSet:
-    """Normalize fragments into a canonical EnclosureSet.
+    """Normalize fragments of rational coordinates into a canonical
+    EnclosureSet over the lcm of their denominators.
 
     Overlapping or touching fragments are merged exactly (see the module
     doc). Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call time, it
     fails with ``EnclosureCapError``, whose ``partial`` is the exact set.
     """
-    return _make(space, fragments, 1)
+    return _make(space, *_integers(fragments))
 
 
 def _make(space: Space, fragments, unit) -> EnclosureSet:
@@ -388,15 +370,21 @@ def _make(space: Space, fragments, unit) -> EnclosureSet:
 
 
 def ball_set(space: Space, center, radius) -> EnclosureSet:
-    """The closed radius-ball around center, truncated to the space."""
+    """The closed radius-ball around center, truncated to the space, over
+    the lcm of the denominators of center, radius and the annulus
+    half-width."""
     if radius <= 0:
         raise UsageError("ball radius must be positive")
-    return EnclosureSet(space, (_ball(space, center, radius, 1),))
+    base = space.w_ratio[1] if space.kind == "annulus" else 1
+    (nums,), unit = _integers(((*center, radius),), base)
+    return EnclosureSet(space, (_ball(space, nums[:-1], nums[-1], unit),),
+                        unit)
 
 
 def _ball(space: Space, center, radius, unit) -> tuple:
     """The single fragment of ball_set, with center and radius given as
-    numerators over unit."""
+    numerators over unit (on the annulus a multiple of the denominator of
+    w)."""
     kind = space.kind
     if kind == "circle":
         if 2 * radius >= unit:
@@ -404,11 +392,8 @@ def _ball(space: Space, center, radius, unit) -> tuple:
         return ((center[0] - radius) % unit, 2 * radius)
     if kind == "interval":
         return (max(center[0] - radius, 0), min(center[0] + radius, unit))
-    if unit == 1:
-        w = space.w
-    else:
-        w_num, w_den = space.w_ratio
-        w = w_num * (unit // w_den)
+    w_num, w_den = space.w_ratio
+    w = w_num * (unit // w_den)
     rlo = max(center[0] - radius, unit - w)
     rhi = min(center[0] + radius, unit + w)
     if 2 * radius >= unit:
@@ -426,14 +411,9 @@ def intersect(a: EnclosureSet, b: EnclosureSet) -> EnclosureSet:
 
 def _meet(space: Space, fa, unit_a, fb, unit_b) -> EnclosureSet:
     """The normal form of the pairwise intersections of two fragment
-    lists. Over different units they meet over the lcm, a unit of 1
-    counting as the lcm of its fragments' denominators."""
+    lists. Over different units they meet over the lcm."""
     unit = unit_a
     if unit_b != unit:
-        if unit_a == 1:
-            fa, unit_a = _integers(fa)
-        if unit_b == 1:
-            fb, unit_b = _integers(fb)
         unit = math.lcm(unit_a, unit_b)
         fa, fb = _lift(fa, unit // unit_a), _lift(fb, unit // unit_b)
     meet = _INTERSECT[space.kind]

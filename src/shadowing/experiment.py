@@ -32,7 +32,7 @@ from . import bounds as bounds_mod
 from .binomial import clopper_pearson
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
 from .pseudotraj import TAIL_BITS, LatticeWalk, generate, trial_stream
-from .rationals import frac, jsonable, parse_point
+from .rationals import frac, jsonable, parse_point, point_text
 # orbit_tracks, pull_back_witness and shadow_set_forward are unused here;
 # generate runs only to confirm exactly a band exit that the sampled points
 # or the 64-bit tail enclosure show. bench/probes.py looks all four up here
@@ -190,8 +190,9 @@ def _check_band(system, config: ExperimentConfig, trial: int, rho, n0):
     for n in range(n0, len(pts)):
         if not _in_band(pts.nums[n][0], pts.scales[n], rho):
             raise InvariantViolation(
-                f"trial {trial}: point {pts[n]} at step {n} escaped the "
-                f"absorbing band of half-width {rho} (entry step {n0})")
+                f"trial {trial}: point {point_text(pts[n])} at step {n} "
+                f"escaped the absorbing band of half-width {rho} "
+                f"(entry step {n0})")
 
 
 def _aggregate(config: ExperimentConfig, outcomes) -> ExperimentResult:

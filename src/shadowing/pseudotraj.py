@@ -29,10 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, SearchFailure, UsageError
-from .rationals import frac, jsonable, point_text
+from .errors import DomainError, UsageError
+from .rationals import frac, jsonable
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
-from .systems import orbit
 
 # Fixed-point bits of the band tail's enclosure (``radius_enclosures``).
 TAIL_BITS = 64
@@ -111,11 +110,12 @@ class LatticeWalk:
     space, from one uniform double per coordinate, on an integer lattice
     (``Space.sample_scaled``). The n * ndim doubles are drawn in one call,
     which numpy makes bit-identical to drawing them one at a time, so the
-    points equal the step-by-step Fraction chain
-    (``Space.sample_uniform_ball``), leave the stream where it would, and a
-    shorter horizon gives a prefix. The scale starts at 2**53 times the lcm
-    of the denominators of d, y0 and the map's parameters; it grows only by
-    a non-integer slope's denominator and at a step truncated at a boundary.
+    points equal a chain that draws its doubles step by step (the tests
+    keep a ``Fraction`` one in ``tests/reference.py``), leave the stream
+    where it would, and a shorter horizon gives a prefix. The scale starts
+    at 2**53 times the lcm of the denominators of d, y0 and the map's
+    parameters; it grows only by a non-integer slope's denominator and at
+    a step truncated at a boundary.
 
     Iterating (once) yields y_0, ..., y_n as (numerators, scale) pairs and
     adds each to ``taken``; a step is sampled only when it is asked for.
@@ -215,67 +215,6 @@ def generate(system, y0: Point, d, n: int, rng,
         pass
     return Pseudotrajectory(walk.taken, walk.d,
                             provenance or Provenance("random"))
-
-
-def exact_orbit(system, x0: Point, n: int) -> Pseudotrajectory:
-    """The true orbit of x0, packaged as a 0-error pseudotrajectory."""
-    return Pseudotrajectory(tuple(orbit(system, x0, n)), Fraction(0),
-                            Provenance("exact_orbit"))
-
-
-def validate(system, points, d) -> bool:
-    """True iff every consecutive pair satisfies dist(y_{n+1}, f(y_n)) <= d."""
-    space = system.space
-    return all(space.dist(points[k + 1], system.apply(points[k])) <= d
-               for k in range(len(points) - 1))
-
-
-def splice(system, r: Point, z0: Point, tail: Pseudotrajectory, delta1,
-           horizon: int = 10 ** 6) -> Pseudotrajectory:
-    """Connect z0 to the tail through the orbit of a transit point r.
-
-    Finds the first n1 with dist(z0, f^n1(r)) < 2*delta1 and the first
-    n2 >= n1 with dist(tail_0, f^n2(r)) < 2*delta1, then returns the orbit
-    segment f^n1(r), ..., f^(n2-1)(r) followed by the tail. The result is
-    validated as a pseudotrajectory with bound 2 * tail.d and construction
-    fails loudly if the bound does not hold (it does whenever
-    2*delta1 <= tail.d).
-    """
-    if delta1 <= 0:
-        raise DomainError("net radius delta1 must be positive")
-    space = system.space
-    z0 = space.canonical(z0)
-    target = tail.points[0]
-    bound = 2 * delta1
-
-    point = space.canonical(r)
-    n1 = None
-    n = 0
-    while n <= horizon:
-        if n1 is None and space.dist(z0, point) < bound:
-            n1 = n
-        if n1 is not None and space.dist(target, point) < bound:
-            n2 = n
-            break
-        point = system.apply(point)
-        n += 1
-    else:
-        missing = z0 if n1 is None else target
-        raise SearchFailure(
-            f"transit orbit never entered the {bound}-ball around "
-            f"{point_text(missing)} within {horizon} steps",
-            target=missing, radius=bound, horizon=horizon)
-
-    segment = orbit(system, r, n2)[n1:n2]
-    points = tuple(segment) + tail.points
-    d = 2 * tail.d
-    out = Pseudotrajectory(points, d, Provenance("spliced"))
-    if not validate(system, out.points, d):
-        raise DomainError(
-            f"spliced sequence violates the step bound {d}; "
-            f"need 2*delta1 <= tail step bound (got delta1={delta1}, "
-            f"tail d={tail.d})")
-    return out
 
 
 def worst_case_pseudotrajectory(system, d, eps) -> Pseudotrajectory:

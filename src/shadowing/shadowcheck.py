@@ -10,8 +10,9 @@ All arithmetic is exact and the sets are exact. The verdict is Yes, with a
 certified witness re-checked against its orbit, or No, with the first
 empty step; ``horizon_verdicts`` is the one routine that reaches either.
 Propagation, pull-back and re-check run on Python integers over a per-step
-common denominator, the scale (see ``shadow_sets``); Fractions
-appear only in the witness and when a caller reads a set's ``fragments``.
+common denominator, the scale (see ``shadow_sets``); Fractions appear
+only in the witness, when a caller reads a set's ``fragments`` and in the
+rotations' closed form below.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
 alone: the map walks the linear pieces of each fragment of A_n and clips
 each image piece to the ball as it is made, and only when more than one
@@ -26,8 +27,10 @@ no lifted point.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
-A closed-form span criterion for rotations cross-checks the propagation;
-the tests keep a float grid search of their own (``tests/grid_oracle.py``).
+A closed-form span criterion for rotations (``rotation_first_failure``)
+cross-checks the propagation. The tests keep a float grid search
+(``tests/grid_oracle.py``) and ``Fraction`` copies of the preimages, the
+set representative and the verdict helpers (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -233,11 +236,6 @@ def decide_shadowable(system, traj: Pseudotrajectory, eps) -> ShadowVerdict:
                          found.sets[-1])
 
 
-def first_empty_step(system, traj: Pseudotrajectory, eps) -> int | None:
-    """Smallest n with A_n empty, or None; prefix verdicts derive from it."""
-    return decide_horizons(system, traj, eps, ()).first_empty
-
-
 # -- closed-form rotation oracle ------------------------------------------
 
 def rotation_deviations(system, points) -> list:
@@ -254,18 +252,12 @@ def rotation_deviations(system, points) -> list:
     return w
 
 
-def rotation_oracle(system, traj: Pseudotrajectory, eps) -> bool:
-    """Closed-form shadowability of a rotation pseudotrajectory.
-
-    True iff the deviation lift has span at most 2*eps. Valid for
-    eps < 1/4 and step bounds below 1/4, where the lift is unambiguous
-    and a span window corresponds to an actual shadowing orbit.
-    """
-    return rotation_first_failure(system, traj, eps) is None
-
-
 def rotation_first_failure(system, traj: Pseudotrajectory, eps) -> int | None:
-    """First horizon at which the rotation oracle says not shadowable."""
+    """Closed-form shadowability of a rotation pseudotrajectory: the first
+    horizon at which the deviation lift spans more than 2*eps, or None if
+    it never does (the whole trajectory is shadowable). Valid for
+    eps < 1/4 and step bounds below 1/4, where the lift is unambiguous and
+    a span window corresponds to an actual shadowing orbit."""
     _check_oracle_region(traj, eps)
     w = rotation_deviations(system, traj.points)
     lo = hi = w[0]

@@ -12,13 +12,16 @@ Balls are truncated at non-periodic boundaries, keeping every ball's
 measure strictly positive; the sampling kernel normalizes by the truncated
 measure.
 
-The public methods take and return ``Fraction`` coordinates. The exact
-kernel keeps points as integer numerators over a common denominator,
-their *scale*: ``ScaledPoints`` holds a sequence of such points and builds
-a point's Fractions only when it is read, and ``sample_scaled`` draws the
-same point as ``sample_uniform_ball`` on that integer lattice. The annulus
-half-width is kept as an integer pair too (``Space.w_ratio``), so a step
-at a new scale reads no ``Fraction``.
+Points enter and leave as ``Fraction`` coordinates (``canonical``,
+``dist``, ``epsilon_net``). Everything else runs on integer numerators
+over a common denominator, the point's *scale*: ``ScaledPoints`` holds a
+sequence of such points and builds a point's Fractions only when it is
+read, ``sample_scaled`` draws a point of a ball, ``beyond`` compares a
+distance with a bound and ``net_neighbors`` finds the net balls around a
+point, all by integer floors, ceilings and cross-multiplied comparisons.
+The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
+so a step at a new scale reads no ``Fraction``. The tests hold the sampler
+to a ``Fraction`` copy of it (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -200,56 +203,23 @@ class Space:
         t = (a[1] * a_lift - b[1] * b_lift) % unit
         return t > bound and unit - t > bound
 
-    def ball_measure(self, center: Point, radius):
-        """Measure of the radius-ball around center, truncated to the space."""
-        if radius <= 0:
-            raise DomainError("ball radius must be positive")
-        if self.kind == "circle":
-            return min(2 * radius, Fraction(1))
-        if self.kind == "interval":
-            c = center[0]
-            return min(c + radius, 1) - max(c - radius, 0)
-        rc = center[0]
-        radial = min(rc + radius, 1 + self.w) - max(rc - radius, 1 - self.w)
-        return radial * min(2 * radius, Fraction(1))
-
     # -- sampling --------------------------------------------------------
 
-    def sample_uniform_ball(self, center: Point, radius, rng) -> Point:
-        """Draw a point uniformly (w.r.t. the reference measure) from the
-        radius-ball around center intersected with the space.
-
-        Consumes exactly one uniform double per coordinate, so prefixes of
-        a stream reproduce regardless of later draws. Coordinates are exact
-        Fractions of the drawn doubles.
-        """
-        if radius <= 0:
-            raise DomainError("ball radius must be positive")
-        if self.kind == "circle":
-            return (self._sample_arc(center[0], radius, rng),)
-        if self.kind == "interval":
-            lo = max(center[0] - radius, 0)
-            hi = min(center[0] + radius, 1)
-            return (lo + (hi - lo) * Fraction(float(rng.random())),)
-        rc = center[0]
-        lo = max(rc - radius, 1 - self.w)
-        hi = min(rc + radius, 1 + self.w)
-        r = lo + (hi - lo) * Fraction(float(rng.random()))
-        theta = self._sample_arc(center[1], radius, rng)
-        return (r, theta)
-
     def sample_scaled(self, center, scale: int, r: int, draws) -> tuple:
-        """sample_uniform_ball on the integer lattice.
+        """A point drawn uniformly (w.r.t. the reference measure) from the
+        r-ball around center intersected with the space, from one uniform
+        double per coordinate.
 
         ``center`` and the radius ``r`` are integer numerators over
         ``scale``; each uniform is taken from ``draws`` as the integer k of
-        its double k / 2**53. Returns the point's numerators and scale,
-        and equals sample_uniform_ball's point for the same doubles.
-        ``scale`` must be a multiple of 2**53 and of the denominator of w,
-        which is read from ``w_ratio``, so no ``Fraction`` is touched. An
-        untruncated step keeps the scale; a step truncated at a boundary
-        multiplies it by the power of two, at most 2**53, that keeps the
-        draw exact.
+        its double k / 2**53. Returns the point's numerators and scale:
+        lo + (hi - lo) * k / 2**53 on the truncated segment [lo, hi], and
+        center - r + 2r * k / 2**53 mod 1 on an arc (k / 2**53 where the
+        arc is the whole circle). ``scale`` must be a multiple of 2**53
+        and of the denominator of w, which is read from ``w_ratio``, so no
+        ``Fraction`` is touched. An untruncated step keeps the scale; a
+        step truncated at a boundary multiplies it by the power of two, at
+        most 2**53, that keeps the draw exact.
         """
         if self.kind == "circle":
             return (_sample_arc_scaled(center[0], r, scale, next(draws)),), \
@@ -272,90 +242,52 @@ class Space:
                                    next(draws))
         return (x, theta), scale
 
-    @staticmethod
-    def _sample_arc(center, radius, rng):
-        u = Fraction(float(rng.random()))
-        if 2 * radius >= 1:
-            return u
-        return (center - radius + 2 * radius * u) % 1
-
-    def random_point(self, rng) -> Point:
-        """Uniform point of the whole space (test and oracle helper)."""
-        if self.kind == "circle":
-            return (Fraction(float(rng.random())),)
-        if self.kind == "interval":
-            return (Fraction(float(rng.random())),)
-        r = 1 - self.w + 2 * self.w * Fraction(float(rng.random()))
-        return (r, Fraction(float(rng.random())))
-
     # -- covers ----------------------------------------------------------
 
-    def _net_shape(self, delta1):
+    def _net_size(self, delta1) -> int:
+        if self.kind == "annulus":
+            raise UsageError("the annulus has no cover net; its bounds come "
+                             "from the absorbing band")
         if delta1 <= 0:
             raise DomainError("net radius must be positive")
-        n = max(math.ceil(1 / Fraction(delta1)), 1)
-        if self.kind != "annulus":
-            return (n,)
-        nr = max(math.ceil(2 * self.w / Fraction(delta1)), 1)
-        return (nr, n)
+        return max(-(-delta1.denominator // delta1.numerator), 1)
 
     def epsilon_net(self, delta1) -> list[Point]:
-        """Centers of a finite cover of the space by open delta1-balls.
+        """Centers of a finite cover of the circle or interval by open
+        delta1-balls.
 
         Grid construction: every point of the space lies strictly within
-        delta1 of some center.
+        delta1 of some center; n = ceil(1 / delta1) centers k / n on the
+        circle, (2k + 1) / 2n on the interval.
         """
-        shape = self._net_shape(delta1)
-        n = shape[-1]
+        delta1 = frac(delta1)
+        n = self._net_size(delta1)
         if self.kind == "circle":
             return [(Fraction(k, n),) for k in range(n)]
-        if self.kind == "interval":
-            return [(Fraction(2 * k + 1, 2 * n),) for k in range(n)]
-        nr = shape[0]
-        radial = [1 - self.w + Fraction(2 * k + 1, 2 * nr) * 2 * self.w
-                  for k in range(nr)]
-        return [(r, Fraction(k, n)) for r in radial for k in range(n)]
+        return [(Fraction(2 * k + 1, 2 * n),) for k in range(n)]
 
-    def net_neighbors(self, point: Point, delta1) -> list[int]:
-        """Indices into epsilon_net(delta1) of centers strictly within
-        delta1 of point. Candidates come from inverting the grid layout and
-        are verified exactly, so the scan cost is independent of net size.
-        """
-        shape = self._net_shape(delta1)
-        n = shape[-1]
-
-        def angular_hits(x):
-            lo = math.floor(n * (x - delta1))
-            hi = math.ceil(n * (x + delta1))
-            hits = []
-            for k in range(lo, hi + 1):
-                if circ_dist(x, Fraction(k, n) % 1) < delta1:
-                    hits.append(k % n)
-            return sorted(set(hits))
-
+    def net_neighbors(self, x: int, unit: int, delta1) -> list[int]:
+        """Indices into epsilon_net(delta1) of the centers strictly within
+        delta1 = a / b of the point x / unit, in increasing order.
+        Candidates come from inverting the grid layout with integer floor
+        and ceiling, so their count is independent of the net size, and
+        each is checked over unit * n * b (twice that on the interval)."""
+        n = self._net_size(delta1)
+        a, b = delta1.numerator, delta1.denominator
+        ub = unit * b
         if self.kind == "circle":
-            return angular_hits(point[0])
-        if self.kind == "interval":
-            x = point[0]
-            lo = math.floor(n * (x - delta1) - Fraction(1, 2))
-            hi = math.ceil(n * (x + delta1) - Fraction(1, 2))
-            hits = []
-            for k in range(max(lo, 0), min(hi, n - 1) + 1):
-                if abs(x - Fraction(2 * k + 1, 2 * n)) < delta1:
-                    hits.append(k)
-            return hits
-        nr = shape[0]
-        r, theta = point
-        u = (r - (1 - self.w)) / (2 * self.w)  # radial position in [0, 1]
-        lo = math.floor(nr * u - Fraction(1, 2))
-        hi = math.ceil(nr * u + Fraction(1, 2))
-        radial_hits = []
-        for k in range(max(lo - 1, 0), min(hi + 1, nr - 1) + 1):
-            center = 1 - self.w + Fraction(2 * k + 1, 2 * nr) * 2 * self.w
-            if abs(r - center) < delta1:
-                radial_hits.append(k)
-        return [ir * n + k for ir in radial_hits for k in angular_hits(theta)]
-
+            # over unit * n * b: the point p, the radius rad, center k at
+            # k * ub
+            p, rad, whole = x * n * b, a * unit * n, n * ub
+            return sorted({k % n for k in range((p - rad) // ub,
+                                                -((-p - rad) // ub) + 1)
+                           if circ_dist(p, k * ub % whole, whole) < rad})
+        # over 2 * unit * n * b: center k at (2k + 1) * ub
+        p, rad = 2 * x * n * b, 2 * a * unit * n
+        lo = (p - rad - ub) // (2 * ub)
+        hi = -((ub - p - rad) // (2 * ub))
+        return [k for k in range(max(lo, 0), min(hi, n - 1) + 1)
+                if abs(p - (2 * k + 1) * ub) < rad]
 
 def circle() -> Space:
     return Space("circle")

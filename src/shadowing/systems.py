@@ -19,11 +19,10 @@ for a ball B given as one fragment: each map walks the linear pieces of
 every fragment of A on those parameters and clips each image arc, segment
 or box to B as it is made, so only pieces that can overlap are put in
 normal form. ``apply_set`` is the same walk with the whole space as the
-ball. A set at unit 1 is put on the lattice first, as a point is by the
-public ``preimages``, which reads its result back as ``Fraction`` values;
-the public ``apply`` runs on the ``Fraction`` parameters themselves. Each
-map converts its ``Fraction`` parameters to integers once, when it is
-built, so evaluating at a new scale reads no ``Fraction``.
+ball. The public ``apply`` puts a point on the lattice and reads
+``apply_scaled`` back as ``Fraction`` values. Each map converts its
+``Fraction`` parameters to integers once, when it is built, so evaluating
+at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,22 +40,29 @@ from .rationals import frac
 from .spaces import Space, annulus, circle, interval, scaled_point
 
 
-def _on_lattice(system, s: EnclosureSet) -> EnclosureSet:
-    """A set at unit 1 over the lcm of its denominators and the lattice
-    base."""
-    return EnclosureSet(s.space,
-                        *enclosure._integers(s.nums, system.lattice_base))
+def _apply(system, point):
+    """The map at a point of rationals: ``apply_scaled`` over the lcm of
+    the point's denominators and the lattice base, read back as
+    Fractions."""
+    nums, scale = scaled_point(point)
+    unit = math.lcm(scale, system.lattice_base)
+    image, out = system.apply_scaled(
+        tuple(c * (unit // scale) for c in nums), unit)
+    return tuple(Fraction(c, out) for c in image)
 
 
 def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     """The image of s, normalized: its pieces clipped to the whole space,
-    which clips nothing."""
+    which clips nothing. A set whose unit is not a multiple of the lattice
+    base is lifted to the lcm of the two first."""
     space = system.space
-    whole = enclosure._ball(space, (1, 0) if space.kind == "annulus"
-                            else (0,), 1, 1)
-    if s.unit == 1:
-        s = _on_lattice(system, s)
-    pieces, _, out = system.clip_image(s, *scaled_point(whole))
+    u = s.unit
+    if u % system.lattice_base:
+        u = math.lcm(u, system.lattice_base)
+        s = EnclosureSet(space, enclosure._lift(s.nums, u // s.unit), u)
+    whole = enclosure._ball(space, (u, 0) if space.kind == "annulus"
+                            else (0,), u, u)
+    pieces, _, out = system.clip_image(s, whole, u)
     return enclosure._make(space, pieces, out)
 
 
@@ -68,30 +74,14 @@ def _image_in_ball(system, s: EnclosureSet, ball, unit) -> EnclosureSet:
     Only an image with more raw pieces than the fragment cap can have a
     normal form above it, so only such an image is normalized alone,
     failing as ``apply_set`` would. One clipped piece is a normal form
-    already; more are normalized once. Both read the cap at call time."""
-    if s.unit == 1:
-        s = _on_lattice(system, s)
-    if unit == 1 != s.unit:
-        # as intersect lifts a unit-1 set that meets an integer one; a set
-        # still at unit 1 (lattice base 1) meets the ball over its values
-        ball, unit = scaled_point(ball)
+    already; more are normalized once. Both read the cap at call time. The
+    unit of s is a multiple of the lattice base, as a shadow set's is."""
     pieces, raw, out = system.clip_image(s, ball, unit)
     if raw > enclosure.DEFAULT_FRAGMENT_CAP:
         system.apply_set(s)
     if len(pieces) > 1:
         return enclosure._make(system.space, pieces, out)
     return EnclosureSet(system.space, pieces, out)
-
-
-def _preimages(system, point) -> list:
-    """All solutions of apply(x) == point, canonical and sorted: the
-    map's ``preimages_scaled`` over the lcm of the point's denominators and
-    the lattice base, read back as Fractions."""
-    nums, scale = scaled_point(point)
-    unit = math.lcm(scale, system.lattice_base)
-    found, out = system.preimages_scaled(
-        tuple(c * (unit // scale) for c in nums), unit)
-    return [tuple(Fraction(c, out) for c in t) for t in found]
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,6 @@ class PiecewiseLinearMap:
         ends = list(bps[1:]) + [Fraction(1)]
         for b, e, s in zip(bps, ends, self.slopes):
             values.append(values[-1] + s * (e - b))
-        object.__setattr__(self, "_values", tuple(values))
         degree = values[-1] - values[0]
         if self.space.kind == "circle":
             if degree != int(degree):
@@ -184,21 +173,7 @@ class PiecewiseLinearMap:
             raise UsageError("alpha is defined for rotations only")
         return self.offset
 
-    def _tables(self, unit):
-        """(breakpoints, values, slopes) of the map over unit 1, the
-        ``Fraction`` parameters themselves, on which ``apply`` runs: on
-        piece i it sends x to values[i] + slopes[i] * (x - breakpoints[i]).
-        Integer units read ``_lattice`` instead and build no table."""
-        if unit != 1:
-            raise UsageError("integer units read the lattice constants")
-        return self.breakpoints, self._values, self.slopes
-
-    def apply(self, point):
-        bps, vals, slopes = self._tables(1)
-        x = point[0]
-        i = bisect_right(bps, x) - 1
-        v = vals[i] + slopes[i] * (x - bps[i])
-        return (v % 1,) if self.space.kind == "circle" else (v,)
+    apply = _apply
 
     def apply_scaled(self, point, unit):
         """apply() for numerators over an integer ``unit`` (a multiple of
@@ -281,8 +256,6 @@ class PiecewiseLinearMap:
 
     image_in_ball = _image_in_ball
 
-    preimages = _preimages
-
     def preimages_scaled(self, point, unit) -> tuple:
         """All solutions of apply(x) == point for numerators over an
         integer ``unit`` (a multiple of lattice_base): (sorted numerator
@@ -345,23 +318,14 @@ class AnnulusSpiral:
     def lattice_base(self) -> int:
         return math.lcm(self.alpha.denominator, self.space.w.denominator)
 
-    def _tables(self, unit):
-        """(lam, lift, alpha, out) over ``unit``: the map sends (r, theta)
-        to (out + lam * (r - unit), (theta * lift + alpha) % out)."""
-        if unit == 1:
-            return self.lam, 1, self.alpha, 1
-        p, q, a, b = self._lattice
-        out = unit * q
-        return p, q, a * (out // b), out
-
-    def apply(self, point):
-        return self.apply_scaled(point, 1)[0]
+    apply = _apply
 
     def apply_scaled(self, point, unit):
         """apply() for numerators over ``unit``: (numerators, out unit)."""
-        lam, lift, alpha, out = self._tables(unit)
+        p, q, a, b = self._lattice
+        out = unit * q
         r, theta = point
-        return (out + lam * (r - unit), (theta * lift + alpha) % out), out
+        return (out + p * (r - unit), (theta * q + a * (out // b)) % out), out
 
     def clip_image(self, s: EnclosureSet, ball, unit) -> tuple:
         """(pieces, raw, W): the image of the integer set s, one box per
@@ -389,12 +353,10 @@ class AnnulusSpiral:
 
     apply_set = _apply_set
 
-    preimages = _preimages
-
     def preimages_scaled(self, point, unit) -> tuple:
-        """preimages() for numerators over an integer ``unit`` (a multiple
-        of lattice_base): (numerator tuples, out unit), out = unit *
-        numerator of lam."""
+        """All solutions of apply(x) == point for numerators over an
+        integer ``unit`` (a multiple of lattice_base): (numerator tuples,
+        out unit), out = unit * numerator of lam."""
         r, theta = point
         p, q, a, b = self._lattice
         w_num, w_den = self.space.w_ratio
@@ -403,16 +365,6 @@ class AnnulusSpiral:
         if abs(r_prev - out) > w_num * (out // w_den):
             return [], out
         return [(r_prev, (theta * p - a * (out // b)) % out)], out
-
-
-def orbit(system, x0, n: int) -> list:
-    """[x0, f(x0), ..., f^n(x0)] as canonical points."""
-    if n < 0:
-        raise DomainError("orbit length must be nonnegative")
-    pts = [system.space.canonical(x0)]
-    for _ in range(n):
-        pts.append(system.apply(pts[-1]))
-    return pts
 
 
 # -- constructors ---------------------------------------------------------

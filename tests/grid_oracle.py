@@ -18,6 +18,8 @@ from shadowing import (AnnulusSpiral, DomainError, PiecewiseLinearMap,
                        UsageError)
 from shadowing.pseudotraj import Pseudotrajectory
 
+from reference import piece_values
+
 
 @dataclass(frozen=True)
 class BruteForceResult:
@@ -41,7 +43,7 @@ def _apply_array(system, xs: np.ndarray) -> np.ndarray:
     if isinstance(system, PiecewiseLinearMap):
         bps = np.array([float(b) for b in system.breakpoints])
         slopes = np.array([float(s) for s in system.slopes])
-        values = np.array([float(v) for v in system._values[:-1]])
+        values = np.array([float(v) for v in piece_values(system)[:-1]])
         idx = np.clip(np.searchsorted(bps, xs, side="right") - 1,
                       0, len(slopes) - 1)
         out = values[idx] + slopes[idx] * (xs - bps[idx])

@@ -1,0 +1,228 @@
+"""The ``Fraction`` reference semantics that the tests hold the package to.
+
+The package computes on integer numerators over a common denominator, its
+scale. Every routine here computes on ``Fraction`` values directly: ball
+measures and uniform samples of the spaces, map evaluation from a
+piecewise-linear map's breakpoints, values and slopes, pointwise
+preimages, orbits, splicing of pseudotrajectories, set representatives
+and the closed-form verdicts. The tests compare the integer paths with
+these; nothing in the package calls them.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from fractions import Fraction
+
+from shadowing import (AnnulusSpiral, DomainError, SearchFailure,
+                       decide_horizons, rotation_first_failure)
+from shadowing.pseudotraj import Provenance, Pseudotrajectory
+from shadowing.rationals import point_text
+from shadowing.spaces import scaled_point
+
+
+# -- spaces ------------------------------------------------------------------
+
+def ball_measure(space, center, radius):
+    """Measure of the radius-ball around center, truncated to the space."""
+    if radius <= 0:
+        raise DomainError("ball radius must be positive")
+    if space.kind == "circle":
+        return min(2 * radius, Fraction(1))
+    if space.kind == "interval":
+        c = center[0]
+        return min(c + radius, 1) - max(c - radius, 0)
+    rc = center[0]
+    radial = min(rc + radius, 1 + space.w) - max(rc - radius, 1 - space.w)
+    return radial * min(2 * radius, Fraction(1))
+
+
+def sample_uniform_ball(space, center, radius, rng):
+    """A point drawn uniformly (w.r.t. the reference measure) from the
+    radius-ball around center intersected with the space.
+
+    Consumes exactly one uniform double per coordinate, so prefixes of a
+    stream reproduce regardless of later draws. Coordinates are exact
+    Fractions of the drawn doubles; ``Space.sample_scaled`` draws the same
+    point on the integer lattice.
+    """
+    if radius <= 0:
+        raise DomainError("ball radius must be positive")
+    if space.kind == "circle":
+        return (_sample_arc(center[0], radius, rng),)
+    if space.kind == "interval":
+        lo = max(center[0] - radius, 0)
+        hi = min(center[0] + radius, 1)
+        return (lo + (hi - lo) * Fraction(float(rng.random())),)
+    rc = center[0]
+    lo = max(rc - radius, 1 - space.w)
+    hi = min(rc + radius, 1 + space.w)
+    r = lo + (hi - lo) * Fraction(float(rng.random()))
+    theta = _sample_arc(center[1], radius, rng)
+    return (r, theta)
+
+
+def _sample_arc(center, radius, rng):
+    u = Fraction(float(rng.random()))
+    if 2 * radius >= 1:
+        return u
+    return (center - radius + 2 * radius * u) % 1
+
+
+def random_point(space, rng):
+    """Uniform point of the whole space."""
+    if space.kind in ("circle", "interval"):
+        return (Fraction(float(rng.random())),)
+    r = 1 - space.w + 2 * space.w * Fraction(float(rng.random()))
+    return (r, Fraction(float(rng.random())))
+
+
+def grid_centers(space, h):
+    """Centers of a grid whose open h-balls cover the space: the circle
+    and interval nets of ``Space.epsilon_net``, and on the annulus their
+    product with an interval grid over the radial band."""
+    if space.kind != "annulus":
+        return space.epsilon_net(h)
+    n = max(math.ceil(1 / h), 1)
+    nr = max(math.ceil(2 * space.w / h), 1)
+    radial = [1 - space.w + Fraction(2 * k + 1, 2 * nr) * 2 * space.w
+              for k in range(nr)]
+    return [(r, Fraction(k, n)) for r in radial for k in range(n)]
+
+
+# -- maps --------------------------------------------------------------------
+
+def piece_values(system) -> tuple:
+    """A piecewise-linear map's values at its breakpoints and at 1."""
+    values = [system.offset]
+    ends = list(system.breakpoints[1:]) + [Fraction(1)]
+    for b, e, s in zip(system.breakpoints, ends, system.slopes):
+        values.append(values[-1] + s * (e - b))
+    return tuple(values)
+
+
+def apply(system, point):
+    """The map at a point, on its ``Fraction`` parameters: on piece i a
+    piecewise-linear map sends x to values[i] + slopes[i] * (x -
+    breakpoints[i]); the spiral sends (r, theta) to (1 + lam (r - 1),
+    theta + alpha)."""
+    if isinstance(system, AnnulusSpiral):
+        r, theta = point
+        return (1 + system.lam * (r - 1), (theta + system.alpha) % 1)
+    bps, vals = system.breakpoints, piece_values(system)
+    x = point[0]
+    i = bisect_right(bps, x) - 1
+    v = vals[i] + system.slopes[i] * (x - bps[i])
+    return (v % 1,) if system.space.kind == "circle" else (v,)
+
+
+def preimages(system, point) -> list:
+    """All solutions of apply(x) == point, canonical and sorted: the
+    map's ``preimages_scaled`` over the lcm of the point's denominators
+    and the lattice base, read back as Fractions."""
+    nums, scale = scaled_point(point)
+    unit = math.lcm(scale, system.lattice_base)
+    found, out = system.preimages_scaled(
+        tuple(c * (unit // scale) for c in nums), unit)
+    return [tuple(Fraction(c, out) for c in t) for t in found]
+
+
+def orbit(system, x0, n: int) -> list:
+    """[x0, f(x0), ..., f^n(x0)] as canonical points."""
+    if n < 0:
+        raise DomainError("orbit length must be nonnegative")
+    pts = [system.space.canonical(x0)]
+    for _ in range(n):
+        pts.append(apply(system, pts[-1]))
+    return pts
+
+
+# -- sets --------------------------------------------------------------------
+
+def pick_point(s):
+    """Midpoint of the largest fragment of s, ties going to the smallest
+    start: ``EnclosureSet.pick_scaled`` as Fractions."""
+    nums, scale = s.pick_scaled()
+    return tuple(Fraction(c, scale) for c in nums)
+
+
+# -- pseudotrajectories ------------------------------------------------------
+
+def exact_orbit(system, x0, n: int) -> Pseudotrajectory:
+    """The true orbit of x0, packaged as a 0-error pseudotrajectory."""
+    return Pseudotrajectory(tuple(orbit(system, x0, n)), Fraction(0),
+                            Provenance("exact_orbit"))
+
+
+def validate(system, points, d) -> bool:
+    """True iff every consecutive pair satisfies dist(y_{n+1}, f(y_n)) <= d."""
+    space = system.space
+    return all(space.dist(points[k + 1], apply(system, points[k])) <= d
+               for k in range(len(points) - 1))
+
+
+def splice(system, r, z0, tail: Pseudotrajectory, delta1,
+           horizon: int = 10 ** 6) -> Pseudotrajectory:
+    """Connect z0 to the tail through the orbit of a transit point r.
+
+    Finds the first n1 with dist(z0, f^n1(r)) < 2*delta1 and the first
+    n2 >= n1 with dist(tail_0, f^n2(r)) < 2*delta1, then returns the orbit
+    segment f^n1(r), ..., f^(n2-1)(r) followed by the tail. The result is
+    validated as a pseudotrajectory with bound 2 * tail.d and construction
+    fails loudly if the bound does not hold (it does whenever
+    2*delta1 <= tail.d).
+    """
+    if delta1 <= 0:
+        raise DomainError("net radius delta1 must be positive")
+    space = system.space
+    z0 = space.canonical(z0)
+    target = tail.points[0]
+    bound = 2 * delta1
+
+    point = space.canonical(r)
+    n1 = None
+    n = 0
+    while n <= horizon:
+        if n1 is None and space.dist(z0, point) < bound:
+            n1 = n
+        if n1 is not None and space.dist(target, point) < bound:
+            n2 = n
+            break
+        point = apply(system, point)
+        n += 1
+    else:
+        missing = z0 if n1 is None else target
+        raise SearchFailure(
+            f"transit orbit never entered the {bound}-ball around "
+            f"{point_text(missing)} within {horizon} steps",
+            target=missing, radius=bound, horizon=horizon)
+
+    segment = orbit(system, r, n2)[n1:n2]
+    points = tuple(segment) + tail.points
+    d = 2 * tail.d
+    out = Pseudotrajectory(points, d, Provenance("spliced"))
+    if not validate(system, out.points, d):
+        raise DomainError(
+            f"spliced sequence violates the step bound {d}; "
+            f"need 2*delta1 <= tail step bound (got delta1={delta1}, "
+            f"tail d={tail.d})")
+    return out
+
+
+# -- verdicts and bounds -----------------------------------------------------
+
+def first_empty_step(system, traj: Pseudotrajectory, eps) -> int | None:
+    """Smallest n with A_n empty, or None; prefix verdicts derive from it."""
+    return decide_horizons(system, traj, eps, ()).first_empty
+
+
+def rotation_oracle(system, traj: Pseudotrajectory, eps) -> bool:
+    """Closed-form shadowability of a rotation pseudotrajectory: the
+    deviation lift has span at most 2*eps (``rotation_first_failure``)."""
+    return rotation_first_failure(system, traj, eps) is None
+
+
+def in_absorbing_band(point, rho) -> bool:
+    """Membership in the band {|r - 1| <= rho} of an annulus point."""
+    return abs(point[0] - 1) <= rho

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from shadowing import (DomainError, SearchFailure, annulus, annulus_spiral,
-                       attractor_quantities, blocks_for_confidence, circle,
-                       cover_time, delta_for_inclusion, doubling, eta,
-                       generate, in_absorbing_band, interval,
+from shadowing import (DomainError, SearchFailure, UsageError, annulus,
+                       annulus_spiral, attractor_quantities,
+                       blocks_for_confidence, circle, cover_time,
+                       delta_for_inclusion, doubling, eta, generate, interval,
                        nonshadow_lower_bound, rotation, tent, trial_stream,
                        tube_probability_bound)
 from shadowing.cli import main
-from shadowing.pseudotraj import exact_orbit
+
+from reference import (ball_measure, exact_orbit, grid_centers,
+                       in_absorbing_band, random_point, sample_uniform_ball)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -92,9 +94,9 @@ def test_delta_inclusion_probe_oracle_exact(system, d):
     delta = delta_for_inclusion(system, d)
     rng = trial_stream(501)
     for _ in range(500):
-        x = space.random_point(rng)
-        z = space.sample_uniform_ball(x, delta, rng)
-        y = space.sample_uniform_ball(system.apply(x), d / 2, rng)
+        x = random_point(space, rng)
+        z = sample_uniform_ball(space, x, delta, rng)
+        y = sample_uniform_ball(space, system.apply(x), d / 2, rng)
         assert space.dist(y, system.apply(z)) + delta <= d
 
 
@@ -120,11 +122,11 @@ def net_bracket(space, delta, d, h):
     """The ratio's inf and sup bracketed over the epsilon-net at radius h:
     net centers bound it from above, radii shrunk or grown by h from
     below."""
-    centers = space.epsilon_net(h)
-    inf_hi = min(space.ball_measure(c, delta) for c in centers)
-    sup_lo = max(space.ball_measure(c, d) for c in centers)
-    inf_lo = min(space.ball_measure(c, delta - h) for c in centers)
-    sup_hi = max(space.ball_measure(c, d + h) for c in centers)
+    centers = grid_centers(space, h)
+    inf_hi = min(ball_measure(space, c, delta) for c in centers)
+    sup_lo = max(ball_measure(space, c, d) for c in centers)
+    inf_lo = min(ball_measure(space, c, delta - h) for c in centers)
+    sup_hi = max(ball_measure(space, c, d + h) for c in centers)
     return inf_lo / sup_hi, inf_hi / sup_lo
 
 
@@ -292,6 +294,12 @@ def test_cover_time_stops_on_an_eventually_periodic_orbit(capsys, system, d,
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert "within 1000000 steps" in err and repeat in err
+
+
+def test_cover_time_refuses_an_annulus_map():
+    spiral = annulus_spiral(F(1, 2), F(610, 987), F(1, 2))
+    with pytest.raises(UsageError, match="the annulus has no cover net"):
+        cover_time(spiral, (F(7, 5), F(0)), F(1, 100))
 
 
 # -- block bound --------------------------------------------------------------------

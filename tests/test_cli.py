@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import shadowing
-from shadowing import ExperimentConfig, enclosure, run_attractor_experiment
+from shadowing import (ExperimentConfig, InvariantViolation, enclosure,
+                       experiment, run_attractor_experiment)
 from shadowing.cli import DEFAULT_ATTRACTOR, DEFAULT_DICHOTOMY, main
 from shadowing.experiment import dichotomy_bound_curve
 
@@ -245,6 +246,44 @@ def test_workers_below_one_exit_nonzero(tmp_path, capsys, argv, workers):
     assert out == ""
     assert err == "error: workers must be at least 1\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    # 3/10 -> 3/5 -> 1/5 -> 2/5 -> 4/5 -> 3/5
+    (("doubling", "--d", "0.02", "--eps", "0.05", "--y0", "0.3"),
+     "orbit never entered the open 1/1200-ball around net center (0) "
+     "within 1000000 steps; it cycles by step 8, so it never will"),
+    # period 987; delta1 = 1/4000 falls between the orbit points
+    (("rotation:alpha=610/987", "--d", "0.004", "--eps", "0.05",
+      "--y0", "0"),
+     "orbit never entered the open 1/4000-ball around net center (1/4000) "
+     "within 1000000 steps; it cycles by step 2011, so it never will"),
+    # the tent s = 3/2 maps [0, 1] onto [0, 3/4]
+    (("tent:s=3/2", "--d", "0.02", "--y0", "0.3"),
+     "the image of the space misses the open 1/1000-ball around net center "
+     "(1503/2000), so no orbit point after the first can enter it"),
+], ids=["doubling-cycles", "rotation-cycles", "tent-image"])
+def test_failing_cover_searches_print_their_exact_message(capsys, argv,
+                                                          message):
+    code, out, err = run(capsys, "bounds", "--system", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_broken_band_bound_exits_three(tmp_path, capsys, monkeypatch):
+    # a band escape means the bound computation is wrong: it is reported
+    # with its own exit code, not as a usage error or a traceback
+    def escaping(system, config, trial, band=None):
+        raise InvariantViolation(
+            f"trial {trial}: point (3/2, 0) at step 9 escaped the absorbing "
+            "band of half-width 1/20 (entry step 5)")
+
+    monkeypatch.setattr(experiment, "_run_trial", escaping)
+    code, out, err = run(capsys, "attractor", "--trials", "2",
+                         "--horizons", "10", "--workers", "1",
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == ("error: trial 0: point (3/2, 0) at step 9 escaped the "
+                   "absorbing band of half-width 1/20 (entry step 5)\n")
 
 
 def test_rejected_attractor_noise_exits_nonzero(capsys):

@@ -8,6 +8,8 @@ from shadowing import (EnclosureCapError, annulus, ball_set, circle,
                        intersect, interval, parse_system, trial_stream)
 from shadowing import enclosure as enc
 
+from reference import pick_point, random_point
+
 
 def arcs(es):
     return [(F(s), F(l)) for s, l in es.fragments]
@@ -24,6 +26,9 @@ def test_ball_set_plain_and_wrapping():
     assert w.contains((F(0),)) and w.contains((F(1, 10),))
     assert not w.contains((F(1, 5),))
     assert ball_set(sp, (F(1, 3),), F(1, 2)).fragments == ((0, 1),)
+    # a float enters as its exact binary value
+    assert ball_set(sp, (0.5,), 0.125) == ball_set(sp, (F(1, 2),), F(1, 8))
+    assert enc.make(sp, [(0.25, 0.5)]).fragments == ((F(1, 4), F(1, 2)),)
 
 
 def test_intersection_of_wrapping_arcs():
@@ -68,7 +73,7 @@ def test_membership_and_pick_point():
     es = enc.make(sp, [(F(9, 10), F(1, 5)), (F(2, 5), F(1, 10))])
     assert es.contains((F(19, 20),)) and es.contains((F(1, 20),))
     assert es.contains((F(9, 20),)) and not es.contains((F(3, 10),))
-    p = es.pick_point()
+    p = pick_point(es)
     assert es.contains(p)
     assert p == (F(0),)  # midpoint of the larger (wrapping) arc
 
@@ -82,7 +87,7 @@ def test_random_arc_intersection_against_membership_oracle():
         b = enc.make(sp, [(s2, l2 % 1)])
         got = intersect(a, b)
         for _ in range(20):
-            p = sp.random_point(rng)
+            p = random_point(sp, rng)
             assert got.contains(p) == (a.contains(p) and b.contains(p))
 
 
@@ -113,7 +118,7 @@ def test_annulus_ball_and_intersection():
     rlo, rhi, s, l = got.fragments[0]
     assert (rlo, rhi) == (F(27, 20), F(3, 2))
     assert (s, l) == (F(3, 10), F(1, 10))
-    p = got.pick_point()
+    p = pick_point(got)
     assert got.contains(p) and b.contains(p) and other.contains(p)
 
 
@@ -156,9 +161,8 @@ def test_fragment_cap_raises_with_partial_outer(monkeypatch):
 
 def test_every_operation_reads_the_module_cap_at_call_time(monkeypatch):
     doubling = parse_system("doubling")
-    a = enc.EnclosureSet(doubling.space, ((F(0), F(1, 10)),
-                                          (F(1, 4), F(1, 10))))
-    b = enc.EnclosureSet(doubling.space, ((F(0), F(3, 5)),))
+    a = enc.make(doubling.space, [(F(0), F(1, 10)), (F(1, 4), F(1, 10))])
+    b = enc.make(doubling.space, [(F(0), F(3, 5))])
     assert intersect(a, b).fragment_count() == 2
     monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 1)
     for step in (lambda: doubling.apply_set(a), lambda: intersect(a, b),

@@ -259,11 +259,6 @@ def draw_ball(space, data):
     return (x,), r
 
 
-def over(frags, unit):
-    """Fraction fragments or a point as numerators over ``unit``."""
-    return tuple(tuple(int(c * unit) for c in f) for f in frags)
-
-
 def draw_arcs(system, data):
     """Raw arcs, plus sometimes an arc that crosses 0 and then the map's
     first breakpoint past 0 (0 itself for a one-piece map), or an arc
@@ -301,9 +296,9 @@ def touching_ball(system, a, data):
 
 def draw_step(name, data):
     """The map, a normal-form set A and the fragment of a ball B with its
-    unit: each at unit 1 or over an integer unit. A's unit is a multiple
-    of the map's lattice base, B's need not be, and the two are lifted by
-    small primes so that the image's unit and B's often do not nest."""
+    unit. A's unit is a multiple of the map's lattice base, B's need not
+    be, and the two are lifted by small primes so that the image's unit
+    and B's often do not nest."""
     system = STEP_SYSTEMS[name]
     space = system.space
     raw = (draw_arcs(system, data) if space.kind == "circle"
@@ -311,19 +306,12 @@ def draw_step(name, data):
     a = enc.make(space, raw)
     center, r = touching_ball(system, a, data) or draw_ball(space, data)
     lifts = st.sampled_from([1, 2, 3, 5, 7])
-    if data.draw(st.booleans(), label="integer unit a"):
-        dens = [c.denominator for f in a.fragments for c in f]
-        unit = math.lcm(system.lattice_base, *dens) * data.draw(
-            lifts, label="lift a")
-        a = enc.EnclosureSet(space, over(a.fragments, unit), unit)
-    if data.draw(st.booleans(), label="integer unit ball"):
-        ball_unit = math.lcm(r.denominator, *(c.denominator for c in center))
-        ball_unit *= data.draw(lifts, label="lift ball")
-        ball = enc._ball(space, over([center], ball_unit)[0],
-                         int(r * ball_unit), ball_unit)
-    else:
-        ball_unit, ball = 1, enc._ball(space, center, r, 1)
-    return system, a, ball, ball_unit
+    unit = math.lcm(system.lattice_base, a.unit) * data.draw(
+        lifts, label="lift a")
+    a = enc.EnclosureSet(space, enc._lift(a.nums, unit // a.unit), unit)
+    b = enc.ball_set(space, center, r)
+    lift = data.draw(lifts, label="lift ball")
+    return system, a, tuple(c * lift for c in b.nums[0]), b.unit * lift
 
 
 def outcome(step):

@@ -1,11 +1,12 @@
-"""The integer-lattice kernel against the public Fraction algebra.
+"""The integer-lattice kernel against references that step by hand.
 
 ``generate``, ``shadow_set_forward``, ``pull_back_witness`` and
-``orbit_tracks`` run on integers over a common denominator. The references
-here step the public point and set methods by hand, all in ``Fraction``
-arithmetic: ``Space.sample_uniform_ball`` one draw at a time,
-``apply_set`` and ``intersect`` for the shadow sets, ``preimages`` and
-``contains`` for the pull-back.
+``orbit_tracks`` run on integers over a common denominator, each step
+fused. The references here take the steps one at a time: the ``Fraction``
+sampler and map of ``tests/reference.py``, one draw at a time, for the
+chain; the public ``apply_set`` and ``intersect`` for the shadow sets;
+the ``Fraction`` ``pick_point`` and ``preimages`` of ``tests/reference.py``
+with ``contains`` for the pull-back.
 """
 
 import math
@@ -19,6 +20,8 @@ from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
                        tent, trial_stream)
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.shadowcheck import pull_back_witness
+
+from reference import apply, pick_point, preimages, sample_uniform_ball
 
 SYSTEMS = {
     "doubling": doubling(),
@@ -42,7 +45,8 @@ def reference_chain(system, y0, d, n, rng):
     space = system.space
     pts = [space.canonical(y0)]
     for _ in range(n):
-        pts.append(space.sample_uniform_ball(system.apply(pts[-1]), d, rng))
+        pts.append(sample_uniform_ball(space, apply(system, pts[-1]), d,
+                                       rng))
     return tuple(pts)
 
 
@@ -58,9 +62,9 @@ def reference_sets(system, points, eps):
 
 
 def reference_witness(system, sets, m):
-    x = sets[m].pick_point()
+    x = pick_point(sets[m])
     for n in range(m - 1, -1, -1):
-        x = next(p for p in system.preimages(x) if sets[n].contains(p))
+        x = next(p for p in preimages(system, x) if sets[n].contains(p))
     return x
 
 
@@ -160,9 +164,9 @@ def test_empty_tails_match_the_full_walk():
 
 
 def test_saturated_sets_give_exact_witnesses():
-    """eps >= 1/2 makes the shadow sets the whole circle or interval, whose
-    fragments are the ints (0, 1). Their midpoint must be the Fraction 1/2,
-    not the float 1 / 2, so the witness stays exact."""
+    """eps >= 1/2 makes the shadow sets the whole circle or interval, one
+    fragment (0, unit); the witness pulled back from its midpoint stays
+    exact."""
     for name in ("doubling", "tent", "spiral"):
         system = SYSTEMS[name]
         y0 = (F(13, 10), F(1, 2)) if name == "spiral" else (F(1, 3),)
@@ -172,7 +176,7 @@ def test_saturated_sets_give_exact_witnesses():
         assert verdict.verdict.value == "Yes"
         assert all(type(c) is F for c in verdict.witness), name
         assert verdict.witness == reference_witness(system, ref, 12)
-        assert all(type(c) is F for c in ref[12].pick_point()), name
+        assert all(type(c) is F for c in pick_point(ref[12])), name
 
 
 def primes_above(low, count):

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from shadowing import (DomainError, SearchFailure, UsageError, decide_shadowable,
-                       doubling, exact_orbit, generate, load_trajectory,
-                       rotation, rotation_oracle, save_trajectory, splice,
-                       trial_stream, validate, worst_case_pseudotrajectory)
+from shadowing import (DomainError, SearchFailure, UsageError,
+                       decide_shadowable, doubling, generate, load_trajectory,
+                       rotation, save_trajectory, trial_stream,
+                       worst_case_pseudotrajectory)
 from shadowing import annulus_spiral, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.spaces import ScaledPoints, signed_circ_diff
+
+from reference import (exact_orbit, random_point, rotation_oracle, splice,
+                       validate)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -36,7 +39,7 @@ def test_generated_steps_stay_within_bound():
     DBL, ROT, annulus_spiral(F(1, 2), F(610, 987), F(1, 2))],
     ids=["doubling", "rotation", "spiral"])
 def test_validates_at_own_bound_exactly(system):
-    traj = generate(system, system.space.random_point(trial_stream(3)),
+    traj = generate(system, random_point(system.space, trial_stream(3)),
                     F(1, 50), 2000, trial_stream(4))
     assert validate(system, traj.points, traj.d)
 
@@ -114,8 +117,8 @@ def test_splice_validates_at_doubled_tail_bound():
     d = 8 * delta1
     rng = trial_stream(8)
     for _ in range(100):
-        z0 = ROT.space.random_point(rng)
-        p0 = ROT.space.random_point(rng)
+        z0 = random_point(ROT.space, rng)
+        p0 = random_point(ROT.space, rng)
         tail = generate(ROT, p0, d / 2, 5, rng)
         out = splice(ROT, (F(0),), z0, tail, delta1)
         assert validate(ROT, out.points, d)

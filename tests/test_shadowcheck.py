@@ -7,17 +7,15 @@ import pytest
 
 from shadowing import enclosure, shadowcheck
 from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
-                       ball_set, decide_horizons,
-                       decide_shadowable, doubling,
-                       exact_orbit, first_empty_step, generate,
-                       load_trajectory, orbit, orbit_tracks, pwl, rotation,
-                       rotation_first_failure, rotation_oracle,
-                       save_trajectory, shadow_set_forward, tent,
+                       ball_set, decide_horizons, decide_shadowable, doubling,
+                       generate, orbit_tracks, rotation,
+                       rotation_first_failure, shadow_set_forward, tent,
                        trial_stream, worst_case_pseudotrajectory)
 from shadowing.pseudotraj import Pseudotrajectory, Provenance
 from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
+from reference import exact_orbit, first_empty_step, orbit, rotation_oracle
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -410,74 +408,6 @@ def test_saturated_tolerance_keeps_full_circle():
     sets = shadow_set_forward(DBL, traj, F(3, 5))
     assert all(s.measure() == 1 for s in sets)
     assert decide_shadowable(DBL, traj, F(3, 5)).verdict.value == "Yes"
-
-
-
-def count_integer_tables(monkeypatch, system) -> dict:
-    """Count the calls of the map's ``_tables`` with an integer unit from
-    here on: each would stand for a table built over that unit."""
-    calls = {"tables": 0}
-    tables = type(system)._tables
-
-    def counted(self, unit):
-        if unit != 1:
-            calls["tables"] += 1
-        return tables(self, unit)
-
-    monkeypatch.setattr(type(system), "_tables", counted)
-    return calls
-
-
-def test_pull_backs_build_no_table_per_step(tmp_path, monkeypatch):
-    # each pull-back step lands on the slope numerator times its unit, so a
-    # table keyed by the unit would be built at every step
-    system = doubling()
-    for i in range(5):
-        save_trajectory(generate(system, (F(3, 10),), F(1, 50), 1000,
-                                 trial_stream(3, i)),
-                        "doubling", tmp_path / f"t{i}")
-    calls = count_integer_tables(monkeypatch, system)
-    pull_back = shadowcheck.pull_back_witness
-    rebuilds = []
-
-    def counting(*args):
-        before = calls["tables"]
-        witness = pull_back(*args)
-        rebuilds.append(calls["tables"] - before)
-        return witness
-
-    monkeypatch.setattr(shadowcheck, "pull_back_witness", counting)
-    for i in range(5):
-        traj, _ = load_trajectory(tmp_path / f"t{i}")
-        assert decide_shadowable(system, traj, F(1, 20)).verdict is Verdict.YES
-    assert len(rebuilds) == 5 and max(rebuilds) == 0
-    assert calls["tables"] == 0
-
-
-NON_INTEGER_SLOPES = [tent(F(3, 2)), pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])]
-
-
-@pytest.mark.parametrize("system", NON_INTEGER_SLOPES)
-def test_re_checks_build_no_table_per_step(monkeypatch, system):
-    # a non-integer slope moves the orbit to a new unit at every step, so a
-    # table keyed by the unit would be built at every step
-    traj = exact_orbit(system, (F(3, 10),), 200)
-    calls = count_integer_tables(monkeypatch, system)
-    assert orbit_tracks(system, traj.scaled, traj.points[0], F(1, 20))
-    assert calls["tables"] == 0
-
-
-@pytest.mark.parametrize("system", NON_INTEGER_SLOPES)
-def test_propagation_builds_no_table_per_step(monkeypatch, system):
-    # the sampler multiplies the scale by the slope denominator at every
-    # step, so each shadow set has a new unit and a table keyed by the
-    # unit would be built at every step
-    traj = generate(system, (F(3, 10),), F(1, 100), 200, trial_stream(7))
-    assert len(set(traj.scaled.scales)) == 201
-    calls = count_integer_tables(monkeypatch, system)
-    sets = shadow_set_forward(system, traj, F(1, 20))
-    assert not sets[-1].is_empty()
-    assert calls["tables"] == 0
 
 
 @pytest.mark.parametrize("system,x0,eps,shift", [

@@ -11,7 +11,10 @@ from shadowing import (DomainError, UsageError, Space, annulus, circle,
                        interval, trial_stream)
 from shadowing.spaces import circ_dist, signed_circ_diff
 
+from reference import ball_measure, random_point, sample_uniform_ball
+
 SPACES = [circle(), interval(), annulus(F(1, 2))]
+NET_SPACES = SPACES[:2]  # the annulus has no cover net
 
 
 def ids(space):
@@ -24,7 +27,7 @@ def ids(space):
 def test_metric_axioms_on_random_triples(space):
     rng = trial_stream(101)
     for _ in range(10_000):
-        a, b, c = (space.random_point(rng) for _ in range(3))
+        a, b, c = (random_point(space, rng) for _ in range(3))
         dab = space.dist(a, b)
         assert dab >= 0
         assert dab == space.dist(b, a)
@@ -45,7 +48,7 @@ def test_canonicalization_idempotent():
     rng = trial_stream(102)
     for space in SPACES:
         for _ in range(200):
-            p = space.random_point(rng)
+            p = random_point(space, rng)
             q = space.canonical(p)
             assert space.canonical(q) == q
 
@@ -66,20 +69,20 @@ def test_signed_circ_diff_representative():
 # -- ball measures ---------------------------------------------------------
 
 def test_ball_measure_closed_forms():
-    assert circle().ball_measure((F(0),), F(1, 10)) == F(1, 5)
-    assert interval().ball_measure((F(1, 20),), F(1, 10)) == F(3, 20)
+    assert ball_measure(circle(), (F(0),), F(1, 10)) == F(1, 5)
+    assert ball_measure(interval(), (F(1, 20),), F(1, 10)) == F(3, 20)
     an = annulus(F(1, 2))
-    assert an.ball_measure((F(29, 20), F(3, 10)), F(1, 10)) == F(3, 100)
+    assert ball_measure(an, (F(29, 20), F(3, 10)), F(1, 10)) == F(3, 100)
 
 
 def test_ball_measure_positive_and_rejects_bad_radius():
     for space in SPACES:
         rng = trial_stream(103)
         for _ in range(50):
-            c = space.random_point(rng)
-            assert space.ball_measure(c, F(1, 1000)) > 0
+            c = random_point(space, rng)
+            assert ball_measure(space, c, F(1, 1000)) > 0
         with pytest.raises(DomainError):
-            space.ball_measure(space.random_point(rng), F(0))
+            ball_measure(space, random_point(space, rng), F(0))
 
 
 def _mc_ball_measure(space, center, radius, n, seed):
@@ -117,7 +120,7 @@ def _mc_ball_measure(space, center, radius, n, seed):
 ], ids=["circ-int", "circ-wrap", "ivl-edge", "ivl-mid", "ann-corner", "ann-mid"])
 def test_ball_measure_matches_monte_carlo(space, center, radius):
     est, se = _mc_ball_measure(space, center, radius, 100_000, 104)
-    assert abs(float(space.ball_measure(center, radius)) - est) <= 3 * se
+    assert abs(float(ball_measure(space, center, radius)) - est) <= 3 * se
 
 
 # -- sampling --------------------------------------------------------------
@@ -126,10 +129,10 @@ def test_ball_measure_matches_monte_carlo(space, center, radius):
 def test_samples_stay_in_closed_ball(space):
     rng = trial_stream(105)
     for _ in range(40):
-        c = space.random_point(rng)
+        c = random_point(space, rng)
         radius = F(1, 10)
         for _ in range(25):
-            p = space.sample_uniform_ball(c, radius, rng)
+            p = sample_uniform_ball(space, c, radius, rng)
             assert space.dist(p, c) <= radius
             assert space.canonical(p) == p
 
@@ -138,7 +141,7 @@ def test_sampling_respects_truncation():
     sp = interval()
     rng = trial_stream(106)
     for _ in range(500):
-        x = sp.sample_uniform_ball((F(0),), F(1, 10), rng)[0]
+        x = sample_uniform_ball(sp, (F(0),), F(1, 10), rng)[0]
         assert 0 <= x < F(1, 10)
 
 
@@ -146,7 +149,7 @@ def test_circle_samples_open_arc():
     sp = circle()
     rng = trial_stream(107)
     for _ in range(500):
-        x = sp.sample_uniform_ball((F(1, 2),), F(1, 10), rng)[0]
+        x = sample_uniform_ball(sp, (F(1, 2),), F(1, 10), rng)[0]
         assert F(2, 5) < x < F(3, 5)
 
 
@@ -155,7 +158,7 @@ def test_uniformity_chi_square():
     sp = circle()
     rng = trial_stream(108)
     lo, width = 0.4, 0.2
-    xs = [float(sp.sample_uniform_ball((F(1, 2),), F(1, 10), rng)[0])
+    xs = [float(sample_uniform_ball(sp, (F(1, 2),), F(1, 10), rng)[0])
           for _ in range(10_000)]
     counts = np.histogram(xs, bins=10, range=(lo, lo + width))[0]
     assert counts.sum() == 10_000
@@ -168,7 +171,7 @@ def test_uniformity_chi_square_truncated_annulus_ball():
     center, radius = (F(29, 20), F(3, 10)), F(1, 10)
     rs, ths = [], []
     for _ in range(10_000):
-        p = an.sample_uniform_ball(center, radius, rng)
+        p = sample_uniform_ball(an, center, radius, rng)
         rs.append(float(p[0]))
         ths.append(float(p[1]))
     # radial part truncated to [1.35, 1.5], angular to [0.2, 0.4]
@@ -187,6 +190,8 @@ def test_epsilon_net_examples():
     assert len(net) >= 2 and (F(1, 4),) in net and (F(3, 4),) in net
     with pytest.raises(DomainError):
         circle().epsilon_net(F(0))
+    with pytest.raises(UsageError):
+        annulus(F(1, 2)).epsilon_net(F(1, 4))
 
 
 def on_one_scale(delta1, centers, points):
@@ -203,12 +208,12 @@ def on_one_scale(delta1, centers, points):
             [over(p) for p in points])
 
 
-@pytest.mark.parametrize("space", SPACES, ids=ids)
+@pytest.mark.parametrize("space", NET_SPACES, ids=ids)
 @pytest.mark.parametrize("delta1", [F(1, 4), F(1, 10), F(3, 100)])
 def test_epsilon_net_covers(space, delta1):
     centers = space.epsilon_net(delta1)
     rng = trial_stream(110)
-    points = [space.random_point(rng) for _ in range(1000)]
+    points = [random_point(space, rng) for _ in range(1000)]
     scale, grid, bound, qs = on_one_scale(delta1, centers, points)
     for p, q in zip(points, qs):
         assert min(space.dist_over(q, c, scale) for c in grid) < bound, p
@@ -225,15 +230,23 @@ def test_annulus_needs_a_positive_half_width():
         Space("torus")
 
 
-@pytest.mark.parametrize("space", SPACES, ids=ids)
-@pytest.mark.parametrize("delta1", [F(1, 4), F(2, 23), F(3, 100)])
+@pytest.mark.parametrize("space", NET_SPACES, ids=ids)
+@pytest.mark.parametrize("delta1", [F(1, 4), F(2, 23), F(3, 100), F(1, 800)])
 def test_net_neighbors_match_linear_scan(space, delta1):
     centers = space.epsilon_net(delta1)
     rng = trial_stream(111)
-    points = [space.random_point(rng) for _ in range(300)]
+    points = [random_point(space, rng) for _ in range(300)]
+    # points at exactly delta1 from a center, which the strict < leaves
+    # out, and orbit points of the rotation by 610/987
+    points += [space.canonical((c + sign * delta1,))
+               for (c,) in centers[:3] + centers[-3:] for sign in (-1, 1)
+               if space.kind == "circle" or 0 <= c + sign * delta1 <= 1]
+    points += [(F(610 * k % 987, 987),) for k in range(60)]
     scale, grid, bound, qs = on_one_scale(delta1, centers, points)
     for p, q in zip(points, qs):
         expected = [i for i, c in enumerate(grid)
                     if space.dist_over(q, c, scale) < bound]
-        assert sorted(space.net_neighbors(p, delta1)) == expected
+        assert space.net_neighbors(q[0], scale, delta1) == expected, p
+        assert space.net_neighbors(p[0].numerator, p[0].denominator,
+                                   delta1) == expected, p
         assert expected  # the net covers, so some center is always near

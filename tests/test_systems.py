@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from shadowing import (UsageError, annulus_spiral, ball_set, doubling, orbit,
+from shadowing import (UsageError, annulus_spiral, ball_set, doubling,
                        parse_system, pwl, rotation, tent, trial_stream)
 from shadowing import enclosure as enc
+
+from reference import apply, orbit, preimages, random_point
 
 
 def test_apply_examples():
@@ -16,6 +18,21 @@ def test_apply_examples():
     assert spiral.apply((F(7, 5), F(0))) == (F(6, 5), F(1, 4))
     assert tent(F(3, 2)).apply((F(1, 3),)) == (F(1, 2),)
     assert tent(F(3, 2)).apply((F(2, 3),)) == (F(1, 2),)
+
+
+def test_apply_reads_the_lattice_back_as_the_fraction_map():
+    systems = [doubling(), rotation(F(610, 987)), tent(F(3, 2)),
+               annulus_spiral(F(1, 2), F(610, 987), F(1, 2)),
+               pwl([(F(0), F(3)), (F(1, 2), F(-1))]),
+               pwl([(0, F(3, 2)), (F(1, 3), F(-3, 4)), (F(2, 3), F(3, 2))],
+                   space_kind="interval")]
+    rng = trial_stream(305)
+    for system in systems:
+        points = [random_point(system.space, rng) for _ in range(200)]
+        if system.space.kind != "annulus":
+            points += [(b,) for b in system.breakpoints] + [(F(1),)]
+        for x in points:
+            assert system.apply(x) == apply(system, x), (system.kind, x)
 
 
 def test_orbit_examples():
@@ -35,7 +52,7 @@ def test_lipschitz_constants_hold_statistically():
     for system in systems:
         space = system.space
         for _ in range(10_000 // 4):
-            a, b = space.random_point(rng), space.random_point(rng)
+            a, b = random_point(space, rng), random_point(space, rng)
             assert space.dist(system.apply(a), system.apply(b)) \
                 <= system.lipschitz * space.dist(a, b)
 
@@ -113,7 +130,7 @@ def test_set_image_equals_brute_force_image(system):
                 p = (frag[0] + (frag[1] - frag[0]) * u,)
             else:
                 p = ((frag[0] + frag[1] * u) % 1,)
-            assert any(es.contains(q) for q in system.preimages(p))
+            assert any(es.contains(q) for q in preimages(system, p))
 
 
 def test_full_coverage_of_saturating_image():
@@ -138,16 +155,16 @@ def test_preimages_invert_apply():
     for system in systems:
         space = system.space
         for _ in range(100):
-            x = space.random_point(rng)
+            x = random_point(space, rng)
             y = system.apply(x)
-            pres = system.preimages(y)
+            pres = preimages(system, y)
             assert any(p == x for p in pres)
             assert all(system.apply(p) == y for p in pres)
 
 
 def test_doubling_has_two_preimages():
     dbl = doubling()
-    pres = dbl.preimages((F(1, 5),))
+    pres = preimages(dbl, (F(1, 5),))
     assert pres == [(F(1, 10),), (F(3, 5),)]
 
 
@@ -155,19 +172,19 @@ def test_preimages_come_sorted_and_once():
     # a preimage at a breakpoint is found by both pieces, and on the circle
     # the preimage 1 is the preimage 0; a decreasing piece runs backwards
     two_turns = pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])
-    assert two_turns.preimages((F(0),)) == [(F(0),), (F(2, 5),)]
-    assert two_turns.preimages((F(1, 2),)) == [(F(1, 5),), (F(7, 10),)]
+    assert preimages(two_turns, (F(0),)) == [(F(0),), (F(2, 5),)]
+    assert preimages(two_turns, (F(1, 2),)) == [(F(1, 5),), (F(7, 10),)]
     backwards = pwl([(0, 1), (F(1, 2), -3)])
-    assert backwards.preimages((F(1, 4),)) == [(F(1, 4),), (F(7, 12),),
+    assert preimages(backwards, (F(1, 4),)) == [(F(1, 4),), (F(7, 12),),
                                                 (F(11, 12),)]
-    assert tent(F(3, 2)).preimages((F(3, 4),)) == [(F(1, 2),)]
-    assert tent(F(3, 2)).preimages((F(0),)) == [(F(0),), (F(1),)]
+    assert preimages(tent(F(3, 2)), (F(3, 4),)) == [(F(1, 2),)]
+    assert preimages(tent(F(3, 2)), (F(0),)) == [(F(0),), (F(1),)]
 
 
 def test_spiral_preimage_leaves_band():
     spiral = annulus_spiral(F(1, 2), F(1, 4), F(1, 2))
-    assert spiral.preimages((F(29, 20), F(0))) == []
-    assert spiral.preimages((F(6, 5), F(1, 4))) == [(F(7, 5), F(0))]
+    assert preimages(spiral, (F(29, 20), F(0))) == []
+    assert preimages(spiral, (F(6, 5), F(1, 4))) == [(F(7, 5), F(0))]
 
 
 # -- parsing ----------------------------------------------------------------------

@@ -152,8 +152,10 @@ def band_message(system, cfg, trial, rho, n0):
     for n in range(n0, len(pts)):
         r, s = pts.nums[n][0], pts.scales[n]
         if abs(r - s) * rho.denominator > rho.numerator * s:
-            return (f"trial {trial}: point {pts[n]} at step {n} escaped the "
-                    f"absorbing band of half-width {rho} (entry step {n0})")
+            r, theta = pts[n]
+            return (f"trial {trial}: point ({r}, {theta}) at step {n} "
+                    f"escaped the absorbing band of half-width {rho} "
+                    f"(entry step {n0})")
     return None
 
 
