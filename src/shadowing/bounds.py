@@ -119,12 +119,13 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     """
     delta1 = frac(delta1)
     space = system.space
-    centers = space.epsilon_net(delta1)
+    size = space.net_size(delta1)
     point = space.canonical(r)
     whole = ball_set(space, point, space.diameter)
     image = system.apply_set(whole)
     if image != whole:
-        for c in centers:
+        for k in range(size):
+            c = space.net_center(k, size)
             if intersect(image, ball_set(space, c, delta1)).is_empty():
                 raise SearchFailure(
                     f"the image of the space misses the open {delta1}-ball "
@@ -139,11 +140,12 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
         return x // g, out // g
 
     def scan(x, unit, budget):
-        unvisited = set(range(len(centers)))
+        unvisited = set(range(size))
         saved = x, unit
         cycle = ""
         for n in range(budget + 1):
-            unvisited.difference_update(space.net_neighbors(x, unit, delta1))
+            unvisited.difference_update(
+                space.net_neighbors(x, unit, delta1, size))
             if not unvisited:
                 return n, x, unit
             x, unit = step(x, unit)
@@ -152,11 +154,11 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
                 break
             if n & (n + 1) == 0:  # keep the point at each power-of-two step
                 saved = x, unit
-        i = min(unvisited)
+        c = space.net_center(min(unvisited), size)
         raise SearchFailure(
             f"orbit never entered the open {delta1}-ball around net center "
-            f"{point_text(centers[i])} within {budget} steps{cycle}",
-            target=centers[i], radius=delta1, horizon=budget)
+            f"{point_text(c)} within {budget} steps{cycle}",
+            target=c, radius=delta1, horizon=budget)
 
     (x,), scale = scaled_point(point)
     unit = math.lcm(scale, base)

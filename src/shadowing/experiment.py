@@ -55,6 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("need at least one trial")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.d <= 0 or self.eps <= 0:
             raise DomainError("d and eps must be positive")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):

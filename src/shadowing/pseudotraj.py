@@ -7,9 +7,10 @@ y_{n+1} uniformly (w.r.t. the reference measure) from the d-ball around
 f(y_n) truncated to the space, so verdicts downstream are statements about
 that chain.
 
-Reproducibility: the stream for trial t is derived from the master seed by
-``numpy.random.SeedSequence(master_seed, spawn_key=(t,))``; trials are
-independent and can run in any order or in parallel.
+Reproducibility: the stream for trial t is the one numpy derives from the
+master seed by ``default_rng(SeedSequence(master_seed, spawn_key=(t,)))``,
+bit for bit, computed here with the standard library (``trial_stream``);
+trials are independent and can run in any order or in parallel.
 
 A trajectory holds its points on an integer lattice
 (``Pseudotrajectory.scaled``), where ``generate`` computes them; their
@@ -19,15 +20,14 @@ A trajectory holds its points on an integer lattice
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DomainError, UsageError
 from .rationals import frac, jsonable
@@ -91,16 +91,97 @@ class Pseudotrajectory:
     def horizon(self) -> int:
         return len(self.scaled) - 1
 
-    def prefix(self, m: int) -> "Pseudotrajectory":
-        if not 0 <= m <= self.horizon:
-            raise UsageError(f"prefix horizon {m} outside [0, {self.horizon}]")
-        return Pseudotrajectory(self.scaled[:m + 1], self.d, self.provenance)
+
+# numpy's SeedSequence: a pool of four 32-bit words, hashed with these
+# constants (numpy/random/bit_generator.pyx); and PCG64's 128-bit LCG
+# multiplier (O'Neill, *PCG: A family of simple fast space-efficient
+# statistically good algorithms for random number generation*,
+# HMC-CS-2014-0905, 2014).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M53, _M64 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1
+_M128 = (1 << 128) - 1
 
 
-def trial_stream(master_seed: int, trial: int = 0) -> np.random.Generator:
-    """Independent, reproducible random stream for one trial."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(trial,)))
+def trial_stream(master_seed: int, trial: int = 0):
+    """Independent, reproducible random stream for one trial: the integers
+    k of the doubles k / 2**53 that numpy's
+    ``default_rng(SeedSequence(master_seed, spawn_key=(trial,))).random()``
+    returns, bit for bit, made one at a time as they are read and never
+    exhausted. A negative seed or trial is a ``DomainError``."""
+    # as ints: a numpy integer would overflow in the products below
+    master_seed, trial = operator.index(master_seed), operator.index(trial)
+    if master_seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {master_seed}")
+    if trial < 0:
+        raise DomainError(f"trial must be nonnegative, got {trial}")
+    pool, h = _run_pool(master_seed)
+    pool = list(pool)
+    _mix_in(pool, h, _words(trial))
+    h, out = _INIT_B, 0
+    for i in range(8):  # generate_state(4, uint64), little-endian words
+        v = (pool[i & 3] ^ h) * (h := h * _MULT_B & _M32) & _M32
+        out |= (v ^ v >> 16) << 32 * i
+    # PCG64 seeding: state word 0 is the high half of the seed, word 2 of
+    # the increment
+    seed = (out & _M64) << 64 | (out >> 64) & _M64
+    inc = ((out >> 128 & _M64) << 65 | (out >> 192) << 1 | 1) & _M128
+    return _pcg64(((inc + seed) * _PCG_MULT + inc) & _M128, inc)
+
+
+def _pcg64(state: int, inc: int):
+    """PCG64's XSL-RR draws shifted right by 11: an LCG step, then the
+    state's halves xored and rotated right by its top six bits. The rotated
+    word is read out of x * (2**64 + 1), which holds x twice side by side."""
+    mult, twice = _PCG_MULT, (1 << 64) + 1
+    m53, m64, m128 = _M53, _M64, _M128
+    while True:
+        state = (state * mult + inc) & m128
+        yield (((state >> 64 ^ state) & m64) * twice
+               >> (state >> 122) + 11) & m53
+
+
+@functools.lru_cache(maxsize=1)
+def _run_pool(master_seed: int) -> tuple:
+    """The SeedSequence pool and hash constant after the master seed's
+    words, zero-padded to the pool size, are mixed in: the part of the
+    seeding that every trial of a run shares."""
+    words = _words(master_seed)
+    words += [0] * (4 - len(words))
+    h, pool = _INIT_A, []
+    for word in words[:4]:
+        v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+        pool.append(v ^ v >> 16)
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                v = (pool[i_src] ^ h) * (h := h * _MULT_A & _M32) & _M32
+                v = (_MIX_L * pool[i_dst] - _MIX_R * (v ^ v >> 16)) & _M32
+                pool[i_dst] = v ^ v >> 16
+    h = _mix_in(pool, h, words[4:])
+    return tuple(pool), h
+
+
+def _mix_in(pool: list, h: int, words) -> int:
+    """Hash each word into every entry of the pool, in place, as
+    SeedSequence does with the entropy words past the pool size; returns
+    the hash constant after."""
+    for word in words:
+        for i in range(4):
+            v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+            v = (_MIX_L * pool[i] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[i] = v ^ v >> 16
+    return h
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of n >= 0, least significant first; [0] for 0."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
 
 
 class LatticeWalk:
@@ -108,14 +189,15 @@ class LatticeWalk:
 
     Each step draws y_{k+1} uniformly from the d-ball around f(y_k) in the
     space, from one uniform double per coordinate, on an integer lattice
-    (``Space.sample_scaled``). The n * ndim doubles are drawn in one call,
-    which numpy makes bit-identical to drawing them one at a time, so the
-    points equal a chain that draws its doubles step by step (the tests
-    keep a ``Fraction`` one in ``tests/reference.py``), leave the stream
-    where it would, and a shorter horizon gives a prefix. The scale starts
-    at 2**53 times the lcm of the denominators of d, y0 and the map's
-    parameters; it grows only by a non-integer slope's denominator and at
-    a step truncated at a boundary.
+    (``Space.sample_scaled``). ``rng`` is a stream of the integers k of
+    those doubles k / 2**53, as ``trial_stream`` returns it; a step reads
+    its ndim integers only when it is sampled, and the walk reads at most
+    n * ndim of them in all, so it may be handed a stream that never ends.
+    The points equal those of the ``Fraction`` chain that the tests keep in
+    ``tests/reference.py``, and a shorter horizon gives a prefix. The scale
+    starts at 2**53 times the lcm of the denominators of d, y0 and the
+    map's parameters; it grows only by a non-integer slope's denominator
+    and at a step truncated at a boundary.
 
     Iterating (once) yields y_0, ..., y_n as (numerators, scale) pairs and
     adds each to ``taken``; a step is sampled only when it is asked for.
@@ -137,8 +219,7 @@ class LatticeWalk:
                                  system.lattice_base)
         self.taken = ScaledPoints([tuple(c * (start // scale) for c in y)],
                                   [start])
-        doubles = rng.random(n * space.ndim)
-        self._draws = iter((doubles * TWO53).astype(np.int64).tolist())
+        self._draws = rng
 
     def __iter__(self):
         apply = self.system.apply_scaled
@@ -168,7 +249,10 @@ class LatticeWalk:
         p, q = self.system.lam.as_integer_ratio()
         d_lo, d_hi = _fixed(self.d.numerator, self.d.denominator)
         w_lo, w_hi = _fixed(*self.system.space.w_ratio)
-        for k in islice(self._draws, 0, None, 2):
+        draws = self._draws
+        for _ in range(self.n + 1 - len(self.taken)):
+            k = next(draws)
+            next(draws)  # the angle's draw
             # max and min written out: calling them doubles a step's time
             c = p * lo // q
             a, b = c - d_hi, c + d_lo

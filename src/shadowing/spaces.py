@@ -13,8 +13,8 @@ measure strictly positive; the sampling kernel normalizes by the truncated
 measure.
 
 Points enter and leave as ``Fraction`` coordinates (``canonical``,
-``dist``, ``epsilon_net``). Everything else runs on integer numerators
-over a common denominator, the point's *scale*: ``ScaledPoints`` holds a
+``net_center``). Everything else runs on integer numerators over a
+common denominator, the point's *scale*: ``ScaledPoints`` holds a
 sequence of such points and builds a point's Fractions only when it is
 read, ``sample_scaled`` draws a point of a ball, ``beyond`` compares a
 distance with a bound and ``net_neighbors`` finds the net balls around a
@@ -36,7 +36,8 @@ from .rationals import frac
 
 HALF = Fraction(1, 2)
 
-# numpy's Generator.random() returns doubles k / 2**53 with integer k.
+# A uniform draw is the double k / 2**53, read as its integer k
+# (``pseudotraj.trial_stream``).
 TWO53 = 1 << 53
 
 Point = tuple
@@ -173,26 +174,12 @@ class Space:
             raise DomainError(f"radial coordinate {r} outside the annulus band")
         return (r, theta % 1)
 
-    # -- metric and measure ---------------------------------------------
-
-    def dist(self, a: Point, b: Point):
-        if len(a) != self.ndim or len(b) != self.ndim:
-            raise UsageError(f"points {a!r}, {b!r} do not belong to a {self.kind}")
-        return self.dist_over(a, b, 1)
-
-    def dist_over(self, a: Point, b: Point, unit):
-        """dist of two points given as numerators over a common unit, as a
-        numerator over that unit."""
-        if self.kind == "circle":
-            return circ_dist(a[0], b[0], unit)
-        if self.kind == "interval":
-            return abs(a[0] - b[0])
-        return max(abs(a[0] - b[0]), circ_dist(a[1], b[1], unit))
+    # -- metric ---------------------------------------------------------
 
     def beyond(self, a: Point, a_lift, b: Point, b_lift, unit, bound) -> bool:
         """Whether a * a_lift and b * b_lift, numerators over unit, lie
-        more than bound (a numerator over unit) apart; dist_over without
-        building the lifted points."""
+        more than bound (a numerator over unit) apart in the space's
+        metric, without building the lifted points."""
         if self.kind == "circle":
             t = (a[0] * a_lift - b[0] * b_lift) % unit
             return t > bound and unit - t > bound
@@ -244,7 +231,11 @@ class Space:
 
     # -- covers ----------------------------------------------------------
 
-    def _net_size(self, delta1) -> int:
+    def net_size(self, delta1) -> int:
+        """The number n = ceil(1 / delta1) of centers (``net_center``) of
+        the delta1-net: a cover of the circle or interval by open
+        delta1-balls, every point of the space lying strictly within
+        delta1 of some center."""
         if self.kind == "annulus":
             raise UsageError("the annulus has no cover net; its bounds come "
                              "from the absorbing band")
@@ -252,27 +243,20 @@ class Space:
             raise DomainError("net radius must be positive")
         return max(-(-delta1.denominator // delta1.numerator), 1)
 
-    def epsilon_net(self, delta1) -> list[Point]:
-        """Centers of a finite cover of the circle or interval by open
-        delta1-balls.
-
-        Grid construction: every point of the space lies strictly within
-        delta1 of some center; n = ceil(1 / delta1) centers k / n on the
-        circle, (2k + 1) / 2n on the interval.
-        """
-        delta1 = frac(delta1)
-        n = self._net_size(delta1)
+    def net_center(self, k: int, n: int) -> Point:
+        """Center k of the net of n centers: k / n on the circle,
+        (2k + 1) / 2n on the interval."""
         if self.kind == "circle":
-            return [(Fraction(k, n),) for k in range(n)]
-        return [(Fraction(2 * k + 1, 2 * n),) for k in range(n)]
+            return (Fraction(k, n),)
+        return (Fraction(2 * k + 1, 2 * n),)
 
-    def net_neighbors(self, x: int, unit: int, delta1) -> list[int]:
-        """Indices into epsilon_net(delta1) of the centers strictly within
-        delta1 = a / b of the point x / unit, in increasing order.
-        Candidates come from inverting the grid layout with integer floor
-        and ceiling, so their count is independent of the net size, and
-        each is checked over unit * n * b (twice that on the interval)."""
-        n = self._net_size(delta1)
+    def net_neighbors(self, x: int, unit: int, delta1, n: int) -> list[int]:
+        """Indices of the centers of the delta1-net of n = net_size(delta1)
+        centers that lie strictly within delta1 = a / b of the point
+        x / unit, in increasing order. Candidates come from inverting the
+        grid layout with integer floor and ceiling, so their count is
+        independent of the net size, and each is checked over unit * n * b
+        (twice that on the interval)."""
         a, b = delta1.numerator, delta1.denominator
         ub = unit * b
         if self.kind == "circle":

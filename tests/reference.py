@@ -1,11 +1,11 @@
 """The ``Fraction`` reference semantics that the tests hold the package to.
 
 The package computes on integer numerators over a common denominator, its
-scale. Every routine here computes on ``Fraction`` values directly: ball
-measures and uniform samples of the spaces, map evaluation from a
-piecewise-linear map's breakpoints, values and slopes, pointwise
-preimages, orbits, splicing of pseudotrajectories, set representatives
-and the closed-form verdicts. The tests compare the integer paths with
+scale. Every routine here computes on ``Fraction`` values directly: the
+metric, nets, ball measures and uniform samples of the spaces, map
+evaluation from a piecewise-linear map's breakpoints, values and slopes,
+pointwise preimages, orbits, prefixes and splicing of pseudotrajectories,
+set representatives and the closed-form verdicts. The tests compare the integer paths with
 these; nothing in the package calls them.
 """
 
@@ -16,13 +16,38 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from shadowing import (AnnulusSpiral, DomainError, SearchFailure,
-                       decide_horizons, rotation_first_failure)
+                       UsageError, decide_horizons, rotation_first_failure)
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
-from shadowing.rationals import point_text
-from shadowing.spaces import scaled_point
+from shadowing.rationals import frac, point_text
+from shadowing.spaces import TWO53, circ_dist, scaled_point
 
 
 # -- spaces ------------------------------------------------------------------
+
+def dist(space, a, b):
+    """The distance of two points of the space."""
+    if len(a) != space.ndim or len(b) != space.ndim:
+        raise UsageError(f"points {a!r}, {b!r} do not belong to a {space.kind}")
+    return dist_over(space, a, b, 1)
+
+
+def dist_over(space, a, b, unit):
+    """dist of two points given as numerators over a common unit, as a
+    numerator over that unit."""
+    if space.kind == "circle":
+        return circ_dist(a[0], b[0], unit)
+    if space.kind == "interval":
+        return abs(a[0] - b[0])
+    return max(abs(a[0] - b[0]), circ_dist(a[1], b[1], unit))
+
+
+def epsilon_net(space, delta1):
+    """Centers of a finite cover of the circle or interval by open
+    delta1-balls: the ``Space.net_size(delta1)`` centers
+    ``Space.net_center``, which ``bounds.cover_time`` scans."""
+    n = space.net_size(frac(delta1))
+    return [space.net_center(k, n) for k in range(n)]
+
 
 def ball_measure(space, center, radius):
     """Measure of the radius-ball around center, truncated to the space."""
@@ -38,7 +63,13 @@ def ball_measure(space, center, radius):
     return radial * min(2 * radius, Fraction(1))
 
 
-def sample_uniform_ball(space, center, radius, rng):
+def uniform(draws) -> Fraction:
+    """The next double k / 2**53 of a stream of integers k
+    (``trial_stream``), exactly."""
+    return Fraction(next(draws), TWO53)
+
+
+def sample_uniform_ball(space, center, radius, draws):
     """A point drawn uniformly (w.r.t. the reference measure) from the
     radius-ball around center intersected with the space.
 
@@ -50,40 +81,40 @@ def sample_uniform_ball(space, center, radius, rng):
     if radius <= 0:
         raise DomainError("ball radius must be positive")
     if space.kind == "circle":
-        return (_sample_arc(center[0], radius, rng),)
+        return (_sample_arc(center[0], radius, draws),)
     if space.kind == "interval":
         lo = max(center[0] - radius, 0)
         hi = min(center[0] + radius, 1)
-        return (lo + (hi - lo) * Fraction(float(rng.random())),)
+        return (lo + (hi - lo) * uniform(draws),)
     rc = center[0]
     lo = max(rc - radius, 1 - space.w)
     hi = min(rc + radius, 1 + space.w)
-    r = lo + (hi - lo) * Fraction(float(rng.random()))
-    theta = _sample_arc(center[1], radius, rng)
+    r = lo + (hi - lo) * uniform(draws)
+    theta = _sample_arc(center[1], radius, draws)
     return (r, theta)
 
 
-def _sample_arc(center, radius, rng):
-    u = Fraction(float(rng.random()))
+def _sample_arc(center, radius, draws):
+    u = uniform(draws)
     if 2 * radius >= 1:
         return u
     return (center - radius + 2 * radius * u) % 1
 
 
-def random_point(space, rng):
+def random_point(space, draws):
     """Uniform point of the whole space."""
     if space.kind in ("circle", "interval"):
-        return (Fraction(float(rng.random())),)
-    r = 1 - space.w + 2 * space.w * Fraction(float(rng.random()))
-    return (r, Fraction(float(rng.random())))
+        return (uniform(draws),)
+    r = 1 - space.w + 2 * space.w * uniform(draws)
+    return (r, uniform(draws))
 
 
 def grid_centers(space, h):
     """Centers of a grid whose open h-balls cover the space: the circle
-    and interval nets of ``Space.epsilon_net``, and on the annulus their
+    and interval nets of ``epsilon_net``, and on the annulus their
     product with an interval grid over the radial band."""
     if space.kind != "annulus":
-        return space.epsilon_net(h)
+        return epsilon_net(space, h)
     n = max(math.ceil(1 / h), 1)
     nr = max(math.ceil(2 * space.w / h), 1)
     radial = [1 - space.w + Fraction(2 * k + 1, 2 * nr) * 2 * space.w
@@ -149,6 +180,13 @@ def pick_point(s):
 
 # -- pseudotrajectories ------------------------------------------------------
 
+def prefix(traj: Pseudotrajectory, m: int) -> Pseudotrajectory:
+    """The points y_0, ..., y_m of traj, with its step bound."""
+    if not 0 <= m <= traj.horizon:
+        raise UsageError(f"prefix horizon {m} outside [0, {traj.horizon}]")
+    return Pseudotrajectory(traj.scaled[:m + 1], traj.d, traj.provenance)
+
+
 def exact_orbit(system, x0, n: int) -> Pseudotrajectory:
     """The true orbit of x0, packaged as a 0-error pseudotrajectory."""
     return Pseudotrajectory(tuple(orbit(system, x0, n)), Fraction(0),
@@ -157,9 +195,8 @@ def exact_orbit(system, x0, n: int) -> Pseudotrajectory:
 
 def validate(system, points, d) -> bool:
     """True iff every consecutive pair satisfies dist(y_{n+1}, f(y_n)) <= d."""
-    space = system.space
-    return all(space.dist(points[k + 1], apply(system, points[k])) <= d
-               for k in range(len(points) - 1))
+    return all(dist(system.space, points[k + 1], apply(system, points[k]))
+               <= d for k in range(len(points) - 1))
 
 
 def splice(system, r, z0, tail: Pseudotrajectory, delta1,
@@ -184,9 +221,9 @@ def splice(system, r, z0, tail: Pseudotrajectory, delta1,
     n1 = None
     n = 0
     while n <= horizon:
-        if n1 is None and space.dist(z0, point) < bound:
+        if n1 is None and dist(space, z0, point) < bound:
             n1 = n
-        if n1 is not None and space.dist(target, point) < bound:
+        if n1 is not None and dist(space, target, point) < bound:
             n2 = n
             break
         point = apply(system, point)

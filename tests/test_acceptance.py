@@ -21,7 +21,7 @@ from shadowing.bounds import attractor_quantities, tube_probability_bound
 from shadowing.pseudotraj import Provenance
 
 from grid_oracle import brute_force_oracle
-from reference import (exact_orbit, in_absorbing_band, orbit,
+from reference import (dist, exact_orbit, in_absorbing_band, orbit,
                        sample_uniform_ball, validate)
 
 ROT = rotation(F(610, 987))
@@ -52,7 +52,7 @@ def test_criterion_1_dichotomy_branch_shadowing():
         verdict = decide_shadowable(DBL, traj, CFG_DOUBLING.eps)
         assert verdict.verdict.value == "Yes"
         pts = orbit(DBL, verdict.witness, 200)
-        assert all(DBL.space.dist(p, y) <= CFG_DOUBLING.eps
+        assert all(dist(DBL.space, p, y) <= CFG_DOUBLING.eps
                    for p, y in zip(pts, traj.points))
     elapsed = time.monotonic() - start
     assert elapsed < 120
@@ -87,7 +87,7 @@ def test_criterion_3_oracle_equivalence():
     for system, y0, seed_base in cases:
         for trial in range(50):
             rng = trial_stream(seed_base, trial)
-            n = 5 + int(rng.integers(16))
+            n = 5 + next(rng) % 16
             traj = generate(system, y0, F(1, 50), n, rng)
             certified = decide_shadowable(system, traj, F(1, 20))
             grid = brute_force_oracle(system, traj, F(1, 20), res)
@@ -114,7 +114,7 @@ def test_criterion_4_tube_probability_bound():
     hits = 0
     for t in range(trials):
         traj = generate(ROT, (F(0),), d, length, trial_stream(45, t))
-        if all(ROT.space.dist(z, p) < delta
+        if all(dist(ROT.space, z, p) < delta
                for z, p in zip(traj.points[1:], anchor.points[1:])):
             hits += 1
     # stated numeric floor 0.001; one-sided binomial non-rejection at 0.001

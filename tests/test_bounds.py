@@ -17,8 +17,9 @@ from shadowing import (DomainError, SearchFailure, UsageError, annulus,
                        tube_probability_bound)
 from shadowing.cli import main
 
-from reference import (ball_measure, exact_orbit, grid_centers,
-                       in_absorbing_band, random_point, sample_uniform_ball)
+from reference import (ball_measure, dist, epsilon_net, exact_orbit,
+                       grid_centers, in_absorbing_band, random_point,
+                       sample_uniform_ball)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -97,7 +98,7 @@ def test_delta_inclusion_probe_oracle_exact(system, d):
         x = random_point(space, rng)
         z = sample_uniform_ball(space, x, delta, rng)
         y = sample_uniform_ball(space, system.apply(x), d / 2, rng)
-        assert space.dist(y, system.apply(z)) + delta <= d
+        assert dist(space, y, system.apply(z)) + delta <= d
 
 
 # -- eta -----------------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_tube_frequency_with_real_generator():
     hits = 0
     for t in range(trials):
         traj = generate(ROT, (F(0),), d, length, trial_stream(503, t))
-        if all(ROT.space.dist(z, p) < delta
+        if all(dist(ROT.space, z, p) < delta
                for z, p in zip(traj.points[1:], anchor.points[1:])):
             hits += 1
     bound = tube_probability_bound(eta(circle(), delta, d), length)
@@ -217,11 +218,11 @@ def test_tube_frequency_with_real_generator():
 def _enumerate_cover(system, r, delta1, budget=100):
     """Independent direct enumeration of the first all-balls-visited time."""
     space = system.space
-    centers = space.epsilon_net(delta1)
+    centers = epsilon_net(space, delta1)
     pts = exact_orbit(system, r, budget).points
     pending = set(range(len(centers)))
     for n, p in enumerate(pts):
-        pending -= {i for i in pending if space.dist(p, centers[i]) < delta1}
+        pending -= {i for i in pending if dist(space, p, centers[i]) < delta1}
         if not pending:
             return n
     return None
@@ -245,10 +246,10 @@ def test_cover_time_dense_rotation_with_rescan():
     delta1 = F(1, 20)
     cov = cover_time(ROT, (F(0),), delta1, horizon=5000)
     assert cov.k == cov.k1 + cov.k2 + 1
-    centers = ROT.space.epsilon_net(delta1)
+    centers = epsilon_net(ROT.space, delta1)
     pts = exact_orbit(ROT, (F(0),), cov.k1).points
     for c in centers:
-        assert any(ROT.space.dist(p, c) < delta1 for p in pts)
+        assert any(dist(ROT.space, p, c) < delta1 for p in pts)
 
 
 def test_cover_time_failure_names_unvisited_ball():

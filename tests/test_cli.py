@@ -249,6 +249,31 @@ def test_workers_below_one_exit_nonzero(tmp_path, capsys, argv, workers):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (("generate", "--seed", "-1"), "seed must be nonnegative, got -1"),
+    (("generate", "--trial", "-1"), "trial must be nonnegative, got -1"),
+    (("estimate", "--seed", "-1"), "seed must be nonnegative, got -1"),
+], ids=["generate-seed", "generate-trial", "estimate-seed"])
+def test_negative_seed_or_trial_exits_two(tmp_path, capsys, argv, message):
+    common = ["--system", "doubling", "--y0", "0.3", "--d", "0.02",
+              "--out", str(tmp_path / "out")]
+    more = (["--n", "10"] if argv[0] == "generate" else
+            ["--eps", "0.05", "--horizons", "10", "--trials", "2"])
+    code, out, err = run(capsys, *argv, *common, *more)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_in_a_config_file_exits_two(tmp_path, capsys):
+    config = tmp_path / "negative.json"
+    config.write_text(json.dumps({
+        "system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
+        "horizons": [10], "trials": 2, "seed": -5}))
+    code, out, err = run(capsys, "estimate", "--config", str(config))
+    assert (code, out, err) == (2, "", "error: seed must be nonnegative, "
+                                       "got -5\n")
+
+
+@pytest.mark.parametrize("argv,message", [
     # 3/10 -> 3/5 -> 1/5 -> 2/5 -> 4/5 -> 3/5
     (("doubling", "--d", "0.02", "--eps", "0.05", "--y0", "0.3"),
      "orbit never entered the open 1/1200-ball around net center (0) "
@@ -325,20 +350,22 @@ def run_python(*args):
                           text=True, env={**os.environ, "PYTHONPATH": src})
 
 
-def test_cli_and_check_never_import_scipy(tmp_path, capsys):
-    # the runtime needs only numpy: not even the intervals load scipy
+def test_cli_and_check_never_import_scipy(tmp_path):
+    # the runtime needs only the standard library: neither the random
+    # stream loads numpy nor the intervals scipy
     found = run_python("-c", "import sys, shadowing.cli; "
                              "print(sorted(m for m in sys.modules "
-                             "if m.split('.')[0] == 'scipy'))")
+                             "if m.split('.')[0] in ('numpy', 'scipy')))")
     assert found.returncode == 0 and found.stdout.strip() == "[]"
     base = tmp_path / "traj"
-    run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
-        "--d", "0.02", "--n", "50", "--seed", "2", "--out", str(base))
     config = tmp_path / "dichotomy.json"
     config.write_text(json.dumps({
         "shadowing": {"trials": 3, "horizons": [20]},
         "nonshadowing": {"trials": 3, "horizons": [10, 50]}}))
     runs = {
+        "generate": ["generate", "--system", "doubling", "--y0", "0.3",
+                     "--d", "0.02", "--n", "50", "--seed", "2",
+                     "--out", str(base)],
         "check": ["check", "--traj", str(base), "--eps", "0.05"],
         "estimate": ["estimate", "--system", "doubling", "--y0", "0.3",
                      "--d", "0.02", "--eps", "0.05", "--horizons", "10,50",
@@ -355,7 +382,8 @@ def test_cli_and_check_never_import_scipy(tmp_path, capsys):
                     if line.startswith("import time:")]
         assert done.returncode == 0, (name, done.stderr[-2000:])
         assert "shadowing.experiment" in imported
-        assert not any(m.split(".")[0] == "scipy" for m in imported), name
+        assert not any(m.split(".")[0] in ("numpy", "scipy")
+                       for m in imported), name
         if name == "check":
             assert json.loads(done.stdout)["verdict"] == "Yes"
     summary = json.loads((tmp_path / "estimate" / "summary.json").read_text())

@@ -8,7 +8,7 @@ from shadowing import (EnclosureCapError, annulus, ball_set, circle,
                        intersect, interval, parse_system, trial_stream)
 from shadowing import enclosure as enc
 
-from reference import pick_point, random_point
+from reference import pick_point, random_point, uniform
 
 
 def arcs(es):
@@ -82,7 +82,7 @@ def test_random_arc_intersection_against_membership_oracle():
     sp = circle()
     rng = trial_stream(201)
     for _ in range(300):
-        s1, l1, s2, l2 = (F(float(rng.random())) for _ in range(4))
+        s1, l1, s2, l2 = (uniform(rng) for _ in range(4))
         a = enc.make(sp, [(s1, l1 % 1)])
         b = enc.make(sp, [(s2, l2 % 1)])
         got = intersect(a, b)

@@ -6,7 +6,10 @@ all-``Fraction`` pipeline (numpy 2.4.6); any change to the arithmetic inside
 the sampler, the checker or the experiments must leave every one of them
 unchanged. ``p_hat`` is a quotient of two counts, and the Clopper-Pearson
 columns are certified doubles computed in the standard library
-(``shadowing.binomial``), so no library version moves these bytes.
+(``shadowing.binomial``), so no library version moves these bytes. The
+random stream was numpy's when they were recorded; ``trial_stream`` now
+computes the same stream in the standard library, bit for bit, and no
+digest moved.
 
 The ``summary.json``, ``curve.csv`` and ``report.json`` digests whose
 ``ci_lo`` or ``ci_hi`` digits moved were re-recorded once, when the

@@ -1,7 +1,9 @@
 """Generator contract, splicing and the drift witness."""
 
 import csv
+import random
 from fractions import Fraction as F
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from shadowing import annulus_spiral, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.spaces import ScaledPoints, signed_circ_diff
 
-from reference import (exact_orbit, random_point, rotation_oracle, splice,
-                       validate)
+from reference import (dist, exact_orbit, prefix, random_point,
+                       rotation_oracle, splice, validate)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -31,7 +33,7 @@ def test_generated_steps_stay_within_bound():
     traj = generate(ROT, (F(0),), F(1, 50), 100, trial_stream(2))
     alpha = ROT.alpha
     for a, b in zip(traj.points, traj.points[1:]):
-        assert ROT.space.dist(b, ((a[0] + alpha) % 1,)) <= F(1, 50)
+        assert dist(ROT.space, b, ((a[0] + alpha) % 1,)) <= F(1, 50)
     assert validate(ROT, traj.points, F(1, 50))
 
 
@@ -61,7 +63,7 @@ def test_prefix_property_of_streams():
     long = generate(ROT, (F(0),), F(1, 50), 60, trial_stream(42, 7))
     short = generate(ROT, (F(0),), F(1, 50), 25, trial_stream(42, 7))
     assert long.points[:26] == short.points
-    assert long.prefix(25).points == short.points
+    assert prefix(long, 25).points == short.points
 
 
 def test_trials_are_independent_streams():
@@ -70,6 +72,32 @@ def test_trials_are_independent_streams():
     assert t0.points != t1.points
     again = generate(ROT, (F(0),), F(1, 50), 10, trial_stream(42, 1))
     assert again.points == t1.points
+
+
+def test_trial_streams_are_numpys_streams_bit_for_bit():
+    # numpy's default_rng(SeedSequence(seed, spawn_key=(trial,))).random()
+    # draws k / 2**53. The seeds give one to five words of run entropy,
+    # 2**128 + 5 more than the pool holds; the trials one or two spawn
+    # words. Master seeds come as A, B, A, so a stale seeding memo fails.
+    draws = 10_000
+    rnd = random.Random(2014)
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 + 5] \
+        + [rnd.getrandbits(70) for _ in range(3)]
+    trials = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3]
+    for a, b in zip(seeds, seeds[1:]):
+        for seed in (a, b, a):
+            for trial in trials:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(trial,)))
+                want = (rng.random(draws) * 2 ** 53).astype(np.int64)
+                got = list(islice(trial_stream(seed, trial), draws))
+                assert got == want.tolist(), (seed, trial)
+
+
+@pytest.mark.parametrize("seed,trial", [(-1, 0), (0, -1), (-2 ** 70, 3)])
+def test_negative_seeds_and_trials_are_refused(seed, trial):
+    with pytest.raises(DomainError):
+        trial_stream(seed, trial)
 
 
 def test_step_deviations_uniform_chi_square():
@@ -133,12 +161,12 @@ def test_splice_junction_inequalities():
     seg_len = out.horizon - tail.horizon
     orbit_pts = [(k * ROT.alpha % 1,) for k in range(2000)]
     n1 = next(i for i, p in enumerate(orbit_pts)
-              if ROT.space.dist(z0, p) < 2 * delta1)
+              if dist(ROT.space, z0, p) < 2 * delta1)
     n2 = next(i for i, p in enumerate(orbit_pts)
-              if i >= n1 and ROT.space.dist(p0, p) < 2 * delta1)
+              if i >= n1 and dist(ROT.space, p0, p) < 2 * delta1)
     assert seg_len == n2 - n1
-    assert ROT.space.dist(z0, orbit_pts[n1]) < 2 * delta1
-    assert ROT.space.dist(p0, orbit_pts[n2]) < 2 * delta1
+    assert dist(ROT.space, z0, orbit_pts[n1]) < 2 * delta1
+    assert dist(ROT.space, p0, orbit_pts[n2]) < 2 * delta1
 
 
 def test_splice_reports_unreachable_ball():
@@ -191,8 +219,8 @@ def test_fraction_built_trajectory_equals_the_generated_one(system, y0, eps):
     assert built.points == sampled.points
     assert built.horizon == sampled.horizon == 300
     for m in (0, 1, 37, 300):
-        assert built.prefix(m).points == sampled.prefix(m).points
-        assert built.prefix(m).horizon == m
+        assert prefix(built, m).points == prefix(sampled, m).points
+        assert prefix(built, m).horizon == m
     assert decide_shadowable(system, built, eps).to_json() == \
         decide_shadowable(system, sampled, eps).to_json()
 

@@ -1,6 +1,7 @@
 """Certified verdicts against independent closed-form and grid oracles."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,8 @@ from shadowing.pseudotraj import Pseudotrajectory, Provenance
 from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
-from reference import exact_orbit, first_empty_step, orbit, rotation_oracle
+from reference import (dist, exact_orbit, first_empty_step, orbit, prefix,
+                       rotation_oracle)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -28,14 +30,14 @@ def fragment_points(es, rng, k=20):
     """Sample points of an enclosure set, fragment parameterized."""
     pts = []
     for _ in range(k):
-        frag = es.fragments[int(rng.integers(len(es.fragments)))]
-        u = F(float(rng.random()))
+        frag = es.fragments[rng.randrange(len(es.fragments))]
+        u = F(rng.random())
         if es.space.kind == "circle":
             pts.append(((frag[0] + frag[1] * u) % 1,))
         elif es.space.kind == "interval":
             pts.append((frag[0] + (frag[1] - frag[0]) * u,))
         else:
-            v = F(float(rng.random()))
+            v = F(rng.random())
             pts.append((frag[0] + (frag[1] - frag[0]) * u,
                         (frag[2] + frag[3] * v) % 1))
     return pts
@@ -136,12 +138,12 @@ def test_doubling_exact_orbit_sets_stay_full_balls():
 def test_shadow_sets_prefix_independent():
     traj = generate(ROT, (F(0),), D, 30, trial_stream(401))
     full = shadow_set_forward(ROT, traj, EPS)
-    short = shadow_set_forward(ROT, traj.prefix(12), EPS)
+    short = shadow_set_forward(ROT, prefix(traj, 12), EPS)
     assert [s.fragments for s in full[:13]] == [s.fragments for s in short]
 
 
 def test_set_recursion_containments():
-    rng = trial_stream(402)
+    rng = random.Random(402)
     for system, y0 in [(DBL, (F(1, 3),)), (ROT, (F(0),)),
                        (SPIRAL, (F(7, 5), F(0)))]:
         traj = generate(system, y0, D, 25, trial_stream(403))
@@ -167,7 +169,7 @@ def test_trajectory_shadows_itself(system, x0):
     assert v.verdict.value == "Yes"
     assert v.witness is not None
     pts = orbit(system, v.witness, traj.horizon)
-    assert all(system.space.dist(p, y) <= F(1, 100)
+    assert all(dist(system.space, p, y) <= F(1, 100)
                for p, y in zip(pts, traj.points))
 
 
@@ -226,7 +228,7 @@ def test_yes_witness_passes_direct_recheck():
         v = decide_shadowable(DBL, traj, EPS)
         assert v.verdict.value == "Yes"
         pts = orbit(DBL, v.witness, traj.horizon)
-        assert all(DBL.space.dist(p, y) <= EPS
+        assert all(dist(DBL.space, p, y) <= EPS
                    for p, y in zip(pts, traj.points))
 
 
@@ -235,7 +237,7 @@ def test_monotone_verdicts_over_prefixes():
     fe = first_empty_step(ROT, traj, F(1, 30))
     seen_no = False
     for m in range(0, traj.horizon + 1, 4):
-        v = decide_shadowable(ROT, traj.prefix(m), F(1, 30))
+        v = decide_shadowable(ROT, prefix(traj, m), F(1, 30))
         if seen_no:
             assert v.verdict.value == "No"
         if v.verdict.value == "No":
@@ -396,7 +398,7 @@ def test_offset_step_splits_shadow_set():
     v = decide_shadowable(DBL, traj, eps)
     assert v.verdict.value == "Yes"
     pts = orbit(DBL, v.witness, traj.horizon)
-    assert all(DBL.space.dist(p, y) <= eps
+    assert all(dist(DBL.space, p, y) <= eps
                for p, y in zip(pts, traj.points))
     assert brute_force_oracle(DBL, traj, eps, F(1, 10 ** 4)).found
 
@@ -432,7 +434,7 @@ def test_orbit_tracks_rejects_one_lattice_unit_past_eps(system, x0, eps,
             points = list(exact)
             points[k] = space.canonical(tuple(
                 c + sign * (eps + excess) for c, sign in zip(exact[k], shift)))
-            assert space.dist(points[k], exact[k]) == eps + excess
+            assert dist(space, points[k], exact[k]) == eps + excess
             for given in (points, ScaledPoints.from_points(points)):
                 assert orbit_tracks(system, given, x0, eps) is tracks, \
                     (k, excess, type(given))

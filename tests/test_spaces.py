@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from shadowing import (DomainError, UsageError, Space, annulus, circle,
                        interval, trial_stream)
 from shadowing.spaces import circ_dist, signed_circ_diff
 
-from reference import ball_measure, random_point, sample_uniform_ball
+from reference import (ball_measure, dist, dist_over, epsilon_net,
+                       random_point, sample_uniform_ball)
 
 SPACES = [circle(), interval(), annulus(F(1, 2))]
 NET_SPACES = SPACES[:2]  # the annulus has no cover net
@@ -28,18 +30,18 @@ def test_metric_axioms_on_random_triples(space):
     rng = trial_stream(101)
     for _ in range(10_000):
         a, b, c = (random_point(space, rng) for _ in range(3))
-        dab = space.dist(a, b)
+        dab = dist(space, a, b)
         assert dab >= 0
-        assert dab == space.dist(b, a)
-        assert space.dist(a, a) == 0
-        assert space.dist(a, c) <= dab + space.dist(b, c)
+        assert dab == dist(space, b, a)
+        assert dist(space, a, a) == 0
+        assert dist(space, a, c) <= dab + dist(space, b, c)
         assert dab <= space.diameter
 
 
 def test_identity_of_indiscernibles_circle():
     sp = circle()
-    assert sp.dist((F(1, 3),), (F(1, 3),)) == 0
-    assert sp.dist((F(0),), (F(1, 2),)) == F(1, 2)
+    assert dist(sp, (F(1, 3),), (F(1, 3),)) == 0
+    assert dist(sp, (F(0),), (F(1, 2),)) == F(1, 2)
     # wrap ties resolve: distinct points at distance 0 impossible mod 1
     assert sp.canonical((F(1),)) == (F(0),)
 
@@ -54,10 +56,10 @@ def test_canonicalization_idempotent():
 
 
 def test_kind_specific_distances():
-    assert circle().dist((F(1, 10),), (F(9, 10),)) == F(1, 5)
-    assert interval().dist((F(1, 4),), (F(3, 4),)) == F(1, 2)
+    assert dist(circle(), (F(1, 10),), (F(9, 10),)) == F(1, 5)
+    assert dist(interval(), (F(1, 4),), (F(3, 4),)) == F(1, 2)
     an = annulus(F(1, 2))
-    assert an.dist((F(6, 5), F(1, 10)), (F(9, 10), F(19, 20))) == F(3, 10)
+    assert dist(an, (F(6, 5), F(1, 10)), (F(9, 10), F(19, 20))) == F(3, 10)
 
 
 def test_signed_circ_diff_representative():
@@ -87,20 +89,24 @@ def test_ball_measure_positive_and_rejects_bad_radius():
 
 def _mc_ball_measure(space, center, radius, n, seed):
     """Monte Carlo integration oracle for mu(B(radius, center) & M)."""
-    rng = trial_stream(seed)
+    draws = trial_stream(seed)
+
+    def uniforms(n):
+        return np.array(list(islice(draws, n)), dtype=float) / 2 ** 53
+
     if space.kind == "circle":
-        pts = rng.random(n)
+        pts = uniforms(n)
         t = np.abs((pts - float(center[0])) % 1.0)
         inside = np.minimum(t, 1.0 - t) <= float(radius)
         total = 1.0
     elif space.kind == "interval":
-        pts = rng.random(n)
+        pts = uniforms(n)
         inside = np.abs(pts - float(center[0])) <= float(radius)
         total = 1.0
     else:
         w = float(space.w)
-        r = 1 - w + 2 * w * rng.random(n)
-        th = rng.random(n)
+        r = 1 - w + 2 * w * uniforms(n)
+        th = uniforms(n)
         t = np.abs((th - float(center[1])) % 1.0)
         inside = (np.abs(r - float(center[0])) <= float(radius)) \
             & (np.minimum(t, 1.0 - t) <= float(radius))
@@ -133,7 +139,7 @@ def test_samples_stay_in_closed_ball(space):
         radius = F(1, 10)
         for _ in range(25):
             p = sample_uniform_ball(space, c, radius, rng)
-            assert space.dist(p, c) <= radius
+            assert dist(space, p, c) <= radius
             assert space.canonical(p) == p
 
 
@@ -185,13 +191,13 @@ def test_uniformity_chi_square_truncated_annulus_ball():
 # -- epsilon nets ------------------------------------------------------------
 
 def test_epsilon_net_examples():
-    assert len(circle().epsilon_net(F(1, 4))) == 4
-    net = interval().epsilon_net(F(1, 2))
+    assert len(epsilon_net(circle(), F(1, 4))) == 4
+    net = epsilon_net(interval(), F(1, 2))
     assert len(net) >= 2 and (F(1, 4),) in net and (F(3, 4),) in net
     with pytest.raises(DomainError):
-        circle().epsilon_net(F(0))
+        epsilon_net(circle(), F(0))
     with pytest.raises(UsageError):
-        annulus(F(1, 2)).epsilon_net(F(1, 4))
+        epsilon_net(annulus(F(1, 2)), F(1, 4))
 
 
 def on_one_scale(delta1, centers, points):
@@ -211,12 +217,12 @@ def on_one_scale(delta1, centers, points):
 @pytest.mark.parametrize("space", NET_SPACES, ids=ids)
 @pytest.mark.parametrize("delta1", [F(1, 4), F(1, 10), F(3, 100)])
 def test_epsilon_net_covers(space, delta1):
-    centers = space.epsilon_net(delta1)
+    centers = epsilon_net(space, delta1)
     rng = trial_stream(110)
     points = [random_point(space, rng) for _ in range(1000)]
     scale, grid, bound, qs = on_one_scale(delta1, centers, points)
     for p, q in zip(points, qs):
-        assert min(space.dist_over(q, c, scale) for c in grid) < bound, p
+        assert min(dist_over(space, q, c, scale) for c in grid) < bound, p
 
 
 def test_annulus_needs_a_positive_half_width():
@@ -233,7 +239,8 @@ def test_annulus_needs_a_positive_half_width():
 @pytest.mark.parametrize("space", NET_SPACES, ids=ids)
 @pytest.mark.parametrize("delta1", [F(1, 4), F(2, 23), F(3, 100), F(1, 800)])
 def test_net_neighbors_match_linear_scan(space, delta1):
-    centers = space.epsilon_net(delta1)
+    centers = epsilon_net(space, delta1)
+    n = space.net_size(delta1)
     rng = trial_stream(111)
     points = [random_point(space, rng) for _ in range(300)]
     # points at exactly delta1 from a center, which the strict < leaves
@@ -245,8 +252,8 @@ def test_net_neighbors_match_linear_scan(space, delta1):
     scale, grid, bound, qs = on_one_scale(delta1, centers, points)
     for p, q in zip(points, qs):
         expected = [i for i, c in enumerate(grid)
-                    if space.dist_over(q, c, scale) < bound]
-        assert space.net_neighbors(q[0], scale, delta1) == expected, p
+                    if dist_over(space, q, c, scale) < bound]
+        assert space.net_neighbors(q[0], scale, delta1, n) == expected, p
         assert space.net_neighbors(p[0].numerator, p[0].denominator,
-                                   delta1) == expected, p
+                                   delta1, n) == expected, p
         assert expected  # the net covers, so some center is always near

@@ -1,5 +1,6 @@
 """Map evaluation, set images and preimages for the model systems."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from shadowing import (UsageError, annulus_spiral, ball_set, doubling,
                        parse_system, pwl, rotation, tent, trial_stream)
 from shadowing import enclosure as enc
 
-from reference import apply, orbit, preimages, random_point
+from reference import apply, dist, orbit, preimages, random_point, uniform
 
 
 def test_apply_examples():
@@ -53,8 +54,8 @@ def test_lipschitz_constants_hold_statistically():
         space = system.space
         for _ in range(10_000 // 4):
             a, b = random_point(space, rng), random_point(space, rng)
-            assert space.dist(system.apply(a), system.apply(b)) \
-                <= system.lipschitz * space.dist(a, b)
+            assert dist(space, system.apply(a), system.apply(b)) \
+                <= system.lipschitz * dist(space, a, b)
 
 
 # -- set images ----------------------------------------------------------------
@@ -84,8 +85,8 @@ def test_rotation_images_are_isometric():
     sp = rot.space
     rng = trial_stream(302)
     for _ in range(100):
-        s = F(float(rng.random()))
-        l = F(float(rng.random())) % 1
+        s = uniform(rng)
+        l = uniform(rng) % 1
         es = enc.make(sp, [(s, l)])
         img = rot.apply_set(es)
         assert img.measure() == es.measure()
@@ -110,7 +111,7 @@ def test_spiral_box_image_is_exact():
 def test_set_image_equals_brute_force_image(system):
     """Grid oracle: image membership forward, preimage membership backward."""
     space = system.space
-    rng = trial_stream(303)
+    rng = random.Random(303)
     for s, l in [(F(1, 10), F(1, 5)), (F(17, 20), F(3, 10)), (F(0), F(2, 5))]:
         if space.kind == "interval":
             if s + l > 1:
@@ -124,8 +125,8 @@ def test_set_image_equals_brute_force_image(system):
             assert img.contains(system.apply((x,)))
         # sampled image points all have a preimage inside the source set
         for _ in range(200):
-            frag = img.fragments[int(rng.integers(len(img.fragments)))]
-            u = F(float(rng.random()))
+            frag = img.fragments[rng.randrange(len(img.fragments))]
+            u = F(rng.random())
             if space.kind == "interval":
                 p = (frag[0] + (frag[1] - frag[0]) * u,)
             else:

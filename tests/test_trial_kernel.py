@@ -9,8 +9,8 @@ The references here sample every point with ``generate`` and decide with
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
-import numpy as np
 import pytest
 
 from shadowing import (ExperimentConfig, InvariantViolation,
@@ -263,22 +263,11 @@ def test_shipped_attractor_trials_need_no_exact_scan(monkeypatch):
 
 # -- closing the band tail by induction ----------------------------------------
 
-class Draws:
-    """A stand-in for a trial stream whose doubles are k / 2**53 for the
-    given draws k, so ``LatticeWalk`` reads exactly those k."""
-
-    def __init__(self, ks):
-        self.ks = ks
-
-    def random(self, size):
-        return np.array(self.ks[:size], dtype=float) / 2 ** 53
-
-
 def step_from(system, d, m, k):
     """The tail enclosure one step past the radius 1 + m / 2**TAIL_BITS,
     which the walk holds as lo = hi = m, for the radial draw k."""
     walk = LatticeWalk(system, (1 + F(m, 2 ** TAIL_BITS), F(0)), d, 1,
-                       Draws([k, 0]))
+                       iter([k, 0]))
     (lo, hi), = walk.radius_enclosures()
     return lo, hi
 
@@ -317,7 +306,7 @@ def escapes(system, d, bound):
 
 
 def closes(system, d, bound):
-    return LatticeWalk(system, (F(1), F(0)), d, 0, Draws([])).band_closed(bound)
+    return LatticeWalk(system, (F(1), F(0)), d, 0, iter(())).band_closed(bound)
 
 
 def test_a_closed_band_keeps_every_enclosure_step_inside():
@@ -385,3 +374,28 @@ def test_a_band_that_is_not_closed_is_read_to_its_end(monkeypatch):
         _run_trial(system, cfg, 0, (rho, n0))
     assert str(info.value) == message
     assert len(reads) == step - first_empty
+
+
+def test_a_walk_reads_n_times_ndim_draws_of_an_endless_stream():
+    """A trial stream never ends and rho = 1/100 < 2d is not closed under
+    the tail's step, so the tail is read to the horizon: n + 1 - len(taken)
+    enclosures, and n * ndim draws in all, wherever the walk stopped."""
+    system, (y0, d) = SYSTEMS["spiral"], STARTS["spiral"]
+    bound = (1 << TAIL_BITS) // 100
+    for stop in (0, 1, 37, 1000):
+        read = []
+
+        def counted(stream):
+            for k in stream:
+                read.append(k)
+                yield k
+
+        walk = LatticeWalk(system, y0, d, 1000, counted(trial_stream(44)))
+        for _ in zip(range(stop + 1), walk):
+            pass
+        assert len(read) == 2 * stop
+        assert not walk.band_closed(bound)
+        # islice: an unbounded tail fails the count instead of hanging
+        tail = list(islice(walk.radius_enclosures(), 1001))
+        assert len(tail) == 1000 + 1 - len(walk.taken) == 1000 - stop
+        assert len(read) == 1000 * system.space.ndim
