@@ -216,7 +216,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DomainError, SearchFailure, EnclosureCapError) as exc:
+    except (UsageError, DomainError, SearchFailure, EnclosureCapError,
+            OSError) as exc:
+        # OSError: a file that cannot be read or written is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -23,7 +23,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -31,11 +31,11 @@ from . import bounds as bounds_mod
 # bench/probes.py wraps it
 from .binomial import clopper_pearson
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
-from .pseudotraj import TAIL_BITS, LatticeWalk, generate, trial_stream
+# generate, and orbit_tracks, pull_back_witness and shadow_set_forward
+# below, are unused here: a trial reads its walk's points directly.
+# bench/probes.py looks all four up here
+from .pseudotraj import LatticeWalk, generate, trial_stream
 from .rationals import frac, jsonable, parse_point, point_text
-# orbit_tracks, pull_back_witness and shadow_set_forward are unused here;
-# generate runs only to confirm exactly a band exit that the sampled points
-# or the 64-bit tail enclosure show. bench/probes.py looks all four up here
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
                           shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
@@ -144,21 +144,19 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     Sampling and propagation are one loop that stops at the first empty
     set; no verdict reads a later point. ``band`` is (rho, n0) for
     attractor runs: every point from step n0 on must lie in the absorbing
-    band, else the bound computation is wrong. Past the sampled points,
-    checked exactly, it reads a 64-bit directed-rounding integer enclosure
-    of the radius, no float (``LatticeWalk.radius_enclosures``); where that
-    leaves the band, every point is checked exactly before any report.
-    When the band is closed under the enclosure's step
-    (``LatticeWalk.band_closed``, true in every shipped run), the first
-    checked enclosure inside it puts every later one inside, so the tail
-    stops there; otherwise every enclosure up to the largest horizon is
-    read.
+    band, else the bound computation is wrong. The check reads the walk's
+    exact points from n0 on, sampling on past a trial that stopped sooner.
+    A step moves the radius by |r' - 1| <= lam |r - 1| + d, truncated or
+    not, so when lam * rho + d <= rho (every d < d0) one point in the band
+    keeps every later one in it and the check stops at the first point;
+    otherwise it reads on to the largest horizon.
     """
     walk = LatticeWalk(system, config.y0, config.d, config.max_horizon,
                        trial_stream(config.seed, trial))
+    steps = iter(walk)
     try:
         found = horizon_verdicts(system,
-                                 list(shadow_sets(system, walk, config.eps)),
+                                 list(shadow_sets(system, steps, config.eps)),
                                  walk.taken, config.eps, config.horizons)
         outcome = TrialOutcome(trial, found.first_empty,
                                tuple(v.value for v in found.verdicts))
@@ -168,33 +166,20 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
                                error=str(exc))
     if band is not None:
         rho, n0 = band
+        closed = system.lam * rho + config.d <= rho
         taken = walk.taken
-        bound = (rho.numerator << TAIL_BITS) // rho.denominator
-        tail = islice(walk.radius_enclosures(), max(n0 - len(taken), 0), None)
-        if walk.band_closed(bound):
-            tail = islice(tail, 1)
-        if not (all(_in_band(y[0], s, rho) for y, s in
-                    zip(taken.nums[n0:], taken.scales[n0:]))
-                and all(-bound <= lo and hi <= bound for lo, hi in tail)):
-            _check_band(system, config, trial, rho, n0)
+        for n in range(n0, config.max_horizon + 1):
+            while len(taken) <= n:
+                next(steps)
+            if abs(taken.nums[n][0] - taken.scales[n]) * rho.denominator \
+                    > rho.numerator * taken.scales[n]:
+                raise InvariantViolation(
+                    f"trial {trial}: point {point_text(taken[n])} at step "
+                    f"{n} escaped the absorbing band of half-width {rho} "
+                    f"(entry step {n0})")
+            if closed:
+                break
     return outcome
-
-
-def _in_band(r: int, s: int, rho: Fraction) -> bool:
-    """|r/s - 1| <= rho: |r - s| * den(rho) <= num(rho) * s."""
-    return abs(r - s) * rho.denominator <= rho.numerator * s
-
-
-def _check_band(system, config: ExperimentConfig, trial: int, rho, n0):
-    """Raise the first exact escape from the band from step n0 on."""
-    pts = generate(system, config.y0, config.d, config.max_horizon,
-                   trial_stream(config.seed, trial)).scaled
-    for n in range(n0, len(pts)):
-        if not _in_band(pts.nums[n][0], pts.scales[n], rho):
-            raise InvariantViolation(
-                f"trial {trial}: point {point_text(pts[n])} at step {n} "
-                f"escaped the absorbing band of half-width {rho} "
-                f"(entry step {n0})")
 
 
 def _aggregate(config: ExperimentConfig, outcomes) -> ExperimentResult:

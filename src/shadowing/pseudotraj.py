@@ -33,9 +33,6 @@ from .errors import DomainError, UsageError
 from .rationals import frac, jsonable
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
 
-# Fixed-point bits of the band tail's enclosure (``radius_enclosures``).
-TAIL_BITS = 64
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -200,11 +197,9 @@ class LatticeWalk:
     and at a step truncated at a boundary.
 
     Iterating (once) yields y_0, ..., y_n as (numerators, scale) pairs and
-    adds each to ``taken``; a step is sampled only when it is asked for.
-    ``radius_enclosures`` carries an annulus chain's radius on past ``taken``
-    as a 64-bit directed-rounding integer enclosure; no float enters it.
-    ``band_closed`` tells whether a band holds every enclosure after one
-    that lies in it, so a band check can stop at that one.
+    adds each to ``taken``; a step is sampled only when it is asked for, so
+    a caller that stops reading may resume the same iterator later and
+    gets the points ``generate`` would.
     """
 
     def __init__(self, system, y0: Point, d, n: int, rng):
@@ -235,59 +230,6 @@ class LatticeWalk:
             nums.append(y)
             scales.append(scale)
             yield y, scale
-
-    def radius_enclosures(self):
-        """lo <= (r - 1) * 2**TAIL_BITS <= hi for the radius r of each step
-        past ``taken``, from its radial double alone (the map's radius reads
-        no angle). With x = r - 1 a step is a + (b - a) * k / 2**53 for
-        a = max(lam*x - d, -w) and b = min(lam*x + d, w), nondecreasing in
-        x, a and b: lo steps with a and b rounded down, hi rounded up.
-        A band closed under this step (``band_closed``) holds every
-        enclosure after the first one inside it."""
-        (r, _), scale = self.taken.nums[-1], self.taken.scales[-1]
-        lo, hi = _fixed(r - scale, scale)
-        p, q = self.system.lam.as_integer_ratio()
-        d_lo, d_hi = _fixed(self.d.numerator, self.d.denominator)
-        w_lo, w_hi = _fixed(*self.system.space.w_ratio)
-        draws = self._draws
-        for _ in range(self.n + 1 - len(self.taken)):
-            k = next(draws)
-            next(draws)  # the angle's draw
-            # max and min written out: calling them doubles a step's time
-            c = p * lo // q
-            a, b = c - d_hi, c + d_lo
-            a, b = a if a > -w_hi else -w_hi, b if b < w_lo else w_lo
-            lo = a + ((b - a) * k >> 53)
-            c = -(-p * hi // q)
-            a, b = c - d_lo, c + d_hi
-            a, b = a if a > -w_lo else -w_lo, b if b < w_hi else w_hi
-            hi = a - ((a - b) * k >> 53)
-            yield lo, hi
-
-    def band_closed(self, bound: int) -> bool:
-        """Whether -bound <= lo and hi <= bound, once met by an enclosure
-        of ``radius_enclosures``, hold for every later one: the exact test
-        ceil(p*bound/q) + d_hi <= bound, with lam = p/q and d_hi the
-        ceiling of d * 2**TAIL_BITS.
-
-        Proof, by induction over the steps. A step's hi' lies between its
-        a and b, whatever the draw k, so hi' <= max(a, b) <= max(c + d_hi, 0)
-        with c = ceil(p*hi/q). As 0 < lam, c is nondecreasing in hi, so
-        hi <= bound gives hi' <= max(ceil(p*bound/q) + d_hi, 0) <= bound.
-        Symmetrically lo' >= min(floor(p*lo/q) - d_hi, 0), and lo >= -bound
-        gives lo' >= -(ceil(p*bound/q) + d_hi) >= -bound (the test forces
-        bound >= 0, as lam < 1). This is the
-        trapping-region argument (Milnor, *On the concept of attractor*,
-        CMP 99, 1985) on the enclosure's own rounded step."""
-        p, q = self.system.lam.as_integer_ratio()
-        d_hi = _fixed(self.d.numerator, self.d.denominator)[1]
-        return -(-p * bound // q) + d_hi <= bound
-
-
-def _fixed(num: int, den: int) -> tuple:
-    """Floor and ceiling of num / den * 2**TAIL_BITS."""
-    num <<= TAIL_BITS
-    return num // den, -(-num // den)
 
 
 def generate(system, y0: Point, d, n: int, rng,

@@ -10,9 +10,9 @@ All arithmetic is exact and the sets are exact. The verdict is Yes, with a
 certified witness re-checked against its orbit, or No, with the first
 empty step; ``horizon_verdicts`` is the one routine that reaches either.
 Propagation, pull-back and re-check run on Python integers over a per-step
-common denominator, the scale (see ``shadow_sets``); Fractions appear
-only in the witness, when a caller reads a set's ``fragments`` and in the
-rotations' closed form below.
+common denominator, the scale (see ``shadow_sets``), and so does the
+rotations' closed form below; Fractions appear only in the witness and
+when a caller reads a set's ``fragments``.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
 alone: the map walks the linear pieces of each fragment of A_n and clips
 each image piece to the ball as it is made, and only when more than one
@@ -30,7 +30,8 @@ of giving a verdict.
 A closed-form span criterion for rotations (``rotation_first_failure``)
 cross-checks the propagation. The tests keep a float grid search
 (``tests/grid_oracle.py``) and ``Fraction`` copies of the preimages, the
-set representative and the verdict helpers (``tests/reference.py``).
+set representative, the rotations' deviation lift and the verdict helpers
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .enclosure import EnclosureSet
 from .errors import DomainError, EnclosureCapError, UsageError
 from .pseudotraj import Pseudotrajectory
 from .rationals import frac
-from .spaces import ScaledPoints, scaled_point, signed_circ_diff
+from .spaces import ScaledPoints, scaled_point
 
 
 class Verdict(str, Enum):
@@ -238,34 +239,33 @@ def decide_shadowable(system, traj: Pseudotrajectory, eps) -> ShadowVerdict:
 
 # -- closed-form rotation oracle ------------------------------------------
 
-def rotation_deviations(system, points) -> list:
-    """Continuous lift of the deviations of points from the rotation flow.
-
-    w_0 = 0 and w_{n+1} - w_n is the signed representative of
-    y_{n+1} - y_n - alpha in [-1/2, 1/2).
-    """
-    if system.kind != "rotation":
-        raise UsageError("deviation lift is defined for rotations")
-    w = [Fraction(0)]
-    for a, b in zip(points[1:], points):
-        w.append(w[-1] + signed_circ_diff(a[0], b[0] + system.alpha))
-    return w
-
-
 def rotation_first_failure(system, traj: Pseudotrajectory, eps) -> int | None:
     """Closed-form shadowability of a rotation pseudotrajectory: the first
     horizon at which the deviation lift spans more than 2*eps, or None if
     it never does (the whole trajectory is shadowable). Valid for
     eps < 1/4 and step bounds below 1/4, where the lift is unambiguous and
-    a span window corresponds to an actual shadowing orbit."""
+    a span window corresponds to an actual shadowing orbit.
+
+    The lift starts at w_0 = 0, and w_{n+1} - w_n is the representative of
+    y_{n+1} - y_n - alpha in [-1/2, 1/2). It runs on integers over the lcm
+    of alpha's denominator and the points' scales."""
     _check_oracle_region(traj, eps)
-    w = rotation_deviations(system, traj.points)
-    lo = hi = w[0]
-    for n, v in enumerate(w):
-        lo = min(lo, v)
-        hi = max(hi, v)
-        if hi - lo > 2 * eps:
-            return n
+    if system.kind != "rotation":
+        raise UsageError("deviation lift is defined for rotations")
+    eps, alpha, pts = frac(eps), system.alpha, traj.scaled
+    unit = math.lcm(alpha.denominator, *set(pts.scales))
+    step = alpha.numerator * (unit // alpha.denominator)
+    bound = 2 * eps.numerator * unit
+    prev = w = lo = hi = 0
+    for n, ((y,), s) in enumerate(zip(pts.nums, pts.scales)):
+        y *= unit // s
+        if n:
+            move = (y - prev - step) % unit
+            w += move - unit if 2 * move >= unit else move
+            lo, hi = min(lo, w), max(hi, w)
+            if (hi - lo) * eps.denominator > bound:
+                return n
+        prev = y
     return None
 
 

@@ -109,11 +109,6 @@ def _sample_arc_scaled(center, radius, scale, k):
     return (center - radius + (2 * radius >> 53) * k) % scale
 
 
-def signed_circ_diff(a, b):
-    """Signed representative of a - b in [-1/2, 1/2)."""
-    return (a - b + HALF) % 1 - HALF
-
-
 @dataclass(frozen=True)
 class Space:
     """A compact metric space with a reference measure.

@@ -5,7 +5,8 @@ scale. Every routine here computes on ``Fraction`` values directly: the
 metric, nets, ball measures and uniform samples of the spaces, map
 evaluation from a piecewise-linear map's breakpoints, values and slopes,
 pointwise preimages, orbits, prefixes and splicing of pseudotrajectories,
-set representatives and the closed-form verdicts. The tests compare the integer paths with
+set representatives, the rotations' deviation lift and the closed-form
+verdicts. The tests compare the integer paths with
 these; nothing in the package calls them.
 """
 
@@ -23,6 +24,11 @@ from shadowing.spaces import TWO53, circ_dist, scaled_point
 
 
 # -- spaces ------------------------------------------------------------------
+
+def signed_circ_diff(a, b):
+    """Signed representative of a - b in [-1/2, 1/2)."""
+    return (a - b + Fraction(1, 2)) % 1 - Fraction(1, 2)
+
 
 def dist(space, a, b):
     """The distance of two points of the space."""
@@ -258,6 +264,31 @@ def rotation_oracle(system, traj: Pseudotrajectory, eps) -> bool:
     """Closed-form shadowability of a rotation pseudotrajectory: the
     deviation lift has span at most 2*eps (``rotation_first_failure``)."""
     return rotation_first_failure(system, traj, eps) is None
+
+
+def rotation_deviations(system, points) -> list:
+    """Continuous lift of the deviations of points from the rotation flow.
+
+    w_0 = 0 and w_{n+1} - w_n is the signed representative of
+    y_{n+1} - y_n - alpha in [-1/2, 1/2).
+    """
+    w = [Fraction(0)]
+    for a, b in zip(points[1:], points):
+        w.append(w[-1] + signed_circ_diff(a[0], b[0] + system.alpha))
+    return w
+
+
+def rotation_lift_first_failure(system, traj: Pseudotrajectory,
+                                eps) -> int | None:
+    """``rotation_first_failure`` on the ``Fraction`` lift: the first n at
+    which w_0, ..., w_n span more than 2*eps, or None."""
+    w = rotation_deviations(system, traj.points)
+    lo = hi = w[0]
+    for n, v in enumerate(w):
+        lo, hi = min(lo, v), max(hi, v)
+        if hi - lo > 2 * eps:
+            return n
+    return None
 
 
 def in_absorbing_band(point, rho) -> bool:

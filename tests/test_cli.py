@@ -273,6 +273,46 @@ def test_negative_seed_in_a_config_file_exits_two(tmp_path, capsys):
                                        "got -5\n")
 
 
+def unreadable_or_unwritable(tmp_path):
+    """argv that fail on a file: a missing trajectory, a verdict file in a
+    missing directory, a missing config file and experiment outputs under
+    a path that is a file."""
+    base = tmp_path / "t"
+    main(["generate", "--system", "doubling", "--y0", "0.3", "--d", "0.02",
+          "--n", "5", "--out", str(base)])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return {
+        "missing-traj": ["check", "--traj", str(tmp_path / "missing"),
+                         "--eps", "0.05"],
+        "missing-out-dir": ["check", "--traj", str(base), "--eps", "0.05",
+                            "--out", str(tmp_path / "no" / "v.json")],
+        "missing-config": ["estimate", "--config",
+                           str(tmp_path / "missing.json")],
+        "missing-dichotomy-config": ["dichotomy", "--config",
+                                     str(tmp_path / "missing.json")],
+        "emit": ["estimate", "--system", "doubling", "--y0", "0.3", "--d",
+                 "0.02", "--eps", "0.05", "--horizons", "5", "--trials", "1",
+                 "--out", str(blocker / "out")],
+    }
+
+
+@pytest.mark.parametrize("case", ["missing-traj", "missing-out-dir",
+                                  "missing-config",
+                                  "missing-dichotomy-config", "emit"])
+def test_a_file_that_cannot_be_read_or_written_exits_two(tmp_path, capsys,
+                                                        case):
+    argv = unreadable_or_unwritable(tmp_path)[case]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if case == "emit":
+        assert out == ""
+        assert f"cannot write experiment outputs under {tmp_path}" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     # 3/10 -> 3/5 -> 1/5 -> 2/5 -> 4/5 -> 3/5
     (("doubling", "--d", "0.02", "--eps", "0.05", "--y0", "0.3"),

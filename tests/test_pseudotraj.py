@@ -15,10 +15,10 @@ from shadowing import (DomainError, SearchFailure, UsageError,
                        worst_case_pseudotrajectory)
 from shadowing import annulus_spiral, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
-from shadowing.spaces import ScaledPoints, signed_circ_diff
+from shadowing.spaces import ScaledPoints
 
 from reference import (dist, exact_orbit, prefix, random_point,
-                       rotation_oracle, splice, validate)
+                       rotation_oracle, signed_circ_diff, splice, validate)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()

@@ -9,15 +9,17 @@ import pytest
 from shadowing import enclosure, shadowcheck
 from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
                        ball_set, decide_horizons, decide_shadowable, doubling,
-                       generate, orbit_tracks, rotation,
-                       rotation_first_failure, shadow_set_forward, tent,
-                       trial_stream, worst_case_pseudotrajectory)
+                       generate, load_trajectory, orbit_tracks, rotation,
+                       rotation_first_failure, save_trajectory,
+                       shadow_set_forward, tent, trial_stream,
+                       worst_case_pseudotrajectory)
 from shadowing.pseudotraj import Pseudotrajectory, Provenance
 from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
 from reference import (dist, exact_orbit, first_empty_step, orbit, prefix,
-                       rotation_oracle)
+                       rotation_lift_first_failure, rotation_oracle,
+                       signed_circ_diff)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -289,6 +291,26 @@ def test_oracle_first_failure_matches_first_empty():
             == first_empty_step(ROT, traj, F(1, 30))
 
 
+def test_rotation_first_failure_equals_the_fraction_lift(tmp_path):
+    """The integer lift against the ``Fraction`` one: on generated
+    trajectories (one scale), on the same ones saved and loaded (nested
+    scales, each point's reduced denominator) and on the worst case."""
+    cases = []
+    for trial in range(20):
+        traj = generate(ROT, (F(0),), D, 500, trial_stream(409, trial))
+        save_trajectory(traj, "rotation:alpha=610/987", tmp_path / "t")
+        loaded, _ = load_trajectory(tmp_path / "t")
+        assert len(set(loaded.scaled.scales)) > 1
+        cases += [(traj, eps) for eps in (F(1, 30), EPS, F(1, 5))]
+        cases.append((loaded, F(1, 30)))
+    for d, eps in ((D, EPS), (F(1, 7), F(1, 5)), (F(3, 1000), F(1, 100))):
+        cases.append((worst_case_pseudotrajectory(ROT, d, eps), eps))
+    found = [rotation_first_failure(ROT, traj, eps) for traj, eps in cases]
+    assert found == [rotation_lift_first_failure(ROT, traj, eps)
+                     for traj, eps in cases]
+    assert None in found and any(n is not None for n in found)
+
+
 def test_rotation_oracle_against_grid_search():
     for trial in range(100):
         traj = generate(ROT, (F(0),), D, 30, trial_stream(408, trial))
@@ -349,7 +371,6 @@ def annulus_product_oracle(system, traj, eps):
     interval-intersection test; both are checked in exact arithmetic."""
     lam, alpha, w = system.lam, system.alpha, system.space.w
     # angular: continuous lift of deviations, span at most 2 eps
-    from shadowing.spaces import signed_circ_diff
     dev = F(0)
     devs = [dev]
     for a, b in zip(traj.points[1:], traj.points):

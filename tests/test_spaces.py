@@ -10,10 +10,10 @@ from scipy.stats import chisquare
 
 from shadowing import (DomainError, UsageError, Space, annulus, circle,
                        interval, trial_stream)
-from shadowing.spaces import circ_dist, signed_circ_diff
+from shadowing.spaces import circ_dist
 
 from reference import (ball_measure, dist, dist_over, epsilon_net,
-                       random_point, sample_uniform_ball)
+                       random_point, sample_uniform_ball, signed_circ_diff)
 
 SPACES = [circle(), interval(), annulus(F(1, 2))]
 NET_SPACES = SPACES[:2]  # the annulus has no cover net

@@ -1,27 +1,28 @@
 """The streaming trial kernel against the whole-trajectory decision.
 
 ``experiment._run_trial`` samples a trajectory only while its shadow set
-lives and carries the annulus band check on with an integer enclosure of
-the radial chain alone, confirmed exactly before a violation is reported.
-The references here sample every point with ``generate`` and decide with
-``decide_horizons``, as ``check`` does.
+lives. The annulus band check reads the same walk's exact points from the
+entry step on: an exact step moves the radius by at most lam |r - 1| + d,
+so a band with lam * rho + d <= rho holds every point after one inside it
+and the check stops there. The references here sample every point with
+``generate`` and decide with ``decide_horizons``, as ``check`` does.
 """
 
 import random
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shadowing import (ExperimentConfig, InvariantViolation,
                        attractor_quantities, decide_horizons, enclosure,
                        experiment, generate, parse_system, trial_stream)
-from shadowing.errors import EnclosureCapError
+from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
-from shadowing.pseudotraj import TAIL_BITS, LatticeWalk
+from shadowing.pseudotraj import LatticeWalk
 from shadowing.spaces import Space
 
-from test_lattice import SYSTEMS
+from test_lattice import PROPERTY, SYSTEMS
 
 STARTS = {
     "doubling": ((F(3, 10),), F(1, 50)),
@@ -112,37 +113,107 @@ def test_an_all_yes_trial_samples_every_step(monkeypatch):
 
 # -- the annulus band check ---------------------------------------------------
 
-ENCLOSED = {
-    # the shipped spiral; a non-dyadic contraction; a band narrower than
-    # d, where every step is truncated at one edge or at both
+BANDS = {
+    # the shipped spiral; a non-dyadic contraction; a contraction whose
+    # d, w and y0 are dyadic; a band narrower than d, where every step is
+    # truncated at one edge or at both
     "shipped": (SPIRAL_SPEC, (F(7, 5), F(0)), F(9, 800)),
     "lambda=2/3": ("annulus:lambda=2/3,alpha=610/987,w=0.5",
                    (F(7, 5), F(0)), F(3, 400)),
-    "narrow": ("annulus:lambda=1/2,alpha=610/987,w=1/100", (F(1), F(0)),
-               F(9, 800)),
-    # d, w and y0 dyadic: only lam * x is rounded, so the interval is tight
     "lambda=1/3": ("annulus:lambda=1/3,alpha=610/987,w=0.5",
                    (F(5, 4), F(0)), F(1, 128)),
+    "narrow": ("annulus:lambda=1/2,alpha=610/987,w=1/100", (F(1), F(0)),
+               F(9, 800)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(ENCLOSED))
-def test_tail_enclosures_hold_the_exact_radii(name):
-    spec, y0, d = ENCLOSED[name]
+def radial_gaps(pts):
+    """|r - 1| at every point of a trajectory's ``scaled``."""
+    return [abs(F(y[0] - s, s)) for y, s in zip(pts.nums, pts.scales)]
+
+
+@PROPERTY
+@given(p=st.integers(1, 38), q=st.integers(2, 39), w=st.integers(1, 99),
+       eps=st.integers(1, 999), share=st.integers(1, 999))
+def test_every_accepted_noise_level_closes_the_band(p, q, w, eps, share):
+    """lam * rho + d <= rho at d = d0 itself, so at every d < d0 that
+    ``attractor_quantities`` accepts; it rejects d0."""
+    lam, w, eps = F(min(p, q - 1), q), F(w, 100), F(eps, 1000)
+    system = parse_system(f"annulus:lambda={lam},alpha=610/987,w={w}")
+    d0 = attractor_quantities(system, eps, (F(1), F(0))).d0
+    with pytest.raises(DomainError):
+        attractor_quantities(system, eps, (F(1), F(0)), d=d0)
+    q = attractor_quantities(system, eps, (F(1), F(0)), d=d0 * share / 1000)
+    assert lam * q.rho + d0 <= q.rho
+    assert lam * q.rho + q.d <= q.rho
+
+
+@pytest.mark.parametrize("name", sorted(BANDS))
+def test_an_exact_step_moves_the_radius_by_at_most_lam_gap_plus_d(name):
+    """|r' - 1| <= lam |r - 1| + d at every step of ``generate``, truncated
+    or not."""
+    spec, y0, d = BANDS[name]
     system = parse_system(spec)
     for trial in range(2):
-        traj = generate(system, y0, d, 1000, trial_stream(44, trial)).scaled
-        for stop in (0, 1, 37, 500, 999, 1000):
-            walk = LatticeWalk(system, y0, d, 1000, trial_stream(44, trial))
-            for n, (y, s) in zip(range(stop + 1), walk):
-                assert (y, s) == (traj.nums[n], traj.scales[n])
-            tail = list(walk.radius_enclosures())
-            assert len(tail) == 1000 - stop
-            for n, (lo, hi) in enumerate(tail, stop + 1):
-                r, s = traj.nums[n][0], traj.scales[n]
-                # lo <= (r/s - 1) * 2**TAIL_BITS <= hi, and a tight interval
-                assert lo * s <= (r - s) << TAIL_BITS <= hi * s
-                assert hi - lo <= 16
+        gaps = radial_gaps(generate(system, y0, d, 1000,
+                                    trial_stream(44, trial)).scaled)
+        for gap, nxt in zip(gaps, gaps[1:]):
+            assert nxt <= system.lam * gap + d
+
+
+def test_a_closed_band_keeps_every_exact_step_inside():
+    """A band with lam * rho + d <= rho, once an exact point is in it,
+    holds every later point of ``generate``. Every band but the narrow
+    annulus's is entered from outside; there every closed band is the
+    whole annulus."""
+    for name, (spec, y0, d) in BANDS.items():
+        system = parse_system(spec)
+        tight = d / (1 - system.lam)
+        for trial in range(2):
+            gaps = radial_gaps(generate(system, y0, d, 1000,
+                                        trial_stream(44, trial)).scaled)
+            for rho in (tight, tight * 5 / 4, tight * 2):
+                assert system.lam * rho + d <= rho
+                entry = next(n for n, gap in enumerate(gaps) if gap <= rho)
+                assert all(gap <= rho for gap in gaps[entry:])
+                assert name == "narrow" or entry > 0
+
+
+def radius_after_one_step(system, d, gap, k):
+    """|r - 1| one exact step past the radius 1 + gap, for the radial draw
+    k."""
+    _, (y, s) = LatticeWalk(system, (1 + gap, F(0)), d, 1, iter([k, 0]))
+    return abs(F(y[0] - s, s))
+
+
+def test_weaker_closure_tests_admit_escapes():
+    """Dropping d from the closure test, lam * rho <= rho, claims bands
+    that an exact step leaves: from the band's edge at the largest draws,
+    and in the late-violation trial, whose entry point lies in its band."""
+    rng = random.Random(18)
+    closed = escaped = 0
+    for _ in range(150):
+        q = rng.randint(2, 40)
+        lam = F(rng.randint(1, q - 1), q)
+        w = F(rng.randint(1, 100), 100)
+        rho = w * F(rng.randint(1, 99), 100)
+        d = F(rng.randint(1, 999), 10 ** rng.randint(2, 4))
+        system = parse_system(f"annulus:lambda={lam},alpha=610/987,w={w}")
+        assert lam * rho <= rho
+        gaps = [radius_after_one_step(system, d, x, k)
+                for x in (-rho, rho) for k in (0, 2 ** 53 - 1)]
+        if lam * rho + d <= rho:
+            closed += 1
+            assert max(gaps) <= rho
+        else:
+            escaped += max(gaps) > rho
+    assert closed and escaped
+    system, cfg, (rho, n0), message = late_violation_case()
+    assert system.lam * rho + cfg.d > rho
+    assert f" at step {n0} " not in message  # taken[n0] lies in the band
+    with pytest.raises(InvariantViolation) as info:
+        _run_trial(system, cfg, 0, (rho, n0))
+    assert str(info.value) == message
 
 
 def band_message(system, cfg, trial, rho, n0):
@@ -168,8 +239,7 @@ def band_gaps(system, cfg, n0):
     """|r - 1| of trial 0 at every step from n0 on."""
     pts = generate(system, cfg.y0, cfg.d, cfg.max_horizon,
                    trial_stream(cfg.seed, 0)).scaled
-    return [abs(F(pts.nums[n][0] - pts.scales[n], pts.scales[n]))
-            for n in range(n0, len(pts))]
+    return radial_gaps(pts)[n0:]
 
 
 def late_violation_case():
@@ -225,163 +295,77 @@ def test_the_band_is_checked_from_its_entry_step_on():
     assert got == whole_trajectory_outcome(system, cfg, 0)
 
 
-def count_exact_scans(monkeypatch):
-    calls = []
-    original = experiment.generate
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(experiment, "generate", counting)
-    return calls
-
-
 def test_a_band_met_with_equality_is_confirmed_exactly(monkeypatch):
-    """rho equal to the widest gap from n0 on: the enclosure cannot show
-    that radius inside the closed band, the exact scan finds no escape."""
+    """rho equal to the widest gap from n0 on: a band that is not closed,
+    read to the largest horizon, whose widest radius lies on its edge."""
     system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
     rho = max(band_gaps(system, cfg, n0))
+    assert system.lam * rho + cfg.d > rho
     assert band_message(system, cfg, 0, rho, n0) is None
-    scans = count_exact_scans(monkeypatch)
+    calls = count_samples(monkeypatch)
     got = _run_trial(system, cfg, 0, (rho, n0))
-    assert len(scans) == 1
+    assert len(calls) == cfg.max_horizon
     assert got == whole_trajectory_outcome(system, cfg, 0)
 
 
+# -- how far a band check samples ----------------------------------------------
+
 def test_shipped_attractor_trials_need_no_exact_scan(monkeypatch):
-    system = SYSTEMS["spiral"]
-    q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
-    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
-                           d=q.d0 / 2, eps=q.eps0,
-                           horizons=(100, 300, 1000), trials=4, seed=44)
-    scans = count_exact_scans(monkeypatch)
-    for trial in range(4):
-        _run_trial(system, cfg, trial, (q.rho, q.n0))
-    assert scans == []
-
-
-# -- closing the band tail by induction ----------------------------------------
-
-def step_from(system, d, m, k):
-    """The tail enclosure one step past the radius 1 + m / 2**TAIL_BITS,
-    which the walk holds as lo = hi = m, for the radial draw k."""
-    walk = LatticeWalk(system, (1 + F(m, 2 ** TAIL_BITS), F(0)), d, 1,
-                       iter([k, 0]))
-    (lo, hi), = walk.radius_enclosures()
-    return lo, hi
-
-
-def closure_cases():
-    """(system, d, bound) at random contractions, widths, noise levels and
-    bands rho <= w, and one built so that ceil(p*B/q) + d_hi is B + 1
-    while floor(p*B/q) + d_hi is B."""
-    rng = random.Random(15)
-    for _ in range(150):
-        q = rng.randint(2, 40)
-        lam = F(rng.randint(1, q - 1), q)
-        w = F(rng.randint(1, 100), 100)
-        rho = w * F(rng.randint(1, 100), 100)
-        d = F(rng.randint(1, 999), 10 ** rng.randint(2, 6))
-        system = parse_system(f"annulus:lambda={lam},alpha=610/987,w={w}")
-        yield system, d, (rho.numerator << TAIL_BITS) // rho.denominator
-    # d * 2**64 = 2**44 exactly and B = 2**45 - 1: hi = B steps to B + 1
-    # at the largest draw, which the floor would admit
-    yield parse_system(SPIRAL_SPEC), F(1, 2 ** 20), 2 ** 45 - 1
-
-
-def escapes(system, d, bound):
-    """Whether one step from an enclosure in [-B, B] leaves it, for ends
-    and random points of the band and draws 0, 2**53 - 1 and random ones."""
-    rng = random.Random(bound)
-    starts = (-bound, -bound + 1, 0, bound - 1, bound,
-              rng.randint(-bound, bound))
-    draws = (0, 1, 2 ** 52, 2 ** 53 - 1, rng.randrange(2 ** 53))
-    for m in starts:
-        for k in draws:
-            lo, hi = step_from(system, d, m, k)
-            if lo < -bound or hi > bound:
-                return True
-    return False
-
-
-def closes(system, d, bound):
-    return LatticeWalk(system, (F(1), F(0)), d, 0, iter(())).band_closed(bound)
-
-
-def test_a_closed_band_keeps_every_enclosure_step_inside():
-    closed = [closes(*case) for case in closure_cases()]
-    for case, is_closed in zip(closure_cases(), closed):
-        if is_closed:
-            assert not escapes(*case)
-    assert any(closed) and not all(closed)
-
-
-def test_weaker_closure_tests_admit_escapes():
-    """Dropping d_hi or rounding p*B/q down claims bands that a step
-    leaves: the brute force catches both."""
-    no_noise = dropped_ceiling = 0
-    for system, d, bound in closure_cases():
-        if closes(system, d, bound) or not escapes(system, d, bound):
-            continue
-        p, q = system.lam.as_integer_ratio()
-        d_hi = -(-(d.numerator << TAIL_BITS) // d.denominator)
-        no_noise += -(-p * bound // q) <= bound
-        dropped_ceiling += p * bound // q + d_hi <= bound
-    assert no_noise and dropped_ceiling
-
-
-def count_tail_reads(monkeypatch):
-    reads = []
-    original = LatticeWalk.radius_enclosures
-
-    def counting(self):
-        for pair in original(self):
-            reads.append(pair)
-            yield pair
-
-    monkeypatch.setattr(LatticeWalk, "radius_enclosures", counting)
-    return reads
-
-
-def test_a_shipped_trial_reads_one_tail_enclosure(monkeypatch):
+    """The shipped run's band is closed and entered before the first empty
+    step: a trial checks the one point taken[n0] that it already holds,
+    samples no point beyond its shadow sets and never calls ``generate``."""
     system = SYSTEMS["spiral"]
     q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
     cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
                            d=q.d, eps=q.eps0, horizons=(100, 300, 1000),
                            trials=4, seed=44)
-    reads = count_tail_reads(monkeypatch)
+    assert system.lam * q.rho + q.d <= q.rho
+    monkeypatch.setattr(experiment, "generate", None)
+    calls = count_samples(monkeypatch)
     for trial in range(4):
-        reads.clear()
+        calls.clear()
         got = _run_trial(system, cfg, trial, (q.rho, q.n0))
         assert q.n0 < got.first_empty < cfg.max_horizon
-        assert len(reads) == 1
+        assert len(calls) == got.first_empty
+
+
+def test_a_closed_band_past_the_first_empty_step_samples_to_its_entry(
+        monkeypatch):
+    system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
+    rho = F(1, 20)
+    assert system.lam * rho + cfg.d <= rho
+    calls = count_samples(monkeypatch)
+    got = _run_trial(system, cfg, 0, (rho, n0))
+    assert got.first_empty < n0
+    assert len(calls) == n0
+    assert got == whole_trajectory_outcome(system, cfg, 0)
 
 
 def test_a_band_that_is_not_closed_is_read_to_its_end(monkeypatch):
     """rho = 1/50 holds every radius from step 700 on but is not closed
-    (ceil(B/2) + d_hi > B at d = 9/800): the tail is read to the largest
-    horizon. The late-violation band is read up to its violation."""
+    (lam * rho + d > rho at d = 9/800): the walk is sampled to the largest
+    horizon. The late-violation band is sampled up to its violation."""
     system, cfg, (rho, n0), message = late_violation_case()
-    reads = count_tail_reads(monkeypatch)
-    assert not closes(system, cfg.d, (1 << TAIL_BITS) // 50)
-    first_empty = _run_trial(system, cfg, 0, (F(1, 50), n0)).first_empty
-    assert len(reads) == cfg.max_horizon - first_empty
-    reads.clear()
     gaps = band_gaps(system, cfg, n0)
     step = n0 + gaps.index(max(gaps))
+    calls = count_samples(monkeypatch)
+    assert system.lam * F(1, 50) + cfg.d > F(1, 50)
+    _run_trial(system, cfg, 0, (F(1, 50), n0))
+    assert len(calls) == cfg.max_horizon
+    calls.clear()
     with pytest.raises(InvariantViolation) as info:
         _run_trial(system, cfg, 0, (rho, n0))
     assert str(info.value) == message
-    assert len(reads) == step - first_empty
+    assert len(calls) == step
 
 
 def test_a_walk_reads_n_times_ndim_draws_of_an_endless_stream():
-    """A trial stream never ends and rho = 1/100 < 2d is not closed under
-    the tail's step, so the tail is read to the horizon: n + 1 - len(taken)
-    enclosures, and n * ndim draws in all, wherever the walk stopped."""
+    """A trial stream never ends. A walk stopped anywhere and resumed on
+    the same iterator reads 2 draws per sampled step, n * ndim in all,
+    gives the points of ``generate`` and then stops without a further
+    read."""
     system, (y0, d) = SYSTEMS["spiral"], STARTS["spiral"]
-    bound = (1 << TAIL_BITS) // 100
+    whole = generate(system, y0, d, 1000, trial_stream(44)).scaled
     for stop in (0, 1, 37, 1000):
         read = []
 
@@ -391,11 +375,12 @@ def test_a_walk_reads_n_times_ndim_draws_of_an_endless_stream():
                 yield k
 
         walk = LatticeWalk(system, y0, d, 1000, counted(trial_stream(44)))
-        for _ in zip(range(stop + 1), walk):
+        steps = iter(walk)
+        for _ in zip(range(stop + 1), steps):
             pass
         assert len(read) == 2 * stop
-        assert not walk.band_closed(bound)
-        # islice: an unbounded tail fails the count instead of hanging
-        tail = list(islice(walk.radius_enclosures(), 1001))
-        assert len(tail) == 1000 + 1 - len(walk.taken) == 1000 - stop
+        assert len(list(steps)) == 1000 - stop
+        assert next(steps, None) is None
         assert len(read) == 1000 * system.space.ndim
+        assert walk.taken.nums == whole.nums
+        assert walk.taken.scales == whole.scales
