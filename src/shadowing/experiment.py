@@ -136,6 +136,13 @@ class ExperimentResult:
                        diagnostics={**self.diagnostics, **diagnostics})
 
 
+def _outside_band(taken, n, rho) -> bool:
+    """Whether point n of ``taken`` lies outside the annulus band
+    |r - 1| <= rho, read exactly from its numerator and scale."""
+    return abs(taken.nums[n][0] - taken.scales[n]) * rho.denominator \
+        > rho.numerator * taken.scales[n]
+
+
 def _run_trial(system, config: ExperimentConfig, trial: int,
                band=None) -> TrialOutcome:
     """Sample one trajectory while its shadow set lives, decide every
@@ -171,8 +178,7 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
         for n in range(n0, config.max_horizon + 1):
             while len(taken) <= n:
                 next(steps)
-            if abs(taken.nums[n][0] - taken.scales[n]) * rho.denominator \
-                    > rho.numerator * taken.scales[n]:
+            if _outside_band(taken, n, rho):
                 raise InvariantViolation(
                     f"trial {trial}: point {point_text(taken[n])} at step "
                     f"{n} escaped the absorbing band of half-width {rho} "

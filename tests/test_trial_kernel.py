@@ -329,6 +329,34 @@ def test_shipped_attractor_trials_need_no_exact_scan(monkeypatch):
         assert len(calls) == got.first_empty
 
 
+def count_band_reads(monkeypatch):
+    reads = []
+    original = experiment._outside_band
+
+    def counting(taken, n, rho):
+        reads.append(n)
+        return original(taken, n, rho)
+
+    monkeypatch.setattr(experiment, "_outside_band", counting)
+    return reads
+
+
+def test_a_shipped_trial_reads_one_tail_enclosure(monkeypatch):
+    """The tail past the entry step is the walk's exact points: a closed
+    band reads only the point at n0 and none of the later ones."""
+    system = SYSTEMS["spiral"]
+    q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
+    cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
+                           d=q.d, eps=q.eps0, horizons=(100, 300, 1000),
+                           trials=4, seed=44)
+    reads = count_band_reads(monkeypatch)
+    for trial in range(4):
+        reads.clear()
+        got = _run_trial(system, cfg, trial, (q.rho, q.n0))
+        assert q.n0 < got.first_empty < cfg.max_horizon
+        assert reads == [q.n0]
+
+
 def test_a_closed_band_past_the_first_empty_step_samples_to_its_entry(
         monkeypatch):
     system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
