@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enclosure import ball_set, intersect
+from .enclosure import ball_set
 from .errors import DomainError, SearchFailure, UsageError
 from .rationals import frac, jsonable, point_text
 from .spaces import Space, scaled_point
@@ -111,7 +111,8 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     Every orbit point from step 1 on lies in the image f(X) of the whole
     space, which is computed exactly first: a net ball whose closure f(X)
     misses can never be entered by the restarted scan, so the search fails
-    at once, naming the first such ball, without scanning.
+    at once, naming the first such ball, without scanning
+    (``_first_missed_center``).
 
     The orbit runs on integers (``apply_scaled``, ``net_neighbors``), each
     point over the smallest unit that is a multiple of the lattice base,
@@ -121,17 +122,15 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     space = system.space
     size = space.net_size(delta1)
     point = space.canonical(r)
-    whole = ball_set(space, point, space.diameter)
-    image = system.apply_set(whole)
-    if image != whole:
-        for k in range(size):
-            c = space.net_center(k, size)
-            if intersect(image, ball_set(space, c, delta1)).is_empty():
-                raise SearchFailure(
-                    f"the image of the space misses the open {delta1}-ball "
-                    f"around net center {point_text(c)}, so no orbit point "
-                    "after the first can enter it",
-                    target=c, radius=delta1, horizon=0)
+    image = system.apply_set(ball_set(space, point, space.diameter))
+    missed = _first_missed_center(image, delta1, size)
+    if missed is not None:
+        c = space.net_center(missed, size)
+        raise SearchFailure(
+            f"the image of the space misses the open {delta1}-ball "
+            f"around net center {point_text(c)}, so no orbit point "
+            "after the first can enter it",
+            target=c, radius=delta1, horizon=0)
     base, apply = system.lattice_base, system.apply_scaled
 
     def step(x, unit):
@@ -165,6 +164,47 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     k1, x, unit = scan(x * (unit // scale), unit, horizon)
     k2, *_ = scan(*step(x, unit), horizon)  # restarted at f^(k1+1)(r)
     return CoverTime(k1, k2, k1 + k2 + 1)
+
+
+def _first_missed_center(image, delta1, n: int) -> int | None:
+    """The least index k of the n net centers (``Space.net_center``) whose
+    closed delta1-ball the image misses, or None if every ball meets it.
+
+    A fragment meets the closed ball around c exactly when c lies within
+    delta1 of it, so each fragment covers one run of centers, found by
+    integer floor and ceiling over the net's grid (two runs where it
+    wraps past 0 on the circle); the answer is the least index no run
+    covers. The cost grows with the fragments, not with n.
+    """
+    a, b = delta1.numerator, delta1.denominator
+    unit = image.unit
+    ub = unit * b
+    runs = []
+    if image.space.kind == "circle":
+        # center k / n lies in the arc (s, l) grown by delta1 when
+        # n (s b - a unit) <= k ub <= n ((s + l) b + a unit), taken mod n;
+        # a run with hi < lo covers no center and moves no answer
+        for s, length in image.nums:
+            lo = -(-n * (s * b - a * unit) // ub)
+            hi = n * ((s + length) * b + a * unit) // ub
+            start = lo % n
+            end = start + hi - lo
+            runs.append((start, min(end, n - 1)))
+            if end >= n:
+                runs.append((0, end - n))
+    else:
+        # center (2k + 1) / 2n lies in the segment (lo, hi) grown by
+        # delta1 when 2n (lo b - a unit) - ub <= 2k ub
+        # <= 2n (hi b + a unit) - ub
+        for lo, hi in image.nums:
+            runs.append((-(-(2 * n * (lo * b - a * unit) - ub) // (2 * ub)),
+                         (2 * n * (hi * b + a * unit) - ub) // (2 * ub)))
+    first = 0
+    for lo, hi in sorted(runs):
+        if lo > first:
+            break
+        first = max(first, hi + 1)
+    return first if first < n else None
 
 
 def nonshadow_lower_bound(eta_value, block_length: int, k: int) -> Fraction:

@@ -35,7 +35,8 @@ from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageErr
 # below, are unused here: a trial reads its walk's points directly.
 # bench/probes.py looks all four up here
 from .pseudotraj import LatticeWalk, generate, trial_stream
-from .rationals import frac, jsonable, parse_point, point_text
+from .rationals import (frac, jsonable, parse_point, point_text,
+                        replace_file)
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
                           shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
@@ -338,7 +339,7 @@ def result_summary(result: ExperimentResult) -> dict:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # one write: json.dump writes each token on its own
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    replace_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit(result: ExperimentResult, path) -> None:
@@ -360,7 +361,7 @@ def emit(result: ExperimentResult, path) -> None:
             writer.writerow([s.horizon, s.decided, s.shadowable,
                              repr(s.p_hat), repr(s.ci_lo), repr(s.ci_hi),
                              "" if s.bound is None else repr(s.bound)])
-        (out / "curve.csv").write_text(curve.getvalue())
+        replace_file(out / "curve.csv", curve.getvalue())
 
         trials = io.StringIO()
         writer = csv.writer(trials, lineterminator="\n")
@@ -370,7 +371,7 @@ def emit(result: ExperimentResult, path) -> None:
                 "Yes" if o.first_empty is None else "No")
             writer.writerow([o.trial, result.config.seed, final,
                              "" if o.first_empty is None else o.first_empty])
-        (out / "trials.csv").write_text(trials.getvalue())
+        replace_file(out / "trials.csv", trials.getvalue())
     except OSError as exc:
         raise OSError(f"cannot write experiment outputs under {out}: {exc}") \
             from exc

@@ -6,8 +6,10 @@ metric, nets, ball measures and uniform samples of the spaces, map
 evaluation from a piecewise-linear map's breakpoints, values and slopes,
 pointwise preimages, orbits, prefixes and splicing of pseudotrajectories,
 set representatives, the rotations' deviation lift and the closed-form
-verdicts. The tests compare the integer paths with
-these; nothing in the package calls them.
+verdicts. The cover search's scan for a net ball outside the image takes
+one ball and one intersection of the package's sets per center. The
+tests compare the integer paths with these; nothing in the package calls
+them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from shadowing import (AnnulusSpiral, DomainError, SearchFailure,
                        UsageError, decide_horizons, rotation_first_failure)
+from shadowing.enclosure import ball_set, intersect
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.rationals import frac, point_text
 from shadowing.spaces import TWO53, circ_dist, scaled_point
@@ -258,6 +261,21 @@ def splice(system, r, z0, tail: Pseudotrajectory, delta1,
 def first_empty_step(system, traj: Pseudotrajectory, eps) -> int | None:
     """Smallest n with A_n empty, or None; prefix verdicts derive from it."""
     return decide_horizons(system, traj, eps, ()).first_empty
+
+
+def first_missed_center_by_scan(system, delta1) -> int | None:
+    """The least net center index k whose closed delta1-ball misses the
+    image f(X) of the whole space, by one ``ball_set`` and one
+    ``intersect`` per center in turn, or None if every ball meets it
+    (``bounds._first_missed_center`` finds it from the image's fragments)."""
+    space = system.space
+    size = space.net_size(frac(delta1))
+    image = system.apply_set(ball_set(space, (Fraction(0),), space.diameter))
+    for k in range(size):
+        c = space.net_center(k, size)
+        if intersect(image, ball_set(space, c, delta1)).is_empty():
+            return k
+    return None
 
 
 def rotation_oracle(system, traj: Pseudotrajectory, eps) -> bool:

@@ -13,13 +13,15 @@ from shadowing import (DomainError, SearchFailure, UsageError, annulus,
                        annulus_spiral, attractor_quantities,
                        blocks_for_confidence, circle, cover_time,
                        delta_for_inclusion, doubling, eta, generate, interval,
-                       nonshadow_lower_bound, rotation, tent, trial_stream,
-                       tube_probability_bound)
+                       nonshadow_lower_bound, parse_system, rotation, tent,
+                       trial_stream, tube_probability_bound)
+from shadowing.bounds import _first_missed_center
 from shadowing.cli import main
+from shadowing.enclosure import ball_set
 
 from reference import (ball_measure, dist, epsilon_net, exact_orbit,
-                       grid_centers, in_absorbing_band, random_point,
-                       sample_uniform_ball)
+                       first_missed_center_by_scan, grid_centers,
+                       in_absorbing_band, random_point, sample_uniform_ball)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -277,6 +279,40 @@ def test_cover_time_refuses_a_net_ball_outside_the_image(capsys):
                  "--y0", "0.3"]) == 2
     assert time.perf_counter() - start < 1
     assert "around net center (1503/2000)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    "tent:s=3/2",  # image [0, 3/4]
+    "tent:s=5/4",  # image [0, 5/8]
+    # image [1/4, 1/2]: balls missed below and above it
+    "pwl:0:1/2,1/2:-1/2,v0=1/4,space=interval",
+    # image the arc [0, 1/2]
+    "pwl:0:1,1/2:-1",
+    # image the arc [7/10, 1 + 1/5]: it wraps past 0
+    "pwl:0:1,1/2:-1,v0=7/10",
+    "rotation:alpha=610/987",  # onto
+])
+def test_first_missed_center_matches_the_scan_of_every_center(spec):
+    system = parse_system(spec)
+    space = system.space
+    image = system.apply_set(ball_set(space, (F(0),), space.diameter))
+    # at 1/6 (tents), 1/8 and 1/10 (arcs) a center lies exactly delta1
+    # from an end of the image: its closed ball meets the image
+    radii = [F(1, 1000), F(1, 100), F(3, 40), F(1, 6), F(1, 7), F(1, 8),
+             F(1, 10), F(1, 4), F(3, 8), F(1, 2)]
+    rng = np.random.default_rng(5)
+    radii += [F(int(a), int(b)) for a, b in
+              zip(rng.integers(1, 20, 12), rng.integers(21, 300, 12))]
+    missed = []
+    for delta1 in radii:
+        n = space.net_size(delta1)
+        found = _first_missed_center(image, delta1, n)
+        assert found == first_missed_center_by_scan(system, delta1), delta1
+        missed.append(found)
+    if spec.startswith("rotation"):  # onto: every ball meets the image
+        assert set(missed) == {None}
+    else:  # some radii miss a ball and some do not
+        assert None in missed and set(missed) != {None}
 
 
 @pytest.mark.parametrize("system,d,y0,repeat", [

@@ -275,13 +275,18 @@ def test_negative_seed_in_a_config_file_exits_two(tmp_path, capsys):
 
 def unreadable_or_unwritable(tmp_path):
     """argv that fail on a file: a missing trajectory, a verdict file in a
-    missing directory, a missing config file and experiment outputs under
-    a path that is a file."""
+    missing directory, a missing config file, experiment outputs under a
+    path that is a file, and a verdict file or an experiment output file
+    whose path is a directory."""
     base = tmp_path / "t"
     main(["generate", "--system", "doubling", "--y0", "0.3", "--d", "0.02",
           "--n", "5", "--out", str(base)])
     blocker = tmp_path / "blocker"
     blocker.write_text("")
+    (tmp_path / "verdict").mkdir()
+    (tmp_path / "outputs" / "curve.csv").mkdir(parents=True)
+    estimate = ["estimate", "--system", "doubling", "--y0", "0.3", "--d",
+                "0.02", "--eps", "0.05", "--horizons", "5", "--trials", "1"]
     return {
         "missing-traj": ["check", "--traj", str(tmp_path / "missing"),
                          "--eps", "0.05"],
@@ -291,15 +296,20 @@ def unreadable_or_unwritable(tmp_path):
                            str(tmp_path / "missing.json")],
         "missing-dichotomy-config": ["dichotomy", "--config",
                                      str(tmp_path / "missing.json")],
-        "emit": ["estimate", "--system", "doubling", "--y0", "0.3", "--d",
-                 "0.02", "--eps", "0.05", "--horizons", "5", "--trials", "1",
-                 "--out", str(blocker / "out")],
+        "emit": [*estimate, "--out", str(blocker / "out")],
+        "check-out-is-a-directory": ["check", "--traj", str(base), "--eps",
+                                     "0.05", "--out",
+                                     str(tmp_path / "verdict")],
+        "emit-out-is-a-directory": [*estimate, "--out",
+                                    str(tmp_path / "outputs")],
     }
 
 
 @pytest.mark.parametrize("case", ["missing-traj", "missing-out-dir",
                                   "missing-config",
-                                  "missing-dichotomy-config", "emit"])
+                                  "missing-dichotomy-config", "emit",
+                                  "check-out-is-a-directory",
+                                  "emit-out-is-a-directory"])
 def test_a_file_that_cannot_be_read_or_written_exits_two(tmp_path, capsys,
                                                         case):
     argv = unreadable_or_unwritable(tmp_path)[case]
@@ -308,7 +318,7 @@ def test_a_file_that_cannot_be_read_or_written_exits_two(tmp_path, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    if case == "emit":
+    if case.startswith("emit"):
         assert out == ""
         assert f"cannot write experiment outputs under {tmp_path}" in err
 

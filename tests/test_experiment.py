@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import beta
 
 from shadowing import (DomainError, ExperimentConfig, InvariantViolation,
-                       UsageError, clopper_pearson, emit, estimate_probability,
-                       nonshadow_lower_bound, run_attractor_experiment,
-                       run_dichotomy_experiment)
-from shadowing.cli import DEFAULT_DICHOTOMY
+                       Provenance, UsageError, clopper_pearson, emit,
+                       estimate_probability, generate, nonshadow_lower_bound,
+                       parse_system, run_attractor_experiment,
+                       run_dichotomy_experiment, save_trajectory,
+                       trial_stream)
+from shadowing.cli import DEFAULT_DICHOTOMY, main
 from shadowing.experiment import (TrialOutcome, _aggregate, _run_trial,
                                   dichotomy_bound_curve, result_summary)
 
@@ -277,6 +280,69 @@ def test_emit_files_and_determinism(tmp_path):
     payload = json.loads(summary)
     assert payload["config"]["d"] == "1/50"
     assert len(payload["trials"]) == cfg.trials
+
+
+def write_every_output(kind, out, traj_base):
+    """Write one kind of output file set under ``out``."""
+    annulus = dict(system_spec="annulus:lambda=1/2,alpha=610/987,w=0.5",
+                   y0=(F(7, 5), F(0)), eps=F(1, 5), d=F(9, 1600),
+                   horizons=(30,), trials=3, seed=21)
+    if kind == "emit":
+        emit(estimate_probability(config(trials=4, seed=16)), out)
+    elif kind == "dichotomy":
+        run_dichotomy_experiment(
+            config(system_spec="doubling", y0=(F(1, 3),), horizons=(40,),
+                   trials=3, seed=17),
+            config(trials=3, seed=18), out=out)
+    elif kind == "attractor":
+        run_attractor_experiment(ExperimentConfig(**annulus), out=out)
+    elif kind == "save_trajectory":
+        traj = generate(parse_system("doubling"), (F(3, 10),), F(1, 50), 20,
+                        trial_stream(3, 0), Provenance("random", 3, 0))
+        save_trajectory(traj, "doubling", out / "t")
+    else:
+        out.mkdir(exist_ok=True)  # check writes into an existing directory
+        assert main(["check", "--traj", str(traj_base), "--eps", "0.05",
+                     "--out", str(out / "v.json")]) == 0
+
+
+def tree_bytes(root) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kind", ["emit", "dichotomy", "attractor",
+                                  "save_trajectory", "check"])
+def test_rewriting_over_longer_files_gives_the_bytes_of_a_fresh_run(
+        tmp_path, capsys, kind):
+    traj_base = tmp_path / "input"
+    main(["generate", "--system", "doubling", "--y0", "0.3", "--d", "0.02",
+          "--n", "30", "--out", str(traj_base)])
+    write_every_output(kind, tmp_path / "fresh", traj_base)
+    fresh = tree_bytes(tmp_path / "fresh")
+    assert fresh
+    for name, data in fresh.items():
+        garbage = tmp_path / "again" / name
+        garbage.parent.mkdir(parents=True, exist_ok=True)
+        garbage.write_bytes(b"garbage " * (len(data) // 8 + 100))
+    write_every_output(kind, tmp_path / "again", traj_base)
+    assert tree_bytes(tmp_path / "again") == fresh
+
+
+def test_a_link_at_an_output_path_is_replaced_not_written_through(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").symlink_to(target)
+    os.link(target, out / "curve.csv")
+    emit(estimate_probability(config(trials=2, horizons=(5,))), out)
+    assert target.read_text() == "kept\n"
+    for name in ("summary.json", "curve.csv"):
+        assert not (out / name).is_symlink()
+        assert (out / name).stat().st_nlink == 1
+    assert json.loads((out / "summary.json").read_text())["config"]["seed"] \
+        == 7
 
 
 def test_emit_surfaces_io_errors_with_path(tmp_path):
