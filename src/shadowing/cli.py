@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import bounds as bounds_mod
 from .errors import (DomainError, EnclosureCapError, InvariantViolation,
@@ -20,7 +21,7 @@ from .experiment import (ExperimentConfig, emit, estimate_probability,
                          run_dichotomy_experiment)
 from .pseudotraj import (Provenance, generate, load_trajectory,
                          save_trajectory, trial_stream)
-from .rationals import frac, jsonable, parse_point, replace_file
+from .rationals import frac, jsonable, parse_point
 from .shadowcheck import decide_shadowable
 from .systems import AnnulusSpiral, parse_system
 
@@ -91,8 +92,8 @@ def cmd_check(args) -> int:
     verdict = decide_shadowable(system, traj, frac(args.eps))
     payload = verdict.to_json()
     if args.out:
-        replace_file(args.out,
-                     json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _print(payload)
     return 0
 

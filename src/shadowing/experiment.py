@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -35,8 +37,7 @@ from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageErr
 # below, are unused here: a trial reads its walk's points directly.
 # bench/probes.py looks all four up here
 from .pseudotraj import LatticeWalk, generate, trial_stream
-from .rationals import (frac, jsonable, parse_point, point_text,
-                        replace_file)
+from .rationals import frac, jsonable, parse_point, point_text
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
                           shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
@@ -336,10 +337,34 @@ def result_summary(result: ExperimentResult) -> dict:
     }
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` in one call, first removing a plain
+    file there (a regular file with one link).
+
+    Truncating an existing file to zero and rewriting it makes ext4 (with
+    its default ``auto_da_alloc``) flush the new data to disk when the file
+    is closed; a new file is flushed later, like any other. That flush is
+    ext4's guard against a rewritten file left empty by a crash, and it is
+    given up here: a crash soon after a rerun can leave an output missing
+    or empty, as after a fresh run, which no writer here flushes either.
+    Every output is a pure function of its config, so a rerun restores it.
+    A replaced file gets the default mode and owner. Anything else at
+    ``path`` (a symlink, a hard-linked file, a FIFO, a device), and a file
+    that cannot be removed, is written through as before.
+    """
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass  # nothing there, or not removable: write in place
+    path.write_text(text)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # one write: json.dump writes each token on its own
-    replace_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _replace_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit(result: ExperimentResult, path) -> None:
@@ -361,7 +386,7 @@ def emit(result: ExperimentResult, path) -> None:
             writer.writerow([s.horizon, s.decided, s.shadowable,
                              repr(s.p_hat), repr(s.ci_lo), repr(s.ci_hi),
                              "" if s.bound is None else repr(s.bound)])
-        replace_file(out / "curve.csv", curve.getvalue())
+        _replace_file(out / "curve.csv", curve.getvalue())
 
         trials = io.StringIO()
         writer = csv.writer(trials, lineterminator="\n")
@@ -371,7 +396,7 @@ def emit(result: ExperimentResult, path) -> None:
                 "Yes" if o.first_empty is None else "No")
             writer.writerow([o.trial, result.config.seed, final,
                              "" if o.first_empty is None else o.first_empty])
-        replace_file(out / "trials.csv", trials.getvalue())
+        _replace_file(out / "trials.csv", trials.getvalue())
     except OSError as exc:
         raise OSError(f"cannot write experiment outputs under {out}: {exc}") \
             from exc

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import math
 import operator
@@ -31,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, UsageError
-from .rationals import frac, jsonable, replace_file
+from .rationals import frac, jsonable
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
 
 
@@ -272,12 +271,11 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
     ncoords = len(traj.points[0])
-    rows = io.StringIO()
-    writer = csv.writer(rows, lineterminator="\n")
-    writer.writerow(["n"] + [f"coord{i}" for i in range(ncoords)])
-    for n, p in enumerate(traj.points):
-        writer.writerow([n] + [str(c) for c in p])
-    replace_file(base.with_suffix(".csv"), rows.getvalue())
+    with open(base.with_suffix(".csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["n"] + [f"coord{i}" for i in range(ncoords)])
+        for n, p in enumerate(traj.points):
+            writer.writerow([n] + [str(c) for c in p])
     sidecar = {
         "system": system_spec,
         "d": str(traj.d),
@@ -287,8 +285,8 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
         "provenance": traj.provenance.kind,
     }
     # one write: json.dump writes each token on its own
-    text = json.dumps(jsonable(sidecar), indent=2, sort_keys=True)
-    replace_file(base.with_suffix(".json"), text + "\n")
+    base.with_suffix(".json").write_text(
+        json.dumps(jsonable(sidecar), indent=2, sort_keys=True) + "\n")
 
 
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:

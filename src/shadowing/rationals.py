@@ -8,14 +8,11 @@ value calls ``Fraction(x)`` directly instead. Inside, the exact kernel
 works on integer numerators over a common denominator, its *scale*; it
 takes each parameter's numerator and denominator once, before its loop,
 and moves the parameter to a scale s as numerator * (s // denominator).
-
-Every output file is written by ``replace_file``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
 
 def frac(value) -> Fraction:
@@ -59,17 +56,3 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return value
-
-
-def replace_file(path, text: str) -> None:
-    """Replace the file at ``path`` with ``text``: remove the old file,
-    then write the new text in one call.
-
-    Truncating the file in place instead makes ext4 (with its default
-    ``auto_da_alloc``) flush the new data to disk when the file is closed;
-    a new file is flushed later, like any other. A symlink or hard link at
-    ``path`` is replaced, not written through.
-    """
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    path.write_text(text)

@@ -27,7 +27,6 @@ at a new scale reads no ``Fraction``.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -400,15 +399,12 @@ def annulus_spiral(lam, alpha, w) -> AnnulusSpiral:
     return AnnulusSpiral(annulus(w), frac(lam), frac(alpha) % 1)
 
 
-@functools.lru_cache
 def parse_system(text: str):
     """Parse a system spec string.
 
     Grammar: ``doubling``, ``tent:s=<rational>``, ``rotation:alpha=<rational>``,
     ``annulus:lambda=<rational>,alpha=<rational>,w=<float>``, and
     ``pwl:<breakpoint:slope,...>[,v0=<rational>][,space=circle|interval]``.
-    The systems of the 128 specs used last are kept: a system is frozen,
-    so every caller of one spec shares one instance.
     """
     s = text.strip()
     if s == "doubling":

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import stat
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -329,20 +331,84 @@ def test_rewriting_over_longer_files_gives_the_bytes_of_a_fresh_run(
     assert tree_bytes(tmp_path / "again") == fresh
 
 
-def test_a_link_at_an_output_path_is_replaced_not_written_through(tmp_path):
-    target = tmp_path / "target.json"
-    target.write_text("kept\n")
+def test_a_plain_output_file_is_replaced_not_truncated(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "summary.json").symlink_to(target)
-    os.link(target, out / "curve.csv")
-    emit(estimate_probability(config(trials=2, horizons=(5,))), out)
-    assert target.read_text() == "kept\n"
-    for name in ("summary.json", "curve.csv"):
-        assert not (out / name).is_symlink()
-        assert (out / name).stat().st_nlink == 1
+    (out / "summary.json").write_text("old\n")
+    with open(out / "summary.json") as old:
+        emit(estimate_probability(config(trials=2, horizons=(5,))), out)
+        assert old.read() == "old\n"  # the old file was removed, not rewritten
     assert json.loads((out / "summary.json").read_text())["config"]["seed"] \
         == 7
+
+
+def test_an_output_file_that_cannot_be_removed_is_written_in_place(
+        tmp_path, monkeypatch):
+    res = estimate_probability(config(trials=2, horizons=(5,)))
+    emit(res, tmp_path / "fresh")
+    fresh = tree_bytes(tmp_path / "fresh")
+    emit(res, tmp_path / "out")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "unlink", refuse)  # as in a read-only directory
+    emit(res, tmp_path / "out")
+    assert tree_bytes(tmp_path / "out") == fresh
+
+
+def test_a_link_at_an_output_path_is_written_through(tmp_path):
+    res = estimate_probability(config(trials=2, horizons=(5,)))
+    emit(res, tmp_path / "fresh")
+    out = tmp_path / "out"
+    out.mkdir()
+    soft, hard = tmp_path / "soft-target", tmp_path / "hard-target"
+    soft.write_text("old\n")
+    hard.write_text("old\n")
+    (out / "summary.json").symlink_to(soft)
+    os.link(hard, out / "curve.csv")
+    emit(res, out)
+    assert (out / "summary.json").is_symlink()
+    assert soft.read_bytes() == (tmp_path / "fresh/summary.json").read_bytes()
+    assert (out / "curve.csv").stat().st_nlink == 2
+    assert hard.read_bytes() == (tmp_path / "fresh/curve.csv").read_bytes()
+
+
+def read_fifo_while(fifo, write) -> bytes:
+    """Run ``write`` while a thread reads the FIFO ``fifo``; the bytes read."""
+    got = []
+
+    def reader():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    try:
+        write()
+    finally:
+        try:  # release a reader still waiting for a writer
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass  # no reader left
+        thread.join(timeout=10)
+    return got[0]
+
+
+@pytest.mark.parametrize("kind", ["check", "emit"])
+def test_a_fifo_at_an_output_path_is_written_through(tmp_path, capsys, kind):
+    traj_base = tmp_path / "input"
+    main(["generate", "--system", "doubling", "--y0", "0.3", "--d", "0.02",
+          "--n", "30", "--out", str(traj_base)])
+    write_every_output(kind, tmp_path / "fresh", traj_base)
+    name = "v.json" if kind == "check" else "curve.csv"
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / name)
+    got = read_fifo_while(
+        out / name, lambda: write_every_output(kind, out, traj_base))
+    assert stat.S_ISFIFO(os.lstat(out / name).st_mode)
+    assert got == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_emit_surfaces_io_errors_with_path(tmp_path):
