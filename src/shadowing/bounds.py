@@ -12,6 +12,12 @@ Two records collect them: ``dichotomy_quantities`` for transitive maps and
 ``attractor_quantities`` for the annulus. ``shadowing bounds`` prints
 them, and the experiment reports embed the same records (the rotation
 branch's ``diagnostics``, the attractor run's ``quantities``).
+
+The cover search puts its start on the map's lattice with
+``scaled_point(point, base)`` and reads the delta1-net only through
+``Space.net_runs``: open balls around each orbit point for the scan,
+closed balls around each image fragment for the test of a ball outside
+the image. Neither knows where the net's centers lie.
 """
 
 from __future__ import annotations
@@ -114,9 +120,11 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     at once, naming the first such ball, without scanning
     (``_first_missed_center``).
 
-    The orbit runs on integers (``apply_scaled``, ``net_neighbors``), each
-    point over the smallest unit that is a multiple of the lattice base,
-    so the cycle check compares (numerator, unit) pairs.
+    The orbit runs on integers (``scaled_point(point, base)`` with the
+    lattice base, ``apply_scaled``), each point over the smallest unit
+    that is a multiple of the lattice base, so the cycle check compares
+    (numerator, unit) pairs; ``Space.net_runs`` gives the open net balls
+    around each point.
     """
     delta1 = frac(delta1)
     space = system.space
@@ -143,8 +151,9 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
         saved = x, unit
         cycle = ""
         for n in range(budget + 1):
-            unvisited.difference_update(
-                space.net_neighbors(x, unit, delta1, size))
+            for first, last in space.net_runs(x, x, unit, delta1, size,
+                                              closed=False):
+                unvisited.difference_update(range(first, last + 1))
             if not unvisited:
                 return n, x, unit
             x, unit = step(x, unit)
@@ -159,9 +168,8 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
             f"{point_text(c)} within {budget} steps{cycle}",
             target=c, radius=delta1, horizon=budget)
 
-    (x,), scale = scaled_point(point)
-    unit = math.lcm(scale, base)
-    k1, x, unit = scan(x * (unit // scale), unit, horizon)
+    (x,), unit = scaled_point(point, base)
+    k1, x, unit = scan(x, unit, horizon)
     k2, *_ = scan(*step(x, unit), horizon)  # restarted at f^(k1+1)(r)
     return CoverTime(k1, k2, k1 + k2 + 1)
 
@@ -171,36 +179,18 @@ def _first_missed_center(image, delta1, n: int) -> int | None:
     closed delta1-ball the image misses, or None if every ball meets it.
 
     A fragment meets the closed ball around c exactly when c lies within
-    delta1 of it, so each fragment covers one run of centers, found by
-    integer floor and ceiling over the net's grid (two runs where it
-    wraps past 0 on the circle); the answer is the least index no run
-    covers. The cost grows with the fragments, not with n.
+    delta1 of it, so each fragment covers the runs of centers that
+    ``Space.net_runs`` gives for closed balls; the answer is the least
+    index no run covers. The cost grows with the fragments, not with n.
     """
-    a, b = delta1.numerator, delta1.denominator
-    unit = image.unit
-    ub = unit * b
-    runs = []
-    if image.space.kind == "circle":
-        # center k / n lies in the arc (s, l) grown by delta1 when
-        # n (s b - a unit) <= k ub <= n ((s + l) b + a unit), taken mod n;
-        # a run with hi < lo covers no center and moves no answer
-        for s, length in image.nums:
-            lo = -(-n * (s * b - a * unit) // ub)
-            hi = n * ((s + length) * b + a * unit) // ub
-            start = lo % n
-            end = start + hi - lo
-            runs.append((start, min(end, n - 1)))
-            if end >= n:
-                runs.append((0, end - n))
-    else:
-        # center (2k + 1) / 2n lies in the segment (lo, hi) grown by
-        # delta1 when 2n (lo b - a unit) - ub <= 2k ub
-        # <= 2n (hi b + a unit) - ub
-        for lo, hi in image.nums:
-            runs.append((-(-(2 * n * (lo * b - a * unit) - ub) // (2 * ub)),
-                         (2 * n * (hi * b + a * unit) - ub) // (2 * ub)))
+    space = image.space
+    frags = image.nums if space.kind == "interval" \
+        else ((s, s + length) for s, length in image.nums)
+    runs = sorted(run for lo, hi in frags
+                  for run in space.net_runs(lo, hi, image.unit, delta1, n,
+                                            closed=True))
     first = 0
-    for lo, hi in sorted(runs):
+    for lo, hi in runs:
         if lo > first:
             break
         first = max(first, hi + 1)

@@ -21,7 +21,7 @@ from .experiment import (ExperimentConfig, emit, estimate_probability,
                          run_dichotomy_experiment)
 from .pseudotraj import (Provenance, generate, load_trajectory,
                          save_trajectory, trial_stream)
-from .rationals import frac, jsonable, parse_point
+from .rationals import frac, json_text, jsonable, parse_point
 from .shadowcheck import decide_shadowable
 from .systems import AnnulusSpiral, parse_system
 
@@ -71,8 +71,7 @@ def _merge_config(args, defaults=None) -> dict:
 
 
 def _print(payload):
-    json.dump(jsonable(payload), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(jsonable(payload)))
 
 
 def cmd_generate(args) -> int:
@@ -90,11 +89,10 @@ def cmd_check(args) -> int:
     traj, system_spec = load_trajectory(args.traj)
     system = parse_system(system_spec)
     verdict = decide_shadowable(system, traj, frac(args.eps))
-    payload = verdict.to_json()
+    text = json_text(verdict.to_json())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _print(payload)
+        Path(args.out).write_text(text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -126,15 +124,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
-    data = dict(DEFAULT_DICHOTOMY)
+    loaded = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        data = {
-            "shadowing": {**data["shadowing"], **loaded.get("shadowing", {})},
-            "nonshadowing": {**data["nonshadowing"],
-                             **loaded.get("nonshadowing", {})},
-        }
+    data = {branch: {**defaults, **loaded.get(branch, {})}
+            for branch, defaults in DEFAULT_DICHOTOMY.items()}
     cfg_a = ExperimentConfig.from_dict(data["shadowing"])
     cfg_b = ExperimentConfig.from_dict(data["nonshadowing"])
     report = run_dichotomy_experiment(cfg_a, cfg_b, out=args.out,
@@ -147,11 +142,11 @@ def cmd_dichotomy(args) -> int:
 def cmd_attractor(args) -> int:
     data = _merge_config(args, DEFAULT_ATTRACTOR)
     if "d" not in data:
-        # default to half the computed noise ceiling
+        # the working noise level attractor_quantities defaults to
         system = parse_system(data["system"])
         q = bounds_mod.attractor_quantities(system, frac(data["eps"]),
                                             parse_point(data["y0"]))
-        data["d"] = str(q.d0 / 2)
+        data["d"] = str(q.d)
     config = ExperimentConfig.from_dict(data)
     report = run_attractor_experiment(config, out=config.out,
                                       workers=args.workers)
@@ -222,7 +217,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
-        # a computed bound failed to hold: a bug, not bad input
+        # a guaranteed property failed to hold: a bug, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

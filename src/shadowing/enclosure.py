@@ -24,7 +24,8 @@ Every fragment coordinate is a Python integer, a numerator over the
 set's ``unit``, a positive integer *scale*: the arc, segment and box
 algebra only adds, compares and reduces modulo ``unit``. Values enter as
 ``Fraction`` coordinates only through ``make`` and ``ball_set``, which put
-them on integers once, over the lcm of their denominators, and leave
+them on integers once with ``scaled_point``, over the lcm of their
+denominators (and, for a ball on the annulus, of w's), and leave
 only through ``EnclosureSet.fragments`` and ``measure``, which build the
 ``Fraction`` values when they are read. Sets over different units meet
 over the lcm of the two.
@@ -56,14 +57,6 @@ def _lift(frags, factor):
     if factor == 1:
         return frags
     return tuple(tuple(c * factor for c in f) for f in frags)
-
-
-def _integers(frags, base=1):
-    """(numerators, unit) of fragments of rationals over the lcm of
-    ``base`` and their denominators; a float is read as its exact value."""
-    frags = [[Fraction(c) for c in f] for f in frags]
-    unit = math.lcm(base, *(c.denominator for f in frags for c in f))
-    return tuple(tuple(int(c * unit) for c in f) for f in frags), unit
 
 
 # -- circle arcs ---------------------------------------------------------
@@ -350,7 +343,10 @@ def make(space: Space, fragments) -> EnclosureSet:
     doc). Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call time, it
     fails with ``EnclosureCapError``, whose ``partial`` is the exact set.
     """
-    return _make(space, *_integers(fragments))
+    frags = [tuple(f) for f in fragments]
+    nums, unit = scaled_point([c for f in frags for c in f])
+    coords = iter(nums)
+    return _make(space, [tuple(next(coords) for _ in f) for f in frags], unit)
 
 
 def _make(space: Space, fragments, unit) -> EnclosureSet:
@@ -376,7 +372,7 @@ def ball_set(space: Space, center, radius) -> EnclosureSet:
     if radius <= 0:
         raise UsageError("ball radius must be positive")
     base = space.w_ratio[1] if space.kind == "annulus" else 1
-    (nums,), unit = _integers(((*center, radius),), base)
+    nums, unit = scaled_point((*center, radius), base)
     return EnclosureSet(space, (_ball(space, nums[:-1], nums[-1], unit),),
                         unit)
 

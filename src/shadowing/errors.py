@@ -38,5 +38,7 @@ class EnclosureCapError(RuntimeError):
 
 
 class InvariantViolation(RuntimeError):
-    """A property that the computed bounds guarantee was observed to fail,
-    which signals a bug in the bound computation rather than bad input."""
+    """A property that the computed bounds or the exact sets guarantee was
+    observed to fail (an attractor trial leaving its absorbing band, a Yes
+    witness that cannot be pulled back or fails its re-check), which
+    signals a bug rather than bad input."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +36,7 @@ from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageErr
 # below, are unused here: a trial reads its walk's points directly.
 # bench/probes.py looks all four up here
 from .pseudotraj import LatticeWalk, generate, trial_stream
-from .rationals import frac, jsonable, parse_point, point_text
+from .rationals import frac, json_text, jsonable, parse_point, point_text
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
                           shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
@@ -363,8 +362,7 @@ def _replace_file(path: Path, text: str) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    # one write: json.dump writes each token on its own
-    _replace_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _replace_file(path, json_text(payload))
 
 
 def emit(result: ExperimentResult, path) -> None:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, UsageError
-from .rationals import frac, jsonable
+from .rationals import frac, json_text
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
 
 
@@ -209,11 +209,10 @@ class LatticeWalk:
             raise DomainError("horizon must be nonnegative")
         space = system.space
         self.system, self.d, self.n = system, frac(d), n
-        y, scale = scaled_point(space.canonical(y0))
-        start = TWO53 * math.lcm(scale, self.d.denominator,
-                                 system.lattice_base)
-        self.taken = ScaledPoints([tuple(c * (start // scale) for c in y)],
-                                  [start])
+        y, scale = scaled_point(space.canonical(y0), math.lcm(
+            self.d.denominator, system.lattice_base))
+        self.taken = ScaledPoints([tuple(c * TWO53 for c in y)],
+                                  [scale * TWO53])
         self._draws = rng
 
     def __iter__(self):
@@ -284,9 +283,7 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
         "trial": traj.provenance.trial,
         "provenance": traj.provenance.kind,
     }
-    # one write: json.dump writes each token on its own
-    base.with_suffix(".json").write_text(
-        json.dumps(jsonable(sidecar), indent=2, sort_keys=True) + "\n")
+    base.with_suffix(".json").write_text(json_text(sidecar))
 
 
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:

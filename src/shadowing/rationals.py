@@ -12,6 +12,7 @@ and moves the parameter to a scale s as numerator * (s // denominator).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 
@@ -45,6 +46,13 @@ def parse_point(text) -> tuple:
 def point_text(point) -> str:
     """A point's coordinates as 'a/b' strings, for messages: '(3/10, 0)'."""
     return "(" + ", ".join(str(frac(c)) for c in point) + ")"
+
+
+def json_text(payload) -> str:
+    """The JSON text of every output file and printed record: indented by
+    2, keys sorted, ending in a newline. ``payload`` holds no Fraction
+    (see ``jsonable``). One string, so a writer writes it in one call."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def jsonable(value):

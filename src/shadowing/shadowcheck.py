@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from . import enclosure
 from .enclosure import EnclosureSet
-from .errors import DomainError, EnclosureCapError, UsageError
+from .errors import DomainError, InvariantViolation, UsageError
 from .pseudotraj import Pseudotrajectory
 from .rationals import frac
 from .spaces import ScaledPoints, scaled_point
@@ -153,9 +153,7 @@ def orbit_tracks(system, points, x0, eps) -> bool:
         points = ScaledPoints.from_points(points)
     eps = frac(eps)
     eps_num, eps_den = eps.numerator, eps.denominator
-    z, z_scale = scaled_point(space.canonical(x0))
-    start = math.lcm(z_scale, system.lattice_base)
-    z, z_scale = tuple(c * (start // z_scale) for c in z), start
+    z, z_scale = scaled_point(space.canonical(x0), system.lattice_base)
     apply, beyond = system.apply_scaled, space.beyond
     key = None
     for y, s in zip(points.nums, points.scales):
@@ -199,8 +197,8 @@ def horizon_verdicts(system, sets, points: ScaledPoints, eps,
     witness is pulled back, at the largest Yes horizon, and its orbit
     re-checked against that prefix of ``points``; it then tracks every
     shorter prefix too, so Yes can turn into No, never back. Exact sets
-    always yield a witness that passes, so a failure raises
-    ``EnclosureCapError`` rather than a verdict.
+    always yield a witness that passes, so a failure is a bug and raises
+    ``InvariantViolation`` rather than a verdict.
     """
     first_empty = next((n for n, s in enumerate(sets) if s.is_empty()), None)
     verdicts = tuple(
@@ -213,8 +211,8 @@ def horizon_verdicts(system, sets, points: ScaledPoints, eps,
         witness = pull_back_witness(system, sets, m)
         if witness is None or not orbit_tracks(
                 system, points[:m + 1], witness, eps):
-            raise EnclosureCapError(
-                f"witness extraction failed at horizon {m}", partial=sets[m])
+            raise InvariantViolation(
+                f"witness extraction failed at horizon {m}")
     return HorizonVerdicts(verdicts, first_empty, witness, sets)
 
 

@@ -16,9 +16,13 @@ Points enter and leave as ``Fraction`` coordinates (``canonical``,
 ``net_center``). Everything else runs on integer numerators over a
 common denominator, the point's *scale*: ``ScaledPoints`` holds a
 sequence of such points and builds a point's Fractions only when it is
-read, ``sample_scaled`` draws a point of a ball, ``beyond`` compares a
-distance with a bound and ``net_neighbors`` finds the net balls around a
-point, all by integer floors, ceilings and cross-multiplied comparisons.
+read, ``scaled_point(point, base)`` puts a point on the lattice of a
+map whose parameters live over ``base``, ``sample_scaled`` draws a point
+of a ball, ``beyond`` compares a distance with a bound and ``net_runs``
+finds the net balls around a point or fragment, all by integer floors,
+ceilings and cross-multiplied comparisons. The net's grid layout is
+known here alone: ``net_center`` builds a center, ``net_runs`` inverts
+the layout.
 The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
 so a step at a new scale reads no ``Fraction``. The tests hold the sampler
 to a ``Fraction`` copy of it (``tests/reference.py``).
@@ -43,17 +47,13 @@ TWO53 = 1 << 53
 Point = tuple
 
 
-def circ_dist(a, b, unit=1):
-    """Arc-length distance on the circle, inputs canonical in [0, unit)."""
-    t = (a - b) % unit
-    return min(t, unit - t)
-
-
-def scaled_point(point) -> tuple:
-    """(numerators, scale) of a point of rationals, over the lcm of the
-    denominators of its coordinates."""
+def scaled_point(point, base: int = 1) -> tuple:
+    """(numerators, scale) of a point of rationals, over the lcm of
+    ``base`` and the denominators of its coordinates; a float is read as
+    its exact value. A map's point goes on its lattice with the map's
+    ``lattice_base`` as ``base``."""
     coords = [Fraction(c) if isinstance(c, float) else c for c in point]
-    scale = math.lcm(*(c.denominator for c in coords))
+    scale = math.lcm(base, *(c.denominator for c in coords))
     return tuple(c.numerator * (scale // c.denominator) for c in coords), scale
 
 
@@ -245,28 +245,33 @@ class Space:
             return (Fraction(k, n),)
         return (Fraction(2 * k + 1, 2 * n),)
 
-    def net_neighbors(self, x: int, unit: int, delta1, n: int) -> list[int]:
-        """Indices of the centers of the delta1-net of n = net_size(delta1)
-        centers that lie strictly within delta1 = a / b of the point
-        x / unit, in increasing order. Candidates come from inverting the
-        grid layout with integer floor and ceiling, so their count is
-        independent of the net size, and each is checked over unit * n * b
-        (twice that on the interval)."""
+    def net_runs(self, lo: int, hi: int, unit: int, delta1, n: int,
+                 closed: bool) -> list[tuple[int, int]]:
+        """Runs (first, last) of the indices of the centers of the
+        delta1-net of n = net_size(delta1) centers that lie within delta1
+        of the point or fragment from lo / unit to hi / unit: strictly
+        within (the open balls around the centers meet it) unless
+        ``closed`` (the closed balls do). A circle arc (start, length) is
+        given as lo = start, hi = start + length, and a run past index
+        n - 1 wraps to 0, so an arc gives at most two runs. One ceiling
+        finds each run's first index and one floor its last, so the cost
+        is independent of the net size."""
         a, b = delta1.numerator, delta1.denominator
         ub = unit * b
-        if self.kind == "circle":
-            # over unit * n * b: the point p, the radius rad, center k at
-            # k * ub
-            p, rad, whole = x * n * b, a * unit * n, n * ub
-            return sorted({k % n for k in range((p - rad) // ub,
-                                                -((-p - rad) // ub) + 1)
-                           if circ_dist(p, k * ub % whole, whole) < rad})
-        # over 2 * unit * n * b: center k at (2k + 1) * ub
-        p, rad = 2 * x * n * b, 2 * a * unit * n
-        lo = (p - rad - ub) // (2 * ub)
-        hi = -((ub - p - rad) // (2 * ub))
-        return [k for k in range(max(lo, 0), min(hi, n - 1) + 1)
-                if abs(p - (2 * k + 1) * ub) < rad]
+        # over 2 n ub, center k lies at 2k ub on the circle and at
+        # (2k + 1) ub on the interval; an open ball ends one short
+        shift = ub if self.kind == "interval" else 0
+        strict = 0 if closed else 1
+        first = -((shift - strict - 2 * n * (lo * b - a * unit)) // (2 * ub))
+        last = (2 * n * (hi * b + a * unit) - shift - strict) // (2 * ub)
+        if self.kind == "interval":
+            return [(max(first, 0), min(last, n - 1))]
+        if last - first + 1 >= n:
+            return [(0, n - 1)]
+        start = first % n
+        end = start + last - first
+        return [(start, end)] if end < n else [(start, n - 1), (0, end - n)]
+
 
 def circle() -> Space:
     return Space("circle")

@@ -44,10 +44,8 @@ def _apply(system, point):
     """The map at a point of rationals: ``apply_scaled`` over the lcm of
     the point's denominators and the lattice base, read back as
     Fractions."""
-    nums, scale = scaled_point(point)
-    unit = math.lcm(scale, system.lattice_base)
     image, out = system.apply_scaled(
-        tuple(c * (unit // scale) for c in nums), unit)
+        *scaled_point(point, system.lattice_base))
     return tuple(Fraction(c, out) for c in image)
 
 

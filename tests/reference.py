@@ -23,10 +23,16 @@ from shadowing import (AnnulusSpiral, DomainError, SearchFailure,
 from shadowing.enclosure import ball_set, intersect
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.rationals import frac, point_text
-from shadowing.spaces import TWO53, circ_dist, scaled_point
+from shadowing.spaces import TWO53, scaled_point
 
 
 # -- spaces ------------------------------------------------------------------
+
+def circ_dist(a, b, unit=1):
+    """Arc-length distance on the circle, inputs canonical in [0, unit)."""
+    t = (a - b) % unit
+    return min(t, unit - t)
+
 
 def signed_circ_diff(a, b):
     """Signed representative of a - b in [-1/2, 1/2)."""

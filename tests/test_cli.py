@@ -13,7 +13,7 @@ import pytest
 
 import shadowing
 from shadowing import (ExperimentConfig, InvariantViolation, enclosure,
-                       experiment, run_attractor_experiment)
+                       experiment, run_attractor_experiment, shadowcheck)
 from shadowing.cli import DEFAULT_ATTRACTOR, DEFAULT_DICHOTOMY, main
 from shadowing.experiment import dichotomy_bound_curve
 
@@ -359,6 +359,25 @@ def test_a_broken_band_bound_exits_three(tmp_path, capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("error: trial 0: point (3/2, 0) at step 9 escaped the "
                    "absorbing band of half-width 1/20 (entry step 5)\n")
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("pull_back_witness", lambda *args: None),
+    ("orbit_tracks", lambda *args: False),
+], ids=["pull-back-finds-none", "re-check-fails"])
+def test_a_failed_witness_exits_three(tmp_path, capsys, monkeypatch, name,
+                                      broken):
+    # exact sets always give a witness that passes: a failure is a bug,
+    # not a fragment-cap error (exit 2)
+    base = tmp_path / "t"
+    run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
+        "--d", "0.02", "--n", "30", "--seed", "1", "--out", str(base))
+    monkeypatch.setattr(shadowcheck, name, broken)
+    code, out, err = run(capsys, "check", "--traj", str(base),
+                         "--eps", "0.05", "--out", str(tmp_path / "v.json"))
+    assert (code, out) == (3, "")
+    assert err == "error: witness extraction failed at horizon 30\n"
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_rejected_attractor_noise_exits_nonzero(capsys):

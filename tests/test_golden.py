@@ -24,9 +24,16 @@ once, when the eight always-null dichotomy keys (``delta1``, ``eta_lo``,
 
 The annulus ``check`` digests pin the bytes of the box algebra's path
 through ``check``.
+
+The ``bounds`` digests pin the exit status, stdout and stderr of the
+README's three ``bounds`` examples and of three cover searches that fail:
+two orbits seen to cycle, and the tent ``s=3/2`` net of 20,000 centers,
+one of whose balls lies outside the image of the space.
 """
 
 import hashlib
+
+import pytest
 
 from shadowing import (ExperimentConfig, run_attractor_experiment,
                        run_dichotomy_experiment)
@@ -34,6 +41,8 @@ from shadowing.cli import DEFAULT_ATTRACTOR, main
 from shadowing.experiment import emit, estimate_probability
 
 EXPERIMENT_FILES = ("summary.json", "curve.csv", "trials.csv")
+
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
 
 GOLDEN = {
     "dichotomy": {
@@ -84,6 +93,34 @@ GOLDEN = {
         "verdict1000.json":
             "df657509847f19512999798cf60177d9bd82fa74f8294e977793ae6fcdae552c",
     },
+    # exit status, stdout digest, stderr digest
+    "bounds": {
+        "rotation:alpha=610/987 --d 0.02 --eps 0.05 --y0 0": (
+            0,
+            "a8336cf3e64c2d91475902fbb9191f6fe475a41f7f19c0ace1a37d16e46fa33b",
+            NO_OUTPUT),
+        "annulus:lambda=1/2,alpha=610/987,w=0.5 --d 0.01 --eps 0.2 "
+        "--y0 1.4,0": (
+            0,
+            "6c8d6184ffb3409bad9478efd802f5f2a2776d7eda510ec8996fb72e524daeeb",
+            NO_OUTPUT),
+        "tent:s=3/2 --d 0.02 --eps 0.05": (
+            0,
+            "af26f9e30a8d66c3be79e1d52fba5f4c9883fe931ea6d4c1ffa574f12999eb1f",
+            NO_OUTPUT),
+        "doubling --d 0.02 --eps 0.05 --y0 0.3": (
+            2,
+            NO_OUTPUT,
+            "59786870b3f0d870f5c41a15b772b22d9e07a3f345bc759f01e21348c31e7d6f"),
+        "tent:s=2 --d 0.02 --eps 0.05 --y0 0.3": (
+            2,
+            NO_OUTPUT,
+            "8b180692aa0c82b7464c1f0c757e1654108be4502ba0990b89ca87b1ff921c7a"),
+        "tent:s=3/2 --d 1/1000 --y0 3/10": (
+            2,
+            NO_OUTPUT,
+            "ce01cc9ba999c612ce19f9efabbf6be2a0b77bfbae30f2b635ae90a121e9fc52"),
+    },
     "annulus-check": {
         "verdict50_eps0.05.json":
             "f062552b82d31b3dfb1dfbdedd5d56c5587ddd96876ed1b6d5fa2070a47a235f",
@@ -99,6 +136,10 @@ GOLDEN = {
 
 def sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def text_sha(text) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digests(folder, names) -> dict:
@@ -194,6 +235,13 @@ def test_check_outputs_match_golden(tmp_path, capsys):
     assert check_digests(tmp_path, capsys) == GOLDEN["check"]
 
 
-
 def test_annulus_check_outputs_match_golden(tmp_path, capsys):
     assert annulus_check_digests(tmp_path, capsys) == GOLDEN["annulus-check"]
+
+
+@pytest.mark.parametrize("args", GOLDEN["bounds"])
+def test_bounds_output_matches_golden(capsys, args):
+    status = main(["bounds", "--system", *args.split()])
+    out = capsys.readouterr()
+    assert (status, text_sha(out.out), text_sha(out.err)) \
+        == GOLDEN["bounds"][args]

@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from shadowing import enclosure, shadowcheck
-from shadowing import (DomainError, UsageError, Verdict, annulus_spiral,
+from shadowing import (DomainError, ExperimentConfig, InvariantViolation,
+                       UsageError, Verdict, annulus_spiral,
                        ball_set, decide_horizons, decide_shadowable, doubling,
                        generate, load_trajectory, orbit_tracks, rotation,
                        rotation_first_failure, save_trajectory,
                        shadow_set_forward, tent, trial_stream,
                        worst_case_pseudotrajectory)
+from shadowing.experiment import _run_trial
 from shadowing.pseudotraj import Pseudotrajectory, Provenance
 from shadowing.spaces import ScaledPoints
 
@@ -232,6 +234,31 @@ def test_yes_witness_passes_direct_recheck():
         pts = orbit(DBL, v.witness, traj.horizon)
         assert all(dist(DBL.space, p, y) <= EPS
                    for p, y in zip(pts, traj.points))
+
+
+# a Yes whose witness cannot be pulled back or fails its re-check, which
+# exact sets rule out: the two ways horizon_verdicts can find a bug
+BROKEN_WITNESS = {
+    "pull-back-finds-none": ("pull_back_witness", lambda *args: None),
+    "re-check-fails": ("orbit_tracks", lambda *args: False),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_WITNESS)
+def test_a_failed_witness_is_an_invariant_violation(monkeypatch, broken):
+    traj = generate(DBL, (F(1, 3),), D, 40, trial_stream(404, 0))
+    assert decide_shadowable(DBL, traj, EPS).verdict is Verdict.YES
+    config = ExperimentConfig.from_dict({
+        "system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
+        "horizons": [10, 40], "trials": 1, "seed": 42})
+    assert _run_trial(config.system, config, 0).verdicts == ("Yes", "Yes")
+    monkeypatch.setattr(shadowcheck, *BROKEN_WITNESS[broken])
+    with pytest.raises(InvariantViolation,
+                       match="witness extraction failed at horizon 40"):
+        decide_shadowable(DBL, traj, EPS)
+    with pytest.raises(InvariantViolation,
+                       match="witness extraction failed at horizon 40"):
+        _run_trial(config.system, config, 0)
 
 
 def test_monotone_verdicts_over_prefixes():

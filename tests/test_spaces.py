@@ -1,6 +1,7 @@
 """Metric, measure, sampling and cover properties of the three spaces."""
 
 import math
+import random
 from fractions import Fraction as F
 from itertools import islice
 
@@ -10,9 +11,9 @@ from scipy.stats import chisquare
 
 from shadowing import (DomainError, UsageError, Space, annulus, circle,
                        interval, trial_stream)
-from shadowing.spaces import circ_dist
+from shadowing.spaces import scaled_point
 
-from reference import (ball_measure, dist, dist_over, epsilon_net,
+from reference import (ball_measure, circ_dist, dist, dist_over, epsilon_net,
                        random_point, sample_uniform_ball, signed_circ_diff)
 
 SPACES = [circle(), interval(), annulus(F(1, 2))]
@@ -236,9 +237,17 @@ def test_annulus_needs_a_positive_half_width():
         Space("torus")
 
 
+def run_indices(runs) -> list:
+    """The indices that ``Space.net_runs`` runs cover, in increasing
+    order; an index covered twice shows up twice."""
+    return sorted(k for first, last in runs for k in range(first, last + 1))
+
+
 @pytest.mark.parametrize("space", NET_SPACES, ids=ids)
 @pytest.mark.parametrize("delta1", [F(1, 4), F(2, 23), F(3, 100), F(1, 800)])
 def test_net_neighbors_match_linear_scan(space, delta1):
+    """The open net balls around a point, as ``net_runs`` gives them for
+    the point as a fragment of length 0."""
     centers = epsilon_net(space, delta1)
     n = space.net_size(delta1)
     rng = trial_stream(111)
@@ -253,7 +262,77 @@ def test_net_neighbors_match_linear_scan(space, delta1):
     for p, q in zip(points, qs):
         expected = [i for i, c in enumerate(grid)
                     if dist_over(space, q, c, scale) < bound]
-        assert space.net_neighbors(q[0], scale, delta1, n) == expected, p
-        assert space.net_neighbors(p[0].numerator, p[0].denominator,
-                                   delta1, n) == expected, p
+        assert run_indices(space.net_runs(q[0], q[0], scale, delta1, n,
+                                          closed=False)) == expected, p
+        x, unit = p[0].numerator, p[0].denominator
+        assert run_indices(space.net_runs(x, x, unit, delta1, n,
+                                          closed=False)) == expected, p
         assert expected  # the net covers, so some center is always near
+
+
+def fragment_dist(space, c, lo, hi):
+    """Distance from the point c to the segment [lo, hi], or on the circle
+    to the arc from lo to hi (hi - lo its length, at most 1)."""
+    if space.kind == "interval":
+        return max(lo - c, c - hi, 0)
+    t = (c - lo) % 1
+    return 0 if t <= hi - lo else min(t - (hi - lo), 1 - t)
+
+
+def closed_cases(space, delta1):
+    """Fragments (lo, hi) of the space: random ones, both ends, fragments
+    that end exactly delta1 from a center, and on the circle arcs that
+    wrap past 0, the whole circle and an arc that delta1 grows to it."""
+    n = space.net_size(delta1)
+    rng = trial_stream(112)
+    cases = []
+    for _ in range(60):
+        a, b = sorted(random_point(space, rng)[0] for _ in range(2))
+        cases.append((a, b) if space.kind == "interval" else (b, b + a))
+    centers = [c for (c,) in epsilon_net(space, delta1)]
+    step = F(1, 3 * n)
+    for c in centers[:2] + centers[-2:]:
+        if space.kind == "circle" or c + delta1 + step <= 1:
+            cases.append((c + delta1, c + delta1 + step))
+        if space.kind == "circle" or c - delta1 - step >= 0:
+            cases.append((c - delta1 - step, c - delta1))
+    if space.kind == "interval":
+        return cases + [(F(0), F(0)), (F(1), F(1)), (F(0), F(1))]
+    cases += [(s % 1, s % 1 + length) for s, length in
+              [(F(9, 10), F(1, 5)), (F(1, 2), F(1, 2)), (F(0), F(1)),
+               (F(3, 4), 1 - 2 * delta1), (F(3, 4), 1 - 2 * delta1 - F(1, 97)),
+               (-delta1 / 2, delta1), (F(1, 3), F(0))] if length >= 0]
+    return cases
+
+
+@pytest.mark.parametrize("space", NET_SPACES, ids=ids)
+@pytest.mark.parametrize("delta1", [F(3, 2), F(1), F(3, 5), F(1, 2),
+                                    F(1, 4), F(2, 23), F(1, 800)])
+def test_net_runs_of_closed_balls_match_linear_scan(space, delta1):
+    """The closed net balls that meet a segment or an arc, from
+    ``net_runs``, against the distance of every center to the fragment;
+    the first four radii give nets of n = 1 and 2."""
+    n = space.net_size(delta1)
+    centers = [c for (c,) in epsilon_net(space, delta1)]
+    for lo, hi in closed_cases(space, delta1):
+        expected = [k for k, c in enumerate(centers)
+                    if fragment_dist(space, c, lo, hi) <= delta1]
+        unit = math.lcm(lo.denominator, hi.denominator)
+        runs = space.net_runs(int(lo * unit), int(hi * unit), unit, delta1,
+                              n, closed=True)
+        assert all(0 <= first <= last < n for first, last in runs)
+        assert run_indices(runs) == expected, (lo, hi)
+
+
+def test_scaled_point_is_lcm_then_lift():
+    draws = random.Random(113)
+    for _ in range(500):
+        point = tuple(F(draws.randrange(-10 ** 6, 10 ** 6),
+                        draws.choice([1, 2, 987, 2 ** 53,
+                                      draws.randrange(1, 10 ** 9)]))
+                      for _ in range(draws.choice([1, 2])))
+        base = draws.choice([1, 2, 987, 2 ** 53, draws.randrange(1, 10 ** 6)])
+        scale = math.lcm(base, *(c.denominator for c in point))
+        nums = tuple(int(c * scale) for c in point)
+        assert scaled_point(point, base) == (nums, scale), (point, base)
+    assert scaled_point((0.5, F(1, 3)), 4) == ((6, 4), 12)
