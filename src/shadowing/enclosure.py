@@ -31,9 +31,10 @@ only through ``EnclosureSet.fragments`` and ``measure``, which build the
 over the lcm of the two.
 
 A single fragment is a normal form as it stands, once a full arc is
-written ``(0, unit)``; the shadow-set step (each map's ``image_in_ball``)
-relies on that, clipping every image piece to the ball fragment of
-``_ball`` and calling ``_make`` only when more than one piece is left.
+written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``
+and each map's ``image_in_ball``) relies on that, clipping every image
+piece to the ball fragment of ``_ball`` and calling ``_make`` only when
+more than one piece is left.
 
 Every set equals the abstract set it stands for. A normal form with more
 fragments than the fragment cap raises a resource error that carries the
@@ -70,10 +71,10 @@ def _intersect_arcs(a, b, unit):
         return [a]
     t = (s2 - s1) % unit  # b starts t into a, or t - unit before it
     out = []
-    hi = min(t + l2, l1)
+    hi = t + l2 if t + l2 < l1 else l1
     if t <= hi:
         out.append(((s1 + t) % unit, hi - t))
-    hi = min(t - unit + l2, l1)
+    hi = t - unit + l2 if t - unit + l2 < l1 else l1
     if hi >= 0:
         out.append((s1 % unit, hi))
     return out
@@ -252,30 +253,6 @@ class EnclosureSet:
             total = sum((rhi - rlo) * l for rlo, rhi, _, l in self.nums)
         return Fraction(total, self.unit ** self.space.ndim)
 
-    def contains(self, point) -> bool:
-        nums, scale = scaled_point(point)
-        return self.first_inside([nums], scale) is not None
-
-    def first_inside(self, points, scale):
-        """The first of ``points`` (tuples of numerators over ``scale``)
-        that lies in this set, or None.
-
-        A coordinate c is read over the set's unit as floor(c * unit /
-        scale), marked short when the division leaves a remainder (the
-        value then lies strictly inside the next lattice cell), so the
-        fragments are compared as they are: none is lifted to the points'
-        scale."""
-        frags, unit, kind = self.nums, self.unit, self.space.kind
-        for p in points:
-            floors, shorts = [], []
-            for c in p:
-                f, rem = divmod(c * unit, scale)
-                floors.append(f)
-                shorts.append(1 if rem else 0)
-            if _contains(kind, frags, floors, unit, shorts):
-                return p
-        return None
-
     def _largest(self):
         if self.is_empty():
             raise UsageError("cannot pick a point from an empty set")
@@ -308,31 +285,6 @@ class EnclosureSet:
         return EnclosureSet(self.space,
                             tuple(tuple(c // g for c in f) for f in self.nums),
                             self.unit // g)
-
-
-def _contains(kind, frags, point, unit, shorts) -> bool:
-    """Whether point, numerators over unit, lies in the fragments. A
-    coordinate whose ``shorts`` entry is 1 stands for a value strictly
-    between it and the next integer, which stays at or below an integer
-    end e only if the coordinate is at most e - 1."""
-    if kind == "circle":
-        x, short = point[0], shorts[0]
-        for s, l in frags:
-            if (x - s) % unit <= l - short:
-                return True
-        return False
-    if kind == "interval":
-        x, short = point[0], shorts[0]
-        for lo, hi in frags:
-            if lo <= x <= hi - short:
-                return True
-        return False
-    r, theta = point
-    r_short, theta_short = shorts
-    for rlo, rhi, s, l in frags:
-        if rlo <= r <= rhi - r_short and (theta - s) % unit <= l - theta_short:
-            return True
-    return False
 
 
 def make(space: Space, fragments) -> EnclosureSet:

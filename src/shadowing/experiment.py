@@ -32,9 +32,11 @@ from . import bounds as bounds_mod
 # bench/probes.py wraps it
 from .binomial import clopper_pearson
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
-# generate, and orbit_tracks, pull_back_witness and shadow_set_forward
-# below, are unused here: a trial reads its walk's points directly.
-# bench/probes.py looks all four up here
+# generate, orbit_tracks, pull_back_witness and shadow_set_forward are
+# not called here: a trial's walk feeds shadow_sets, which takes each
+# one-fragment step on bare integers, and horizon_verdicts pulls the
+# witness back and re-checks it through shadowcheck's own names. They
+# stay importable here because bench/probes.py looks all four up here
 from .pseudotraj import LatticeWalk, generate, trial_stream
 from .rationals import frac, json_text, jsonable, parse_point, point_text
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
@@ -164,7 +166,7 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     steps = iter(walk)
     try:
         found = horizon_verdicts(system,
-                                 list(shadow_sets(system, steps, config.eps)),
+                                 shadow_sets(system, steps, config.eps),
                                  walk.taken, config.eps, config.horizons)
         outcome = TrialOutcome(trial, found.first_empty,
                                tuple(v.value for v in found.verdicts))

@@ -186,8 +186,8 @@ class LatticeWalk:
 
     Each step draws y_{k+1} uniformly from the d-ball around f(y_k) in the
     space, from one uniform double per coordinate, on an integer lattice
-    (``Space.sample_scaled``). ``rng`` is a stream of the integers k of
-    those doubles k / 2**53, as ``trial_stream`` returns it; a step reads
+    (``__iter__``, the one sampler). ``rng`` is a stream of the integers k
+    of those doubles k / 2**53, as ``trial_stream`` returns it; a step reads
     its ndim integers only when it is sampled, and the walk reads at most
     n * ndim of them in all, so it may be handed a stream that never ends.
     The points equal those of the ``Fraction`` chain that the tests keep in
@@ -216,16 +216,45 @@ class LatticeWalk:
         self._draws = rng
 
     def __iter__(self):
-        apply = self.system.apply_scaled
-        sample = self.system.space.sample_scaled
+        """The walk's loop: the map's ``apply_scaled``, then the draw on
+        the lattice. An arc is drawn as center - r + 2r * k / 2**53 mod
+        1, or k / 2**53 where it is the whole circle, at the same scale.
+        A segment, the interval or the annulus's radial one truncated to
+        [lo, hi], is drawn as lo + (hi - lo) * k / 2**53, at the scale
+        times the power of two, at most 2**53, that keeps the draw exact;
+        an untruncated step keeps the scale. The scale is a multiple of
+        2**53 and of the denominator of w, which is read from
+        ``w_ratio``, so no ``Fraction`` is touched."""
+        apply, draws = self.system.apply_scaled, self._draws
+        space = self.system.space
+        kind = space.kind
+        w_num, w_den = space.w_ratio if kind == "annulus" else (0, 1)
         d_num, d_den = self.d.numerator, self.d.denominator
         nums, scales = self.taken.nums, self.taken.scales
         y, scale = nums[0], scales[0]
         yield y, scale
         for _ in range(self.n):
-            center, center_scale = apply(y, scale)
-            y, scale = sample(center, center_scale,
-                              d_num * (center_scale // d_den), self._draws)
+            center, scale = apply(y, scale)
+            r = d_num * (scale // d_den)
+            if kind == "circle":
+                c, y = center[0], ()
+            else:
+                if kind == "interval":
+                    lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
+                else:
+                    w = w_num * (scale // w_den)
+                    lo = max(center[0] - r, scale - w)
+                    hi = min(center[0] + r, scale + w)
+                span = hi - lo
+                low_bit = span & -span
+                grow = TWO53 // low_bit if low_bit < TWO53 else 1
+                y = (lo * grow + (span * grow >> 53) * next(draws),)
+                scale *= grow
+                c, r = center[-1] * grow, r * grow
+            if kind != "interval":
+                k = next(draws)
+                y += ((c - r + (2 * r >> 53) * k) % scale if 2 * r < scale
+                      else k * (scale >> 53),)
             nums.append(y)
             scales.append(scale)
             yield y, scale

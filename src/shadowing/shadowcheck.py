@@ -16,22 +16,26 @@ when a caller reads a set's ``fragments``.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
 alone: the map walks the linear pieces of each fragment of A_n and clips
 each image piece to the ball as it is made, and only when more than one
-piece is left are they put in normal form.
+piece is left are they put in normal form. While A_n has one fragment,
+as the shipped runs' shadow sets do, the step holds it as bare integers
+and calls the map's step for the current units (``image_step``), kept
+while the units stay; a set of several fragments takes the generic step,
+``image_in_ball``, on the same arithmetic.
 A pull-back step takes the preimages of its point on a scale that grows
 by the slope numerators, and reads each on the shadow set's own unit by
-one division (``EnclosureSet.first_inside``), so no fragment is lifted to
-the growing scale. A re-check step applies the map on the integer lattice
-and compares the orbit point with the trajectory point by
-cross-multiplying their scales (``orbit_tracks``): no gcd, no table and
-no lifted point.
+one division, comparing it inline with the set's arc, segment or box, so
+no fragment is lifted to the growing scale. A re-check step applies the
+map on the integer lattice and compares the orbit point with the
+trajectory point by cross-multiplying their scales (``orbit_tracks``): no
+gcd, no table and no lifted point.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
 A closed-form span criterion for rotations (``rotation_first_failure``)
 cross-checks the propagation. The tests keep a float grid search
 (``tests/grid_oracle.py``) and ``Fraction`` copies of the preimages, the
-set representative, the rotations' deviation lift and the verdict helpers
-(``tests/reference.py``).
+set representative and membership, the rotations' deviation lift and the
+verdict helpers (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class HorizonVerdicts:
     sets: list
 
 
-def shadow_sets(system, points, eps):
+def shadow_sets(system, points, eps) -> list:
     """The shadow sets A_0, A_1, ..., up to and including the first empty
     one, of points given as (numerators, scale) pairs. A point is read only
     when its set is built, so a ``LatticeWalk`` samples none after that.
@@ -95,9 +99,13 @@ def shadow_sets(system, points, eps):
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map). The map walks the pieces of A_{n-1} and
     clips each image piece to the ball as it is made, over the lcm of the
-    image's unit and P_n, W_n (``image_in_ball``); only more than one
-    clipped piece is normalized. A generated trajectory's scales nest, so
-    W_n is P_n and no step needs a gcd. Otherwise (points read from a
+    image's unit and P_n, W_n; only more than one clipped piece is
+    normalized. A one-fragment A_{n-1} goes through the map's
+    ``image_step`` for its unit and P_n, made again only when either
+    changes, so doubling and the rotations make it once per trajectory;
+    a larger one through ``image_in_ball``. The fragment cap is read at
+    every step. A generated trajectory's scales nest, so W_n is P_n and
+    no step needs a gcd. Otherwise (points read from a
     file, say) A_n is reduced by one gcd, so its unit never exceeds the
     lcm of the denominators that A_{n-1} and the ball really carry. eps
     is converted to integers once.
@@ -105,10 +113,11 @@ def shadow_sets(system, points, eps):
     if eps <= 0:
         raise DomainError("eps must be positive")
     eps = frac(eps)
-    space = system.space
+    space, image_step = system.space, system.image_step
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
-    prev = point_scale = None
+    sets, nums = [], None
+    point_scale = step_u = step_unit = None
     for y, s in points:
         if s != point_scale:
             # a generated annulus scale doubles every step, and base
@@ -118,16 +127,32 @@ def shadow_sets(system, points, eps):
         if lift != 1:
             y = tuple(c * lift for c in y)
         ball = enclosure._ball(space, y, radius, unit)
-        if prev is None:
-            nxt = EnclosureSet(space, (ball,), unit)
+        if nums is None:
+            nums, u = (ball,), unit
+        elif len(nums) > 1:
+            nums, u = system.image_in_ball(nums, u, ball, unit)
         else:
-            nxt = system.image_in_ball(prev, ball, unit)
-            if nxt.unit != unit:
-                nxt = nxt.reduced(base)
-        yield nxt
-        if nxt.is_empty():
-            return
-        prev = nxt
+            # the one-fragment step: the map's step for these units, kept
+            # while they stay, and no normal form unless it cuts pieces
+            if u != step_u or unit != step_unit:
+                step_u, step_unit = u, unit
+                step, w = image_step(u, unit)
+            if w != unit:
+                ball = tuple(c * (w // unit) for c in ball)
+            pieces, raw = step(nums[0], ball)
+            if raw > enclosure.DEFAULT_FRAGMENT_CAP:
+                system.apply_set(EnclosureSet(space, nums, u))
+            if len(pieces) > 1:
+                pieces = enclosure._make(space, pieces, w).nums
+            nums, u = pieces, w
+        nxt = EnclosureSet(space, nums, u)
+        if u != unit:
+            nxt = nxt.reduced(base)
+        nums, u = nxt.nums, nxt.unit
+        sets.append(nxt)
+        if not nums:
+            break
+    return sets
 
 
 def shadow_set_forward(system, traj: Pseudotrajectory,
@@ -135,7 +160,7 @@ def shadow_set_forward(system, traj: Pseudotrajectory,
     """The N + 1 shadow sets A_0, ..., A_N: ``shadow_sets``, with the first
     empty set repeated for the remaining steps (an empty set stays empty)."""
     points = traj.scaled
-    sets = list(shadow_sets(system, zip(points.nums, points.scales), eps))
+    sets = shadow_sets(system, zip(points.nums, points.scales), eps)
     sets.extend([sets[-1]] * (len(points) - len(sets)))
     return sets
 
@@ -175,13 +200,33 @@ def pull_back_witness(system, sets, m):
     the set, which exact sets rule out (A_n lies in the image of A_{n-1}).
 
     A step is the map's ``preimages_scaled``, whose scale grows by the
-    slope numerators, and ``first_inside``, which reads each candidate
-    over A_n's own unit by one division; only the witness is turned into
-    Fractions."""
+    slope numerators, and a test of each candidate against the fragments
+    of A_n, read inline on A_n's own unit: a coordinate c becomes
+    floor(c * unit / scale), one short of its fragment's upper end when
+    the division leaves a remainder (the value then lies strictly inside
+    the next lattice cell). So no fragment is lifted to the growing
+    scale, and only the witness is turned into Fractions."""
     x, scale = sets[m].pick_scaled()
+    preimages, kind = system.preimages_scaled, system.space.kind
     for n in range(m - 1, -1, -1):
-        candidates, scale = system.preimages_scaled(x, scale)
-        x = sets[n].first_inside(candidates, scale)
+        candidates, scale = preimages(x, scale)
+        frags, unit = sets[n].nums, sets[n].unit
+        x = None
+        for p in candidates:
+            a, rem = divmod(p[0] * unit, scale)
+            short = 1 if rem else 0
+            if kind == "annulus":
+                b, rem = divmod(p[1] * unit, scale)
+                b_short = 1 if rem else 0
+            for f in frags:
+                if (kind == "circle" and (a - f[0]) % unit <= f[1] - short
+                        or kind != "circle" and f[0] <= a <= f[1] - short
+                        and (kind == "interval"
+                             or (b - f[2]) % unit <= f[3] - b_short)):
+                    x = p
+                    break
+            if x is not None:
+                break
         if x is None:
             return None
     return tuple(Fraction(c, scale) for c in x)
@@ -200,7 +245,7 @@ def horizon_verdicts(system, sets, points: ScaledPoints, eps,
     always yield a witness that passes, so a failure is a bug and raises
     ``InvariantViolation`` rather than a verdict.
     """
-    first_empty = next((n for n, s in enumerate(sets) if s.is_empty()), None)
+    first_empty = next((n for n, s in enumerate(sets) if not s.nums), None)
     verdicts = tuple(
         Verdict.NO if first_empty is not None and m >= first_empty
         else Verdict.YES for m in horizons)

@@ -17,15 +17,16 @@ Points enter and leave as ``Fraction`` coordinates (``canonical``,
 common denominator, the point's *scale*: ``ScaledPoints`` holds a
 sequence of such points and builds a point's Fractions only when it is
 read, ``scaled_point(point, base)`` puts a point on the lattice of a
-map whose parameters live over ``base``, ``sample_scaled`` draws a point
-of a ball, ``beyond`` compares a distance with a bound and ``net_runs``
-finds the net balls around a point or fragment, all by integer floors,
-ceilings and cross-multiplied comparisons. The net's grid layout is
+map whose parameters live over ``base``, ``beyond`` compares a distance
+with a bound and ``net_runs`` finds the net balls around a point or
+fragment, all by integer floors, ceilings and cross-multiplied
+comparisons. The net's grid layout is
 known here alone: ``net_center`` builds a center, ``net_runs`` inverts
 the layout.
 The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
-so a step at a new scale reads no ``Fraction``. The tests hold the sampler
-to a ``Fraction`` copy of it (``tests/reference.py``).
+so a step at a new scale reads no ``Fraction``; the sampler, which draws
+a point of a ball on the same integers, is the loop of
+``pseudotraj.LatticeWalk``.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ class ScaledPoints(Sequence):
         return tuple(Fraction(c, scale) for c in self.nums[i])
 
 
-def _sample_arc_scaled(center, radius, scale, k):
-    if 2 * radius >= scale:
-        return k * (scale >> 53)
-    return (center - radius + (2 * radius >> 53) * k) % scale
-
-
 @dataclass(frozen=True)
 class Space:
     """A compact metric space with a reference measure.
@@ -184,45 +179,6 @@ class Space:
             return True
         t = (a[1] * a_lift - b[1] * b_lift) % unit
         return t > bound and unit - t > bound
-
-    # -- sampling --------------------------------------------------------
-
-    def sample_scaled(self, center, scale: int, r: int, draws) -> tuple:
-        """A point drawn uniformly (w.r.t. the reference measure) from the
-        r-ball around center intersected with the space, from one uniform
-        double per coordinate.
-
-        ``center`` and the radius ``r`` are integer numerators over
-        ``scale``; each uniform is taken from ``draws`` as the integer k of
-        its double k / 2**53. Returns the point's numerators and scale:
-        lo + (hi - lo) * k / 2**53 on the truncated segment [lo, hi], and
-        center - r + 2r * k / 2**53 mod 1 on an arc (k / 2**53 where the
-        arc is the whole circle). ``scale`` must be a multiple of 2**53
-        and of the denominator of w, which is read from ``w_ratio``, so no
-        ``Fraction`` is touched. An untruncated step keeps the scale; a
-        step truncated at a boundary multiplies it by the power of two, at
-        most 2**53, that keeps the draw exact.
-        """
-        if self.kind == "circle":
-            return (_sample_arc_scaled(center[0], r, scale, next(draws)),), \
-                scale
-        if self.kind == "interval":
-            lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
-        else:
-            w_num, w_den = self.w_ratio
-            w = w_num * (scale // w_den)
-            lo = max(center[0] - r, scale - w)
-            hi = min(center[0] + r, scale + w)
-        span = hi - lo
-        low_bit = span & -span
-        grow = TWO53 // low_bit if low_bit < TWO53 else 1
-        x = lo * grow + (span * grow >> 53) * next(draws)
-        scale *= grow
-        if self.kind == "interval":
-            return (x,), scale
-        theta = _sample_arc_scaled(center[1] * grow, r * grow, scale,
-                                   next(draws))
-        return (x, theta), scale
 
     # -- covers ----------------------------------------------------------
 

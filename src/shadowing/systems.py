@@ -14,15 +14,19 @@ is ``unit`` times the lcm of the slope denominators (images) or numerators
 (preimages), so integer-slope maps keep the scale. No method builds a
 table for the unit: a piecewise-linear map reads its parameters over the
 lattice base and scales them by k = unit / lattice_base as it goes.
-``image_in_ball`` is the shadow-set step, ``intersect(apply_set(A), B)``
-for a ball B given as one fragment: each map walks the linear pieces of
-every fragment of A on those parameters and clips each image arc, segment
-or box to B as it is made, so only pieces that can overlap are put in
-normal form. ``apply_set`` is the same walk with the whole space as the
-ball. The public ``apply`` puts a point on the lattice and reads
-``apply_scaled`` back as ``Fraction`` values. Each map converts its
-``Fraction`` parameters to integers once, when it is built, so evaluating
-at a new scale reads no ``Fraction``.
+``image_step`` holds each map's set arithmetic: for the units of a set
+and of a ball it gives one step, which walks the linear pieces of a
+fragment on those parameters and clips each image arc, segment or box to
+the ball as it is made. ``clip_image`` takes every fragment of a set
+through it. ``image_in_ball`` is the generic shadow-set step,
+``intersect(apply_set(A), B)`` for a ball B given as one fragment, on
+bare integers: only pieces that can overlap are put in normal form.
+``shadowcheck.shadow_sets`` calls the step itself while a shadow set has
+one fragment, and ``image_in_ball`` otherwise. ``apply_set`` is the same
+walk with the whole space as the ball. The public ``apply`` puts a point
+on the lattice and reads ``apply_scaled`` back as ``Fraction`` values.
+Each map converts its ``Fraction`` parameters to integers once, when it is
+built, so evaluating at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -54,32 +58,52 @@ def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     which clips nothing. A set whose unit is not a multiple of the lattice
     base is lifted to the lcm of the two first."""
     space = system.space
-    u = s.unit
+    if s.space is not space and s.space != space:
+        raise UsageError("enclosure set belongs to a different space")
+    nums, u = s.nums, s.unit
     if u % system.lattice_base:
         u = math.lcm(u, system.lattice_base)
-        s = EnclosureSet(space, enclosure._lift(s.nums, u // s.unit), u)
+        nums = enclosure._lift(nums, u // s.unit)
     whole = enclosure._ball(space, (u, 0) if space.kind == "annulus"
                             else (0,), u, u)
-    pieces, _, out = system.clip_image(s, whole, u)
+    pieces, _, out = system.clip_image(nums, u, whole, u)
     return enclosure._make(space, pieces, out)
 
 
-def _image_in_ball(system, s: EnclosureSet, ball, unit) -> EnclosureSet:
-    """intersect(apply_set(s), B) for the ball B given as its one fragment
-    ``ball``, numerators over ``unit``: the same set over the same unit
-    (the lcm of the image's unit and ``unit``), and the same cap error.
+def _clip_image(system, nums, u, ball, unit) -> tuple:
+    """(pieces, raw, W): every fragment of ``nums`` over ``u`` through the
+    map's ``image_step``, with the ball fragment ``ball`` over ``unit``
+    lifted to W once; raw counts the image pieces before clipping."""
+    step, w = system.image_step(u, unit)
+    if unit != w:
+        ball = tuple(c * (w // unit) for c in ball)
+    pieces, raw = [], 0
+    for f in nums:
+        got, n = step(f, ball)
+        pieces += got
+        raw += n
+    return pieces, raw, w
 
-    Only an image with more raw pieces than the fragment cap can have a
-    normal form above it, so only such an image is normalized alone,
-    failing as ``apply_set`` would. One clipped piece is a normal form
-    already; more are normalized once. Both read the cap at call time. The
-    unit of s is a multiple of the lattice base, as a shadow set's is."""
-    pieces, raw, out = system.clip_image(s, ball, unit)
+
+def _image_in_ball(system, nums, u, ball, unit) -> tuple:
+    """The shadow-set step on bare integers: (fragments, W) of
+    intersect(apply_set(A), B) for the set A of the normal-form fragments
+    ``nums`` over ``u`` (a multiple of the lattice base, as a shadow set's
+    unit is) and the ball B given as its one fragment ``ball`` over
+    ``unit``: the same set over the same unit, the lcm of the image's unit
+    and ``unit``, and the same cap error.
+
+    One clipped piece is a normal form as it stands and is the next set;
+    only more pieces are put in normal form (``enclosure._make``). Only an
+    image with more raw pieces than the fragment cap can have a normal
+    form above it, so only such an image is normalized alone, failing as
+    ``apply_set`` would. Both read the cap at call time."""
+    pieces, raw, w = system.clip_image(nums, u, ball, unit)
     if raw > enclosure.DEFAULT_FRAGMENT_CAP:
-        system.apply_set(s)
+        system.apply_set(EnclosureSet(system.space, nums, u))
     if len(pieces) > 1:
-        return enclosure._make(system.space, pieces, out)
-    return EnclosureSet(system.space, pieces, out)
+        return enclosure._make(system.space, pieces, w).nums, w
+    return tuple(pieces), w
 
 
 @dataclass(frozen=True)
@@ -187,55 +211,64 @@ class PiecewiseLinearMap:
             return (v % out,), out
         return (v,), out
 
-    def clip_image(self, s: EnclosureSet, ball, unit) -> tuple:
-        """(pieces, raw, W): the image of the integer set s, each image
-        piece clipped to the ball fragment ``ball`` (numerators over
-        ``unit``) as it is made, all over W = lcm(s.unit * q, unit), and
-        the number of image pieces before clipping.
+    def image_step(self, u, unit) -> tuple:
+        """(step, W): step(fragment, ball) is (pieces, raw), the image of
+        one fragment over ``u``, each image piece clipped to the ball
+        fragment ``ball`` (numerators over W = lcm(u * q, unit)) as it is
+        made, and the number of image pieces before clipping.
 
-        A fragment of s is walked from the piece of its start through the
+        A fragment is walked from the piece of its start through the
         corners it crosses (``_cuts``); an arc on the lift of the map to
-        twice the unit. With k = s.unit / lattice_base and m = W / (s.unit
-        * q), the corner (b, j, v) lies at b * k and goes to v * W /
-        lattice_base; the start x of piece i goes to consts[i] * k * m +
-        slopes[i] * m * x, and a point past a corner moves from its image
-        by the slope times m, so no table is built for the unit. Each
-        linear piece of an arc gives one image arc, and a segment one
-        image segment."""
-        if s.space is not self.space and s.space != self.space:
-            raise UsageError("enclosure set belongs to a different space")
+        twice the unit. With k = u / lattice_base and m = W / (u * q), the
+        corner (b, j, v) lies at b * k and goes to v * W / lattice_base;
+        the start x of piece i goes to consts[i] * k * m + slopes[i] * m *
+        x, and a point past a corner moves from its image by the slope
+        times m, so no table is built for the unit; the products by k * m
+        are taken once, when the step is made. Each linear piece of an arc
+        gives one image arc, and a segment one image segment."""
         bps, q, slopes, consts = self._lattice
-        base, n, cuts = self.lattice_base, len(bps), self._cuts
-        u = s.unit
+        n, cuts = len(bps), self._cuts
         out = u * q
         w = out if unit == out else math.lcm(out, unit)
-        km = k = u // base
+        km = k = u // self.lattice_base
         if w != out:
             m = w // out
             km, slopes = k * m, tuple(sl * m for sl in slopes)
-        if unit != w:
-            ball = tuple(c * (w // unit) for c in ball)
-        vk = km * q
-        pieces = []
+        vk, consts = km * q, tuple(c * km for c in consts)
+
         if self.space.kind == "interval":
-            for lo, hi in s.nums:
+            def step(frag, ball):
+                lo, hi = frag
                 i = bisect_right(bps, lo // k) - 1 if n > 1 else 0
                 x, sl = lo, slopes[i]
-                a = b = fx = consts[i] * km + sl * lo
+                a = b = fx = consts[i] + sl * lo
                 for c, j, v in cuts[i:]:
                     if c * k >= hi:
                         break
                     x, sl, fx = c * k, slopes[j], v * vk
                     a, b = min(a, fx), max(b, fx)
                 fx += sl * (hi - x)
-                pieces += _intersect_segs((min(a, fx), max(b, fx)), ball)
-            return pieces, len(s.nums), w
-        raw = 0
-        for start, length in s.nums:
+                return _intersect_segs((min(a, fx), max(b, fx)), ball), 1
+            return step, w
+
+        if not cuts:  # one linear piece (doubling, a rotation): one image arc
+            c0, s0 = consts[0], slopes[0]
+
+            def step(frag, ball):
+                start, length = frag
+                fx, fl = c0 + s0 * start, s0 * length
+                if fl < 0:
+                    fx, fl = fx + fl, -fl
+                return _intersect_arcs((fx % w, fl), ball, w), 1
+            return step, w
+
+        def step(frag, ball):
+            start, length = frag
             end = start + length
             i = bisect_right(bps, start // k) - 1 if n > 1 else 0
             x, sl = start, slopes[i]
-            fx = consts[i] * km + sl * start
+            fx = consts[i] + sl * start
+            pieces, raw = [], 1
             for c, j, v in cuts[i:]:
                 if c * k >= end:
                     break
@@ -246,9 +279,10 @@ class PiecewiseLinearMap:
                 raw += 1
             fv = fx + sl * (end - x)
             lo, hi = (fx, fv) if fx <= fv else (fv, fx)
-            pieces += _intersect_arcs((lo % w, hi - lo), ball, w)
-            raw += 1
-        return pieces, raw, w
+            return pieces + _intersect_arcs((lo % w, hi - lo), ball, w), raw
+        return step, w
+
+    clip_image = _clip_image
 
     apply_set = _apply_set
 
@@ -325,27 +359,24 @@ class AnnulusSpiral:
         r, theta = point
         return (out + p * (r - unit), (theta * q + a * (out // b)) % out), out
 
-    def clip_image(self, s: EnclosureSet, ball, unit) -> tuple:
-        """(pieces, raw, W): the image of the integer set s, one box per
-        box of s, each clipped to the ball fragment ``ball`` (numerators
-        over ``unit``) as it is made, over W = lcm(s.unit * q, unit), and
-        the number of image boxes before clipping."""
-        if s.space is not self.space and s.space != self.space:
-            raise UsageError("enclosure set belongs to a different space")
+    def image_step(self, u, unit) -> tuple:
+        """(step, W): step(box, ball) is ([the image of the box over ``u``
+        clipped to the ball fragment ``ball``], 1), both over W = lcm(u *
+        q, unit): one image box per box."""
         p, q, a, b = self._lattice
-        u = s.unit
         out = u * q
         w = out if unit == out else math.lcm(out, unit)
         m = w // out
-        if unit != w:
-            ball = tuple(c * (w // unit) for c in ball)
         lam, lift, alpha = p * m, q * m, a * (w // b)
-        pieces = []
-        for rlo, rhi, start, length in s.nums:
-            pieces += _intersect_boxes(
+
+        def step(box, ball):
+            rlo, rhi, start, length = box
+            return _intersect_boxes(
                 (w + lam * (rlo - u), w + lam * (rhi - u),
-                 (start * lift + alpha) % w, length * lift), ball, w)
-        return pieces, len(s.nums), w
+                 (start * lift + alpha) % w, length * lift), ball, w), 1
+        return step, w
+
+    clip_image = _clip_image
 
     image_in_ball = _image_in_ball
 

@@ -4,12 +4,12 @@ The package computes on integer numerators over a common denominator, its
 scale. Every routine here computes on ``Fraction`` values directly: the
 metric, nets, ball measures and uniform samples of the spaces, map
 evaluation from a piecewise-linear map's breakpoints, values and slopes,
-pointwise preimages, orbits, prefixes and splicing of pseudotrajectories,
-set representatives, the rotations' deviation lift and the closed-form
-verdicts. The cover search's scan for a net ball outside the image takes
-one ball and one intersection of the package's sets per center. The
-tests compare the integer paths with these; nothing in the package calls
-them.
+the image of a fragment, pointwise preimages, orbits, prefixes and
+splicing of pseudotrajectories, set representatives and membership, the
+rotations' deviation lift and the closed-form verdicts. The cover
+search's scan for a net ball outside the image takes one ball and one
+intersection of the package's sets per center. The tests compare the
+integer paths with these; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def sample_uniform_ball(space, center, radius, draws):
 
     Consumes exactly one uniform double per coordinate, so prefixes of a
     stream reproduce regardless of later draws. Coordinates are exact
-    Fractions of the drawn doubles; ``Space.sample_scaled`` draws the same
+    Fractions of the drawn doubles; ``LatticeWalk`` draws the same
     point on the integer lattice.
     """
     if radius <= 0:
@@ -163,6 +163,37 @@ def apply(system, point):
     return (v % 1,) if system.space.kind == "circle" else (v,)
 
 
+def image_pieces(system, frag) -> list:
+    """The image of one fragment of ``Fraction`` coordinates, as raw
+    fragments: a box goes to one box; an arc or segment is cut at every
+    breakpoint inside it (on the circle's lift over two turns) and each
+    part goes to the arc or segment between its ends' values under
+    ``apply``'s lines, lifted by the degree per turn."""
+    if isinstance(system, AnnulusSpiral):
+        rlo, rhi, s, l = frag
+        return [(1 + system.lam * (rlo - 1), 1 + system.lam * (rhi - 1),
+                 (s + system.alpha) % 1, l)]
+    bps, vals, slopes = system.breakpoints, piece_values(system), system.slopes
+    circle = system.space.kind == "circle"
+
+    def lifted(x):
+        turn, r = divmod(x, 1) if circle else (0, x)
+        i = bisect_right(bps, r) - 1
+        return vals[i] + slopes[i] * (r - bps[i]) + turn * (
+            vals[-1] - vals[0])
+
+    lo, hi = (frag[0], frag[0] + frag[1]) if circle else frag
+    cuts = [b + turn for turn in (0, 1) for b in bps]
+    ends = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+    pieces = []
+    for a, b in zip(ends, ends[1:]):
+        fa, fb = sorted((lifted(a), lifted(b)))
+        pieces.append((fa % 1, fb - fa) if circle else (fa, fb))
+    if circle:
+        return pieces
+    return [(min(p[0] for p in pieces), max(p[1] for p in pieces))]
+
+
 def preimages(system, point) -> list:
     """All solutions of apply(x) == point, canonical and sorted: the
     map's ``preimages_scaled`` over the lcm of the point's denominators
@@ -191,6 +222,21 @@ def pick_point(s):
     start: ``EnclosureSet.pick_scaled`` as Fractions."""
     nums, scale = s.pick_scaled()
     return tuple(Fraction(c, scale) for c in nums)
+
+
+def contains(s, point) -> bool:
+    """Whether the point of rationals lies in the enclosure set s, read
+    from its ``Fraction`` fragments: ``shadowcheck.pull_back_witness``
+    tests its candidates the same way on integers."""
+    kind = s.space.kind
+    for f in s.fragments:
+        if kind == "circle":
+            if (point[0] - f[0]) % 1 <= f[1]:
+                return True
+        elif f[0] <= point[0] <= f[1] and (
+                kind == "interval" or (point[1] - f[2]) % 1 <= f[3]):
+            return True
+    return False
 
 
 # -- pseudotrajectories ------------------------------------------------------

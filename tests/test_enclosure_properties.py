@@ -20,6 +20,8 @@ from hypothesis import given, strategies as st
 from shadowing import EnclosureCapError, annulus, circle, intersect, interval
 from shadowing import enclosure as enc
 from shadowing import pwl
+from shadowing.shadowcheck import pull_back_witness
+from reference import contains, image_pieces, pick_point, preimages
 from test_lattice import PROPERTY, SYSTEMS
 
 SPACES = {"circle": circle(), "interval": interval(), "annulus": annulus(F(1, 2))}
@@ -174,7 +176,7 @@ def test_l_shaped_union_has_one_normal_form():
 def test_contains_matches_brute_force(kind, data):
     raw, es = draw_set(kind, data, "a")
     for p in probe_points(kind, data, raw):
-        assert es.contains(p) == brute_contains(kind, raw, p), p
+        assert contains(es, p) == brute_contains(kind, raw, p), p
 
 
 def points_in(kind, frags, data):
@@ -205,8 +207,8 @@ def test_image_of_a_set_contains_the_images_of_its_points(name, data):
     s = enc.make(system.space, data.draw(RAW[kind], label="s"))
     image = system.apply_set(s)
     for x in points_in(kind, s.fragments, data):
-        assert s.contains(x), x
-        assert image.contains(system.apply(x)), x
+        assert contains(s, x), x
+        assert contains(image, system.apply(x)), x
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -218,8 +220,8 @@ def test_intersect_is_commutative_and_pointwise(kind, data):
     ab = intersect(a, b)
     assert ab.fragments == intersect(b, a).fragments
     for p in probe_points(kind, data, raw_a, raw_b):
-        assert ab.contains(p) == (brute_contains(kind, raw_a, p)
-                                  and brute_contains(kind, raw_b, p)), p
+        assert contains(ab, p) == (brute_contains(kind, raw_a, p)
+                                   and brute_contains(kind, raw_b, p)), p
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -244,7 +246,9 @@ def test_intersection_measure_is_at_most_the_smaller(kind, data):
 
 
 # every shipped map, plus a circle map with two pieces and a negative slope
-STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)])}
+# and one with a single piece of negative slope, which reverses every arc
+STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)]),
+                "pwl-flip": pwl([(0, -2)])}
 
 
 def draw_ball(space, data):
@@ -334,7 +338,8 @@ def test_one_step_equals_image_then_intersect(name, data):
     space = system.space
 
     def fused():
-        return system.image_in_ball(a, ball, ball_unit)
+        return enc.EnclosureSet(space, *system.image_in_ball(
+            a.nums, a.unit, ball, ball_unit))
 
     def composed():
         return intersect(system.apply_set(a),
@@ -344,3 +349,74 @@ def test_one_step_equals_image_then_intersect(name, data):
     for cap in (0, 1, 2):
         with mock.patch.object(enc, "DEFAULT_FRAGMENT_CAP", cap):
             assert outcome(fused) == outcome(composed), cap
+
+
+def draw_small_step(name, data):
+    """``draw_step`` for a set A of one or two fragments: the first one or
+    two of a drawn normal form, put in normal form again."""
+    system, a, ball, ball_unit = draw_step(name, data)
+    keep = data.draw(st.sampled_from([1, 2]), label="fragments kept")
+    a = enc._make(a.space, list(a.nums[:keep]), a.unit)
+    return system, a, ball, ball_unit
+
+
+def ball_over(space, unit, data):
+    """The fragment of a ball around a random point of the lattice over
+    ``unit``, with a radius over ``unit`` (on the annulus ``unit`` is a
+    multiple of the denominator of w)."""
+    x = data.draw(st.integers(0, unit - 1), label="center over unit")
+    r = data.draw(st.integers(1, unit), label="radius over unit")
+    if space.kind == "annulus":
+        w_num, w_den = space.w_ratio
+        w = w_num * (unit // w_den)
+        x = (data.draw(st.integers(unit - w, unit + w), label="r"), x)
+    else:
+        x = (x,)
+    return enc._ball(space, x, r, unit)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+@PROPERTY
+@given(data=st.data())
+def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
+    """One step of the map's ``image_step``, kept for every fragment of A
+    and for a second ball over the same unit as ``shadow_sets`` keeps it,
+    gives the image of each fragment (``reference.image_pieces``) clipped
+    to the ball. The union over A is the generic step's set over the same
+    unit, and a fragment that the step leaves whole is that set as it
+    stands."""
+    system, a, ball, ball_unit = draw_small_step(name, data)
+    space = system.space
+    step, w = system.image_step(a.unit, ball_unit)
+    for ball in (ball, ball_over(space, ball_unit, data)):
+        lifted = tuple(c * (w // ball_unit) for c in ball)
+        clip = enc.EnclosureSet(space, (lifted,), w)
+        pieces = []
+        for frag, values in zip(a.nums, a.fragments):
+            got, raw = step(frag, lifted)
+            image = enc.make(space, image_pieces(system, values))
+            assert enc._make(space, got, w) == intersect(image, clip)
+            assert raw >= 1
+            pieces += got
+        nums, unit = system.image_in_ball(a.nums, a.unit, ball, ball_unit)
+        assert (enc._make(space, pieces, w).nums, w) == (nums, unit)
+        if len(pieces) == 1:
+            assert tuple(pieces) == nums
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+@PROPERTY
+@given(data=st.data())
+def test_a_pull_back_step_keeps_the_first_preimage_in_the_set(name, data):
+    """``pull_back_witness`` over A_0 = A and A_1 = the step's set: the
+    first preimage of A_1's representative, in increasing order, that
+    ``reference.contains`` puts in A, as Fractions."""
+    system, a, ball, ball_unit = draw_small_step(name, data)
+    space = system.space
+    image = enc.EnclosureSet(space, *system.image_in_ball(
+        a.nums, a.unit, ball, ball_unit))
+    if image.is_empty():
+        return
+    x = pick_point(image)
+    want = next(p for p in preimages(system, x) if contains(a, p))
+    assert pull_back_witness(system, [a, image], 1) == want

@@ -21,7 +21,8 @@ from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.shadowcheck import pull_back_witness
 
-from reference import apply, pick_point, preimages, sample_uniform_ball
+from reference import (apply, contains, pick_point, preimages,
+                       sample_uniform_ball)
 
 SYSTEMS = {
     "doubling": doubling(),
@@ -64,7 +65,7 @@ def reference_sets(system, points, eps):
 def reference_witness(system, sets, m):
     x = pick_point(sets[m])
     for n in range(m - 1, -1, -1):
-        x = next(p for p in preimages(system, x) if sets[n].contains(p))
+        x = next(p for p in preimages(system, x) if contains(sets[n], p))
     return x
 
 
@@ -146,6 +147,19 @@ def test_pwl_lattice_equals_fractions(data):
 @given(data=st.data())
 def test_circle_pwl_lattice_equals_fractions(data):
     lattice_matches_fractions("circle-pwl", data)
+
+
+def test_a_step_of_half_a_turn_or_more_draws_a_uniform_angle():
+    """d >= 1/2 makes every angular draw the whole circle, k / 2**53, as
+    the ``Fraction`` chain draws it; on the annulus the radial draw is
+    truncated to the band at every step."""
+    for name in ("doubling", "rotation", "spiral"):
+        system = SYSTEMS[name]
+        y0 = (F(7, 5), F(0)) if name == "spiral" else (F(3, 10),)
+        for d in (F(1, 2), F(3, 4)):
+            traj = generate(system, y0, d, 20, trial_stream(5))
+            assert traj.points == reference_chain(system, y0, d, 20,
+                                                  trial_stream(5)), (name, d)
 
 
 def test_empty_tails_match_the_full_walk():

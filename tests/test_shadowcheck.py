@@ -19,9 +19,10 @@ from shadowing.pseudotraj import Pseudotrajectory, Provenance
 from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
-from reference import (dist, exact_orbit, first_empty_step, orbit, prefix,
-                       rotation_lift_first_failure, rotation_oracle,
+from reference import (contains, dist, exact_orbit, first_empty_step, orbit,
+                       prefix, rotation_lift_first_failure, rotation_oracle,
                        signed_circ_diff)
+from test_lattice import reference_sets
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -70,20 +71,26 @@ def test_worst_case_sets_shrink_linearly_then_empty():
 
 
 def count_propagation_calls(monkeypatch, system) -> dict:
-    """Count the balls built and the images taken from here on."""
+    """Count the balls built and the fragments imaged from here on: each
+    call of a step that the map's ``image_step`` gives images one
+    fragment."""
     calls = {"ball": 0, "image": 0}
-    ball, image = enclosure._ball, type(system).image_in_ball
+    ball, image_step = enclosure._ball, type(system).image_step
 
     def counted_ball(*args):
         calls["ball"] += 1
         return ball(*args)
 
-    def counted_image(self, *args):
-        calls["image"] += 1
-        return image(self, *args)
+    def counted_image_step(self, *args):
+        step, w = image_step(self, *args)
+
+        def counted_step(*step_args):
+            calls["image"] += 1
+            return step(*step_args)
+        return counted_step, w
 
     monkeypatch.setattr(enclosure, "_ball", counted_ball)
-    monkeypatch.setattr(type(system), "image_in_ball", counted_image)
+    monkeypatch.setattr(type(system), "image_step", counted_image_step)
     return calls
 
 
@@ -105,6 +112,7 @@ def test_propagation_stops_at_first_empty_set(monkeypatch, case):
     assert first_empty_step(system, traj, EPS) == first
     calls = count_propagation_calls(monkeypatch, system)
     sets = shadow_set_forward(system, traj, EPS)
+    assert all(s.fragment_count() == 1 for s in sets[:first])
     assert calls == {"ball": first + 1, "image": first}
     assert len(sets) == traj.horizon + 1
     assert not sets[first - 1].is_empty()
@@ -136,7 +144,7 @@ def test_doubling_exact_orbit_sets_stay_full_balls():
     # expanding map regenerates the whole tolerance ball each step
     for y, a in zip(traj.points, sets):
         assert a.measure() == 2 * EPS
-        assert a.contains(y)
+        assert contains(a, y)
 
 
 def test_shadow_sets_prefix_independent():
@@ -158,8 +166,8 @@ def test_set_recursion_containments():
             ball = ball_set(system.space, traj.points[n], EPS)
             image = system.apply_set(sets[n - 1])
             for p in fragment_points(sets[n], rng):
-                assert ball.contains(p)
-                assert image.contains(p)
+                assert contains(ball, p)
+                assert contains(image, p)
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -486,3 +494,52 @@ def test_orbit_tracks_rejects_one_lattice_unit_past_eps(system, x0, eps,
             for given in (points, ScaledPoints.from_points(points)):
                 assert orbit_tracks(system, given, x0, eps) is tracks, \
                     (k, excess, type(given))
+
+
+# -- a pull-back step reads its candidates on the set's unit ------------------
+
+@pytest.mark.parametrize("case", ["circle", "interval", "annulus-angle",
+                                  "annulus-radius"])
+def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
+    """A set over unit 10 and a point whose preimage lies 1/100 past the
+    end of a fragment, inside the lattice cell that the fragment's end
+    starts: the pull-back reads that candidate as outside, and keeps the
+    next one inside (on the circle and interval) or finds none."""
+    if case == "circle":
+        system, frags, point = DBL, [(F(0), F(3, 10)), (F(4, 5), F(1, 10))], \
+            (F(31, 50),)
+        want = (F(81, 100),)  # 31/100 lies past [0, 3/10]
+    elif case == "interval":
+        system, frags, point = tent(2), [(F(0), F(3, 10)),
+                                         (F(3, 5), F(7, 10))], (F(31, 50),)
+        want = (F(69, 100),)
+    else:
+        alpha = SPIRAL.alpha
+        if case == "annulus-angle":
+            frags, point = [(F(1, 2), F(3, 2), F(0), F(3, 10))], \
+                (F(1), (F(31, 100) + alpha) % 1)
+        else:
+            frags, point = [(F(1, 2), F(13, 10), F(0), F(1, 2))], \
+                (F(1) + F(31, 200), F(1, 5) + alpha)
+        system, want = SPIRAL, None
+    a = enclosure.make(system.space, frags)
+    b = enclosure.make(system.space, [
+        (point[0], 0) if case == "circle" else (point[0], point[0])
+        if case == "interval" else (point[0], point[0], point[1], 0)])
+    assert a.unit == 10 and shadowcheck.pull_back_witness(
+        system, [a, b], 1) == want
+
+
+def test_the_step_is_made_again_for_a_new_ball_unit():
+    """Stored doubling points over the scales 8, 8, 6, 6, 6, so balls of
+    radius 1/4 over 8, 8, 12, 12, 12: A_1 keeps the unit 8 of A_0 while
+    the ball around y_2 is over 12, so the step that A_1 takes is made for
+    the new pair of units."""
+    points = ScaledPoints.from_points([(F(7, 8),), (F(1, 2),), (F(5, 6),),
+                                       (F(1, 2),), (F(1, 3),)])
+    assert points.scales == [8, 8, 6, 6, 6]
+    sets = shadowcheck.shadow_sets(DBL, zip(points.nums, points.scales),
+                                   F(1, 4))
+    assert [s.unit for s in sets[:2]] == [8, 8]
+    ref = reference_sets(DBL, tuple(points), F(1, 4))
+    assert [s.fragments for s in sets] == [s.fragments for s in ref]

@@ -8,6 +8,7 @@ and the check stops there. The references here sample every point with
 ``generate`` and decide with ``decide_horizons``, as ``check`` does.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,12 +18,13 @@ from hypothesis import given, strategies as st
 from shadowing import (ExperimentConfig, InvariantViolation,
                        attractor_quantities, decide_horizons, enclosure,
                        experiment, generate, parse_system, trial_stream)
+from shadowing.enclosure import EnclosureSet
 from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
 from shadowing.pseudotraj import LatticeWalk
-from shadowing.spaces import Space
+from shadowing.shadowcheck import pull_back_witness, shadow_sets
 
-from test_lattice import PROPERTY, SYSTEMS
+from test_lattice import PROPERTY, SYSTEMS, reference_witness, start_point
 
 STARTS = {
     "doubling": ((F(3, 10),), F(1, 50)),
@@ -79,16 +81,38 @@ def test_streamed_cap_errors_equal_whole_trajectory(monkeypatch):
     assert got == whole_trajectory_outcome(SYSTEMS["rotation"], cfg, 0)
 
 
+class SampledSteps:
+    """The steps that trials sampled: the draws their walks read from
+    their streams, ndim per step."""
+
+    def __init__(self):
+        self.draws = self.ndim = 0
+
+    def __len__(self):
+        assert self.draws % self.ndim == 0
+        return self.draws // self.ndim
+
+    def clear(self):
+        self.draws = 0
+
+
 def count_samples(monkeypatch):
-    calls = []
-    original = Space.sample_scaled
+    """Count the steps that ``_run_trial`` samples from here on, by the
+    draws its walk reads from the trial's stream."""
+    steps = SampledSteps()
 
-    def counting(self, *args):
-        calls.append(1)
-        return original(self, *args)
+    class CountingWalk(LatticeWalk):
+        def __init__(self, system, y0, d, n, rng):
+            def counted():
+                for k in rng:
+                    steps.draws += 1
+                    yield k
 
-    monkeypatch.setattr(Space, "sample_scaled", counting)
-    return calls
+            steps.ndim = system.space.ndim
+            super().__init__(system, y0, d, n, counted())
+
+    monkeypatch.setattr(experiment, "LatticeWalk", CountingWalk)
+    return steps
 
 
 def test_a_no_trial_samples_only_to_its_first_empty_step(monkeypatch):
@@ -109,6 +133,87 @@ def test_an_all_yes_trial_samples_every_step(monkeypatch):
     out = _run_trial(cfg.system, cfg, 0)
     assert out.verdicts == ("Yes",)
     assert len(calls) == 200
+
+
+# -- the one-fragment step ----------------------------------------------------
+
+def generic_sets(system, points, eps):
+    """``shadow_sets`` with every step through the generic
+    ``image_in_ball``, on the same units: the reference for its
+    one-fragment step."""
+    space = system.space
+    base = math.lcm(eps.denominator, system.lattice_base)
+    sets = []
+    for y, s in zip(points.nums, points.scales):
+        unit = math.lcm(s, base)
+        ball = enclosure._ball(space, tuple(c * (unit // s) for c in y),
+                               eps.numerator * (unit // eps.denominator),
+                               unit)
+        if sets:
+            nxt = EnclosureSet(space, *system.image_in_ball(
+                sets[-1].nums, sets[-1].unit, ball, unit))
+        else:
+            nxt = EnclosureSet(space, (ball,), unit)
+        sets.append(nxt if nxt.unit == unit else nxt.reduced(base))
+        if nxt.is_empty():
+            break
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@PROPERTY
+@given(data=st.data())
+def test_the_one_fragment_step_equals_the_generic_step(name, data):
+    """A trial's shadow sets, sampled and propagated as ``_run_trial``
+    does, are the generic step's, fragment for fragment and unit for
+    unit, and the witness pulled back through them is the one that the
+    ``Fraction`` preimages and membership of ``tests/reference.py`` give.
+    The larger eps and d cut the sets of the two-piece maps into several
+    fragments."""
+    system = SYSTEMS[name]
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    n = data.draw(st.integers(0, 60), label="n")
+    d = data.draw(st.sampled_from([F(1, 50), F(1, 7), F(1, 5)]), label="d")
+    eps = data.draw(st.sampled_from([F(1, 20), F(6, 25), F(2, 5)]),
+                    label="eps")
+    walk = LatticeWalk(system, start_point(system, data), d, n,
+                       trial_stream(seed))
+    sets = shadow_sets(system, iter(walk), eps)
+    want = generic_sets(system, walk.taken, eps)
+    assert [(s.nums, s.unit) for s in sets] == \
+        [(s.nums, s.unit) for s in want]
+    m = len(sets) - 1 - sets[-1].is_empty()
+    if m >= 0:
+        assert pull_back_witness(system, sets, m) == \
+            reference_witness(system, want, m)
+
+
+def test_multi_fragment_sets_fall_back_mid_trial(monkeypatch):
+    """A two-piece circle map at large d and eps: one-fragment steps that
+    cut several pieces are normalized, and sets of several fragments take
+    the generic step, within trials that equal the whole-trajectory
+    decision."""
+    cfg = ExperimentConfig(system_spec="pwl:0:5/2,2/5:5/3", y0=(F(3, 10),),
+                           d=F(1, 5), eps=F(6, 25), horizons=(10, 50, 100),
+                           trials=10, seed=7)
+    system = cfg.system
+    calls = {"make": 0, "generic": 0}
+    make, generic = enclosure._make, type(system).image_in_ball
+
+    def counted_make(*args):
+        calls["make"] += 1
+        return make(*args)
+
+    def counted_generic(self, *args):
+        calls["generic"] += 1
+        return generic(self, *args)
+
+    monkeypatch.setattr(enclosure, "_make", counted_make)
+    monkeypatch.setattr(type(system), "image_in_ball", counted_generic)
+    for trial in range(cfg.trials):
+        got = _run_trial(system, cfg, trial)
+        assert got == whole_trajectory_outcome(system, cfg, trial)
+    assert calls["make"] > calls["generic"] > 0
 
 
 # -- the annulus band check ---------------------------------------------------
