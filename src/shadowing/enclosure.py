@@ -31,10 +31,9 @@ only through ``EnclosureSet.fragments`` and ``measure``, which build the
 over the lcm of the two.
 
 A single fragment is a normal form as it stands, once a full arc is
-written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``
-and each map's ``image_in_ball``) relies on that, clipping every image
-piece to the ball fragment of ``_ball`` and calling ``_make`` only when
-more than one piece is left.
+written ``(0, unit)``; the shadow-set step (``systems._step_image``)
+relies on that, clipping every image piece to the ball fragment of
+``_ball`` and calling ``_make`` only when more than one piece is left.
 
 Every set equals the abstract set it stands for. A normal form with more
 fragments than the fragment cap raises a resource error that carries the
@@ -71,10 +70,10 @@ def _intersect_arcs(a, b, unit):
         return [a]
     t = (s2 - s1) % unit  # b starts t into a, or t - unit before it
     out = []
-    hi = t + l2 if t + l2 < l1 else l1
+    hi = min(t + l2, l1)
     if t <= hi:
         out.append(((s1 + t) % unit, hi - t))
-    hi = t - unit + l2 if t - unit + l2 < l1 else l1
+    hi = min(t - unit + l2, l1)
     if hi >= 0:
         out.append((s1 % unit, hi))
     return out

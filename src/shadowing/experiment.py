@@ -34,7 +34,7 @@ from .binomial import clopper_pearson
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
 # generate, orbit_tracks, pull_back_witness and shadow_set_forward are
 # not called here: a trial's walk feeds shadow_sets, which takes each
-# one-fragment step on bare integers, and horizon_verdicts pulls the
+# step on bare integers, and horizon_verdicts pulls the
 # witness back and re-checks it through shadowcheck's own names. They
 # stay importable here because bench/probes.py looks all four up here
 from .pseudotraj import LatticeWalk, generate, trial_stream

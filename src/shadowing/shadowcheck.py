@@ -14,13 +14,10 @@ common denominator, the scale (see ``shadow_sets``), and so does the
 rotations' closed form below; Fractions appear only in the witness and
 when a caller reads a set's ``fragments``.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
-alone: the map walks the linear pieces of each fragment of A_n and clips
-each image piece to the ball as it is made, and only when more than one
-piece is left are they put in normal form. While A_n has one fragment,
-as the shipped runs' shadow sets do, the step holds it as bare integers
-and calls the map's step for the current units (``image_step``), kept
-while the units stay; a set of several fragments takes the generic step,
-``image_in_ball``, on the same arithmetic.
+alone, on bare integers: the map's step for the two units
+(``image_step``), kept while they stay, walks the linear pieces of each
+fragment of A_n and clips each image piece to the ball as it is made,
+and only when more than one piece is left are they put in normal form.
 A pull-back step takes the preimages of its point on a scale that grows
 by the slope numerators, and reads each on the shadow set's own unit by
 one division, comparing it inline with the set's arc, segment or box, so
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import enclosure
+from . import enclosure, systems
 from .enclosure import EnclosureSet
 from .errors import DomainError, InvariantViolation, UsageError
 from .pseudotraj import Pseudotrajectory
@@ -100,20 +97,20 @@ def shadow_sets(system, points, eps) -> list:
     lattice_base of the map). The map walks the pieces of A_{n-1} and
     clips each image piece to the ball as it is made, over the lcm of the
     image's unit and P_n, W_n; only more than one clipped piece is
-    normalized. A one-fragment A_{n-1} goes through the map's
-    ``image_step`` for its unit and P_n, made again only when either
-    changes, so doubling and the rotations make it once per trajectory;
-    a larger one through ``image_in_ball``. The fragment cap is read at
-    every step. A generated trajectory's scales nest, so W_n is P_n and
-    no step needs a gcd. Otherwise (points read from a
-    file, say) A_n is reduced by one gcd, so its unit never exceeds the
-    lcm of the denominators that A_{n-1} and the ball really carry. eps
-    is converted to integers once.
+    normalized (``systems._step_image``). The map's step for the unit of
+    A_{n-1} and P_n (``image_step``) is made again only when either
+    changes, so doubling and the rotations make it once per trajectory.
+    The fragment cap is read at every step. A generated trajectory's
+    scales nest, so W_n is P_n and no step needs a gcd. Otherwise (points
+    read from a file, say) A_n is reduced by one gcd, so its unit never
+    exceeds the lcm of the denominators that A_{n-1} and the ball really
+    carry. eps is converted to integers once.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     eps = frac(eps)
     space, image_step = system.space, system.image_step
+    step_image = systems._step_image
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
     sets, nums = [], None
@@ -129,22 +126,12 @@ def shadow_sets(system, points, eps) -> list:
         ball = enclosure._ball(space, y, radius, unit)
         if nums is None:
             nums, u = (ball,), unit
-        elif len(nums) > 1:
-            nums, u = system.image_in_ball(nums, u, ball, unit)
         else:
-            # the one-fragment step: the map's step for these units, kept
-            # while they stay, and no normal form unless it cuts pieces
+            # the map's step for these units, kept while they stay
             if u != step_u or unit != step_unit:
                 step_u, step_unit = u, unit
                 step, w = image_step(u, unit)
-            if w != unit:
-                ball = tuple(c * (w // unit) for c in ball)
-            pieces, raw = step(nums[0], ball)
-            if raw > enclosure.DEFAULT_FRAGMENT_CAP:
-                system.apply_set(EnclosureSet(space, nums, u))
-            if len(pieces) > 1:
-                pieces = enclosure._make(space, pieces, w).nums
-            nums, u = pieces, w
+            nums, u = step_image(system, step, w, nums, u, ball, unit)
         nxt = EnclosureSet(space, nums, u)
         if u != unit:
             nxt = nxt.reduced(base)
@@ -212,21 +199,39 @@ def pull_back_witness(system, sets, m):
         candidates, scale = preimages(x, scale)
         frags, unit = sets[n].nums, sets[n].unit
         x = None
-        for p in candidates:
-            a, rem = divmod(p[0] * unit, scale)
-            short = 1 if rem else 0
-            if kind == "annulus":
-                b, rem = divmod(p[1] * unit, scale)
-                b_short = 1 if rem else 0
-            for f in frags:
-                if (kind == "circle" and (a - f[0]) % unit <= f[1] - short
-                        or kind != "circle" and f[0] <= a <= f[1] - short
-                        and (kind == "interval"
-                             or (b - f[2]) % unit <= f[3] - b_short)):
-                    x = p
+        if kind == "circle":
+            for p in candidates:
+                a, rem = divmod(p[0] * unit, scale)
+                short = 1 if rem else 0
+                for s, l in frags:
+                    if (a - s) % unit <= l - short:
+                        x = p
+                        break
+                if x:
                     break
-            if x is not None:
-                break
+        elif kind == "interval":
+            for p in candidates:
+                a, rem = divmod(p[0] * unit, scale)
+                short = 1 if rem else 0
+                for lo, hi in frags:
+                    if lo <= a <= hi - short:
+                        x = p
+                        break
+                if x:
+                    break
+        else:
+            for p in candidates:
+                r, rem = divmod(p[0] * unit, scale)
+                r_short = 1 if rem else 0
+                theta, rem = divmod(p[1] * unit, scale)
+                theta_short = 1 if rem else 0
+                for rlo, rhi, s, l in frags:
+                    if (rlo <= r <= rhi - r_short
+                            and (theta - s) % unit <= l - theta_short):
+                        x = p
+                        break
+                if x:
+                    break
         if x is None:
             return None
     return tuple(Fraction(c, scale) for c in x)

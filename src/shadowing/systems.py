@@ -17,14 +17,14 @@ lattice base and scales them by k = unit / lattice_base as it goes.
 ``image_step`` holds each map's set arithmetic: for the units of a set
 and of a ball it gives one step, which walks the linear pieces of a
 fragment on those parameters and clips each image arc, segment or box to
-the ball as it is made. ``clip_image`` takes every fragment of a set
-through it. ``image_in_ball`` is the generic shadow-set step,
+the ball as it is made. ``_step_image`` is the shadow-set step,
 ``intersect(apply_set(A), B)`` for a ball B given as one fragment, on
-bare integers: only pieces that can overlap are put in normal form.
-``shadowcheck.shadow_sets`` calls the step itself while a shadow set has
-one fragment, and ``image_in_ball`` otherwise. ``apply_set`` is the same
-walk with the whole space as the ball. The public ``apply`` puts a point
-on the lattice and reads ``apply_scaled`` back as ``Fraction`` values.
+bare integers: it takes every fragment of A through one such step, and
+only pieces that can overlap are put in normal form.
+``shadowcheck.shadow_sets`` keeps the step while the units stay.
+``apply_set`` is the same walk with the whole space as the ball. The
+public ``apply`` puts a point on the lattice and reads ``apply_scaled``
+back as ``Fraction`` values.
 Each map converts its ``Fraction`` parameters to integers once, when it is
 built, so evaluating at a new scale reads no ``Fraction``.
 """
@@ -64,17 +64,28 @@ def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     if u % system.lattice_base:
         u = math.lcm(u, system.lattice_base)
         nums = enclosure._lift(nums, u // s.unit)
-    whole = enclosure._ball(space, (u, 0) if space.kind == "annulus"
-                            else (0,), u, u)
-    pieces, _, out = system.clip_image(nums, u, whole, u)
+    step, out = system.image_step(u, u)
+    whole = enclosure._ball(space, (out, 0) if space.kind == "annulus"
+                            else (0,), out, out)
+    pieces = [p for f in nums for p in step(f, whole)[0]]
     return enclosure._make(space, pieces, out)
 
 
-def _clip_image(system, nums, u, ball, unit) -> tuple:
-    """(pieces, raw, W): every fragment of ``nums`` over ``u`` through the
-    map's ``image_step``, with the ball fragment ``ball`` over ``unit``
-    lifted to W once; raw counts the image pieces before clipping."""
-    step, w = system.image_step(u, unit)
+def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
+    """The shadow-set step on bare integers: (fragments, W) of
+    intersect(apply_set(A), B) for the set A of the normal-form fragments
+    ``nums`` over ``u`` (a multiple of the lattice base, as a shadow set's
+    unit is) and the ball B given as its one fragment ``ball`` over
+    ``unit``, with (step, W) the map's ``image_step(u, unit)``: the same
+    set over the same unit, the lcm of the image's unit and ``unit``, and
+    the same cap error.
+
+    The ball is lifted to W once and every fragment goes through the
+    step. One clipped piece is a normal form as it stands and is the next
+    set; only more pieces are put in normal form (``enclosure._make``).
+    Only an image with more raw pieces than the fragment cap can have a
+    normal form above it, so only such an image is normalized alone,
+    failing as ``apply_set`` would. Both read the cap at call time."""
     if unit != w:
         ball = tuple(c * (w // unit) for c in ball)
     pieces, raw = [], 0
@@ -82,23 +93,6 @@ def _clip_image(system, nums, u, ball, unit) -> tuple:
         got, n = step(f, ball)
         pieces += got
         raw += n
-    return pieces, raw, w
-
-
-def _image_in_ball(system, nums, u, ball, unit) -> tuple:
-    """The shadow-set step on bare integers: (fragments, W) of
-    intersect(apply_set(A), B) for the set A of the normal-form fragments
-    ``nums`` over ``u`` (a multiple of the lattice base, as a shadow set's
-    unit is) and the ball B given as its one fragment ``ball`` over
-    ``unit``: the same set over the same unit, the lcm of the image's unit
-    and ``unit``, and the same cap error.
-
-    One clipped piece is a normal form as it stands and is the next set;
-    only more pieces are put in normal form (``enclosure._make``). Only an
-    image with more raw pieces than the fragment cap can have a normal
-    form above it, so only such an image is normalized alone, failing as
-    ``apply_set`` would. Both read the cap at call time."""
-    pieces, raw, w = system.clip_image(nums, u, ball, unit)
     if raw > enclosure.DEFAULT_FRAGMENT_CAP:
         system.apply_set(EnclosureSet(system.space, nums, u))
     if len(pieces) > 1:
@@ -282,11 +276,7 @@ class PiecewiseLinearMap:
             return pieces + _intersect_arcs((lo % w, hi - lo), ball, w), raw
         return step, w
 
-    clip_image = _clip_image
-
     apply_set = _apply_set
-
-    image_in_ball = _image_in_ball
 
     def preimages_scaled(self, point, unit) -> tuple:
         """All solutions of apply(x) == point for numerators over an
@@ -375,10 +365,6 @@ class AnnulusSpiral:
                 (w + lam * (rlo - u), w + lam * (rhi - u),
                  (start * lift + alpha) % w, length * lift), ball, w), 1
         return step, w
-
-    clip_image = _clip_image
-
-    image_in_ball = _image_in_ball
 
     apply_set = _apply_set
 

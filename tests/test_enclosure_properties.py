@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from shadowing import EnclosureCapError, annulus, circle, intersect, interval
 from shadowing import enclosure as enc
-from shadowing import pwl
+from shadowing import pwl, systems
 from shadowing.shadowcheck import pull_back_witness
 from reference import contains, image_pieces, pick_point, preimages
 from test_lattice import PROPERTY, SYSTEMS
@@ -327,6 +327,12 @@ def outcome(step):
     return s.nums, s.unit
 
 
+def image_in_ball(system, nums, u, ball, unit):
+    """The shadow-set step with a step of the map made for it alone."""
+    step, w = system.image_step(u, unit)
+    return systems._step_image(system, step, w, nums, u, ball, unit)
+
+
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
 @PROPERTY
 @given(data=st.data())
@@ -338,8 +344,8 @@ def test_one_step_equals_image_then_intersect(name, data):
     space = system.space
 
     def fused():
-        return enc.EnclosureSet(space, *system.image_in_ball(
-            a.nums, a.unit, ball, ball_unit))
+        return enc.EnclosureSet(space, *image_in_ball(
+            system, a.nums, a.unit, ball, ball_unit))
 
     def composed():
         return intersect(system.apply_set(a),
@@ -382,9 +388,9 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
     """One step of the map's ``image_step``, kept for every fragment of A
     and for a second ball over the same unit as ``shadow_sets`` keeps it,
     gives the image of each fragment (``reference.image_pieces``) clipped
-    to the ball. The union over A is the generic step's set over the same
-    unit, and a fragment that the step leaves whole is that set as it
-    stands."""
+    to the ball. The union over A is the set of ``image_in_ball`` over
+    the same unit, and a fragment that the step leaves whole is that set
+    as it stands."""
     system, a, ball, ball_unit = draw_small_step(name, data)
     space = system.space
     step, w = system.image_step(a.unit, ball_unit)
@@ -398,7 +404,7 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
             assert enc._make(space, got, w) == intersect(image, clip)
             assert raw >= 1
             pieces += got
-        nums, unit = system.image_in_ball(a.nums, a.unit, ball, ball_unit)
+        nums, unit = image_in_ball(system, a.nums, a.unit, ball, ball_unit)
         assert (enc._make(space, pieces, w).nums, w) == (nums, unit)
         if len(pieces) == 1:
             assert tuple(pieces) == nums
@@ -413,8 +419,8 @@ def test_a_pull_back_step_keeps_the_first_preimage_in_the_set(name, data):
     ``reference.contains`` puts in A, as Fractions."""
     system, a, ball, ball_unit = draw_small_step(name, data)
     space = system.space
-    image = enc.EnclosureSet(space, *system.image_in_ball(
-        a.nums, a.unit, ball, ball_unit))
+    image = enc.EnclosureSet(space, *image_in_ball(
+        system, a.nums, a.unit, ball, ball_unit))
     if image.is_empty():
         return
     x = pick_point(image)

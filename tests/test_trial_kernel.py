@@ -17,13 +17,15 @@ from hypothesis import given, strategies as st
 
 from shadowing import (ExperimentConfig, InvariantViolation,
                        attractor_quantities, decide_horizons, enclosure,
-                       experiment, generate, parse_system, trial_stream)
+                       experiment, generate, parse_system, systems,
+                       trial_stream)
 from shadowing.enclosure import EnclosureSet
 from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
 from shadowing.pseudotraj import LatticeWalk
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
 
+from test_enclosure_properties import image_in_ball
 from test_lattice import PROPERTY, SYSTEMS, reference_witness, start_point
 
 STARTS = {
@@ -135,12 +137,12 @@ def test_an_all_yes_trial_samples_every_step(monkeypatch):
     assert len(calls) == 200
 
 
-# -- the one-fragment step ----------------------------------------------------
+# -- the kept step ------------------------------------------------------------
 
-def generic_sets(system, points, eps):
-    """``shadow_sets`` with every step through the generic
-    ``image_in_ball``, on the same units: the reference for its
-    one-fragment step."""
+def fresh_step_sets(system, points, eps):
+    """``shadow_sets`` with a step of the map made for every step alone
+    (``image_in_ball``), on the same units: the reference for the step
+    that ``shadow_sets`` keeps while the units stay."""
     space = system.space
     base = math.lcm(eps.denominator, system.lattice_base)
     sets = []
@@ -150,8 +152,8 @@ def generic_sets(system, points, eps):
                                eps.numerator * (unit // eps.denominator),
                                unit)
         if sets:
-            nxt = EnclosureSet(space, *system.image_in_ball(
-                sets[-1].nums, sets[-1].unit, ball, unit))
+            nxt = EnclosureSet(space, *image_in_ball(
+                system, sets[-1].nums, sets[-1].unit, ball, unit))
         else:
             nxt = EnclosureSet(space, (ball,), unit)
         sets.append(nxt if nxt.unit == unit else nxt.reduced(base))
@@ -163,11 +165,12 @@ def generic_sets(system, points, eps):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @PROPERTY
 @given(data=st.data())
-def test_the_one_fragment_step_equals_the_generic_step(name, data):
+def test_the_kept_step_equals_a_fresh_step(name, data):
     """A trial's shadow sets, sampled and propagated as ``_run_trial``
-    does, are the generic step's, fragment for fragment and unit for
-    unit, and the witness pulled back through them is the one that the
-    ``Fraction`` preimages and membership of ``tests/reference.py`` give.
+    does, are those of a step made afresh at every step, fragment for
+    fragment and unit for unit, and the witness pulled back through them
+    is the one that the ``Fraction`` preimages and membership of
+    ``tests/reference.py`` give.
     The larger eps and d cut the sets of the two-piece maps into several
     fragments."""
     system = SYSTEMS[name]
@@ -179,7 +182,7 @@ def test_the_one_fragment_step_equals_the_generic_step(name, data):
     walk = LatticeWalk(system, start_point(system, data), d, n,
                        trial_stream(seed))
     sets = shadow_sets(system, iter(walk), eps)
-    want = generic_sets(system, walk.taken, eps)
+    want = fresh_step_sets(system, walk.taken, eps)
     assert [(s.nums, s.unit) for s in sets] == \
         [(s.nums, s.unit) for s in want]
     m = len(sets) - 1 - sets[-1].is_empty()
@@ -188,32 +191,31 @@ def test_the_one_fragment_step_equals_the_generic_step(name, data):
             reference_witness(system, want, m)
 
 
-def test_multi_fragment_sets_fall_back_mid_trial(monkeypatch):
-    """A two-piece circle map at large d and eps: one-fragment steps that
-    cut several pieces are normalized, and sets of several fragments take
-    the generic step, within trials that equal the whole-trajectory
-    decision."""
+def test_cut_images_are_normalized_mid_trial(monkeypatch):
+    """A two-piece circle map at large d and eps: steps that cut several
+    pieces are normalized, and sets of several fragments are stepped,
+    within trials that equal the whole-trajectory decision."""
     cfg = ExperimentConfig(system_spec="pwl:0:5/2,2/5:5/3", y0=(F(3, 10),),
                            d=F(1, 5), eps=F(6, 25), horizons=(10, 50, 100),
                            trials=10, seed=7)
     system = cfg.system
-    calls = {"make": 0, "generic": 0}
-    make, generic = enclosure._make, type(system).image_in_ball
+    calls = {"make": 0, "several": 0}
+    make, step_image = enclosure._make, systems._step_image
 
     def counted_make(*args):
         calls["make"] += 1
         return make(*args)
 
-    def counted_generic(self, *args):
-        calls["generic"] += 1
-        return generic(self, *args)
+    def counted_step_image(system, step, w, nums, *args):
+        calls["several"] += len(nums) > 1
+        return step_image(system, step, w, nums, *args)
 
     monkeypatch.setattr(enclosure, "_make", counted_make)
-    monkeypatch.setattr(type(system), "image_in_ball", counted_generic)
+    monkeypatch.setattr(systems, "_step_image", counted_step_image)
     for trial in range(cfg.trials):
         got = _run_trial(system, cfg, trial)
         assert got == whole_trajectory_outcome(system, cfg, trial)
-    assert calls["make"] > calls["generic"] > 0
+    assert calls["make"] > calls["several"] > 0
 
 
 # -- the annulus band check ---------------------------------------------------
