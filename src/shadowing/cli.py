@@ -9,7 +9,6 @@ taking precedence. Numbers are parsed exactly: "0.02" means 1/50 and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .experiment import (ExperimentConfig, emit, estimate_probability,
                          run_dichotomy_experiment)
 from .pseudotraj import (Provenance, generate, load_trajectory,
                          save_trajectory, trial_stream)
-from .rationals import frac, json_text, jsonable, parse_point
+from .rationals import frac, json_object, json_text, jsonable, parse_point
 from .shadowcheck import decide_shadowable
 from .systems import AnnulusSpiral, parse_system
 
@@ -59,14 +58,13 @@ def _add_config_flags(p):
 def _merge_config(args, defaults=None) -> dict:
     data = dict(defaults or {})
     if args.config:
-        with open(args.config) as fh:
-            data.update(json.load(fh))
+        data.update(json_object(args.config))
     for key in ("system", "y0", "d", "eps", "trials", "seed", "out"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
     if getattr(args, "horizons", None):
-        data["horizons"] = [int(h) for h in str(args.horizons).split(",")]
+        data["horizons"] = args.horizons.split(",")
     return data
 
 
@@ -124,10 +122,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
-    loaded = {}
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+    loaded = json_object(args.config) if args.config else {}
     data = {branch: {**defaults, **loaded.get(branch, {})}
             for branch, defaults in DEFAULT_DICHOTOMY.items()}
     cfg_a = ExperimentConfig.from_dict(data["shadowing"])

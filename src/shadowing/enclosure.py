@@ -8,13 +8,11 @@ of fragments whose interiors are pairwise disjoint:
   arcs touch;
 * interval: segments ``(lo, hi)`` with 0 <= lo <= hi <= 1; no two
   segments touch;
-* annulus: boxes ``(rlo, rhi, astart, alength)``, a radial segment crossed
-  with an angular arc. Cutting the circle at every angle where the radial
-  section of the set changes gives maximal angular slabs, and each slab
-  holds one box per radial segment of its section (a slab that is the
-  whole circle holds full rings ``(rlo, rhi, 0, 1)``). Each cut angle
-  keeps, as zero-width boxes ``(rlo, rhi, angle, 0)``, the segments of
-  its section that its two neighbouring slabs do not cover.
+* annulus: boxes ``(rlo, rhi, astart, alength)``: one radial segment,
+  shared by every box, times the circle's normal form of their arcs (the
+  whole circle gives the full ring ``(rlo, rhi, 0, 1)``). Every annulus
+  set is such a product, since a ball of the max metric is a box and the
+  spiral's images and all intersections keep products.
 
 Each form depends only on the point set, so ``EnclosureSet.__eq__``, which
 compares fragments, is equality of sets, however the fragments given to
@@ -148,50 +146,16 @@ def _intersect_boxes(a, b, unit):
 
 
 def _normalize_boxes(boxes, unit):
-    """The box normal form of the module doc, by one angular sweep."""
-    kept = []
-    for rlo, rhi, s, l in boxes:
-        if rlo > rhi or l < 0:
-            continue
-        kept.append((rlo, rhi, 0, unit) if l >= unit
-                    else (rlo, rhi, s % unit, l))
-    if len(kept) <= 1:
-        return kept
-    # cut the circle at every box end; a wrapping box splits at 0
-    pieces = []
-    for rlo, rhi, s, l in kept:
-        if s + l > unit:
-            pieces += [(rlo, rhi, s, unit), (rlo, rhi, 0, s + l - unit)]
-        else:
-            pieces.append((rlo, rhi, s, s + l))
-    cuts = sorted({0, unit, *chain.from_iterable(p[2:] for p in pieces)})
-    at = {c: i for i, c in enumerate(cuts)}
-    gaps = [[] for _ in cuts[1:]]  # radial segments over (cuts[k], cuts[k+1])
-    points = [[] for _ in cuts]    # radial segments at the angle cuts[k]
-    for rlo, rhi, a, b in pieces:
-        i, j = at[a], at[b]
-        for k in range(i, j):
-            gaps[k].append((rlo, rhi))
-        for k in range(i, j + 1):
-            points[k].append((rlo, rhi))
-    points[0] += points.pop()  # the angle unit is the angle 0
-    gaps = [tuple(_normalize_segs(g)) for g in gaps]
-    runs = []  # maximal angular slabs [start, end, radial segments]
-    for lo, hi, segs in zip(cuts, cuts[1:], gaps):
-        if runs and runs[-1][2] == segs:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi, segs])
-    if len(runs) > 1 and runs[0][2] == runs[-1][2]:
-        runs[-1][1] = unit + runs.pop(0)[1]
-    out = [(rlo, rhi, lo, hi - lo) for lo, hi, segs in runs
-           for rlo, rhi in segs]
-    # a cut keeps the radial segments its two neighbouring slabs leave out
-    for k, c in enumerate(cuts[:-1]):
-        covered = _normalize_segs(gaps[k - 1] + gaps[k])
-        out += [(rlo, rhi, c, 0) for rlo, rhi in _normalize_segs(points[k])
-                if (rlo, rhi) not in covered]
-    return sorted(out)
+    """The box normal form of the module doc: the one radial segment of
+    the nonempty boxes times the normal form of their arcs."""
+    kept = [b for b in boxes if b[0] <= b[1] and b[3] >= 0]
+    if not kept:
+        return []
+    rlo, rhi = kept[0][:2]
+    if any(b[:2] != (rlo, rhi) for b in kept):
+        raise UsageError("annulus boxes must share one radial segment")
+    return [(rlo, rhi, s, l)
+            for s, l in _normalize_arcs([b[2:] for b in kept], unit)]
 
 
 _INTERSECT = {"circle": _intersect_arcs, "interval": _intersect_segs,
@@ -291,8 +255,11 @@ def make(space: Space, fragments) -> EnclosureSet:
     EnclosureSet over the lcm of their denominators.
 
     Overlapping or touching fragments are merged exactly (see the module
-    doc). Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call time, it
-    fails with ``EnclosureCapError``, whose ``partial`` is the exact set.
+    doc). On the annulus the nonempty boxes must share one radial segment,
+    as every annulus set does: boxes stacked radially are a
+    ``UsageError``. Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call
+    time, it fails with ``EnclosureCapError``, whose ``partial`` is the
+    exact set.
     """
     frags = [tuple(f) for f in fragments]
     nums, unit = scaled_point([c for f in frags for c in f])

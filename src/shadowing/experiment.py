@@ -77,19 +77,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config of a dict of config keys; a missing key or a value
+        that cannot be read is a ``UsageError``."""
         if data.get("mode", "exact") != "exact":
             raise UsageError(f"checker mode {data['mode']!r} is not "
                              "supported; every check is exact")
-        return cls(
-            system_spec=data["system"],
-            y0=parse_point(data["y0"]),
-            d=frac(data["d"]),
-            eps=frac(data["eps"]),
-            horizons=tuple(int(h) for h in data.get("horizons", [])),
-            trials=int(data.get("trials", 1)),
-            seed=int(data.get("seed", 0)),
-            out=data.get("out"),
-        )
+        try:
+            spec, y0, d, eps = (data[k] for k in ("system", "y0", "d", "eps"))
+            horizons = tuple(int(h) for h in data.get("horizons", []))
+            trials, seed = int(data.get("trials", 1)), int(data.get("seed", 0))
+        except KeyError as exc:
+            raise UsageError(f"config needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise UsageError("horizons, trials and seed must be integers: "
+                             f"{exc}") from exc
+        return cls(spec, parse_point(y0), frac(d), frac(eps), horizons,
+                   trials, seed, data.get("out"))
 
     def to_jsonable(self) -> dict:
         return {

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import operator
 import re
@@ -30,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, UsageError
-from .rationals import frac, json_text
+from .rationals import frac, json_object, json_text
 from .spaces import TWO53, Point, ScaledPoints, scaled_point
 
 
@@ -316,19 +315,20 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
 
 
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
-    """Read a trajectory written by save_trajectory; returns (traj, system_spec)."""
+    """Read a trajectory written by save_trajectory; returns (traj,
+    system_spec). A sidecar that is not a JSON object with "system" and
+    "d", or a coordinate that ``Fraction`` rejects, is a ``UsageError``."""
     base = Path(base)
-    with open(base.with_suffix(".json")) as fh:
-        sidecar = json.load(fh)
+    sidecar = json_object(base.with_suffix(".json"), ("system", "d"))
     with open(base.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        ncoords = len(header) - 1
+        # an empty file has no points, which Pseudotrajectory refuses
+        ncoords = len(next(reader, ["n"])) - 1
         points = ScaledPoints.nested(
             _scaled_row(row[1:1 + ncoords]) for row in reader)
     prov = Provenance(sidecar.get("provenance", "loaded"),
                       sidecar.get("seed"), sidecar.get("trial"))
-    traj = Pseudotrajectory(points, Fraction(sidecar["d"]), prov)
+    traj = Pseudotrajectory(points, frac(sidecar["d"]), prov)
     return traj, sidecar["system"]
 
 
@@ -338,12 +338,13 @@ _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 def _scaled_row(tokens) -> tuple:
     """(numerators, scale) of a stored point, as ``scaled_point`` gives it
     for ``Fraction(token)``: an integer or a ratio with a nonzero
-    denominator is parsed to ints, any other token by ``Fraction``."""
+    denominator is parsed to ints, any other token by ``frac``, so a token
+    that ``Fraction`` rejects is a ``UsageError``."""
     ratios = []
     for token in tokens:
         m = _INT_RATIO.fullmatch(token)
         if m is None:
-            c = Fraction(token)
+            c = frac(token)
             num, den = c.numerator, c.denominator
         else:
             num, den = int(m[1]), int(m[2] or 1)

@@ -15,28 +15,31 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .errors import UsageError
+
 
 def frac(value) -> Fraction:
     """Convert a user-facing value to an exact Fraction.
 
     Accepts Fraction, int, decimal or 'a/b' strings, and floats (routed
-    through their shortest decimal repr).
+    through their shortest decimal repr). Any other value, or a string
+    that ``Fraction`` rejects, is a ``UsageError``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not numeric values")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if isinstance(value, (float, str)):
+        try:
+            return Fraction(str(value).strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"not a rational number: {value!r}") from exc
+    raise UsageError(f"cannot interpret {value!r} as an exact rational")
 
 
 def parse_point(text) -> tuple:
-    """Parse a point given as 'x' or 'x,y' (parentheses tolerated)."""
+    """Parse a point given as 'x' or 'x,y' (parentheses tolerated); a
+    coordinate ``frac`` cannot read is a ``UsageError``."""
     if isinstance(text, (tuple, list)):
         return tuple(frac(c) for c in text)
     s = str(text).strip().strip("()")
@@ -46,6 +49,22 @@ def parse_point(text) -> tuple:
 def point_text(point) -> str:
     """A point's coordinates as 'a/b' strings, for messages: '(3/10, 0)'."""
     return "(" + ", ".join(str(frac(c)) for c in point) + ")"
+
+
+def json_object(path, keys=()) -> dict:
+    """The JSON object in the file at ``path``, holding ``keys``; any
+    other content is a ``UsageError``."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: not a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise UsageError(f"{path}: no {', '.join(missing)}")
+    return data
 
 
 def json_text(payload) -> str:

@@ -268,7 +268,9 @@ def horizon_verdicts(system, sets, points: ScaledPoints, eps,
 
 def decide_horizons(system, traj: Pseudotrajectory, eps,
                     horizons) -> HorizonVerdicts:
-    """``horizon_verdicts`` on all N + 1 sets of a whole trajectory."""
+    """``horizon_verdicts`` on all N + 1 sets of a whole trajectory, whose
+    points are first checked to lie in the space (``Space.check_scaled``)."""
+    system.space.check_scaled(traj.scaled)
     return horizon_verdicts(system, shadow_set_forward(system, traj, eps),
                             traj.scaled, eps, horizons)
 

@@ -17,12 +17,12 @@ Points enter and leave as ``Fraction`` coordinates (``canonical``,
 common denominator, the point's *scale*: ``ScaledPoints`` holds a
 sequence of such points and builds a point's Fractions only when it is
 read, ``scaled_point(point, base)`` puts a point on the lattice of a
-map whose parameters live over ``base``, ``beyond`` compares a distance
-with a bound and ``net_runs`` finds the net balls around a point or
-fragment, all by integer floors, ceilings and cross-multiplied
-comparisons. The net's grid layout is
-known here alone: ``net_center`` builds a center, ``net_runs`` inverts
-the layout.
+map whose parameters live over ``base``, ``check_scaled`` tests that
+points lie in the space, ``beyond`` compares a distance with a bound and
+``net_runs`` finds the net balls around a point or fragment, all by
+integer floors, ceilings and cross-multiplied comparisons. The net's grid
+layout is known here alone: ``net_center`` builds a center, ``net_runs``
+inverts the layout.
 The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
 so a step at a new scale reads no ``Fraction``; the sampler, which draws
 a point of a ball on the same integers, is the loop of
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .rationals import frac
+from .rationals import frac, point_text
 
 HALF = Fraction(1, 2)
 
@@ -143,26 +143,38 @@ class Space:
     # -- points ---------------------------------------------------------
 
     def canonical(self, point) -> Point:
-        """Reduce a point to canonical coordinates, validating the domain.
-
-        Angular coordinates are reduced mod 1 into [0,1) (ties at the wrap
-        resolve to 0); bounded coordinates must already lie in range.
-        Numeric types are preserved.
+        """Reduce a point to canonical coordinates, validating the domain
+        (``check_scaled``): angular coordinates are reduced mod 1 into
+        [0,1) (ties at the wrap resolve to 0). Numeric types are preserved.
         """
-        if not isinstance(point, (tuple, list)) or len(point) != self.ndim:
-            raise UsageError(
-                f"{self.kind} points have {self.ndim} coordinate(s), got {point!r}")
-        if self.kind == "circle":
+        if not isinstance(point, (tuple, list)):
+            raise UsageError(f"a point is a tuple, got {point!r}")
+        if self.kind == "circle" and len(point) == 1:  # needs only its count
             return (point[0] % 1,)
+        self.check_scaled(ScaledPoints.from_points([point]))
         if self.kind == "interval":
-            x = point[0]
-            if not 0 <= x <= 1:
-                raise DomainError(f"interval coordinate {x} outside [0, 1]")
-            return (x,)
-        r, theta = point
-        if not 1 - self.w <= r <= 1 + self.w:
-            raise DomainError(f"radial coordinate {r} outside the annulus band")
-        return (r, theta % 1)
+            return tuple(point)
+        return (point[0], point[1] % 1)
+
+    def check_scaled(self, points: ScaledPoints) -> None:
+        """Raise unless every point, numerators over its scale, lies in the
+        space, by integer comparisons: ``UsageError`` for a wrong count of
+        coordinates, ``DomainError`` for an interval coordinate outside
+        [0, 1] or a radius outside the annulus band [1 - w, 1 + w]. Angles
+        wrap, so a circle point costs one ``len``."""
+        ndim = self.ndim
+        for n, y in enumerate(points.nums):
+            if len(y) != ndim:
+                raise UsageError(f"point {n}: {self.kind} points have "
+                                 f"{ndim} coordinate(s), got {len(y)}")
+        if self.kind == "circle":
+            return
+        w_num, w_den = self.w_ratio if self.kind == "annulus" else (0, 1)
+        for n, (y, s) in enumerate(zip(points.nums, points.scales)):
+            if (not 0 <= y[0] <= s if self.kind == "interval"
+                    else abs(y[0] - s) * w_den > w_num * s):
+                raise DomainError(f"point {n} {point_text(points[n])} lies "
+                                  f"outside the {self.kind}")
 
     # -- metric ---------------------------------------------------------
 

@@ -323,6 +323,102 @@ def test_a_file_that_cannot_be_read_or_written_exits_two(tmp_path, capsys,
         assert f"cannot write experiment outputs under {tmp_path}" in err
 
 
+def stored(tmp_path, sidecar, csv, name="hand"):
+    """A trajectory written by hand: its sidecar text and its CSV text."""
+    base = tmp_path / name
+    base.with_suffix(".json").write_text(sidecar)
+    base.with_suffix(".csv").write_text(csv)
+    return str(base)
+
+
+def malformed(tmp_path):
+    """argv that carry a number, a trajectory file or a config that cannot
+    be read, each with a part of the message it must exit 2 with."""
+    def estimate(**changed):
+        flags = {"--system": "doubling", "--y0": "0.3", "--d": "0.02",
+                 "--eps": "0.05", "--horizons": "5", "--trials": "1",
+                 **changed}
+        return ["estimate", *(c for item in flags.items() for c in item)]
+
+    def check(name, sidecar='{"system": "doubling", "d": "1/50"}',
+              token="1/3", eps="0.05"):
+        base = stored(tmp_path, sidecar, f"n,coord0\n0,1/3\n1,{token}\n",
+                      name)
+        return ["check", "--traj", base, "--eps", eps]
+
+    def config(name, text):
+        path = tmp_path / f"config-{name}.json"
+        path.write_text(text)
+        return ["estimate", "--config", str(path)]
+
+    good = {"system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
+            "horizons": [5], "trials": 1}
+    return {
+        "estimate-d-abc": (estimate(**{"--d": "abc"}),
+                           "not a rational number: 'abc'"),
+        "estimate-d-1/0": (estimate(**{"--d": "1/0"}),
+                           "not a rational number: '1/0'"),
+        "estimate-tent-s-x": (estimate(**{"--system": "tent:s=x"}),
+                              "not a rational number: 'x'"),
+        "estimate-horizons-10,x": (estimate(**{"--horizons": "10,x"}),
+                                   "must be integers: invalid literal"),
+        "check-eps-abc": (check("eps", eps="abc"),
+                          "not a rational number: 'abc'"),
+        "bounds-eps-abc": (["bounds", "--system", "doubling", "--d", "0.02",
+                            "--eps", "abc"], "not a rational number: 'abc'"),
+        "csv-abc": (check("abc", token="abc"),
+                    "not a rational number: 'abc'"),
+        "csv-1/0": (check("zero", token="1/0"),
+                    "not a rational number: '1/0'"),
+        "sidecar-not-json": (check("text", sidecar="{system: doubling"),
+                             "text.json: not valid JSON"),
+        "sidecar-without-d": (check("no-d", sidecar='{"system": "doubling"}'),
+                              "no-d.json: no d"),
+        "config-not-json": (config("text", "{trials: 1"),
+                            "config-text.json: not valid JSON"),
+        "config-trials-x": (config("x", json.dumps({**good, "trials": "x"})),
+                            "horizons, trials and seed must be integers"),
+        "config-without-d": (config("no-d", json.dumps(
+            {k: v for k, v in good.items() if k != "d"})), "config needs 'd'"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "estimate-d-abc", "estimate-d-1/0", "estimate-tent-s-x",
+    "estimate-horizons-10,x", "check-eps-abc", "bounds-eps-abc", "csv-abc",
+    "csv-1/0", "sidecar-not-json", "sidecar-without-d", "config-not-json",
+    "config-trials-x", "config-without-d"])
+def test_a_malformed_number_or_file_exits_two(tmp_path, capsys, case):
+    argv, message = malformed(tmp_path)[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+# stored trajectories whose points do not lie in their system's space
+OUTSIDE = {
+    "annulus-one-coordinate": (
+        "annulus:lambda=1/2,alpha=610/987,w=0.5", "n,coord0\n0,1\n1,1\n",
+        "point 0: annulus points have 2 coordinate(s), got 1"),
+    "interval-below-0": ("tent:s=3/2", "n,coord0\n0,1/3\n1,-1/2\n",
+                         "point 1 (-1/2) lies outside the interval"),
+    "interval-above-1": ("tent:s=3/2", "n,coord0\n0,3/2\n",
+                         "point 0 (3/2) lies outside the interval"),
+    "annulus-radius-2": ("annulus:lambda=1/2,alpha=610/987,w=0.5",
+                         "n,coord0,coord1\n0,1,0\n1,2,1/3\n",
+                         "point 1 (2, 1/3) lies outside the annulus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE))
+def test_a_point_outside_the_space_exits_two(tmp_path, capsys, case):
+    system, csv, message = OUTSIDE[case]
+    base = stored(tmp_path, json.dumps({"system": system, "d": "1/50"}), csv)
+    code, out, err = run(capsys, "check", "--traj", base, "--eps", "0.05")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     # 3/10 -> 3/5 -> 1/5 -> 2/5 -> 4/5 -> 3/5
     (("doubling", "--d", "0.02", "--eps", "0.05", "--y0", "0.3"),

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from shadowing import (EnclosureCapError, annulus, ball_set, circle,
-                       intersect, interval, parse_system, trial_stream)
+from shadowing import (EnclosureCapError, UsageError, annulus, ball_set,
+                       circle, intersect, interval, parse_system,
+                       trial_stream)
 from shadowing import enclosure as enc
 
 from reference import contains, pick_point, random_point, uniform
@@ -128,19 +129,28 @@ def test_annulus_box_union_merges_aligned():
     b = (F(1), F(6, 5), F(1, 10), F(1, 10))
     merged = enc.make(sp, [a, b])
     assert merged.fragments == ((F(1), F(6, 5), F(0), F(1, 5)),)
-    c = (F(6, 5), F(13, 10), F(0), F(1, 10))
-    stacked = enc.make(sp, [a, c])
-    assert stacked.fragments == ((F(1), F(13, 10), F(0), F(1, 10)),)
     across = enc.make(sp, [(F(1), F(6, 5), F(9, 10), F(1, 10)), a])
     assert across.fragments == ((F(1), F(6, 5), F(9, 10), F(1, 5)),)
+    # every annulus set is one radial segment times arcs: boxes stacked
+    # radially are not such a set
+    c = (F(6, 5), F(13, 10), F(0), F(1, 10))
+    with pytest.raises(UsageError, match="one radial segment"):
+        enc.make(sp, [a, c])
 
 
-def test_zero_width_box_at_angle_zero_keeps_its_whole_section():
+def test_boxes_on_two_radial_segments_are_refused():
     sp = annulus(F(1, 2))
-    ends_at_one = (F(1), F(5, 4), F(3, 4), F(1, 4))
-    got = enc.make(sp, [ends_at_one, (F(9, 8), F(3, 2), F(0), F(0))])
-    # the section at angle 0 is [1, 3/2]; the slab before it covers [1, 5/4]
-    assert got.fragments == (ends_at_one, (F(1), F(3, 2), F(0), F(0)))
+    arc = (F(0), F(1, 4))
+    with pytest.raises(UsageError, match="one radial segment"):
+        enc.make(sp, [(F(1), F(5, 4), *arc), (F(1), F(3, 2), *arc)])
+    # empty boxes are dropped before the segments are compared
+    got = enc.make(sp, [(F(1), F(5, 4), *arc), (F(5, 4), F(1), *arc),
+                        (F(1), F(3, 2), F(1, 2), F(-1, 4))])
+    assert got.fragments == ((F(1), F(5, 4), *arc),)
+    # nor does intersect take a hand-built set of radially stacked boxes
+    ball = ball_set(sp, (F(1), F(0)), F(1, 4))
+    with pytest.raises(UsageError, match="one radial segment"):
+        intersect(ball, enc.EnclosureSet(sp, [(3, 4, 0, 1), (4, 5, 0, 1)], 4))
 
 
 # -- fragment cap --------------------------------------------------------------

@@ -5,9 +5,11 @@ coordinates have small denominators, so touching, nested, wrapping and
 single-point fragments come up often. Membership is compared with a direct
 reading of the raw fragments: an arc ``(s, l)`` holds the points s + t mod
 1 for 0 <= t <= l, a segment ``(lo, hi)`` the points lo..hi, a box the
-product of a radial segment and an arc. Boxes are drawn freely, so they
-overlap, wrap, cover the whole ring or have zero width or height; their
-normal form is exact and depends only on the point set.
+product of a radial segment and an arc. The boxes of an annulus set share
+one radial segment (every annulus set is such a product), and their arcs
+are drawn freely, so they overlap, wrap, cover the whole ring or have zero
+width; the segment may have zero height or be empty. Each normal form is
+exact and depends only on the point set.
 """
 
 import math
@@ -36,11 +38,11 @@ radius = st.fractions(F(1, 2), F(3, 2), max_denominator=12)
 raw_arcs = st.lists(st.tuples(angle, length), max_size=5)
 # lo > hi gives an empty segment
 raw_segments = st.lists(st.tuples(coord, coord), max_size=5)
-raw_boxes = st.lists(
-    st.tuples(st.one_of(st.tuples(radius, radius).map(sorted),
-                        radius.map(lambda r: (r, r))),
-              angle, length).map(lambda t: (*t[0], t[1], t[2])),
-    max_size=5)
+# one radial segment times raw arcs; rlo > rhi gives an empty segment
+raw_boxes = st.tuples(
+    st.one_of(st.tuples(radius, radius).map(sorted),
+              radius.map(lambda r: (r, r)), st.tuples(radius, radius)),
+    raw_arcs).map(lambda t: [(*t[0], s, l) for s, l in t[1]])
 
 RAW = {"circle": raw_arcs, "interval": raw_segments, "annulus": raw_boxes}
 
@@ -99,16 +101,13 @@ def test_normalizing_twice_equals_once(kind, data):
 
 def split(kind, frag, data):
     """Two fragments whose union is ``frag``, cut inside it or at one of
-    its ends (for an arc crossing 0, often at 0 itself)."""
+    its ends (for an arc crossing 0, often at 0 itself); a box is cut
+    across its arc, so the boxes keep their one radial segment."""
     u = data.draw(st.fractions(0, 1, max_denominator=24), label="cut")
     if kind == "interval":
         lo, hi = frag
         m = lo + u * (hi - lo)
         return [(lo, m), (m, hi)] if lo <= hi else [frag]
-    if kind == "annulus" and data.draw(st.booleans(), label="radial"):
-        rlo, rhi, s, l = frag
-        m = rlo + u * (rhi - rlo)
-        return [(rlo, m, s, l), (m, rhi, s, l)] if rlo <= rhi else [frag]
     *radial, s, l = frag
     if not 0 <= l < 1:
         return [frag]
@@ -151,23 +150,6 @@ def test_fragments_are_disjoint_in_their_interiors(kind, data):
     for i, a in enumerate(frags):
         for b in frags[i + 1:]:
             assert not interiors_meet(kind, a, b), (a, b)
-
-
-def test_zero_width_box_on_an_edge_joins_the_ring():
-    sp = SPACES["annulus"]
-    got = enc.make(sp, [(F(3, 4), 1, 0, F(1, 2)), (F(3, 4), 1, F(1, 2), F(1, 2)),
-                        (1, 1, F(1, 2), F(1, 2))])
-    assert got.fragments == ((F(3, 4), 1, 0, 1),)
-
-
-def test_l_shaped_union_has_one_normal_form():
-    sp, h = SPACES["annulus"], F(1, 2)
-    cells = enc.make(sp, [(h, 1, 0, h), (1, F(3, 2), 0, h),
-                          (1, F(3, 2), h, h)])
-    recut = enc.make(sp, [(h, 1, 0, h), (1, F(3, 2), 0, F(1, 4)),
-                          (1, F(3, 2), F(1, 4), F(3, 4))])
-    assert cells == recut
-    assert cells.fragments == ((h, F(3, 2), 0, h), (1, F(3, 2), h, h))
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))

@@ -23,7 +23,11 @@ once, when the eight always-null dichotomy keys (``delta1``, ``eta_lo``,
 ``block_length``) left their ``quantities`` objects; no other byte moved.
 
 The annulus ``check`` digests pin the bytes of the box algebra's path
-through ``check``.
+through ``check``. The wide annulus ``check`` (d = 1/5, eps = 9/20) puts
+sets of two or more boxes in normal form 19 times before its witness is
+pulled back; its digests were recorded while that normal form was still an
+angular sweep over arbitrary box unions, before it became one radial
+segment times the normal form of the arcs.
 
 The ``bounds`` digests pin the exit status, stdout and stderr of the
 README's three ``bounds`` examples and of three cover searches that fail:
@@ -34,6 +38,8 @@ one of whose balls lies outside the image of the space.
 import hashlib
 
 import pytest
+
+from shadowing import enclosure
 
 from shadowing import (ExperimentConfig, run_attractor_experiment,
                        run_dichotomy_experiment)
@@ -131,6 +137,12 @@ GOLDEN = {
         "verdict1000_eps0.2.json":
             "e442bf5baf535df550862bcaa5d155d12688732fcae984d10031fb5cf3e9a0f3",
     },
+    "wide-annulus-check": {
+        "traj.csv":
+            "c51258547bb73bde1a62a6950ed2ac824248b2614d05c96fbe37d002295a5c29",
+        "stdout":
+            "6a8a63a6d56c9d6eea54b2c09f6e390d8aaf12929dad998302ce90260bc8d233",
+    },
 }
 
 
@@ -209,6 +221,28 @@ def annulus_check_digests(tmp, capsys) -> dict:
             out[verdict.name] = sha(verdict)
     capsys.readouterr()
     return out
+
+
+def test_wide_annulus_check_matches_golden(tmp_path, capsys, monkeypatch):
+    normalize = enclosure._normalize_boxes
+    several = []
+
+    def counted(boxes, unit):
+        several.append(len(boxes) >= 2)
+        return normalize(boxes, unit)
+
+    base = tmp_path / "traj"
+    assert main(["generate", "--system",
+                 "annulus:lambda=1/2,alpha=610/987,w=0.5", "--y0", "1.4,0",
+                 "--d", "1/5", "--n", "100", "--seed", "0",
+                 "--out", str(base)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(enclosure, "_normalize_boxes", counted)
+    assert main(["check", "--traj", str(base), "--eps", "9/20"]) == 0
+    assert sum(several) == 19
+    assert {"traj.csv": sha(base.with_suffix(".csv")),
+            "stdout": text_sha(capsys.readouterr().out)} \
+        == GOLDEN["wide-annulus-check"]
 
 
 def test_dichotomy_outputs_match_golden(tmp_path):

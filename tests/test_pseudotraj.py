@@ -297,15 +297,17 @@ def test_loader_parses_other_tokens_as_fractions(tmp_path):
                                           ("3 /4", ValueError),
                                           ("", ValueError)])
 def test_loader_rejects_what_fraction_rejects(tmp_path, token, error):
+    # as a usage error, raised from the error Fraction raises
     base = tmp_path / "bad"
     base.with_suffix(".json").write_text(
         '{"system": "doubling", "d": "1/50"}')
     base.with_suffix(".csv").write_text(f"n,coord0\n0,1/3\n1,{token}\n")
-    with pytest.raises(error) as got:
+    with pytest.raises(UsageError, match="not a rational number") as got:
         load_trajectory(base)
     with pytest.raises(error) as expected:
         F(token)
-    assert str(got.value) == str(expected.value)
+    assert type(got.value.__cause__) is error
+    assert str(got.value.__cause__) == str(expected.value)
 
 
 def test_annulus_trajectory_round_trip(tmp_path):

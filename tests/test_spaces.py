@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 
 from shadowing import (DomainError, UsageError, Space, annulus, circle,
                        interval, trial_stream)
-from shadowing.spaces import scaled_point
+from shadowing.spaces import ScaledPoints, scaled_point
 
 from reference import (ball_measure, circ_dist, dist, dist_over, epsilon_net,
                        random_point, sample_uniform_ball, signed_circ_diff)
@@ -336,3 +336,25 @@ def test_scaled_point_is_lcm_then_lift():
         nums = tuple(int(c * scale) for c in point)
         assert scaled_point(point, base) == (nums, scale), (point, base)
     assert scaled_point((0.5, F(1, 3)), 4) == ((6, 4), 12)
+
+
+@pytest.mark.parametrize("space,inside,outside", [
+    (circle(), [(F(3, 2),), (F(-7, 3),)], []),
+    (interval(), [(F(0),), (F(1),), (F(1, 3),)],
+     [(F(-1, 1000),), (F(1001, 1000),)]),
+    (annulus(F(1, 3)), [(F(2, 3), F(5, 2)), (F(4, 3), F(0))],
+     [(F(2, 3) - F(1, 300), F(0)), (F(4, 3) + F(1, 300), F(1, 2))]),
+], ids=["circle", "interval", "annulus"])
+def test_check_scaled_refuses_points_outside_the_space(space, inside,
+                                                       outside):
+    # the ends of the interval and of the band are in the space, a point
+    # past them is not; an angle lies anywhere, since it wraps
+    space.check_scaled(ScaledPoints.from_points(inside))
+    for p in outside:
+        with pytest.raises(DomainError, match=f"point {len(inside)} "):
+            space.check_scaled(ScaledPoints.from_points([*inside, p]))
+        with pytest.raises(DomainError):
+            space.canonical(p)
+    with pytest.raises(UsageError, match=r"point 1: .* got 3"):
+        space.check_scaled(ScaledPoints([(0,) * space.ndim, (0, 0, 0)],
+                                        [1, 1]))
