@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enclosure import ball_set
+from .enclosure import _normalize_segs, ball_set
 from .errors import DomainError, SearchFailure, UsageError
 from .rationals import frac, jsonable, point_text
 from .spaces import Space, scaled_point
@@ -180,21 +180,20 @@ def _first_missed_center(image, delta1, n: int) -> int | None:
 
     A fragment meets the closed ball around c exactly when c lies within
     delta1 of it, so each fragment covers the runs of centers that
-    ``Space.net_runs`` gives for closed balls; the answer is the least
-    index no run covers. The cost grows with the fragments, not with n.
+    ``Space.net_runs`` gives for closed balls. Merged as half-open
+    segments (first, last + 1), the runs leave index 0 uncovered unless
+    the first merged run starts there, and then its end is the answer.
+    The cost grows with the fragments, not with n.
     """
     space = image.space
     frags = image.nums if space.kind == "interval" \
         else ((s, s + length) for s, length in image.nums)
-    runs = sorted(run for lo, hi in frags
-                  for run in space.net_runs(lo, hi, image.unit, delta1, n,
-                                            closed=True))
-    first = 0
-    for lo, hi in runs:
-        if lo > first:
-            break
-        first = max(first, hi + 1)
-    return first if first < n else None
+    runs = _normalize_segs(
+        (first, last + 1) for lo, hi in frags
+        for first, last in space.net_runs(lo, hi, image.unit, delta1, n,
+                                          closed=True))
+    missed = runs[0][1] if runs and runs[0][0] == 0 else 0
+    return missed if missed < n else None
 
 
 def nonshadow_lower_bound(eta_value, block_length: int, k: int) -> Fraction:

@@ -3,11 +3,12 @@
 An ``EnclosureSet`` represents a closed subset of a space as a sorted tuple
 of fragments whose interiors are pairwise disjoint:
 
-* circle: arcs ``(start, length)`` with start in [0,1), length in [0,1];
-  the full circle is the single canonical fragment ``(0, 1)``; no two
-  arcs touch;
-* interval: segments ``(lo, hi)`` with 0 <= lo <= hi <= 1; no two
-  segments touch;
+* interval: segments ``(lo, hi)`` with 0 <= lo <= hi <= 1, sorted and
+  merged where they overlap or touch, so no two touch;
+* circle: arcs ``(start, length)`` with start in [0,1), length in [0,1]:
+  the segment form of the arcs cut at 0, its first and last segments
+  joined back into one arc when they meet at 0 (the full circle is the
+  single fragment ``(0, 1)``);
 * annulus: boxes ``(rlo, rhi, astart, alength)``: one radial segment,
   shared by every box, times the circle's normal form of their arcs (the
   whole circle gives the full ring ``(rlo, rhi, 0, 1)``). Every annulus
@@ -78,38 +79,20 @@ def _intersect_arcs(a, b, unit):
 
 
 def _normalize_arcs(arcs, unit):
-    full = [(0, unit)]
-    kept = []
+    """The circle normal form: the arcs cut at 0 into segments of
+    [0, unit], the segment normal form of the pieces, and its first and
+    last segments joined back into one arc when they meet at 0."""
+    pieces = []
     for s, l in arcs:
-        if l < 0:
-            continue
         if l >= unit:
-            return full
-        kept.append((s % unit, l))
-    if not kept:
-        return []
-    kept.sort()
-    merged = [kept[0]]
-    for s, l in kept[1:]:
-        ps, pl = merged[-1]
-        if s <= ps + pl:
-            merged[-1] = (ps, max(pl, s + l - ps))
-        else:
-            merged.append((s, l))
-    # fold the trailing arc onto leading ones across the wrap
-    while len(merged) >= 2:
-        ps, pl = merged[-1]
-        fs, fl = merged[0]
-        if ps + pl < unit + fs:
-            break
-        new_len = max(pl, unit + fs + fl - ps)
-        if new_len >= unit:
-            return full
-        merged = merged[1:]
-        merged[-1] = (ps, new_len)
-    if len(merged) == 1 and merged[0][1] >= unit:
-        return full
-    return merged
+            return [(0, unit)]
+        end = s % unit + l
+        pieces += [(end - l, min(end, unit)), (0, end - unit)]
+    segs = _normalize_segs(pieces)
+    if len(segs) > 1 and segs[0][0] == 0 and segs[-1][1] == unit:
+        (_, head), (tail, _) = segs.pop(0), segs.pop()
+        segs.append((tail, head + unit))
+    return [(lo, hi - lo) for lo, hi in segs]
 
 
 # -- interval segments ---------------------------------------------------
@@ -121,14 +104,10 @@ def _intersect_segs(a, b, unit=None):
 
 
 def _normalize_segs(segs):
-    kept = sorted((lo, hi) for lo, hi in segs if lo <= hi)
-    if not kept:
-        return []
-    merged = [kept[0]]
-    for lo, hi in kept[1:]:
-        plo, phi = merged[-1]
-        if lo <= phi:
-            merged[-1] = (plo, max(phi, hi))
+    merged = []
+    for lo, hi in sorted((lo, hi) for lo, hi in segs if lo <= hi):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return merged
@@ -149,12 +128,9 @@ def _normalize_boxes(boxes, unit):
     """The box normal form of the module doc: the one radial segment of
     the nonempty boxes times the normal form of their arcs."""
     kept = [b for b in boxes if b[0] <= b[1] and b[3] >= 0]
-    if not kept:
-        return []
-    rlo, rhi = kept[0][:2]
-    if any(b[:2] != (rlo, rhi) for b in kept):
+    if len({b[:2] for b in kept}) > 1:
         raise UsageError("annulus boxes must share one radial segment")
-    return [(rlo, rhi, s, l)
+    return [(*kept[0][:2], s, l)
             for s, l in _normalize_arcs([b[2:] for b in kept], unit)]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
@@ -78,14 +79,16 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of a dict of config keys; a missing key or a value
-        that cannot be read is a ``UsageError``."""
+        that cannot be read is a ``UsageError``. Horizons, trials and seed
+        go through ``str``, so a bool or a float is refused, not cut."""
         if data.get("mode", "exact") != "exact":
             raise UsageError(f"checker mode {data['mode']!r} is not "
                              "supported; every check is exact")
         try:
             spec, y0, d, eps = (data[k] for k in ("system", "y0", "d", "eps"))
-            horizons = tuple(int(h) for h in data.get("horizons", []))
-            trials, seed = int(data.get("trials", 1)), int(data.get("seed", 0))
+            horizons = tuple(int(str(h)) for h in data.get("horizons", []))
+            trials = int(str(data.get("trials", 1)))
+            seed = int(str(data.get("seed", 0)))
         except KeyError as exc:
             raise UsageError(f"config needs {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -232,15 +235,26 @@ def estimate_probability(config: ExperimentConfig,
 
 # -- shipped experiments ----------------------------------------------------
 
+def _float_toward(value: Fraction, toward: float) -> float:
+    """The double nearest ``value`` on the side of ``toward``: ``math.inf``
+    rounds an upper bound up, ``-math.inf`` a lower bound down."""
+    f = float(value)
+    off = Fraction(f) - value
+    if off and (off > 0) != (toward > 0):
+        f = math.nextafter(f, toward)
+    return f
+
+
 def dichotomy_bound_curve(config: ExperimentConfig) -> tuple[dict, dict]:
     """Theoretical nonshadowability bound for a rotation branch.
 
     Blocks of length L = K + N + 1 come from
     ``bounds.dichotomy_quantities``; the chance that a k-block prefix
     shadows is then at most (1 - eta^L)^k, evaluated exactly by
-    ``bounds.nonshadow_lower_bound`` and rounded to a float only when
-    written. Returns (bound by horizon, diagnostics): the quantities record
-    plus the bound curve, or the record alone where eps >= 1/4 leaves no L.
+    ``bounds.nonshadow_lower_bound`` and rounded outward (``_float_toward``)
+    only when written. Returns (bound by horizon, diagnostics): the
+    quantities record plus the bound curve, or the record alone where
+    eps >= 1/4 leaves no L.
     """
     system = config.system
     if system.kind != "rotation":
@@ -254,9 +268,9 @@ def dichotomy_bound_curve(config: ExperimentConfig) -> tuple[dict, dict]:
     for m in config.horizons:
         k = max((m + 1) // q.block_length - 1, 0)
         lower = bounds_mod.nonshadow_lower_bound(q.eta_lo, q.block_length, k)
-        by_horizon[m] = float(1 - lower)  # upper bound on p_hat
+        by_horizon[m] = _float_toward(1 - lower, math.inf)  # bounds p_hat
         curve.append({"horizon": m, "blocks": k,
-                      "nonshadow_lower": float(lower)})
+                      "nonshadow_lower": _float_toward(lower, -math.inf)})
     return by_horizon, {**q.to_json(), "nonshadow_bound_curve": curve}
 
 

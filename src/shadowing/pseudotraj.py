@@ -317,15 +317,20 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
     """Read a trajectory written by save_trajectory; returns (traj,
     system_spec). A sidecar that is not a JSON object with "system" and
-    "d", or a coordinate that ``Fraction`` rejects, is a ``UsageError``."""
+    "d", a file that is not UTF-8, or a coordinate that ``Fraction``
+    rejects, is a ``UsageError``."""
     base = Path(base)
     sidecar = json_object(base.with_suffix(".json"), ("system", "d"))
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        # an empty file has no points, which Pseudotrajectory refuses
-        ncoords = len(next(reader, ["n"])) - 1
-        points = ScaledPoints.nested(
-            _scaled_row(row[1:1 + ncoords]) for row in reader)
+    path = base.with_suffix(".csv")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            # an empty file has no points, which Pseudotrajectory refuses
+            ncoords = len(next(reader, ["n"])) - 1
+            points = ScaledPoints.nested(
+                _scaled_row(row[1:1 + ncoords]) for row in reader)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text") from exc
     prov = Provenance(sidecar.get("provenance", "loaded"),
                       sidecar.get("seed"), sidecar.get("trial"))
     traj = Pseudotrajectory(points, frac(sidecar["d"]), prov)

@@ -53,12 +53,14 @@ def point_text(point) -> str:
 
 def json_object(path, keys=()) -> dict:
     """The JSON object in the file at ``path``, holding ``keys``; any
-    other content is a ``UsageError``."""
-    with open(path) as fh:
+    other content, bytes that are not UTF-8 too, is a ``UsageError``."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path}: not a JSON object")
     missing = [k for k in keys if k not in data]

@@ -420,7 +420,10 @@ def parse_system(text: str):
     Grammar: ``doubling``, ``tent:s=<rational>``, ``rotation:alpha=<rational>``,
     ``annulus:lambda=<rational>,alpha=<rational>,w=<float>``, and
     ``pwl:<breakpoint:slope,...>[,v0=<rational>][,space=circle|interval]``.
+    A spec that is not a string is a ``UsageError``.
     """
+    if not isinstance(text, str):
+        raise UsageError(f"a system spec is a string, got {text!r}")
     s = text.strip()
     if s == "doubling":
         return doubling()

@@ -315,14 +315,13 @@ def first_empty_step(system, traj: Pseudotrajectory, eps) -> int | None:
     return decide_horizons(system, traj, eps, ()).first_empty
 
 
-def first_missed_center_by_scan(system, delta1) -> int | None:
+def first_missed_center_by_scan(image, delta1) -> int | None:
     """The least net center index k whose closed delta1-ball misses the
-    image f(X) of the whole space, by one ``ball_set`` and one
-    ``intersect`` per center in turn, or None if every ball meets it
-    (``bounds._first_missed_center`` finds it from the image's fragments)."""
-    space = system.space
+    set ``image``, by one ``ball_set`` and one ``intersect`` per center in
+    turn, or None if every ball meets it (``bounds._first_missed_center``
+    finds it from the image's fragments)."""
+    space = image.space
     size = space.net_size(frac(delta1))
-    image = system.apply_set(ball_set(space, (Fraction(0),), space.diameter))
     for k in range(size):
         c = space.net_center(k, size)
         if intersect(image, ball_set(space, c, delta1)).is_empty():

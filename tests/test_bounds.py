@@ -17,7 +17,7 @@ from shadowing import (DomainError, SearchFailure, UsageError, annulus,
                        trial_stream, tube_probability_bound)
 from shadowing.bounds import _first_missed_center
 from shadowing.cli import main
-from shadowing.enclosure import ball_set
+from shadowing.enclosure import ball_set, make
 
 from reference import (ball_measure, dist, epsilon_net, exact_orbit,
                        first_missed_center_by_scan, grid_centers,
@@ -307,12 +307,42 @@ def test_first_missed_center_matches_the_scan_of_every_center(spec):
     for delta1 in radii:
         n = space.net_size(delta1)
         found = _first_missed_center(image, delta1, n)
-        assert found == first_missed_center_by_scan(system, delta1), delta1
+        assert found == first_missed_center_by_scan(image, delta1), delta1
         missed.append(found)
     if spec.startswith("rotation"):  # onto: every ball meets the image
         assert set(missed) == {None}
     else:  # some radii miss a ball and some do not
         assert None in missed and set(missed) != {None}
+
+
+@pytest.mark.parametrize("space", [circle(), interval()],
+                         ids=["circle", "interval"])
+def test_first_missed_center_merges_runs_that_touch(space):
+    # hand-made images of two to four fragments on a grid of a quarter
+    # of the net spacing, so that the runs of centers their closed balls
+    # meet often touch (one run ends where the next begins) and often
+    # start past center 0
+    rng = np.random.default_rng(23)
+    touching = late = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 25))
+        delta1, q = F(1, n), 4 * n
+        frags = []
+        for _ in range(int(rng.integers(2, 5))):
+            lo, size = int(rng.integers(0, q)), int(rng.integers(0, n))
+            frags.append((F(lo, q), F(size, q)) if space.kind == "circle"
+                         else (F(lo, q), F(min(lo + size, q), q)))
+        image = make(space, frags)
+        found = _first_missed_center(image, delta1, n)
+        assert found == first_missed_center_by_scan(image, delta1), frags
+        ends = ((s, s + length) for s, length in image.nums) \
+            if space.kind == "circle" else image.nums
+        runs = sorted(run for lo, hi in ends
+                      for run in space.net_runs(lo, hi, image.unit, delta1,
+                                                n, closed=True))
+        touching += any(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
+        late += runs[0][0] > 0
+    assert touching > 20 and late > 20
 
 
 @pytest.mark.parametrize("system,d,y0,repeat", [

@@ -351,6 +351,10 @@ def malformed(tmp_path):
         path.write_text(text)
         return ["estimate", "--config", str(path)]
 
+    def not_utf8(argv, name):
+        (tmp_path / name).write_bytes(b"\xff\xfe")
+        return argv
+
     good = {"system": "doubling", "y0": "0.3", "d": "0.02", "eps": "0.05",
             "horizons": [5], "trials": 1}
     return {
@@ -380,6 +384,28 @@ def malformed(tmp_path):
                             "horizons, trials and seed must be integers"),
         "config-without-d": (config("no-d", json.dumps(
             {k: v for k, v in good.items() if k != "d"})), "config needs 'd'"),
+        "config-system-5": (config("system", json.dumps({**good, "system": 5})),
+                            "a system spec is a string, got 5"),
+        "config-trials-1.5": (config("float", json.dumps({**good,
+                                                          "trials": 1.5})),
+                              "must be integers: invalid literal for int() "
+                              "with base 10: '1.5'"),
+        "config-trials-true": (config("bool", json.dumps({**good,
+                                                          "trials": True})),
+                               "base 10: 'True'"),
+        "config-seed-2.0": (config("seed", json.dumps({**good, "seed": 2.0})),
+                            "base 10: '2.0'"),
+        "config-horizons-5.0": (config("horizons", json.dumps(
+            {**good, "horizons": [5.0]})), "base 10: '5.0'"),
+        "sidecar-system-5": (check("system-5",
+                                   sidecar='{"system": 5, "d": "1/50"}'),
+                             "a system spec is a string, got 5"),
+        "csv-not-utf-8": (not_utf8(check("csv-bytes"), "csv-bytes.csv"),
+                          "csv-bytes.csv: not UTF-8 text"),
+        "sidecar-not-utf-8": (not_utf8(check("json-bytes"), "json-bytes.json"),
+                              "json-bytes.json: not UTF-8 text"),
+        "config-not-utf-8": (not_utf8(config("bytes", ""), "config-bytes.json"),
+                             "config-bytes.json: not UTF-8 text"),
     }
 
 
@@ -387,7 +413,11 @@ def malformed(tmp_path):
     "estimate-d-abc", "estimate-d-1/0", "estimate-tent-s-x",
     "estimate-horizons-10,x", "check-eps-abc", "bounds-eps-abc", "csv-abc",
     "csv-1/0", "sidecar-not-json", "sidecar-without-d", "config-not-json",
-    "config-trials-x", "config-without-d"])
+    "config-trials-x", "config-without-d", "config-system-5",
+    "config-trials-1.5", "config-trials-true", "config-seed-2.0",
+    "config-horizons-5.0", "sidecar-system-5", "csv-not-utf-8",
+    "sidecar-not-utf-8",
+    "config-not-utf-8"])
 def test_a_malformed_number_or_file_exits_two(tmp_path, capsys, case):
     argv, message = malformed(tmp_path)[case]
     code, out, err = run(capsys, *argv)

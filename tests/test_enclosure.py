@@ -69,6 +69,35 @@ def test_wrap_merge_cascades():
     assert arcs(got) == [(F(3, 10), F(1, 10)), (F(9, 10), F(3, 10))]
 
 
+# the circle form is the segment form of the arcs cut at 0, with the first
+# and last segments joined back into one arc where they meet at 0
+CUT_AT_0 = {
+    "ends-at-1-next-to-starts-at-0": (
+        [(F(3, 4), F(1, 4)), (F(0), F(1, 10)), (F(1, 2), F(1, 10))],
+        [(F(1, 2), F(1, 10)), (F(3, 4), F(7, 20))]),
+    "zero-length-at-0-next-to-ends-at-1": (
+        [(F(0), F(0)), (F(4, 5), F(1, 5)), (F(2, 5), F(1, 10))],
+        [(F(2, 5), F(1, 10)), (F(4, 5), F(1, 5))]),
+    "zero-length-at-0-alone": ([(F(0), F(0)), (F(2, 5), F(1, 10))],
+                               [(F(0), F(0)), (F(2, 5), F(1, 10))]),
+    "cover-only-together": ([(F(0), F(1, 2)), (F(1, 2), F(1, 2))],
+                            [(F(0), F(1))]),
+    "cover-only-together-across-0": ([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))],
+                                     [(F(0), F(1))]),
+    "wrapping-tail-overlaps-first": (
+        [(F(1, 10), F(1, 5)), (F(1, 2), F(1, 10)), (F(9, 10), F(3, 10))],
+        [(F(1, 2), F(1, 10)), (F(9, 10), F(2, 5))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUT_AT_0))
+def test_arcs_are_cut_at_0_and_rejoined(case):
+    given, expected = CUT_AT_0[case]
+    sp = circle()
+    assert arcs(enc.make(sp, given)) == expected
+    assert arcs(enc.make(sp, given[::-1])) == expected
+
+
 def test_membership_and_pick_point():
     sp = circle()
     es = enc.make(sp, [(F(9, 10), F(1, 5)), (F(2, 5), F(1, 10))])

@@ -467,17 +467,37 @@ def test_dichotomy_bound_curve_is_the_exact_block_bound():
     assert [row["blocks"] for row in curve] == [0, 0, 1, 3]
     for row in curve:
         exact = nonshadow_lower_bound(F(1, 4), 1231, row["blocks"])
-        assert row["nonshadow_lower"] == float(exact)
-        assert by_horizon[row["horizon"]] == float(1 - exact)
+        assert repr(row["nonshadow_lower"]) == "0.0" and exact >= 0  # not -0.0
+        assert by_horizon[row["horizon"]] == 1.0 >= 1 - exact
     # with L = 114, eta^L = 2^-228 is a double, but 1 - eta^L rounds to 1:
-    # the float formula 1 - (1 - eta^L)^k would read 0 here
+    # the float formula 1 - (1 - eta^L)^k would read 0 here. The exact
+    # bound lies just below 3 * 2^-228, its nearest double, so it is
+    # written as the double below that
     small = config(d=F(1, 5), eps=F(1, 5), horizons=(500,), y0=(F(0),))
     _, diag = dichotomy_bound_curve(small)
     assert diag["block_length"] == 114
     (row,) = diag["nonshadow_bound_curve"]
     assert row["blocks"] == 3
-    assert row["nonshadow_lower"] == float(
-        nonshadow_lower_bound(F(1, 4), 114, 3)) > 0
+    exact = nonshadow_lower_bound(F(1, 4), 114, 3)
+    assert row["nonshadow_lower"] == math.nextafter(3 * 2.0 ** -228, 0) > 0
+    assert F(row["nonshadow_lower"]) < exact < F(3 * 2.0 ** -228)
+
+
+@pytest.mark.parametrize("lower", [F(1, 3), F(1, 10)],
+                         ids=["upper-2/3", "lower-1/10"])
+def test_dichotomy_bound_curve_rounds_outward(monkeypatch, lower):
+    # the nearest double of the upper bound 2/3 lies below it, that of the
+    # lower bound 1/10 above it: each must be written as the next double out
+    assert F(float(F(2, 3))) < F(2, 3) and F(float(F(1, 10))) > F(1, 10)
+    monkeypatch.setattr("shadowing.bounds.nonshadow_lower_bound",
+                        lambda *args: lower)
+    small = config(d=F(1, 5), eps=F(1, 5), horizons=(500,), y0=(F(0),))
+    by_horizon, diag = dichotomy_bound_curve(small)
+    up = by_horizon[500]
+    (row,) = diag["nonshadow_bound_curve"]
+    down = row["nonshadow_lower"]
+    assert F(math.nextafter(up, -math.inf)) < 1 - lower <= F(up)
+    assert F(down) <= lower < F(math.nextafter(down, math.inf))
     assert 1 - (1 - 0.25 ** 114) ** 3 == 0.0
 
 
