@@ -59,12 +59,11 @@ def _merge_config(args, defaults=None) -> dict:
     data = dict(defaults or {})
     if args.config:
         data.update(json_object(args.config))
-    for key in ("system", "y0", "d", "eps", "trials", "seed", "out"):
+    for key in ("system", "y0", "d", "eps", "horizons", "trials", "seed",
+                "out"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    if getattr(args, "horizons", None):
-        data["horizons"] = args.horizons.split(",")
     return data
 
 
@@ -123,8 +122,13 @@ def cmd_bounds(args) -> int:
 
 def cmd_dichotomy(args) -> int:
     loaded = json_object(args.config) if args.config else {}
-    data = {branch: {**defaults, **loaded.get(branch, {})}
-            for branch, defaults in DEFAULT_DICHOTOMY.items()}
+    data = {}
+    for branch, defaults in DEFAULT_DICHOTOMY.items():
+        given = loaded.get(branch, {})
+        if not isinstance(given, dict):
+            raise UsageError(f"config {branch!r} must be a JSON object, "
+                             f"got {given!r}")
+        data[branch] = {**defaults, **given}
     cfg_a = ExperimentConfig.from_dict(data["shadowing"])
     cfg_b = ExperimentConfig.from_dict(data["nonshadowing"])
     report = run_dichotomy_experiment(cfg_a, cfg_b, out=args.out,

@@ -80,13 +80,18 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of a dict of config keys; a missing key or a value
         that cannot be read is a ``UsageError``. Horizons, trials and seed
-        go through ``str``, so a bool or a float is refused, not cut."""
+        go through ``str``, so a bool or a float is refused, not cut.
+        Horizons given as one string are read as ``--horizons`` is, comma
+        separated; ``out`` is a path string or absent."""
         if data.get("mode", "exact") != "exact":
             raise UsageError(f"checker mode {data['mode']!r} is not "
                              "supported; every check is exact")
         try:
             spec, y0, d, eps = (data[k] for k in ("system", "y0", "d", "eps"))
-            horizons = tuple(int(str(h)) for h in data.get("horizons", []))
+            horizons = data.get("horizons", [])
+            if isinstance(horizons, str):
+                horizons = horizons.split(",")
+            horizons = tuple(int(str(h)) for h in horizons)
             trials = int(str(data.get("trials", 1)))
             seed = int(str(data.get("seed", 0)))
         except KeyError as exc:
@@ -94,8 +99,11 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise UsageError("horizons, trials and seed must be integers: "
                              f"{exc}") from exc
+        out = data.get("out")
+        if out is not None and not isinstance(out, str):
+            raise UsageError(f"out must be a path string, got {out!r}")
         return cls(spec, parse_point(y0), frac(d), frac(eps), horizons,
-                   trials, seed, data.get("out"))
+                   trials, seed, out)
 
     def to_jsonable(self) -> dict:
         return {

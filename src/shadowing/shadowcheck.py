@@ -191,30 +191,25 @@ def pull_back_witness(system, sets, m):
     of A_n, read inline on A_n's own unit: a coordinate c becomes
     floor(c * unit / scale), one short of its fragment's upper end when
     the division leaves a remainder (the value then lies strictly inside
-    the next lattice cell). So no fragment is lifted to the growing
-    scale, and only the witness is turned into Fractions."""
+    the next lattice cell). One loop tests arcs and segments: a lies in
+    the arc (s, l) when (a - s) mod unit <= l - short, and in the segment
+    (lo, hi), which does not wrap, when lo <= a <= hi - short; a box tests
+    both. So no fragment is lifted to the growing scale, and only the
+    witness is turned into Fractions."""
     x, scale = sets[m].pick_scaled()
     preimages, kind = system.preimages_scaled, system.space.kind
+    circle = kind == "circle"
     for n in range(m - 1, -1, -1):
         candidates, scale = preimages(x, scale)
         frags, unit = sets[n].nums, sets[n].unit
         x = None
-        if kind == "circle":
+        if kind != "annulus":
             for p in candidates:
                 a, rem = divmod(p[0] * unit, scale)
                 short = 1 if rem else 0
-                for s, l in frags:
-                    if (a - s) % unit <= l - short:
-                        x = p
-                        break
-                if x:
-                    break
-        elif kind == "interval":
-            for p in candidates:
-                a, rem = divmod(p[0] * unit, scale)
-                short = 1 if rem else 0
-                for lo, hi in frags:
-                    if lo <= a <= hi - short:
+                for s, e in frags:  # an arc (s, l) or a segment (lo, hi)
+                    if ((a - s) % unit <= e - short if circle
+                            else s <= a <= e - short):
                         x = p
                         break
                 if x:

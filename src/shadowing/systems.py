@@ -218,8 +218,10 @@ class PiecewiseLinearMap:
         the start x of piece i goes to consts[i] * k * m + slopes[i] * m *
         x, and a point past a corner moves from its image by the slope
         times m, so no table is built for the unit; the products by k * m
-        are taken once, when the step is made. Each linear piece of an arc
-        gives one image arc, and a segment one image segment."""
+        are taken once, when the step is made. A segment takes the same
+        walk without the wrap: each linear piece crossed gives one image
+        arc or segment, so raw counts the pieces, and the touching image
+        segments of a segment normalize to the hull of its image."""
         bps, q, slopes, consts = self._lattice
         n, cuts = len(bps), self._cuts
         out = u * q
@@ -230,22 +232,8 @@ class PiecewiseLinearMap:
             km, slopes = k * m, tuple(sl * m for sl in slopes)
         vk, consts = km * q, tuple(c * km for c in consts)
 
-        if self.space.kind == "interval":
-            def step(frag, ball):
-                lo, hi = frag
-                i = bisect_right(bps, lo // k) - 1 if n > 1 else 0
-                x, sl = lo, slopes[i]
-                a = b = fx = consts[i] + sl * lo
-                for c, j, v in cuts[i:]:
-                    if c * k >= hi:
-                        break
-                    x, sl, fx = c * k, slopes[j], v * vk
-                    a, b = min(a, fx), max(b, fx)
-                fx += sl * (hi - x)
-                return _intersect_segs((min(a, fx), max(b, fx)), ball), 1
-            return step, w
-
-        if not cuts:  # one linear piece (doubling, a rotation): one image arc
+        circle = self.space.kind == "circle"
+        if circle and not cuts:  # one linear piece (doubling, a rotation)
             c0, s0 = consts[0], slopes[0]
 
             def step(frag, ball):
@@ -256,9 +244,15 @@ class PiecewiseLinearMap:
                 return _intersect_arcs((fx % w, fl), ball, w), 1
             return step, w
 
+        def clip(a, b, ball):  # the image piece from a to b, clipped to ball
+            lo, hi = (a, b) if a <= b else (b, a)
+            if circle:
+                return _intersect_arcs((lo % w, hi - lo), ball, w)
+            return _intersect_segs((lo, hi), ball)
+
         def step(frag, ball):
-            start, length = frag
-            end = start + length
+            start = frag[0]
+            end = start + frag[1] if circle else frag[1]
             i = bisect_right(bps, start // k) - 1 if n > 1 else 0
             x, sl = start, slopes[i]
             fx = consts[i] + sl * start
@@ -267,13 +261,9 @@ class PiecewiseLinearMap:
                 if c * k >= end:
                     break
                 fv = v * vk
-                lo, hi = (fx, fv) if fx <= fv else (fv, fx)
-                pieces += _intersect_arcs((lo % w, hi - lo), ball, w)
-                x, sl, fx = c * k, slopes[j], fv
-                raw += 1
-            fv = fx + sl * (end - x)
-            lo, hi = (fx, fv) if fx <= fv else (fv, fx)
-            return pieces + _intersect_arcs((lo % w, hi - lo), ball, w), raw
+                pieces += clip(fx, fv, ball)
+                x, sl, fx, raw = c * k, slopes[j], fv, raw + 1
+            return pieces + clip(fx, fx + sl * (end - x), ball), raw
         return step, w
 
     apply_set = _apply_set

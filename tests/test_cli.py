@@ -78,6 +78,21 @@ def test_estimate_config_file_with_flag_override(tmp_path, capsys):
     assert payload["horizons"][0]["trials"] == 3
 
 
+@pytest.mark.parametrize("horizons,want", [("12", [12]),
+                                            ("10,50", [10, 50])])
+def test_config_horizons_in_one_string_are_comma_separated(
+        tmp_path, capsys, horizons, want):
+    """A config file's horizons given as one string read as the
+    ``--horizons`` flag's text does, not character by character."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "doubling", "y0": "1/3", "d": "0.02", "eps": "0.05",
+        "horizons": horizons, "trials": 2, "seed": 1}))
+    code, out, _ = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 0
+    assert [h["horizon"] for h in json.loads(out)["horizons"]] == want
+
+
 def test_bounds_circle(capsys):
     code, out, _ = run(capsys, "bounds", "--system", "rotation:alpha=610/987",
                        "--d", "0.1")
@@ -397,6 +412,13 @@ def malformed(tmp_path):
                             "base 10: '2.0'"),
         "config-horizons-5.0": (config("horizons", json.dumps(
             {**good, "horizons": [5.0]})), "base 10: '5.0'"),
+        "config-horizons-empty": (config("no-horizons", json.dumps(
+            {**good, "horizons": ""})), "must be integers: invalid literal"),
+        "config-out-5": (config("out", json.dumps({**good, "out": 5})),
+                         "out must be a path string, got 5"),
+        "dichotomy-branch-5": (
+            ["dichotomy", *config("branch", '{"shadowing": 5}')[1:]],
+            "config 'shadowing' must be a JSON object, got 5"),
         "sidecar-system-5": (check("system-5",
                                    sidecar='{"system": 5, "d": "1/50"}'),
                              "a system spec is a string, got 5"),
@@ -415,7 +437,8 @@ def malformed(tmp_path):
     "csv-1/0", "sidecar-not-json", "sidecar-without-d", "config-not-json",
     "config-trials-x", "config-without-d", "config-system-5",
     "config-trials-1.5", "config-trials-true", "config-seed-2.0",
-    "config-horizons-5.0", "sidecar-system-5", "csv-not-utf-8",
+    "config-horizons-5.0", "config-horizons-empty", "config-out-5",
+    "dichotomy-branch-5", "sidecar-system-5", "csv-not-utf-8",
     "sidecar-not-utf-8",
     "config-not-utf-8"])
 def test_a_malformed_number_or_file_exits_two(tmp_path, capsys, case):

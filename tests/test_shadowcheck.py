@@ -530,6 +530,30 @@ def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
         system, [a, b], 1) == want
 
 
+@pytest.mark.parametrize("kind,y,want", [
+    ("interval", F(3, 5), F(3, 10)),  # on the upper end 3/10 of [1/10, 3/10]
+    ("interval", F(1, 5), F(1, 10)),  # on the lower end
+    ("interval", F(0), F(1)),  # 0 lies below [1/10, 3/10], 1 in [3/5, 1]
+    ("circle", F(3, 5), F(3, 10)),  # on the end 3/10 of (1/10, 1/5)
+], ids=["interval-on-end", "interval-on-start", "interval-0-or-1",
+        "circle-on-end"])
+def test_a_candidate_on_a_fragments_end_is_inside_it(kind, y, want):
+    """Over unit 10, a preimage on a fragment's end, which the division
+    leaves no remainder, lies in the fragment and is kept (one in the
+    lattice cell past the end is not: see the test above). On the
+    interval the test does not wrap: the preimage 0 lies outside [1/10,
+    3/10] and [3/5, 1], and the next one, 1, is kept."""
+    if kind == "interval":
+        system, frags = tent(2), [(F(1, 10), F(3, 10)), (F(3, 5), F(1))]
+    else:
+        system, frags = DBL, [(F(1, 10), F(1, 5)), (F(4, 5), F(1, 10))]
+    a = enclosure.make(system.space, frags)
+    b = enclosure.make(system.space, [(y, y) if kind == "interval"
+                                      else (y, 0)])
+    assert a.unit == 10 and shadowcheck.pull_back_witness(
+        system, [a, b], 1) == (want,)
+
+
 def test_the_step_is_made_again_for_a_new_ball_unit():
     """Stored doubling points over the scales 8, 8, 6, 6, 6, so balls of
     radius 1/4 over 8, 8, 12, 12, 12: A_1 keeps the unit 8 of A_0 while

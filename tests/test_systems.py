@@ -135,6 +135,50 @@ def test_set_image_equals_brute_force_image(system):
             assert any(contains(es, q) for q in preimages(system, p))
 
 
+def walk(system, frag, ball, unit):
+    """The map's step made for ``unit``, taking one fragment and one ball
+    of Fraction coordinates, the fragment's on the lattice over ``unit``:
+    (the image pieces as Fractions, raw)."""
+    step, w = system.image_step(unit, unit)
+    nums = [c * unit for c in frag] + [c * w for c in ball]
+    assert all(c.denominator == 1 for c in nums)
+    got, raw = step(tuple(int(c) for c in nums[:2]),
+                    tuple(int(c) for c in nums[2:]))
+    return [tuple(F(c, w) for c in piece) for piece in got], raw
+
+
+PWL3 = pwl([(0, 2), (F(1, 3), -2), (F(2, 3), 3)], space_kind="interval")
+TWO_TURNS = pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])
+
+
+@pytest.mark.parametrize("system,frag,ball,unit,pieces,raw,image", [
+    # tent across 1/2: [1/4, 1/2] and [1/2, 5/8] go to overlapping pieces
+    (tent(2), (F(1, 4), F(5, 8)), (0, 1), 8,
+     [(F(1, 2), 1), (F(3, 4), 1)], 2, [(F(1, 2), 1)]),
+    (tent(2), (F(1, 4), F(5, 8)), (F(3, 5), F(9, 10)), 40,
+     [(F(3, 5), F(9, 10)), (F(3, 4), F(9, 10))], 2, [(F(1, 2), 1)]),
+    # three pieces on the interval: [1/6, 1] crosses the corners 1/3, 2/3
+    (PWL3, (F(1, 6), 1), (0, 1), 6,
+     [(F(1, 3), F(2, 3)), (0, F(2, 3)), (0, 1)], 3, [(0, 1)]),
+    (PWL3, (F(1, 6), 1), (F(5, 6), 1), 6, [(F(5, 6), 1)], 3, [(0, 1)]),
+    # an arc from 9/10 past 0 to 1/10 on a two-turn circle map: one image
+    # arc on each side of the corner at 0, joined across 0 in normal form
+    (TWO_TURNS, (F(9, 10), F(1, 5)), (0, 1), 10,
+     [(F(5, 6), F(1, 6)), (0, F(1, 4))], 2, [(F(5, 6), F(5, 12))]),
+    (TWO_TURNS, (F(9, 10), F(1, 5)), (F(9, 10), F(1, 5)), 10,
+     [(F(9, 10), F(1, 10)), (0, F(1, 10))], 2, [(F(5, 6), F(5, 12))]),
+], ids=["tent-whole", "tent-ball", "pwl3-whole", "pwl3-ball",
+        "two-turns-whole", "two-turns-ball"])
+def test_the_corner_walk_gives_one_piece_per_linear_piece(
+        system, frag, ball, unit, pieces, raw, image):
+    """One step clips one image piece per linear piece that the fragment
+    crosses, and raw counts them; ``apply_set`` puts them in normal form,
+    the hull of the pieces on the interval."""
+    assert walk(system, frag, ball, unit) == (pieces, raw)
+    got = system.apply_set(enc.make(system.space, [frag]))
+    assert list(got.fragments) == image
+
+
 def test_full_coverage_of_saturating_image():
     dbl = doubling()
     es = enc.make(dbl.space, [(F(2, 5), F(11, 20))])
