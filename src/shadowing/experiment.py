@@ -22,7 +22,6 @@ import io
 import math
 import os
 import stat
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
@@ -234,6 +233,8 @@ def estimate_probability(config: ExperimentConfig,
     args = (repeat(config.system), repeat(config), range(config.trials),
             repeat(_band))
     if workers > 1:
+        # imported here, so a run at one worker loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, *args, chunksize=8))
     else:

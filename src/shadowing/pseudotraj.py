@@ -294,15 +294,22 @@ def worst_case_pseudotrajectory(system, d, eps) -> Pseudotrajectory:
 # -- serialization --------------------------------------------------------
 
 def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
-    """Write <base>.csv (n,coord0[,coord1]) and a <base>.json sidecar."""
+    """Write <base>.csv (n,coord0[,coord1]) and a <base>.json sidecar. Each
+    coordinate is written from its numerator and scale, reduced by one
+    gcd, as ``str(Fraction)`` writes it: ``a/b``, or ``a`` where b is 1."""
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    ncoords = len(traj.points[0])
-    with open(base.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n"] + [f"coord{i}" for i in range(ncoords)])
-        for n, p in enumerate(traj.points):
-            writer.writerow([n] + [str(c) for c in p])
+    gcd = math.gcd
+    nums, scales = traj.scaled.nums, traj.scaled.scales
+    lines = [",".join(["n"] + [f"coord{i}" for i in range(len(nums[0]))])]
+    for n, (y, scale) in enumerate(zip(nums, scales)):
+        fields = [str(n)]
+        for c in y:
+            g = gcd(c, scale)
+            fields.append(f"{c // g}/{scale // g}" if g != scale
+                          else str(c // g))
+        lines.append(",".join(fields))
+    base.with_suffix(".csv").write_text("\n".join(lines) + "\n", newline="")
     sidecar = {
         "system": system_spec,
         "d": str(traj.d),
@@ -317,43 +324,55 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
     """Read a trajectory written by save_trajectory; returns (traj,
     system_spec). A sidecar that is not a JSON object with "system" and
-    "d", a file that is not UTF-8, or a coordinate that ``Fraction``
-    rejects, is a ``UsageError``."""
+    "d", a file that is not UTF-8, or a row that ``_ratio_rows`` refuses,
+    is a ``UsageError``. The rows go on nested scales
+    (``ScaledPoints.nested``)."""
     base = Path(base)
     sidecar = json_object(base.with_suffix(".json"), ("system", "d"))
     path = base.with_suffix(".csv")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            # an empty file has no points, which Pseudotrajectory refuses
-            ncoords = len(next(reader, ["n"])) - 1
-            points = ScaledPoints.nested(
-                _scaled_row(row[1:1 + ncoords]) for row in reader)
+            rows = _ratio_rows(csv.reader(fh), path)
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text") from exc
     prov = Provenance(sidecar.get("provenance", "loaded"),
                       sidecar.get("seed"), sidecar.get("trial"))
-    traj = Pseudotrajectory(points, frac(sidecar["d"]), prov)
+    # an empty file has no points, which Pseudotrajectory refuses
+    traj = Pseudotrajectory(ScaledPoints.nested(rows), frac(sidecar["d"]),
+                            prov)
     return traj, sidecar["system"]
 
 
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def _scaled_row(tokens) -> tuple:
-    """(numerators, scale) of a stored point, as ``scaled_point`` gives it
-    for ``Fraction(token)``: an integer or a ratio with a nonzero
-    denominator is parsed to ints, any other token by ``frac``, so a token
-    that ``Fraction`` rejects is a ``UsageError``."""
-    ratios = []
-    for token in tokens:
-        m = _INT_RATIO.fullmatch(token)
-        if m is None:
-            c = frac(token)
-            num, den = c.numerator, c.denominator
-        else:
-            num, den = int(m[1]), int(m[2] or 1)
-        g = math.gcd(num, den)
-        ratios.append((num // g, den // g))
-    scale = math.lcm(*(den for _, den in ratios))
-    return tuple(num * (scale // den) for num, den in ratios), scale
+def _ratio_rows(reader, path) -> list:
+    """The coordinates of each row after the header, in one pass, as
+    (numerator, denominator) pairs for ``ScaledPoints.nested``: an integer
+    or a ratio with a nonzero denominator is parsed to ints, any other
+    token is read by ``frac``, so a token that ``Fraction`` rejects is a
+    ``UsageError``. So is a blank line, a row whose field count differs
+    from the header's, or a row whose n, read as an integer, is not its
+    0-based index; the message names the line."""
+    match = _INT_RATIO.fullmatch
+    width = len(next(reader, ()))
+    rows = []
+    for index, row in enumerate(reader):
+        if not row or len(row) != width:
+            raise UsageError(f"{path}: line {reader.line_num}: " + (
+                f"{len(row)} field(s), the header has {width}" if row
+                else "a blank line"))
+        try:
+            n = int(row[0])
+        except ValueError:
+            n = None
+        if n != index:
+            raise UsageError(f"{path}: line {reader.line_num}: n is "
+                             f"{row[0]!r}, not the row's index {index}")
+        ratios = []
+        for token in row[1:]:
+            m = match(token)
+            ratios.append(frac(token).as_integer_ratio() if m is None
+                          else (int(m[1]), int(m[2] or 1)))
+        rows.append(ratios)
+    return rows

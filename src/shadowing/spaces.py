@@ -74,23 +74,39 @@ class ScaledPoints(Sequence):
 
     @classmethod
     def from_points(cls, points) -> "ScaledPoints":
-        """The points over nested scales (see ``nested``)."""
-        return cls.nested(scaled_point(p) for p in points)
+        """The points over nested scales (see ``nested``); a float is read
+        as its exact value."""
+        return cls.nested([[c.as_integer_ratio() if isinstance(c, float)
+                             else (c.numerator, c.denominator) for c in p]
+                            for p in points])
 
     @classmethod
-    def nested(cls, pairs) -> "ScaledPoints":
-        """Points given as (numerators, scale) pairs in lowest terms, over
-        nested scales: a point whose scale divides the previous point's
-        scale moves to that scale, any other point keeps its own. So the
-        scale changes only where it must (so a shadow-set step meets its
-        ball on the ball's own unit, with no gcd) and never exceeds the
-        largest reduced denominator among the points."""
+    def nested(cls, rows) -> "ScaledPoints":
+        """Points given as rows of coordinates, each a (numerator,
+        denominator) pair with a positive denominator, over nested scales:
+        a point whose reduced denominator (the lcm of its coordinates')
+        divides the previous point's scale moves to that scale, any other
+        point takes its own. So the scale changes only where it must (so a
+        shadow-set step meets its ball on the ball's own unit, with no gcd)
+        and never exceeds the largest reduced denominator among the
+        points. A pair is reduced, by one gcd, only where its denominator
+        does not divide the previous scale: where it does, the lifted
+        numerator is the same either way."""
         nums, scales = [], []
-        for num, scale in pairs:
-            if scales and scales[-1] % scale == 0:
-                lift, scale = scales[-1] // scale, scales[-1]
-                num = tuple(c * lift for c in num)
-            nums.append(num)
+        scale = 1
+        for row in rows:
+            y = []
+            for num, den in row:
+                lift, off = divmod(scale, den)
+                if off:
+                    own = math.lcm(*[den // math.gcd(num, den)
+                                     for num, den in row])
+                    if scale % own:
+                        scale = own
+                    y = [num * scale // den for num, den in row]
+                    break
+                y.append(num * lift)
+            nums.append(tuple(y))
             scales.append(scale)
         return cls(nums, scales)
 

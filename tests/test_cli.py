@@ -361,6 +361,11 @@ def malformed(tmp_path):
                       name)
         return ["check", "--traj", base, "--eps", eps]
 
+    def rows(name, text):
+        base = stored(tmp_path, '{"system": "doubling", "d": "1/50"}',
+                      "n,coord0\n" + text, name)
+        return ["check", "--traj", base, "--eps", "0.05"]
+
     def config(name, text):
         path = tmp_path / f"config-{name}.json"
         path.write_text(text)
@@ -389,6 +394,16 @@ def malformed(tmp_path):
                     "not a rational number: 'abc'"),
         "csv-1/0": (check("zero", token="1/0"),
                     "not a rational number: '1/0'"),
+        "csv-extra-field": (check("extra", token="1/3,9"),
+                            "extra.csv: line 3: 3 field(s), the header has 2"),
+        "csv-short-row": (rows("short", "0,1/3\n1\n"),
+                          "short.csv: line 3: 1 field(s), the header has 2"),
+        "csv-wrong-n": (rows("wrong-n", "0,3/10\n7,1/10\n"),
+                        "wrong-n.csv: line 3: n is '7', not the row's index 1"),
+        "csv-n-not-integer": (rows("n-half", "0,3/10\n1/2,1/10\n"),
+                              "line 3: n is '1/2', not the row's index 1"),
+        "csv-blank-line": (rows("blank", "0,3/10\n1,1/10\n\n"),
+                           "blank.csv: line 4: a blank line"),
         "sidecar-not-json": (check("text", sidecar="{system: doubling"),
                              "text.json: not valid JSON"),
         "sidecar-without-d": (check("no-d", sidecar='{"system": "doubling"}'),
@@ -434,7 +449,8 @@ def malformed(tmp_path):
 @pytest.mark.parametrize("case", [
     "estimate-d-abc", "estimate-d-1/0", "estimate-tent-s-x",
     "estimate-horizons-10,x", "check-eps-abc", "bounds-eps-abc", "csv-abc",
-    "csv-1/0", "sidecar-not-json", "sidecar-without-d", "config-not-json",
+    "csv-1/0", "csv-extra-field", "csv-short-row", "csv-wrong-n",
+    "csv-n-not-integer", "csv-blank-line", "sidecar-not-json", "sidecar-without-d", "config-not-json",
     "config-trials-x", "config-without-d", "config-system-5",
     "config-trials-1.5", "config-trials-true", "config-seed-2.0",
     "config-horizons-5.0", "config-horizons-empty", "config-out-5",
@@ -607,3 +623,10 @@ def test_cli_and_check_never_import_scipy(tmp_path):
     summary = json.loads((tmp_path / "estimate" / "summary.json").read_text())
     assert all(0 <= h["ci_lo"] <= h["p_hat"] <= h["ci_hi"] <= 1
                for h in summary["horizons"])
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a run at one worker never starts a pool, so it loads none
+    found = run_python("-c", "import sys, shadowing.cli; "
+                             "print('multiprocessing' in sys.modules)")
+    assert found.returncode == 0 and found.stdout.strip() == "False"

@@ -1,12 +1,14 @@
 """Generator contract, splicing and the drift witness."""
 
 import csv
+import math
 import random
 from fractions import Fraction as F
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from shadowing import (DomainError, SearchFailure, UsageError,
@@ -19,6 +21,7 @@ from shadowing.spaces import ScaledPoints
 
 from reference import (dist, exact_orbit, prefix, random_point,
                        rotation_oracle, signed_circ_diff, splice, validate)
+from test_lattice import SYSTEMS, start_point
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -251,13 +254,20 @@ def test_worst_case_round_trip_keeps_verdict(tmp_path):
 
 
 def fraction_loaded(base) -> ScaledPoints:
-    """The stored points as ``Fraction(token)`` coordinates, over the
-    nested scales of ``ScaledPoints.from_points``."""
+    """The stored points as ``Fraction(token)`` coordinates, each put by
+    hand on the previous point's scale where its reduced denominator
+    divides that scale, and on the denominator itself otherwise."""
     with open(base.with_suffix(".csv"), newline="") as fh:
         rows = list(csv.reader(fh))
-    ncoords = len(rows[0]) - 1
-    return ScaledPoints.from_points(
-        tuple(F(c) for c in row[1:1 + ncoords]) for row in rows[1:])
+    nums, scales, scale = [], [], 1
+    for row in rows[1:]:
+        point = [F(c) for c in row[1:]]
+        den = math.lcm(*(c.denominator for c in point))
+        if scale % den:
+            scale = den
+        nums.append(tuple(int(c * scale) for c in point))
+        scales.append(scale)
+    return ScaledPoints(nums, scales)
 
 
 @pytest.mark.parametrize("name", ["doubling", "rotation", "tent", "annulus"])
@@ -308,6 +318,110 @@ def test_loader_rejects_what_fraction_rejects(tmp_path, token, error):
         F(token)
     assert type(got.value.__cause__) is error
     assert str(got.value.__cause__) == str(expected.value)
+
+
+# rows after a header n,coord0: each must be refused, naming its line
+MALFORMED_ROWS = {
+    "extra-field": ("0,3/10,9\n7,1/10\n", "line 2: 3 field(s), the header "
+                    "has 2"),
+    "short-row": ("0,3/10\n1\n", "line 3: 1 field(s), the header has 2"),
+    "wrong-n": ("0,3/10\n7,1/10\n", "line 3: n is '7', not the row's "
+                "index 1"),
+    "n-not-integer": ("0,3/10\nx,1/10\n", "line 3: n is 'x', not the row's "
+                      "index 1"),
+    "n-from-1": ("1,3/10\n", "line 2: n is '1', not the row's index 0"),
+    "blank-line": ("0,3/10\n\n1,1/10\n", "line 3: a blank line"),
+    "trailing-blank-line": ("0,3/10\n1,1/10\n\n", "line 4: a blank line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_loader_refuses_malformed_rows(tmp_path, case):
+    rows, message = MALFORMED_ROWS[case]
+    base = tmp_path / "rows"
+    base.with_suffix(".json").write_text(
+        '{"system": "doubling", "d": "1/50"}')
+    base.with_suffix(".csv").write_text("n,coord0\n" + rows)
+    with pytest.raises(UsageError) as got:
+        load_trajectory(base)
+    assert str(got.value) == f"{base.with_suffix('.csv')}: {message}"
+
+
+def test_loader_reads_n_as_an_integer(tmp_path):
+    base = tmp_path / "n"
+    base.with_suffix(".json").write_text(
+        '{"system": "doubling", "d": "1/50"}')
+    base.with_suffix(".csv").write_text("n,coord0\n0,1/3\n01,1/2\n 2,1/4\n")
+    loaded, _ = load_trajectory(base)
+    assert loaded.points == ((F(1, 3),), (F(1, 2),), (F(1, 4),))
+
+
+# the denominators of drawn coordinates: divisors and non-divisors of one
+# another, up to a sampled doubling point's
+DENOMINATORS = [1, 2, 3, 4, 6, 7, 12, 2 ** 53, 25 * 2 ** 53, 3 * 2 ** 54]
+
+
+@st.composite
+def stored_token(draw):
+    """A coordinate as a stored CSV may spell it: an integer, a reduced or
+    unreduced ratio, or another spelling that ``Fraction`` accepts."""
+    num = draw(st.integers(-2 ** 60, 2 ** 60))
+    den = draw(st.sampled_from(DENOMINATORS))
+    k = draw(st.sampled_from([1, 1, 2, 6]))
+    spelling = draw(st.sampled_from(["int", "ratio", "ratio", "space",
+                                     "underscore", "decimal", "plus"]))
+    if spelling == "int":
+        return str(num)
+    if spelling == "ratio":
+        return f"{num * k}/{den * k}"
+    if spelling == "space":
+        return f" {num}/{den} "
+    if spelling == "underscore":
+        return f"{abs(num) + 1_000:_}/{den}"
+    if spelling == "decimal":
+        return f"{num}.5"
+    return f"+{abs(num)}/{den}"
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(ncoords=st.sampled_from([1, 2]), data=st.data(),
+       quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+       ending=st.sampled_from(["\n", "\r\n"]))
+def test_loader_equals_fraction_parsing(tmp_path_factory, ncoords, data,
+                                        quoting, ending):
+    rows = data.draw(st.lists(st.lists(stored_token(), min_size=ncoords,
+                                       max_size=ncoords),
+                              min_size=1, max_size=30), label="rows")
+    base = tmp_path_factory.mktemp("drawn") / "traj"
+    base.with_suffix(".json").write_text(
+        '{"system": "doubling", "d": "1/50"}')
+    with open(base.with_suffix(".csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=quoting, lineterminator=ending)
+        writer.writerow(["n"] + [f"coord{i}" for i in range(ncoords)])
+        writer.writerows([n, *row] for n, row in enumerate(rows))
+    loaded, _ = load_trajectory(base)
+    ref = fraction_loaded(base)
+    assert loaded.scaled.nums == ref.nums
+    assert loaded.scaled.scales == ref.scales
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(SYSTEMS)), data=st.data())
+def test_saved_then_loaded_points_equal_their_fractions(tmp_path_factory,
+                                                         name, data):
+    system = SYSTEMS[name]
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    n = data.draw(st.integers(0, 60), label="n")
+    d = data.draw(st.sampled_from([F(1, 50), F(1, 7), F(9, 800)]), label="d")
+    traj = generate(system, start_point(system, data), d, n,
+                    trial_stream(seed))
+    base = tmp_path_factory.mktemp("saved") / "traj"
+    save_trajectory(traj, name, base)
+    loaded, _ = load_trajectory(base)
+    ref = ScaledPoints.from_points(traj.points)
+    assert loaded.scaled.nums == ref.nums
+    assert loaded.scaled.scales == ref.scales
+    assert loaded.points == traj.points
 
 
 def test_annulus_trajectory_round_trip(tmp_path):
