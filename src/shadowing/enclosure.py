@@ -30,9 +30,11 @@ only through ``EnclosureSet.fragments`` and ``measure``, which build the
 over the lcm of the two.
 
 A single fragment is a normal form as it stands, once a full arc is
-written ``(0, unit)``; the shadow-set step (``systems._step_image``)
-relies on that, clipping every image piece to the ball fragment of
-``_ball`` and calling ``_make`` only when more than one piece is left.
+written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``
+for a set of one fragment, ``systems._step_image`` for several) relies
+on that, clipping every image piece to the ball fragment of ``_ball``
+and calling ``_make`` only when more than one piece is left (the
+touching pieces of one interval fragment are joined into their hull).
 
 Every set equals the abstract set it stands for. A normal form with more
 fragments than the fragment cap raises a resource error that carries the

@@ -223,20 +223,34 @@ class LatticeWalk:
         times the power of two, at most 2**53, that keeps the draw exact;
         an untruncated step keeps the scale. The scale is a multiple of
         2**53 and of the denominator of w, which is read from
-        ``w_ratio``, so no ``Fraction`` is touched."""
+        ``w_ratio``, so no ``Fraction`` is touched.
+
+        The draw's constants are taken once per scale and kept while it
+        stays, as it does for every step of doubling and the rotations:
+        r = d * scale, whether the arc is the whole circle, and the
+        circle's draw step, 2r >> 53 or scale >> 53. The annulus draws
+        its arc at the scale grown by the radial draw, so it takes that
+        step at every step."""
         apply, draws = self.system.apply_scaled, self._draws
         space = self.system.space
         kind = space.kind
         w_num, w_den = space.w_ratio if kind == "annulus" else (0, 1)
         d_num, d_den = self.d.numerator, self.d.denominator
         nums, scales = self.taken.nums, self.taken.scales
+        add_num, add_scale = nums.append, scales.append
         y, scale = nums[0], scales[0]
         yield y, scale
+        kept = None
         for _ in range(self.n):
             center, scale = apply(y, scale)
-            r = d_num * (scale // d_den)
+            if scale != kept:
+                kept, r = scale, d_num * (scale // d_den)
+                arc = 2 * r < scale
+                arc_step = 2 * r >> 53 if arc else scale >> 53
             if kind == "circle":
-                c, y = center[0], ()
+                k = next(draws)
+                y = ((center[0] - r + arc_step * k) % scale if arc
+                     else k * arc_step,)
             else:
                 if kind == "interval":
                     lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
@@ -249,13 +263,13 @@ class LatticeWalk:
                 grow = TWO53 // low_bit if low_bit < TWO53 else 1
                 y = (lo * grow + (span * grow >> 53) * next(draws),)
                 scale *= grow
-                c, r = center[-1] * grow, r * grow
-            if kind != "interval":
-                k = next(draws)
-                y += ((c - r + (2 * r >> 53) * k) % scale if 2 * r < scale
-                      else k * (scale >> 53),)
-            nums.append(y)
-            scales.append(scale)
+                if kind == "annulus":
+                    k, r_grown = next(draws), r * grow
+                    y += ((center[1] * grow - r_grown
+                           + (2 * r_grown >> 53) * k) % scale if arc
+                          else k * (scale >> 53),)
+            add_num(y)
+            add_scale(scale)
             yield y, scale
 
 
@@ -350,12 +364,19 @@ def _ratio_rows(reader, path) -> list:
     """The coordinates of each row after the header, in one pass, as
     (numerator, denominator) pairs for ``ScaledPoints.nested``: an integer
     or a ratio with a nonzero denominator is parsed to ints, any other
-    token is read by ``frac``, so a token that ``Fraction`` rejects is a
-    ``UsageError``. So is a blank line, a row whose field count differs
-    from the header's, or a row whose n, read as an integer, is not its
-    0-based index; the message names the line."""
+    token is read by ``frac``. The header must be n,coord0 or
+    n,coord0,coord1, as ``save_trajectory`` writes it. Any other header is
+    a ``UsageError``, and so is a token that ``Fraction`` rejects (raised
+    from the error it raises), a blank line, a row whose field count
+    differs from the header's, or a row whose n, read as an integer, is
+    not its 0-based index; the message names the file and the line."""
     match = _INT_RATIO.fullmatch
-    width = len(next(reader, ()))
+    header = next(reader, [])
+    if header not in (["n", "coord0"], ["n", "coord0", "coord1"]):
+        raise UsageError(f"{path}: line 1: the header is "
+                         f"{','.join(header)!r}, not 'n,coord0' or "
+                         "'n,coord0,coord1'")
+    width = len(header)
     rows = []
     for index, row in enumerate(reader):
         if not row or len(row) != width:
@@ -372,7 +393,13 @@ def _ratio_rows(reader, path) -> list:
         ratios = []
         for token in row[1:]:
             m = match(token)
-            ratios.append(frac(token).as_integer_ratio() if m is None
-                          else (int(m[1]), int(m[2] or 1)))
+            if m is not None:
+                ratios.append((int(m[1]), int(m[2] or 1)))
+                continue
+            try:
+                ratios.append(frac(token).as_integer_ratio())
+            except UsageError as exc:
+                raise UsageError(f"{path}: line {reader.line_num}: "
+                                 f"{exc}") from exc.__cause__
         rows.append(ratios)
     return rows

@@ -16,15 +16,20 @@ when a caller reads a set's ``fragments``.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
 alone, on bare integers: the map's step for the two units
 (``image_step``), kept while they stay, walks the linear pieces of each
-fragment of A_n and clips each image piece to the ball as it is made,
-and only when more than one piece is left are they put in normal form.
+fragment of A_n and clips each image piece to the ball as it is made. A
+set of one fragment goes through that step in the loop itself, and its
+clipped pieces of an interval fragment, which touch, give their hull;
+only a set of several fragments goes through ``systems._step_image``,
+and only pieces that can overlap are put in normal form. A step builds
+nothing but the new set's record.
 A pull-back step takes the preimages of its point on a scale that grows
 by the slope numerators, and reads each on the shadow set's own unit by
 one division, comparing it inline with the set's arc, segment or box, so
 no fragment is lifted to the growing scale. A re-check step applies the
 map on the integer lattice and compares the orbit point with the
-trajectory point by cross-multiplying their scales (``orbit_tracks``): no
-gcd, no table and no lifted point.
+trajectory point by cross-multiplying their scales (``orbit_tracks``),
+inline on the circle: no gcd, no table and no lifted point. Both read
+the space's kind once per call, not per candidate, fragment or point.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
@@ -96,11 +101,16 @@ def shadow_sets(system, points, eps) -> list:
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map). The map walks the pieces of A_{n-1} and
     clips each image piece to the ball as it is made, over the lcm of the
-    image's unit and P_n, W_n; only more than one clipped piece is
-    normalized (``systems._step_image``). The map's step for the unit of
-    A_{n-1} and P_n (``image_step``) is made again only when either
-    changes, so doubling and the rotations make it once per trajectory.
-    The fragment cap is read at every step. A generated trajectory's
+    image's unit and P_n, W_n. The map's step for the unit of A_{n-1} and
+    P_n (``image_step``) is made again only when either changes, so
+    doubling and the rotations make it once per trajectory. A one-fragment
+    A_{n-1}, as in every shipped run, is sent through that step here, with
+    the cap check and normal form of ``systems._step_image``, which takes
+    a set of several fragments: one clipped piece is the next set as it
+    stands, the touching pieces of an interval fragment give their hull,
+    and only other pieces are normalized (``enclosure._make``). Each step
+    builds the ball (``enclosure._ball``) and the set's record and nothing
+    else. The fragment cap is read at every step. A generated trajectory's
     scales nest, so W_n is P_n and no step needs a gcd. Otherwise (points
     read from a file, say) A_n is reduced by one gcd, so its unit never
     exceeds the lcm of the denominators that A_{n-1} and the ball really
@@ -110,6 +120,7 @@ def shadow_sets(system, points, eps) -> list:
         raise DomainError("eps must be positive")
     eps = frac(eps)
     space, image_step = system.space, system.image_step
+    interval = space.kind == "interval"
     step_image = systems._step_image
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
@@ -131,11 +142,29 @@ def shadow_sets(system, points, eps) -> list:
             if u != step_u or unit != step_unit:
                 step_u, step_unit = u, unit
                 step, w = image_step(u, unit)
-            nums, u = step_image(system, step, w, nums, u, ball, unit)
+            if len(nums) > 1:
+                nums, u = step_image(system, step, w, nums, u, ball, unit)
+            else:
+                # _step_image for one fragment, without the call
+                if unit != w:
+                    ball = tuple(c * (w // unit) for c in ball)
+                pieces, raw = step(nums[0], ball)
+                if raw > enclosure.DEFAULT_FRAGMENT_CAP:
+                    system.apply_set(EnclosureSet(space, nums, u))
+                if len(pieces) < 2:
+                    nums = tuple(pieces)
+                elif interval:
+                    # the clipped pieces of a segment's image touch, so
+                    # their union is their hull
+                    los, his = zip(*pieces)
+                    nums = ((min(los), max(his)),)
+                else:
+                    nums = enclosure._make(space, pieces, w).nums
+                u = w
         nxt = EnclosureSet(space, nums, u)
         if u != unit:
             nxt = nxt.reduced(base)
-        nums, u = nxt.nums, nxt.unit
+            nums, u = nxt.nums, nxt.unit
         sets.append(nxt)
         if not nums:
             break
@@ -159,7 +188,9 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     the lcm of its denominator and the map's lattice base. Point n, over
     its scale s, is compared with the orbit point over z_scale * s *
     den(eps), by cross-multiplying: no step takes a gcd or builds a lifted
-    point. ``Fraction`` points are put on scales first."""
+    point. The products are made again only when either scale changes,
+    and the circle's distance is compared inline (``Space.beyond`` for the
+    other spaces). ``Fraction`` points are put on scales first."""
     space = system.space
     if not isinstance(points, ScaledPoints):
         points = ScaledPoints.from_points(points)
@@ -167,13 +198,18 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     eps_num, eps_den = eps.numerator, eps.denominator
     z, z_scale = scaled_point(space.canonical(x0), system.lattice_base)
     apply, beyond = system.apply_scaled, space.beyond
-    key = None
+    circle = space.kind == "circle"
+    kept_z = kept_s = None
     for y, s in zip(points.nums, points.scales):
-        if key != (z_scale, s):
-            key = (z_scale, s)
+        if z_scale != kept_z or s != kept_s:
+            kept_z, kept_s = z_scale, s
             z_lift, y_lift = s * eps_den, z_scale * eps_den
             common, bound = z_scale * z_lift, eps_num * z_scale * s
-        if beyond(z, z_lift, y, y_lift, common, bound):
+        if circle:  # beyond() of the circle, inline
+            t = (z[0] * z_lift - y[0] * y_lift) % common
+            if t > bound and common - t > bound:
+                return False
+        elif beyond(z, z_lift, y, y_lift, common, bound):
             return False
         z, z_scale = apply(z, z_scale)
     return True
@@ -191,25 +227,35 @@ def pull_back_witness(system, sets, m):
     of A_n, read inline on A_n's own unit: a coordinate c becomes
     floor(c * unit / scale), one short of its fragment's upper end when
     the division leaves a remainder (the value then lies strictly inside
-    the next lattice cell). One loop tests arcs and segments: a lies in
-    the arc (s, l) when (a - s) mod unit <= l - short, and in the segment
-    (lo, hi), which does not wrap, when lo <= a <= hi - short; a box tests
-    both. So no fragment is lifted to the growing scale, and only the
-    witness is turned into Fractions."""
+    the next lattice cell). The space's kind, read once per call, picks
+    the loop: a lies in the arc (s, l) when (a - s) mod unit <= l -
+    short, and in the segment (lo, hi), which does not wrap, when lo <= a
+    <= hi - short; a box tests both. So no fragment is lifted to the
+    growing scale, and only the witness is turned into Fractions."""
     x, scale = sets[m].pick_scaled()
-    preimages, kind = system.preimages_scaled, system.space.kind
-    circle = kind == "circle"
+    kind = system.space.kind
+    circle, interval = kind == "circle", kind == "interval"
+    preimages = system.preimages_scaled
     for n in range(m - 1, -1, -1):
         candidates, scale = preimages(x, scale)
         frags, unit = sets[n].nums, sets[n].unit
         x = None
-        if kind != "annulus":
+        if circle:
             for p in candidates:
                 a, rem = divmod(p[0] * unit, scale)
                 short = 1 if rem else 0
-                for s, e in frags:  # an arc (s, l) or a segment (lo, hi)
-                    if ((a - s) % unit <= e - short if circle
-                            else s <= a <= e - short):
+                for s, l in frags:
+                    if (a - s) % unit <= l - short:
+                        x = p
+                        break
+                if x:
+                    break
+        elif interval:
+            for p in candidates:
+                a, rem = divmod(p[0] * unit, scale)
+                short = 1 if rem else 0
+                for lo, hi in frags:
+                    if lo <= a <= hi - short:
                         x = p
                         break
                 if x:

@@ -17,11 +17,15 @@ lattice base and scales them by k = unit / lattice_base as it goes.
 ``image_step`` holds each map's set arithmetic: for the units of a set
 and of a ball it gives one step, which walks the linear pieces of a
 fragment on those parameters and clips each image arc, segment or box to
-the ball as it is made. ``_step_image`` is the shadow-set step,
+the ball as it is made; a one-piece circle map (doubling, a rotation)
+clips its one image arc inline. ``_step_image`` is the shadow-set step,
 ``intersect(apply_set(A), B)`` for a ball B given as one fragment, on
 bare integers: it takes every fragment of A through one such step, and
 only pieces that can overlap are put in normal form.
-``shadowcheck.shadow_sets`` keeps the step while the units stay.
+``shadowcheck.shadow_sets`` keeps the step while the units stay, and
+sends a set of one fragment through it directly, taking the hull of an
+interval fragment's touching pieces, so ``_step_image`` serves sets of
+several fragments.
 ``apply_set`` is the same walk with the whole space as the ball. The
 public ``apply`` puts a point on the lattice and reads ``apply_scaled``
 back as ``Fraction`` values.
@@ -85,7 +89,10 @@ def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
     set; only more pieces are put in normal form (``enclosure._make``).
     Only an image with more raw pieces than the fragment cap can have a
     normal form above it, so only such an image is normalized alone,
-    failing as ``apply_set`` would. Both read the cap at call time."""
+    failing as ``apply_set`` would. Both read the cap at call time.
+    ``shadowcheck.shadow_sets`` calls it for a set of several fragments
+    and takes a set of one fragment through the step itself, with the same
+    cap check."""
     if unit != w:
         ball = tuple(c * (w // unit) for c in ball)
     pieces, raw = [], 0
@@ -148,14 +155,18 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "lattice_base", base)
         # breakpoints and values as numerators over the lattice base; on a
         # unit k * base they are these times k. On piece i the map sends x
-        # (over the unit) to consts[i] * k + slopes[i] * x over q times it.
+        # (over the unit) to consts[i] * k + slopes[i] * x over q times it,
+        # where i counts the breakpoints past 0 that x // k reaches (none
+        # for a one-piece map). The base and whether the map is on the
+        # circle ride along, so a step reads them with the rest.
         bps_base = tuple(int(b * base) for b in bps)
         vals_base = tuple(int(v * base) for v in values)
         slopes_q = tuple(int(sl * q) for sl in slopes)
         object.__setattr__(self, "_lattice", (
-            bps_base, q, slopes_q,
+            bps_base[1:], q, slopes_q,
             tuple(v * q - sl * b
-                  for b, v, sl in zip(bps_base, vals_base, slopes_q))))
+                  for b, v, sl in zip(bps_base, vals_base, slopes_q)),
+            base, self.space.kind == "circle"))
         # per piece: its value range over the base and the preimage line
         # t = (c + J * inv) * k + r * inv over p times the unit (see
         # preimages_scaled), inv = p / slope
@@ -196,12 +207,12 @@ class PiecewiseLinearMap:
         lattice_base): (numerators, out unit). With k = unit / lattice_base
         the piece of x is that of floor(x / k) on the base's breakpoints,
         so no table is built for the unit."""
-        bps, q, slopes, consts = self._lattice
-        k = unit // self.lattice_base
+        inner, q, slopes, consts, base, circle = self._lattice
+        k = unit // base
         x = point[0]
-        i = bisect_right(bps, x // k) - 1 if len(bps) > 1 else 0
+        i = bisect_right(inner, x // k) if inner else 0
         v, out = consts[i] * k + slopes[i] * x, unit * q
-        if self.space.kind == "circle":
+        if circle:
             return (v % out,), out
         return (v,), out
 
@@ -221,27 +232,44 @@ class PiecewiseLinearMap:
         are taken once, when the step is made. A segment takes the same
         walk without the wrap: each linear piece crossed gives one image
         arc or segment, so raw counts the pieces, and the touching image
-        segments of a segment normalize to the hull of its image."""
-        bps, q, slopes, consts = self._lattice
-        n, cuts = len(bps), self._cuts
+        segments of a segment normalize to the hull of its image. A
+        one-piece circle map has no corner: its step maps the arc's ends
+        and clips the one image arc to the ball inline, with the pieces
+        that ``enclosure._intersect_arcs`` gives."""
+        inner, q, slopes, consts, base, circle = self._lattice
+        cuts = self._cuts
         out = u * q
         w = out if unit == out else math.lcm(out, unit)
-        km = k = u // self.lattice_base
+        km = k = u // base
         if w != out:
             m = w // out
             km, slopes = k * m, tuple(sl * m for sl in slopes)
         vk, consts = km * q, tuple(c * km for c in consts)
 
-        circle = self.space.kind == "circle"
         if circle and not cuts:  # one linear piece (doubling, a rotation)
             c0, s0 = consts[0], slopes[0]
 
             def step(frag, ball):
+                # _intersect_arcs of the image arc and the ball, inline;
+                # the ball is a normal-form fragment, so it starts in
+                # [0, W), where the meet t past the image's start begins
                 start, length = frag
                 fx, fl = c0 + s0 * start, s0 * length
                 if fl < 0:
                     fx, fl = fx + fl, -fl
-                return _intersect_arcs((fx % w, fl), ball, w), 1
+                if fl >= w:
+                    return (ball,), 1
+                fx %= w
+                bs, bl = ball
+                if bl >= w:
+                    return ((fx, fl),), 1
+                t = (bs - fx) % w
+                head = (((bs, bl if t + bl <= fl else fl - t),) if t <= fl
+                        else ())
+                hi = t - w + bl
+                if hi < 0:
+                    return head, 1
+                return head + ((fx, hi if hi <= fl else fl),), 1
             return step, w
 
         def clip(a, b, ball):  # the image piece from a to b, clipped to ball
@@ -253,7 +281,7 @@ class PiecewiseLinearMap:
         def step(frag, ball):
             start = frag[0]
             end = start + frag[1] if circle else frag[1]
-            i = bisect_right(bps, start // k) - 1 if n > 1 else 0
+            i = bisect_right(inner, start // k) if inner else 0
             x, sl = start, slopes[i]
             fx = consts[i] + sl * start
             pieces, raw = [], 1

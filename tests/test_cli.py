@@ -391,9 +391,15 @@ def malformed(tmp_path):
         "bounds-eps-abc": (["bounds", "--system", "doubling", "--d", "0.02",
                             "--eps", "abc"], "not a rational number: 'abc'"),
         "csv-abc": (check("abc", token="abc"),
-                    "not a rational number: 'abc'"),
+                    "abc.csv: line 3: not a rational number: 'abc'"),
         "csv-1/0": (check("zero", token="1/0"),
-                    "not a rational number: '1/0'"),
+                    "zero.csv: line 3: not a rational number: '1/0'"),
+        "csv-header-x,y": (
+            ["check", "--traj", stored(
+                tmp_path, '{"system": "doubling", "d": "1/50"}',
+                "x,y\n0,1/3\n1,1/2\n", "header"), "--eps", "0.05"],
+            "header.csv: line 1: the header is 'x,y', not 'n,coord0' or "
+            "'n,coord0,coord1'"),
         "csv-extra-field": (check("extra", token="1/3,9"),
                             "extra.csv: line 3: 3 field(s), the header has 2"),
         "csv-short-row": (rows("short", "0,1/3\n1\n"),
@@ -449,7 +455,8 @@ def malformed(tmp_path):
 @pytest.mark.parametrize("case", [
     "estimate-d-abc", "estimate-d-1/0", "estimate-tent-s-x",
     "estimate-horizons-10,x", "check-eps-abc", "bounds-eps-abc", "csv-abc",
-    "csv-1/0", "csv-extra-field", "csv-short-row", "csv-wrong-n",
+    "csv-1/0", "csv-header-x,y", "csv-extra-field", "csv-short-row",
+    "csv-wrong-n",
     "csv-n-not-integer", "csv-blank-line", "sidecar-not-json", "sidecar-without-d", "config-not-json",
     "config-trials-x", "config-without-d", "config-system-5",
     "config-trials-1.5", "config-trials-true", "config-seed-2.0",

@@ -312,8 +312,10 @@ def test_loader_rejects_what_fraction_rejects(tmp_path, token, error):
     base.with_suffix(".json").write_text(
         '{"system": "doubling", "d": "1/50"}')
     base.with_suffix(".csv").write_text(f"n,coord0\n0,1/3\n1,{token}\n")
-    with pytest.raises(UsageError, match="not a rational number") as got:
+    with pytest.raises(UsageError) as got:
         load_trajectory(base)
+    assert str(got.value) == (f"{base.with_suffix('.csv')}: line 3: "
+                              f"not a rational number: {token!r}")
     with pytest.raises(error) as expected:
         F(token)
     assert type(got.value.__cause__) is error
@@ -333,6 +335,24 @@ MALFORMED_ROWS = {
     "blank-line": ("0,3/10\n\n1,1/10\n", "line 3: a blank line"),
     "trailing-blank-line": ("0,3/10\n1,1/10\n\n", "line 4: a blank line"),
 }
+
+
+@pytest.mark.parametrize("header", ["x,y", "n", "n,coord1", "n,coord0,y",
+                                    "n,coord0,coord1,coord2", " n,coord0",
+                                    ""])
+def test_loader_refuses_any_other_header(tmp_path, header):
+    """Only the headers that save_trajectory writes are read; a header
+    that is anything else is refused at line 1, rows or not."""
+    base = tmp_path / "header"
+    base.with_suffix(".json").write_text(
+        '{"system": "doubling", "d": "1/50"}')
+    base.with_suffix(".csv").write_text(
+        f"{header}\n0,1/3\n1,1/2\n" if header else "")
+    with pytest.raises(UsageError) as got:
+        load_trajectory(base)
+    assert str(got.value) == (
+        f"{base.with_suffix('.csv')}: line 1: the header is {header!r}, "
+        "not 'n,coord0' or 'n,coord0,coord1'")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))

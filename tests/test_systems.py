@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shadowing import (UsageError, annulus_spiral, ball_set, doubling,
                        parse_system, pwl, rotation, tent, trial_stream)
@@ -177,6 +178,46 @@ def test_the_corner_walk_gives_one_piece_per_linear_piece(
     assert walk(system, frag, ball, unit) == (pieces, raw)
     got = system.apply_set(enc.make(system.space, [frag]))
     assert list(got.fragments) == image
+
+
+# one-piece circle maps of both slope signs, each stepped over the unit 60
+ONE_PIECE = {"doubling": doubling(), "rotation": rotation(F(7, 60)),
+             "minus-two": pwl([(0, -2)]), "minus-one": pwl([(0, -1)], F(1, 3))}
+ARC_UNIT = 60
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PIECE))
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(start=st.integers(0, ARC_UNIT - 1),
+       length=st.one_of(st.sampled_from([0, 1, 29, 30, 59, ARC_UNIT]),
+                        st.integers(0, ARC_UNIT)),
+       ball_start=st.integers(0, ARC_UNIT - 1),
+       ball_length=st.one_of(st.sampled_from([0, 1, 59, ARC_UNIT]),
+                             st.integers(0, ARC_UNIT)))
+# for doubling and for x -> -2x: an image arc that is the whole circle, a
+# ball that is the whole circle, an image arc and a ball that meet in two
+# arcs across 0, and ones that touch at one point (a zero-length arc)
+@example(start=3, length=30, ball_start=5, ball_length=4)
+@example(start=3, length=2, ball_start=0, ball_length=ARC_UNIT)
+@example(start=27, length=9, ball_start=6, ball_length=51)
+@example(start=6, length=3, ball_start=18, ball_length=9)
+@example(start=24, length=3, ball_start=12, ball_length=18)
+def test_the_one_piece_arc_clip_is_intersect_arcs(name, start, length,
+                                                  ball_start, ball_length):
+    """A one-piece circle map clips its image arc to the ball inline; the
+    pieces are those of ``_intersect_arcs`` on the image arc, which starts
+    at the image of the fragment's start (slope > 0) or end (slope < 0)."""
+    system, u = ONE_PIECE[name], ARC_UNIT
+    step, w = system.image_step(u, u)
+    assert w == u
+    slope = system.slopes[0]
+    end = (start + length) % u
+    (image_start,), _ = system.apply_scaled((start if slope > 0 else end,), u)
+    ball = (ball_start, ball_length)
+    got, raw = step((start, length), ball)
+    assert raw == 1
+    assert list(got) == enc._intersect_arcs(
+        (image_start, abs(slope) * length), ball, w)
 
 
 def test_full_coverage_of_saturating_image():

@@ -24,6 +24,7 @@ from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
 from shadowing.pseudotraj import LatticeWalk
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
+from shadowing.spaces import ScaledPoints
 
 from test_enclosure_properties import image_in_ball
 from test_lattice import PROPERTY, SYSTEMS, reference_witness, start_point
@@ -189,6 +190,82 @@ def test_the_kept_step_equals_a_fresh_step(name, data):
     if m >= 0:
         assert pull_back_witness(system, sets, m) == \
             reference_witness(system, want, m)
+
+
+def walked_points(name, n=12):
+    y0, d = STARTS[name]
+    walk = LatticeWalk(SYSTEMS[name], y0, d, n, trial_stream(5))
+    for _ in walk:
+        pass
+    return walk.taken
+
+
+# (system, points, eps, cap): at cap 0 every step fails; at cap 1 the
+# circle-pwl set A_0 = [1/5, 3/5] has the image [1/2, 4/3], which the ball
+# [13/60, 37/60] around 5/12 meets in two fragments
+CAP_CASES = {
+    **{name: (name, walked_points(name), F(1, 5), 0) for name in SYSTEMS},
+    "circle-pwl-two-fragments": (
+        "circle-pwl", ScaledPoints.from_points([(F(2, 5),), (F(5, 12),)]),
+        F(1, 5), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAP_CASES))
+def test_one_fragment_steps_fail_a_lowered_cap_as_step_image_does(
+        monkeypatch, case):
+    """``shadow_sets`` steps a one-fragment set without ``_step_image``;
+    with the fragment cap lowered it raises the error, with the same
+    message and exact set, that the step made through ``_step_image``
+    raises."""
+    name, points, eps, cap = CAP_CASES[case]
+    system = SYSTEMS[name]
+    full = shadow_sets(system, zip(points.nums, points.scales), eps)
+    assert full[0].fragment_count() == 1
+    assert max(s.fragment_count() for s in full) > cap
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", cap)
+    calls = []
+    step_image = systems._step_image
+
+    def counted_step_image(system, step, w, nums, *args):
+        calls.append(len(nums))
+        return step_image(system, step, w, nums, *args)
+
+    monkeypatch.setattr(systems, "_step_image", counted_step_image)
+    with pytest.raises(EnclosureCapError) as got:
+        shadow_sets(system, zip(points.nums, points.scales), eps)
+    assert calls == []
+    with pytest.raises(EnclosureCapError) as want:
+        fresh_step_sets(system, points, eps)
+    assert calls
+    assert (str(got.value), got.value.partial) == \
+        (str(want.value), want.value.partial)
+
+
+def test_a_one_fragment_tent_step_across_the_corner_makes_no_make(
+        monkeypatch):
+    """The fixed point 3/5 of tent:s=3/2, repeated: with eps = 3/20 each
+    shadow set is [9/20, 3/4], whose image is cut at 1/2 into two pieces
+    that touch. Their hull is the next set, with no ``_make`` call."""
+    system = SYSTEMS["tent"]
+    calls = []
+    make = enclosure._make
+
+    def counted_make(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(enclosure, "_make", counted_make)
+    points = ScaledPoints.from_points([(F(3, 5),)] * 6)
+    sets = shadow_sets(system, zip(points.nums, points.scales), F(3, 20))
+    step, w = system.image_step(sets[0].unit, sets[0].unit)
+    pieces, raw = step(sets[0].nums[0], tuple(
+        c * (w // sets[0].unit) for c in sets[0].nums[0]))
+    assert raw == 2 and len(pieces) == 2
+    assert calls == []
+    assert [s.fragments for s in sets] == [((F(9, 20), F(3, 4)),)] * 6
+    assert [(s.nums, s.unit) for s in sets] == \
+        [(s.nums, s.unit) for s in fresh_step_sets(system, points, F(3, 20))]
 
 
 def test_cut_images_are_normalized_mid_trial(monkeypatch):
