@@ -398,7 +398,7 @@ def _ratio_rows(reader, path) -> list:
                 continue
             try:
                 ratios.append(frac(token).as_integer_ratio())
-            except UsageError as exc:
+            except UsageError as exc:  # keep the error Fraction raised
                 raise UsageError(f"{path}: line {reader.line_num}: "
                                  f"{exc}") from exc.__cause__
         rows.append(ratios)
