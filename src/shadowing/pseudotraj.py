@@ -229,8 +229,8 @@ class LatticeWalk:
         stays, as it does for every step of doubling and the rotations:
         r = d * scale, whether the arc is the whole circle, and the
         circle's draw step, 2r >> 53 or scale >> 53. The annulus draws
-        its arc at the scale grown by the radial draw, so it takes that
-        step at every step."""
+        its arc at the scale that its radial draw grew, so it works out
+        that arc's draw step at every step."""
         apply, draws = self.system.apply_scaled, self._draws
         space = self.system.space
         kind = space.kind

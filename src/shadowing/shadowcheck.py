@@ -20,8 +20,8 @@ fragment of A_n and clips each image piece to the ball as it is made. A
 set of one fragment goes through that step in the loop itself, and its
 clipped pieces of an interval fragment, which touch, give their hull;
 only a set of several fragments goes through ``systems._step_image``,
-and only pieces that can overlap are put in normal form. A step builds
-nothing but the new set's record.
+and only pieces that can overlap are put in normal form. Besides the
+ball, a step builds nothing but the new set's record.
 A pull-back step takes the preimages of its point on a scale that grows
 by the slope numerators, and reads each on the shadow set's own unit by
 one division, comparing it inline with the set's arc, segment or box, so
