@@ -286,11 +286,14 @@ def _ball(space: Space, center, radius, unit) -> tuple:
         return (max(center[0] - radius, 0), min(center[0] + radius, unit))
     w_num, w_den = space.w_ratio
     w = w_num * (unit // w_den)
-    rlo = max(center[0] - radius, unit - w)
-    rhi = min(center[0] + radius, unit + w)
-    if 2 * radius >= unit:
+    rlo, rhi, diameter = center[0] - radius, center[0] + radius, 2 * radius
+    if rlo < unit - w:
+        rlo = unit - w
+    if rhi > unit + w:
+        rhi = unit + w
+    if diameter >= unit:
         return (rlo, rhi, 0, unit)
-    return (rlo, rhi, (center[1] - radius) % unit, 2 * radius)
+    return (rlo, rhi, (center[1] - radius) % unit, diameter)
 
 
 def intersect(a: EnclosureSet, b: EnclosureSet) -> EnclosureSet:

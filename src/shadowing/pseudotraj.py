@@ -221,53 +221,62 @@ class LatticeWalk:
         A segment, the interval or the annulus's radial one truncated to
         [lo, hi], is drawn as lo + (hi - lo) * k / 2**53, at the scale
         times the power of two, at most 2**53, that keeps the draw exact;
-        an untruncated step keeps the scale. The scale is a multiple of
-        2**53 and of the denominator of w, which is read from
-        ``w_ratio``, so no ``Fraction`` is touched.
+        an untruncated step keeps the scale. The annulus then draws its
+        arc at the grown scale. The scale is a multiple of 2**53 and of
+        the denominators of d and w, which are read as integers, so no
+        ``Fraction`` is touched.
 
-        The draw's constants are taken once per scale and kept while it
-        stays, as it does for every step of doubling and the rotations:
-        r = d * scale, whether the arc is the whole circle, and the
-        circle's draw step, 2r >> 53 or scale >> 53. The annulus draws
-        its arc at the scale that its radial draw grew, so it works out
-        that arc's draw step at every step."""
+        Every scale is an integer multiple of the one before it: the map
+        multiplies it by the lcm of its slope denominators and a truncated
+        step by its power of two. So the draw's constants are worked out
+        once, at the first scale, and carried across every change of scale
+        by its quotient: r = d * scale, the annulus half-width w * scale
+        and the arc's draw step, 2r >> 53 or scale >> 53. Whether the arc
+        is the whole circle does not depend on the scale. The truncation
+        bounds are met by comparison."""
         apply, draws = self.system.apply_scaled, self._draws
         space = self.system.space
-        kind = space.kind
-        w_num, w_den = space.w_ratio if kind == "annulus" else (0, 1)
-        d_num, d_den = self.d.numerator, self.d.denominator
+        circle, annulus = space.kind == "circle", space.kind == "annulus"
+        w_num, w_den = space.w_ratio if annulus else (0, 1)
         nums, scales = self.taken.nums, self.taken.scales
         add_num, add_scale = nums.append, scales.append
         y, scale = nums[0], scales[0]
+        r = self.d.numerator * (scale // self.d.denominator)
+        arc = 2 * r < scale
+        arc_step = (2 * r if arc else scale) >> 53
+        w = w_num * (scale // w_den)
+        kept = scale
         yield y, scale
-        kept = None
         for _ in range(self.n):
             center, scale = apply(y, scale)
             if scale != kept:
-                kept, r = scale, d_num * (scale // d_den)
-                arc = 2 * r < scale
-                arc_step = 2 * r >> 53 if arc else scale >> 53
-            if kind == "circle":
+                g = scale // kept
+                kept, r, arc_step, w = scale, r * g, arc_step * g, w * g
+            if circle:
                 k = next(draws)
                 y = ((center[0] - r + arc_step * k) % scale if arc
-                     else k * arc_step,)
+                     else arc_step * k,)
             else:
-                if kind == "interval":
-                    lo, hi = max(center[0] - r, 0), min(center[0] + r, scale)
-                else:
-                    w = w_num * (scale // w_den)
-                    lo = max(center[0] - r, scale - w)
-                    hi = min(center[0] + r, scale + w)
-                span = hi - lo
+                c = center[0]
+                lo, hi = c - r, c + r
+                floor, ceil = (scale - w, scale + w) if annulus else (0, scale)
+                if lo < floor:
+                    lo = floor
+                if hi > ceil:
+                    hi = ceil
+                span, theta = hi - lo, center[-1]  # the angle on the annulus
                 low_bit = span & -span
-                grow = TWO53 // low_bit if low_bit < TWO53 else 1
-                y = (lo * grow + (span * grow >> 53) * next(draws),)
-                scale *= grow
-                if kind == "annulus":
-                    k, r_grown = next(draws), r * grow
-                    y += ((center[1] * grow - r_grown
-                           + (2 * r_grown >> 53) * k) % scale if arc
-                          else k * (scale >> 53),)
+                if low_bit < TWO53:  # truncated: grow the scale
+                    grow = TWO53 // low_bit
+                    lo, span, theta = lo * grow, span * grow, theta * grow
+                    scale *= grow
+                    kept, r, arc_step, w = (scale, r * grow, arc_step * grow,
+                                            w * grow)
+                y = (lo + (span >> 53) * next(draws),)
+                if annulus:
+                    k = next(draws)
+                    y += ((theta - r + arc_step * k) % scale if arc
+                          else arc_step * k,)
             add_num(y)
             add_scale(scale)
             yield y, scale

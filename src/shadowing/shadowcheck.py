@@ -28,7 +28,8 @@ one division, comparing it inline with the set's arc, segment or box, so
 no fragment is lifted to the growing scale. A re-check step applies the
 map on the integer lattice and compares the orbit point with the
 trajectory point by cross-multiplying their scales (``orbit_tracks``),
-inline on the circle: no gcd, no table and no lifted point.
+inline on the circle and the annulus: no gcd, no table and no lifted
+point.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
@@ -100,9 +101,11 @@ def shadow_sets(system, points, eps) -> list:
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map). The map walks the pieces of A_{n-1} and
     clips each image piece to the ball as it is made, over the lcm of the
-    image's unit and P_n, W_n. The map's step for the unit of A_{n-1} and
-    P_n (``image_step``) is made again only when either changes, so
-    doubling and the rotations make it once per trajectory. A one-fragment
+    image's unit and P_n, W_n; the one-piece circle maps and the spiral
+    clip their one image arc or box inline (``systems._clip_arc``). The
+    map's step for the unit of A_{n-1} and P_n (``image_step``) is made
+    again only when either changes, so doubling and the rotations make it
+    once per trajectory, and the spiral at every step. A one-fragment
     A_{n-1}, as in every shipped run, is sent through that step here, with
     the cap check and normal form of ``systems._step_image``, which takes
     a set of several fragments: one clipped piece is the next set as it
@@ -110,10 +113,14 @@ def shadow_sets(system, points, eps) -> list:
     and only other pieces are normalized (``enclosure._make``). Each step
     builds the ball (``enclosure._ball``) and the set's record and nothing
     else. The fragment cap is read at every step. A generated trajectory's
-    scales nest, so W_n is P_n and no step needs a gcd. Otherwise (points
-    read from a file, say) A_n is reduced by one gcd, so its unit never
-    exceeds the lcm of the denominators that A_{n-1} and the ball really
-    carry. eps is converted to integers once.
+    scales nest, so W_n is P_n and no step needs a gcd. Where a point's
+    scale is a multiple of the one before it and that one was P_{n-1}, P_n
+    is the scale and the ball's radius eps * P_n is carried across the
+    change by the quotient, with no division by eps's denominator; on the
+    annulus and the non-integer slopes that is every step. Otherwise
+    (points read from a file, say) A_n is reduced by one gcd, so its unit
+    never exceeds the lcm of the denominators that A_{n-1} and the ball
+    really carry. eps is converted to integers once.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -125,12 +132,16 @@ def shadow_sets(system, points, eps) -> list:
     base = math.lcm(eps_den, system.lattice_base)
     sets, nums = [], None
     point_scale = step_u = step_unit = None
+    lift = 0  # no radius to carry yet
     for y, s in points:
         if s != point_scale:
-            # a generated annulus scale doubles every step, and base
-            # divides it: no lcm is needed there
-            point_scale, unit = s, s if s % base == 0 else math.lcm(s, base)
-            lift, radius = unit // s, eps_num * (unit // eps_den)
+            g, rem = divmod(s, point_scale) if lift == 1 else (0, 1)
+            if rem:
+                unit = s if s % base == 0 else math.lcm(s, base)
+                lift, radius = unit // s, eps_num * (unit // eps_den)
+            else:  # the scales nest, as a generated trajectory's do
+                unit, radius = s, radius * g
+            point_scale = s
         if lift != 1:
             y = tuple(c * lift for c in y)
         ball = enclosure._ball(space, y, radius, unit)
@@ -151,7 +162,7 @@ def shadow_sets(system, points, eps) -> list:
                 if raw > enclosure.DEFAULT_FRAGMENT_CAP:
                     system.apply_set(EnclosureSet(space, nums, u))
                 if len(pieces) < 2:
-                    nums = tuple(pieces)
+                    nums = pieces  # the record makes it a tuple
                 elif interval:
                     # the clipped pieces of a segment's image touch, so
                     # their union is their hull
@@ -187,9 +198,14 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     the lcm of its denominator and the map's lattice base. Point n, over
     its scale s, is compared with the orbit point over z_scale * s *
     den(eps), by cross-multiplying: no step takes a gcd or builds a lifted
-    point. The products are made again only when either scale changes,
-    and the circle's distance is compared inline (``Space.beyond`` for the
-    other spaces). ``Fraction`` points are put on scales first."""
+    point. The map multiplies z_scale by the same q at every step (the lcm
+    of its slope denominators). Where s grows by q too, as on every
+    untruncated step of a generated spiral or tent trajectory, the lifts
+    of the two points stay and the common unit and the bound are carried
+    by q; at any other change of either scale the products are made
+    again. The distance is compared inline on the circle and the annulus
+    (``Space.beyond`` on the interval). ``Fraction`` points are put on
+    scales first."""
     space = system.space
     if not isinstance(points, ScaledPoints):
         points = ScaledPoints.from_points(points)
@@ -197,15 +213,28 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     eps_num, eps_den = eps.numerator, eps.denominator
     z, z_scale = scaled_point(space.canonical(x0), system.lattice_base)
     apply, beyond = system.apply_scaled, space.beyond
-    circle = space.kind == "circle"
-    kept_z = kept_s = None
+    circle, annulus = space.kind == "circle", space.kind == "annulus"
+    # the map multiplies the orbit's scale by the same q at every step
+    q = apply(z, z_scale)[1] // z_scale
+    kept_z = kept_s = 0
     for y, s in zip(points.nums, points.scales):
-        if z_scale != kept_z or s != kept_s:
+        if s != kept_s or z_scale != kept_z:
+            if s == kept_s * q and z_scale == kept_z * q:
+                # both scales grew by q: the lifts stay
+                common, bound = common * q, bound * q
+            else:
+                z_lift, y_lift = s * eps_den, z_scale * eps_den
+                common, bound = z_scale * z_lift, eps_num * z_scale * s
             kept_z, kept_s = z_scale, s
-            z_lift, y_lift = s * eps_den, z_scale * eps_den
-            common, bound = z_scale * z_lift, eps_num * z_scale * s
         if circle:  # beyond() of the circle, inline
             t = (z[0] * z_lift - y[0] * y_lift) % common
+            if t > bound and common - t > bound:
+                return False
+        elif annulus:  # and of the annulus
+            t = z[0] * z_lift - y[0] * y_lift
+            if t > bound or -t > bound:
+                return False
+            t = (z[1] * z_lift - y[1] * y_lift) % common
             if t > bound and common - t > bound:
                 return False
         elif beyond(z, z_lift, y, y_lift, common, bound):

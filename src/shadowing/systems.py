@@ -18,7 +18,11 @@ lattice base and scales them by k = unit / lattice_base as it goes.
 and of a ball it gives one step, which walks the linear pieces of a
 fragment on those parameters and clips each image arc, segment or box to
 the ball as it is made; a one-piece circle map (doubling, a rotation)
-clips its one image arc inline. ``_step_image`` is the shadow-set step,
+clips its one image arc inline, and the spiral its one image box, meeting
+the radial segments by comparison: both clip the arc with ``_clip_arc``.
+The unit of a step is the ball's unit wherever the image's divides it,
+as on a generated trajectory, so no gcd is taken there (``_meet_units``).
+``_step_image`` is the shadow-set step,
 ``intersect(apply_set(A), B)`` for a ball B given as one fragment, on
 bare integers: it takes every fragment of A through one such step, and
 only pieces that can overlap are put in normal form.
@@ -41,8 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import enclosure
-from .enclosure import (EnclosureSet, _intersect_arcs, _intersect_boxes,
-                        _intersect_segs)
+from .enclosure import EnclosureSet, _intersect_arcs, _intersect_segs
 from .errors import DomainError, UsageError
 from .rationals import frac
 from .spaces import Space, annulus, circle, interval, scaled_point
@@ -105,6 +108,44 @@ def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
     if len(pieces) > 1:
         return enclosure._make(system.space, pieces, w).nums, w
     return tuple(pieces), w
+
+
+def _meet_units(out, unit) -> tuple:
+    """(W, W / out) for W = lcm(out, unit): W is ``unit`` without a gcd
+    where ``out`` divides it, as on a generated trajectory, whose ball
+    unit is the image's unit or a multiple of it."""
+    if unit == out:
+        return out, 1
+    m, rem = divmod(unit, out)
+    if rem:
+        w = math.lcm(out, unit)
+        return w, w // out
+    return unit, m
+
+
+def _clip_arc(fx, fl, bs, bl, w, head) -> tuple:
+    """The pieces of ``enclosure._intersect_arcs`` of an image arc and a
+    ball arc, over W = ``w``, each as the tuple ``head`` followed by the
+    piece's start and length: the image arc runs from fx over the signed
+    length fl (from fx + fl where fl < 0), fx any integer; the ball (bs,
+    bl) is a normal-form fragment, so it starts in [0, W), where the meet
+    t past the image's start begins. The one-piece circle step and the
+    spiral's step clip with it, the spiral with its clipped radial segment
+    as ``head``."""
+    if fl < 0:
+        fx, fl = fx + fl, -fl
+    if fl >= w:
+        return (head + (bs, bl),)
+    fx %= w
+    if bl >= w:
+        return (head + (fx, fl),)
+    t = (bs - fx) % w
+    pieces = ((head + (bs, bl if t + bl <= fl else fl - t),) if t <= fl
+              else ())
+    hi = t - w + bl
+    if hi < 0:
+        return pieces
+    return pieces + (head + (fx, hi if hi <= fl else fl),)
 
 
 @dataclass(frozen=True)
@@ -233,16 +274,16 @@ class PiecewiseLinearMap:
         walk without the wrap: each linear piece crossed gives one image
         arc or segment, so raw counts the pieces, and the touching image
         segments of a segment normalize to the hull of its image. A
-        one-piece circle map has no corner: its step maps the arc's ends
-        and clips the one image arc to the ball inline, with the pieces
-        that ``enclosure._intersect_arcs`` gives."""
+        one-piece circle map has no corner: its step maps the arc's start
+        and length and clips the one image arc to the ball with
+        ``_clip_arc``, which gives the pieces of
+        ``enclosure._intersect_arcs``."""
         inner, q, slopes, consts, base, circle = self._lattice
         cuts = self._cuts
         out = u * q
-        w = out if unit == out else math.lcm(out, unit)
+        w, m = _meet_units(out, unit)
         km = k = u // base
-        if w != out:
-            m = w // out
+        if m != 1:
             km, slopes = k * m, tuple(sl * m for sl in slopes)
         vk, consts = km * q, tuple(c * km for c in consts)
 
@@ -250,26 +291,10 @@ class PiecewiseLinearMap:
             c0, s0 = consts[0], slopes[0]
 
             def step(frag, ball):
-                # _intersect_arcs of the image arc and the ball, inline;
-                # the ball is a normal-form fragment, so it starts in
-                # [0, W), where the meet t past the image's start begins
                 start, length = frag
-                fx, fl = c0 + s0 * start, s0 * length
-                if fl < 0:
-                    fx, fl = fx + fl, -fl
-                if fl >= w:
-                    return (ball,), 1
-                fx %= w
                 bs, bl = ball
-                if bl >= w:
-                    return ((fx, fl),), 1
-                t = (bs - fx) % w
-                head = (((bs, bl if t + bl <= fl else fl - t),) if t <= fl
-                        else ())
-                hi = t - w + bl
-                if hi < 0:
-                    return head, 1
-                return head + ((fx, hi if hi <= fl else fl),), 1
+                return _clip_arc(c0 + s0 * start, s0 * length, bs, bl, w,
+                                 ()), 1
             return step, w
 
         def clip(a, b, ball):  # the image piece from a to b, clipped to ball
@@ -368,20 +393,30 @@ class AnnulusSpiral:
         return (out + p * (r - unit), (theta * q + a * (out // b)) % out), out
 
     def image_step(self, u, unit) -> tuple:
-        """(step, W): step(box, ball) is ([the image of the box over ``u``
-        clipped to the ball fragment ``ball``], 1), both over W = lcm(u *
-        q, unit): one image box per box."""
+        """(step, W): step(box, ball) is (the image of the box over ``u``
+        clipped to the ball fragment ``ball``, 1), both over W = lcm(u *
+        q, unit): one image box per box, which the ball cuts into at most
+        two. The radial segment is met by comparison and the arc by the
+        one-piece circle step's clip (``_clip_arc``), giving the pieces of
+        ``enclosure._intersect_boxes``."""
         p, q, a, b = self._lattice
         out = u * q
-        w = out if unit == out else math.lcm(out, unit)
-        m = w // out
+        w, m = _meet_units(out, unit)
         lam, lift, alpha = p * m, q * m, a * (w // b)
+        shift = (q - p) * m * u  # the image of radius r is shift + lam * r
 
         def step(box, ball):
             rlo, rhi, start, length = box
-            return _intersect_boxes(
-                (w + lam * (rlo - u), w + lam * (rhi - u),
-                 (start * lift + alpha) % w, length * lift), ball, w), 1
+            blo, bhi, bs, bl = ball
+            lo, hi = shift + lam * rlo, shift + lam * rhi
+            if lo < blo:
+                lo = blo
+            if hi > bhi:
+                hi = bhi
+            if lo > hi:
+                return (), 1
+            return _clip_arc(alpha + lift * start, lift * length, bs, bl, w,
+                             (lo, hi)), 1
         return step, w
 
     apply_set = _apply_set

@@ -29,6 +29,13 @@ pulled back; its digests were recorded while that normal form was still an
 angular sweep over arbitrary box unions, before it became one radial
 segment times the normal form of the arcs.
 
+The band-edge annulus ``check`` starts on the band's outer edge (y0 =
+(3/2, 0), d = 1/5, eps = 9/20): the radial range of the eps-ball reaches
+past the band at 149 of its 201 points, so ``_ball`` and the spiral's
+step cut it there, and its verdict is No at step 62. Its digests were
+recorded before the spiral's step clipped its box inline and the walk
+and the re-check carried their per-scale constants.
+
 The ``bounds`` digests pin the exit status, stdout and stderr of the
 README's three ``bounds`` examples and of three cover searches that fail:
 two orbits seen to cycle, and the tent ``s=3/2`` net of 20,000 centers,
@@ -143,6 +150,12 @@ GOLDEN = {
         "stdout":
             "6a8a63a6d56c9d6eea54b2c09f6e390d8aaf12929dad998302ce90260bc8d233",
     },
+    "band-edge-annulus-check": {
+        "traj.csv":
+            "a1b0334643ec3a648b02d57c75a7c39df56e14026144b873415f29067ac3259a",
+        "stdout":
+            "87837745c8dc8f540dad571edf1ad3b04a06f963ea7f2ffbb31c1286bb85d9bd",
+    },
 }
 
 
@@ -243,6 +256,19 @@ def test_wide_annulus_check_matches_golden(tmp_path, capsys, monkeypatch):
     assert {"traj.csv": sha(base.with_suffix(".csv")),
             "stdout": text_sha(capsys.readouterr().out)} \
         == GOLDEN["wide-annulus-check"]
+
+
+def test_band_edge_annulus_check_matches_golden(tmp_path, capsys):
+    base = tmp_path / "traj"
+    assert main(["generate", "--system",
+                 "annulus:lambda=1/2,alpha=610/987,w=0.5", "--y0", "1.5,0",
+                 "--d", "1/5", "--n", "200", "--seed", "3",
+                 "--out", str(base)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--traj", str(base), "--eps", "9/20"]) == 0
+    assert {"traj.csv": sha(base.with_suffix(".csv")),
+            "stdout": text_sha(capsys.readouterr().out)} \
+        == GOLDEN["band-edge-annulus-check"]
 
 
 def test_dichotomy_outputs_match_golden(tmp_path):

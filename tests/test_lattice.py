@@ -12,7 +12,8 @@ with ``contains`` for the pull-back.
 import math
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
                        generate, intersect, load_trajectory, orbit_tracks,
@@ -29,6 +30,8 @@ SYSTEMS = {
     "rotation": rotation(F(610, 987)),
     "tent": tent(F(3, 2)),
     "spiral": annulus_spiral(F(1, 2), F(610, 987), F(1, 2)),
+    # a contraction off the dyadic grid: its scale grows by 3 per step
+    "spiral-2/3": annulus_spiral(F(2, 3), F(610, 987), F(1, 2)),
     # negative and non-integer slopes, breakpoints off the dyadic grid
     "pwl": pwl([(0, F(3, 2)), (F(1, 3), F(-3, 4)), (F(2, 3), F(3, 2))],
                space_kind="interval"),
@@ -79,18 +82,24 @@ def start_point(system, data):
     return (x % 1,) if space.kind == "circle" else (x,)
 
 
+STEP_BOUNDS = [F(1, 50), F(3, 200), F(1, 7), F(9, 800)]
+# 1/200 against d = 1/7 empties most sets within a few steps, so the
+# shortened propagation meets reference_sets' walk over the empty tail
+TOLERANCES = [F(1, 20), F(1, 30), F(2, 21), F(3, 5), F(1, 200)]
+
+
 def lattice_matches_fractions(name, data):
     system = SYSTEMS[name]
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     n = data.draw(st.integers(0, 60), label="n")
-    d = data.draw(st.sampled_from([F(1, 50), F(3, 200), F(1, 7), F(9, 800)]),
-                  label="d")
-    # 1/200 against d = 1/7 empties most sets within a few steps, so the
-    # shortened propagation meets reference_sets' walk over the empty tail
-    eps = data.draw(st.sampled_from([F(1, 20), F(1, 30), F(2, 21), F(3, 5),
-                                     F(1, 200)]), label="eps")
-    y0 = start_point(system, data)
+    d = data.draw(st.sampled_from(STEP_BOUNDS), label="d")
+    eps = data.draw(st.sampled_from(TOLERANCES), label="eps")
+    chain_matches(system, seed, n, d, eps, start_point(system, data))
 
+
+def chain_matches(system, seed, n, d, eps, y0):
+    """The lattice kernel's points, sets, witness and re-check are the
+    ``Fraction`` references' on the chain from y0."""
     rng_lattice, rng_ref = trial_stream(seed), trial_stream(seed)
     traj = generate(system, y0, d, n, rng_lattice)
     points = reference_chain(system, y0, d, n, rng_ref)
@@ -147,6 +156,44 @@ def test_pwl_lattice_equals_fractions(data):
 @given(data=st.data())
 def test_circle_pwl_lattice_equals_fractions(data):
     lattice_matches_fractions("circle-pwl", data)
+
+
+@pytest.mark.parametrize("name", ["spiral", "spiral-2/3"])
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+       d=st.sampled_from(STEP_BOUNDS), eps=st.sampled_from(TOLERANCES),
+       r0=st.fractions(F(1, 2), F(3, 2), max_denominator=1000),
+       theta0=st.fractions(0, 1, max_denominator=1000))
+# starts on the band's outer edge r0 = 1 + w; at d = 1/3 the radial draws
+# are truncated at the band, and a truncated draw grows the scale by a
+# power of two besides the slope's denominator
+@example(seed=3, n=60, d=F(1, 7), eps=F(1, 20), r0=F(3, 2), theta0=F(0))
+@example(seed=3, n=60, d=F(1, 7), eps=F(3, 5), r0=F(3, 2), theta0=F(1, 2))
+@example(seed=3, n=60, d=F(1, 3), eps=F(3, 5), r0=F(3, 2), theta0=F(0))
+@example(seed=5, n=60, d=F(1, 3), eps=F(1, 20), r0=F(3, 2), theta0=F(0))
+def test_spirals_from_the_band_edge_match_fractions(name, seed, n, d, eps, r0,
+                                                    theta0):
+    """The walk carries r, the half-width and the arc's draw step across
+    every change of scale, and the spiral's step clips its box inline; on
+    both spirals the chain, sets, witness and re-check are the
+    references'."""
+    chain_matches(SYSTEMS[name], seed, n, d, eps, (r0, theta0 % 1))
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_truncated_spiral_draws_grow_the_scale_by_a_power_of_two(seed):
+    """The band-edge examples above reach the truncated draws: from r0 =
+    3/2 at d = 1/3 the scale of the lambda = 2/3 spiral grows by 3 at
+    every step and by 3 * 2**j, 0 < j <= 53, at some."""
+    traj = generate(SYSTEMS["spiral-2/3"], (F(3, 2), F(0)), F(1, 3), 60,
+                    trial_stream(seed))
+    scales = traj.scaled.scales
+    growth = [b // a for a, b in zip(scales, scales[1:])]
+    assert all(a * g == b for a, b, g in zip(scales, scales[1:], growth))
+    powers = [g // 3 for g in growth]
+    assert all(g % 3 == 0 and p & (p - 1) == 0 and p <= 2 ** 53
+               for g, p in zip(growth, powers))
+    assert any(p > 1 for p in powers)
 
 
 def test_a_step_of_half_a_turn_or_more_draws_a_uniform_angle():

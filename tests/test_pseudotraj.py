@@ -13,7 +13,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 from shadowing import (DomainError, SearchFailure, UsageError,
                        decide_shadowable, doubling, generate, load_trajectory,
-                       rotation, save_trajectory, trial_stream,
+                       parse_system, rotation, save_trajectory, trial_stream,
                        worst_case_pseudotrajectory)
 from shadowing import annulus_spiral, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
@@ -453,3 +453,27 @@ def test_annulus_trajectory_round_trip(tmp_path):
     assert loaded.points == traj.points
     header = (base.with_suffix(".csv")).read_text().splitlines()[0]
     assert header == "n,coord0,coord1"
+
+
+# the largest point-scale bits of trial 0, seed 3, d = 1/50, among the
+# first 501 points and among all 2001: the integer slopes keep the scale,
+# the rotation's is the lcm of its denominators, and a contraction or a
+# non-integer slope adds its denominator's bits at every step
+SCALE_BITS = {
+    "doubling": ((F(3, 10),), 59, 59),
+    "rotation:alpha=610/987": ((F(0),), 69, 69),
+    "tent:s=2": ((F(3, 10),), 484, 1603),
+    "tent:s=3/2": ((F(3, 10),), 560, 2060),
+    "annulus:lambda=1/2,alpha=610/987,w=0.5": ((F(7, 5), F(0)), 569, 2069),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SCALE_BITS))
+def test_point_scale_bits_are_pinned(spec):
+    """The bits of the largest point scale at N = 500 and 2000 are pinned,
+    so a step that gains one factor more than the chain needs, such as
+    2**53, fails here."""
+    y0, at_500, at_2000 = SCALE_BITS[spec]
+    traj = generate(parse_system(spec), y0, F(1, 50), 2000, trial_stream(3))
+    bits = [s.bit_length() for s in traj.scaled.scales]
+    assert (max(bits[:501]), max(bits)) == (at_500, at_2000)

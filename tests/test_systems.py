@@ -220,6 +220,60 @@ def test_the_one_piece_arc_clip_is_intersect_arcs(name, start, length,
         (image_start, abs(slope) * length), ball, w)
 
 
+# the spiral (r, theta) -> (1 + (r - 1) / 2, theta + 7/60) on boxes over the
+# unit 60, whose radial range is [30, 90]; its image's unit is 120, and the
+# ball is over 120 * k
+BOX_SPIRAL = annulus_spiral(F(1, 2), F(7, 60), F(1, 2))
+BOX_UNIT = 60
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rlo=st.integers(30, 90), rwidth=st.integers(0, 60),
+       start=st.integers(0, BOX_UNIT - 1),
+       length=st.one_of(st.sampled_from([0, 1, 30, 59, BOX_UNIT]),
+                        st.integers(0, BOX_UNIT)),
+       blo=st.integers(60, 180), bwidth=st.integers(0, 120),
+       ball_start=st.integers(0, 119),
+       ball_length=st.one_of(st.sampled_from([0, 1, 119, 120]),
+                             st.integers(0, 120)),
+       k=st.sampled_from([1, 2]))
+# an image arc and a ball that are both the whole circle; an image arc
+# (94, 50) over 120 and a ball (10, 100) that meet in two arcs across 0;
+# the same image arc touching the ball (24, 10) at 24 (a zero-length arc);
+# the image's radial segment [90, 100] missing the ball's [101, 150], and
+# touching [100, 150] at one radius
+@example(rlo=30, rwidth=60, start=0, length=60, blo=60, bwidth=120,
+         ball_start=0, ball_length=120, k=1)
+@example(rlo=40, rwidth=10, start=40, length=25, blo=60, bwidth=120,
+         ball_start=10, ball_length=100, k=1)
+@example(rlo=40, rwidth=10, start=40, length=25, blo=60, bwidth=120,
+         ball_start=24, ball_length=10, k=1)
+@example(rlo=30, rwidth=10, start=40, length=25, blo=101, bwidth=49,
+         ball_start=10, ball_length=100, k=1)
+@example(rlo=30, rwidth=10, start=40, length=25, blo=100, bwidth=50,
+         ball_start=10, ball_length=100, k=1)
+def test_the_spiral_box_clip_is_intersect_boxes(rlo, rwidth, start, length,
+                                                blo, bwidth, ball_start,
+                                                ball_length, k):
+    """The spiral's step clips its image box to the ball inline: the
+    pieces are those of ``_intersect_boxes`` on the image box, whose radial
+    ends are the images of the box's and whose arc starts at the image of
+    its start."""
+    u = BOX_UNIT
+    step, w = BOX_SPIRAL.image_step(u, 2 * u * k)
+    assert w == 2 * u * k
+    box = (rlo, min(rlo + rwidth, 90), start, length)
+    ball = tuple(c * k for c in (blo, min(blo + bwidth, 180), ball_start,
+                                 ball_length))
+    (lo, theta), out = BOX_SPIRAL.apply_scaled((box[0], start), u)
+    (hi, _), _ = BOX_SPIRAL.apply_scaled((box[1], start), u)
+    m = w // out
+    image = (lo * m, hi * m, theta * m, length * (w // u))
+    got, raw = step(box, ball)
+    assert raw == 1
+    assert list(got) == enc._intersect_boxes(image, ball, w)
+
+
 def test_full_coverage_of_saturating_image():
     dbl = doubling()
     es = enc.make(dbl.space, [(F(2, 5), F(11, 20))])

@@ -34,6 +34,7 @@ STARTS = {
     "rotation": ((F(0),), F(1, 50)),
     "tent": ((F(1, 3),), F(1, 50)),
     "spiral": ((F(7, 5), F(0)), F(9, 800)),
+    "spiral-2/3": ((F(3, 2), F(0)), F(1, 7)),
     "pwl": ((F(1, 2),), F(1, 50)),
     "circle-pwl": ((F(3, 10),), F(1, 50)),
 }
