@@ -264,18 +264,20 @@ class LatticeWalk:
                     lo = floor
                 if hi > ceil:
                     hi = ceil
-                span, theta = hi - lo, center[-1]  # the angle on the annulus
+                span = hi - lo
                 low_bit = span & -span
                 if low_bit < TWO53:  # truncated: grow the scale
                     grow = TWO53 // low_bit
-                    lo, span, theta = lo * grow, span * grow, theta * grow
+                    lo, span = lo * grow, span * grow
                     scale *= grow
                     kept, r, arc_step, w = (scale, r * grow, arc_step * grow,
                                             w * grow)
+                else:
+                    grow = 1
                 y = (lo + (span >> 53) * next(draws),)
                 if annulus:
                     k = next(draws)
-                    y += ((theta - r + arc_step * k) % scale if arc
+                    y += ((center[1] * grow - r + arc_step * k) % scale if arc
                           else arc_step * k,)
             add_num(y)
             add_scale(scale)

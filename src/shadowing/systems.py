@@ -20,12 +20,10 @@ fragment on those parameters and clips each image arc, segment or box to
 the ball as it is made; a one-piece circle map (doubling, a rotation)
 clips its one image arc inline, and the spiral its one image box, meeting
 the radial segments by comparison: both clip the arc with ``_clip_arc``.
-The unit of a step is the ball's unit wherever the image's divides it,
-as on a generated trajectory, so no gcd is taken there (``_meet_units``).
-``_step_image`` is the shadow-set step,
-``intersect(apply_set(A), B)`` for a ball B given as one fragment, on
-bare integers: it takes every fragment of A through one such step, and
-only pieces that can overlap are put in normal form.
+``_step_image`` is the shadow-set step, ``intersect(apply_set(A), B)``
+for a ball B given as one fragment, on bare integers: it takes every
+fragment of A through one such step, and only pieces that can overlap
+are put in normal form.
 ``shadowcheck.shadow_sets`` keeps the step while the units stay, and
 sends a set of one fragment through it directly, taking the hull of an
 interval fragment's touching pieces, so ``_step_image`` serves sets of
@@ -108,19 +106,6 @@ def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
     if len(pieces) > 1:
         return enclosure._make(system.space, pieces, w).nums, w
     return tuple(pieces), w
-
-
-def _meet_units(out, unit) -> tuple:
-    """(W, W / out) for W = lcm(out, unit): W is ``unit`` without a gcd
-    where ``out`` divides it, as on a generated trajectory, whose ball
-    unit is the image's unit or a multiple of it."""
-    if unit == out:
-        return out, 1
-    m, rem = divmod(unit, out)
-    if rem:
-        w = math.lcm(out, unit)
-        return w, w // out
-    return unit, m
 
 
 def _clip_arc(fx, fl, bs, bl, w, head) -> tuple:
@@ -281,9 +266,10 @@ class PiecewiseLinearMap:
         inner, q, slopes, consts, base, circle = self._lattice
         cuts = self._cuts
         out = u * q
-        w, m = _meet_units(out, unit)
+        w = out if unit == out else math.lcm(out, unit)
         km = k = u // base
-        if m != 1:
+        if w != out:
+            m = w // out
             km, slopes = k * m, tuple(sl * m for sl in slopes)
         vk, consts = km * q, tuple(c * km for c in consts)
 
@@ -401,7 +387,8 @@ class AnnulusSpiral:
         ``enclosure._intersect_boxes``."""
         p, q, a, b = self._lattice
         out = u * q
-        w, m = _meet_units(out, unit)
+        w = out if unit == out else math.lcm(out, unit)
+        m = w // out
         lam, lift, alpha = p * m, q * m, a * (w // b)
         shift = (q - p) * m * u  # the image of radius r is shift + lam * r
 
