@@ -113,11 +113,12 @@ def shadow_sets(system, points, eps) -> list:
     and only other pieces are normalized (``enclosure._make``). Each step
     builds the ball (``enclosure._ball``) and the set's record and nothing
     else. The fragment cap is read at every step. A generated trajectory's
-    scales nest, so W_n is P_n and no step needs a gcd. Where a point's
-    scale is a multiple of the one before it and that one was P_{n-1}, P_n
-    is the scale and the ball's radius eps * P_n is carried across the
-    change by the quotient, with no division by eps's denominator; on the
-    annulus and the non-integer slopes that is every step. Otherwise
+    scales nest, so W_n is P_n, with no gcd on an untruncated step, and no
+    set is reduced. Where a point's scale is a multiple of the one before
+    it and that one was P_{n-1}, P_n is the scale and the ball's radius
+    eps * P_n is carried across the change by the quotient, with no
+    division by eps's denominator; on the annulus and the non-integer
+    slopes that is every step. Otherwise
     (points read from a file, say) A_n is reduced by one gcd, so its unit
     never exceeds the lcm of the denominators that A_{n-1} and the ball
     really carry. eps is converted to integers once.
