@@ -3,10 +3,10 @@ shadowing checks, Monte Carlo shadowing-probability experiments, and the
 constructive quantities behind the transitive-map dichotomy."""
 
 from .bounds import (CoverTime, DichotomyQuantities, ProofQuantities,
-                     attractor_quantities, blocks_for_confidence, cover_time,
-                     delta_for_inclusion, dichotomy_quantities, eta,
-                     nonshadow_lower_bound, tube_delta, tube_probability_bound)
-from .enclosure import EnclosureSet, ball_set, intersect
+                     attractor_quantities, cover_time, delta_for_inclusion,
+                     dichotomy_quantities, eta, nonshadow_lower_bound,
+                     tube_delta)
+from .enclosure import EnclosureSet, ball_set
 from .errors import (DomainError, EnclosureCapError, InvariantViolation,
                      SearchFailure, UsageError)
 from .experiment import (ExperimentConfig, ExperimentResult, HorizonStat,

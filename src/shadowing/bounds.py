@@ -83,18 +83,6 @@ def eta(space: Space, delta, d) -> Fraction:
     return value
 
 
-def tube_probability_bound(eta_value, length: int) -> Fraction:
-    """eta^length: lower bound on the probability that a random
-    d-pseudotrajectory stays in the delta-tube around a given sequence for
-    ``length`` consecutive steps."""
-    eta_value = frac(eta_value)
-    if not 0 < eta_value <= 1:
-        raise DomainError("eta must lie in (0, 1]")
-    if length < 0:
-        raise DomainError("length must be nonnegative")
-    return eta_value ** length
-
-
 class CoverTime(NamedTuple):
     k1: int
     k2: int
@@ -112,7 +100,8 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     orbit is seen to cycle: a scan keeps its point at each power-of-two
     step (Brent, *BIT* 20, 1980), and a return to it means that only
     points already scanned follow. An annulus map is a ``UsageError``:
-    its bounds are ``attractor_quantities``.
+    its bounds are ``attractor_quantities``. A negative horizon is a
+    ``DomainError``.
 
     Every orbit point from step 1 on lies in the image f(X) of the whole
     space, which is computed exactly first: a net ball whose closure f(X)
@@ -129,6 +118,9 @@ def cover_time(system, r, delta1, horizon: int = 10 ** 6) -> CoverTime:
     delta1 = frac(delta1)
     space = system.space
     size = space.net_size(delta1)
+    if horizon < 0:
+        raise DomainError(f"the cover search's step budget (horizon) must "
+                          f"be nonnegative, got {horizon}")
     point = space.canonical(r)
     image = system.apply_set(ball_set(space, point, space.diameter))
     missed = _first_missed_center(image, delta1, size)
@@ -208,21 +200,6 @@ def nonshadow_lower_bound(eta_value, block_length: int, k: int) -> Fraction:
     if k < 0:
         raise DomainError("k must be nonnegative")
     return 1 - (1 - eta_value ** block_length) ** k
-
-
-def blocks_for_confidence(eta_value, block_length: int, confidence) -> int:
-    """Smallest k with nonshadow_lower_bound(eta, L, k) >= confidence."""
-    eta_value = frac(eta_value)
-    confidence = frac(confidence)
-    if not 0 < confidence < 1:
-        raise DomainError("confidence must lie in (0, 1)")
-    tube = eta_value ** block_length
-    if tube == 1:
-        return 1
-    log_miss = math.log1p(-float(tube))  # 1 - eta^L may round to 1.0
-    if log_miss == 0:
-        raise DomainError(f"eta^L = ({eta_value})^{block_length} underflows")
-    return math.ceil(math.log(1 - confidence) / log_miss)
 
 
 class _Record:

@@ -17,17 +17,17 @@ of fragments whose interiors are pairwise disjoint:
 
 Each form depends only on the point set, so ``EnclosureSet.__eq__``, which
 compares fragments, is equality of sets, however the fragments given to
-``make`` overlap or were cut.
+``_make`` overlap or were cut.
 
 Every fragment coordinate is a Python integer, a numerator over the
 set's ``unit``, a positive integer *scale*: the arc, segment and box
 algebra only adds, compares and reduces modulo ``unit``. Values enter as
-``Fraction`` coordinates only through ``make`` and ``ball_set``, which put
-them on integers once with ``scaled_point``, over the lcm of their
-denominators (and, for a ball on the annulus, of w's), and leave
-only through ``EnclosureSet.fragments`` and ``measure``, which build the
-``Fraction`` values when they are read. Sets over different units meet
-over the lcm of the two.
+``Fraction`` coordinates only through ``ball_set``, which puts them on
+integers once with ``scaled_point``, over the lcm of the denominators of
+the center, the radius and, on the annulus, w, and leave only through
+``EnclosureSet.fragments`` and ``measure``, which build the ``Fraction``
+values when they are read. An image and a ball over different units meet
+over the lcm of the two (``systems``' ``image_step``).
 
 A single fragment is a normal form as it stands, once a full arc is
 written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``
@@ -62,24 +62,6 @@ def _lift(frags, factor):
 
 # -- circle arcs ---------------------------------------------------------
 
-def _intersect_arcs(a, b, unit):
-    s1, l1 = a
-    s2, l2 = b
-    if l1 >= unit:
-        return [b]
-    if l2 >= unit:
-        return [a]
-    t = (s2 - s1) % unit  # b starts t into a, or t - unit before it
-    out = []
-    hi = min(t + l2, l1)
-    if t <= hi:
-        out.append(((s1 + t) % unit, hi - t))
-    hi = min(t - unit + l2, l1)
-    if hi >= 0:
-        out.append((s1 % unit, hi))
-    return out
-
-
 def _normalize_arcs(arcs, unit):
     """The circle normal form: the arcs cut at 0 into segments of
     [0, unit], the segment normal form of the pieces, and its first and
@@ -99,7 +81,7 @@ def _normalize_arcs(arcs, unit):
 
 # -- interval segments ---------------------------------------------------
 
-def _intersect_segs(a, b, unit=None):
+def _intersect_segs(a, b):
     lo = max(a[0], b[0])
     hi = min(a[1], b[1])
     return [(lo, hi)] if lo <= hi else []
@@ -117,15 +99,6 @@ def _normalize_segs(segs):
 
 # -- annulus boxes -------------------------------------------------------
 
-def _intersect_boxes(a, b, unit):
-    rlo = max(a[0], b[0])
-    rhi = min(a[1], b[1])
-    if rlo > rhi:
-        return []
-    return [(rlo, rhi, s, l)
-            for s, l in _intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)]
-
-
 def _normalize_boxes(boxes, unit):
     """The box normal form of the module doc: the one radial segment of
     the nonempty boxes times the normal form of their arcs."""
@@ -134,10 +107,6 @@ def _normalize_boxes(boxes, unit):
         raise UsageError("annulus boxes must share one radial segment")
     return [(*kept[0][:2], s, l)
             for s, l in _normalize_arcs([b[2:] for b in kept], unit)]
-
-
-_INTERSECT = {"circle": _intersect_arcs, "interval": _intersect_segs,
-              "annulus": _intersect_boxes}
 
 
 # -- the set type --------------------------------------------------------
@@ -228,9 +197,9 @@ class EnclosureSet:
                             self.unit // g)
 
 
-def make(space: Space, fragments) -> EnclosureSet:
-    """Normalize fragments of rational coordinates into a canonical
-    EnclosureSet over the lcm of their denominators.
+def _make(space: Space, fragments, unit) -> EnclosureSet:
+    """The normal form, over ``unit``, of fragments whose coordinates are
+    numerators over it.
 
     Overlapping or touching fragments are merged exactly (see the module
     doc). On the annulus the nonempty boxes must share one radial segment,
@@ -239,14 +208,6 @@ def make(space: Space, fragments) -> EnclosureSet:
     time, it fails with ``EnclosureCapError``, whose ``partial`` is the
     exact set.
     """
-    frags = [tuple(f) for f in fragments]
-    nums, unit = scaled_point([c for f in frags for c in f])
-    coords = iter(nums)
-    return _make(space, [tuple(next(coords) for _ in f) for f in frags], unit)
-
-
-def _make(space: Space, fragments, unit) -> EnclosureSet:
-    """make() for fragments whose coordinates are numerators over unit."""
     kind = space.kind
     if kind == "circle":
         frags = _normalize_arcs(fragments, unit)
@@ -294,26 +255,3 @@ def _ball(space: Space, center, radius, unit) -> tuple:
     if diameter >= unit:
         return (rlo, rhi, 0, unit)
     return (rlo, rhi, (center[1] - radius) % unit, diameter)
-
-
-def intersect(a: EnclosureSet, b: EnclosureSet) -> EnclosureSet:
-    """A & B. Sets over different units meet over their lcm (see
-    ``_meet``)."""
-    if a.space != b.space:
-        raise UsageError("cannot intersect sets over different spaces")
-    return _meet(a.space, a.nums, a.unit, b.nums, b.unit)
-
-
-def _meet(space: Space, fa, unit_a, fb, unit_b) -> EnclosureSet:
-    """The normal form of the pairwise intersections of two fragment
-    lists. Over different units they meet over the lcm."""
-    unit = unit_a
-    if unit_b != unit:
-        unit = math.lcm(unit_a, unit_b)
-        fa, fb = _lift(fa, unit // unit_a), _lift(fb, unit // unit_b)
-    meet = _INTERSECT[space.kind]
-    pieces = []
-    for x in fa:
-        for y in fb:
-            pieces += meet(x, y, unit)
-    return _make(space, pieces, unit)

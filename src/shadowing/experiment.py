@@ -233,10 +233,14 @@ def estimate_probability(config: ExperimentConfig,
     args = (repeat(config.system), repeat(config), range(config.trials),
             repeat(_band))
     if workers > 1:
-        # imported here, so a run at one worker loads no process pool
+        # imported here, so a run at one worker loads no process pool. A
+        # fork-started pool starts all its processes at the first submit,
+        # so it gets no more of them than there are chunks of trials
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, *args, chunksize=8))
+        chunk = 8
+        with ProcessPoolExecutor(
+                max_workers=min(workers, -(-config.trials // chunk))) as pool:
+            outcomes = list(pool.map(_run_trial, *args, chunksize=chunk))
     else:
         outcomes = list(map(_run_trial, *args))
     return _aggregate(config, outcomes)

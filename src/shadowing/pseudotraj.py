@@ -35,7 +35,7 @@ from .spaces import TWO53, Point, ScaledPoints, scaled_point
 
 @dataclass(frozen=True)
 class Provenance:
-    kind: str  # random | spliced | worst_case | exact_orbit | loaded
+    kind: str  # random | worst_case | loaded
     seed: int | None = None
     trial: int | None = None
 

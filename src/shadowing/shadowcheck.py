@@ -28,8 +28,7 @@ one division, comparing it inline with the set's arc, segment or box, so
 no fragment is lifted to the growing scale. A re-check step applies the
 map on the integer lattice and compares the orbit point with the
 trajectory point by cross-multiplying their scales (``orbit_tracks``),
-inline on the circle and the annulus: no gcd, no table and no lifted
-point.
+inline: no gcd, no table and no lifted point.
 A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
 of giving a verdict.
 
@@ -204,8 +203,7 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     untruncated step of a generated spiral or tent trajectory, the lifts
     of the two points stay and the common unit and the bound are carried
     by q; at any other change of either scale the products are made
-    again. The distance is compared inline on the circle and the annulus
-    (``Space.beyond`` on the interval). ``Fraction`` points are put on
+    again. The distance is compared inline. ``Fraction`` points are put on
     scales first."""
     space = system.space
     if not isinstance(points, ScaledPoints):
@@ -213,7 +211,7 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     eps = frac(eps)
     eps_num, eps_den = eps.numerator, eps.denominator
     z, z_scale = scaled_point(space.canonical(x0), system.lattice_base)
-    apply, beyond = system.apply_scaled, space.beyond
+    apply = system.apply_scaled
     circle, annulus = space.kind == "circle", space.kind == "annulus"
     # the map multiplies the orbit's scale by the same q at every step
     q = apply(z, z_scale)[1] // z_scale
@@ -227,19 +225,21 @@ def orbit_tracks(system, points, x0, eps) -> bool:
                 z_lift, y_lift = s * eps_den, z_scale * eps_den
                 common, bound = z_scale * z_lift, eps_num * z_scale * s
             kept_z, kept_s = z_scale, s
-        if circle:  # beyond() of the circle, inline
+        if circle:
             t = (z[0] * z_lift - y[0] * y_lift) % common
             if t > bound and common - t > bound:
                 return False
-        elif annulus:  # and of the annulus
+        elif annulus:
             t = z[0] * z_lift - y[0] * y_lift
             if t > bound or -t > bound:
                 return False
             t = (z[1] * z_lift - y[1] * y_lift) % common
             if t > bound and common - t > bound:
                 return False
-        elif beyond(z, z_lift, y, y_lift, common, bound):
-            return False
+        else:  # the interval
+            t = z[0] * z_lift - y[0] * y_lift
+            if t > bound or -t > bound:
+                return False
         z, z_scale = apply(z, z_scale)
     return True
 

@@ -18,11 +18,10 @@ common denominator, the point's *scale*: ``ScaledPoints`` holds a
 sequence of such points and builds a point's Fractions only when it is
 read, ``scaled_point(point, base)`` puts a point on the lattice of a
 map whose parameters live over ``base``, ``check_scaled`` tests that
-points lie in the space, ``beyond`` compares a distance with a bound and
-``net_runs`` finds the net balls around a point or fragment, all by
-integer floors, ceilings and cross-multiplied comparisons. The net's grid
-layout is known here alone: ``net_center`` builds a center, ``net_runs``
-inverts the layout.
+points lie in the space and ``net_runs`` finds the net balls around a
+point or fragment, all by integer floors, ceilings and cross-multiplied
+comparisons. The net's grid layout is known here alone: ``net_center``
+builds a center, ``net_runs`` inverts the layout.
 The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
 so a step at a new scale reads no ``Fraction``; the sampler, which draws
 a point of a ball on the same integers, is the loop of
@@ -191,22 +190,6 @@ class Space:
                     else abs(y[0] - s) * w_den > w_num * s):
                 raise DomainError(f"point {n} {point_text(points[n])} lies "
                                   f"outside the {self.kind}")
-
-    # -- metric ---------------------------------------------------------
-
-    def beyond(self, a: Point, a_lift, b: Point, b_lift, unit, bound) -> bool:
-        """Whether a * a_lift and b * b_lift, numerators over unit, lie
-        more than bound (a numerator over unit) apart in the space's
-        metric, without building the lifted points."""
-        if self.kind == "circle":
-            t = (a[0] * a_lift - b[0] * b_lift) % unit
-            return t > bound and unit - t > bound
-        if self.kind == "interval":
-            return abs(a[0] * a_lift - b[0] * b_lift) > bound
-        if abs(a[0] * a_lift - b[0] * b_lift) > bound:
-            return True
-        t = (a[1] * a_lift - b[1] * b_lift) % unit
-        return t > bound and unit - t > bound
 
     # -- covers ----------------------------------------------------------
 

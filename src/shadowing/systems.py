@@ -19,18 +19,17 @@ and of a ball it gives one step, which walks the linear pieces of a
 fragment on those parameters and clips each image arc, segment or box to
 the ball as it is made; a one-piece circle map (doubling, a rotation)
 clips its one image arc inline, and the spiral its one image box, meeting
-the radial segments by comparison: both clip the arc with ``_clip_arc``.
-``_step_image`` is the shadow-set step, ``intersect(apply_set(A), B)``
-for a ball B given as one fragment, on bare integers: it takes every
-fragment of A through one such step, and only pieces that can overlap
-are put in normal form.
+the radial segments by comparison. Every arc is clipped by one routine,
+``_clip_arc``.
+``_step_image`` is the shadow-set step, the image of a set A met with a
+ball B given as one fragment, on bare integers: it takes every fragment
+of A through one such step, and only pieces that can overlap are put in
+normal form.
 ``shadowcheck.shadow_sets`` keeps the step while the units stay, and
 sends a set of one fragment through it directly, taking the hull of an
 interval fragment's touching pieces, so ``_step_image`` serves sets of
 several fragments.
-``apply_set`` is the same walk with the whole space as the ball. The
-public ``apply`` puts a point on the lattice and reads ``apply_scaled``
-back as ``Fraction`` values.
+``apply_set`` is the same walk with the whole space as the ball.
 Each map converts its ``Fraction`` parameters to integers once, when it is
 built, so evaluating at a new scale reads no ``Fraction``.
 """
@@ -43,19 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import enclosure
-from .enclosure import EnclosureSet, _intersect_arcs, _intersect_segs
+from .enclosure import EnclosureSet, _intersect_segs
 from .errors import DomainError, UsageError
 from .rationals import frac
-from .spaces import Space, annulus, circle, interval, scaled_point
-
-
-def _apply(system, point):
-    """The map at a point of rationals: ``apply_scaled`` over the lcm of
-    the point's denominators and the lattice base, read back as
-    Fractions."""
-    image, out = system.apply_scaled(
-        *scaled_point(point, system.lattice_base))
-    return tuple(Fraction(c, out) for c in image)
+from .spaces import Space, annulus, circle, interval
 
 
 def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
@@ -77,13 +67,14 @@ def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
 
 
 def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
-    """The shadow-set step on bare integers: (fragments, W) of
-    intersect(apply_set(A), B) for the set A of the normal-form fragments
-    ``nums`` over ``u`` (a multiple of the lattice base, as a shadow set's
-    unit is) and the ball B given as its one fragment ``ball`` over
-    ``unit``, with (step, W) the map's ``image_step(u, unit)``: the same
-    set over the same unit, the lcm of the image's unit and ``unit``, and
-    the same cap error.
+    """The shadow-set step on bare integers: (fragments, W) of f(A) & B
+    for the set A of the normal-form fragments ``nums`` over ``u`` (a
+    multiple of the lattice base, as a shadow set's unit is) and the ball
+    B given as its one fragment ``ball`` over ``unit``, with (step, W) the
+    map's ``image_step(u, unit)``: the same set over the same unit, the
+    lcm of the image's unit and ``unit``, and the same cap error as
+    ``apply_set`` followed by an intersection (``tests/reference.py``
+    keeps that intersection).
 
     The ball is lifted to W once and every fragment goes through the
     step. One clipped piece is a normal form as it stands and is the next
@@ -109,14 +100,14 @@ def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
 
 
 def _clip_arc(fx, fl, bs, bl, w, head) -> tuple:
-    """The pieces of ``enclosure._intersect_arcs`` of an image arc and a
-    ball arc, over W = ``w``, each as the tuple ``head`` followed by the
-    piece's start and length: the image arc runs from fx over the signed
-    length fl (from fx + fl where fl < 0), fx any integer; the ball (bs,
-    bl) is a normal-form fragment, so it starts in [0, W), where the meet
-    t past the image's start begins. The one-piece circle step and the
-    spiral's step clip with it, the spiral with its clipped radial segment
-    as ``head``."""
+    """The meet of an image arc and a ball arc over W = ``w``: at most
+    two pieces, the one from the ball's start first, each as the tuple
+    ``head`` followed by the piece's start and length. The image arc runs
+    from fx over the signed length fl (from fx + fl where fl < 0), fx any
+    integer; the ball (bs, bl) is a normal-form fragment, so it starts in
+    [0, W), where the meet t past the image's start begins. Every circle
+    step clips its image arcs with it, and the spiral's step its box's
+    arc, with the clipped radial segment as ``head``."""
     if fl < 0:
         fx, fl = fx + fl, -fl
     if fl >= w:
@@ -226,13 +217,11 @@ class PiecewiseLinearMap:
             raise UsageError("alpha is defined for rotations only")
         return self.offset
 
-    apply = _apply
-
     def apply_scaled(self, point, unit):
-        """apply() for numerators over an integer ``unit`` (a multiple of
-        lattice_base): (numerators, out unit). With k = unit / lattice_base
-        the piece of x is that of floor(x / k) on the base's breakpoints,
-        so no table is built for the unit."""
+        """The map at a point given as numerators over an integer ``unit``
+        (a multiple of lattice_base): (numerators, out unit). With k =
+        unit / lattice_base the piece of x is that of floor(x / k) on the
+        base's breakpoints, so no table is built for the unit."""
         inner, q, slopes, consts, base, circle = self._lattice
         k = unit // base
         x = point[0]
@@ -258,11 +247,10 @@ class PiecewiseLinearMap:
         are taken once, when the step is made. A segment takes the same
         walk without the wrap: each linear piece crossed gives one image
         arc or segment, so raw counts the pieces, and the touching image
-        segments of a segment normalize to the hull of its image. A
-        one-piece circle map has no corner: its step maps the arc's start
-        and length and clips the one image arc to the ball with
-        ``_clip_arc``, which gives the pieces of
-        ``enclosure._intersect_arcs``."""
+        segments of a segment normalize to the hull of its image. Each
+        image arc is clipped with ``_clip_arc``. A one-piece circle map has
+        no corner: its step maps the arc's start and length and clips the
+        one image arc inline."""
         inner, q, slopes, consts, base, circle = self._lattice
         cuts = self._cuts
         out = u * q
@@ -286,7 +274,7 @@ class PiecewiseLinearMap:
         def clip(a, b, ball):  # the image piece from a to b, clipped to ball
             lo, hi = (a, b) if a <= b else (b, a)
             if circle:
-                return _intersect_arcs((lo % w, hi - lo), ball, w)
+                return _clip_arc(lo, hi - lo, *ball, w, ())
             return _intersect_segs((lo, hi), ball)
 
         def step(frag, ball):
@@ -302,13 +290,14 @@ class PiecewiseLinearMap:
                 fv = v * vk
                 pieces += clip(fx, fv, ball)
                 x, sl, fx, raw = c * k, slopes[j], fv, raw + 1
-            return pieces + clip(fx, fx + sl * (end - x), ball), raw
+            pieces += clip(fx, fx + sl * (end - x), ball)
+            return pieces, raw
         return step, w
 
     apply_set = _apply_set
 
     def preimages_scaled(self, point, unit) -> tuple:
-        """All solutions of apply(x) == point for numerators over an
+        """All solutions of f(x) == point for numerators over an
         integer ``unit`` (a multiple of lattice_base): (sorted numerator
         tuples, out unit), out = unit * lcm of the slope numerators.
 
@@ -369,10 +358,9 @@ class AnnulusSpiral:
     def lattice_base(self) -> int:
         return math.lcm(self.alpha.denominator, self.space.w.denominator)
 
-    apply = _apply
-
     def apply_scaled(self, point, unit):
-        """apply() for numerators over ``unit``: (numerators, out unit)."""
+        """The map at a point given as numerators over ``unit``:
+        (numerators, out unit)."""
         p, q, a, b = self._lattice
         out = unit * q
         r, theta = point
@@ -383,8 +371,7 @@ class AnnulusSpiral:
         clipped to the ball fragment ``ball``, 1), both over W = lcm(u *
         q, unit): one image box per box, which the ball cuts into at most
         two. The radial segment is met by comparison and the arc by the
-        one-piece circle step's clip (``_clip_arc``), giving the pieces of
-        ``enclosure._intersect_boxes``."""
+        circle steps' clip (``_clip_arc``)."""
         p, q, a, b = self._lattice
         out = u * q
         w = out if unit == out else math.lcm(out, unit)
@@ -409,7 +396,7 @@ class AnnulusSpiral:
     apply_set = _apply_set
 
     def preimages_scaled(self, point, unit) -> tuple:
-        """All solutions of apply(x) == point for numerators over an
+        """All solutions of f(x) == point for numerators over an
         integer ``unit`` (a multiple of lattice_base): (numerator tuples,
         out unit), out = unit * numerator of lam."""
         r, theta = point

@@ -6,10 +6,12 @@ metric, nets, ball measures and uniform samples of the spaces, map
 evaluation from a piecewise-linear map's breakpoints, values and slopes,
 the image of a fragment, pointwise preimages, orbits, prefixes and
 splicing of pseudotrajectories, set representatives and membership, the
-rotations' deviation lift and the closed-form verdicts. The cover
-search's scan for a net ball outside the image takes one ball and one
-intersection of the package's sets per center. The tests compare the
-integer paths with these; nothing in the package calls them.
+tube bound eta^L, the rotations' deviation lift and the closed-form
+verdicts. Sets are built from ``Fraction`` fragments (``make``) and
+intersected pairwise (``intersect``) through the package's normal form;
+the cover search's scan for a net ball outside the image takes one ball
+and one such intersection per center. The tests compare the integer
+paths with these; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from fractions import Fraction
 
 from shadowing import (AnnulusSpiral, DomainError, SearchFailure,
                        UsageError, decide_horizons, rotation_first_failure)
-from shadowing.enclosure import ball_set, intersect
+from shadowing import enclosure
+from shadowing.enclosure import ball_set
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.rationals import frac, point_text
 from shadowing.spaces import TWO53, scaled_point
@@ -163,6 +166,15 @@ def apply(system, point):
     return (v % 1,) if system.space.kind == "circle" else (v,)
 
 
+def lattice_apply(system, point):
+    """The map's ``apply_scaled`` at a point of rationals, over the lcm of
+    the point's denominators and the lattice base, read back as
+    Fractions."""
+    image, out = system.apply_scaled(
+        *scaled_point(point, system.lattice_base))
+    return tuple(Fraction(c, out) for c in image)
+
+
 def image_pieces(system, frag) -> list:
     """The image of one fragment of ``Fraction`` coordinates, as raw
     fragments: a box goes to one box; an arc or segment is cut at every
@@ -216,6 +228,63 @@ def orbit(system, x0, n: int) -> list:
 
 
 # -- sets --------------------------------------------------------------------
+
+def make(space, fragments):
+    """The normal form (``enclosure._make``) of fragments of rational
+    coordinates, over the lcm of their denominators."""
+    frags = [tuple(f) for f in fragments]
+    nums, unit = scaled_point([c for f in frags for c in f])
+    coords = iter(nums)
+    return enclosure._make(space, [tuple(next(coords) for _ in f)
+                                   for f in frags], unit)
+
+
+def intersect_arcs(a, b, unit) -> list:
+    """The meet of two arcs (start, length) over ``unit``: at most two
+    arcs, the one from b's start first."""
+    s1, l1 = a
+    s2, l2 = b
+    if l1 >= unit:
+        return [b]
+    if l2 >= unit:
+        return [a]
+    t = (s2 - s1) % unit  # b starts t into a, or t - unit before it
+    out = []
+    hi = min(t + l2, l1)
+    if t <= hi:
+        out.append(((s1 + t) % unit, hi - t))
+    hi = min(t - unit + l2, l1)
+    if hi >= 0:
+        out.append((s1 % unit, hi))
+    return out
+
+
+def intersect_boxes(a, b, unit) -> list:
+    """The meet of two boxes (rlo, rhi, start, length) over ``unit``."""
+    rlo = max(a[0], b[0])
+    rhi = min(a[1], b[1])
+    if rlo > rhi:
+        return []
+    return [(rlo, rhi, s, l)
+            for s, l in intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)]
+
+
+_MEET = {"circle": intersect_arcs, "annulus": intersect_boxes,
+         "interval": lambda a, b, unit: enclosure._intersect_segs(a, b)}
+
+
+def intersect(a, b):
+    """A & B: the normal form of the pairwise meets of their fragments,
+    over the lcm of their units."""
+    if a.space != b.space:
+        raise UsageError("cannot intersect sets over different spaces")
+    unit = math.lcm(a.unit, b.unit)
+    fa = enclosure._lift(a.nums, unit // a.unit)
+    fb = enclosure._lift(b.nums, unit // b.unit)
+    meet = _MEET[a.space.kind]
+    pieces = [p for x in fa for y in fb for p in meet(x, y, unit)]
+    return enclosure._make(a.space, pieces, unit)
+
 
 def pick_point(s):
     """Midpoint of the largest fragment of s, ties going to the smallest
@@ -313,6 +382,18 @@ def splice(system, r, z0, tail: Pseudotrajectory, delta1,
 def first_empty_step(system, traj: Pseudotrajectory, eps) -> int | None:
     """Smallest n with A_n empty, or None; prefix verdicts derive from it."""
     return decide_horizons(system, traj, eps, ()).first_empty
+
+
+def tube_probability_bound(eta_value, length: int) -> Fraction:
+    """eta^length: lower bound on the probability that a random
+    d-pseudotrajectory stays in the delta-tube around a given sequence for
+    ``length`` consecutive steps."""
+    eta_value = frac(eta_value)
+    if not 0 < eta_value <= 1:
+        raise DomainError("eta must lie in (0, 1]")
+    if length < 0:
+        raise DomainError("length must be nonnegative")
+    return eta_value ** length
 
 
 def first_missed_center_by_scan(image, delta1) -> int | None:

@@ -11,18 +11,18 @@ from fractions import Fraction as F
 from scipy.stats import binomtest, chisquare
 import numpy as np
 
-from shadowing import (ExperimentConfig, annulus_spiral, blocks_for_confidence,
-                       circle, decide_shadowable, delta_for_inclusion,
-                       doubling, estimate_probability, eta, generate, interval,
+from shadowing import (ExperimentConfig, annulus_spiral, circle,
+                       decide_shadowable, delta_for_inclusion, doubling,
+                       estimate_probability, eta, generate, interval,
                        nonshadow_lower_bound, rotation, rotation_first_failure,
                        run_attractor_experiment, run_dichotomy_experiment,
                        trial_stream)
-from shadowing.bounds import attractor_quantities, tube_probability_bound
+from shadowing.bounds import attractor_quantities
 from shadowing.pseudotraj import Provenance
 
 from grid_oracle import brute_force_oracle
 from reference import (dist, exact_orbit, in_absorbing_band, orbit,
-                       sample_uniform_ball, validate)
+                       sample_uniform_ball, tube_probability_bound, validate)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -143,8 +143,9 @@ def test_criterion_6_block_bound_arithmetic():
     assert float(value) == 0.578125
     sweep = [nonshadow_lower_bound(F(1, 2), 2, k) for k in range(100)]
     assert all(b >= a for a, b in zip(sweep, sweep[1:]))
-    k99 = blocks_for_confidence(F(1, 2), 2, F(99, 100))
-    assert nonshadow_lower_bound(F(1, 2), 2, k99) >= F(99, 100)
+    k99 = next(k for k in range(1, 100)
+               if nonshadow_lower_bound(F(1, 2), 2, k) >= F(99, 100))
+    assert k99 == 17
     print(f"\nPASS criterion 6: bound(1/2, 2, 3) = 37/64 exactly, "
           f"monotone over 100-point sweep, >= 0.99 at k = {k99}")
 

@@ -1,7 +1,6 @@
 """Constructive quantities: inclusion radius, eta, cover times, block bounds,
 absorbing-band data."""
 
-import math
 import time
 from fractions import Fraction as F
 
@@ -10,18 +9,18 @@ import pytest
 from scipy.stats import binomtest
 
 from shadowing import (DomainError, SearchFailure, UsageError, annulus,
-                       annulus_spiral, attractor_quantities,
-                       blocks_for_confidence, circle, cover_time,
-                       delta_for_inclusion, doubling, eta, generate, interval,
-                       nonshadow_lower_bound, parse_system, rotation, tent,
-                       trial_stream, tube_probability_bound)
+                       annulus_spiral, attractor_quantities, circle,
+                       cover_time, delta_for_inclusion, doubling, eta,
+                       generate, interval, nonshadow_lower_bound,
+                       parse_system, rotation, tent, trial_stream)
 from shadowing.bounds import _first_missed_center
 from shadowing.cli import main
-from shadowing.enclosure import ball_set, make
+from shadowing.enclosure import ball_set
 
 from reference import (ball_measure, dist, epsilon_net, exact_orbit,
                        first_missed_center_by_scan, grid_centers,
-                       in_absorbing_band, random_point, sample_uniform_ball)
+                       in_absorbing_band, lattice_apply, make, random_point,
+                       sample_uniform_ball, tube_probability_bound)
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
@@ -99,8 +98,8 @@ def test_delta_inclusion_probe_oracle_exact(system, d):
     for _ in range(500):
         x = random_point(space, rng)
         z = sample_uniform_ball(space, x, delta, rng)
-        y = sample_uniform_ball(space, system.apply(x), d / 2, rng)
-        assert dist(space, y, system.apply(z)) + delta <= d
+        y = sample_uniform_ball(space, lattice_apply(system, x), d / 2, rng)
+        assert dist(space, y, lattice_apply(system, z)) + delta <= d
 
 
 # -- eta -----------------------------------------------------------------------
@@ -384,22 +383,6 @@ def test_nonshadow_lower_bound_monotone_and_limits():
     etas = [F(i, 10) for i in range(1, 11)]
     assert all(nonshadow_lower_bound(b, 3, 5) >= nonshadow_lower_bound(a, 3, 5)
                for a, b in zip(etas, etas[1:]))
-
-
-def test_blocks_for_confidence_reaches_target():
-    k = blocks_for_confidence(F(1, 2), 2, F(99, 100))
-    assert nonshadow_lower_bound(F(1, 2), 2, k) >= F(99, 100)
-    assert nonshadow_lower_bound(F(1, 2), 2, k - 1) < F(99, 100)
-
-
-def test_blocks_for_confidence_refuses_an_underflowing_tube_bound():
-    # 1 - 4^-40 rounds to 1.0 in floats, which once divided by log(1.0) = 0;
-    # k is about log(2) 4^40, the first k with (1 - 4^-40)^k <= 1/2
-    k = blocks_for_confidence(F(1, 4), 40, F(1, 2))
-    assert abs(k - math.log(2) * 4 ** 40) <= 1e-9 * k
-    # at the shipped rotation block length 4^-1231 underflows a float
-    with pytest.raises(DomainError, match="underflows"):
-        blocks_for_confidence(F(1, 4), 1231, F(1, 2))
 
 
 # -- absorbing band -------------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_bounds_with_eps_and_cover(capsys):
                                        + payload["tail_n"] + 1)
 
 
+def test_bounds_refuses_a_negative_cover_budget(capsys):
+    """A negative ``--horizon`` is an input error that names the budget,
+    not a cover search that failed on the orbit."""
+    code, _, err = run(capsys, "bounds", "--system", "rotation:alpha=610/987",
+                       "--d", "0.02", "--eps", "0.05", "--y0", "0",
+                       "--horizon", "-1")
+    assert code == 2
+    assert "step budget (horizon) must be nonnegative, got -1" in err
+    assert "never entered" not in err
+
+
 def test_bounds_prints_the_rotation_report_record(capsys):
     base = ExperimentConfig.from_dict(DEFAULT_DICHOTOMY["nonshadowing"])
     _, diagnostics = dichotomy_bound_curve(base)

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from shadowing import (EnclosureCapError, UsageError, annulus, ball_set,
-                       circle, intersect, interval, parse_system,
-                       trial_stream)
+                       circle, interval, parse_system, trial_stream)
 from shadowing import enclosure as enc
 
-from reference import contains, pick_point, random_point, uniform
+from reference import (contains, intersect, make, pick_point, random_point,
+                       uniform)
 
 
 def arcs(es):
@@ -29,13 +29,13 @@ def test_ball_set_plain_and_wrapping():
     assert ball_set(sp, (F(1, 3),), F(1, 2)).fragments == ((0, 1),)
     # a float enters as its exact binary value
     assert ball_set(sp, (0.5,), 0.125) == ball_set(sp, (F(1, 2),), F(1, 8))
-    assert enc.make(sp, [(0.25, 0.5)]).fragments == ((F(1, 4), F(1, 2)),)
+    assert make(sp, [(0.25, 0.5)]).fragments == ((F(1, 4), F(1, 2)),)
 
 
 def test_intersection_of_wrapping_arcs():
     sp = circle()
-    a = enc.make(sp, [(F(4, 5), F(3, 5))])   # [0.8, 1.4] covers wrap
-    b = enc.make(sp, [(F(3, 10), F(3, 5))])  # [0.3, 0.9]
+    a = make(sp, [(F(4, 5), F(3, 5))])   # [0.8, 1.4] covers wrap
+    b = make(sp, [(F(3, 10), F(3, 5))])  # [0.3, 0.9]
     got = intersect(a, b)
     assert arcs(got) == [(F(3, 10), F(1, 10)), (F(4, 5), F(1, 10))]
     assert got.measure() == F(1, 5)
@@ -43,8 +43,8 @@ def test_intersection_of_wrapping_arcs():
 
 def test_intersection_touching_gives_point_fragment():
     sp = circle()
-    a = enc.make(sp, [(F(0), F(1, 2))])
-    b = enc.make(sp, [(F(1, 2), F(1, 5))])
+    a = make(sp, [(F(0), F(1, 2))])
+    b = make(sp, [(F(1, 2), F(1, 5))])
     got = intersect(a, b)
     assert got.measure() == 0 and not got.is_empty()
     assert contains(got, (F(1, 2),))
@@ -52,18 +52,18 @@ def test_intersection_touching_gives_point_fragment():
 
 def test_union_normalization_merges_and_saturates():
     sp = circle()
-    merged = enc.make(sp, [(F(0), F(1, 4)), (F(1, 4), F(1, 4))])
+    merged = make(sp, [(F(0), F(1, 4)), (F(1, 4), F(1, 4))])
     assert arcs(merged) == [(F(0), F(1, 2))]
-    across = enc.make(sp, [(F(9, 10), F(1, 5)), (F(1, 10), F(1, 5))])
+    across = make(sp, [(F(9, 10), F(1, 5)), (F(1, 10), F(1, 5))])
     assert arcs(across) == [(F(9, 10), F(2, 5))]
-    full = enc.make(sp, [(F(0), F(2, 5)), (F(1, 3), F(2, 5)), (F(7, 10), F(1, 3))])
+    full = make(sp, [(F(0), F(2, 5)), (F(1, 3), F(2, 5)), (F(7, 10), F(1, 3))])
     assert full.fragments == ((0, 1),)
     assert full.measure() == 1
 
 
 def test_wrap_merge_cascades():
     sp = circle()
-    got = enc.make(sp, [(F(1, 10), F(1, 10)), (F(3, 10), F(1, 10)),
+    got = make(sp, [(F(1, 10), F(1, 10)), (F(3, 10), F(1, 10)),
                         (F(9, 10), F(1, 4))])
     # trailing arc [0.9, 1.15] swallows [0.1, 0.2], then [0.3, 0.4] stays
     assert arcs(got) == [(F(3, 10), F(1, 10)), (F(9, 10), F(3, 10))]
@@ -94,13 +94,13 @@ CUT_AT_0 = {
 def test_arcs_are_cut_at_0_and_rejoined(case):
     given, expected = CUT_AT_0[case]
     sp = circle()
-    assert arcs(enc.make(sp, given)) == expected
-    assert arcs(enc.make(sp, given[::-1])) == expected
+    assert arcs(make(sp, given)) == expected
+    assert arcs(make(sp, given[::-1])) == expected
 
 
 def test_membership_and_pick_point():
     sp = circle()
-    es = enc.make(sp, [(F(9, 10), F(1, 5)), (F(2, 5), F(1, 10))])
+    es = make(sp, [(F(9, 10), F(1, 5)), (F(2, 5), F(1, 10))])
     assert contains(es, (F(19, 20),)) and contains(es, (F(1, 20),))
     assert contains(es, (F(9, 20),)) and not contains(es, (F(3, 10),))
     p = pick_point(es)
@@ -113,8 +113,8 @@ def test_random_arc_intersection_against_membership_oracle():
     rng = trial_stream(201)
     for _ in range(300):
         s1, l1, s2, l2 = (uniform(rng) for _ in range(4))
-        a = enc.make(sp, [(s1, l1 % 1)])
-        b = enc.make(sp, [(s2, l2 % 1)])
+        a = make(sp, [(s1, l1 % 1)])
+        b = make(sp, [(s2, l2 % 1)])
         got = intersect(a, b)
         for _ in range(20):
             p = random_point(sp, rng)
@@ -127,12 +127,12 @@ def test_interval_sets():
     sp = interval()
     b = ball_set(sp, (F(1, 20),), F(1, 10))
     assert b.fragments == ((F(0), F(3, 20)),)
-    a = enc.make(sp, [(F(0), F(1, 2)), (F(2, 5), F(7, 10))])
+    a = make(sp, [(F(0), F(1, 2)), (F(2, 5), F(7, 10))])
     assert a.fragments == ((F(0), F(7, 10)),)
     got = intersect(a, ball_set(sp, (F(7, 10),), F(1, 10)))
     assert got.fragments == ((F(3, 5), F(7, 10)),)
     assert got.measure() == F(1, 10)
-    assert intersect(a, enc.make(sp, [(F(9, 10), F(1))])).is_empty()
+    assert intersect(a, make(sp, [(F(9, 10), F(1))])).is_empty()
 
 
 # -- annulus boxes -------------------------------------------------------------
@@ -156,24 +156,24 @@ def test_annulus_box_union_merges_aligned():
     sp = annulus(F(1, 2))
     a = (F(1), F(6, 5), F(0), F(1, 10))
     b = (F(1), F(6, 5), F(1, 10), F(1, 10))
-    merged = enc.make(sp, [a, b])
+    merged = make(sp, [a, b])
     assert merged.fragments == ((F(1), F(6, 5), F(0), F(1, 5)),)
-    across = enc.make(sp, [(F(1), F(6, 5), F(9, 10), F(1, 10)), a])
+    across = make(sp, [(F(1), F(6, 5), F(9, 10), F(1, 10)), a])
     assert across.fragments == ((F(1), F(6, 5), F(9, 10), F(1, 5)),)
     # every annulus set is one radial segment times arcs: boxes stacked
     # radially are not such a set
     c = (F(6, 5), F(13, 10), F(0), F(1, 10))
     with pytest.raises(UsageError, match="one radial segment"):
-        enc.make(sp, [a, c])
+        make(sp, [a, c])
 
 
 def test_boxes_on_two_radial_segments_are_refused():
     sp = annulus(F(1, 2))
     arc = (F(0), F(1, 4))
     with pytest.raises(UsageError, match="one radial segment"):
-        enc.make(sp, [(F(1), F(5, 4), *arc), (F(1), F(3, 2), *arc)])
+        make(sp, [(F(1), F(5, 4), *arc), (F(1), F(3, 2), *arc)])
     # empty boxes are dropped before the segments are compared
-    got = enc.make(sp, [(F(1), F(5, 4), *arc), (F(5, 4), F(1), *arc),
+    got = make(sp, [(F(1), F(5, 4), *arc), (F(5, 4), F(1), *arc),
                         (F(1), F(3, 2), F(1, 2), F(-1, 4))])
     assert got.fragments == ((F(1), F(5, 4), *arc),)
     # nor does intersect take a hand-built set of radially stacked boxes
@@ -187,25 +187,25 @@ def test_boxes_on_two_radial_segments_are_refused():
 def test_fragment_cap_raises_with_partial_outer(monkeypatch):
     sp = circle()
     frags = [(F(k, 100), F(1, 1000)) for k in range(0, 100, 2)]
-    exact = enc.make(sp, frags)
+    exact = make(sp, frags)
     monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 10)
     with pytest.raises(EnclosureCapError) as err:
-        enc.make(sp, frags)
+        make(sp, frags)
     assert str(err.value) == "fragment cap 10 exceeded for exact enclosure"
     # the exact 50-arc set, itself a sound outer bound
     assert err.value.partial == exact
     monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 50)
-    assert enc.make(sp, frags).fragment_count() == 50
+    assert make(sp, frags).fragment_count() == 50
 
 
 def test_every_operation_reads_the_module_cap_at_call_time(monkeypatch):
     doubling = parse_system("doubling")
-    a = enc.make(doubling.space, [(F(0), F(1, 10)), (F(1, 4), F(1, 10))])
-    b = enc.make(doubling.space, [(F(0), F(3, 5))])
+    a = make(doubling.space, [(F(0), F(1, 10)), (F(1, 4), F(1, 10))])
+    b = make(doubling.space, [(F(0), F(3, 5))])
     assert intersect(a, b).fragment_count() == 2
     monkeypatch.setattr(enc, "DEFAULT_FRAGMENT_CAP", 1)
     for step in (lambda: doubling.apply_set(a), lambda: intersect(a, b),
-                 lambda: enc.make(a.space, a.fragments)):
+                 lambda: make(a.space, a.fragments)):
         with pytest.raises(EnclosureCapError) as err:
             step()
         assert str(err.value) == "fragment cap 1 exceeded for exact enclosure"

@@ -233,6 +233,36 @@ def test_determinism_and_worker_independence():
     assert result_summary(a) == result_summary(c)
 
 
+@pytest.mark.parametrize("trials,workers,started", [
+    (2, 64, 1), (16, 2, 2), (17, 64, 3), (40, 2, 2)])
+def test_the_pool_starts_no_more_processes_than_chunks(
+        monkeypatch, trials, workers, started):
+    """A fork-started pool starts all its processes at the first submit,
+    so it is asked for at most one per chunk of 8 trials. The pool here
+    records its size and maps in this process, so no process starts."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            assert chunksize == 8
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    cfg = config(trials=trials, horizons=(10,))
+    got = estimate_probability(cfg, workers=workers)
+    assert sizes == [started]
+    assert result_summary(got) == result_summary(estimate_probability(cfg))
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_are_refused(workers):
     with pytest.raises(UsageError, match="workers must be at least 1"):

@@ -4,7 +4,8 @@
 ``orbit_tracks`` run on integers over a common denominator, each step
 fused. The references here take the steps one at a time: the ``Fraction``
 sampler and map of ``tests/reference.py``, one draw at a time, for the
-chain; the public ``apply_set`` and ``intersect`` for the shadow sets;
+chain; the public ``apply_set`` and the reference ``intersect`` for the
+shadow sets;
 the ``Fraction`` ``pick_point`` and ``preimages`` of ``tests/reference.py``
 with ``contains`` for the pull-back.
 """
@@ -16,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
-                       generate, intersect, load_trajectory, orbit_tracks,
-                       pwl, rotation, save_trajectory, shadow_set_forward,
-                       tent, trial_stream)
+                       generate, load_trajectory, orbit_tracks, pwl,
+                       rotation, save_trajectory, shadow_set_forward, tent,
+                       trial_stream)
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.shadowcheck import pull_back_witness
 
-from reference import (apply, contains, pick_point, preimages,
+from reference import (apply, contains, intersect, pick_point, preimages,
                        sample_uniform_ball)
 
 SYSTEMS = {

@@ -19,8 +19,9 @@ from shadowing import annulus_spiral, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.spaces import ScaledPoints
 
-from reference import (dist, exact_orbit, prefix, random_point,
-                       rotation_oracle, signed_circ_diff, splice, validate)
+from reference import (dist, exact_orbit, lattice_apply, prefix,
+                       random_point, rotation_oracle, signed_circ_diff,
+                       splice, validate)
 from test_lattice import SYSTEMS, start_point
 
 ROT = rotation(F(610, 987))
@@ -107,7 +108,7 @@ def test_step_deviations_uniform_chi_square():
     # signed deviations from the map image are uniform on [-d, d)
     d = F(1, 50)
     traj = generate(DBL, (F(1, 3),), d, 10_000, trial_stream(5))
-    devs = [float(signed_circ_diff(b[0], DBL.apply(a)[0]))
+    devs = [float(signed_circ_diff(b[0], lattice_apply(DBL, a)[0]))
             for a, b in zip(traj.points, traj.points[1:])]
     counts = np.histogram(devs, bins=10, range=(-float(d), float(d)))[0]
     assert counts.sum() == 10_000
@@ -120,7 +121,7 @@ def test_step_distribution_depends_only_on_current_point():
     # deviation histograms must be indistinguishable
     d = F(1, 50)
     y_star = (F(2, 7),)
-    image = ROT.apply(y_star)[0]
+    image = lattice_apply(ROT, y_star)[0]
     devs = {3: [], 9: []}
     for warmup, bucket in devs.items():
         for trial in range(400):

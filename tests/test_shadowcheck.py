@@ -19,8 +19,9 @@ from shadowing.pseudotraj import Pseudotrajectory, Provenance
 from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
-from reference import (contains, dist, exact_orbit, first_empty_step, orbit,
-                       prefix, rotation_lift_first_failure, rotation_oracle,
+from reference import (contains, dist, exact_orbit, first_empty_step,
+                       lattice_apply, make, orbit, prefix,
+                       rotation_lift_first_failure, rotation_oracle,
                        signed_circ_diff)
 from test_lattice import reference_sets
 
@@ -442,8 +443,8 @@ def test_offset_step_splits_shadow_set():
     # circle puts the ball against both ends of the image arc at once
     eps = F(1, 5)
     y0 = (F(1, 3),)
-    y1 = ((DBL.apply(y0)[0] + F(1, 2)) % 1,)
-    y2 = DBL.apply(y1)
+    y1 = ((lattice_apply(DBL, y0)[0] + F(1, 2)) % 1,)
+    y2 = lattice_apply(DBL, y1)
     traj = Pseudotrajectory((y0, y1, y2), F(1, 2), Provenance("crafted"))
     sets = shadow_set_forward(DBL, traj, eps)
     assert sets[1].fragment_count() == 2
@@ -522,8 +523,8 @@ def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
             frags, point = [(F(1, 2), F(13, 10), F(0), F(1, 2))], \
                 (F(1) + F(31, 200), F(1, 5) + alpha)
         system, want = SPIRAL, None
-    a = enclosure.make(system.space, frags)
-    b = enclosure.make(system.space, [
+    a = make(system.space, frags)
+    b = make(system.space, [
         (point[0], 0) if case == "circle" else (point[0], point[0])
         if case == "interval" else (point[0], point[0], point[1], 0)])
     assert a.unit == 10 and shadowcheck.pull_back_witness(
@@ -547,8 +548,8 @@ def test_a_candidate_on_a_fragments_end_is_inside_it(kind, y, want):
         system, frags = tent(2), [(F(1, 10), F(3, 10)), (F(3, 5), F(1))]
     else:
         system, frags = DBL, [(F(1, 10), F(1, 5)), (F(4, 5), F(1, 10))]
-    a = enclosure.make(system.space, frags)
-    b = enclosure.make(system.space, [(y, y) if kind == "interval"
+    a = make(system.space, frags)
+    b = make(system.space, [(y, y) if kind == "interval"
                                       else (y, 0)])
     assert a.unit == 10 and shadowcheck.pull_back_witness(
         system, [a, b], 1) == (want,)
