@@ -30,15 +30,17 @@ values when they are read. An image and a ball over different units meet
 over the lcm of the two (``systems``' ``image_step``).
 
 A single fragment is a normal form as it stands, once a full arc is
-written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``
-for a set of one fragment, ``systems._step_image`` for several) relies
-on that, clipping every image piece to the ball fragment of ``_ball``
-and calling ``_make`` only when more than one piece is left (the
-touching pieces of one interval fragment are joined into their hull).
+written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``)
+relies on that, clipping every image piece to the ball fragment of
+``_ball`` and calling ``_make`` only when more than one piece is left
+(the touching pieces of one interval fragment are joined into their
+hull).
 
-Every set equals the abstract set it stands for. A normal form with more
-fragments than the fragment cap raises a resource error that carries the
-exact set.
+Every set equals the abstract set it stands for. ``_make`` is the one
+place that checks the fragment cap: a normal form with more fragments
+than the cap raises a resource error that carries that exact set. A set
+of one fragment that skips ``_make`` is never checked, so the cap means
+something from 1 up.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def _make(space: Space, fragments, unit) -> EnclosureSet:
     as every annulus set does: boxes stacked radially are a
     ``UsageError``. Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call
     time, it fails with ``EnclosureCapError``, whose ``partial`` is the
-    exact set.
+    normal form; no other routine checks the cap.
     """
     kind = space.kind
     if kind == "circle":

@@ -26,10 +26,12 @@ class SearchFailure(RuntimeError):
 
 
 class EnclosureCapError(RuntimeError):
-    """A set operation exceeded the fragment cap.
+    """A normal form had more fragments than the fragment cap.
 
-    ``partial`` carries the exact set that has too many fragments, so a
-    caller can still use it as a sound outer bound.
+    ``enclosure._make`` is the one place that raises it, and ``partial``
+    carries the exact normal form that went over the cap: for a
+    shadow-set step that is the shadow set itself, for ``apply_set`` the
+    image. A caller can still use it as a sound outer bound.
     """
 
     def __init__(self, message, partial=None):

@@ -14,14 +14,13 @@ common denominator, the scale (see ``shadow_sets``), and so does the
 rotations' closed form below; Fractions appear only in the witness and
 when a caller reads a set's ``fragments``.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
-alone, on bare integers: the map's step for the two units
-(``image_step``), kept while they stay, walks the linear pieces of each
-fragment of A_n and clips each image piece to the ball as it is made. A
-set of one fragment goes through that step in the loop itself, and its
-clipped pieces of an interval fragment, which touch, give their hull;
-only a set of several fragments goes through ``systems._step_image``,
-and only pieces that can overlap are put in normal form. Besides the
-ball, a step builds nothing but the new set's record.
+alone, on bare integers, in one loop (``shadow_sets``): the map's step for
+the two units (``image_step``), kept while they stay, walks the linear
+pieces of each fragment of A_n and returns its image pieces, each clipped
+to the ball as it is made. One piece or none is the next set as it
+stands, the touching pieces of an interval set, always one segment, give
+their hull, and only other pieces are put in normal form. Besides the ball, a step builds
+nothing but the new set's record.
 A pull-back step takes the preimages of its point on a scale that grows
 by the slope numerators, and reads each on the shadow set's own unit by
 one division, comparing it inline with the set's arc, segment or box, so
@@ -29,8 +28,9 @@ no fragment is lifted to the growing scale. A re-check step applies the
 map on the integer lattice and compares the orbit point with the
 trajectory point by cross-multiplying their scales (``orbit_tracks``),
 inline: no gcd, no table and no lifted point.
-A set that outgrows the fragment cap raises ``EnclosureCapError`` instead
-of giving a verdict.
+A shadow set whose normal form has more fragments than the fragment cap
+raises ``EnclosureCapError`` instead of giving a verdict; the image
+f(A_n) alone is never put in normal form, so its size does not count.
 
 A closed-form span criterion for rotations (``rotation_first_failure``)
 cross-checks the propagation. The tests keep a float grid search
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import enclosure, systems
+from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, InvariantViolation, UsageError
 from .pseudotraj import Pseudotrajectory
@@ -98,36 +98,36 @@ def shadow_sets(system, points, eps) -> list:
     when its set is built, so a ``LatticeWalk`` samples none after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
-    lattice_base of the map). The map walks the pieces of A_{n-1} and
-    clips each image piece to the ball as it is made, over the lcm of the
-    image's unit and P_n, W_n; the one-piece circle maps and the spiral
-    clip their one image arc or box inline (``systems._clip_arc``). The
-    map's step for the unit of A_{n-1} and P_n (``image_step``) is made
-    again only when either changes, so doubling and the rotations make it
-    once per trajectory, and the spiral at every step. A one-fragment
-    A_{n-1}, as in every shipped run, is sent through that step here, with
-    the cap check and normal form of ``systems._step_image``, which takes
-    a set of several fragments: one clipped piece is the next set as it
-    stands, the touching pieces of an interval fragment give their hull,
-    and only other pieces are normalized (``enclosure._make``). Each step
-    builds the ball (``enclosure._ball``) and the set's record and nothing
-    else. The fragment cap is read at every step. A generated trajectory's
-    scales nest, so W_n is P_n, with no gcd on an untruncated step, and no
-    set is reduced. Where a point's scale is a multiple of the one before
-    it and that one was P_{n-1}, P_n is the scale and the ball's radius
-    eps * P_n is carried across the change by the quotient, with no
-    division by eps's denominator; on the annulus and the non-integer
-    slopes that is every step. Otherwise
-    (points read from a file, say) A_n is reduced by one gcd, so its unit
-    never exceeds the lcm of the denominators that A_{n-1} and the ball
-    really carry. eps is converted to integers once.
+    lattice_base of the map) and lifted to W_n, the lcm of P_n and the
+    unit of the image of A_{n-1}. The map's step for the unit of A_{n-1}
+    and P_n (``image_step``) is made again only when either changes, so
+    doubling and the rotations make it once per trajectory, and the
+    spiral at every step. Every fragment of A_{n-1} goes through it, and
+    it returns the fragment's image pieces, each clipped to the ball as
+    it is made; the one-piece circle maps and the spiral clip their one
+    image arc or box inline (``systems._clip_arc``). A one-fragment
+    A_{n-1}, as in every shipped run, is stepped without building a list
+    of pieces. One clipped piece or none is the next set as it stands,
+    the touching pieces of an interval set, always one segment, give
+    their hull, and only other pieces are normalized (``enclosure._make``), which raises
+    ``EnclosureCapError`` carrying A_n when A_n has more fragments than
+    the cap, read at every call. Each step builds the ball
+    (``enclosure._ball``) and the set's record and nothing else. A
+    generated trajectory's scales nest, so W_n is P_n, with no gcd on an
+    untruncated step, and no set is reduced. Where a point's scale is a
+    multiple of the one before it and that one was P_{n-1}, P_n is the
+    scale and the ball's radius eps * P_n is carried across the change by
+    the quotient, with no division by eps's denominator; on the annulus
+    and the non-integer slopes that is every step. Otherwise (points read
+    from a file, say) A_n is reduced by one gcd, so its unit never
+    exceeds the lcm of the denominators that A_{n-1} and the ball really
+    carry. eps is converted to integers once.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     eps = frac(eps)
     space, image_step = system.space, system.image_step
     interval = space.kind == "interval"
-    step_image = systems._step_image
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
     sets, nums = [], None
@@ -152,25 +152,23 @@ def shadow_sets(system, points, eps) -> list:
             if u != step_u or unit != step_unit:
                 step_u, step_unit = u, unit
                 step, w = image_step(u, unit)
-            if len(nums) > 1:
-                nums, u = step_image(system, step, w, nums, u, ball, unit)
+            if unit != w:
+                ball = tuple(c * (w // unit) for c in ball)
+            if len(nums) == 1:  # no list of pieces to build
+                pieces = step(nums[0], ball)
             else:
-                # _step_image for one fragment, without the call
-                if unit != w:
-                    ball = tuple(c * (w // unit) for c in ball)
-                pieces, raw = step(nums[0], ball)
-                if raw > enclosure.DEFAULT_FRAGMENT_CAP:
-                    system.apply_set(EnclosureSet(space, nums, u))
-                if len(pieces) < 2:
-                    nums = pieces  # the record makes it a tuple
-                elif interval:
-                    # the clipped pieces of a segment's image touch, so
-                    # their union is their hull
-                    los, his = zip(*pieces)
-                    nums = ((min(los), max(his)),)
-                else:
-                    nums = enclosure._make(space, pieces, w).nums
-                u = w
+                pieces = [p for f in nums for p in step(f, ball)]
+            if len(pieces) < 2:
+                nums = pieces  # the record makes it a tuple
+            elif interval:
+                # an interval shadow set is one segment (the image of a
+                # segment met with a ball), and the clipped pieces of its
+                # image touch, so their union is their hull
+                los, his = zip(*pieces)
+                nums = ((min(los), max(his)),)
+            else:
+                nums = enclosure._make(space, pieces, w).nums
+            u = w
         nxt = EnclosureSet(space, nums, u)
         if u != unit:
             nxt = nxt.reduced(base)

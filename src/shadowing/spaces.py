@@ -2,9 +2,9 @@
 
 Points are tuples of numbers, one coordinate for the circle ([0,1) with
 wraparound) and the interval ([0,1]), two for the annulus ((r, theta) with
-r in [1-w, 1+w] and angular theta in [0,1)). The annulus carries the max
-metric, so metric balls are axis-aligned boxes and uniform sampling inside
-a ball factorizes per coordinate.
+r in [1-w, 1+w], 0 < w < 1, and angular theta in [0,1)). The annulus
+carries the max metric, so metric balls are axis-aligned boxes and uniform
+sampling inside a ball factorizes per coordinate.
 
 Reference measures are normalized length on the circle and interval (total
 mass 1) and the radial-by-angular product on the annulus (total mass 2w).
@@ -137,8 +137,9 @@ class Space:
         if self.kind not in ("circle", "interval", "annulus"):
             raise UsageError(f"unknown space kind {self.kind!r}")
         if self.kind == "annulus":
-            if self.w is None or self.w <= 0:
-                raise DomainError("annulus half-width w must be positive")
+            if self.w is None or not 0 < self.w < 1:
+                raise DomainError("annulus half-width w must satisfy "
+                                  "0 < w < 1, so every radius is positive")
             object.__setattr__(self, "w_ratio", self.w.as_integer_ratio())
         elif self.w is not None:
             raise UsageError(f"{self.kind} space takes no width parameter")

@@ -16,20 +16,15 @@ table for the unit: a piecewise-linear map reads its parameters over the
 lattice base and scales them by k = unit / lattice_base as it goes.
 ``image_step`` holds each map's set arithmetic: for the units of a set
 and of a ball it gives one step, which walks the linear pieces of a
-fragment on those parameters and clips each image arc, segment or box to
-the ball as it is made; a one-piece circle map (doubling, a rotation)
-clips its one image arc inline, and the spiral its one image box, meeting
-the radial segments by comparison. Every arc is clipped by one routine,
-``_clip_arc``.
-``_step_image`` is the shadow-set step, the image of a set A met with a
-ball B given as one fragment, on bare integers: it takes every fragment
-of A through one such step, and only pieces that can overlap are put in
-normal form.
-``shadowcheck.shadow_sets`` keeps the step while the units stay, and
-sends a set of one fragment through it directly, taking the hull of an
-interval fragment's touching pieces, so ``_step_image`` serves sets of
-several fragments.
-``apply_set`` is the same walk with the whole space as the ball.
+fragment on those parameters and returns the image arcs, segments or
+boxes, each clipped to the ball as it is made, and nothing else; a
+one-piece circle map (doubling, a rotation) clips its one image arc
+inline, and the spiral its one image box, meeting the radial segments by
+comparison. Every arc is clipped by one routine, ``_clip_arc``. The
+pieces are not in normal form: ``shadowcheck.shadow_sets``, the one
+shadow-set step, puts them there, and ``apply_set`` is the same walk with
+the whole space as the ball, its pieces normalized by
+``enclosure._make``.
 Each map converts its ``Fraction`` parameters to integers once, when it is
 built, so evaluating at a new scale reads no ``Fraction``.
 """
@@ -62,41 +57,8 @@ def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
     step, out = system.image_step(u, u)
     whole = enclosure._ball(space, (out, 0) if space.kind == "annulus"
                             else (0,), out, out)
-    pieces = [p for f in nums for p in step(f, whole)[0]]
+    pieces = [p for f in nums for p in step(f, whole)]
     return enclosure._make(space, pieces, out)
-
-
-def _step_image(system, step, w, nums, u, ball, unit) -> tuple:
-    """The shadow-set step on bare integers: (fragments, W) of f(A) & B
-    for the set A of the normal-form fragments ``nums`` over ``u`` (a
-    multiple of the lattice base, as a shadow set's unit is) and the ball
-    B given as its one fragment ``ball`` over ``unit``, with (step, W) the
-    map's ``image_step(u, unit)``: the same set over the same unit, the
-    lcm of the image's unit and ``unit``, and the same cap error as
-    ``apply_set`` followed by an intersection (``tests/reference.py``
-    keeps that intersection).
-
-    The ball is lifted to W once and every fragment goes through the
-    step. One clipped piece is a normal form as it stands and is the next
-    set; only more pieces are put in normal form (``enclosure._make``).
-    Only an image with more raw pieces than the fragment cap can have a
-    normal form above it, so only such an image is normalized alone,
-    failing as ``apply_set`` would. Both read the cap at call time.
-    ``shadowcheck.shadow_sets`` calls it for a set of several fragments
-    and takes a set of one fragment through the step itself, with the same
-    cap check."""
-    if unit != w:
-        ball = tuple(c * (w // unit) for c in ball)
-    pieces, raw = [], 0
-    for f in nums:
-        got, n = step(f, ball)
-        pieces += got
-        raw += n
-    if raw > enclosure.DEFAULT_FRAGMENT_CAP:
-        system.apply_set(EnclosureSet(system.space, nums, u))
-    if len(pieces) > 1:
-        return enclosure._make(system.space, pieces, w).nums, w
-    return tuple(pieces), w
 
 
 def _clip_arc(fx, fl, bs, bl, w, head) -> tuple:
@@ -232,10 +194,10 @@ class PiecewiseLinearMap:
         return (v,), out
 
     def image_step(self, u, unit) -> tuple:
-        """(step, W): step(fragment, ball) is (pieces, raw), the image of
-        one fragment over ``u``, each image piece clipped to the ball
+        """(step, W): step(fragment, ball) is the image of one fragment
+        over ``u`` as pieces, each image piece clipped to the ball
         fragment ``ball`` (numerators over W = lcm(u * q, unit)) as it is
-        made, and the number of image pieces before clipping.
+        made.
 
         A fragment is walked from the piece of its start through the
         corners it crosses (``_cuts``); an arc on the lift of the map to
@@ -246,8 +208,8 @@ class PiecewiseLinearMap:
         times m, so no table is built for the unit; the products by k * m
         are taken once, when the step is made. A segment takes the same
         walk without the wrap: each linear piece crossed gives one image
-        arc or segment, so raw counts the pieces, and the touching image
-        segments of a segment normalize to the hull of its image. Each
+        arc or segment, and the touching image segments of a segment
+        normalize to the hull of its image. Each
         image arc is clipped with ``_clip_arc``. A one-piece circle map has
         no corner: its step maps the arc's start and length and clips the
         one image arc inline."""
@@ -267,8 +229,7 @@ class PiecewiseLinearMap:
             def step(frag, ball):
                 start, length = frag
                 bs, bl = ball
-                return _clip_arc(c0 + s0 * start, s0 * length, bs, bl, w,
-                                 ()), 1
+                return _clip_arc(c0 + s0 * start, s0 * length, bs, bl, w, ())
             return step, w
 
         def clip(a, b, ball):  # the image piece from a to b, clipped to ball
@@ -283,15 +244,15 @@ class PiecewiseLinearMap:
             i = bisect_right(inner, start // k) if inner else 0
             x, sl = start, slopes[i]
             fx = consts[i] + sl * start
-            pieces, raw = [], 1
+            pieces = []
             for c, j, v in cuts[i:]:
                 if c * k >= end:
                     break
                 fv = v * vk
                 pieces += clip(fx, fv, ball)
-                x, sl, fx, raw = c * k, slopes[j], fv, raw + 1
+                x, sl, fx = c * k, slopes[j], fv
             pieces += clip(fx, fx + sl * (end - x), ball)
-            return pieces, raw
+            return pieces
         return step, w
 
     apply_set = _apply_set
@@ -367,8 +328,8 @@ class AnnulusSpiral:
         return (out + p * (r - unit), (theta * q + a * (out // b)) % out), out
 
     def image_step(self, u, unit) -> tuple:
-        """(step, W): step(box, ball) is (the image of the box over ``u``
-        clipped to the ball fragment ``ball``, 1), both over W = lcm(u *
+        """(step, W): step(box, ball) is the image of the box over ``u``
+        clipped to the ball fragment ``ball``, as pieces over W = lcm(u *
         q, unit): one image box per box, which the ball cuts into at most
         two. The radial segment is met by comparison and the arc by the
         circle steps' clip (``_clip_arc``)."""
@@ -388,9 +349,9 @@ class AnnulusSpiral:
             if hi > bhi:
                 hi = bhi
             if lo > hi:
-                return (), 1
+                return ()
             return _clip_arc(alpha + lift * start, lift * length, bs, bl, w,
-                             (lo, hi)), 1
+                             (lo, hi))
         return step, w
 
     apply_set = _apply_set

@@ -43,4 +43,4 @@ def test_the_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == [
-        "Verdict.NO None 50", "False", "Verdict.NO"]
+        "No None 50", "False", "No"]

@@ -570,16 +570,38 @@ def test_rejected_attractor_noise_exits_nonzero(capsys):
     assert "d0" in err
 
 
+@pytest.mark.parametrize("w", ["1", "2"])
+def test_an_annulus_half_width_of_one_or_more_exits_two(tmp_path, capsys, w):
+    """From w = 1 on the band [1 - w, 1 + w] takes radii at or below 0:
+    ``bounds`` and ``attractor`` refuse it, naming w, and write nothing."""
+    spec = f"annulus:lambda=1/2,alpha=1/3,w={w}"
+    for argv in (("bounds", "--system", spec, "--d", "0.01", "--eps", "0.2",
+                  "--y0=-0.5,0"),
+                 ("attractor", "--system", spec, "--trials", "2",
+                  "--horizons", "5", "--out", str(tmp_path / "a"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: annulus half-width w must satisfy 0 < w < 1, "
+                       "so every radius is positive\n")
+    assert not (tmp_path / "a").exists()
+
+
 def test_check_reports_fragment_cap_error(tmp_path, capsys, monkeypatch):
+    """A two-piece circle map at large d and eps cuts its shadow sets into
+    two fragments: at a fragment cap of 1 ``check`` fails the cap, and at
+    2 it decides Yes."""
     base = tmp_path / "t"
-    run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
-        "--d", "0.02", "--n", "30", "--seed", "1", "--out", str(base))
-    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 0)
+    run(capsys, "generate", "--system", "pwl:0:5/2,2/5:5/3", "--y0", "0.3",
+        "--d", "1/5", "--n", "100", "--seed", "7", "--out", str(base))
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 1)
     code, out, err = run(capsys, "check", "--traj", str(base),
-                         "--eps", "0.05")
+                         "--eps", "6/25")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: fragment cap 0 exceeded")
+    assert err.startswith("error: fragment cap 1 exceeded")
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 2)
+    code, out, _ = run(capsys, "check", "--traj", str(base), "--eps", "6/25")
+    assert code == 0 and json.loads(out)["verdict"] == "Yes"
 
 
 def test_removed_outer_mode_exits_nonzero(tmp_path, capsys):

@@ -21,8 +21,9 @@ from hypothesis import given, strategies as st
 
 from shadowing import EnclosureCapError, annulus, circle, interval
 from shadowing import enclosure as enc
-from shadowing import pwl, systems
-from shadowing.shadowcheck import pull_back_witness
+from shadowing import pwl
+from shadowing.shadowcheck import pull_back_witness, shadow_sets
+from shadowing.spaces import ScaledPoints
 from reference import (contains, image_pieces, intersect, lattice_apply,
                        make, pick_point, preimages)
 from test_lattice import PROPERTY, SYSTEMS
@@ -301,43 +302,83 @@ def draw_step(name, data):
     return system, a, tuple(c * lift for c in b.nums[0]), b.unit * lift
 
 
-def outcome(step):
-    """What a step gives: its set, or its cap error's message and set."""
-    try:
-        s = step()
-    except EnclosureCapError as exc:
-        return str(exc), exc.partial.nums, exc.partial.unit
-    return s.nums, s.unit
-
-
 def image_in_ball(system, nums, u, ball, unit):
-    """The shadow-set step with a step of the map made for it alone."""
+    """The normal form, as (fragments, W), of the pieces that the map's
+    step for ``u`` and ``unit`` gives for every fragment of a set, with
+    the ball fragment lifted to the step's unit W."""
     step, w = system.image_step(u, unit)
-    return systems._step_image(system, step, w, nums, u, ball, unit)
+    lifted = tuple(c * (w // unit) for c in ball)
+    pieces = [p for f in nums for p in step(f, lifted)]
+    return enc._make(system.space, pieces, w).nums, w
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
 @PROPERTY
 @given(data=st.data())
 def test_one_step_equals_image_then_intersect(name, data):
-    """The map's shadow-set step is intersect(apply_set(A), B): the same
-    set over the same unit, and with the fragment cap patched to 0, 1 or
-    2 the same cap error carrying the same exact set."""
+    """The pieces of the map's step, put in normal form, are
+    intersect(apply_set(A), B): the same set over the same unit."""
     system, a, ball, ball_unit = draw_step(name, data)
+    want = intersect(system.apply_set(a),
+                     enc.EnclosureSet(system.space, (ball,), ball_unit))
+    assert image_in_ball(system, a.nums, a.unit, ball, ball_unit) == \
+        (want.nums, want.unit)
+
+
+def draw_points(system, data):
+    """Two to four points of the map's space on small denominators and
+    an eps, drawn freely: no step bound holds them together, so a ball
+    may cut an image anywhere, into several fragments or none."""
     space = system.space
+    n = data.draw(st.integers(2, 4), label="points")
+    pts = [draw_ball(space, data)[0] for _ in range(n)]
+    if space.kind == "annulus":
+        w = space.w
+        pts = [(min(max(r, 1 - w), 1 + w), x) for r, x in pts]
+    eps = data.draw(st.fractions(F(1, 24), F(1, 2), max_denominator=24),
+                    label="eps")
+    return ScaledPoints.from_points(pts), eps
 
-    def fused():
-        return enc.EnclosureSet(space, *image_in_ball(
-            system, a.nums, a.unit, ball, ball_unit))
 
-    def composed():
-        return intersect(system.apply_set(a),
-                         enc.EnclosureSet(space, (ball,), ball_unit))
+def reference_sets(system, points, eps):
+    """A_0 = B(eps, y_0) and A_n = intersect(apply_set(A_{n-1}),
+    B(eps, y_n)), to the first empty set, under the default cap."""
+    sets = []
+    for y in points:
+        ball = enc.ball_set(system.space, y, eps)
+        sets.append(intersect(system.apply_set(sets[-1]), ball) if sets
+                    else ball)
+        if sets[-1].is_empty():
+            break
+    return sets
 
-    assert outcome(fused) == outcome(composed)
-    for cap in (0, 1, 2):
+
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+@PROPERTY
+@given(data=st.data())
+def test_shadow_sets_fail_the_cap_exactly_when_a_shadow_set_outgrows_it(
+        name, data):
+    """``shadow_sets`` on freely drawn points gives the sets of the
+    reference step, and with the fragment cap patched to 1 or 2 it raises
+    exactly when the normal form of a reference step has more fragments
+    than the cap, the first such set being the error's ``partial``."""
+    system = STEP_SYSTEMS[name]
+    points, eps = draw_points(system, data)
+    want = reference_sets(system, points, eps)
+    got = shadow_sets(system, zip(points.nums, points.scales), eps)
+    assert got == want
+    for cap in (1, 2):
+        over = next((s for s in want if s.fragment_count() > cap), None)
         with mock.patch.object(enc, "DEFAULT_FRAGMENT_CAP", cap):
-            assert outcome(fused) == outcome(composed), cap
+            if over is None:
+                assert shadow_sets(system, zip(points.nums, points.scales),
+                                   eps) == want
+                continue
+            with pytest.raises(EnclosureCapError) as err:
+                shadow_sets(system, zip(points.nums, points.scales), eps)
+        assert str(err.value) == \
+            f"fragment cap {cap} exceeded for exact enclosure"
+        assert err.value.partial == over
 
 
 def draw_small_step(name, data):
@@ -382,10 +423,9 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
         clip = enc.EnclosureSet(space, (lifted,), w)
         pieces = []
         for frag, values in zip(a.nums, a.fragments):
-            got, raw = step(frag, lifted)
+            got = step(frag, lifted)
             image = make(space, image_pieces(system, values))
             assert enc._make(space, got, w) == intersect(image, clip)
-            assert raw >= 1
             pieces += got
         nums, unit = image_in_ball(system, a.nums, a.unit, ball, ball_unit)
         assert (enc._make(space, pieces, w).nums, w) == (nums, unit)

@@ -227,8 +227,10 @@ def test_epsilon_net_covers(space, delta1):
 
 
 def test_annulus_needs_a_positive_half_width():
+    """0 < w < 1: from w = 1 on the band [1 - w, 1 + w] takes radii at or
+    below 0."""
     assert annulus("1/3").w == F(1, 3)
-    for w in (0, F(-1, 2)):
+    for w in (0, F(-1, 2), 1, 2):
         with pytest.raises(DomainError):
             annulus(w)
     with pytest.raises(DomainError):

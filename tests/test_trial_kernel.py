@@ -17,8 +17,7 @@ from hypothesis import given, strategies as st
 
 from shadowing import (ExperimentConfig, InvariantViolation,
                        attractor_quantities, decide_horizons, enclosure,
-                       experiment, generate, parse_system, systems,
-                       trial_stream)
+                       experiment, generate, parse_system, trial_stream)
 from shadowing.enclosure import EnclosureSet
 from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
@@ -26,7 +25,7 @@ from shadowing.pseudotraj import LatticeWalk
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
 from shadowing.spaces import ScaledPoints
 
-from test_enclosure_properties import image_in_ball
+from reference import intersect
 from test_lattice import PROPERTY, SYSTEMS, reference_witness, start_point
 
 STARTS = {
@@ -77,12 +76,28 @@ def test_streamed_trials_equal_whole_trajectory_decisions(name):
     assert seen_no and seen_yes
 
 
+# a two-piece circle map at large d and eps, whose shadow sets are cut
+# into several fragments mid-trial
+CUT_CONFIG = ExperimentConfig(system_spec="pwl:0:5/2,2/5:5/3",
+                              y0=(F(3, 10),), d=F(1, 5), eps=F(6, 25),
+                              horizons=(10, 50, 100), trials=10, seed=7)
+
+
 def test_streamed_cap_errors_equal_whole_trajectory(monkeypatch):
-    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 0)
-    cfg = config("rotation", F(1, 20), (10, 50))
-    got = _run_trial(SYSTEMS["rotation"], cfg, 0)
-    assert got.error and got.verdicts == ("Unknown", "Unknown")
-    assert got == whole_trajectory_outcome(SYSTEMS["rotation"], cfg, 0)
+    """At a fragment cap of 1 the trials whose shadow sets reach two
+    fragments are Unknown, with the error of the whole-trajectory
+    decision, and the others keep their verdicts."""
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 1)
+    system = CUT_CONFIG.system
+    got = [_run_trial(system, CUT_CONFIG, trial)
+           for trial in range(CUT_CONFIG.trials)]
+    assert got == [whole_trajectory_outcome(system, CUT_CONFIG, trial)
+                   for trial in range(CUT_CONFIG.trials)]
+    unknown = [o for o in got if o.error]
+    assert unknown and len(unknown) < len(got)
+    assert all(o.verdicts == ("Unknown",) * 3 and o.error ==
+               "fragment cap 1 exceeded for exact enclosure"
+               for o in unknown)
 
 
 class SampledSteps:
@@ -142,22 +157,19 @@ def test_an_all_yes_trial_samples_every_step(monkeypatch):
 # -- the kept step ------------------------------------------------------------
 
 def fresh_step_sets(system, points, eps):
-    """``shadow_sets`` with a step of the map made for every step alone
-    (``image_in_ball``), on the same units: the reference for the step
-    that ``shadow_sets`` keeps while the units stay."""
+    """The shadow sets with every step taken afresh as
+    ``reference.intersect(system.apply_set(A), B)``, on the units that
+    ``shadow_sets`` uses: the reference for the one step that
+    ``shadow_sets`` takes, kept while the units stay."""
     space = system.space
     base = math.lcm(eps.denominator, system.lattice_base)
     sets = []
     for y, s in zip(points.nums, points.scales):
         unit = math.lcm(s, base)
-        ball = enclosure._ball(space, tuple(c * (unit // s) for c in y),
-                               eps.numerator * (unit // eps.denominator),
-                               unit)
-        if sets:
-            nxt = EnclosureSet(space, *image_in_ball(
-                system, sets[-1].nums, sets[-1].unit, ball, unit))
-        else:
-            nxt = EnclosureSet(space, (ball,), unit)
+        ball = EnclosureSet(space, (enclosure._ball(
+            space, tuple(c * (unit // s) for c in y),
+            eps.numerator * (unit // eps.denominator), unit),), unit)
+        nxt = intersect(system.apply_set(sets[-1]), ball) if sets else ball
         sets.append(nxt if nxt.unit == unit else nxt.reduced(base))
         if nxt.is_empty():
             break
@@ -201,46 +213,46 @@ def walked_points(name, n=12):
     return walk.taken
 
 
-# (system, points, eps, cap): at cap 0 every step fails; at cap 1 the
-# circle-pwl set A_0 = [1/5, 3/5] has the image [1/2, 4/3], which the ball
-# [13/60, 37/60] around 5/12 meets in two fragments
+# (system, points, eps): every shipped map on a short walk, whose sets keep
+# one fragment; the circle-pwl set A_0 = [1/5, 3/5] has the image
+# [1/2, 4/3], which the ball [13/60, 37/60] around 5/12 meets in two
+# fragments; and the first trial of the cut config, whose sets reach two
+# fragments mid-trial
 CAP_CASES = {
-    **{name: (name, walked_points(name), F(1, 5), 0) for name in SYSTEMS},
-    "circle-pwl-two-fragments": (
-        "circle-pwl", ScaledPoints.from_points([(F(2, 5),), (F(5, 12),)]),
-        F(1, 5), 1),
+    **{name: (SYSTEMS[name], walked_points(name), F(1, 5))
+       for name in SYSTEMS},
+    "circle-pwl-cut": (
+        SYSTEMS["circle-pwl"],
+        ScaledPoints.from_points([(F(2, 5),), (F(5, 12),)]), F(1, 5)),
+    "cut-config": (
+        CUT_CONFIG.system,
+        generate(CUT_CONFIG.system, CUT_CONFIG.y0, CUT_CONFIG.d, 100,
+                 trial_stream(CUT_CONFIG.seed, 0)).scaled, CUT_CONFIG.eps),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CAP_CASES))
-def test_one_fragment_steps_fail_a_lowered_cap_as_step_image_does(
-        monkeypatch, case):
-    """``shadow_sets`` steps a one-fragment set without ``_step_image``;
-    with the fragment cap lowered it raises the error, with the same
-    message and exact set, that the step made through ``_step_image``
-    raises."""
-    name, points, eps, cap = CAP_CASES[case]
-    system = SYSTEMS[name]
-    full = shadow_sets(system, zip(points.nums, points.scales), eps)
-    assert full[0].fragment_count() == 1
-    assert max(s.fragment_count() for s in full) > cap
-    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", cap)
-    calls = []
-    step_image = systems._step_image
-
-    def counted_step_image(system, step, w, nums, *args):
-        calls.append(len(nums))
-        return step_image(system, step, w, nums, *args)
-
-    monkeypatch.setattr(systems, "_step_image", counted_step_image)
+def test_a_lowered_cap_fails_only_a_shadow_set_above_it(monkeypatch, case):
+    """With the fragment cap lowered to 1, ``shadow_sets`` raises at the
+    first shadow set of the reference step that has more than one
+    fragment, with that set as ``partial``, and gives the reference sets
+    where none has: the image f(A_n) is never held to the cap."""
+    system, points, eps = CAP_CASES[case]
+    want = fresh_step_sets(system, points, eps)
+    assert want[0].fragment_count() == 1
+    over = next((s for s in want if s.fragment_count() > 1), None)
+    assert (over is not None) == (case in ("circle-pwl-cut",
+                                           "cut-config"))
+    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 1)
+    if over is None:
+        got = shadow_sets(system, zip(points.nums, points.scales), eps)
+        assert [(s.nums, s.unit) for s in got] == \
+            [(s.nums, s.unit) for s in want]
+        return
     with pytest.raises(EnclosureCapError) as got:
         shadow_sets(system, zip(points.nums, points.scales), eps)
-    assert calls == []
-    with pytest.raises(EnclosureCapError) as want:
-        fresh_step_sets(system, points, eps)
-    assert calls
-    assert (str(got.value), got.value.partial) == \
-        (str(want.value), want.value.partial)
+    assert str(got.value) == "fragment cap 1 exceeded for exact enclosure"
+    assert got.value.partial == over
 
 
 def test_a_one_fragment_tent_step_across_the_corner_makes_no_make(
@@ -260,9 +272,9 @@ def test_a_one_fragment_tent_step_across_the_corner_makes_no_make(
     points = ScaledPoints.from_points([(F(3, 5),)] * 6)
     sets = shadow_sets(system, zip(points.nums, points.scales), F(3, 20))
     step, w = system.image_step(sets[0].unit, sets[0].unit)
-    pieces, raw = step(sets[0].nums[0], tuple(
+    pieces = step(sets[0].nums[0], tuple(
         c * (w // sets[0].unit) for c in sets[0].nums[0]))
-    assert raw == 2 and len(pieces) == 2
+    assert len(pieces) == 2
     assert calls == []
     assert [s.fragments for s in sets] == [((F(9, 20), F(3, 4)),)] * 6
     assert [(s.nums, s.unit) for s in sets] == \
@@ -273,23 +285,22 @@ def test_cut_images_are_normalized_mid_trial(monkeypatch):
     """A two-piece circle map at large d and eps: steps that cut several
     pieces are normalized, and sets of several fragments are stepped,
     within trials that equal the whole-trajectory decision."""
-    cfg = ExperimentConfig(system_spec="pwl:0:5/2,2/5:5/3", y0=(F(3, 10),),
-                           d=F(1, 5), eps=F(6, 25), horizons=(10, 50, 100),
-                           trials=10, seed=7)
+    cfg = CUT_CONFIG
     system = cfg.system
     calls = {"make": 0, "several": 0}
-    make, step_image = enclosure._make, systems._step_image
+    make = enclosure._make
 
     def counted_make(*args):
         calls["make"] += 1
         return make(*args)
 
-    def counted_step_image(system, step, w, nums, *args):
-        calls["several"] += len(nums) > 1
-        return step_image(system, step, w, nums, *args)
+    def counted_shadow_sets(*args):
+        sets = shadow_sets(*args)
+        calls["several"] += sum(s.fragment_count() > 1 for s in sets[:-1])
+        return sets
 
     monkeypatch.setattr(enclosure, "_make", counted_make)
-    monkeypatch.setattr(systems, "_step_image", counted_step_image)
+    monkeypatch.setattr(experiment, "shadow_sets", counted_shadow_sets)
     for trial in range(cfg.trials):
         got = _run_trial(system, cfg, trial)
         assert got == whole_trajectory_outcome(system, cfg, trial)
@@ -380,7 +391,7 @@ def test_weaker_closure_tests_admit_escapes():
     for _ in range(150):
         q = rng.randint(2, 40)
         lam = F(rng.randint(1, q - 1), q)
-        w = F(rng.randint(1, 100), 100)
+        w = F(rng.randint(1, 99), 100)  # 0 < w < 1
         rho = w * F(rng.randint(1, 99), 100)
         d = F(rng.randint(1, 999), 10 ** rng.randint(2, 4))
         system = parse_system(f"annulus:lambda={lam},alpha=610/987,w={w}")
@@ -450,8 +461,17 @@ def test_band_violation_after_the_first_empty_step_raises():
 
 
 def test_band_violation_after_a_cap_error_raises(monkeypatch):
+    """A trial whose propagation fails the fragment cap, here a
+    ``shadow_sets`` that raises once it has propagated, still checks its
+    band."""
     system, cfg, band, message = late_violation_case()
-    monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 0)
+
+    def over_the_cap(*args):
+        sets = shadow_sets(*args)
+        raise EnclosureCapError("fragment cap 0 exceeded for exact "
+                                "enclosure", partial=sets[-1])
+
+    monkeypatch.setattr(experiment, "shadow_sets", over_the_cap)
     with pytest.raises(InvariantViolation) as info:
         _run_trial(system, cfg, 0, band)
     assert str(info.value) == message
