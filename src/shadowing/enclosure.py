@@ -36,6 +36,10 @@ relies on that, clipping every image piece to the ball fragment of
 (the touching pieces of one interval fragment are joined into their
 hull).
 
+A ``SetRecord`` holds a run of sets, the shadow sets of a decision, as
+bare fragment tuples and units, as ``spaces.ScaledPoints`` holds points:
+reading a set by index builds its ``EnclosureSet``.
+
 Every set equals the abstract set it stands for. ``_make`` is the one
 place that checks the fragment cap: a normal form with more fragments
 than the cap raises a resource error that carries that exact set. A set
@@ -46,6 +50,7 @@ something from 1 up.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 
@@ -188,15 +193,43 @@ class EnclosureSet:
             return (f[0] + f[1],), u2
         return (f[0] + f[1], (2 * f[2] + f[3]) % u2), u2
 
-    def reduced(self, base: int) -> "EnclosureSet":
-        """The same set over the smallest unit that is a multiple
-        of ``base`` (one gcd over all numerators)."""
-        g = math.gcd(self.unit // base, *chain.from_iterable(self.nums))
-        if g == 1:
-            return self
-        return EnclosureSet(self.space,
-                            tuple(tuple(c // g for c in f) for f in self.nums),
-                            self.unit // g)
+
+class SetRecord(Sequence):
+    """Sets of one space held as bare fragment tuples and units.
+
+    Set n is ``nums[n]`` over ``units[n]``. Indexing builds that set's
+    ``EnclosureSet``; slicing returns another SetRecord and builds none.
+    """
+
+    __slots__ = ("space", "nums", "units")
+
+    def __init__(self, space: Space, nums: list, units: list):
+        self.space = space
+        self.nums = nums
+        self.units = units
+
+    @classmethod
+    def of(cls, sets) -> "SetRecord":
+        """The record of a nonempty sequence of ``EnclosureSet``s."""
+        return cls(sets[0].space, [s.nums for s in sets],
+                   [s.unit for s in sets])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SetRecord(self.space, self.nums[i], self.units[i])
+        return EnclosureSet(self.space, self.nums[i], self.units[i])
+
+
+def _reduced(nums, unit: int, base: int) -> tuple:
+    """(nums, unit): the same fragments over the smallest unit that is a
+    multiple of ``base`` (one gcd over all numerators)."""
+    g = math.gcd(unit // base, *chain.from_iterable(nums))
+    if g == 1:
+        return nums, unit
+    return tuple(tuple(c // g for c in f) for f in nums), unit // g
 
 
 def _make(space: Space, fragments, unit) -> EnclosureSet:

@@ -66,10 +66,8 @@ class ExperimentConfig:
             raise DomainError("horizons must increase strictly")
         if any(h < 0 for h in self.horizons):
             raise DomainError("horizons must be nonnegative")
-
-    @property
-    def system(self):
-        return parse_system(self.system_spec)
+        # the map, parsed once: a bad spec is refused here
+        object.__setattr__(self, "system", parse_system(self.system_spec))
 
     @property
     def max_horizon(self) -> int:

@@ -19,15 +19,18 @@ the two units (``image_step``), kept while they stay, walks the linear
 pieces of each fragment of A_n and returns its image pieces, each clipped
 to the ball as it is made. One piece or none is the next set as it
 stands, the touching pieces of an interval set, always one segment, give
-their hull, and only other pieces are put in normal form. Besides the ball, a step builds
-nothing but the new set's record.
-A pull-back step takes the preimages of its point on a scale that grows
-by the slope numerators, and reads each on the shadow set's own unit by
-one division, comparing it inline with the set's arc, segment or box, so
-no fragment is lifted to the growing scale. A re-check step applies the
-map on the integer lattice and compares the orbit point with the
-trajectory point by cross-multiplying their scales (``orbit_tracks``),
-inline: no gcd, no table and no lifted point.
+their hull, and only other pieces are put in normal form. The sets are
+kept as a ``SetRecord``, each set's bare fragments and unit, and a set
+object is built only when a set is read by index.
+The pull-back and the re-check are loops that the map runs itself, each
+with no call per step (its ``pull_back`` and ``tracks``). A pull-back step
+takes the preimages of its point on a scale that grows by the slope
+numerators, and reads each on the shadow set's own unit by one division,
+comparing it inline with the set's arc, segment or box, so no fragment is
+lifted to the growing scale. A re-check step applies the map on the
+integer lattice and compares the orbit point with the trajectory point
+by cross-multiplying their scales (``orbit_tracks``): no gcd, no table
+and no lifted point.
 A shadow set whose normal form has more fragments than the fragment cap
 raises ``EnclosureCapError`` instead of giving a verdict; the image
 f(A_n) alone is never put in normal form, so its size does not count.
@@ -47,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import enclosure
-from .enclosure import EnclosureSet
+from .enclosure import EnclosureSet, SetRecord
 from .errors import DomainError, InvariantViolation, UsageError
 from .pseudotraj import Pseudotrajectory
 from .rationals import frac
@@ -84,18 +87,20 @@ class ShadowVerdict:
 class HorizonVerdicts:
     """What ``horizon_verdicts`` found: a verdict per horizon, the first
     empty step (None if every A_n is nonempty), the witness of the longest
-    Yes prefix (None if no horizon is Yes) and the shadow sets it read."""
+    Yes prefix (None if no horizon is Yes) and the record of the shadow
+    sets it read."""
 
     verdicts: tuple
     first_empty: int | None
     witness: tuple | None
-    sets: list
+    sets: SetRecord
 
 
-def shadow_sets(system, points, eps) -> list:
+def shadow_sets(system, points, eps) -> SetRecord:
     """The shadow sets A_0, A_1, ..., up to and including the first empty
-    one, of points given as (numerators, scale) pairs. A point is read only
-    when its set is built, so a ``LatticeWalk`` samples none after that.
+    one, of points given as (numerators, scale) pairs, as a ``SetRecord``
+    of each set's bare fragments and unit. A point is read only when its
+    set is built, so a ``LatticeWalk`` samples none after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map) and lifted to W_n, the lcm of P_n and the
@@ -109,28 +114,33 @@ def shadow_sets(system, points, eps) -> list:
     A_{n-1}, as in every shipped run, is stepped without building a list
     of pieces. One clipped piece or none is the next set as it stands,
     the touching pieces of an interval set, always one segment, give
-    their hull, and only other pieces are normalized (``enclosure._make``), which raises
-    ``EnclosureCapError`` carrying A_n when A_n has more fragments than
-    the cap, read at every call. Each step builds the ball
-    (``enclosure._ball``) and the set's record and nothing else. A
-    generated trajectory's scales nest, so W_n is P_n, with no gcd on an
-    untruncated step, and no set is reduced. Where a point's scale is a
-    multiple of the one before it and that one was P_{n-1}, P_n is the
-    scale and the ball's radius eps * P_n is carried across the change by
-    the quotient, with no division by eps's denominator; on the annulus
-    and the non-integer slopes that is every step. Otherwise (points read
-    from a file, say) A_n is reduced by one gcd, so its unit never
-    exceeds the lcm of the denominators that A_{n-1} and the ball really
-    carry. eps is converted to integers once.
+    their hull, and only other pieces are normalized (``enclosure._make``),
+    which raises ``EnclosureCapError`` carrying A_n when A_n has more
+    fragments than the cap, read at every call. The circle's ball arc is
+    built inline, by one modulo, from a diameter taken once per unit; the
+    interval's and the annulus's come from ``enclosure._ball``. Each step
+    appends the set's fragments and unit to the record and builds no
+    ``EnclosureSet``. A generated trajectory's scales nest, so W_n is
+    P_n, with no gcd on an untruncated step, and no set is reduced. Where
+    a point's scale is a multiple of the one before it and that one was
+    P_{n-1}, P_n is the scale and the ball's radius eps * P_n is carried
+    across the change by the quotient, with no division by eps's
+    denominator; on the annulus and the non-integer slopes that is every
+    step. Otherwise (points read from a file, say) A_n is reduced by one
+    gcd (``enclosure._reduced``), so its unit never exceeds the lcm of the
+    denominators that A_{n-1} and the ball really carry. eps is converted
+    to integers once.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     eps = frac(eps)
     space, image_step = system.space, system.image_step
-    interval = space.kind == "interval"
+    circle, interval = space.kind == "circle", space.kind == "interval"
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
-    sets, nums = [], None
+    record = SetRecord(space, [], [])
+    add_nums, add_unit = record.nums.append, record.units.append
+    nums = None
     point_scale = step_u = step_unit = None
     lift = 0  # no radius to carry yet
     for y, s in points:
@@ -141,10 +151,14 @@ def shadow_sets(system, points, eps) -> list:
                 lift, radius = unit // s, eps_num * (unit // eps_den)
             else:  # the scales nest, as a generated trajectory's do
                 unit, radius = s, radius * g
-            point_scale = s
-        if lift != 1:
-            y = tuple(c * lift for c in y)
-        ball = enclosure._ball(space, y, radius, unit)
+            point_scale, diameter = s, 2 * radius
+        if circle:  # the ball arc, or the whole circle
+            ball = ((0, unit) if diameter >= unit else
+                    ((y[0] * lift - radius) % unit, diameter))
+        else:
+            if lift != 1:
+                y = tuple(c * lift for c in y)
+            ball = enclosure._ball(space, y, radius, unit)
         if nums is None:
             nums, u = (ball,), unit
         else:
@@ -159,7 +173,7 @@ def shadow_sets(system, points, eps) -> list:
             else:
                 pieces = [p for f in nums for p in step(f, ball)]
             if len(pieces) < 2:
-                nums = pieces  # the record makes it a tuple
+                nums = tuple(pieces)
             elif interval:
                 # an interval shadow set is one segment (the image of a
                 # segment met with a ball), and the clipped pieces of its
@@ -169,77 +183,44 @@ def shadow_sets(system, points, eps) -> list:
             else:
                 nums = enclosure._make(space, pieces, w).nums
             u = w
-        nxt = EnclosureSet(space, nums, u)
         if u != unit:
-            nxt = nxt.reduced(base)
-            nums, u = nxt.nums, nxt.unit
-        sets.append(nxt)
+            nums, u = enclosure._reduced(nums, u, base)
+        add_nums(nums)
+        add_unit(u)
         if not nums:
             break
-    return sets
+    return record
 
 
-def shadow_set_forward(system, traj: Pseudotrajectory,
-                       eps) -> list[EnclosureSet]:
+def shadow_set_forward(system, traj: Pseudotrajectory, eps) -> SetRecord:
     """The N + 1 shadow sets A_0, ..., A_N: ``shadow_sets``, with the first
     empty set repeated for the remaining steps (an empty set stays empty)."""
     points = traj.scaled
     sets = shadow_sets(system, zip(points.nums, points.scales), eps)
-    sets.extend([sets[-1]] * (len(points) - len(sets)))
+    more = len(points) - len(sets)
+    sets.nums.extend([sets.nums[-1]] * more)
+    sets.units.extend([sets.units[-1]] * more)
     return sets
 
 
 def orbit_tracks(system, points, x0, eps) -> bool:
     """Direct re-check: does the orbit of x0 stay within eps of points.
 
-    The orbit runs on the integer lattice (``apply_scaled``) from x0 over
-    the lcm of its denominator and the map's lattice base. Point n, over
-    its scale s, is compared with the orbit point over z_scale * s *
-    den(eps), by cross-multiplying: no step takes a gcd or builds a lifted
-    point. The map multiplies z_scale by the same q at every step (the lcm
-    of its slope denominators). Where s grows by q too, as on every
-    untruncated step of a generated spiral or tent trajectory, the lifts
-    of the two points stay and the common unit and the bound are carried
-    by q; at any other change of either scale the products are made
-    again. The distance is compared inline. ``Fraction`` points are put on
-    scales first."""
-    space = system.space
+    The orbit runs on the integer lattice from x0 over the lcm of its
+    denominator and the map's lattice base, stepped inline by the map's
+    ``tracks``, which makes no call per step. Point n, over its scale s,
+    is compared with the orbit point over z_scale * s * den(eps), by
+    cross-multiplying: no step takes a gcd or builds a lifted point. The
+    map multiplies z_scale by the same q at every step (the lcm of its
+    slope denominators). Where s grows by q too, as on every untruncated
+    step of a generated spiral or tent trajectory, the lifts of the two
+    points stay and the common unit and the bound are carried by q; at
+    any other change of either scale the products are made again.
+    ``Fraction`` points are put on scales first."""
     if not isinstance(points, ScaledPoints):
         points = ScaledPoints.from_points(points)
-    eps = frac(eps)
-    eps_num, eps_den = eps.numerator, eps.denominator
-    z, z_scale = scaled_point(space.canonical(x0), system.lattice_base)
-    apply = system.apply_scaled
-    circle, annulus = space.kind == "circle", space.kind == "annulus"
-    # the map multiplies the orbit's scale by the same q at every step
-    q = apply(z, z_scale)[1] // z_scale
-    kept_z = kept_s = 0
-    for y, s in zip(points.nums, points.scales):
-        if s != kept_s or z_scale != kept_z:
-            if s == kept_s * q and z_scale == kept_z * q:
-                # both scales grew by q: the lifts stay
-                common, bound = common * q, bound * q
-            else:
-                z_lift, y_lift = s * eps_den, z_scale * eps_den
-                common, bound = z_scale * z_lift, eps_num * z_scale * s
-            kept_z, kept_s = z_scale, s
-        if circle:
-            t = (z[0] * z_lift - y[0] * y_lift) % common
-            if t > bound and common - t > bound:
-                return False
-        elif annulus:
-            t = z[0] * z_lift - y[0] * y_lift
-            if t > bound or -t > bound:
-                return False
-            t = (z[1] * z_lift - y[1] * y_lift) % common
-            if t > bound and common - t > bound:
-                return False
-        else:  # the interval
-            t = z[0] * z_lift - y[0] * y_lift
-            if t > bound or -t > bound:
-                return False
-        z, z_scale = apply(z, z_scale)
-    return True
+    z, z_scale = scaled_point(system.space.canonical(x0), system.lattice_base)
+    return system.tracks(z, z_scale, points, frac(eps))
 
 
 def pull_back_witness(system, sets, m):
@@ -249,57 +230,33 @@ def pull_back_witness(system, sets, m):
     set is kept. Returns None if some pull-back step finds no preimage in
     the set, which exact sets rule out (A_n lies in the image of A_{n-1}).
 
-    A step is the map's ``preimages_scaled``, whose scale grows by the
-    slope numerators, and a test of each candidate against the fragments
-    of A_n, read inline on A_n's own unit: a coordinate c becomes
-    floor(c * unit / scale), one short of its fragment's upper end when
-    the division leaves a remainder (the value then lies strictly inside
-    the next lattice cell). One loop tests arcs and segments: a lies in
+    The loop is the map's ``pull_back``, which makes no call per step. A
+    step computes the preimages on a scale that grows by the slope
+    numerators and tests each against the fragments of A_n, read inline on
+    A_n's own unit: a coordinate c becomes floor(c * unit / scale), one
+    short of its fragment's upper end when the division leaves a remainder
+    (the value then lies strictly inside the next lattice cell). a lies in
     the arc (s, l) when (a - s) mod unit <= l - short, and in the segment
     (lo, hi), which does not wrap, when lo <= a <= hi - short; a box tests
     both. So no fragment is lifted to the growing scale, and only the
-    witness is turned into Fractions."""
+    witness is turned into Fractions. A plain sequence of
+    ``EnclosureSet``s is put in a ``SetRecord`` first."""
+    if not isinstance(sets, SetRecord):
+        sets = SetRecord.of(sets)
     x, scale = sets[m].pick_scaled()
-    preimages, kind = system.preimages_scaled, system.space.kind
-    circle = kind == "circle"
-    for n in range(m - 1, -1, -1):
-        candidates, scale = preimages(x, scale)
-        frags, unit = sets[n].nums, sets[n].unit
-        x = None
-        if kind != "annulus":
-            for p in candidates:
-                a, rem = divmod(p[0] * unit, scale)
-                short = 1 if rem else 0
-                for s, e in frags:  # an arc (s, l) or a segment (lo, hi)
-                    if ((a - s) % unit <= e - short if circle
-                            else s <= a <= e - short):
-                        x = p
-                        break
-                if x:
-                    break
-        else:
-            for p in candidates:
-                r, rem = divmod(p[0] * unit, scale)
-                r_short = 1 if rem else 0
-                theta, rem = divmod(p[1] * unit, scale)
-                theta_short = 1 if rem else 0
-                for rlo, rhi, s, l in frags:
-                    if (rlo <= r <= rhi - r_short
-                            and (theta - s) % unit <= l - theta_short):
-                        x = p
-                        break
-                if x:
-                    break
-        if x is None:
-            return None
+    found = system.pull_back(x, scale, sets.nums, sets.units, m)
+    if found is None:
+        return None
+    x, scale = found
     return tuple(Fraction(c, scale) for c in x)
 
 
 def horizon_verdicts(system, sets, points: ScaledPoints, eps,
                      horizons) -> HorizonVerdicts:
     """Certified verdicts for eps-shadowability of each horizon prefix,
-    from the shadow sets A_0, A_1, ... (all N + 1, or to the first empty
-    one) and the points they were built from.
+    from the record of the shadow sets A_0, A_1, ... (all N + 1, or to the
+    first empty one) and the points they were built from. The first empty
+    set is read from the last: when that is nonempty, none is.
 
     Horizon m is No when some A_n with n <= m is empty, else Yes. One
     witness is pulled back, at the largest Yes horizon, and its orbit
@@ -308,7 +265,10 @@ def horizon_verdicts(system, sets, points: ScaledPoints, eps,
     always yield a witness that passes, so a failure is a bug and raises
     ``InvariantViolation`` rather than a verdict.
     """
-    first_empty = next((n for n, s in enumerate(sets) if not s.nums), None)
+    # shadow_sets stops at the first empty set; shadow_set_forward
+    # repeats it to the end
+    nums = sets.nums
+    first_empty = None if nums[-1] else nums.index(())
     verdicts = tuple(
         Verdict.NO if first_empty is not None and m >= first_empty
         else Verdict.YES for m in horizons)

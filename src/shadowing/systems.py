@@ -7,13 +7,20 @@ annulus carries a contraction-rotation. Point evaluation, images of
 enclosure sets and pointwise preimages are therefore computed exactly;
 outer and inner image enclosures coincide.
 
-Each map evaluates at a scale: ``apply_scaled`` and ``preimages_scaled``
-take a point as integer numerators over a ``unit``, a multiple of the
-map's ``lattice_base``, and return numerators over the output unit, which
-is ``unit`` times the lcm of the slope denominators (images) or numerators
-(preimages), so integer-slope maps keep the scale. No method builds a
-table for the unit: a piecewise-linear map reads its parameters over the
-lattice base and scales them by k = unit / lattice_base as it goes.
+Each map evaluates at a scale: ``apply_scaled`` takes a point as integer
+numerators over a ``unit``, a multiple of the map's ``lattice_base``, and
+returns numerators over the output unit, ``unit`` times the lcm of the
+slope denominators, so integer-slope maps keep the scale. No method
+builds a table for the unit: a piecewise-linear map reads its parameters
+over the lattice base and scales them by k = unit / lattice_base as it
+goes. The two witness loops of a decision run in the map, each with no
+call per step: ``pull_back`` takes a point back through a record of
+shadow sets, its preimages over a unit that grows by the lcm of the
+slope numerators (the spiral's by lam's numerator), keeping at each step
+the first preimage in the set, and ``tracks`` steps an orbit as
+``apply_scaled`` does and compares it with a trajectory point by point.
+Each carries its per-scale constants (k, and the spiral's w and alpha
+over the unit) across its steps by the product that grows the unit.
 ``image_step`` holds each map's set arithmetic: for the units of a set
 and of a ball it gives one step, which walks the linear pieces of a
 fragment on those parameters and returns the image arcs, segments or
@@ -148,7 +155,7 @@ class PiecewiseLinearMap:
             base, self.space.kind == "circle"))
         # per piece: its value range over the base and the preimage line
         # t = (c + J * inv) * k + r * inv over p times the unit (see
-        # preimages_scaled), inv = p / slope
+        # pull_back), inv = p / slope
         pieces = []
         for b, v_start, v_end, sl in zip(bps_base, vals_base, vals_base[1:],
                                          slopes):
@@ -257,39 +264,94 @@ class PiecewiseLinearMap:
 
     apply_set = _apply_set
 
-    def preimages_scaled(self, point, unit) -> tuple:
-        """All solutions of f(x) == point for numerators over an
-        integer ``unit`` (a multiple of lattice_base): (sorted numerator
-        tuples, out unit), out = unit * lcm of the slope numerators.
+    def pull_back(self, point, scale, frags, units, m):
+        """``shadowcheck.pull_back_witness``'s loop, which says how a
+        candidate is tested: the point, numerators over ``scale`` (a
+        multiple of lattice_base), pulled back through the sets
+        ``frags[n]`` over ``units[n]`` for n = m - 1, ..., 0. Returns
+        (numerators, scale), or None where a step finds no preimage in
+        its set. No call per step and nothing built per candidate.
 
-        With k = unit / lattice_base and (j, r) = divmod(x, k), the point
+        With k = scale / lattice_base and (j, r) = divmod(x, k), the point
         is (j + r/k) / lattice_base, so which pieces and windings J = j +
-        m * lattice_base reach it is decided on small integers, and each
-        preimage costs two products by k-sized numbers. The pieces come
-        in order and each yields its preimages in increasing order, so the
-        list comes sorted; only a preimage at a breakpoint is found twice,
-        once by each piece, and on the circle the preimage 1 is the
-        preimage 0."""
-        x = point[0]
+        i * lattice_base reach it is decided on small integers, and each
+        preimage t = (c + J * inv) * k + r * inv, over the scale times p,
+        costs two products by k-sized numbers; k is carried by p. The
+        pieces come in order and each gives its preimages in increasing
+        order. A preimage at a breakpoint comes twice, once from each
+        piece, and on the circle 1 comes after 0; a twin gets the same
+        test as the first, so it never moves the first hit."""
         p, base, circle, pieces = self._pieces
-        k = unit // base
-        j, r = divmod(x, k)
-        top = 1 if r else 0  # J + r/k <= hi needs J <= hi - top
-        out = unit * p
-        found = []
-        for lo, hi, c, inv in pieces:
-            if circle:
-                js = range(j - (j - lo) // base * base, hi - top + 1, base)
-            else:
-                js = (j,) if lo <= j <= hi - top else ()
-            if inv < 0:
-                js = reversed(js)
-            for J in js:
-                t = (c + J * inv) * k + r * inv
-                if found and found[-1][0] == t or circle and t == out:
+        x = point[0]
+        k = scale // base
+        for n in range(m - 1, -1, -1):
+            j, r = divmod(x, k)
+            top = 1 if r else 0  # J + r/k <= hi needs J <= hi - top
+            scale *= p
+            arcs, unit = frags[n], units[n]
+            for lo, hi, c, inv in pieces:
+                if circle:
+                    js = range(j - (j - lo) // base * base, hi - top + 1, base)
+                    if inv < 0:
+                        js = reversed(js)
+                elif lo <= j <= hi - top:
+                    js = (j,)
+                else:
                     continue
-                found.append((t,))
-        return found, out
+                for J in js:
+                    t = (c + J * inv) * k + r * inv
+                    a, rem = divmod(t * unit, scale)
+                    short = 1 if rem else 0
+                    for s, e in arcs:  # an arc (s, l) or a segment (lo, hi)
+                        if ((a - s) % unit <= e - short if circle
+                                else s <= a <= e - short):
+                            break
+                    else:
+                        continue  # not in the set: the next candidate
+                    break
+                else:
+                    continue  # no candidate of this piece is in the set
+                break
+            else:
+                return None
+            x = t
+            k *= p
+        return (x,), scale
+
+    def tracks(self, z, z_scale, points, eps) -> bool:
+        """``shadowcheck.orbit_tracks``'s loop: whether the orbit of z,
+        numerators over ``z_scale`` (a multiple of lattice_base), stays
+        within eps of ``points`` (a ``ScaledPoints``). The orbit is
+        stepped as ``apply_scaled`` steps it, inline, with k = z_scale /
+        lattice_base carried by q, and the distance is compared inline:
+        no call per step."""
+        inner, q, slopes, consts, base, circle = self._lattice
+        eps_num, eps_den = eps.numerator, eps.denominator
+        x, k = z[0], z_scale // base
+        kept_z = kept_s = 0
+        for (y,), s in zip(points.nums, points.scales):
+            if s != kept_s or z_scale != kept_z:
+                if s == kept_s * q and z_scale == kept_z * q:
+                    # both scales grew by q: the lifts stay
+                    common, bound = common * q, bound * q
+                else:
+                    z_lift, y_lift = s * eps_den, z_scale * eps_den
+                    common, bound = z_scale * z_lift, eps_num * z_scale * s
+                kept_z, kept_s = z_scale, s
+            t = x * z_lift - y * y_lift
+            if circle:
+                t %= common
+                if t > bound and common - t > bound:
+                    return False
+            elif t > bound or -t > bound:
+                return False
+            i = bisect_right(inner, x // k) if inner else 0
+            x = consts[i] * k + slopes[i] * x
+            z_scale *= q
+            k *= q
+            if circle:
+                x %= z_scale
+        return True
 
 
 @dataclass(frozen=True)
@@ -356,18 +418,67 @@ class AnnulusSpiral:
 
     apply_set = _apply_set
 
-    def preimages_scaled(self, point, unit) -> tuple:
-        """All solutions of f(x) == point for numerators over an
-        integer ``unit`` (a multiple of lattice_base): (numerator tuples,
-        out unit), out = unit * numerator of lam."""
-        r, theta = point
+    def pull_back(self, point, scale, frags, units, m):
+        """``shadowcheck.pull_back_witness``'s loop on the annulus, as the
+        circle maps' ``pull_back``: the one preimage over the scale times
+        p, lam's numerator, is (out + q * (r - scale), theta * p - alpha *
+        out), out that scale, and none where its radius is more than w *
+        out from out. w * out and alpha * out are taken once and carried
+        by p."""
         p, q, a, b = self._lattice
         w_num, w_den = self.space.w_ratio
-        out = unit * p
-        r_prev = out + q * (r - unit)
-        if abs(r_prev - out) > w_num * (out // w_den):
-            return [], out
-        return [(r_prev, (theta * p - a * (out // b)) % out)], out
+        r, theta = point
+        out = scale * p
+        reach, turn = w_num * (out // w_den), a * (out // b)
+        for n in range(m - 1, -1, -1):
+            r = out + q * (r - scale)
+            if r - out > reach or out - r > reach:
+                return None
+            theta = (theta * p - turn) % out
+            scale, boxes, unit = out, frags[n], units[n]
+            rr, rem = divmod(r * unit, scale)
+            r_short = 1 if rem else 0
+            tt, rem = divmod(theta * unit, scale)
+            t_short = 1 if rem else 0
+            for rlo, rhi, s, l in boxes:
+                if (rlo <= rr <= rhi - r_short
+                        and (tt - s) % unit <= l - t_short):
+                    break
+            else:
+                return None
+            out, reach, turn = out * p, reach * p, turn * p
+        return (r, theta), scale
+
+    def tracks(self, z, z_scale, points, eps) -> bool:
+        """``shadowcheck.orbit_tracks``'s loop on the annulus: the orbit
+        of z, numerators over ``z_scale`` (a multiple of lattice_base),
+        stepped as ``apply_scaled`` steps it, inline, with alpha * out
+        carried by q, and the max distance compared inline: no call per
+        step."""
+        p, q, a, b = self._lattice
+        eps_num, eps_den = eps.numerator, eps.denominator
+        r, theta = z
+        out = z_scale * q
+        turn = a * (out // b)
+        kept_z = kept_s = 0
+        for (yr, yt), s in zip(points.nums, points.scales):
+            if s != kept_s or z_scale != kept_z:
+                if s == kept_s * q and z_scale == kept_z * q:
+                    # both scales grew by q: the lifts stay
+                    common, bound = common * q, bound * q
+                else:
+                    z_lift, y_lift = s * eps_den, z_scale * eps_den
+                    common, bound = z_scale * z_lift, eps_num * z_scale * s
+                kept_z, kept_s = z_scale, s
+            t = r * z_lift - yr * y_lift
+            if t > bound or -t > bound:
+                return False
+            t = (theta * z_lift - yt * y_lift) % common
+            if t > bound and common - t > bound:
+                return False
+            r, theta = out + p * (r - z_scale), (theta * q + turn) % out
+            z_scale, out, turn = out, out * q, turn * q
+        return True
 
 
 # -- constructors ---------------------------------------------------------

@@ -207,14 +207,32 @@ def image_pieces(system, frag) -> list:
 
 
 def preimages(system, point) -> list:
-    """All solutions of apply(x) == point, canonical and sorted: the
-    map's ``preimages_scaled`` over the lcm of the point's denominators
-    and the lattice base, read back as Fractions."""
-    nums, scale = scaled_point(point)
-    unit = math.lcm(scale, system.lattice_base)
-    found, out = system.preimages_scaled(
-        tuple(c * (unit // scale) for c in nums), unit)
-    return [tuple(Fraction(c, out) for c in t) for t in found]
+    """All solutions of apply(x) == point, canonical and sorted. On piece
+    i a piecewise-linear map takes every value between values[i] and
+    values[i + 1] once, so a value y + J (J = 0 on the interval, any
+    integer winding on the circle) in that range has the one preimage
+    breakpoints[i] + (y + J - values[i]) / slopes[i] there. The spiral's
+    one preimage is (1 + (r - 1) / lam, theta - alpha), none where its
+    radius leaves the band."""
+    if isinstance(system, AnnulusSpiral):
+        r, theta = point
+        r = 1 + (r - 1) / system.lam
+        if abs(r - 1) > system.space.w:
+            return []
+        return [(r, (theta - system.alpha) % 1)]
+    y = point[0]
+    circle = system.space.kind == "circle"
+    vals = piece_values(system)
+    found = set()
+    for b, v, v_end, sl in zip(system.breakpoints, vals, vals[1:],
+                               system.slopes):
+        lo, hi = min(v, v_end), max(v, v_end)
+        windings = (range(math.ceil(lo - y), math.floor(hi - y) + 1)
+                    if circle else (0,) if lo <= y <= hi else ())
+        for J in windings:
+            x = b + (y + J - v) / sl
+            found.add(x % 1 if circle else x)
+    return [(x,) for x in sorted(found)]
 
 
 def orbit(system, x0, n: int) -> list:

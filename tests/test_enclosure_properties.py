@@ -366,13 +366,13 @@ def test_shadow_sets_fail_the_cap_exactly_when_a_shadow_set_outgrows_it(
     points, eps = draw_points(system, data)
     want = reference_sets(system, points, eps)
     got = shadow_sets(system, zip(points.nums, points.scales), eps)
-    assert got == want
+    assert list(got) == want
     for cap in (1, 2):
         over = next((s for s in want if s.fragment_count() > cap), None)
         with mock.patch.object(enc, "DEFAULT_FRAGMENT_CAP", cap):
             if over is None:
-                assert shadow_sets(system, zip(points.nums, points.scales),
-                                   eps) == want
+                assert list(shadow_sets(
+                    system, zip(points.nums, points.scales), eps)) == want
                 continue
             with pytest.raises(EnclosureCapError) as err:
                 shadow_sets(system, zip(points.nums, points.scales), eps)

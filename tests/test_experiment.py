@@ -13,10 +13,10 @@ from scipy.stats import beta
 
 from shadowing import (DomainError, ExperimentConfig, InvariantViolation,
                        Provenance, UsageError, clopper_pearson, emit,
-                       estimate_probability, generate, nonshadow_lower_bound,
-                       parse_system, run_attractor_experiment,
-                       run_dichotomy_experiment, save_trajectory,
-                       trial_stream)
+                       estimate_probability, experiment, generate,
+                       nonshadow_lower_bound, parse_system,
+                       run_attractor_experiment, run_dichotomy_experiment,
+                       save_trajectory, trial_stream)
 from shadowing.cli import DEFAULT_DICHOTOMY, main
 from shadowing.experiment import (TrialOutcome, _aggregate, _run_trial,
                                   dichotomy_bound_curve, result_summary)
@@ -45,6 +45,25 @@ def test_config_validation():
     assert ExperimentConfig.from_dict(data).to_jsonable()["mode"] == "exact"
     with pytest.raises(UsageError):
         ExperimentConfig.from_dict({**data, "mode": "outer"})
+
+
+def test_config_parses_its_system_once_when_built(monkeypatch, tmp_path,
+                                                  capsys):
+    """The spec is parsed when the config is built, so a bad spec is
+    refused there, from flags and from a config file alike (exit 2), and
+    reading ``system`` parses nothing."""
+    with pytest.raises(UsageError, match="unknown system spec"):
+        config(system_spec="squaring")
+    path = tmp_path / "bad.json"
+    path.write_text('{"system": "squaring", "y0": "0.3", "d": "0.02", '
+                    '"eps": "0.05", "horizons": [5]}')
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert main(["estimate", "--system", "squaring", "--y0", "0.3", "--d",
+                 "0.02", "--eps", "0.05", "--horizons", "5"]) == 2
+    assert capsys.readouterr().err.count("unknown system spec") == 2
+    cfg = config()
+    monkeypatch.setattr(experiment, "parse_system", None)
+    assert cfg.system is cfg.system and cfg.system.kind == "rotation"
 
 
 def test_config_from_dict_parses_exact_rationals():

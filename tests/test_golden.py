@@ -36,6 +36,15 @@ step cut it there, and its verdict is No at step 62. Its digests were
 recorded before the spiral's step clipped its box inline and the walk
 and the re-check carried their per-scale constants.
 
+The ``pwl-check`` digests pin the stored trajectory and the ``check``
+verdict JSON, witness included, of four trajectories that run the
+interval and multi-piece arithmetic through ``check``: tent ``s=3/2``,
+the two-piece circle map ``pwl:0:5/2,2/5:5/3`` at small and at large d
+and eps (where its images are cut and its shadow sets normalized), and
+``pwl:0:3,1/2:-1``, whose witness is pulled back through a decreasing
+piece. They were recorded before the pull-back and the re-check ran
+inline in the maps.
+
 The ``bounds`` digests pin the exit status, stdout and stderr of the
 README's three ``bounds`` examples and of three cover searches that fail:
 two orbits seen to cycle, and the tent ``s=3/2`` net of 20,000 centers,
@@ -105,6 +114,25 @@ GOLDEN = {
             "8350a6771605b880b95372143a5d44163f149eaf5a68dedfbd5adf4ae2e9822c",
         "verdict1000.json":
             "df657509847f19512999798cf60177d9bd82fa74f8294e977793ae6fcdae552c",
+    },
+    # each case of PWL_CHECKS
+    "pwl-check": {
+        "tent/traj.csv":
+            "33a9b272e5edb76a279185d1641117c5aaafe9263a83b27a739cf13b624cbe6a",
+        "tent/verdict.json":
+            "73a30a0687b0f4a878d4695bb1c52671ac96704de393a7c1a586aa614c8d94cd",
+        "pwl/traj.csv":
+            "dd6f0dbd4461e7c912880b6a20fbe0088f0c79e92f4ec4315b2f7a31f8a3d679",
+        "pwl/verdict.json":
+            "b63b128fc53181f450e984e7299d70b6a949f347517512f56ae50b7faf2e5982",
+        "pwl-cut/traj.csv":
+            "806e645faa61c32e18d91d2ae5865086ef368efbd138d970b88a65ad2a626cd8",
+        "pwl-cut/verdict.json":
+            "d417c94344129f62499d6f7842de8e3adfd149c9f4e5dd8699aff2811cad3143",
+        "pwl-decreasing/traj.csv":
+            "ea96f4d397419b4ba7c4a8824cff2aef106eb3202a8be7e823422d892502dfb0",
+        "pwl-decreasing/verdict.json":
+            "3f2b2be59fac75e0c8c7de2707f7ffca46d15ce46d4f13d467d2e8ef0a97cf0a",
     },
     # exit status, stdout digest, stderr digest
     "bounds": {
@@ -234,6 +262,29 @@ def annulus_check_digests(tmp, capsys) -> dict:
             out[verdict.name] = sha(verdict)
     capsys.readouterr()
     return out
+
+
+# generate (system, y0, d, n; seed 7), then check at eps
+PWL_CHECKS = {
+    "tent": ("tent:s=3/2", "0.3", "0.01", "200", "0.05"),
+    "pwl": ("pwl:0:5/2,2/5:5/3", "0.3", "0.02", "500", "0.05"),
+    "pwl-cut": ("pwl:0:5/2,2/5:5/3", "0.3", "1/5", "100", "6/25"),
+    "pwl-decreasing": ("pwl:0:3,1/2:-1", "0.3", "0.02", "300", "0.05"),
+}
+
+
+@pytest.mark.parametrize("case", PWL_CHECKS)
+def test_pwl_check_matches_golden(tmp_path, capsys, case):
+    spec, y0, d, n, eps = PWL_CHECKS[case]
+    base, verdict = tmp_path / "traj", tmp_path / "verdict.json"
+    assert main(["generate", "--system", spec, "--y0", y0, "--d", d,
+                 "--n", n, "--seed", "7", "--out", str(base)]) == 0
+    assert main(["check", "--traj", str(base), "--eps", eps,
+                 "--out", str(verdict)]) == 0
+    capsys.readouterr()
+    golden = GOLDEN["pwl-check"]
+    assert sha(base.with_suffix(".csv")) == golden[f"{case}/traj.csv"]
+    assert sha(verdict) == golden[f"{case}/verdict.json"]
 
 
 def test_wide_annulus_check_matches_golden(tmp_path, capsys, monkeypatch):

@@ -72,15 +72,10 @@ def test_worst_case_sets_shrink_linearly_then_empty():
 
 
 def count_propagation_calls(monkeypatch, system) -> dict:
-    """Count the balls built and the fragments imaged from here on: each
-    call of a step that the map's ``image_step`` gives images one
-    fragment."""
-    calls = {"ball": 0, "image": 0}
-    ball, image_step = enclosure._ball, type(system).image_step
-
-    def counted_ball(*args):
-        calls["ball"] += 1
-        return ball(*args)
+    """Count the fragments imaged from here on: each call of a step that
+    the map's ``image_step`` gives images one fragment."""
+    calls = {"image": 0}
+    image_step = type(system).image_step
 
     def counted_image_step(self, *args):
         step, w = image_step(self, *args)
@@ -90,7 +85,6 @@ def count_propagation_calls(monkeypatch, system) -> dict:
             return step(*step_args)
         return counted_step, w
 
-    monkeypatch.setattr(enclosure, "_ball", counted_ball)
     monkeypatch.setattr(type(system), "image_step", counted_image_step)
     return calls
 
@@ -112,9 +106,18 @@ def test_propagation_stops_at_first_empty_set(monkeypatch, case):
                         trial_stream(44, 0))
     assert first_empty_step(system, traj, EPS) == first
     calls = count_propagation_calls(monkeypatch, system)
+    points, read = traj.scaled, []
+
+    def counted_points():
+        # one ball is built per point read
+        for point in zip(points.nums, points.scales):
+            read.append(point)
+            yield point
+
+    shadowcheck.shadow_sets(system, counted_points(), EPS)
+    assert (len(read), calls) == (first + 1, {"image": first})
     sets = shadow_set_forward(system, traj, EPS)
     assert all(s.fragment_count() == 1 for s in sets[:first])
-    assert calls == {"ball": first + 1, "image": first}
     assert len(sets) == traj.horizon + 1
     assert not sets[first - 1].is_empty()
     assert all(s.is_empty() for s in sets[first:])

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from shadowing import (ExperimentConfig, InvariantViolation,
                        attractor_quantities, decide_horizons, enclosure,
-                       experiment, generate, parse_system, trial_stream)
+                       experiment, generate, parse_system, pwl, trial_stream)
 from shadowing.enclosure import EnclosureSet
 from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
@@ -25,7 +25,7 @@ from shadowing.pseudotraj import LatticeWalk
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
 from shadowing.spaces import ScaledPoints
 
-from reference import intersect
+from reference import contains, intersect, pick_point, preimages
 from test_lattice import PROPERTY, SYSTEMS, reference_witness, start_point
 
 STARTS = {
@@ -41,10 +41,24 @@ STARTS = {
 SPIRAL_SPEC = "annulus:lambda=1/2,alpha=610/987,w=0.5"
 
 
+# the spec of each map of SYSTEMS
+SPECS = {
+    "doubling": "doubling",
+    "rotation": "rotation:alpha=610/987",
+    "tent": "tent:s=3/2",
+    "spiral": SPIRAL_SPEC,
+    "spiral-2/3": "annulus:lambda=2/3,alpha=610/987,w=0.5",
+    "pwl": "pwl:0:3/2,1/3:-3/4,2/3:3/2,space=interval",
+    "circle-pwl": "pwl:0:5/2,2/5:5/3",
+}
+
+
 def config(name, eps, horizons, seed=11, trials=1):
     y0, d = STARTS[name]
-    return ExperimentConfig(system_spec=name, y0=y0, d=d, eps=eps,
-                            horizons=horizons, trials=trials, seed=seed)
+    cfg = ExperimentConfig(system_spec=SPECS[name], y0=y0, d=d, eps=eps,
+                           horizons=horizons, trials=trials, seed=seed)
+    assert cfg.system == SYSTEMS[name]
+    return cfg
 
 
 def whole_trajectory_outcome(system, cfg, trial):
@@ -170,13 +184,21 @@ def fresh_step_sets(system, points, eps):
             space, tuple(c * (unit // s) for c in y),
             eps.numerator * (unit // eps.denominator), unit),), unit)
         nxt = intersect(system.apply_set(sets[-1]), ball) if sets else ball
-        sets.append(nxt if nxt.unit == unit else nxt.reduced(base))
+        sets.append(nxt if nxt.unit == unit else EnclosureSet(
+            space, *enclosure._reduced(nxt.nums, nxt.unit, base)))
         if nxt.is_empty():
             break
     return sets
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
+# the maps of test_lattice, plus a circle map with two pieces and a
+# negative slope and one with a single piece of negative slope, whose
+# pull-backs walk their windings down
+KEPT_STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)]),
+                     "pwl-flip": pwl([(0, -2)])}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_STEP_SYSTEMS))
 @PROPERTY
 @given(data=st.data())
 def test_the_kept_step_equals_a_fresh_step(name, data):
@@ -187,7 +209,7 @@ def test_the_kept_step_equals_a_fresh_step(name, data):
     ``tests/reference.py`` give.
     The larger eps and d cut the sets of the two-piece maps into several
     fragments."""
-    system = SYSTEMS[name]
+    system = KEPT_STEP_SYSTEMS[name]
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     n = data.draw(st.integers(0, 60), label="n")
     d = data.draw(st.sampled_from([F(1, 50), F(1, 7), F(1, 5)]), label="d")
@@ -203,6 +225,28 @@ def test_the_kept_step_equals_a_fresh_step(name, data):
     if m >= 0:
         assert pull_back_witness(system, sets, m) == \
             reference_witness(system, want, m)
+
+
+def test_a_decreasing_piece_gives_its_preimages_in_increasing_order():
+    """At eps = 2/5 and d = 1/5 the shadow sets of pwl-flip (slope -2)
+    hold both preimages of a point at some pull-back steps, so the first
+    hit depends on the order in which the piece's windings are taken;
+    the witness is still the reference's, which tries the preimages in
+    increasing order."""
+    system = KEPT_STEP_SYSTEMS["pwl-flip"]
+    eps, both = F(2, 5), 0
+    for seed in range(10):
+        walk = LatticeWalk(system, (F(3, 10),), F(1, 5), 30,
+                           trial_stream(seed))
+        sets = shadow_sets(system, iter(walk), eps)
+        m = len(sets) - 1 - sets[-1].is_empty()
+        x = pick_point(sets[m])
+        for n in range(m - 1, -1, -1):
+            inside = [p for p in preimages(system, x) if contains(sets[n], p)]
+            both += len(inside) > 1
+            x = inside[0]
+        assert pull_back_witness(system, sets, m) == x
+    assert both > 0
 
 
 def walked_points(name, n=12):
