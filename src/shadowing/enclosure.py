@@ -27,7 +27,7 @@ integers once with ``scaled_point``, over the lcm of the denominators of
 the center, the radius and, on the annulus, w, and leave only through
 ``EnclosureSet.fragments`` and ``measure``, which build the ``Fraction``
 values when they are read. An image and a ball over different units meet
-over the lcm of the two (``systems``' ``image_step``).
+over the lcm of the two (``shadowcheck.shadow_sets``).
 
 A single fragment is a normal form as it stands, once a full arc is
 written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``)
@@ -87,12 +87,6 @@ def _normalize_arcs(arcs, unit):
 
 
 # -- interval segments ---------------------------------------------------
-
-def _intersect_segs(a, b):
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    return [(lo, hi)] if lo <= hi else []
-
 
 def _normalize_segs(segs):
     merged = []

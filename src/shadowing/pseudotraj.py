@@ -193,7 +193,8 @@ class LatticeWalk:
     ``tests/reference.py``, and a shorter horizon gives a prefix. The scale
     starts at 2**53 times the lcm of the denominators of d, y0 and the
     map's parameters; it grows only by a non-integer slope's denominator
-    and at a step truncated at a boundary.
+    and at a step truncated at a boundary. d is read by ``frac`` before it
+    is checked.
 
     Iterating (once) yields y_0, ..., y_n as (numerators, scale) pairs and
     adds each to ``taken``; a step is sampled only when it is asked for, so
@@ -202,12 +203,13 @@ class LatticeWalk:
     """
 
     def __init__(self, system, y0: Point, d, n: int, rng):
+        d = frac(d)
         if d <= 0:
             raise DomainError("step bound d must be positive")
         if n < 0:
             raise DomainError("horizon must be nonnegative")
         space = system.space
-        self.system, self.d, self.n = system, frac(d), n
+        self.system, self.d, self.n = system, d, n
         y, scale = scaled_point(space.canonical(y0), math.lcm(
             self.d.denominator, system.lattice_base))
         self.taken = ScaledPoints([tuple(c * TWO53 for c in y)],
@@ -215,27 +217,37 @@ class LatticeWalk:
         self._draws = rng
 
     def __iter__(self):
-        """The walk's loop: the map's ``apply_scaled``, then the draw on
-        the lattice. An arc is drawn as center - r + 2r * k / 2**53 mod
-        1, or k / 2**53 where it is the whole circle, at the same scale.
-        A segment, the interval or the annulus's radial one truncated to
-        [lo, hi], is drawn as lo + (hi - lo) * k / 2**53, at the scale
-        times the power of two, at most 2**53, that keeps the draw exact;
-        an untruncated step keeps the scale. The annulus then draws its
-        arc at the grown scale. The scale is a multiple of 2**53 and of
-        the denominators of d and w, which are read as integers, so no
-        ``Fraction`` is touched.
+        """The walk's loop: the map's point step, then the draw on the
+        lattice. A map of one linear piece (doubling, the rotations, the
+        spiral) hands over its constants for the first scale (``line``),
+        and the step is taken inline: y goes to c + f * y over the scale
+        times q, the spiral's angle by c_t + q * theta, and c is carried
+        across every change of scale by its factor, as the scale is, so
+        the spiral's alpha over the scale is never divided out again. A
+        map with corners (tent, ``pwl`` maps of several pieces) is stepped
+        by its ``apply_scaled``. The center of an arc is not reduced
+        modulo the scale, since the draw is.
+
+        An arc is drawn as center - r + 2r * k / 2**53 mod 1, or k /
+        2**53 where it is the whole circle, at the same scale. A segment,
+        the interval or the annulus's radial one truncated to [lo, hi], is
+        drawn as lo + (hi - lo) * k / 2**53, at the scale times the power
+        of two, at most 2**53, that keeps the draw exact; an untruncated
+        step keeps the scale. The annulus then draws its arc at the grown
+        scale. The scale is a multiple of 2**53 and of the denominators of
+        d and w, which are read as integers, so no ``Fraction`` is
+        touched.
 
         Every scale is an integer multiple of the one before it: the map
-        multiplies it by the lcm of its slope denominators and a truncated
-        step by its power of two. So the draw's constants are worked out
-        once, at the first scale, and carried across every change of scale
-        by its quotient: r = d * scale, the annulus half-width w * scale
-        and the arc's draw step, 2r >> 53 or scale >> 53. Whether the arc
-        is the whole circle does not depend on the scale. The truncation
-        bounds are met by comparison."""
-        apply, draws = self.system.apply_scaled, self._draws
-        space = self.system.space
+        multiplies it by q, the lcm of its slope denominators, and a
+        truncated step by its power of two. So the draw's constants are
+        worked out once, at the first scale, and carried across every
+        change of scale by its quotient: r = d * scale, the annulus
+        half-width w * scale and the arc's draw step, 2r >> 53 or scale
+        >> 53. Whether the arc is the whole circle does not depend on the
+        scale. The truncation bounds are met by comparison."""
+        system, draws = self.system, self._draws
+        space = system.space
         circle, annulus = space.kind == "circle", space.kind == "annulus"
         w_num, w_den = space.w_ratio if annulus else (0, 1)
         nums, scales = self.taken.nums, self.taken.scales
@@ -246,18 +258,34 @@ class LatticeWalk:
         arc_step = (2 * r if arc else scale) >> 53
         w = w_num * (scale // w_den)
         kept = scale
+        line = system.line(scale)
+        c0 = c1 = 0  # carried whether or not the map has one piece
+        if line is None:
+            apply = system.apply_scaled
+        elif annulus:
+            q, c0, f0, c1, f1 = line
+        else:
+            q, c0, f0 = line
         yield y, scale
         for _ in range(self.n):
-            center, scale = apply(y, scale)
-            if scale != kept:
-                g = scale // kept
-                kept, r, arc_step, w = scale, r * g, arc_step * g, w * g
+            if line is None:
+                (c,), scale = apply(y, scale)
+                if scale != kept:
+                    g = scale // kept
+                    kept, r, arc_step, w = scale, r * g, arc_step * g, w * g
+            else:  # the one piece, its constants carried by q
+                c = c0 + f0 * y[0]
+                if annulus:
+                    theta = c1 + f1 * y[1]
+                if q != 1:
+                    scale *= q
+                    r, arc_step, w, c0, c1 = (r * q, arc_step * q, w * q,
+                                              c0 * q, c1 * q)
             if circle:
                 k = next(draws)
-                y = ((center[0] - r + arc_step * k) % scale if arc
+                y = ((c - r + arc_step * k) % scale if arc
                      else arc_step * k,)
             else:
-                c = center[0]
                 lo, hi = c - r, c + r
                 floor, ceil = (scale - w, scale + w) if annulus else (0, scale)
                 if lo < floor:
@@ -270,14 +298,15 @@ class LatticeWalk:
                     grow = TWO53 // low_bit
                     lo, span = lo * grow, span * grow
                     scale *= grow
-                    kept, r, arc_step, w = (scale, r * grow, arc_step * grow,
-                                            w * grow)
+                    kept, r, arc_step, w, c0, c1 = (
+                        scale, r * grow, arc_step * grow, w * grow,
+                        c0 * grow, c1 * grow)
                 else:
                     grow = 1
                 y = (lo + (span >> 53) * next(draws),)
                 if annulus:
                     k = next(draws)
-                    y += ((center[1] * grow - r + arc_step * k) % scale if arc
+                    y += ((theta * grow - r + arc_step * k) % scale if arc
                           else arc_step * k,)
             add_num(y)
             add_scale(scale)

@@ -14,14 +14,17 @@ common denominator, the scale (see ``shadow_sets``), and so does the
 rotations' closed form below; Fractions appear only in the witness and
 when a caller reads a set's ``fragments``.
 A propagation step builds A_{n+1} from A_n and the ball around y_{n+1}
-alone, on bare integers, in one loop (``shadow_sets``): the map's step for
-the two units (``image_step``), kept while they stay, walks the linear
-pieces of each fragment of A_n and returns its image pieces, each clipped
-to the ball as it is made. One piece or none is the next set as it
-stands, the touching pieces of an interval set, always one segment, give
-their hull, and only other pieces are put in normal form. The sets are
-kept as a ``SetRecord``, each set's bare fragments and unit, and a set
-object is built only when a set is read by index.
+alone, on bare integers, in one loop (``shadow_sets``) with no call per
+step on a map of one linear piece: its constants for the unit
+(``line``), carried across each change of unit, map each fragment of A_n
+inside the loop. A map with corners hands the loop the image pieces of
+each fragment from its step for the two units (``image_step``), kept
+while they stay. The loop clips every image piece to the ball. One piece
+or none is the next set as it stands, the touching pieces of an interval
+set, always one segment, give their hull, and only other pieces are put
+in normal form. The sets are kept as a ``SetRecord``, each set's bare
+fragments and unit, and a set object is built only when a set is read by
+index.
 The pull-back and the re-check are loops that the map runs itself, each
 with no call per step (its ``pull_back`` and ``tracks``). A pull-back step
 takes the preimages of its point on a scale that grows by the slope
@@ -104,45 +107,57 @@ def shadow_sets(system, points, eps) -> SetRecord:
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map) and lifted to W_n, the lcm of P_n and the
-    unit of the image of A_{n-1}. The map's step for the unit of A_{n-1}
-    and P_n (``image_step``) is made again only when either changes, so
-    doubling and the rotations make it once per trajectory, and the
-    spiral at every step. Every fragment of A_{n-1} goes through it, and
-    it returns the fragment's image pieces, each clipped to the ball as
-    it is made; the one-piece circle maps and the spiral clip their one
-    image arc or box inline (``systems._clip_arc``). A one-fragment
-    A_{n-1}, as in every shipped run, is stepped without building a list
-    of pieces. One clipped piece or none is the next set as it stands,
-    the touching pieces of an interval set, always one segment, give
-    their hull, and only other pieces are normalized (``enclosure._make``),
-    which raises ``EnclosureCapError`` carrying A_n when A_n has more
-    fragments than the cap, read at every call. The circle's ball arc is
-    built inline, by one modulo, from a diameter taken once per unit; the
-    interval's and the annulus's come from ``enclosure._ball``. Each step
-    appends the set's fragments and unit to the record and builds no
-    ``EnclosureSet``. A generated trajectory's scales nest, so W_n is
-    P_n, with no gcd on an untruncated step, and no set is reduced. Where
-    a point's scale is a multiple of the one before it and that one was
-    P_{n-1}, P_n is the scale and the ball's radius eps * P_n is carried
-    across the change by the quotient, with no division by eps's
-    denominator; on the annulus and the non-integer slopes that is every
-    step. Otherwise (points read from a file, say) A_n is reduced by one
-    gcd (``enclosure._reduced``), so its unit never exceeds the lcm of the
-    denominators that A_{n-1} and the ball really carry. eps is converted
-    to integers once.
+    unit of the image of A_{n-1}. A map of one linear piece (doubling,
+    the rotations, the spiral) hands over its piece for the unit of
+    A_{n-1} as constants (``line``): each fragment's image is one arc,
+    segment or box, mapped inside the loop by those constants times W_n
+    over the image's unit. They are worked out again only when either
+    unit changes, so doubling and the rotations take them once per
+    trajectory; the map's own constants are carried to the next set's
+    unit by the factor of the step, so they are asked of the map only at
+    the first step and after a set is reduced, and the spiral neither
+    builds a closure nor divides by alpha's denominator at each step. A map
+    with corners makes its step for the two units (``image_step``) again
+    only when either changes, and gives the image pieces of each fragment
+    by the corner walk. Every image piece is clipped to the ball in the
+    loop, by the one arc clip (a box meets the ball's radial segment by
+    comparison first). One clipped piece or none is the next set as it
+    stands, the touching pieces of an interval set, always one segment,
+    give their hull, and only other pieces are normalized
+    (``enclosure._make``), which raises ``EnclosureCapError`` carrying
+    A_n when A_n has more fragments than the cap, read at every call.
+    The circle's ball arc is built inline, by one modulo, from a diameter
+    taken once per unit; the interval's and the annulus's come from
+    ``enclosure._ball``. Each step appends the set's fragments and unit
+    to the record and builds no ``EnclosureSet``. A generated
+    trajectory's scales nest, so W_n is P_n, with no gcd on an
+    untruncated step, and no set is reduced. Where a point's scale is a
+    multiple of the one before it and that one was P_{n-1}, P_n is the
+    scale and the ball's radius eps * P_n is carried across the change
+    by the quotient, with no division by eps's denominator; on the
+    annulus and the non-integer slopes that is every step. Otherwise
+    (points read from a file, say) A_n is reduced by one gcd
+    (``enclosure._reduced``), so its unit never exceeds the lcm of the
+    denominators that A_{n-1} and the ball really carry. eps is read by
+    ``frac`` and converted to integers once.
     """
+    eps = frac(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    eps = frac(eps)
-    space, image_step = system.space, system.image_step
+    space, line = system.space, system.line
     circle, interval = space.kind == "circle", space.kind == "interval"
+    annulus = not circle and not interval
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
+    one_piece = line(base) is not None
+    if not one_piece:
+        image_step = system.image_step
     record = SetRecord(space, [], [])
     add_nums, add_unit = record.nums.append, record.units.append
     nums = None
-    point_scale = step_u = step_unit = None
+    point_scale = step_u = step_unit = line_u = None
     lift = 0  # no radius to carry yet
+    c1 = f1 = 0  # the angle's constants, on the annulus
     for y, s in points:
         if s != point_scale:
             g, rem = divmod(s, point_scale) if lift == 1 else (0, 1)
@@ -161,28 +176,110 @@ def shadow_sets(system, points, eps) -> SetRecord:
             ball = enclosure._ball(space, y, radius, unit)
         if nums is None:
             nums, u = (ball,), unit
-        else:
-            # the map's step for these units, kept while they stay
-            if u != step_u or unit != step_unit:
-                step_u, step_unit = u, unit
+            add_nums(nums)
+            add_unit(u)
+            continue
+        if u != step_u or unit != step_unit:  # new units: W and the image
+            step_u, step_unit = u, unit
+            if not one_piece:
                 step, w = image_step(u, unit)
-            if unit != w:
-                ball = tuple(c * (w // unit) for c in ball)
-            if len(nums) == 1:  # no list of pieces to build
-                pieces = step(nums[0], ball)
             else:
-                pieces = [p for f in nums for p in step(f, ball)]
-            if len(pieces) < 2:
-                nums = tuple(pieces)
+                # the map's constants are for line_u: carried from the
+                # step before, unless u was reduced since
+                if u != line_u:
+                    if annulus:
+                        q, c0, f0, c1, f1 = line(u)
+                    else:
+                        q, c0, f0 = line(u)
+                out = u * q
+                if unit == out:  # the image's unit: no lift
+                    w, m = out, 1
+                    cm0, fm0, cm1, fm1 = c0, f0, c1, f1
+                else:
+                    w = math.lcm(out, unit)
+                    m = w // out
+                    cm0, fm0, cm1, fm1 = c0 * m, f0 * m, c1 * m, f1 * m
+                g = q * m  # w / u: the next step's u, unless reduced
+                if g != 1:
+                    c0, c1 = c0 * g, c1 * g
+                line_u = w
+        if unit != w:
+            ball = tuple(c * (w // unit) for c in ball)
+        if circle:
+            bs, bl = ball
+        elif interval:
+            blo, bhi = ball
+        else:
+            blo, bhi, bs, bl = ball
+        # every image piece is clipped to the ball below; a one-piece
+        # map's pieces are its fragments, mapped there by its constants
+        if one_piece:
+            pieces = nums
+        elif len(nums) == 1:
+            pieces = step(nums[0])
+        else:
+            pieces = [p for f in nums for p in step(f)]
+        got = ()
+        for piece in pieces:
+            if circle:
+                fx, fl = piece
+                if one_piece:
+                    fx, fl = cm0 + fm0 * fx, fm0 * fl
+                    if fl < 0:
+                        fx, fl = fx + fl, -fl
+                head = ()
             elif interval:
-                # an interval shadow set is one segment (the image of a
-                # segment met with a ball), and the clipped pieces of its
-                # image touch, so their union is their hull
-                los, his = zip(*pieces)
-                nums = ((min(los), max(his)),)
-            else:
-                nums = enclosure._make(space, pieces, w).nums
-            u = w
+                lo, hi = piece
+                if one_piece:
+                    lo, hi = cm0 + fm0 * lo, cm0 + fm0 * hi
+                    if lo > hi:
+                        lo, hi = hi, lo
+                if lo < blo:
+                    lo = blo
+                if hi > bhi:
+                    hi = bhi
+                if lo <= hi:
+                    got += ((lo, hi),)
+                continue
+            else:  # a box: its radial segment, then its arc as a circle's
+                lo, hi, fx, fl = piece
+                if one_piece:
+                    lo, hi = cm0 + fm0 * lo, cm0 + fm0 * hi
+                    fx, fl = cm1 + fm1 * fx, fm1 * fl
+                if lo < blo:
+                    lo = blo
+                if hi > bhi:
+                    hi = bhi
+                if lo > hi:
+                    continue
+                head = (lo, hi)
+            # the arc from fx over the length fl met with the ball's arc
+            # (bs, bl), bs in [0, w): at most two pieces, the one from
+            # the ball's start first; t is where the meet begins past fx
+            if fl >= w:
+                got += (head + (bs, bl),)
+                continue
+            fx %= w
+            if bl >= w:
+                got += (head + (fx, fl),)
+                continue
+            t = (bs - fx) % w
+            if t <= fl:
+                got += (head + (bs, bl if t + bl <= fl else fl - t),)
+            t += bl - w
+            if t >= 0:
+                got += (head + (fx, t if t <= fl else fl),)
+        if len(got) < 2:
+            nums = got
+        elif interval:
+            # an interval shadow set is one segment (the image of a
+            # segment met with a ball), and the clipped pieces of its
+            # image touch, so their union is their hull
+            los, his = zip(*got)
+            nums = ((min(los), max(his)),)
+        else:
+            nums = enclosure._make(space, got, w).nums
+        u = w
         if u != unit:
             nums, u = enclosure._reduced(nums, u, base)
         add_nums(nums)
@@ -317,10 +414,10 @@ def rotation_first_failure(system, traj: Pseudotrajectory, eps) -> int | None:
     The lift starts at w_0 = 0, and w_{n+1} - w_n is the representative of
     y_{n+1} - y_n - alpha in [-1/2, 1/2). It runs on integers over the lcm
     of alpha's denominator and the points' scales."""
-    _check_oracle_region(traj, eps)
+    eps = _check_oracle_region(traj, eps)
     if system.kind != "rotation":
         raise UsageError("deviation lift is defined for rotations")
-    eps, alpha, pts = frac(eps), system.alpha, traj.scaled
+    alpha, pts = system.alpha, traj.scaled
     unit = math.lcm(alpha.denominator, *set(pts.scales))
     step = alpha.numerator * (unit // alpha.denominator)
     bound = 2 * eps.numerator * unit
@@ -337,11 +434,14 @@ def rotation_first_failure(system, traj: Pseudotrajectory, eps) -> int | None:
     return None
 
 
-def _check_oracle_region(traj, eps):
+def _check_oracle_region(traj, eps) -> Fraction:
+    """eps as a ``Fraction``, once the oracle's region is checked."""
+    eps = frac(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
     if eps >= Fraction(1, 4):
         raise DomainError("rotation oracle requires eps < 1/4")
     if traj.d >= Fraction(1, 4):
         raise DomainError("rotation oracle requires step bound below 1/4")
+    return eps
 

@@ -21,17 +21,25 @@ the first preimage in the set, and ``tracks`` steps an orbit as
 ``apply_scaled`` does and compares it with a trajectory point by point.
 Each carries its per-scale constants (k, and the spiral's w and alpha
 over the unit) across its steps by the product that grows the unit.
-``image_step`` holds each map's set arithmetic: for the units of a set
-and of a ball it gives one step, which walks the linear pieces of a
-fragment on those parameters and returns the image arcs, segments or
-boxes, each clipped to the ball as it is made, and nothing else; a
-one-piece circle map (doubling, a rotation) clips its one image arc
-inline, and the spiral its one image box, meeting the radial segments by
-comparison. Every arc is clipped by one routine, ``_clip_arc``. The
-pieces are not in normal form: ``shadowcheck.shadow_sets``, the one
-shadow-set step, puts them there, and ``apply_set`` is the same walk with
-the whole space as the ball, its pieces normalized by
-``enclosure._make``.
+A map of one linear piece (doubling, the rotations, x -> -2x, the
+spiral) hands its piece over as constants for a unit (``line``): the
+point x over the unit goes to c + f * x over the unit times q, with c
+linear in the unit. The walk (``pseudotraj.LatticeWalk``) and
+propagation (``shadowcheck.shadow_sets``) step points and fragments on
+them inline and carry c across each change of unit by its factor, so the
+spiral's alpha over the unit is not divided out again. A map with corners
+(tent, ``pwl`` maps of several pieces) has no ``line``: the walk calls
+its ``apply_scaled``, and propagation its ``image_step``, the corner
+walk. For the units of a set and of a ball it gives one step, which walks
+the linear pieces of a fragment and returns the image arcs or segments,
+one per piece crossed, over the lcm of the image's unit and the ball's,
+and nothing else. Every image piece is clipped to its ball in
+``shadow_sets``, by the one arc clip there. A circle or interval map's
+``apply_set``, the image of a whole set that the cover search takes,
+puts the corner walk's pieces for every fragment in normal form with
+``enclosure._make``; on a map of one piece that walk crosses no corner.
+The spiral has no set step of its own: ``shadow_sets`` maps its boxes on
+its ``line``.
 Each map converts its ``Fraction`` parameters to integers once, when it is
 built, so evaluating at a new scale reads no ``Fraction``.
 """
@@ -44,53 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import enclosure
-from .enclosure import EnclosureSet, _intersect_segs
+from .enclosure import EnclosureSet
 from .errors import DomainError, UsageError
 from .rationals import frac
 from .spaces import Space, annulus, circle, interval
-
-
-def _apply_set(system, s: EnclosureSet) -> EnclosureSet:
-    """The image of s, normalized: its pieces clipped to the whole space,
-    which clips nothing. A set whose unit is not a multiple of the lattice
-    base is lifted to the lcm of the two first."""
-    space = system.space
-    if s.space is not space and s.space != space:
-        raise UsageError("enclosure set belongs to a different space")
-    nums, u = s.nums, s.unit
-    if u % system.lattice_base:
-        u = math.lcm(u, system.lattice_base)
-        nums = enclosure._lift(nums, u // s.unit)
-    step, out = system.image_step(u, u)
-    whole = enclosure._ball(space, (out, 0) if space.kind == "annulus"
-                            else (0,), out, out)
-    pieces = [p for f in nums for p in step(f, whole)]
-    return enclosure._make(space, pieces, out)
-
-
-def _clip_arc(fx, fl, bs, bl, w, head) -> tuple:
-    """The meet of an image arc and a ball arc over W = ``w``: at most
-    two pieces, the one from the ball's start first, each as the tuple
-    ``head`` followed by the piece's start and length. The image arc runs
-    from fx over the signed length fl (from fx + fl where fl < 0), fx any
-    integer; the ball (bs, bl) is a normal-form fragment, so it starts in
-    [0, W), where the meet t past the image's start begins. Every circle
-    step clips its image arcs with it, and the spiral's step its box's
-    arc, with the clipped radial segment as ``head``."""
-    if fl < 0:
-        fx, fl = fx + fl, -fl
-    if fl >= w:
-        return (head + (bs, bl),)
-    fx %= w
-    if bl >= w:
-        return (head + (fx, fl),)
-    t = (bs - fx) % w
-    pieces = ((head + (bs, bl if t + bl <= fl else fl - t),) if t <= fl
-              else ())
-    hi = t - w + bl
-    if hi < 0:
-        return pieces
-    return pieces + (head + (fx, hi if hi <= fl else fl),)
 
 
 @dataclass(frozen=True)
@@ -200,11 +165,25 @@ class PiecewiseLinearMap:
             return (v % out,), out
         return (v,), out
 
+    def line(self, unit):
+        """The map's one linear piece at ``unit`` (a multiple of
+        lattice_base), for a map with no corner: (q, c, f), where the
+        point x over ``unit`` goes to c + f * x over unit * q (taken mod
+        unit * q on the circle). c is linear in the unit, so a caller that
+        changes the unit by an integer factor carries c by that factor;
+        q and f stay. None for a map with corners, whose point step is
+        ``apply_scaled`` and whose set step is ``image_step``."""
+        inner, q, slopes, consts, base, _ = self._lattice
+        if inner:
+            return None
+        return q, consts[0] * (unit // base), slopes[0]
+
     def image_step(self, u, unit) -> tuple:
-        """(step, W): step(fragment, ball) is the image of one fragment
-        over ``u`` as pieces, each image piece clipped to the ball
-        fragment ``ball`` (numerators over W = lcm(u * q, unit)) as it is
-        made.
+        """(step, W): step(fragment) is the image of one fragment over
+        ``u`` as pieces over W = lcm(u * q, unit), the unit of a ball over
+        ``unit`` that they are to meet: arcs (start, length), the start
+        any integer and the length at least 0, or segments (lo, hi). The
+        caller clips them.
 
         A fragment is walked from the piece of its start through the
         corners it crosses (``_cuts``); an arc on the lift of the map to
@@ -216,10 +195,7 @@ class PiecewiseLinearMap:
         are taken once, when the step is made. A segment takes the same
         walk without the wrap: each linear piece crossed gives one image
         arc or segment, and the touching image segments of a segment
-        normalize to the hull of its image. Each
-        image arc is clipped with ``_clip_arc``. A one-piece circle map has
-        no corner: its step maps the arc's start and length and clips the
-        one image arc inline."""
+        normalize to the hull of its image."""
         inner, q, slopes, consts, base, circle = self._lattice
         cuts = self._cuts
         out = u * q
@@ -230,22 +206,11 @@ class PiecewiseLinearMap:
             km, slopes = k * m, tuple(sl * m for sl in slopes)
         vk, consts = km * q, tuple(c * km for c in consts)
 
-        if circle and not cuts:  # one linear piece (doubling, a rotation)
-            c0, s0 = consts[0], slopes[0]
-
-            def step(frag, ball):
-                start, length = frag
-                bs, bl = ball
-                return _clip_arc(c0 + s0 * start, s0 * length, bs, bl, w, ())
-            return step, w
-
-        def clip(a, b, ball):  # the image piece from a to b, clipped to ball
+        def piece(a, b):  # the image piece from a to b
             lo, hi = (a, b) if a <= b else (b, a)
-            if circle:
-                return _clip_arc(lo, hi - lo, *ball, w, ())
-            return _intersect_segs((lo, hi), ball)
+            return (lo, hi - lo) if circle else (lo, hi)
 
-        def step(frag, ball):
+        def step(frag):
             start = frag[0]
             end = start + frag[1] if circle else frag[1]
             i = bisect_right(inner, start // k) if inner else 0
@@ -256,13 +221,27 @@ class PiecewiseLinearMap:
                 if c * k >= end:
                     break
                 fv = v * vk
-                pieces += clip(fx, fv, ball)
+                pieces.append(piece(fx, fv))
                 x, sl, fx = c * k, slopes[j], fv
-            pieces += clip(fx, fx + sl * (end - x), ball)
+            pieces.append(piece(fx, fx + sl * (end - x)))
             return pieces
         return step, w
 
-    apply_set = _apply_set
+    def apply_set(self, s: EnclosureSet) -> EnclosureSet:
+        """The image of s, normalized: the pieces of ``image_step`` for
+        every fragment, put in normal form by ``enclosure._make``. A set
+        whose unit is not a multiple of the lattice base is lifted to the
+        lcm of the two first."""
+        space = self.space
+        if s.space is not space and s.space != space:
+            raise UsageError("enclosure set belongs to a different space")
+        nums, u = s.nums, s.unit
+        if u % self.lattice_base:
+            u = math.lcm(u, self.lattice_base)
+            nums = enclosure._lift(nums, u // s.unit)
+        step, out = self.image_step(u, u)
+        return enclosure._make(space, [p for f in nums for p in step(f)],
+                               out)
 
     def pull_back(self, point, scale, frags, units, m):
         """``shadowcheck.pull_back_witness``'s loop, which says how a
@@ -389,34 +368,16 @@ class AnnulusSpiral:
         r, theta = point
         return (out + p * (r - unit), (theta * q + a * (out // b)) % out), out
 
-    def image_step(self, u, unit) -> tuple:
-        """(step, W): step(box, ball) is the image of the box over ``u``
-        clipped to the ball fragment ``ball``, as pieces over W = lcm(u *
-        q, unit): one image box per box, which the ball cuts into at most
-        two. The radial segment is met by comparison and the arc by the
-        circle steps' clip (``_clip_arc``)."""
+    def line(self, unit):
+        """The map's one linear piece at ``unit``, as the circle maps'
+        ``line``: (q, c_r, p, c_t, q), where (r, theta) over ``unit`` goes
+        to (c_r + p * r, c_t + q * theta) over out = unit * q, the angle
+        taken mod out, with c_r = (q - p) * unit and c_t = alpha * out.
+        Both are linear in the unit, so a caller carries them across a
+        change of unit by its factor, with no division by alpha's
+        denominator."""
         p, q, a, b = self._lattice
-        out = u * q
-        w = out if unit == out else math.lcm(out, unit)
-        m = w // out
-        lam, lift, alpha = p * m, q * m, a * (w // b)
-        shift = (q - p) * m * u  # the image of radius r is shift + lam * r
-
-        def step(box, ball):
-            rlo, rhi, start, length = box
-            blo, bhi, bs, bl = ball
-            lo, hi = shift + lam * rlo, shift + lam * rhi
-            if lo < blo:
-                lo = blo
-            if hi > bhi:
-                hi = bhi
-            if lo > hi:
-                return ()
-            return _clip_arc(alpha + lift * start, lift * length, bs, bl, w,
-                             (lo, hi))
-        return step, w
-
-    apply_set = _apply_set
+        return q, (q - p) * unit, p, a * (unit * q // b), q
 
     def pull_back(self, point, scale, frags, units, m):
         """``shadowcheck.pull_back_witness``'s loop on the annulus, as the

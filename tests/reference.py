@@ -4,14 +4,14 @@ The package computes on integer numerators over a common denominator, its
 scale. Every routine here computes on ``Fraction`` values directly: the
 metric, nets, ball measures and uniform samples of the spaces, map
 evaluation from a piecewise-linear map's breakpoints, values and slopes,
-the image of a fragment, pointwise preimages, orbits, prefixes and
-splicing of pseudotrajectories, set representatives and membership, the
-tube bound eta^L, the rotations' deviation lift and the closed-form
-verdicts. Sets are built from ``Fraction`` fragments (``make``) and
-intersected pairwise (``intersect``) through the package's normal form;
-the cover search's scan for a net ball outside the image takes one ball
-and one such intersection per center. The tests compare the integer
-paths with these; nothing in the package calls them.
+the image of a fragment and of a set, pointwise preimages, orbits,
+prefixes and splicing of pseudotrajectories, set representatives and
+membership, the tube bound eta^L, the rotations' deviation lift and the
+closed-form verdicts. Sets are built from ``Fraction`` fragments
+(``make``) and intersected pairwise (``intersect``) through the package's
+normal form; the cover search's scan for a net ball outside the image
+takes one ball and one such intersection per center. The tests compare the
+integer paths with these; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -206,6 +206,25 @@ def image_pieces(system, frag) -> list:
     return [(min(p[0] for p in pieces), max(p[1] for p in pieces))]
 
 
+def image_set(system, s):
+    """f(s) in normal form, from ``image_pieces`` of every fragment, over
+    the unit that the package gives an image of s: s's unit, lifted to a
+    multiple of the lattice base, times q, the lcm of the slope
+    denominators (the spiral's lam's)."""
+    if isinstance(system, AnnulusSpiral):
+        q = system.lam.denominator
+    else:
+        q = math.lcm(*(Fraction(sl).denominator for sl in system.slopes))
+    unit = math.lcm(s.unit, system.lattice_base) * q
+    pieces = []
+    for frag in s.fragments:
+        for piece in image_pieces(system, frag):
+            nums = tuple(c * unit for c in piece)
+            assert all(c.denominator == 1 for c in nums), (piece, unit)
+            pieces.append(tuple(int(c) for c in nums))
+    return enclosure._make(system.space, pieces, unit)
+
+
 def preimages(system, point) -> list:
     """All solutions of apply(x) == point, canonical and sorted. On piece
     i a piecewise-linear map takes every value between values[i] and
@@ -287,8 +306,24 @@ def intersect_boxes(a, b, unit) -> list:
             for s, l in intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)]
 
 
+def intersect_segs(a, b, unit=None) -> list:
+    """The meet of two segments (lo, hi): one segment or none."""
+    lo = max(a[0], b[0])
+    hi = min(a[1], b[1])
+    return [(lo, hi)] if lo <= hi else []
+
+
 _MEET = {"circle": intersect_arcs, "annulus": intersect_boxes,
-         "interval": lambda a, b, unit: enclosure._intersect_segs(a, b)}
+         "interval": intersect_segs}
+
+
+def meet(space, piece, ball, unit) -> list:
+    """The meet of an image piece and a ball fragment over ``unit``, as
+    ``shadow_sets`` clips one: arcs start in [0, unit)."""
+    pieces = _MEET[space.kind](piece, ball, unit)
+    if space.kind == "interval":
+        return pieces
+    return [(*p[:-2], p[-2] % unit, p[-1]) for p in pieces]
 
 
 def intersect(a, b):

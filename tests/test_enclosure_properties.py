@@ -24,8 +24,8 @@ from shadowing import enclosure as enc
 from shadowing import pwl
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
 from shadowing.spaces import ScaledPoints
-from reference import (contains, image_pieces, intersect, lattice_apply,
-                       make, pick_point, preimages)
+from reference import (contains, image_pieces, image_set, intersect,
+                       lattice_apply, make, meet, pick_point, preimages)
 from test_lattice import PROPERTY, SYSTEMS
 
 SPACES = {"circle": circle(), "interval": interval(), "annulus": annulus(F(1, 2))}
@@ -186,13 +186,19 @@ def points_in(kind, frags, data):
 @PROPERTY
 @given(data=st.data())
 def test_image_of_a_set_contains_the_images_of_its_points(name, data):
+    """The reference image of a set, which the shadow-set tests hold
+    ``shadow_sets`` to, and a circle or interval map's ``apply_set`` (the
+    spiral has none) hold the lattice image of every point of the set."""
     system = SYSTEMS[name]
     kind = system.space.kind
     s = make(system.space, data.draw(RAW[kind], label="s"))
-    image = system.apply_set(s)
+    images = [image_set(system, s)]
+    if kind != "annulus":
+        images.append(system.apply_set(s))
     for x in points_in(kind, s.fragments, data):
         assert contains(s, x), x
-        assert contains(image, lattice_apply(system, x)), x
+        for image in images:
+            assert contains(image, lattice_apply(system, x)), x
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -229,10 +235,10 @@ def test_intersection_measure_is_at_most_the_smaller(kind, data):
     assert intersect(a, b).measure() <= min(a.measure(), b.measure())
 
 
-# every shipped map, plus a circle map with two pieces and a negative slope
-# and one with a single piece of negative slope, which reverses every arc
-STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)]),
-                "pwl-flip": pwl([(0, -2)])}
+# the maps of test_lattice (every shipped map, and pwl-flip, whose one
+# piece of negative slope reverses every arc), plus a circle map with two
+# pieces and a negative slope
+STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)])}
 
 
 def draw_ball(space, data):
@@ -271,7 +277,7 @@ def draw_arcs(system, data):
 def touching_ball(system, a, data):
     """Sometimes a ball whose arc starts where an image arc of A ends, or
     ends where one starts, so the two meet in a single angle."""
-    image = system.apply_set(a).fragments
+    image = image_set(system, a).fragments
     if (system.space.kind == "interval" or not image
             or not data.draw(st.booleans(), label="touching ball")):
         return None
@@ -302,13 +308,53 @@ def draw_step(name, data):
     return system, a, tuple(c * lift for c in b.nums[0]), b.unit * lift
 
 
+def line_step(system, u, unit):
+    """A one-piece map's step as ``shadow_sets`` takes it inline, in
+    ``image_step``'s form (step, W), W = lcm(u * q, unit): each fragment
+    over ``u`` mapped by the map's ``line`` constants for ``u`` times W /
+    (u * q); an arc's image starts at the image of its start, or of its
+    end where the slope is negative."""
+    line = system.line(u)
+    q = line[0]
+    w = math.lcm(u * q, unit)
+    m = w // (u * q)
+    kind = system.space.kind
+    if kind == "annulus":
+        _, c_r, p, c_t, f_t = line
+
+        def step(box):
+            rlo, rhi, s, l = box
+            return [(m * (c_r + p * rlo), m * (c_r + p * rhi),
+                     m * (c_t + f_t * s), m * f_t * l)]
+        return step, w
+    _, c, f = line
+
+    def step(frag):
+        if kind == "interval":
+            return [tuple(sorted(m * (c + f * x) for x in frag))]
+        s, l = frag
+        s, l = m * (c + f * s), m * f * l
+        return [(s + l, -l) if l < 0 else (s, l)]
+    return step, w
+
+
+def set_step(system, u, unit):
+    """The step that ``shadow_sets`` takes for the units ``u`` and
+    ``unit``: a one-piece map's ``line_step``, else its ``image_step``."""
+    if system.line(u) is None:
+        return system.image_step(u, unit)
+    return line_step(system, u, unit)
+
+
 def image_in_ball(system, nums, u, ball, unit):
     """The normal form, as (fragments, W), of the pieces that the map's
-    step for ``u`` and ``unit`` gives for every fragment of a set, with
-    the ball fragment lifted to the step's unit W."""
-    step, w = system.image_step(u, unit)
+    step for ``u`` and ``unit`` (``set_step``) gives for every fragment of
+    a set, each met with the ball fragment lifted to the step's unit W
+    (``reference.meet``)."""
+    step, w = set_step(system, u, unit)
     lifted = tuple(c * (w // unit) for c in ball)
-    pieces = [p for f in nums for p in step(f, lifted)]
+    pieces = [c for f in nums for p in step(f)
+              for c in meet(system.space, p, lifted, w)]
     return enc._make(system.space, pieces, w).nums, w
 
 
@@ -316,10 +362,10 @@ def image_in_ball(system, nums, u, ball, unit):
 @PROPERTY
 @given(data=st.data())
 def test_one_step_equals_image_then_intersect(name, data):
-    """The pieces of the map's step, put in normal form, are
-    intersect(apply_set(A), B): the same set over the same unit."""
+    """The pieces of the map's step, met with B and put in normal form,
+    are intersect(image_set(A), B): the same set over the same unit."""
     system, a, ball, ball_unit = draw_step(name, data)
-    want = intersect(system.apply_set(a),
+    want = intersect(image_set(system, a),
                      enc.EnclosureSet(system.space, (ball,), ball_unit))
     assert image_in_ball(system, a.nums, a.unit, ball, ball_unit) == \
         (want.nums, want.unit)
@@ -341,12 +387,12 @@ def draw_points(system, data):
 
 
 def reference_sets(system, points, eps):
-    """A_0 = B(eps, y_0) and A_n = intersect(apply_set(A_{n-1}),
+    """A_0 = B(eps, y_0) and A_n = intersect(image_set(A_{n-1}),
     B(eps, y_n)), to the first empty set, under the default cap."""
     sets = []
     for y in points:
         ball = enc.ball_set(system.space, y, eps)
-        sets.append(intersect(system.apply_set(sets[-1]), ball) if sets
+        sets.append(intersect(image_set(system, sets[-1]), ball) if sets
                     else ball)
         if sets[-1].is_empty():
             break
@@ -409,28 +455,27 @@ def ball_over(space, unit, data):
 @PROPERTY
 @given(data=st.data())
 def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
-    """One step of the map's ``image_step``, kept for every fragment of A
-    and for a second ball over the same unit as ``shadow_sets`` keeps it,
-    gives the image of each fragment (``reference.image_pieces``) clipped
-    to the ball. The union over A is the set of ``image_in_ball`` over
-    the same unit, and a fragment that the step leaves whole is that set
-    as it stands."""
+    """The map's step (its ``image_step``, or for a map of one piece its
+    ``line`` constants as ``shadow_sets`` takes them), made for A's unit
+    and a ball's, gives for each fragment of A its image
+    (``reference.image_pieces``) as pieces over the step's unit W, an
+    arc's length at least 0, and a segment's or a box's ends in order.
+    ``shadow_sets`` clips them to the ball
+    (``test_shadow_sets_fail_the_cap_exactly_when_a_shadow_set_outgrows_it``
+    checks its sets against the reference step)."""
     system, a, ball, ball_unit = draw_small_step(name, data)
     space = system.space
-    step, w = system.image_step(a.unit, ball_unit)
-    for ball in (ball, ball_over(space, ball_unit, data)):
-        lifted = tuple(c * (w // ball_unit) for c in ball)
-        clip = enc.EnclosureSet(space, (lifted,), w)
-        pieces = []
-        for frag, values in zip(a.nums, a.fragments):
-            got = step(frag, lifted)
-            image = make(space, image_pieces(system, values))
-            assert enc._make(space, got, w) == intersect(image, clip)
-            pieces += got
-        nums, unit = image_in_ball(system, a.nums, a.unit, ball, ball_unit)
-        assert (enc._make(space, pieces, w).nums, w) == (nums, unit)
-        if len(pieces) == 1:
-            assert tuple(pieces) == nums
+    step, w = set_step(system, a.unit, ball_unit)
+    assert w % ball_unit == 0
+    for frag, values in zip(a.nums, a.fragments):
+        got = step(frag)
+        for p in got:
+            if space.kind != "circle":
+                assert p[0] <= p[1]
+            if space.kind != "interval":
+                assert p[-1] >= 0
+        assert enc._make(space, got, w) == \
+            make(space, image_pieces(system, values))
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))

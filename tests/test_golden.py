@@ -37,13 +37,17 @@ recorded before the spiral's step clipped its box inline and the walk
 and the re-check carried their per-scale constants.
 
 The ``pwl-check`` digests pin the stored trajectory and the ``check``
-verdict JSON, witness included, of four trajectories that run the
-interval and multi-piece arithmetic through ``check``: tent ``s=3/2``,
-the two-piece circle map ``pwl:0:5/2,2/5:5/3`` at small and at large d
-and eps (where its images are cut and its shadow sets normalized), and
-``pwl:0:3,1/2:-1``, whose witness is pulled back through a decreasing
-piece. They were recorded before the pull-back and the re-check ran
-inline in the maps.
+verdict JSON, witness included, of five trajectories that run the
+interval, multi-piece and decreasing arithmetic through ``check``: tent
+``s=3/2``, the two-piece circle map ``pwl:0:5/2,2/5:5/3`` at small and
+at large d and eps (where its images are cut and its shadow sets
+normalized), ``pwl:0:3,1/2:-1``, whose witness is pulled back through a
+decreasing piece, and ``pwl:0:-2``, the one-piece circle map x -> -2x,
+whose one image arc runs backwards from the image of a fragment's start
+(a Yes whose witness has about 350 bits). The first four were recorded
+before the pull-back and the re-check ran inline in the maps, the fifth
+before the walk stepped its point and propagation mapped and clipped a
+one-fragment set inline.
 
 The ``bounds`` digests pin the exit status, stdout and stderr of the
 README's three ``bounds`` examples and of three cover searches that fail:
@@ -133,6 +137,10 @@ GOLDEN = {
             "ea96f4d397419b4ba7c4a8824cff2aef106eb3202a8be7e823422d892502dfb0",
         "pwl-decreasing/verdict.json":
             "3f2b2be59fac75e0c8c7de2707f7ffca46d15ce46d4f13d467d2e8ef0a97cf0a",
+        "pwl-flip/traj.csv":
+            "a79acd9616b9d758ccac23211b303cc8a43221adb440b0a6ae22a645e5adbf6d",
+        "pwl-flip/verdict.json":
+            "5874477b77c5d31482e5ad8f3e445b2ae4d06c49e739fe6bd18cc3a469bd3107",
     },
     # exit status, stdout digest, stderr digest
     "bounds": {
@@ -270,6 +278,7 @@ PWL_CHECKS = {
     "pwl": ("pwl:0:5/2,2/5:5/3", "0.3", "0.02", "500", "0.05"),
     "pwl-cut": ("pwl:0:5/2,2/5:5/3", "0.3", "1/5", "100", "6/25"),
     "pwl-decreasing": ("pwl:0:3,1/2:-1", "0.3", "0.02", "300", "0.05"),
+    "pwl-flip": ("pwl:0:-2", "0.3", "0.02", "300", "0.05"),
 }
 
 

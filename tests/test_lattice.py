@@ -4,8 +4,7 @@
 ``orbit_tracks`` run on integers over a common denominator, each step
 fused. The references here take the steps one at a time: the ``Fraction``
 sampler and map of ``tests/reference.py``, one draw at a time, for the
-chain; the public ``apply_set`` and the reference ``intersect`` for the
-shadow sets;
+chain; the reference ``image_set`` and ``intersect`` for the shadow sets;
 the ``Fraction`` ``pick_point`` and ``preimages`` of ``tests/reference.py``
 with ``contains`` for the pull-back.
 """
@@ -23,8 +22,8 @@ from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.shadowcheck import pull_back_witness
 
-from reference import (apply, contains, intersect, pick_point, preimages,
-                       sample_uniform_ball)
+from reference import (apply, contains, image_set, intersect, pick_point,
+                       preimages, sample_uniform_ball)
 
 SYSTEMS = {
     "doubling": doubling(),
@@ -39,6 +38,11 @@ SYSTEMS = {
     # a degree-2 circle map with two non-integer slopes: its preimages
     # come from both pieces and from several windings
     "circle-pwl": pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))]),
+    # one piece of negative slope, x -> -2x: its image arcs run backwards
+    "pwl-flip": pwl([(0, -2)]),
+    # one interval piece of a negative non-integer slope, x -> 1 - x/2: its
+    # scale grows by 2 per step, and a draw near f(0) = 1 is truncated
+    "interval-flip": pwl([(0, F(-1, 2))], 1, space_kind="interval"),
 }
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None,
@@ -61,7 +65,7 @@ def reference_sets(system, points, eps):
     for y in points[1:]:
         current = sets[-1]
         sets.append(current if current.is_empty() else
-                    intersect(system.apply_set(current),
+                    intersect(image_set(system, current),
                               ball_set(space, y, eps)))
     return sets
 
@@ -159,6 +163,39 @@ def test_circle_pwl_lattice_equals_fractions(data):
     lattice_matches_fractions("circle-pwl", data)
 
 
+@PROPERTY
+@given(data=st.data())
+def test_pwl_flip_lattice_equals_fractions(data):
+    lattice_matches_fractions("pwl-flip", data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_interval_flip_lattice_equals_fractions(data):
+    lattice_matches_fractions("interval-flip", data)
+
+
+@pytest.mark.parametrize("d", [F(1, 3), F(3, 4)])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_a_one_piece_interval_walk_carries_its_constant_across_truncations(
+        seed, d):
+    """x -> 1 - x/2 from 0, whose image is [1/2, 1]: at d = 1/3 a draw
+    around f(y) > 2/3 is truncated at 1, and at d = 3/4 every draw is,
+    those around f(y) < 3/4 at 0 too (that span is the whole interval, so
+    it keeps the scale). A step grows the scale by the slope's 2, and a
+    truncated one by a power of two besides; the walk carries the map's
+    constant across both, and the chain, sets, witness and re-check are
+    the references'."""
+    system = SYSTEMS["interval-flip"]
+    traj = generate(system, (F(0),), d, 40, trial_stream(seed))
+    scales = traj.scaled.scales
+    growth = [b // a for a, b in zip(scales, scales[1:])]
+    assert all(a * g == b for a, b, g in zip(scales, scales[1:], growth))
+    assert all(g % 2 == 0 and g & (g - 1) == 0 for g in growth)
+    assert any(g > 2 for g in growth)
+    chain_matches(system, seed, 40, d, F(1, 20), (F(0),))
+
+
 @pytest.mark.parametrize("name", ["spiral", "spiral-2/3"])
 @PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
@@ -212,7 +249,7 @@ def test_a_step_of_half_a_turn_or_more_draws_a_uniform_angle():
 
 def test_empty_tails_match_the_full_walk():
     """Propagation stops at the first empty set; the sets it returns must
-    still be the reference's, which steps apply_set and intersect over the
+    still be the reference's, which steps image_set and intersect over the
     whole horizon."""
     for name in ("tent", "spiral", "pwl"):
         system = SYSTEMS[name]

@@ -20,7 +20,7 @@ from shadowing.spaces import ScaledPoints
 
 from grid_oracle import brute_force_oracle
 from reference import (contains, dist, exact_orbit, first_empty_step,
-                       lattice_apply, make, orbit, prefix,
+                       image_set, lattice_apply, make, orbit, prefix,
                        rotation_lift_first_failure, rotation_oracle,
                        signed_circ_diff)
 from test_lattice import reference_sets
@@ -71,24 +71,6 @@ def test_worst_case_sets_shrink_linearly_then_empty():
     assert first_empty_step(ROT, wc, EPS) == 11
 
 
-def count_propagation_calls(monkeypatch, system) -> dict:
-    """Count the fragments imaged from here on: each call of a step that
-    the map's ``image_step`` gives images one fragment."""
-    calls = {"image": 0}
-    image_step = type(system).image_step
-
-    def counted_image_step(self, *args):
-        step, w = image_step(self, *args)
-
-        def counted_step(*step_args):
-            calls["image"] += 1
-            return step(*step_args)
-        return counted_step, w
-
-    monkeypatch.setattr(type(system), "image_step", counted_image_step)
-    return calls
-
-
 def drift_past_failure(n):
     """The worst-case drift of worst_case_pseudotrajectory, run on to n."""
     step = ROT.alpha + D / 2
@@ -97,7 +79,10 @@ def drift_past_failure(n):
 
 
 @pytest.mark.parametrize("case", ["rotation", "annulus"])
-def test_propagation_stops_at_first_empty_set(monkeypatch, case):
+def test_propagation_stops_at_first_empty_set(case):
+    """``shadow_sets`` reads no point past the first empty set: a step
+    maps and clips its set only after it has read its point, so reading
+    first + 1 points bounds the steps at first."""
     if case == "rotation":
         system, traj, first = ROT, drift_past_failure(30), 11
     else:
@@ -105,7 +90,6 @@ def test_propagation_stops_at_first_empty_set(monkeypatch, case):
         traj = generate(SPIRAL, (F(7, 5), F(0)), F(9, 800), 300,
                         trial_stream(44, 0))
     assert first_empty_step(system, traj, EPS) == first
-    calls = count_propagation_calls(monkeypatch, system)
     points, read = traj.scaled, []
 
     def counted_points():
@@ -114,8 +98,8 @@ def test_propagation_stops_at_first_empty_set(monkeypatch, case):
             read.append(point)
             yield point
 
-    shadowcheck.shadow_sets(system, counted_points(), EPS)
-    assert (len(read), calls) == (first + 1, {"image": first})
+    sets = shadowcheck.shadow_sets(system, counted_points(), EPS)
+    assert len(read) == len(sets) == first + 1
     sets = shadow_set_forward(system, traj, EPS)
     assert all(s.fragment_count() == 1 for s in sets[:first])
     assert len(sets) == traj.horizon + 1
@@ -168,7 +152,7 @@ def test_set_recursion_containments():
             if sets[n].is_empty():
                 continue
             ball = ball_set(system.space, traj.points[n], EPS)
-            image = system.apply_set(sets[n - 1])
+            image = image_set(system, sets[n - 1])
             for p in fragment_points(sets[n], rng):
                 assert contains(ball, p)
                 assert contains(image, p)
@@ -311,6 +295,29 @@ def test_rotation_oracle_validity_region():
         rotation_oracle(ROT, wc, F(26, 100))
     with pytest.raises(UsageError):
         rotation_oracle(DBL, wc, EPS)
+
+
+def test_eps_and_d_given_as_strings_are_read():
+    """eps and d given as strings are read as ``frac`` reads them before
+    they are checked: ``shadow_sets`` (through ``decide_shadowable``),
+    ``rotation_first_failure``'s region check and the walk (through
+    ``generate``) give what the ``Fraction`` values give, and a value
+    that is not positive is still a ``DomainError``."""
+    traj = generate(ROT, (F(0),), D, 40, trial_stream(5))
+    assert generate(ROT, (F(0),), "1/50", 40, trial_stream(5)) == traj
+    assert decide_shadowable(ROT, traj, "1/20") == \
+        decide_shadowable(ROT, traj, EPS)
+    assert rotation_first_failure(ROT, traj, "1/20") == \
+        rotation_first_failure(ROT, traj, EPS)
+    for bad in ("0", "-1/20"):
+        with pytest.raises(DomainError):
+            decide_shadowable(ROT, traj, bad)
+        with pytest.raises(DomainError):
+            rotation_first_failure(ROT, traj, bad)
+        with pytest.raises(DomainError):
+            generate(ROT, (F(0),), bad, 40, trial_stream(5))
+    with pytest.raises(DomainError):
+        shadowcheck.shadow_sets(ROT, iter([((0,), 1)]), 0)
 
 
 def test_oracle_equivalence_with_certified_checker():

@@ -6,11 +6,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shadowing import (UsageError, annulus_spiral, ball_set, doubling,
+from shadowing import (UsageError, annulus_spiral, doubling,
                        parse_system, pwl, rotation, tent, trial_stream)
+from shadowing import enclosure
+from shadowing.shadowcheck import shadow_sets
+from shadowing.spaces import ScaledPoints
 
 from reference import (apply, contains, dist, intersect_arcs,
-                       intersect_boxes, lattice_apply, make, orbit,
+                       intersect_boxes, lattice_apply, make, meet, orbit,
                        preimages, random_point, uniform)
 
 
@@ -98,11 +101,14 @@ def test_rotation_images_are_isometric():
 
 
 def test_spiral_box_image_is_exact():
+    """The spiral's image of the ball around (7/5, 0), as ``shadow_sets``
+    maps it, lies inside the ball of the same radius around (6/5, 1/4),
+    the image of its center, so A_1 is the image box itself."""
     spiral = annulus_spiral(F(1, 2), F(1, 4), F(1, 2))
-    sp = spiral.space
-    es = ball_set(sp, (F(7, 5), F(0)), F(1, 20))
-    img = spiral.apply_set(es)
-    rlo, rhi, s, l = img.fragments[0]
+    points = ScaledPoints.from_points([(F(7, 5), F(0)), (F(6, 5), F(1, 4))])
+    sets = shadow_sets(spiral, zip(points.nums, points.scales), F(1, 20))
+    rlo, rhi, s, l = sets[1].fragments[0]
+    assert len(sets[1].fragments) == 1
     assert (rlo, rhi) == (F(1 + F(1, 2) * (F(27, 20) - 1)),
                           F(1 + F(1, 2) * (F(29, 20) - 1)))
     assert (s, l) == ((F(19, 20) + F(1, 4)) % 1, F(1, 10))
@@ -139,15 +145,17 @@ def test_set_image_equals_brute_force_image(system):
 
 
 def walk(system, frag, ball, unit):
-    """The map's step made for ``unit``, taking one fragment and one ball
-    of Fraction coordinates, the fragment's on the lattice over ``unit``:
-    the image pieces as Fractions."""
+    """The map's step made for ``unit``, taking one fragment of Fraction
+    coordinates on the lattice over ``unit``: its image pieces as
+    Fractions, each met with the ball (``reference.meet``) as
+    ``shadow_sets`` clips them."""
     step, w = system.image_step(unit, unit)
-    nums = [c * unit for c in frag] + [c * w for c in ball]
+    nums = [c * unit for c in frag]
     assert all(c.denominator == 1 for c in nums)
-    got = step(tuple(int(c) for c in nums[:2]),
-               tuple(int(c) for c in nums[2:]))
-    return [tuple(F(c, w) for c in piece) for piece in got]
+    got = step(tuple(int(c) for c in nums))
+    ball = tuple(int(c * w) for c in ball)
+    return [tuple(F(c, w) for c in clipped) for piece in got
+            for clipped in meet(system.space, piece, ball, w)]
 
 
 PWL3 = pwl([(0, 2), (F(1, 3), -2), (F(2, 3), 3)], space_kind="interval")
@@ -174,105 +182,140 @@ TWO_TURNS = pwl([(0, F(5, 2)), (F(2, 5), F(5, 3))])
         "two-turns-whole", "two-turns-ball"])
 def test_the_corner_walk_gives_one_piece_per_linear_piece(
         system, frag, ball, unit, pieces, image):
-    """One step clips one image piece per linear piece that the fragment
-    crosses and returns those pieces alone; ``apply_set`` puts them in
-    normal form, the hull of the pieces on the interval."""
+    """One step gives one image piece per linear piece that the fragment
+    crosses and those pieces alone, each met with the ball here;
+    ``apply_set`` puts them in normal form, the hull of the pieces on the
+    interval."""
     assert walk(system, frag, ball, unit) == pieces
     got = system.apply_set(make(system.space, [frag]))
     assert list(got.fragments) == image
 
 
-# one-piece circle maps of both slope signs, each stepped over the unit 60
+# one-piece circle maps of both slope signs, each stepped over the unit 120
 ONE_PIECE = {"doubling": doubling(), "rotation": rotation(F(7, 60)),
              "minus-two": pwl([(0, -2)]), "minus-one": pwl([(0, -1)], F(1, 3))}
-ARC_UNIT = 60
+ARC_UNIT = 120
+
+
+def clipped_image(system, nums, u, ball, w):
+    """The meets, by ``reference.intersect_arcs`` or ``intersect_boxes``,
+    of the ball fragment over ``w`` with the image of each fragment over
+    ``u`` lifted to ``w``: an arc's image starts at the image of its start
+    (slope > 0) or end (slope < 0); a box's radial ends are the images of
+    its own and its arc starts at the image of its start."""
+    pieces = []
+    for frag in nums:
+        if system.space.kind == "annulus":
+            rlo, rhi, start, length = frag
+            (lo, theta), out = system.apply_scaled((rlo, start), u)
+            (hi, _), _ = system.apply_scaled((rhi, start), u)
+            m = w // out
+            pieces += intersect_boxes(
+                (lo * m, hi * m, theta * m, length * (w // u)), ball, w)
+            continue
+        start, length = frag
+        slope = system.slopes[0]
+        x = start if slope > 0 else (start + length) % u
+        (x,), out = system.apply_scaled((x,), u)
+        pieces += intersect_arcs(
+            (x * (w // out), int(abs(slope) * length * (w // u))), ball, w)
+    return pieces
+
+
+def check_steps(system, points, e):
+    """``shadow_sets`` on ``points`` ((numerators, scale) pairs, the first
+    over ARC_UNIT) at eps = e / ARC_UNIT: every scale is the unit of its
+    set, and every A_n past A_0 is the normal form of ``clipped_image`` of
+    A_{n-1} met with the ball around y_n. Returns the sets' fragments."""
+    space, u = system.space, ARC_UNIT
+    sets = shadow_sets(system, iter(points), F(e, u))
+    assert sets.units == [s for _, s in points][:len(sets.units)]
+    for n in range(1, len(sets.units)):
+        (y, s), unit = points[n], sets.units[n - 1]
+        ball = enclosure._ball(space, y, e * (s // u), s)
+        assert sets.nums[n] == enclosure._make(
+            space, clipped_image(system, sets.nums[n - 1], unit, ball, s),
+            s).nums
+    return sets.nums
 
 
 @pytest.mark.parametrize("name", sorted(ONE_PIECE))
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(start=st.integers(0, ARC_UNIT - 1),
-       length=st.one_of(st.sampled_from([0, 1, 29, 30, 59, ARC_UNIT]),
-                        st.integers(0, ARC_UNIT)),
-       ball_start=st.integers(0, ARC_UNIT - 1),
-       ball_length=st.one_of(st.sampled_from([0, 1, 59, ARC_UNIT]),
-                             st.integers(0, ARC_UNIT)))
-# for doubling and for x -> -2x: an image arc that is the whole circle, a
-# ball that is the whole circle, an image arc and a ball that meet in two
-# arcs across 0, and ones that touch at one point (a zero-length arc)
-@example(start=3, length=30, ball_start=5, ball_length=4)
-@example(start=3, length=2, ball_start=0, ball_length=ARC_UNIT)
-@example(start=27, length=9, ball_start=6, ball_length=51)
-@example(start=6, length=3, ball_start=18, ball_length=9)
-@example(start=24, length=3, ball_start=12, ball_length=18)
-def test_the_one_piece_arc_clip_is_intersect_arcs(name, start, length,
-                                                  ball_start, ball_length):
-    """A one-piece circle map clips its image arc to the ball inline; the
-    pieces are those of ``reference.intersect_arcs`` on the image arc,
-    which starts at the image of the fragment's start (slope > 0) or end
-    (slope < 0)."""
+@given(y0=st.integers(0, ARC_UNIT - 1),
+       e=st.one_of(st.sampled_from([1, 30, 59, 60]), st.integers(1, 60)),
+       over=st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1, 120)),
+       y2=st.integers(0, 2 * ARC_UNIT - 1), k=st.sampled_from([1, 2]))
+# for doubling: an image arc that is the whole circle (e = 30), balls
+# that are the whole circle (e = 60); A_1 the two arcs (95, 15) and
+# (10, 15), where the ball (95, 50) across 0 meets the image arc (10,
+# 100); A_1 a zero-length arc at 80, where the ball (80, 20) touches the
+# image arc (40, 40), whose image at 40 lies inside the ball (30, 20)
+# and touches (40, 20) at its start
+@example(y0=6, e=30, over=0, y2=10, k=1)
+@example(y0=6, e=60, over=0, y2=10, k=2)
+@example(y0=30, e=25, over=15, y2=200, k=2)
+@example(y0=30, e=10, over=0, y2=40, k=1)
+@example(y0=30, e=10, over=0, y2=50, k=1)
+@example(y0=30, e=10, over=1, y2=50, k=1)
+def test_the_one_piece_arc_clip_is_intersect_arcs(name, y0, e, over, y2, k):
+    """``shadow_sets`` maps each fragment by a one-piece circle map's
+    constants and clips the image arc to the ball inline: on y_0, y_1 over
+    ARC_UNIT and y_2 over ARC_UNIT * k (k > 1 lifts the ball, so the image
+    is scaled by k), A_1 and A_2 are the normal forms of
+    ``reference.intersect_arcs`` on the image arcs. y_1's ball starts
+    ``over`` before the end of A_0's image arc, so A_1 is an arc of any
+    length from none and 0 (a touch) up, odd ones included, or two arcs,
+    and A_2 is the image of such a set met with any ball."""
     system, u = ONE_PIECE[name], ARC_UNIT
-    step, w = system.image_step(u, u)
-    assert w == u
-    slope = system.slopes[0]
-    end = (start + length) % u
-    (image_start,), _ = system.apply_scaled((start if slope > 0 else end,), u)
-    ball = (ball_start, ball_length)
-    got = step((start, length), ball)
-    assert list(got) == intersect_arcs(
-        (image_start, abs(slope) * length), ball, w)
+    (start, length) = enclosure._ball(system.space, (y0,), e, u)
+    image = clipped_image(system, ((start, length),), u, (0, u), u)[0]
+    y1 = (image[0] + image[1] - over + e) % u
+    sets = check_steps(system, [((y0,), u), ((y1,), u), ((y2 % (u * k),),
+                                                            u * k)], e)
+    assert sets[0] == ((start, length),)
 
 
-# the spiral (r, theta) -> (1 + (r - 1) / 2, theta + 7/60) on boxes over the
-# unit 60, whose radial range is [30, 90]; its image's unit is 120, and the
-# ball is over 120 * k
+# the spiral (r, theta) -> (1 + (r - 1) / 2, theta + 7/60) on y_0 over the
+# unit 120, whose radial range is [60, 180]; its images' units are 240 and
+# 480, y_1 is over 240 and y_2 over 480 * k
 BOX_SPIRAL = annulus_spiral(F(1, 2), F(7, 60), F(1, 2))
-BOX_UNIT = 60
+OVERLAP = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1, 240))
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(rlo=st.integers(30, 90), rwidth=st.integers(0, 60),
-       start=st.integers(0, BOX_UNIT - 1),
-       length=st.one_of(st.sampled_from([0, 1, 30, 59, BOX_UNIT]),
-                        st.integers(0, BOX_UNIT)),
-       blo=st.integers(60, 180), bwidth=st.integers(0, 120),
-       ball_start=st.integers(0, 119),
-       ball_length=st.one_of(st.sampled_from([0, 1, 119, 120]),
-                             st.integers(0, 120)),
-       k=st.sampled_from([1, 2]))
-# an image arc and a ball that are both the whole circle; an image arc
-# (94, 50) over 120 and a ball (10, 100) that meet in two arcs across 0;
-# the same image arc touching the ball (24, 10) at 24 (a zero-length arc);
-# the image's radial segment [90, 100] missing the ball's [101, 150], and
-# touching [100, 150] at one radius
-@example(rlo=30, rwidth=60, start=0, length=60, blo=60, bwidth=120,
-         ball_start=0, ball_length=120, k=1)
-@example(rlo=40, rwidth=10, start=40, length=25, blo=60, bwidth=120,
-         ball_start=10, ball_length=100, k=1)
-@example(rlo=40, rwidth=10, start=40, length=25, blo=60, bwidth=120,
-         ball_start=24, ball_length=10, k=1)
-@example(rlo=30, rwidth=10, start=40, length=25, blo=101, bwidth=49,
-         ball_start=10, ball_length=100, k=1)
-@example(rlo=30, rwidth=10, start=40, length=25, blo=100, bwidth=50,
-         ball_start=10, ball_length=100, k=1)
-def test_the_spiral_box_clip_is_intersect_boxes(rlo, rwidth, start, length,
-                                                blo, bwidth, ball_start,
-                                                ball_length, k):
-    """The spiral's step clips its image box to the ball inline: the
-    pieces are those of ``reference.intersect_boxes`` on the image box,
-    whose radial ends are the images of the box's and whose arc starts at
-    the image of its start."""
-    u = BOX_UNIT
-    step, w = BOX_SPIRAL.image_step(u, 2 * u * k)
-    assert w == 2 * u * k
-    box = (rlo, min(rlo + rwidth, 90), start, length)
-    ball = tuple(c * k for c in (blo, min(blo + bwidth, 180), ball_start,
-                                 ball_length))
-    (lo, theta), out = BOX_SPIRAL.apply_scaled((box[0], start), u)
-    (hi, _), _ = BOX_SPIRAL.apply_scaled((box[1], start), u)
-    m = w // out
-    image = (lo * m, hi * m, theta * m, length * (w // u))
-    got = step(box, ball)
-    assert list(got) == intersect_boxes(image, ball, w)
+@given(r0=st.integers(60, 180), t0=st.integers(0, ARC_UNIT - 1),
+       e=st.one_of(st.sampled_from([1, 30, 59, 60]), st.integers(1, 60)),
+       rover=OVERLAP, tover=OVERLAP, r2=st.integers(240, 720),
+       t2=st.integers(0, 4 * ARC_UNIT - 1), k=st.sampled_from([1, 2]))
+# an image arc and balls that are the whole circle; A_1 a box of zero
+# radial height and a zero-length arc (a touch in both), then mapped into
+# a ball that holds it and one that it touches at one radius; an image
+# missing y_1's ball radially and along the arc; A_1 an arc of length 1
+# with the radial range of the image
+@example(r0=120, t0=0, e=60, rover=0, tover=0, r2=480, t2=0, k=1)
+@example(r0=120, t0=20, e=10, rover=0, tover=0, r2=490, t2=232, k=1)
+@example(r0=120, t0=20, e=10, rover=0, tover=0, r2=450, t2=232, k=2)
+@example(r0=120, t0=20, e=10, rover=-1, tover=5, r2=480, t2=0, k=1)
+@example(r0=120, t0=20, e=10, rover=5, tover=-1, r2=480, t2=0, k=1)
+@example(r0=120, t0=20, e=10, rover=20, tover=1, r2=480, t2=230, k=2)
+def test_the_spiral_box_clip_is_intersect_boxes(r0, t0, e, rover, tover,
+                                                r2, t2, k):
+    """``shadow_sets`` maps each box by the spiral's constants and clips
+    the image box to the ball inline: A_1 and A_2 are the normal forms of
+    ``reference.intersect_boxes`` on the image boxes. y_1's ball reaches
+    ``rover`` below the top of A_0's image radially and starts ``tover``
+    before the end of its arc, so A_1 is a box of any radial height and
+    any arc length from none and 0 up, drawn apart, and A_2 is the image
+    of such a box met with any ball."""
+    system, u = BOX_SPIRAL, ARC_UNIT
+    a0 = enclosure._ball(system.space, (r0, t0), e, u)
+    _, hi, start, length = clipped_image(
+        system, (a0,), u, (0, 4 * u, 0, 2 * u), 2 * u)[0]
+    r1 = min(max(hi - rover + 2 * e, u), 3 * u)
+    t1 = (start + length - tover + 2 * e) % (2 * u)
+    sets = check_steps(system, [((r0, t0), u), ((r1, t1), 2 * u),
+                                ((r2 * k, t2 * k), 4 * u * k)], e)
+    assert sets[0] == (a0,)
 
 
 def test_full_coverage_of_saturating_image():
