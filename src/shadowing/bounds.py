@@ -22,6 +22,7 @@ the image. Neither knows where the net's centers lie.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -301,24 +302,40 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0,
     step n0 on lies in the band. n0, S and delta are evaluated at the
     working noise level ``d`` (default d0/2); as d < d0 < (1 - lam) rho,
     the search ends.
+
+    The record is memoized on (system, eps, canonical y0, d) once d is
+    resolved, so a call with d=None and one with the d it resolved to
+    share one record; it is immutable. Arguments are checked before the
+    cache is asked, so a refused d raises at every call.
     """
     if not isinstance(system, AnnulusSpiral):
         raise UsageError("attractor quantities are defined for annulus spirals")
     eps = frac(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    space = system.space
-    y0 = space.canonical(tuple(frac(c) for c in y0))
-    lam = system.lam
-    rho = min(eps / 4, space.w / 2)
-    d0 = (1 - BAND_MARGIN) * min(eps / 4, (1 - lam) * rho)
+    y0 = system.space.canonical(tuple(frac(c) for c in y0))
+    rho, d0 = _band(system, eps)
     if d is None:
         d_used = d0 / 2
     else:
         d_used = frac(d)
         if not 0 < d_used < d0:
             raise DomainError(f"need 0 < d < d0 = {d0}, got {d_used}")
+    return _band_record(system, eps, y0, d_used)
 
+
+def _band(system, eps) -> tuple:
+    """(rho, d0): the band's half-width and the noise ceiling."""
+    rho = min(eps / 4, system.space.w / 2)
+    return rho, (1 - BAND_MARGIN) * min(eps / 4, (1 - system.lam) * rho)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_record(system, eps, y0, d_used) -> ProofQuantities:
+    """``attractor_quantities`` once its arguments are checked and d is
+    resolved."""
+    lam = system.lam
+    rho, d0 = _band(system, eps)
     n0 = 0
     gap = abs(y0[0] - 1)
     room = rho - d_used / (1 - lam)

@@ -67,10 +67,6 @@ def _merge_config(args, defaults=None) -> dict:
     return data
 
 
-def _print(payload):
-    sys.stdout.write(json_text(jsonable(payload)))
-
-
 def cmd_generate(args) -> int:
     system = parse_system(args.system)
     rng = trial_stream(args.seed, args.trial)
@@ -96,9 +92,9 @@ def cmd_check(args) -> int:
 def cmd_estimate(args) -> int:
     config = ExperimentConfig.from_dict(_merge_config(args))
     result = estimate_probability(config, workers=args.workers)
-    if config.out:
-        emit(result, config.out)
-    _print(result_summary(result))
+    # the text written to summary.json is the text printed
+    sys.stdout.write(emit(result, config.out) if config.out
+                     else json_text(result_summary(result)))
     return 0
 
 
@@ -116,7 +112,7 @@ def cmd_bounds(args) -> int:
     payload = {**q.to_json(), "d": d, "lipschitz": system.lipschitz}
     if eps is not None:
         payload["eps"] = eps
-    _print(payload)
+    sys.stdout.write(json_text(jsonable(payload)))
     return 0
 
 
@@ -134,7 +130,7 @@ def cmd_dichotomy(args) -> int:
     report = run_dichotomy_experiment(cfg_a, cfg_b, out=args.out,
                                       workers=args.workers,
                                       with_bound_curve=not args.no_bound_curve)
-    _print(report)
+    sys.stdout.write(report.text)  # report.json's text, when written
     return 0
 
 
@@ -149,7 +145,7 @@ def cmd_attractor(args) -> int:
     config = ExperimentConfig.from_dict(data)
     report = run_attractor_experiment(config, out=config.out,
                                       workers=args.workers)
-    _print(report)
+    sys.stdout.write(report.text)  # report.json's text, when written
     return 0
 
 

@@ -32,9 +32,9 @@ over the lcm of the two (``shadowcheck.shadow_sets``).
 A single fragment is a normal form as it stands, once a full arc is
 written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``)
 relies on that, clipping every image piece to the ball fragment of
-``_ball`` and calling ``_make`` only when more than one piece is left
-(the touching pieces of one interval fragment are joined into their
-hull).
+``_ball``, which it builds inline, and calling ``_make`` only when
+more than one piece is left (the touching pieces of one interval
+fragment are joined into their hull).
 
 A ``SetRecord`` holds a run of sets, the shadow sets of a decision, as
 bare fragment tuples and units, as ``spaces.ScaledPoints`` holds points:
@@ -266,7 +266,8 @@ def ball_set(space: Space, center, radius) -> EnclosureSet:
 def _ball(space: Space, center, radius, unit) -> tuple:
     """The single fragment of ball_set, with center and radius given as
     numerators over unit (on the annulus a multiple of the denominator of
-    w)."""
+    w). ``shadowcheck.shadow_sets`` builds the same fragment inline, with
+    w over the unit carried across its steps."""
     kind = space.kind
     if kind == "circle":
         if 2 * radius >= unit:

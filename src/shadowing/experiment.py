@@ -38,7 +38,8 @@ from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageErr
 # witness back and re-checks it through shadowcheck's own names. They
 # stay importable here because bench/probes.py looks all four up here
 from .pseudotraj import LatticeWalk, generate, trial_stream
-from .rationals import frac, json_text, jsonable, parse_point, point_text
+from .rationals import (frac, json_join, json_text, jsonable, parse_point,
+                        point_text)
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
                           shadow_set_forward, shadow_sets)
 from .systems import AnnulusSpiral, parse_system
@@ -66,8 +67,10 @@ class ExperimentConfig:
             raise DomainError("horizons must increase strictly")
         if any(h < 0 for h in self.horizons):
             raise DomainError("horizons must be nonnegative")
-        # the map, parsed once: a bad spec is refused here
+        # the map, parsed once: a bad spec is refused here, and so is a
+        # start point outside its space, before any trial or pool starts
         object.__setattr__(self, "system", parse_system(self.system_spec))
+        self.system.space.lattice_point(self.y0)
 
     @property
     def max_horizon(self) -> int:
@@ -285,16 +288,37 @@ def dichotomy_bound_curve(config: ExperimentConfig) -> tuple[dict, dict]:
     return by_horizon, {**q.to_json(), "nonshadow_bound_curve": curve}
 
 
+class Report(dict):
+    """What a shipped run returns: its members by name (``result_summary``
+    of each branch, or the band record and the summary) and ``text``,
+    their JSON text (``json_text`` of the report), which report.json
+    holds and the CLI prints. ``text`` is put together from the members'
+    texts (``json_join``), the texts ``emit`` wrote to summary.json among
+    them, so no summary is encoded twice."""
+
+    text: str
+
+    def finish(self, texts: dict, out) -> "Report":
+        """Set ``text`` from the members' ``texts`` and, unless ``out``
+        is None, write it to report.json there."""
+        self.text = json_join(texts)
+        if out is not None:
+            _replace_file(Path(out) / "report.json", self.text)
+        return self
+
+
 def run_dichotomy_experiment(config_shadowing: ExperimentConfig,
                              config_nonshadowing: ExperimentConfig,
                              out=None, workers: int = 1,
-                             with_bound_curve: bool = True) -> dict:
+                             with_bound_curve: bool = True) -> Report:
     """Run both branches and produce a side-by-side report.
 
     The first config should exhibit p_hat near 1 at every horizon, the
     second a decay of p_hat toward 0; the rotation branch report includes
     the theoretical block bound. It is computed first, so a failing cover
-    search ends the run before any trial.
+    search ends the run before any trial. Returns the ``Report`` of the
+    two branch summaries, written to report.json under ``out`` when it is
+    given, after each branch's files.
     """
     bound_by_h, diag = (dichotomy_bound_curve(config_nonshadowing)
                         if with_bound_curve else ({}, {}))
@@ -302,26 +326,27 @@ def run_dichotomy_experiment(config_shadowing: ExperimentConfig,
     res_b = estimate_probability(config_nonshadowing, workers)
     if diag:
         res_b = res_b.with_bounds(bound_by_h, diag)
-    report = {
-        "shadowing_branch": result_summary(res_a),
-        "nonshadowing_branch": result_summary(res_b),
-    }
-    if out is not None:
+    report = Report(shadowing_branch=result_summary(res_a),
+                    nonshadowing_branch=result_summary(res_b))
+    if out is None:
+        texts = {name: json_text(summary) for name, summary in report.items()}
+    else:
         out = Path(out)
-        emit(res_a, out / "shadowing")
-        emit(res_b, out / "nonshadowing")
-        _write_json(out / "report.json", report)
-    return report
+        texts = {"shadowing_branch": emit(res_a, out / "shadowing"),
+                 "nonshadowing_branch": emit(res_b, out / "nonshadowing")}
+    return report.finish(texts, out)
 
 
 def run_attractor_experiment(config: ExperimentConfig, out=None,
-                             workers: int = 1) -> dict:
+                             workers: int = 1) -> Report:
     """Attractor-branch experiment on an annulus contraction-rotation.
 
     Computes the absorbing-band data, rejects configs with d >= d0,
     verifies that every trial enters and stays in the band from step n0 on
     (a violation aborts the run: it would mean the bound itself is wrong),
     and reports the decay of p_hat at the quarter scale eps0 = eps / 4.
+    Returns the ``Report`` of the band record and the summary, written to
+    report.json under ``out`` when it is given, after ``emit``'s files.
     """
     system = config.system
     if not isinstance(system, AnnulusSpiral):
@@ -330,16 +355,13 @@ def run_attractor_experiment(config: ExperimentConfig, out=None,
                                         d=config.d)
     inner = replace(config, eps=q.eps0)
     result = estimate_probability(inner, workers, _band=(q.rho, q.n0))
-    result = result.with_bounds({}, {"quantities": q.to_json()})
-    report = {
-        "quantities": q.to_json(),
-        "result": result_summary(result),
-    }
-    if out is not None:
-        out = Path(out)
-        emit(result, out)
-        _write_json(out / "report.json", report)
-    return report
+    quantities = q.to_json()
+    result = result.with_bounds({}, {"quantities": quantities})
+    report = Report(quantities=quantities, result=result_summary(result))
+    texts = {"quantities": json_text(quantities),
+             "result": (json_text(report["result"]) if out is None
+                        else emit(result, out))}
+    return report.finish(texts, out)
 
 
 # -- persistence ------------------------------------------------------------
@@ -390,13 +412,9 @@ def _replace_file(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _replace_file(path, json_text(payload))
-
-
-def emit(result: ExperimentResult, path) -> None:
-    """Write summary.json, curve.csv and trials.csv under ``path``.
+def emit(result: ExperimentResult, path) -> str:
+    """Write summary.json, curve.csv and trials.csv under ``path``;
+    returns the text of summary.json.
 
     Outputs are pure functions of the result, hence byte-identical across
     reruns of the same config.
@@ -404,7 +422,8 @@ def emit(result: ExperimentResult, path) -> None:
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "summary.json", result_summary(result))
+        summary = json_text(result_summary(result))
+        _replace_file(out / "summary.json", summary)
 
         curve = io.StringIO()
         writer = csv.writer(curve, lineterminator="\n")
@@ -428,3 +447,4 @@ def emit(result: ExperimentResult, path) -> None:
     except OSError as exc:
         raise OSError(f"cannot write experiment outputs under {out}: {exc}") \
             from exc
+    return summary

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .errors import DomainError, UsageError
 from .rationals import frac, json_object, json_text
-from .spaces import TWO53, Point, ScaledPoints, scaled_point
+from .spaces import TWO53, Point, ScaledPoints
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class LatticeWalk:
             raise DomainError("horizon must be nonnegative")
         space = system.space
         self.system, self.d, self.n = system, d, n
-        y, scale = scaled_point(space.canonical(y0), math.lcm(
+        y, scale = space.lattice_point(y0, math.lcm(
             self.d.denominator, system.lattice_base))
         self.taken = ScaledPoints([tuple(c * TWO53 for c in y)],
                                   [scale * TWO53])

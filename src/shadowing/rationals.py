@@ -76,6 +76,17 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def json_join(texts: dict) -> str:
+    """``json_text`` of an object of one member or more, byte for byte,
+    from ``texts``, the ``json_text`` of each member by name: the members
+    in sorted order, each text nested two spaces deeper, so no member is
+    encoded again. A JSON string holds no raw newline, so every newline of
+    a text starts one of its lines."""
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(name)}: " + texts[name][:-1].replace("\n", "\n  ")
+        for name in sorted(texts)) + "\n}\n"
+
+
 def jsonable(value):
     """Recursively convert Fractions to 'a/b' strings for JSON output."""
     if isinstance(value, Fraction):

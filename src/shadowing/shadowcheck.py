@@ -57,7 +57,7 @@ from .enclosure import EnclosureSet, SetRecord
 from .errors import DomainError, InvariantViolation, UsageError
 from .pseudotraj import Pseudotrajectory
 from .rationals import frac
-from .spaces import ScaledPoints, scaled_point
+from .spaces import ScaledPoints
 
 
 class Verdict(str, Enum):
@@ -126,15 +126,17 @@ def shadow_sets(system, points, eps) -> SetRecord:
     give their hull, and only other pieces are normalized
     (``enclosure._make``), which raises ``EnclosureCapError`` carrying
     A_n when A_n has more fragments than the cap, read at every call.
-    The circle's ball arc is built inline, by one modulo, from a diameter
-    taken once per unit; the interval's and the annulus's come from
-    ``enclosure._ball``. Each step appends the set's fragments and unit
-    to the record and builds no ``EnclosureSet``. A generated
-    trajectory's scales nest, so W_n is P_n, with no gcd on an
-    untruncated step, and no set is reduced. Where a point's scale is a
-    multiple of the one before it and that one was P_{n-1}, P_n is the
-    scale and the ball's radius eps * P_n is carried across the change
-    by the quotient, with no division by eps's denominator; on the
+    Every ball is built inline, with no call: the circle's arc by one
+    modulo from a diameter taken once per unit, the interval's segment
+    and the annulus's box by cutting the radial segment at the ends of
+    the interval or of the band [1 - w, 1 + w]. Each step appends the
+    set's fragments and unit to the record and builds no
+    ``EnclosureSet``. A generated trajectory's scales nest, so W_n is
+    P_n, with no gcd on an untruncated step, and no set is reduced. Where
+    a point's scale is a multiple of the one before it and that one was
+    P_{n-1}, P_n is the scale, and the ball's radius eps * P_n and the
+    band's half-width w * P_n are carried across the change by the
+    quotient, with no division by the denominator of eps or of w; on the
     annulus and the non-integer slopes that is every step. Otherwise
     (points read from a file, say) A_n is reduced by one gcd
     (``enclosure._reduced``), so its unit never exceeds the lcm of the
@@ -147,6 +149,7 @@ def shadow_sets(system, points, eps) -> SetRecord:
     space, line = system.space, system.line
     circle, interval = space.kind == "circle", space.kind == "interval"
     annulus = not circle and not interval
+    w_num, w_den = space.w_ratio if annulus else (0, 1)
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
     one_piece = line(base) is not None
@@ -164,16 +167,29 @@ def shadow_sets(system, points, eps) -> SetRecord:
             if rem:
                 unit = s if s % base == 0 else math.lcm(s, base)
                 lift, radius = unit // s, eps_num * (unit // eps_den)
+                width = w_num * (unit // w_den)
             else:  # the scales nest, as a generated trajectory's do
-                unit, radius = s, radius * g
+                unit, radius, width = s, radius * g, width * g
             point_scale, diameter = s, 2 * radius
         if circle:  # the ball arc, or the whole circle
             ball = ((0, unit) if diameter >= unit else
                     ((y[0] * lift - radius) % unit, diameter))
-        else:
+        else:  # the ball's segment, cut at the interval's or band's ends
             if lift != 1:
                 y = tuple(c * lift for c in y)
-            ball = enclosure._ball(space, y, radius, unit)
+            lo, hi = y[0] - radius, y[0] + radius
+            floor, ceil = ((unit - width, unit + width) if annulus
+                           else (0, unit))
+            if lo < floor:
+                lo = floor
+            if hi > ceil:
+                hi = ceil
+            if interval:
+                ball = (lo, hi)
+            elif diameter >= unit:  # and the whole circle
+                ball = (lo, hi, 0, unit)
+            else:
+                ball = (lo, hi, (y[1] - radius) % unit, diameter)
         if nums is None:
             nums, u = (ball,), unit
             add_nums(nums)
@@ -304,10 +320,11 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     """Direct re-check: does the orbit of x0 stay within eps of points.
 
     The orbit runs on the integer lattice from x0 over the lcm of its
-    denominator and the map's lattice base, stepped inline by the map's
-    ``tracks``, which makes no call per step. Point n, over its scale s,
-    is compared with the orbit point over z_scale * s * den(eps), by
-    cross-multiplying: no step takes a gcd or builds a lifted point. The
+    denominator and the map's lattice base (``Space.lattice_point``,
+    which checks x0 and reduces its angle there), stepped inline by the
+    map's ``tracks``, which makes no call per step. Point n, over its
+    scale s, is compared with the orbit point over z_scale * s *
+    den(eps), by cross-multiplying: no step takes a gcd or builds a lifted point. The
     map multiplies z_scale by the same q at every step (the lcm of its
     slope denominators). Where s grows by q too, as on every untruncated
     step of a generated spiral or tent trajectory, the lifts of the two
@@ -316,7 +333,7 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     ``Fraction`` points are put on scales first."""
     if not isinstance(points, ScaledPoints):
         points = ScaledPoints.from_points(points)
-    z, z_scale = scaled_point(system.space.canonical(x0), system.lattice_base)
+    z, z_scale = system.space.lattice_point(x0, system.lattice_base)
     return system.tracks(z, z_scale, points, frac(eps))
 
 

@@ -17,11 +17,13 @@ Points enter and leave as ``Fraction`` coordinates (``canonical``,
 common denominator, the point's *scale*: ``ScaledPoints`` holds a
 sequence of such points and builds a point's Fractions only when it is
 read, ``scaled_point(point, base)`` puts a point on the lattice of a
-map whose parameters live over ``base``, ``check_scaled`` tests that
-points lie in the space and ``net_runs`` finds the net balls around a
-point or fragment, all by integer floors, ceilings and cross-multiplied
-comparisons. The net's grid layout is known here alone: ``net_center``
-builds a center, ``net_runs`` inverts the layout.
+map whose parameters live over ``base``, ``Space.lattice_point`` puts
+it there in canonical form, checked and reduced on the lattice,
+``check_scaled`` tests that points lie in the space and ``net_runs``
+finds the net balls around a point or fragment, all by integer floors,
+ceilings and cross-multiplied comparisons. The net's grid layout is
+known here alone: ``net_center`` builds a center, ``net_runs`` inverts
+the layout.
 The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
 so a step at a new scale reads no ``Fraction``; the sampler, which draws
 a point of a ball on the same integers, is the loop of
@@ -162,6 +164,8 @@ class Space:
         """Reduce a point to canonical coordinates, validating the domain
         (``check_scaled``): angular coordinates are reduced mod 1 into
         [0,1) (ties at the wrap resolve to 0). Numeric types are preserved.
+        A point bound for the lattice takes ``lattice_point``, which
+        builds no ``Fraction``.
         """
         if not isinstance(point, (tuple, list)):
             raise UsageError(f"a point is a tuple, got {point!r}")
@@ -171,6 +175,23 @@ class Space:
         if self.kind == "interval":
             return tuple(point)
         return (point[0], point[1] % 1)
+
+    def lattice_point(self, point, base: int = 1) -> tuple:
+        """``scaled_point(self.canonical(point), base)``, with the same
+        errors, but taken on the lattice: the point goes over the lcm of
+        ``base`` and its denominators first, where ``check_scaled`` checks
+        it and the angle is reduced modulo the scale, so no ``Fraction``
+        is built. A point with a float coordinate takes ``canonical``,
+        whose angle is reduced in floating point."""
+        if not isinstance(point, (tuple, list)):
+            raise UsageError(f"a point is a tuple, got {point!r}")
+        if any(isinstance(c, float) for c in point):
+            return scaled_point(self.canonical(point), base)
+        nums, scale = scaled_point(point, base)
+        self.check_scaled(ScaledPoints([nums], [scale]))
+        if self.kind == "interval":
+            return nums, scale
+        return (*nums[:-1], nums[-1] % scale), scale
 
     def check_scaled(self, points: ScaledPoints) -> None:
         """Raise unless every point, numerators over its scale, lies in the

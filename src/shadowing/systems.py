@@ -46,6 +46,7 @@ built, so evaluating at a new scale reads no ``Fraction``.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -480,10 +481,18 @@ def parse_system(text: str):
     Grammar: ``doubling``, ``tent:s=<rational>``, ``rotation:alpha=<rational>``,
     ``annulus:lambda=<rational>,alpha=<rational>,w=<float>``, and
     ``pwl:<breakpoint:slope,...>[,v0=<rational>][,space=circle|interval]``.
-    A spec that is not a string is a ``UsageError``.
+    A spec that is not a string is a ``UsageError``, refused before the
+    cache is asked: the maps are memoized by spec string, and every map
+    is immutable, so all callers in a process share one map per spec.
+    Errors are not cached.
     """
     if not isinstance(text, str):
         raise UsageError(f"a system spec is a string, got {text!r}")
+    return _parse_system(text)
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_system(text: str):
     s = text.strip()
     if s == "doubling":
         return doubling()

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import binomtest
 
 from shadowing import (DomainError, SearchFailure, UsageError, annulus,
-                       annulus_spiral, attractor_quantities, circle,
+                       annulus_spiral, attractor_quantities, bounds, circle,
                        cover_time, delta_for_inclusion, doubling, eta,
                        generate, interval, nonshadow_lower_bound,
                        parse_system, rotation, tent, trial_stream)
@@ -414,6 +414,31 @@ def test_attractor_rejects_bad_inputs():
         attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)), d=F(9, 400))
     with pytest.raises(DomainError):
         attractor_quantities(SPIRAL, F(1, 5), (F(9, 5), F(0)))
+
+
+def test_the_band_record_is_memoized_once_d_is_resolved(monkeypatch,
+                                                        capsys):
+    """A call with d=None and one with the d it resolves to share one
+    record, whatever form the inputs take; a refused d is refused at every
+    call, and so is a start outside the annulus. The ``attractor`` command
+    asks twice (for the default d, then in the run) and computes once."""
+    q = attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)))
+    assert attractor_quantities(SPIRAL, "0.2", ("1.4", 0), d=q.d) is q
+    assert attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)),
+                                d=F(9, 1600)) is not q
+    for _ in range(3):
+        with pytest.raises(DomainError, match="need 0 < d < d0 = 9/400"):
+            attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)), d=q.d0)
+        with pytest.raises(DomainError, match="outside the annulus"):
+            attractor_quantities(SPIRAL, F(1, 5), (F(9, 5), F(0)))
+    calls = []
+    original = bounds.delta_for_inclusion
+    monkeypatch.setattr(bounds, "delta_for_inclusion",
+                        lambda *args: calls.append(args) or original(*args))
+    bounds._band_record.cache_clear()
+    assert main(["attractor", "--trials", "2", "--horizons", "5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_pseudotrajectories_confined_after_entry():

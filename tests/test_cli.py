@@ -433,6 +433,8 @@ def malformed(tmp_path):
             {k: v for k, v in good.items() if k != "d"})), "config needs 'd'"),
         "config-system-5": (config("system", json.dumps({**good, "system": 5})),
                             "a system spec is a string, got 5"),
+        "config-system-list": (config("system-list", json.dumps(
+            {**good, "system": [1]})), "a system spec is a string, got [1]"),
         "config-trials-1.5": (config("float", json.dumps({**good,
                                                           "trials": 1.5})),
                               "must be integers: invalid literal for int() "
@@ -470,6 +472,7 @@ def malformed(tmp_path):
     "csv-wrong-n",
     "csv-n-not-integer", "csv-blank-line", "sidecar-not-json", "sidecar-without-d", "config-not-json",
     "config-trials-x", "config-without-d", "config-system-5",
+    "config-system-list",
     "config-trials-1.5", "config-trials-true", "config-seed-2.0",
     "config-horizons-5.0", "config-horizons-empty", "config-out-5",
     "dichotomy-branch-5", "sidecar-system-5", "csv-not-utf-8",
@@ -670,3 +673,40 @@ def test_importing_the_cli_loads_no_process_pool():
     found = run_python("-c", "import sys, shadowing.cli; "
                              "print('multiprocessing' in sys.modules)")
     assert found.returncode == 0 and found.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command,encodings", [
+    ("estimate", 1), ("dichotomy", 2), ("attractor", 2)])
+def test_the_printed_text_is_the_written_text_encoded_once(
+        tmp_path, capsys, monkeypatch, command, encodings):
+    """With --out, stdout is the bytes of summary.json (``estimate``) or of
+    report.json (``dichotomy``, ``attractor``), and without it the same
+    text is printed. Either way each summary, and the attractor's
+    quantities record, goes through the indented encoder once."""
+    if command == "estimate":
+        argv = ["estimate", "--system", "doubling", "--y0", "0.3", "--d",
+                "0.02", "--eps", "0.05", "--horizons", "10,50", "--trials",
+                "4"]
+    elif command == "dichotomy":
+        path = tmp_path / "dichotomy.json"
+        path.write_text(json.dumps({branch: {"trials": 4}
+                                    for branch in DEFAULT_DICHOTOMY}))
+        argv = ["dichotomy", "--config", str(path)]
+    else:
+        argv = ["attractor", "--trials", "4", "--horizons", "10,50"]
+    indented = []
+    dumps = json.dumps
+
+    def counting_dumps(payload, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(payload)
+        return dumps(payload, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    code, printed, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, len(indented)) == (0, encodings)
+    written = "summary.json" if command == "estimate" else "report.json"
+    assert printed == (tmp_path / "out" / written).read_text()
+    indented.clear()
+    assert run(capsys, *argv) == (0, printed, "")
+    assert len(indented) == encodings

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import stat
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,8 @@ from shadowing import (DomainError, ExperimentConfig, InvariantViolation,
 from shadowing.cli import DEFAULT_DICHOTOMY, main
 from shadowing.experiment import (TrialOutcome, _aggregate, _run_trial,
                                   dichotomy_bound_curve, result_summary)
+from shadowing.pseudotraj import LatticeWalk
+from shadowing.rationals import json_text, jsonable, parse_point
 
 
 def config(**kw):
@@ -64,6 +68,44 @@ def test_config_parses_its_system_once_when_built(monkeypatch, tmp_path,
     cfg = config()
     monkeypatch.setattr(experiment, "parse_system", None)
     assert cfg.system is cfg.system and cfg.system.kind == "rotation"
+
+
+def test_a_rebuilt_config_shares_its_map():
+    """Maps are memoized by spec string: a config rebuilt by ``replace``,
+    as the attractor run rebuilds its config at eps0, shares its map with
+    the config it came from, and so does a new config of the same spec."""
+    cfg = config()
+    assert replace(cfg, eps=F(1, 80)).system is cfg.system
+    assert config(seed=8, trials=2).system is cfg.system
+
+
+@pytest.mark.parametrize("spec,y0", [
+    ("tent:s=3/2", "1.5"), ("tent:s=3/2", "-1/10"), ("doubling", "0.3,0.2"),
+    ("annulus:lambda=1/2,alpha=610/987,w=0.5", "1.6,0"),
+    ("annulus:lambda=1/2,alpha=610/987,w=0.5", "1.4")])
+@pytest.mark.parametrize("source", ["flags", "config-file"])
+def test_a_start_outside_the_space_is_refused_when_the_config_is_built(
+        monkeypatch, tmp_path, capsys, spec, y0, source):
+    """The config checks y0 against its map's space when it is built, with
+    the walk's own error text, so ``estimate --workers 2`` exits 2 before
+    it asks for a pool: the fake pool records no request."""
+    sizes = fake_pool(monkeypatch)
+    with pytest.raises((UsageError, DomainError)) as walk:
+        LatticeWalk(parse_system(spec), parse_point(y0), F(1, 50), 5,
+                    trial_stream(0))
+    data = {"system": spec, "y0": y0, "d": "0.02", "eps": "0.05",
+            "horizons": "5", "trials": "16"}
+    if source == "flags":
+        argv = [f"--{key}={value}" for key, value in data.items()]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        argv = ["--config", str(path)]
+    assert main(["estimate", *argv, "--workers", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {walk.value}\n")
+    assert sizes == []
+    with pytest.raises(type(walk.value), match=re.escape(str(walk.value))):
+        ExperimentConfig.from_dict(data)
 
 
 def test_config_from_dict_parses_exact_rationals():
@@ -252,13 +294,9 @@ def test_determinism_and_worker_independence():
     assert result_summary(a) == result_summary(c)
 
 
-@pytest.mark.parametrize("trials,workers,started", [
-    (2, 64, 1), (16, 2, 2), (17, 64, 3), (40, 2, 2)])
-def test_the_pool_starts_no_more_processes_than_chunks(
-        monkeypatch, trials, workers, started):
-    """A fork-started pool starts all its processes at the first submit,
-    so it is asked for at most one per chunk of 8 trials. The pool here
-    records its size and maps in this process, so no process starts."""
+def fake_pool(monkeypatch) -> list:
+    """Install a process pool that maps in this process, starting none,
+    and records the size asked of it in the list returned."""
     sizes = []
 
     class Pool:
@@ -276,6 +314,17 @@ def test_the_pool_starts_no_more_processes_than_chunks(
             return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("trials,workers,started", [
+    (2, 64, 1), (16, 2, 2), (17, 64, 3), (40, 2, 2)])
+def test_the_pool_starts_no_more_processes_than_chunks(
+        monkeypatch, trials, workers, started):
+    """A fork-started pool starts all its processes at the first submit,
+    so it is asked for at most one per chunk of 8 trials. The pool here
+    records its size and maps in this process, so no process starts."""
+    sizes = fake_pool(monkeypatch)
     cfg = config(trials=trials, horizons=(10,))
     got = estimate_probability(cfg, workers=workers)
     assert sizes == [started]
@@ -569,3 +618,53 @@ def test_attractor_report_and_rejection(tmp_path):
     assert (tmp_path / "report.json").exists()
     with pytest.raises(DomainError):
         run_attractor_experiment(ExperimentConfig(d=F(9, 400), **base))
+
+
+def nested_deeper(members: dict) -> str:
+    """The JSON text of an object whose members have the JSON texts
+    ``members``: each text nested two spaces deeper under its name, in
+    sorted order (written out here line by line, apart from
+    ``json_join``)."""
+    lines = ["{"]
+    for i, name in enumerate(sorted(members)):
+        first, *rest = members[name].rstrip("\n").split("\n")
+        lines += [f'  "{name}": {first}', *("  " + line for line in rest)]
+        if i < len(members) - 1:
+            lines[-1] += ","
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("run", ["dichotomy", "attractor", "no-horizons"])
+def test_report_json_is_its_member_texts_nested_deeper(tmp_path, capsys,
+                                                       run):
+    """report.json holds the text of each branch's summary.json, or of the
+    quantities record and summary.json, nested two spaces deeper, and is
+    the bytes of the whole report encoded at once; stdout is the same
+    bytes. Checked on the default dichotomy and attractor runs and on a
+    dichotomy whose summaries have no horizons (empty lists, an empty
+    bound curve)."""
+    out = tmp_path / run
+    argv = [run]
+    if run == "no-horizons":
+        path = tmp_path / "no-horizons.json"
+        path.write_text(json.dumps({
+            branch: {**given, "horizons": [], "trials": 3}
+            for branch, given in DEFAULT_DICHOTOMY.items()}))
+        argv = ["dichotomy", "--config", str(path)]
+    assert main([*argv, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    if run == "attractor":
+        members = {"quantities": json_text(report["quantities"]),
+                   "result": (out / "summary.json").read_text()}
+    else:
+        members = {f"{branch}_branch":
+                   (out / branch / "summary.json").read_text()
+                   for branch in ("shadowing", "nonshadowing")}
+        if run == "no-horizons":
+            assert report["shadowing_branch"]["horizons"] == []
+            assert report["nonshadowing_branch"]["diagnostics"][
+                "nonshadow_bound_curve"] == []
+    assert text == nested_deeper(members) == json_text(jsonable(report))
+    assert printed == text

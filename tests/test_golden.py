@@ -31,8 +31,9 @@ segment times the normal form of the arcs.
 
 The band-edge annulus ``check`` starts on the band's outer edge (y0 =
 (3/2, 0), d = 1/5, eps = 9/20): the radial range of the eps-ball reaches
-past the band at 149 of its 201 points, so ``_ball`` and the spiral's
-step cut it there, and its verdict is No at step 62. Its digests were
+past the band at 149 of its 201 points, so the ball, built inline in
+``shadow_sets`` as ``enclosure._ball`` builds it, and the spiral's step
+cut it there, and its verdict is No at step 62. Its digests were
 recorded before the spiral's step clipped its box inline and the walk
 and the re-check carried their per-scale constants.
 

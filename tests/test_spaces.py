@@ -7,6 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from shadowing import (DomainError, UsageError, Space, annulus, circle,
@@ -360,3 +361,62 @@ def test_check_scaled_refuses_points_outside_the_space(space, inside,
     with pytest.raises(UsageError, match=r"point 1: .* got 3"):
         space.check_scaled(ScaledPoints([(0,) * space.ndim, (0, 0, 0)],
                                         [1, 1]))
+
+
+# coordinates for the lattice entry: Fractions and floats anywhere, angles
+# below 0 and at or past 1, the interval's ends and points just past them,
+# and radii of the band [2/3, 4/3] (w = 1/3) on and just past its edges
+EDGE = [F(0), F(1), F(-1), F(2), F(1, 3), F(2, 3), F(4, 3), F(-1, 10 ** 9),
+        F(1) + F(1, 10 ** 9), F(2, 3) - F(1, 10 ** 9),
+        F(4, 3) + F(1, 10 ** 9), F(-7, 3), F(5, 2)]
+LATTICE_COORD = st.one_of(
+    st.sampled_from(EDGE),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6),
+    st.sampled_from([0.0, 1.0, -0.3, 1.5, -1e-20, 1 - 2 ** -53, 0.5]),
+    st.floats(min_value=-3, max_value=3, allow_nan=False))
+LATTICE_SPACES = [circle(), interval(), annulus(F(1, 3)), annulus(F(1, 2))]
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of the error it
+    raises."""
+    try:
+        return call()
+    except (UsageError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(space=st.sampled_from(LATTICE_SPACES),
+       point=st.lists(LATTICE_COORD, min_size=0, max_size=3),
+       base=st.sampled_from([1, 2, 3, 987, 2 ** 53, 3 * 610]),
+       as_list=st.booleans())
+@example(space=circle(), point=[F(-1, 3)], base=1, as_list=False)
+@example(space=circle(), point=[-1e-20], base=1, as_list=False)
+@example(space=interval(), point=[F(1)], base=2, as_list=False)
+@example(space=interval(), point=[F(1) + F(1, 10 ** 9)], base=1,
+         as_list=False)
+@example(space=annulus(F(1, 3)), point=[F(4, 3), F(-1, 4)], base=3,
+         as_list=False)
+@example(space=annulus(F(1, 3)), point=[F(4, 3) + F(1, 10 ** 9), F(0)],
+         base=3, as_list=False)
+@example(space=annulus(F(1, 3)), point=[F(2, 3), F(1)], base=1,
+         as_list=True)
+@example(space=annulus(F(1, 3)), point=[F(1)], base=1, as_list=False)
+def test_the_lattice_entry_is_canonical_then_scaled(space, point, base,
+                                                    as_list):
+    """``Space.lattice_point`` equals ``scaled_point`` of ``canonical``,
+    and raises what ``canonical`` raises, with the same text: a wrong
+    count of coordinates, an interval point outside [0, 1] or a radius
+    outside the band. Angles wrap whatever their sign."""
+    p = point if as_list else tuple(point)
+    assert outcome(lambda: space.lattice_point(p, base)) == \
+        outcome(lambda: scaled_point(space.canonical(p), base))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=ids)
+def test_the_lattice_entry_refuses_a_point_that_is_not_a_tuple(space):
+    for bad in (F(1, 2), "0.5", 0.5):
+        for entry in (space.canonical, space.lattice_point):
+            with pytest.raises(UsageError, match="a point is a tuple"):
+                entry(bad)

@@ -389,3 +389,19 @@ def test_parse_system_grammar():
         parse_system("squaring")
     with pytest.raises(UsageError):
         parse_system("rotation:beta=1/4")
+
+
+def test_maps_are_memoized_by_spec_and_errors_are_not():
+    """One map per spec string in a process; a spec that is not a string
+    is refused before the cache is asked, so an unhashable one is a
+    ``UsageError`` too, not a ``TypeError``; a refused spec is refused
+    again at every call."""
+    spec = "annulus:lambda=1/2,alpha=610/987,w=0.5"
+    assert parse_system(spec) is parse_system(spec)
+    assert parse_system("doubling") is parse_system("doubling")
+    for bad in (["doubling"], {"doubling": 1}, 5, None):
+        with pytest.raises(UsageError, match="a system spec is a string"):
+            parse_system(bad)
+    for _ in range(2):
+        with pytest.raises(UsageError, match="unknown system spec"):
+            parse_system("squaring")
