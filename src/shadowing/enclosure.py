@@ -1,7 +1,8 @@
-"""Canonical finite unions of arcs, segments and boxes.
+"""Canonical finite unions of segments and arcs, and their products.
 
 An ``EnclosureSet`` represents a closed subset of a space as a sorted tuple
-of fragments whose interiors are pairwise disjoint:
+of fragments whose interiors are pairwise disjoint, and on the annulus a
+radial segment that they share:
 
 * interval: segments ``(lo, hi)`` with 0 <= lo <= hi <= 1, sorted and
   merged where they overlap or touch, so no two touch;
@@ -9,19 +10,21 @@ of fragments whose interiors are pairwise disjoint:
   the segment form of the arcs cut at 0, its first and last segments
   joined back into one arc when they meet at 0 (the full circle is the
   single fragment ``(0, 1)``);
-* annulus: boxes ``(rlo, rhi, astart, alength)``: one radial segment,
-  shared by every box, times the circle's normal form of their arcs (the
-  whole circle gives the full ring ``(rlo, rhi, 0, 1)``). Every annulus
-  set is such a product, since a ball of the max metric is a box and the
-  spiral's images and all intersections keep products.
+* annulus: one radial segment ``(rlo, rhi)``, the set's ``radial``, times
+  arcs in the circle's normal form (the whole circle gives the full ring).
+  Every annulus set is such a product, since a ball of the max metric is
+  one and the spiral's images and all intersections keep products. The
+  ``fragments`` read out are boxes ``(rlo, rhi, astart, alength)``, one
+  per arc.
 
 Each form depends only on the point set, so ``EnclosureSet.__eq__``, which
 compares fragments, is equality of sets, however the fragments given to
-``_make`` overlap or were cut.
+``_make`` overlap or were cut. An empty fragment tuple is the empty set,
+whatever its radial segment.
 
-Every fragment coordinate is a Python integer, a numerator over the
-set's ``unit``, a positive integer *scale*: the arc, segment and box
-algebra only adds, compares and reduces modulo ``unit``. Values enter as
+Every coordinate is a Python integer, a numerator over the set's
+``unit``, a positive integer *scale*: the segment and arc algebra only
+adds, compares and reduces modulo ``unit``. Values enter as
 ``Fraction`` coordinates only through ``ball_set``, which puts them on
 integers once with ``scaled_point``, over the lcm of the denominators of
 the center, the radius and, on the annulus, w, and leave only through
@@ -31,14 +34,14 @@ over the lcm of the two (``shadowcheck.shadow_sets``).
 
 A single fragment is a normal form as it stands, once a full arc is
 written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``)
-relies on that, clipping every image piece to the ball fragment of
-``_ball``, which it builds inline, and calling ``_make`` only when
-more than one piece is left (the touching pieces of one interval
-fragment are joined into their hull).
+relies on that, clipping every image piece to the ball of ``_ball``,
+which it builds inline, and calling ``_make`` only when more than one
+arc is left (an interval shadow set is always one segment).
 
 A ``SetRecord`` holds a run of sets, the shadow sets of a decision, as
-bare fragment tuples and units, as ``spaces.ScaledPoints`` holds points:
-reading a set by index builds its ``EnclosureSet``.
+bare fragment tuples, units and radial segments, as
+``spaces.ScaledPoints`` holds points: reading a set by index builds its
+``EnclosureSet``.
 
 Every set equals the abstract set it stands for. ``_make`` is the one
 place that checks the fragment cap: a normal form with more fragments
@@ -98,42 +101,35 @@ def _normalize_segs(segs):
     return merged
 
 
-# -- annulus boxes -------------------------------------------------------
-
-def _normalize_boxes(boxes, unit):
-    """The box normal form of the module doc: the one radial segment of
-    the nonempty boxes times the normal form of their arcs."""
-    kept = [b for b in boxes if b[0] <= b[1] and b[3] >= 0]
-    if len({b[:2] for b in kept}) > 1:
-        raise UsageError("annulus boxes must share one radial segment")
-    return [(*kept[0][:2], s, l)
-            for s, l in _normalize_arcs([b[2:] for b in kept], unit)]
-
-
 # -- the set type --------------------------------------------------------
 
 class EnclosureSet:
     """A canonical union of fragments of ``space`` (see the module doc).
 
-    ``EnclosureSet(space, nums, unit)`` holds fragments whose ``nums`` are
-    integer numerators over the integer ``unit``; their ``fragments`` are
-    the ``Fraction`` values, built on first read. No method changes an
-    instance once built.
+    ``EnclosureSet(space, nums, unit, radial)`` holds fragments whose
+    ``nums`` are integer numerators over the integer ``unit``: segments on
+    the interval, arcs on the circle and the annulus, where ``radial``,
+    the radial segment ``(rlo, rhi)`` over the same unit, multiplies them
+    (None elsewhere). Their ``fragments`` are the ``Fraction`` values,
+    built on first read. No method changes an instance once built.
     """
 
-    __slots__ = ("space", "nums", "unit", "_values")
+    __slots__ = ("space", "nums", "unit", "radial", "_values")
 
-    def __init__(self, space: Space, nums, unit: int):
+    def __init__(self, space: Space, nums, unit: int, radial=None):
         self.space = space
         self.nums = tuple(nums)
         self.unit = unit
+        self.radial = radial
         self._values = None
 
     @property
     def fragments(self) -> tuple:
         if self._values is None:
-            self._values = tuple(tuple(Fraction(c, self.unit) for c in f)
-                                 for f in self.nums)
+            segment = self.radial or ()  # on the annulus, one box per arc
+            self._values = tuple(
+                tuple(Fraction(c, self.unit) for c in segment + f)
+                for f in self.nums)
         return self._values
 
     def __eq__(self, other):
@@ -154,97 +150,94 @@ class EnclosureSet:
     def fragment_count(self) -> int:
         return len(self.nums)
 
+    def _sizes(self) -> list:
+        """The measure of each fragment over unit ** ndim: on the annulus
+        an arc's length times the radial segment's."""
+        if self.space.kind == "interval":
+            return [hi - lo for lo, hi in self.nums]
+        rlo, rhi = self.radial or (0, 1)  # off the annulus, a height of 1
+        return [l * (rhi - rlo) for _, l in self.nums]
+
     def measure(self):
-        kind = self.space.kind
-        if kind == "circle":
-            total = sum(l for _, l in self.nums)
-        elif kind == "interval":
-            total = sum(hi - lo for lo, hi in self.nums)
-        else:
-            total = sum((rhi - rlo) * l for rlo, rhi, _, l in self.nums)
-        return Fraction(total, self.unit ** self.space.ndim)
+        return Fraction(sum(self._sizes()), self.unit ** self.space.ndim)
 
     def _largest(self):
         if self.is_empty():
             raise UsageError("cannot pick a point from an empty set")
-        kind = self.space.kind
-        if kind == "circle":
-            return max(self.nums, key=lambda f: (f[1], -f[0]))
-        if kind == "interval":
-            return max(self.nums, key=lambda f: (f[1] - f[0], -f[0]))
-        return max(self.nums, key=lambda f: ((f[1] - f[0]) * f[3], -f[0]))
+        return max(zip(self._sizes(), self.nums),
+                   key=lambda sf: (sf[0], -sf[1][0]))[1]
 
     def pick_scaled(self):
         """Deterministic representative, as numerators over twice the
         unit: the midpoint of the largest fragment, ties going to the
-        smallest start."""
+        smallest start, and on the annulus of the radial segment."""
         f = self._largest()
         u2 = 2 * self.unit
-        kind = self.space.kind
-        if kind == "circle":
-            return ((2 * f[0] + f[1]) % u2,), u2
-        if kind == "interval":
+        if self.space.kind == "interval":
             return (f[0] + f[1],), u2
-        return (f[0] + f[1], (2 * f[2] + f[3]) % u2), u2
+        radius = () if self.radial is None else (sum(self.radial),)
+        return (*radius, (2 * f[0] + f[1]) % u2), u2
 
 
 class SetRecord(Sequence):
-    """Sets of one space held as bare fragment tuples and units.
+    """Sets of one space held as bare fragment tuples, units and radial
+    segments.
 
-    Set n is ``nums[n]`` over ``units[n]``. Indexing builds that set's
+    Set n is ``nums[n]`` over ``units[n]``, times ``radials[n]`` on the
+    annulus (None elsewhere). Indexing builds that set's
     ``EnclosureSet``; slicing returns another SetRecord and builds none.
     """
 
-    __slots__ = ("space", "nums", "units")
+    __slots__ = ("space", "nums", "units", "radials")
 
-    def __init__(self, space: Space, nums: list, units: list):
+    def __init__(self, space: Space, nums: list, units: list, radials: list):
         self.space = space
         self.nums = nums
         self.units = units
+        self.radials = radials
 
     @classmethod
     def of(cls, sets) -> "SetRecord":
         """The record of a nonempty sequence of ``EnclosureSet``s."""
         return cls(sets[0].space, [s.nums for s in sets],
-                   [s.unit for s in sets])
+                   [s.unit for s in sets], [s.radial for s in sets])
 
     def __len__(self) -> int:
         return len(self.nums)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return SetRecord(self.space, self.nums[i], self.units[i])
-        return EnclosureSet(self.space, self.nums[i], self.units[i])
+            return SetRecord(self.space, self.nums[i], self.units[i],
+                             self.radials[i])
+        return EnclosureSet(self.space, self.nums[i], self.units[i],
+                            self.radials[i])
 
 
-def _reduced(nums, unit: int, base: int) -> tuple:
-    """(nums, unit): the same fragments over the smallest unit that is a
-    multiple of ``base`` (one gcd over all numerators)."""
-    g = math.gcd(unit // base, *chain.from_iterable(nums))
+def _reduced(nums, unit: int, base: int, radial) -> tuple:
+    """(nums, unit, radial): the same set over the smallest unit that is
+    a multiple of ``base`` (one gcd over all numerators)."""
+    g = math.gcd(unit // base, *chain.from_iterable(nums), *(radial or ()))
     if g == 1:
-        return nums, unit
-    return tuple(tuple(c // g for c in f) for f in nums), unit // g
+        return nums, unit, radial
+    return (tuple(tuple(c // g for c in f) for f in nums), unit // g,
+            radial and (radial[0] // g, radial[1] // g))
 
 
-def _make(space: Space, fragments, unit) -> EnclosureSet:
+def _make(space: Space, fragments, unit, radial=None) -> EnclosureSet:
     """The normal form, over ``unit``, of fragments whose coordinates are
-    numerators over it.
+    numerators over it: segments on the interval, arcs elsewhere, which
+    on the annulus ``radial`` multiplies.
 
     Overlapping or touching fragments are merged exactly (see the module
-    doc). On the annulus the nonempty boxes must share one radial segment,
-    as every annulus set does: boxes stacked radially are a
-    ``UsageError``. Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call
-    time, it fails with ``EnclosureCapError``, whose ``partial`` is the
-    normal form; no other routine checks the cap.
+    doc). Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call time, it
+    fails with ``EnclosureCapError``, whose ``partial`` is the normal
+    form; no other routine checks the cap.
     """
-    kind = space.kind
-    if kind == "circle":
-        frags = _normalize_arcs(fragments, unit)
-    elif kind == "interval":
+    if space.kind == "interval":
         frags = _normalize_segs(fragments)
     else:
-        frags = _normalize_boxes(fragments, unit)
-    es = EnclosureSet(space, frags, unit)
+        frags = _normalize_arcs(fragments, unit)
+    es = EnclosureSet(space, frags, unit, radial)
     if len(frags) > DEFAULT_FRAGMENT_CAP:
         raise EnclosureCapError(f"fragment cap {DEFAULT_FRAGMENT_CAP} "
                                 "exceeded for exact enclosure", partial=es)
@@ -259,29 +252,27 @@ def ball_set(space: Space, center, radius) -> EnclosureSet:
         raise UsageError("ball radius must be positive")
     base = space.w_ratio[1] if space.kind == "annulus" else 1
     nums, unit = scaled_point((*center, radius), base)
-    return EnclosureSet(space, (_ball(space, nums[:-1], nums[-1], unit),),
-                        unit)
+    return _ball(space, nums[:-1], nums[-1], unit)
 
 
-def _ball(space: Space, center, radius, unit) -> tuple:
-    """The single fragment of ball_set, with center and radius given as
-    numerators over unit (on the annulus a multiple of the denominator of
-    w). ``shadowcheck.shadow_sets`` builds the same fragment inline, with
-    w over the unit carried across its steps."""
+def _ball(space: Space, center, radius, unit) -> EnclosureSet:
+    """``ball_set`` with center and radius given as numerators over unit
+    (on the annulus a multiple of the denominator of w): the segment of
+    the interval point or the radius, cut at the ends of the interval or
+    of the band [1 - w, 1 + w], and the arc of the angle.
+    ``shadowcheck.shadow_sets`` builds the same ball inline, with w over
+    the unit carried across its steps."""
     kind = space.kind
-    if kind == "circle":
-        if 2 * radius >= unit:
-            return (0, unit)
-        return ((center[0] - radius) % unit, 2 * radius)
-    if kind == "interval":
-        return (max(center[0] - radius, 0), min(center[0] + radius, unit))
-    w_num, w_den = space.w_ratio
-    w = w_num * (unit // w_den)
-    rlo, rhi, diameter = center[0] - radius, center[0] + radius, 2 * radius
-    if rlo < unit - w:
-        rlo = unit - w
-    if rhi > unit + w:
-        rhi = unit + w
-    if diameter >= unit:
-        return (rlo, rhi, 0, unit)
-    return (rlo, rhi, (center[1] - radius) % unit, diameter)
+    radial = None
+    if kind != "circle":
+        floor, ceil = 0, unit
+        if kind == "annulus":
+            w = space.w_ratio[0] * (unit // space.w_ratio[1])
+            floor, ceil = unit - w, unit + w
+        radial = (max(center[0] - radius, floor),
+                  min(center[0] + radius, ceil))
+        if kind == "interval":
+            return EnclosureSet(space, (radial,), unit)
+    arc = ((0, unit) if 2 * radius >= unit else
+           ((center[-1] - radius) % unit, 2 * radius))
+    return EnclosureSet(space, (arc,), unit, radial)

@@ -19,21 +19,25 @@ step on a map of one linear piece: its constants for the unit
 (``line``), carried across each change of unit, map each fragment of A_n
 inside the loop. A map with corners hands the loop the image pieces of
 each fragment from its step for the two units (``image_step``), kept
-while they stay. The loop clips every image piece to the ball. One piece
-or none is the next set as it stands, the touching pieces of an interval
-set, always one segment, give their hull, and only other pieces are put
-in normal form. The sets are kept as a ``SetRecord``, each set's bare
-fragments and unit, and a set object is built only when a set is read by
-index.
+while they stay. Every set is a segment factor times an arc factor: an
+interval set is one segment, a circle set is arcs, and an annulus set is
+one radial segment times arcs. So a step is a segment step, which maps
+the segment and cuts it at the ball's, and an arc step, which clips
+every image arc to the ball's; the annulus takes both. One arc or none
+is the next arc factor as it stands, and only more arcs are put in
+normal form. The sets are kept as a ``SetRecord``, each set's bare
+fragments, unit and radial segment, and a set object is built only when
+a set is read by index.
 The pull-back and the re-check are loops that the map runs itself, each
 with no call per step (its ``pull_back`` and ``tracks``). A pull-back step
 takes the preimages of its point on a scale that grows by the slope
 numerators, and reads each on the shadow set's own unit by one division,
-comparing it inline with the set's arc, segment or box, so no fragment is
-lifted to the growing scale. A re-check step applies the map on the
-integer lattice and compares the orbit point with the trajectory point
-by cross-multiplying their scales (``orbit_tracks``): no gcd, no table
-and no lifted point.
+comparing it inline with the set's segment or arcs (on the annulus, the
+radius with the radial segment, then the angle with the arcs), so no
+fragment is lifted to the growing scale. A re-check step applies the map
+on the integer lattice and compares the orbit point with the trajectory
+point by cross-multiplying their scales (``orbit_tracks``): no gcd, no
+table and no lifted point.
 A shadow set whose normal form has more fragments than the fragment cap
 raises ``EnclosureCapError`` instead of giving a verdict; the image
 f(A_n) alone is never put in normal form, so its size does not count.
@@ -102,46 +106,48 @@ class HorizonVerdicts:
 def shadow_sets(system, points, eps) -> SetRecord:
     """The shadow sets A_0, A_1, ..., up to and including the first empty
     one, of points given as (numerators, scale) pairs, as a ``SetRecord``
-    of each set's bare fragments and unit. A point is read only when its
-    set is built, so a ``LatticeWalk`` samples none after that.
+    of each set's bare fragments, unit and radial segment. A point is
+    read only when its set is built, so a ``LatticeWalk`` samples none
+    after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map) and lifted to W_n, the lcm of P_n and the
     unit of the image of A_{n-1}. A map of one linear piece (doubling,
     the rotations, the spiral) hands over its piece for the unit of
-    A_{n-1} as constants (``line``): each fragment's image is one arc,
-    segment or box, mapped inside the loop by those constants times W_n
-    over the image's unit. They are worked out again only when either
+    A_{n-1} as constants (``line``): the image of each segment and arc is
+    one segment or arc, mapped inside the loop by those constants times
+    W_n over the image's unit. They are worked out again only when either
     unit changes, so doubling and the rotations take them once per
     trajectory; the map's own constants are carried to the next set's
     unit by the factor of the step, so they are asked of the map only at
     the first step and after a set is reduced, and the spiral neither
-    builds a closure nor divides by alpha's denominator at each step. A map
-    with corners makes its step for the two units (``image_step``) again
-    only when either changes, and gives the image pieces of each fragment
-    by the corner walk. Every image piece is clipped to the ball in the
-    loop, by the one arc clip (a box meets the ball's radial segment by
-    comparison first). One clipped piece or none is the next set as it
-    stands, the touching pieces of an interval set, always one segment,
-    give their hull, and only other pieces are normalized
+    builds a closure nor divides by alpha's denominator at each step. A
+    map with corners makes its step for the two units (``image_step``)
+    again only when either changes, and gives the image pieces of each
+    fragment by the corner walk. The segment step, on the interval and on
+    the annulus's radius, cuts the image segment at the ball's (the
+    touching pieces of a segment's image give their hull); the arc step,
+    on the circle and the annulus's angle, clips every image arc to the
+    ball's by the one arc clip, and has no arcs to clip on the annulus
+    once the radial segment is cut empty. One clipped arc or none is the
+    next arc factor as it stands, and only more arcs are normalized
     (``enclosure._make``), which raises ``EnclosureCapError`` carrying
     A_n when A_n has more fragments than the cap, read at every call.
-    Every ball is built inline, with no call: the circle's arc by one
-    modulo from a diameter taken once per unit, the interval's segment
-    and the annulus's box by cutting the radial segment at the ends of
-    the interval or of the band [1 - w, 1 + w]. Each step appends the
-    set's fragments and unit to the record and builds no
-    ``EnclosureSet``. A generated trajectory's scales nest, so W_n is
-    P_n, with no gcd on an untruncated step, and no set is reduced. Where
-    a point's scale is a multiple of the one before it and that one was
-    P_{n-1}, P_n is the scale, and the ball's radius eps * P_n and the
-    band's half-width w * P_n are carried across the change by the
-    quotient, with no division by the denominator of eps or of w; on the
-    annulus and the non-integer slopes that is every step. Otherwise
-    (points read from a file, say) A_n is reduced by one gcd
-    (``enclosure._reduced``), so its unit never exceeds the lcm of the
-    denominators that A_{n-1} and the ball really carry. eps is read by
-    ``frac`` and converted to integers once.
+    Every ball is built inline, with no call: its arc by one modulo from
+    a diameter taken once per unit, its segment by cutting at the ends of
+    the interval or of the band [1 - w, 1 + w], taken once per unit. Each
+    step appends the set's fragments, unit and radial segment to the
+    record and builds no ``EnclosureSet``. A generated trajectory's
+    scales nest, so W_n is P_n, with no gcd on an untruncated step, and
+    no set is reduced. Where a point's scale is a multiple of the one
+    before it and that one was P_{n-1}, P_n is the scale, and the ball's
+    radius eps * P_n and the band's half-width w * P_n are carried across
+    the change by the quotient, with no division by the denominator of
+    eps or of w; on the annulus and the non-integer slopes that is every
+    step. Otherwise (points read from a file, say) A_n is reduced by one
+    gcd (``enclosure._reduced``), so its unit never exceeds the lcm of
+    the denominators that A_{n-1} and the ball really carry. eps is read
+    by ``frac`` and converted to integers once.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -155,12 +161,14 @@ def shadow_sets(system, points, eps) -> SetRecord:
     one_piece = line(base) is not None
     if not one_piece:
         image_step = system.image_step
-    record = SetRecord(space, [], [])
+    record = SetRecord(space, [], [], [])
     add_nums, add_unit = record.nums.append, record.units.append
-    nums = None
+    add_radial = record.radials.append
+    nums = radial = None
     point_scale = step_u = step_unit = line_u = None
     lift = 0  # no radius to carry yet
-    c1 = f1 = 0  # the angle's constants, on the annulus
+    cs = fs = ca = fa = 0  # the segment's and the arc's constants
+    blo = bhi = bs = bl = 0  # the ball's segment and arc
     for y, s in points:
         if s != point_scale:
             g, rem = divmod(s, point_scale) if lift == 1 else (0, 1)
@@ -171,29 +179,25 @@ def shadow_sets(system, points, eps) -> SetRecord:
             else:  # the scales nest, as a generated trajectory's do
                 unit, radius, width = s, radius * g, width * g
             point_scale, diameter = s, 2 * radius
-        if circle:  # the ball arc, or the whole circle
-            ball = ((0, unit) if diameter >= unit else
-                    ((y[0] * lift - radius) % unit, diameter))
-        else:  # the ball's segment, cut at the interval's or band's ends
-            if lift != 1:
-                y = tuple(c * lift for c in y)
-            lo, hi = y[0] - radius, y[0] + radius
-            floor, ceil = ((unit - width, unit + width) if annulus
-                           else (0, unit))
-            if lo < floor:
-                lo = floor
-            if hi > ceil:
-                hi = ceil
-            if interval:
-                ball = (lo, hi)
-            elif diameter >= unit:  # and the whole circle
-                ball = (lo, hi, 0, unit)
-            else:
-                ball = (lo, hi, (y[1] - radius) % unit, diameter)
+            floor, ceil = (unit - width, unit + width) if annulus \
+                else (0, unit)
+        if lift != 1:
+            y = tuple(c * lift for c in y)
+        if not circle:  # the ball's segment, cut at the ends
+            blo, bhi = y[0] - radius, y[0] + radius
+            if blo < floor:
+                blo = floor
+            if bhi > ceil:
+                bhi = ceil
+        if not interval:  # the ball's arc, or the whole circle
+            bs, bl = ((0, unit) if diameter >= unit else
+                      ((y[-1] - radius) % unit, diameter))
         if nums is None:
-            nums, u = (ball,), unit
+            nums, u = ((blo, bhi),) if interval else ((bs, bl),), unit
+            radial = (blo, bhi) if annulus else None
             add_nums(nums)
             add_unit(u)
+            add_radial(radial)
             continue
         if u != step_u or unit != step_unit:  # new units: W and the image
             step_u, step_unit = u, unit
@@ -203,103 +207,89 @@ def shadow_sets(system, points, eps) -> SetRecord:
                 # the map's constants are for line_u: carried from the
                 # step before, unless u was reduced since
                 if u != line_u:
-                    if annulus:
-                        q, c0, f0, c1, f1 = line(u)
-                    else:
-                        q, c0, f0 = line(u)
+                    # the segment's constants, then the arc's; a circle
+                    # or interval map has one pair, for whichever it has
+                    q, *consts = line(u)
+                    cs, fs, ca, fa = consts if annulus else consts * 2
                 out = u * q
                 if unit == out:  # the image's unit: no lift
                     w, m = out, 1
-                    cm0, fm0, cm1, fm1 = c0, f0, c1, f1
+                    cms, fms, cma, fma = cs, fs, ca, fa
                 else:
                     w = math.lcm(out, unit)
                     m = w // out
-                    cm0, fm0, cm1, fm1 = c0 * m, f0 * m, c1 * m, f1 * m
+                    cms, fms, cma, fma = cs * m, fs * m, ca * m, fa * m
                 g = q * m  # w / u: the next step's u, unless reduced
                 if g != 1:
-                    c0, c1 = c0 * g, c1 * g
+                    cs, ca = cs * g, ca * g
                 line_u = w
         if unit != w:
-            ball = tuple(c * (w // unit) for c in ball)
-        if circle:
-            bs, bl = ball
-        elif interval:
-            blo, bhi = ball
-        else:
-            blo, bhi, bs, bl = ball
-        # every image piece is clipped to the ball below; a one-piece
-        # map's pieces are its fragments, mapped there by its constants
-        if one_piece:
-            pieces = nums
-        elif len(nums) == 1:
-            pieces = step(nums[0])
-        else:
-            pieces = [p for f in nums for p in step(f)]
-        got = ()
-        for piece in pieces:
-            if circle:
-                fx, fl = piece
+            k = w // unit
+            blo, bhi, bs, bl = blo * k, bhi * k, bs * k, bl * k
+        if not circle:
+            # the segment step: the image of the interval's one segment
+            # or of the annulus's radial segment, cut at the ball's
+            if one_piece:
+                lo, hi = radial if annulus else nums[0]
+                lo, hi = cms + fms * lo, cms + fms * hi
+                if lo > hi:
+                    lo, hi = hi, lo
+            else:
+                # the image pieces of a segment touch, so their union
+                # is their hull
+                los, his = zip(*step(nums[0]))
+                lo, hi = min(los), max(his)
+            if lo < blo:
+                lo = blo
+            if hi > bhi:
+                hi = bhi
+            if interval:
+                nums = ((lo, hi),) if lo <= hi else ()
+            else:
+                radial = (lo, hi)
+                if lo > hi:  # the empty set, whatever its arcs
+                    nums = ()
+        if not interval:
+            # the arc step: every image arc clipped to the ball's; a
+            # one-piece map's arcs are its fragments, mapped here by its
+            # constants
+            if one_piece:
+                pieces = nums
+            elif len(nums) == 1:
+                pieces = step(nums[0])
+            else:
+                pieces = [p for f in nums for p in step(f)]
+            got = ()
+            for fx, fl in pieces:
                 if one_piece:
-                    fx, fl = cm0 + fm0 * fx, fm0 * fl
+                    fx, fl = cma + fma * fx, fma * fl
                     if fl < 0:
                         fx, fl = fx + fl, -fl
-                head = ()
-            elif interval:
-                lo, hi = piece
-                if one_piece:
-                    lo, hi = cm0 + fm0 * lo, cm0 + fm0 * hi
-                    if lo > hi:
-                        lo, hi = hi, lo
-                if lo < blo:
-                    lo = blo
-                if hi > bhi:
-                    hi = bhi
-                if lo <= hi:
-                    got += ((lo, hi),)
-                continue
-            else:  # a box: its radial segment, then its arc as a circle's
-                lo, hi, fx, fl = piece
-                if one_piece:
-                    lo, hi = cm0 + fm0 * lo, cm0 + fm0 * hi
-                    fx, fl = cm1 + fm1 * fx, fm1 * fl
-                if lo < blo:
-                    lo = blo
-                if hi > bhi:
-                    hi = bhi
-                if lo > hi:
+                # the arc from fx over the length fl met with the ball's
+                # arc (bs, bl), bs in [0, w): at most two pieces, the one
+                # from the ball's start first; t is where the meet begins
+                # past fx
+                if fl >= w:
+                    got += ((bs, bl),)
                     continue
-                head = (lo, hi)
-            # the arc from fx over the length fl met with the ball's arc
-            # (bs, bl), bs in [0, w): at most two pieces, the one from
-            # the ball's start first; t is where the meet begins past fx
-            if fl >= w:
-                got += (head + (bs, bl),)
-                continue
-            fx %= w
-            if bl >= w:
-                got += (head + (fx, fl),)
-                continue
-            t = (bs - fx) % w
-            if t <= fl:
-                got += (head + (bs, bl if t + bl <= fl else fl - t),)
-            t += bl - w
-            if t >= 0:
-                got += (head + (fx, t if t <= fl else fl),)
-        if len(got) < 2:
-            nums = got
-        elif interval:
-            # an interval shadow set is one segment (the image of a
-            # segment met with a ball), and the clipped pieces of its
-            # image touch, so their union is their hull
-            los, his = zip(*got)
-            nums = ((min(los), max(his)),)
-        else:
-            nums = enclosure._make(space, got, w).nums
+                fx %= w
+                if bl >= w:
+                    got += ((fx, fl),)
+                    continue
+                t = (bs - fx) % w
+                if t <= fl:
+                    got += ((bs, bl if t + bl <= fl else fl - t),)
+                t += bl - w
+                if t >= 0:
+                    got += ((fx, t if t <= fl else fl),)
+            nums = got if len(got) < 2 else \
+                enclosure._make(space, got, w, radial).nums
         u = w
         if u != unit:
-            nums, u = enclosure._reduced(nums, u, base)
+            nums, u, radial = enclosure._reduced(nums, u, base, radial)
         add_nums(nums)
         add_unit(u)
+        add_radial(radial)
         if not nums:
             break
     return record
@@ -313,6 +303,7 @@ def shadow_set_forward(system, traj: Pseudotrajectory, eps) -> SetRecord:
     more = len(points) - len(sets)
     sets.nums.extend([sets.nums[-1]] * more)
     sets.units.extend([sets.units[-1]] * more)
+    sets.radials.extend([sets.radials[-1]] * more)
     return sets
 
 
@@ -351,14 +342,15 @@ def pull_back_witness(system, sets, m):
     short of its fragment's upper end when the division leaves a remainder
     (the value then lies strictly inside the next lattice cell). a lies in
     the arc (s, l) when (a - s) mod unit <= l - short, and in the segment
-    (lo, hi), which does not wrap, when lo <= a <= hi - short; a box tests
-    both. So no fragment is lifted to the growing scale, and only the
+    (lo, hi), which does not wrap, when lo <= a <= hi - short; on the
+    annulus the radius takes the segment test and the angle the arc
+    test. So no fragment is lifted to the growing scale, and only the
     witness is turned into Fractions. A plain sequence of
     ``EnclosureSet``s is put in a ``SetRecord`` first."""
     if not isinstance(sets, SetRecord):
         sets = SetRecord.of(sets)
     x, scale = sets[m].pick_scaled()
-    found = system.pull_back(x, scale, sets.nums, sets.units, m)
+    found = system.pull_back(x, scale, sets, m)
     if found is None:
         return None
     x, scale = found

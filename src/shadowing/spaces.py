@@ -163,18 +163,19 @@ class Space:
     def canonical(self, point) -> Point:
         """Reduce a point to canonical coordinates, validating the domain
         (``check_scaled``): angular coordinates are reduced mod 1 into
-        [0,1) (ties at the wrap resolve to 0). Numeric types are preserved.
+        [0,1) (ties at the wrap resolve to 0), twice, since a float just
+        below 0 rounds up to 1.0 once. Numeric types are preserved.
         A point bound for the lattice takes ``lattice_point``, which
         builds no ``Fraction``.
         """
         if not isinstance(point, (tuple, list)):
             raise UsageError(f"a point is a tuple, got {point!r}")
         if self.kind == "circle" and len(point) == 1:  # needs only its count
-            return (point[0] % 1,)
+            return (point[0] % 1 % 1,)
         self.check_scaled(ScaledPoints.from_points([point]))
         if self.kind == "interval":
             return tuple(point)
-        return (point[0], point[1] % 1)
+        return (point[0], point[1] % 1 % 1)
 
     def lattice_point(self, point, base: int = 1) -> tuple:
         """``scaled_point(self.canonical(point), base)``, with the same

@@ -38,8 +38,9 @@ and nothing else. Every image piece is clipped to its ball in
 ``apply_set``, the image of a whole set that the cover search takes,
 puts the corner walk's pieces for every fragment in normal form with
 ``enclosure._make``; on a map of one piece that walk crosses no corner.
-The spiral has no set step of its own: ``shadow_sets`` maps its boxes on
-its ``line``.
+The spiral has no set step of its own: ``shadow_sets`` maps its radial
+segment and its arcs on its ``line``, with the interval's segment step
+and the circle's arc step.
 Each map converts its ``Fraction`` parameters to integers once, when it is
 built, so evaluating at a new scale reads no ``Fraction``.
 """
@@ -244,13 +245,14 @@ class PiecewiseLinearMap:
         return enclosure._make(space, [p for f in nums for p in step(f)],
                                out)
 
-    def pull_back(self, point, scale, frags, units, m):
+    def pull_back(self, point, scale, sets, m):
         """``shadowcheck.pull_back_witness``'s loop, which says how a
         candidate is tested: the point, numerators over ``scale`` (a
-        multiple of lattice_base), pulled back through the sets
-        ``frags[n]`` over ``units[n]`` for n = m - 1, ..., 0. Returns
-        (numerators, scale), or None where a step finds no preimage in
-        its set. No call per step and nothing built per candidate.
+        multiple of lattice_base), pulled back through the record's sets
+        ``sets.nums[n]`` over ``sets.units[n]`` for n = m - 1, ..., 0.
+        Returns (numerators, scale), or None where a step finds no
+        preimage in its set. No call per step and nothing built per
+        candidate.
 
         With k = scale / lattice_base and (j, r) = divmod(x, k), the point
         is (j + r/k) / lattice_base, so which pieces and windings J = j +
@@ -262,6 +264,7 @@ class PiecewiseLinearMap:
         piece, and on the circle 1 comes after 0; a twin gets the same
         test as the first, so it never moves the first hit."""
         p, base, circle, pieces = self._pieces
+        frags, units = sets.nums, sets.units
         x = point[0]
         k = scale // base
         for n in range(m - 1, -1, -1):
@@ -380,15 +383,17 @@ class AnnulusSpiral:
         p, q, a, b = self._lattice
         return q, (q - p) * unit, p, a * (unit * q // b), q
 
-    def pull_back(self, point, scale, frags, units, m):
+    def pull_back(self, point, scale, sets, m):
         """``shadowcheck.pull_back_witness``'s loop on the annulus, as the
         circle maps' ``pull_back``: the one preimage over the scale times
         p, lam's numerator, is (out + q * (r - scale), theta * p - alpha *
         out), out that scale, and none where its radius is more than w *
         out from out. w * out and alpha * out are taken once and carried
-        by p."""
+        by p. Each step tests the radius against the set's radial segment
+        once, then the angle against its arcs as a circle map does."""
         p, q, a, b = self._lattice
         w_num, w_den = self.space.w_ratio
+        frags, units, radials = sets.nums, sets.units, sets.radials
         r, theta = point
         out = scale * p
         reach, turn = w_num * (out // w_den), a * (out // b)
@@ -397,14 +402,15 @@ class AnnulusSpiral:
             if r - out > reach or out - r > reach:
                 return None
             theta = (theta * p - turn) % out
-            scale, boxes, unit = out, frags[n], units[n]
-            rr, rem = divmod(r * unit, scale)
-            r_short = 1 if rem else 0
-            tt, rem = divmod(theta * unit, scale)
-            t_short = 1 if rem else 0
-            for rlo, rhi, s, l in boxes:
-                if (rlo <= rr <= rhi - r_short
-                        and (tt - s) % unit <= l - t_short):
+            scale, arcs, unit = out, frags[n], units[n]
+            lo, hi = radials[n]
+            x, rem = divmod(r * unit, scale)
+            if not lo <= x <= hi - (1 if rem else 0):
+                return None
+            x, rem = divmod(theta * unit, scale)
+            short = 1 if rem else 0
+            for s, l in arcs:
+                if (x - s) % unit <= l - short:
                     break
             else:
                 return None
@@ -466,6 +472,9 @@ def rotation(alpha) -> PiecewiseLinearMap:
 def pwl(pairs, offset=0, space_kind: str = "circle") -> PiecewiseLinearMap:
     """General piecewise-linear map from (breakpoint, slope) pairs."""
     pairs = sorted((frac(b), frac(s)) for b, s in pairs)
+    if space_kind not in ("circle", "interval"):
+        raise UsageError(f"unknown pwl space {space_kind!r}: "
+                         "expected circle or interval")
     space = circle() if space_kind == "circle" else interval()
     return PiecewiseLinearMap(space, tuple(b for b, _ in pairs),
                               tuple(s for _, s in pairs), frac(offset))
@@ -505,18 +514,18 @@ def _parse_system(text: str):
         p = _params(body, {"lambda", "alpha", "w"})
         return annulus_spiral(p["lambda"], p["alpha"], p["w"])
     if head == "pwl":
-        pairs = []
-        offset = 0
-        space_kind = "circle"
+        pairs, named = [], {}
         for part in body.split(","):
-            if part.startswith("v0="):
-                offset = frac(part[3:])
-            elif part.startswith("space="):
-                space_kind = part[len("space="):].strip()
-            else:
+            key, _, value = part.partition("=")
+            if key not in ("v0", "space"):
                 b, _, sl = part.partition(":")
                 pairs.append((frac(b), frac(sl)))
-        return pwl(pairs, offset, space_kind)
+            elif key in named:
+                raise UsageError(f"parameter {key!r} given twice")
+            else:
+                named[key] = value
+        return pwl(pairs, named.get("v0", 0),
+                   named.get("space", "circle").strip())
     raise UsageError(f"unknown system spec {text!r}")
 
 
@@ -524,9 +533,12 @@ def _params(body: str, keys: set) -> dict:
     out = {}
     for part in body.split(","):
         key, _, value = part.partition("=")
-        if key.strip() not in keys:
+        key = key.strip()
+        if key not in keys:
             raise UsageError(f"unexpected parameter {key!r}")
-        out[key.strip()] = frac(value)
+        if key in out:
+            raise UsageError(f"parameter {key!r} given twice")
+        out[key] = frac(value)
     if set(out) != keys:
         raise UsageError(f"expected parameters {sorted(keys)}")
     return out

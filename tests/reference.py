@@ -7,11 +7,12 @@ evaluation from a piecewise-linear map's breakpoints, values and slopes,
 the image of a fragment and of a set, pointwise preimages, orbits,
 prefixes and splicing of pseudotrajectories, set representatives and
 membership, the tube bound eta^L, the rotations' deviation lift and the
-closed-form verdicts. Sets are built from ``Fraction`` fragments
-(``make``) and intersected pairwise (``intersect``) through the package's
-normal form; the cover search's scan for a net ball outside the image
-takes one ball and one such intersection per center. The tests compare the
-integer paths with these; nothing in the package calls them.
+closed-form verdicts. Sets are built from ``Fraction`` fragments, on the
+annulus arcs times a radial segment (``make``), and intersected pairwise
+(``intersect``: a segment meet times arc meets on the annulus) through
+the package's normal form; the cover search's scan for a net ball outside
+the image takes one ball and one such intersection per center. The tests
+compare the integer paths with these; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -176,15 +177,15 @@ def lattice_apply(system, point):
 
 
 def image_pieces(system, frag) -> list:
-    """The image of one fragment of ``Fraction`` coordinates, as raw
-    fragments: a box goes to one box; an arc or segment is cut at every
-    breakpoint inside it (on the circle's lift over two turns) and each
-    part goes to the arc or segment between its ends' values under
-    ``apply``'s lines, lifted by the degree per turn."""
+    """The image of one arc or segment of ``Fraction`` coordinates, as raw
+    fragments: the spiral turns an arc by alpha; a piecewise-linear map's
+    arc or segment is cut at every breakpoint inside it (on the circle's
+    lift over two turns) and each part goes to the arc or segment between
+    its ends' values under ``apply``'s lines, lifted by the degree per
+    turn."""
     if isinstance(system, AnnulusSpiral):
-        rlo, rhi, s, l = frag
-        return [(1 + system.lam * (rlo - 1), 1 + system.lam * (rhi - 1),
-                 (s + system.alpha) % 1, l)]
+        s, l = frag
+        return [((s + system.alpha) % 1, l)]
     bps, vals, slopes = system.breakpoints, piece_values(system), system.slopes
     circle = system.space.kind == "circle"
 
@@ -206,9 +207,16 @@ def image_pieces(system, frag) -> list:
     return [(min(p[0] for p in pieces), max(p[1] for p in pieces))]
 
 
+def image_radial(system, radial) -> tuple:
+    """The spiral's image of a radial segment of ``Fraction`` ends: each
+    end r goes to 1 + lam (r - 1)."""
+    return tuple(1 + system.lam * (r - 1) for r in radial)
+
+
 def image_set(system, s):
-    """f(s) in normal form, from ``image_pieces`` of every fragment, over
-    the unit that the package gives an image of s: s's unit, lifted to a
+    """f(s) in normal form, from ``image_pieces`` of every arc or segment
+    and on the annulus ``image_radial`` of its radial segment, over the
+    unit that the package gives an image of s: s's unit, lifted to a
     multiple of the lattice base, times q, the lcm of the slope
     denominators (the spiral's lam's)."""
     if isinstance(system, AnnulusSpiral):
@@ -216,13 +224,20 @@ def image_set(system, s):
     else:
         q = math.lcm(*(Fraction(sl).denominator for sl in system.slopes))
     unit = math.lcm(s.unit, system.lattice_base) * q
-    pieces = []
-    for frag in s.fragments:
-        for piece in image_pieces(system, frag):
-            nums = tuple(c * unit for c in piece)
-            assert all(c.denominator == 1 for c in nums), (piece, unit)
-            pieces.append(tuple(int(c) for c in nums))
-    return enclosure._make(system.space, pieces, unit)
+
+    def over_unit(values):
+        nums = tuple(c * unit for c in values)
+        assert all(c.denominator == 1 for c in nums), (values, unit)
+        return tuple(int(c) for c in nums)
+
+    pieces = [over_unit(piece) for frag in s.nums
+              for piece in image_pieces(
+                  system, tuple(Fraction(c, s.unit) for c in frag))]
+    radial = None
+    if s.radial is not None:
+        radial = over_unit(image_radial(
+            system, (Fraction(c, s.unit) for c in s.radial)))
+    return enclosure._make(system.space, pieces, unit, radial)
 
 
 def preimages(system, point) -> list:
@@ -266,14 +281,32 @@ def orbit(system, x0, n: int) -> list:
 
 # -- sets --------------------------------------------------------------------
 
-def make(space, fragments):
+def make(space, fragments, radial=None):
     """The normal form (``enclosure._make``) of fragments of rational
-    coordinates, over the lcm of their denominators."""
+    coordinates, segments or arcs, times the radial segment ``radial`` on
+    the annulus, over the lcm of their denominators. A radial segment
+    whose ends are out of order is empty, and so is the set."""
     frags = [tuple(f) for f in fragments]
+    if radial is not None:
+        radial = tuple(radial)
+        if radial[0] > radial[1]:
+            frags = []
+        frags.append(radial)
     nums, unit = scaled_point([c for f in frags for c in f])
     coords = iter(nums)
-    return enclosure._make(space, [tuple(next(coords) for _ in f)
-                                   for f in frags], unit)
+    frags = [tuple(next(coords) for _ in f) for f in frags]
+    if radial is not None:
+        radial = frags.pop()
+    return enclosure._make(space, frags, unit, radial)
+
+
+def lift(s, factor):
+    """The set s over a unit ``factor`` times its own."""
+    radial = s.radial
+    if radial is not None:
+        radial = tuple(c * factor for c in radial)
+    return enclosure.EnclosureSet(s.space, enclosure._lift(s.nums, factor),
+                                  s.unit * factor, radial)
 
 
 def intersect_arcs(a, b, unit) -> list:
@@ -296,16 +329,6 @@ def intersect_arcs(a, b, unit) -> list:
     return out
 
 
-def intersect_boxes(a, b, unit) -> list:
-    """The meet of two boxes (rlo, rhi, start, length) over ``unit``."""
-    rlo = max(a[0], b[0])
-    rhi = min(a[1], b[1])
-    if rlo > rhi:
-        return []
-    return [(rlo, rhi, s, l)
-            for s, l in intersect_arcs((a[2], a[3]), (b[2], b[3]), unit)]
-
-
 def intersect_segs(a, b, unit=None) -> list:
     """The meet of two segments (lo, hi): one segment or none."""
     lo = max(a[0], b[0])
@@ -313,30 +336,31 @@ def intersect_segs(a, b, unit=None) -> list:
     return [(lo, hi)] if lo <= hi else []
 
 
-_MEET = {"circle": intersect_arcs, "annulus": intersect_boxes,
-         "interval": intersect_segs}
-
-
 def meet(space, piece, ball, unit) -> list:
-    """The meet of an image piece and a ball fragment over ``unit``, as
+    """The meet of an image segment or arc and a ball's over ``unit``, as
     ``shadow_sets`` clips one: arcs start in [0, unit)."""
-    pieces = _MEET[space.kind](piece, ball, unit)
     if space.kind == "interval":
-        return pieces
-    return [(*p[:-2], p[-2] % unit, p[-1]) for p in pieces]
+        return intersect_segs(piece, ball)
+    return [(s % unit, l) for s, l in intersect_arcs(piece, ball, unit)]
 
 
 def intersect(a, b):
-    """A & B: the normal form of the pairwise meets of their fragments,
-    over the lcm of their units."""
+    """A & B: the normal form of the pairwise meets of their segments or
+    arcs, over the lcm of their units; on the annulus, times the meet of
+    their radial segments, and empty where that is."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
     unit = math.lcm(a.unit, b.unit)
-    fa = enclosure._lift(a.nums, unit // a.unit)
-    fb = enclosure._lift(b.nums, unit // b.unit)
-    meet = _MEET[a.space.kind]
-    pieces = [p for x in fa for y in fb for p in meet(x, y, unit)]
-    return enclosure._make(a.space, pieces, unit)
+    a, b = lift(a, unit // a.unit), lift(b, unit // b.unit)
+    radial, fa = None, a.nums
+    if a.space.kind == "annulus":
+        radial = (max(a.radial[0], b.radial[0]),
+                  min(a.radial[1], b.radial[1]))
+        if radial[0] > radial[1]:  # an empty segment factor
+            fa = ()
+    meet = intersect_segs if a.space.kind == "interval" else intersect_arcs
+    pieces = [p for x in fa for y in b.nums for p in meet(x, y, unit)]
+    return enclosure._make(a.space, pieces, unit, radial)
 
 
 def pick_point(s):

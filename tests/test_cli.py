@@ -462,7 +462,23 @@ def malformed(tmp_path):
                               "json-bytes.json: not UTF-8 text"),
         "config-not-utf-8": (not_utf8(config("bytes", ""), "config-bytes.json"),
                              "config-bytes.json: not UTF-8 text"),
+        "generate-pwl-space-banana": (
+            generate("pwl:0:1/2,space=banana", tmp_path / "banana"),
+            "unknown pwl space 'banana': expected circle or interval"),
+        "generate-pwl-v0-twice": (
+            generate("pwl:0:2,v0=1/3,v0=1/5", tmp_path / "v0"),
+            "parameter 'v0' given twice"),
+        "bounds-alpha-twice": (
+            ["bounds", "--system", "rotation:alpha=1/3,alpha=1/5", "--d",
+             "0.02", "--eps", "0.05", "--y0", "0"],
+            "parameter 'alpha' given twice"),
     }
+
+
+def generate(spec, out) -> list:
+    """``generate`` argv for a short trajectory of the system ``spec``."""
+    return ["generate", "--system", spec, "--y0", "0.3", "--d", "0.02",
+            "--n", "5", "--out", str(out)]
 
 
 @pytest.mark.parametrize("case", [
@@ -477,7 +493,8 @@ def malformed(tmp_path):
     "config-horizons-5.0", "config-horizons-empty", "config-out-5",
     "dichotomy-branch-5", "sidecar-system-5", "csv-not-utf-8",
     "sidecar-not-utf-8",
-    "config-not-utf-8"])
+    "config-not-utf-8", "generate-pwl-space-banana", "generate-pwl-v0-twice",
+    "bounds-alpha-twice"])
 def test_a_malformed_number_or_file_exits_two(tmp_path, capsys, case):
     argv, message = malformed(tmp_path)[case]
     code, out, err = run(capsys, *argv)

@@ -1,10 +1,11 @@
-"""Arc, segment and box algebra for enclosure sets."""
+"""Segment and arc algebra for enclosure sets, and its products on the
+annulus."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from shadowing import (EnclosureCapError, UsageError, annulus, ball_set,
+from shadowing import (EnclosureCapError, annulus, ball_set,
                        circle, interval, parse_system, trial_stream)
 from shadowing import enclosure as enc
 
@@ -135,7 +136,7 @@ def test_interval_sets():
     assert intersect(a, make(sp, [(F(9, 10), F(1))])).is_empty()
 
 
-# -- annulus boxes -------------------------------------------------------------
+# -- annulus: a radial segment times arcs -------------------------------------
 
 def test_annulus_ball_and_intersection():
     sp = annulus(F(1, 2))
@@ -154,32 +155,26 @@ def test_annulus_ball_and_intersection():
 
 def test_annulus_box_union_merges_aligned():
     sp = annulus(F(1, 2))
-    a = (F(1), F(6, 5), F(0), F(1, 10))
-    b = (F(1), F(6, 5), F(1, 10), F(1, 10))
-    merged = make(sp, [a, b])
+    radial = (F(1), F(6, 5))
+    a = (F(0), F(1, 10))
+    b = (F(1, 10), F(1, 10))
+    merged = make(sp, [a, b], radial)
     assert merged.fragments == ((F(1), F(6, 5), F(0), F(1, 5)),)
-    across = make(sp, [(F(1), F(6, 5), F(9, 10), F(1, 10)), a])
+    across = make(sp, [(F(9, 10), F(1, 10)), a], radial)
     assert across.fragments == ((F(1), F(6, 5), F(9, 10), F(1, 5)),)
-    # every annulus set is one radial segment times arcs: boxes stacked
-    # radially are not such a set
-    c = (F(6, 5), F(13, 10), F(0), F(1, 10))
-    with pytest.raises(UsageError, match="one radial segment"):
-        make(sp, [a, c])
 
 
-def test_boxes_on_two_radial_segments_are_refused():
+def test_an_empty_arc_or_radial_segment_is_dropped():
     sp = annulus(F(1, 2))
     arc = (F(0), F(1, 4))
-    with pytest.raises(UsageError, match="one radial segment"):
-        make(sp, [(F(1), F(5, 4), *arc), (F(1), F(3, 2), *arc)])
-    # empty boxes are dropped before the segments are compared
-    got = make(sp, [(F(1), F(5, 4), *arc), (F(5, 4), F(1), *arc),
-                        (F(1), F(3, 2), F(1, 2), F(-1, 4))])
+    # an arc of negative length is empty, and so is the set of an empty
+    # radial segment, whatever its arcs
+    got = make(sp, [arc, (F(1, 2), F(-1, 4))], (F(1), F(5, 4)))
     assert got.fragments == ((F(1), F(5, 4), *arc),)
-    # nor does intersect take a hand-built set of radially stacked boxes
-    ball = ball_set(sp, (F(1), F(0)), F(1, 4))
-    with pytest.raises(UsageError, match="one radial segment"):
-        intersect(ball, enc.EnclosureSet(sp, [(3, 4, 0, 1), (4, 5, 0, 1)], 4))
+    assert make(sp, [arc], (F(5, 4), F(1))).fragments == ()
+    assert intersect(got, make(sp, [arc], (F(6, 5), F(3, 2)))).fragments \
+        == ((F(6, 5), F(5, 4), *arc),)
+    assert intersect(got, make(sp, [arc], (F(13, 10), F(3, 2)))).is_empty()
 
 
 # -- fragment cap --------------------------------------------------------------

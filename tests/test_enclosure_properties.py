@@ -4,12 +4,12 @@ Sets are built with ``reference.make`` from random fragments whose
 coordinates have small denominators, so touching, nested, wrapping and
 single-point fragments come up often. Membership is compared with a direct
 reading of the raw fragments: an arc ``(s, l)`` holds the points s + t mod
-1 for 0 <= t <= l, a segment ``(lo, hi)`` the points lo..hi, a box the
-product of a radial segment and an arc. The boxes of an annulus set share
-one radial segment (every annulus set is such a product), and their arcs
-are drawn freely, so they overlap, wrap, cover the whole ring or have zero
-width; the segment may have zero height or be empty. Each normal form is
-exact and depends only on the point set.
+1 for 0 <= t <= l, a segment ``(lo, hi)`` the points lo..hi, and an
+annulus set, drawn as one radial segment and raw arcs (every annulus set
+is such a product), the points whose radius lies in the segment and whose
+angle lies in an arc. The arcs are drawn freely, so they overlap, wrap,
+cover the whole ring or have zero width; the segment may have zero height
+or be empty. Each normal form is exact and depends only on the point set.
 """
 
 import math
@@ -24,8 +24,9 @@ from shadowing import enclosure as enc
 from shadowing import pwl
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
 from shadowing.spaces import ScaledPoints
-from reference import (contains, image_pieces, image_set, intersect,
-                       lattice_apply, make, meet, pick_point, preimages)
+from reference import (contains, image_pieces, image_radial, image_set,
+                       intersect, lattice_apply, lift, make, meet,
+                       pick_point, preimages)
 from test_lattice import PROPERTY, SYSTEMS
 
 SPACES = {"circle": circle(), "interval": interval(), "annulus": annulus(F(1, 2))}
@@ -40,13 +41,22 @@ radius = st.fractions(F(1, 2), F(3, 2), max_denominator=12)
 raw_arcs = st.lists(st.tuples(angle, length), max_size=5)
 # lo > hi gives an empty segment
 raw_segments = st.lists(st.tuples(coord, coord), max_size=5)
-# one radial segment times raw arcs; rlo > rhi gives an empty segment
-raw_boxes = st.tuples(
+# one radial segment and raw arcs; rlo > rhi gives an empty segment
+raw_annulus = st.tuples(
     st.one_of(st.tuples(radius, radius).map(sorted),
               radius.map(lambda r: (r, r)), st.tuples(radius, radius)),
-    raw_arcs).map(lambda t: [(*t[0], s, l) for s, l in t[1]])
+    raw_arcs)
 
-RAW = {"circle": raw_arcs, "interval": raw_segments, "annulus": raw_boxes}
+RAW = {"circle": raw_arcs, "interval": raw_segments, "annulus": raw_annulus}
+
+
+def make_raw(space, raw):
+    """``make`` of drawn fragments: on the annulus, of the arcs times the
+    radial segment."""
+    if space.kind == "annulus":
+        radial, arcs = raw
+        return make(space, arcs, radial)
+    return make(space, raw)
 
 
 def in_arc(s, l, x):
@@ -60,26 +70,28 @@ def brute_contains(kind, raw, point):
         return any(in_arc(s, l, point[0]) for s, l in raw)
     if kind == "interval":
         return any(lo <= point[0] <= hi for lo, hi in raw)
-    return any(rlo <= point[0] <= rhi and in_arc(s, l, point[1])
-               for rlo, rhi, s, l in raw)
+    (rlo, rhi), arcs = raw
+    return rlo <= point[0] <= rhi and any(in_arc(s, l, point[1])
+                                          for s, l in arcs)
 
 
 def probe_points(kind, data, *raws):
     """Random points plus every fragment end and midpoint of ``raws``."""
-    frags = [f for raw in raws for f in raw]
+    radials = [raw[0] for raw in raws] if kind == "annulus" else []
+    frags = [f for raw in raws
+             for f in (raw[1] if kind == "annulus" else raw)]
     extra = st.fractions(0, 1, max_denominator=50)
     if kind == "interval":
         xs = {c for lo, hi in frags for c in (lo, hi, (lo + hi) / 2)}
         xs |= set(data.draw(st.lists(extra, max_size=10), label="extra"))
         return [(x,) for x in sorted(xs)]
-    arcs = [f[-2:] for f in frags]
-    thetas = {F(0)} | {c % 1 for s, l in arcs for c in (s, s + l, s + l / 2)}
+    thetas = {F(0)} | {c % 1 for s, l in frags for c in (s, s + l, s + l / 2)}
     if kind == "circle":
         thetas |= {x % 1 for x in
                    data.draw(st.lists(extra, max_size=10), label="extra")}
         return [(t,) for t in sorted(thetas)]
-    rs = {F(1, 2), F(3, 2)} | {c for f in frags
-                               for c in (f[0], f[1], (f[0] + f[1]) / 2)}
+    rs = {F(1, 2), F(3, 2)} | {c for lo, hi in radials
+                               for c in (lo, hi, (lo + hi) / 2)}
     pts = [(r, t) for r in sorted(rs) for t in sorted(thetas)]
     pts += data.draw(st.lists(st.tuples(extra.map(lambda x: x + F(1, 2)),
                                         extra.map(lambda x: x % 1)),
@@ -89,7 +101,7 @@ def probe_points(kind, data, *raws):
 
 def draw_set(kind, data, label):
     raw = data.draw(RAW[kind], label=label)
-    return raw, make(SPACES[kind], raw)
+    return raw, make_raw(SPACES[kind], raw)
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -97,34 +109,45 @@ def draw_set(kind, data, label):
 @given(data=st.data())
 def test_normalizing_twice_equals_once(kind, data):
     _, once = draw_set(kind, data, "a")
-    twice = make(SPACES[kind], once.fragments)
+    frags = once.fragments
+    if kind == "annulus" and frags:  # boxes: their one segment, their arcs
+        twice = make(SPACES[kind], [f[2:] for f in frags], frags[0][:2])
+    else:
+        twice = make(SPACES[kind], frags)
     assert twice.fragments == once.fragments
 
 
 def split(kind, frag, data):
-    """Two fragments whose union is ``frag``, cut inside it or at one of
-    its ends (for an arc crossing 0, often at 0 itself); a box is cut
-    across its arc, so the boxes keep their one radial segment."""
+    """Two fragments whose union is the segment or arc ``frag``, cut
+    inside it or at one of its ends (for an arc crossing 0, often at 0
+    itself)."""
     u = data.draw(st.fractions(0, 1, max_denominator=24), label="cut")
     if kind == "interval":
         lo, hi = frag
         m = lo + u * (hi - lo)
         return [(lo, m), (m, hi)] if lo <= hi else [frag]
-    *radial, s, l = frag
+    s, l = frag
     if not 0 <= l < 1:
         return [frag]
     cuts = [u * l] + ([1 - s] if s + l > 1 else [])
     t = data.draw(st.sampled_from(cuts), label="which")
-    return [(*radial, s, t), (*radial, (s + t) % 1, l - t)]
+    return [(s, t), ((s + t) % 1, l - t)]
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
 @PROPERTY
 @given(data=st.data())
 def test_normal_form_ignores_how_fragments_are_cut(kind, data):
+    """Cutting the segments or arcs, the annulus's under its one radial
+    segment, leaves the normal form as it was."""
     raw, es = draw_set(kind, data, "a")
-    pieces = [p for f in raw for p in split(kind, f, data)]
-    cut = make(SPACES[kind], pieces)
+    if kind == "annulus":
+        radial, arcs = raw
+        pieces = [p for f in arcs for p in split(kind, f, data)]
+        cut = make(SPACES[kind], pieces, radial)
+    else:
+        pieces = [p for f in raw for p in split(kind, f, data)]
+        cut = make(SPACES[kind], pieces)
     assert cut.fragments == es.fragments
 
 
@@ -191,7 +214,7 @@ def test_image_of_a_set_contains_the_images_of_its_points(name, data):
     spiral has none) hold the lattice image of every point of the set."""
     system = SYSTEMS[name]
     kind = system.space.kind
-    s = make(system.space, data.draw(RAW[kind], label="s"))
+    s = make_raw(system.space, data.draw(RAW[kind], label="s"))
     images = [image_set(system, s)]
     if kind != "annulus":
         images.append(system.apply_set(s))
@@ -289,45 +312,36 @@ def touching_ball(system, a, data):
 
 
 def draw_step(name, data):
-    """The map, a normal-form set A and the fragment of a ball B with its
-    unit. A's unit is a multiple of the map's lattice base, B's need not
-    be, and the two are lifted by small primes so that the image's unit
-    and B's often do not nest."""
+    """The map, a normal-form set A and a ball B. A's unit is a multiple
+    of the map's lattice base, B's need not be, and the two are lifted by
+    small primes so that the image's unit and B's often do not nest."""
     system = STEP_SYSTEMS[name]
     space = system.space
     raw = (draw_arcs(system, data) if space.kind == "circle"
            else data.draw(RAW[space.kind], label="a"))
-    a = make(space, raw)
+    a = make_raw(space, raw)
     center, r = touching_ball(system, a, data) or draw_ball(space, data)
     lifts = st.sampled_from([1, 2, 3, 5, 7])
     unit = math.lcm(system.lattice_base, a.unit) * data.draw(
         lifts, label="lift a")
-    a = enc.EnclosureSet(space, enc._lift(a.nums, unit // a.unit), unit)
     b = enc.ball_set(space, center, r)
-    lift = data.draw(lifts, label="lift ball")
-    return system, a, tuple(c * lift for c in b.nums[0]), b.unit * lift
+    return system, lift(a, unit // a.unit), lift(
+        b, data.draw(lifts, label="lift ball"))
 
 
 def line_step(system, u, unit):
     """A one-piece map's step as ``shadow_sets`` takes it inline, in
-    ``image_step``'s form (step, W), W = lcm(u * q, unit): each fragment
-    over ``u`` mapped by the map's ``line`` constants for ``u`` times W /
-    (u * q); an arc's image starts at the image of its start, or of its
-    end where the slope is negative."""
+    ``image_step``'s form (step, W), W = lcm(u * q, unit): each segment
+    or arc over ``u`` mapped by the map's ``line`` constants for ``u``
+    times W / (u * q) (the spiral's angle constants for its arcs); an
+    arc's image starts at the image of its start, or of its end where the
+    slope is negative."""
     line = system.line(u)
     q = line[0]
     w = math.lcm(u * q, unit)
     m = w // (u * q)
     kind = system.space.kind
-    if kind == "annulus":
-        _, c_r, p, c_t, f_t = line
-
-        def step(box):
-            rlo, rhi, s, l = box
-            return [(m * (c_r + p * rlo), m * (c_r + p * rhi),
-                     m * (c_t + f_t * s), m * f_t * l)]
-        return step, w
-    _, c, f = line
+    c, f = line[-2:]
 
     def step(frag):
         if kind == "interval":
@@ -338,6 +352,15 @@ def line_step(system, u, unit):
     return step, w
 
 
+def radial_step(system, radial, u, unit):
+    """The spiral's image of a radial segment over ``u`` as
+    ``shadow_sets`` takes it inline, over W = lcm(u * q, unit): its ends
+    mapped by the radial ``line`` constants for ``u`` times W / (u * q)."""
+    q, c, f = system.line(u)[:3]
+    m = math.lcm(u * q, unit) // (u * q)
+    return tuple(m * (c + f * r) for r in radial)
+
+
 def set_step(system, u, unit):
     """The step that ``shadow_sets`` takes for the units ``u`` and
     ``unit``: a one-piece map's ``line_step``, else its ``image_step``."""
@@ -346,16 +369,25 @@ def set_step(system, u, unit):
     return line_step(system, u, unit)
 
 
-def image_in_ball(system, nums, u, ball, unit):
-    """The normal form, as (fragments, W), of the pieces that the map's
-    step for ``u`` and ``unit`` (``set_step``) gives for every fragment of
-    a set, each met with the ball fragment lifted to the step's unit W
-    (``reference.meet``)."""
-    step, w = set_step(system, u, unit)
-    lifted = tuple(c * (w // unit) for c in ball)
+def image_in_ball(system, a, ball):
+    """The normal form of the pieces that the map's step for the units of
+    the set a and the ball (``set_step``) gives for every segment or arc
+    of a, each met with the ball's lifted to the step's unit W
+    (``reference.meet``); on the annulus times the meet of a's radial
+    segment's image (``radial_step``) with the ball's, and empty where
+    that is."""
+    space = system.space
+    step, w = set_step(system, a.unit, ball.unit)
+    ball = lift(ball, w // ball.unit)
+    nums, radial = a.nums, None
+    if a.radial is not None:
+        lo, hi = radial_step(system, a.radial, a.unit, ball.unit)
+        radial = (max(lo, ball.radial[0]), min(hi, ball.radial[1]))
+        if radial[0] > radial[1]:
+            nums = ()
     pieces = [c for f in nums for p in step(f)
-              for c in meet(system.space, p, lifted, w)]
-    return enc._make(system.space, pieces, w).nums, w
+              for c in meet(space, p, ball.nums[0], w)]
+    return enc._make(space, pieces, w, radial)
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
@@ -363,12 +395,13 @@ def image_in_ball(system, nums, u, ball, unit):
 @given(data=st.data())
 def test_one_step_equals_image_then_intersect(name, data):
     """The pieces of the map's step, met with B and put in normal form,
-    are intersect(image_set(A), B): the same set over the same unit."""
-    system, a, ball, ball_unit = draw_step(name, data)
-    want = intersect(image_set(system, a),
-                     enc.EnclosureSet(system.space, (ball,), ball_unit))
-    assert image_in_ball(system, a.nums, a.unit, ball, ball_unit) == \
-        (want.nums, want.unit)
+    are intersect(image_set(A), B): the same set over the same unit, with
+    the same radial segment on the annulus."""
+    system, a, ball = draw_step(name, data)
+    want = intersect(image_set(system, a), ball)
+    got = image_in_ball(system, a, ball)
+    assert (got.nums, got.unit, got.radial) == \
+        (want.nums, want.unit, want.radial)
 
 
 def draw_points(system, data):
@@ -430,25 +463,10 @@ def test_shadow_sets_fail_the_cap_exactly_when_a_shadow_set_outgrows_it(
 def draw_small_step(name, data):
     """``draw_step`` for a set A of one or two fragments: the first one or
     two of a drawn normal form, put in normal form again."""
-    system, a, ball, ball_unit = draw_step(name, data)
+    system, a, ball = draw_step(name, data)
     keep = data.draw(st.sampled_from([1, 2]), label="fragments kept")
-    a = enc._make(a.space, list(a.nums[:keep]), a.unit)
-    return system, a, ball, ball_unit
-
-
-def ball_over(space, unit, data):
-    """The fragment of a ball around a random point of the lattice over
-    ``unit``, with a radius over ``unit`` (on the annulus ``unit`` is a
-    multiple of the denominator of w)."""
-    x = data.draw(st.integers(0, unit - 1), label="center over unit")
-    r = data.draw(st.integers(1, unit), label="radius over unit")
-    if space.kind == "annulus":
-        w_num, w_den = space.w_ratio
-        w = w_num * (unit // w_den)
-        x = (data.draw(st.integers(unit - w, unit + w), label="r"), x)
-    else:
-        x = (x,)
-    return enc._ball(space, x, r, unit)
+    a = enc._make(a.space, list(a.nums[:keep]), a.unit, a.radial)
+    return system, a, ball
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
@@ -457,25 +475,32 @@ def ball_over(space, unit, data):
 def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
     """The map's step (its ``image_step``, or for a map of one piece its
     ``line`` constants as ``shadow_sets`` takes them), made for A's unit
-    and a ball's, gives for each fragment of A its image
+    and a ball's, gives for each segment or arc of A its image
     (``reference.image_pieces``) as pieces over the step's unit W, an
-    arc's length at least 0, and a segment's or a box's ends in order.
-    ``shadow_sets`` clips them to the ball
+    arc's length at least 0 and a segment's ends in order; on the
+    annulus the radial segment of a nonempty A goes to its image
+    (``image_radial``), in order. ``shadow_sets`` clips them to the ball
     (``test_shadow_sets_fail_the_cap_exactly_when_a_shadow_set_outgrows_it``
     checks its sets against the reference step)."""
-    system, a, ball, ball_unit = draw_small_step(name, data)
+    system, a, ball = draw_small_step(name, data)
     space = system.space
-    step, w = set_step(system, a.unit, ball_unit)
-    assert w % ball_unit == 0
-    for frag, values in zip(a.nums, a.fragments):
+    step, w = set_step(system, a.unit, ball.unit)
+    assert w % ball.unit == 0
+    for frag in a.nums:
+        values = tuple(F(c, a.unit) for c in frag)
         got = step(frag)
         for p in got:
-            if space.kind != "circle":
+            if space.kind == "interval":
                 assert p[0] <= p[1]
-            if space.kind != "interval":
+            else:
                 assert p[-1] >= 0
         assert enc._make(space, got, w) == \
             make(space, image_pieces(system, values))
+    if a.radial is not None and a.nums:
+        lo, hi = radial_step(system, a.radial, a.unit, ball.unit)
+        assert lo <= hi
+        assert (F(lo, w), F(hi, w)) == image_radial(
+            system, (F(c, a.unit) for c in a.radial))
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
@@ -485,10 +510,8 @@ def test_a_pull_back_step_keeps_the_first_preimage_in_the_set(name, data):
     """``pull_back_witness`` over A_0 = A and A_1 = the step's set: the
     first preimage of A_1's representative, in increasing order, that
     ``reference.contains`` puts in A, as Fractions."""
-    system, a, ball, ball_unit = draw_small_step(name, data)
-    space = system.space
-    image = enc.EnclosureSet(space, *image_in_ball(
-        system, a.nums, a.unit, ball, ball_unit))
+    system, a, ball = draw_small_step(name, data)
+    image = image_in_ball(system, a, ball)
     if image.is_empty():
         return
     x = pick_point(image)

@@ -22,12 +22,14 @@ once, when the eight always-null dichotomy keys (``delta1``, ``eta_lo``,
 ``eta_hi``, ``cover_k1``, ``cover_k2``, ``cover_k``, ``tail_n``,
 ``block_length``) left their ``quantities`` objects; no other byte moved.
 
-The annulus ``check`` digests pin the bytes of the box algebra's path
-through ``check``. The wide annulus ``check`` (d = 1/5, eps = 9/20) puts
-sets of two or more boxes in normal form 19 times before its witness is
-pulled back; its digests were recorded while that normal form was still an
-angular sweep over arbitrary box unions, before it became one radial
-segment times the normal form of the arcs.
+The annulus ``check`` digests pin the bytes of the annulus sets' path
+through ``check``, one radial segment times arcs. The wide annulus
+``check`` (d = 1/5, eps = 9/20) puts the arcs of sets of two or more in
+normal form 19 times before its witness is pulled back; its digests were
+recorded while that normal form was still an angular sweep over arbitrary
+box unions, before it became one radial segment times the normal form of
+the arcs, and before an annulus set was stored as that segment and its
+arcs.
 
 The band-edge annulus ``check`` starts on the band's outer edge (y0 =
 (3/2, 0), d = 1/5, eps = 9/20): the radial range of the eps-ball reaches
@@ -256,7 +258,8 @@ def check_digests(tmp, capsys) -> dict:
 
 
 def annulus_check_digests(tmp, capsys) -> dict:
-    """``check`` JSONs of one spiral trajectory: the box algebra's bytes."""
+    """``check`` JSONs of one spiral trajectory: the annulus sets'
+    bytes."""
     out = {}
     for n in (50, 1000):
         base = tmp / f"traj{n}"
@@ -298,12 +301,12 @@ def test_pwl_check_matches_golden(tmp_path, capsys, case):
 
 
 def test_wide_annulus_check_matches_golden(tmp_path, capsys, monkeypatch):
-    normalize = enclosure._normalize_boxes
+    normalize = enclosure._normalize_arcs
     several = []
 
-    def counted(boxes, unit):
-        several.append(len(boxes) >= 2)
-        return normalize(boxes, unit)
+    def counted(arcs, unit):
+        several.append(len(arcs) >= 2)
+        return normalize(arcs, unit)
 
     base = tmp_path / "traj"
     assert main(["generate", "--system",
@@ -311,7 +314,7 @@ def test_wide_annulus_check_matches_golden(tmp_path, capsys, monkeypatch):
                  "--d", "1/5", "--n", "100", "--seed", "0",
                  "--out", str(base)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(enclosure, "_normalize_boxes", counted)
+    monkeypatch.setattr(enclosure, "_normalize_arcs", counted)
     assert main(["check", "--traj", str(base), "--eps", "9/20"]) == 0
     assert sum(several) == 19
     assert {"traj.csv": sha(base.with_suffix(".csv")),

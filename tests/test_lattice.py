@@ -212,9 +212,9 @@ def test_a_one_piece_interval_walk_carries_its_constant_across_truncations(
 def test_spirals_from_the_band_edge_match_fractions(name, seed, n, d, eps, r0,
                                                     theta0):
     """The walk carries r, the half-width and the arc's draw step across
-    every change of scale, and the spiral's step clips its box inline; on
-    both spirals the chain, sets, witness and re-check are the
-    references'."""
+    every change of scale, and the spiral's step clips its radial segment
+    and its arcs inline; on both spirals the chain, sets, witness and
+    re-check are the references'."""
     chain_matches(SYSTEMS[name], seed, n, d, eps, (r0, theta0 % 1))
 
 

@@ -527,16 +527,19 @@ def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
     else:
         alpha = SPIRAL.alpha
         if case == "annulus-angle":
-            frags, point = [(F(1, 2), F(3, 2), F(0), F(3, 10))], \
+            radial, frags, point = (F(1, 2), F(3, 2)), [(F(0), F(3, 10))], \
                 (F(1), (F(31, 100) + alpha) % 1)
         else:
-            frags, point = [(F(1, 2), F(13, 10), F(0), F(1, 2))], \
+            radial, frags, point = (F(1, 2), F(13, 10)), [(F(0), F(1, 2))], \
                 (F(1) + F(31, 200), F(1, 5) + alpha)
         system, want = SPIRAL, None
-    a = make(system.space, frags)
-    b = make(system.space, [
-        (point[0], 0) if case == "circle" else (point[0], point[0])
-        if case == "interval" else (point[0], point[0], point[1], 0)])
+    if case.startswith("annulus"):
+        a = make(system.space, frags, radial)
+        b = make(system.space, [(point[1], 0)], (point[0], point[0]))
+    else:
+        a = make(system.space, frags)
+        b = make(system.space, [(point[0], 0) if case == "circle"
+                                else (point[0], point[0])])
     assert a.unit == 10 and shadowcheck.pull_back_witness(
         system, [a, b], 1) == want
 

@@ -414,6 +414,15 @@ def test_the_lattice_entry_is_canonical_then_scaled(space, point, base,
         outcome(lambda: scaled_point(space.canonical(p), base))
 
 
+def test_a_float_angle_just_below_0_is_0():
+    """A float's remainder mod 1 rounds up to 1.0 just below 0; the
+    angle is then 0, in [0, 1) as promised, a float still."""
+    got = circle().canonical((-1e-20,))
+    assert got == (0.0,) and isinstance(got[0], float)
+    assert annulus(F(1, 2)).canonical((1.0, -1e-20)) == (1.0, 0.0)
+    assert circle().lattice_point((-1e-20,)) == ((0,), 1)
+
+
 @pytest.mark.parametrize("space", SPACES, ids=ids)
 def test_the_lattice_entry_refuses_a_point_that_is_not_a_tuple(space):
     for bad in (F(1, 2), "0.5", 0.5):

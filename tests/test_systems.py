@@ -13,7 +13,7 @@ from shadowing.shadowcheck import shadow_sets
 from shadowing.spaces import ScaledPoints
 
 from reference import (apply, contains, dist, intersect_arcs,
-                       intersect_boxes, lattice_apply, make, meet, orbit,
+                       intersect_segs, lattice_apply, make, meet, orbit,
                        preimages, random_point, uniform)
 
 
@@ -197,46 +197,53 @@ ONE_PIECE = {"doubling": doubling(), "rotation": rotation(F(7, 60)),
 ARC_UNIT = 120
 
 
-def clipped_image(system, nums, u, ball, w):
-    """The meets, by ``reference.intersect_arcs`` or ``intersect_boxes``,
-    of the ball fragment over ``w`` with the image of each fragment over
-    ``u`` lifted to ``w``: an arc's image starts at the image of its start
-    (slope > 0) or end (slope < 0); a box's radial ends are the images of
-    its own and its arc starts at the image of its start."""
+def clipped_image(system, a, ball):
+    """The meets, by ``reference.intersect_arcs``, of the ball's arc with
+    the image of each arc of the set a lifted to the ball's unit, and on
+    the annulus the meet, by ``reference.intersect_segs``, of the image
+    of a's radial segment with the ball's (None elsewhere, and where that
+    meet is empty, which leaves no arc), as (arcs, radial): an arc's
+    image starts at the image of its start (slope > 0) or end (slope <
+    0); the radial segment's ends are the images of its own."""
+    u, w = a.unit, ball.unit
+    annulus = system.space.kind == "annulus"
+    radial = None
+    if annulus:
+        (lo, _), out = system.apply_scaled((a.radial[0], 0), u)
+        (hi, _), _ = system.apply_scaled((a.radial[1], 0), u)
+        m = w // out
+        radial = intersect_segs((lo * m, hi * m), ball.radial)
+        if not radial:
+            return [], None
+        radial = radial[0]
     pieces = []
-    for frag in nums:
-        if system.space.kind == "annulus":
-            rlo, rhi, start, length = frag
-            (lo, theta), out = system.apply_scaled((rlo, start), u)
-            (hi, _), _ = system.apply_scaled((rhi, start), u)
-            m = w // out
-            pieces += intersect_boxes(
-                (lo * m, hi * m, theta * m, length * (w // u)), ball, w)
-            continue
-        start, length = frag
-        slope = system.slopes[0]
-        x = start if slope > 0 else (start + length) % u
-        (x,), out = system.apply_scaled((x,), u)
-        pieces += intersect_arcs(
-            (x * (w // out), int(abs(slope) * length * (w // u))), ball, w)
-    return pieces
+    for start, length in a.nums:
+        if annulus:
+            (_, x), out = system.apply_scaled((a.radial[0], start), u)
+            length *= w // u
+        else:
+            slope = system.slopes[0]
+            x = start if slope > 0 else (start + length) % u
+            (x,), out = system.apply_scaled((x,), u)
+            length = int(abs(slope) * length * (w // u))
+        pieces += intersect_arcs((x * (w // out), length), ball.nums[0], w)
+    return pieces, radial
 
 
 def check_steps(system, points, e):
     """``shadow_sets`` on ``points`` ((numerators, scale) pairs, the first
     over ARC_UNIT) at eps = e / ARC_UNIT: every scale is the unit of its
     set, and every A_n past A_0 is the normal form of ``clipped_image`` of
-    A_{n-1} met with the ball around y_n. Returns the sets' fragments."""
+    A_{n-1} met with the ball around y_n. Returns the sets' record."""
     space, u = system.space, ARC_UNIT
     sets = shadow_sets(system, iter(points), F(e, u))
     assert sets.units == [s for _, s in points][:len(sets.units)]
     for n in range(1, len(sets.units)):
-        (y, s), unit = points[n], sets.units[n - 1]
+        (y, s) = points[n]
         ball = enclosure._ball(space, y, e * (s // u), s)
-        assert sets.nums[n] == enclosure._make(
-            space, clipped_image(system, sets.nums[n - 1], unit, ball, s),
-            s).nums
-    return sets.nums
+        arcs, radial = clipped_image(system, sets[n - 1], ball)
+        assert sets[n] == enclosure._make(space, arcs, s, radial)
+    return sets
 
 
 @pytest.mark.parametrize("name", sorted(ONE_PIECE))
@@ -267,12 +274,13 @@ def test_the_one_piece_arc_clip_is_intersect_arcs(name, y0, e, over, y2, k):
     length from none and 0 (a touch) up, odd ones included, or two arcs,
     and A_2 is the image of such a set met with any ball."""
     system, u = ONE_PIECE[name], ARC_UNIT
-    (start, length) = enclosure._ball(system.space, (y0,), e, u)
-    image = clipped_image(system, ((start, length),), u, (0, u), u)[0]
+    a0 = enclosure._ball(system.space, (y0,), e, u)
+    whole = enclosure.EnclosureSet(system.space, ((0, u),), u)
+    image = clipped_image(system, a0, whole)[0][0]
     y1 = (image[0] + image[1] - over + e) % u
     sets = check_steps(system, [((y0,), u), ((y1,), u), ((y2 % (u * k),),
                                                             u * k)], e)
-    assert sets[0] == ((start, length),)
+    assert sets[0] == a0
 
 
 # the spiral (r, theta) -> (1 + (r - 1) / 2, theta + 7/60) on y_0 over the
@@ -298,24 +306,26 @@ OVERLAP = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1, 240))
 @example(r0=120, t0=20, e=10, rover=-1, tover=5, r2=480, t2=0, k=1)
 @example(r0=120, t0=20, e=10, rover=5, tover=-1, r2=480, t2=0, k=1)
 @example(r0=120, t0=20, e=10, rover=20, tover=1, r2=480, t2=230, k=2)
-def test_the_spiral_box_clip_is_intersect_boxes(r0, t0, e, rover, tover,
-                                                r2, t2, k):
-    """``shadow_sets`` maps each box by the spiral's constants and clips
-    the image box to the ball inline: A_1 and A_2 are the normal forms of
-    ``reference.intersect_boxes`` on the image boxes. y_1's ball reaches
-    ``rover`` below the top of A_0's image radially and starts ``tover``
-    before the end of its arc, so A_1 is a box of any radial height and
-    any arc length from none and 0 up, drawn apart, and A_2 is the image
-    of such a box met with any ball."""
+def test_the_spiral_clip_is_a_segment_meet_times_arc_meets(
+        r0, t0, e, rover, tover, r2, t2, k):
+    """``shadow_sets`` maps the radial segment and each arc by the
+    spiral's constants and clips them to the ball inline: A_1 and A_2 are
+    the normal forms of ``reference.intersect_segs`` on the image's radial
+    segment times ``reference.intersect_arcs`` on its arcs. y_1's ball
+    reaches ``rover`` below the top of A_0's image radially and starts
+    ``tover`` before the end of its arc, so A_1 is a box of any radial
+    height and any arc length from none and 0 up, drawn apart, and A_2 is
+    the image of such a box met with any ball."""
     system, u = BOX_SPIRAL, ARC_UNIT
     a0 = enclosure._ball(system.space, (r0, t0), e, u)
-    _, hi, start, length = clipped_image(
-        system, (a0,), u, (0, 4 * u, 0, 2 * u), 2 * u)[0]
+    ring = enclosure.EnclosureSet(system.space, ((0, 2 * u),), 2 * u,
+                                  (0, 4 * u))
+    ((start, length),), (_, hi) = clipped_image(system, a0, ring)
     r1 = min(max(hi - rover + 2 * e, u), 3 * u)
     t1 = (start + length - tover + 2 * e) % (2 * u)
     sets = check_steps(system, [((r0, t0), u), ((r1, t1), 2 * u),
                                 ((r2 * k, t2 * k), 4 * u * k)], e)
-    assert sets[0] == (a0,)
+    assert sets[0] == a0
 
 
 def test_full_coverage_of_saturating_image():
@@ -389,6 +399,31 @@ def test_parse_system_grammar():
         parse_system("squaring")
     with pytest.raises(UsageError):
         parse_system("rotation:beta=1/4")
+
+
+def test_a_pwl_space_is_circle_or_interval():
+    """Any other ``space=`` is refused by name, from a spec and from
+    ``pwl`` itself, rather than read as the interval."""
+    for call in (lambda: parse_system("pwl:0:1/2,space=banana"),
+                 lambda: pwl([(0, F(1, 2))], space_kind="banana")):
+        with pytest.raises(UsageError, match="unknown pwl space 'banana'"):
+            call()
+    assert pwl([(0, F(1, 2))], space_kind="interval").space.kind == \
+        "interval"
+
+
+@pytest.mark.parametrize("spec,key", [
+    ("rotation:alpha=1/3,alpha=1/5", "alpha"),
+    ("tent:s=3/2,s=3/2", "s"),
+    ("annulus:lambda=1/2,alpha=1/3,w=1/2,lambda=1/4", "lambda"),
+    ("pwl:0:2,v0=1/3,v0=1/5", "v0"),
+    ("pwl:0:1/2,space=interval,space=circle", "space"),
+])
+def test_a_parameter_given_twice_is_refused(spec, key):
+    """The last value does not win without a word: a repeated parameter
+    is a ``UsageError`` that names it, even with the same value."""
+    with pytest.raises(UsageError, match=f"parameter '{key}' given twice"):
+        parse_system(spec)
 
 
 def test_maps_are_memoized_by_spec_and_errors_are_not():

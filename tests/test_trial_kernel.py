@@ -184,12 +184,13 @@ def fresh_step_sets(system, points, eps):
     sets = []
     for y, s in zip(points.nums, points.scales):
         unit = math.lcm(s, base)
-        ball = EnclosureSet(space, (enclosure._ball(
+        ball = enclosure._ball(
             space, tuple(c * (unit // s) for c in y),
-            eps.numerator * (unit // eps.denominator), unit),), unit)
+            eps.numerator * (unit // eps.denominator), unit)
         nxt = intersect(image_set(system, sets[-1]), ball) if sets else ball
         sets.append(nxt if nxt.unit == unit else EnclosureSet(
-            space, *enclosure._reduced(nxt.nums, nxt.unit, base)))
+            space, *enclosure._reduced(nxt.nums, nxt.unit, base,
+                                       nxt.radial)))
         if nxt.is_empty():
             break
     return sets
@@ -221,8 +222,8 @@ def test_the_kept_step_equals_a_fresh_step(name, data):
                        trial_stream(seed))
     sets = shadow_sets(system, iter(walk), eps)
     want = fresh_step_sets(system, walk.taken, eps)
-    assert [(s.nums, s.unit) for s in sets] == \
-        [(s.nums, s.unit) for s in want]
+    assert [(s.nums, s.unit, s.radial) for s in sets] == \
+        [(s.nums, s.unit, s.radial) for s in want]
     m = len(sets) - 1 - sets[-1].is_empty()
     if m >= 0:
         assert pull_back_witness(system, sets, m) == \
@@ -292,8 +293,8 @@ def test_a_lowered_cap_fails_only_a_shadow_set_above_it(monkeypatch, case):
     monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 1)
     if over is None:
         got = shadow_sets(system, zip(points.nums, points.scales), eps)
-        assert [(s.nums, s.unit) for s in got] == \
-            [(s.nums, s.unit) for s in want]
+        assert [(s.nums, s.unit, s.radial) for s in got] == \
+            [(s.nums, s.unit, s.radial) for s in want]
         return
     with pytest.raises(EnclosureCapError) as got:
         shadow_sets(system, zip(points.nums, points.scales), eps)
@@ -321,8 +322,9 @@ def test_a_one_fragment_tent_step_across_the_corner_makes_no_make(
     assert len(step(sets[0].nums[0])) == 2
     assert calls == []
     assert [s.fragments for s in sets] == [((F(9, 20), F(3, 4)),)] * 6
-    assert [(s.nums, s.unit) for s in sets] == \
-        [(s.nums, s.unit) for s in fresh_step_sets(system, points, F(3, 20))]
+    assert [(s.nums, s.unit, s.radial) for s in sets] == \
+        [(s.nums, s.unit, s.radial)
+         for s in fresh_step_sets(system, points, F(3, 20))]
 
 
 def test_cut_images_are_normalized_mid_trial(monkeypatch):
