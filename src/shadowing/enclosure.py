@@ -20,7 +20,7 @@ radial segment that they share:
 Each form depends only on the point set, so ``EnclosureSet.__eq__``, which
 compares fragments, is equality of sets, however the fragments given to
 ``_make`` overlap or were cut. An empty fragment tuple is the empty set,
-whatever its radial segment.
+and ``_make`` gives it for a radial segment that is empty (rlo > rhi).
 
 Every coordinate is a Python integer, a numerator over the set's
 ``unit``, a positive integer *scale*: the segment and arc algebra only
@@ -33,15 +33,14 @@ values when they are read. An image and a ball over different units meet
 over the lcm of the two (``shadowcheck.shadow_sets``).
 
 A single fragment is a normal form as it stands, once a full arc is
-written ``(0, unit)``; the shadow-set step (``shadowcheck.shadow_sets``)
-relies on that, clipping every image piece to the ball of ``_ball``,
-which it builds inline, and calling ``_make`` only when more than one
-arc is left (an interval shadow set is always one segment).
+written ``(0, unit)`` and a radial segment is not empty; the shadow-set
+step (``shadowcheck.shadow_sets``) relies on that, emptying a set at an
+empty segment itself and calling ``_make`` only when more than one arc
+is left (an interval shadow set is always one segment).
 
 A ``SetRecord`` holds a run of sets, the shadow sets of a decision, as
-bare fragment tuples, units and radial segments, as
-``spaces.ScaledPoints`` holds points: reading a set by index builds its
-``EnclosureSet``.
+bare fragment tuples, units and radial segments, as ``spaces.ScaledPoints``
+holds points: reading a set by index builds its ``EnclosureSet``.
 
 Every set equals the abstract set it stands for. ``_make`` is the one
 place that checks the fragment cap: a normal form with more fragments
@@ -110,8 +109,9 @@ class EnclosureSet:
     ``nums`` are integer numerators over the integer ``unit``: segments on
     the interval, arcs on the circle and the annulus, where ``radial``,
     the radial segment ``(rlo, rhi)`` over the same unit, multiplies them
-    (None elsewhere). Their ``fragments`` are the ``Fraction`` values,
-    built on first read. No method changes an instance once built.
+    and must be given unless there are none (None elsewhere). The
+    ``fragments`` are the ``Fraction`` values, built on first read; no
+    method changes an instance once built.
     """
 
     __slots__ = ("space", "nums", "unit", "radial", "_values")
@@ -119,6 +119,8 @@ class EnclosureSet:
     def __init__(self, space: Space, nums, unit: int, radial=None):
         self.space = space
         self.nums = tuple(nums)
+        if radial is None and self.nums and space.kind == "annulus":
+            raise UsageError("an annulus set takes its radial segment")
         self.unit = unit
         self.radial = radial
         self._values = None
@@ -226,7 +228,7 @@ def _reduced(nums, unit: int, base: int, radial) -> tuple:
 def _make(space: Space, fragments, unit, radial=None) -> EnclosureSet:
     """The normal form, over ``unit``, of fragments whose coordinates are
     numerators over it: segments on the interval, arcs elsewhere, which
-    on the annulus ``radial`` multiplies.
+    on the annulus ``radial`` multiplies (an empty one empties the set).
 
     Overlapping or touching fragments are merged exactly (see the module
     doc). Above ``DEFAULT_FRAGMENT_CAP`` fragments, read at call time, it
@@ -235,8 +237,10 @@ def _make(space: Space, fragments, unit, radial=None) -> EnclosureSet:
     """
     if space.kind == "interval":
         frags = _normalize_segs(fragments)
-    else:
+    elif radial is None or radial[0] <= radial[1]:
         frags = _normalize_arcs(fragments, unit)
+    else:  # an empty radial segment: the empty set, whatever its arcs
+        frags = []
     es = EnclosureSet(space, frags, unit, radial)
     if len(frags) > DEFAULT_FRAGMENT_CAP:
         raise EnclosureCapError(f"fragment cap {DEFAULT_FRAGMENT_CAP} "
@@ -258,10 +262,9 @@ def ball_set(space: Space, center, radius) -> EnclosureSet:
 def _ball(space: Space, center, radius, unit) -> EnclosureSet:
     """``ball_set`` with center and radius given as numerators over unit
     (on the annulus a multiple of the denominator of w): the segment of
-    the interval point or the radius, cut at the ends of the interval or
-    of the band [1 - w, 1 + w], and the arc of the angle.
-    ``shadowcheck.shadow_sets`` builds the same ball inline, with w over
-    the unit carried across its steps."""
+    the interval point or the radius, cut at the interval's ends or the
+    band's [1 - w, 1 + w], and the arc of the angle, in ``_make``'s normal
+    form (empty off the band). ``shadowcheck.shadow_sets`` builds it inline."""
     kind = space.kind
     radial = None
     if kind != "circle":
@@ -272,7 +275,7 @@ def _ball(space: Space, center, radius, unit) -> EnclosureSet:
         radial = (max(center[0] - radius, floor),
                   min(center[0] + radius, ceil))
         if kind == "interval":
-            return EnclosureSet(space, (radial,), unit)
+            return _make(space, (radial,), unit)
     arc = ((0, unit) if 2 * radius >= unit else
            ((center[-1] - radius) % unit, 2 * radius))
-    return EnclosureSet(space, (arc,), unit, radial)
+    return _make(space, (arc,), unit, radial)

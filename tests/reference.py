@@ -284,14 +284,10 @@ def orbit(system, x0, n: int) -> list:
 def make(space, fragments, radial=None):
     """The normal form (``enclosure._make``) of fragments of rational
     coordinates, segments or arcs, times the radial segment ``radial`` on
-    the annulus, over the lcm of their denominators. A radial segment
-    whose ends are out of order is empty, and so is the set."""
+    the annulus, over the lcm of their denominators."""
     frags = [tuple(f) for f in fragments]
     if radial is not None:
-        radial = tuple(radial)
-        if radial[0] > radial[1]:
-            frags = []
-        frags.append(radial)
+        frags.append(tuple(radial))
     nums, unit = scaled_point([c for f in frags for c in f])
     coords = iter(nums)
     frags = [tuple(next(coords) for _ in f) for f in frags]
@@ -347,19 +343,17 @@ def meet(space, piece, ball, unit) -> list:
 def intersect(a, b):
     """A & B: the normal form of the pairwise meets of their segments or
     arcs, over the lcm of their units; on the annulus, times the meet of
-    their radial segments, and empty where that is."""
+    their radial segments."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
     unit = math.lcm(a.unit, b.unit)
     a, b = lift(a, unit // a.unit), lift(b, unit // b.unit)
-    radial, fa = None, a.nums
+    radial = None
     if a.space.kind == "annulus":
         radial = (max(a.radial[0], b.radial[0]),
                   min(a.radial[1], b.radial[1]))
-        if radial[0] > radial[1]:  # an empty segment factor
-            fa = ()
     meet = intersect_segs if a.space.kind == "interval" else intersect_arcs
-    pieces = [p for x in fa for y in b.nums for p in meet(x, y, unit)]
+    pieces = [p for x in a.nums for y in b.nums for p in meet(x, y, unit)]
     return enclosure._make(a.space, pieces, unit, radial)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from shadowing import (EnclosureCapError, annulus, ball_set,
+from shadowing import (EnclosureCapError, UsageError, annulus, ball_set,
                        circle, interval, parse_system, trial_stream)
 from shadowing import enclosure as enc
 
@@ -172,9 +172,27 @@ def test_an_empty_arc_or_radial_segment_is_dropped():
     got = make(sp, [arc, (F(1, 2), F(-1, 4))], (F(1), F(5, 4)))
     assert got.fragments == ((F(1), F(5, 4), *arc),)
     assert make(sp, [arc], (F(5, 4), F(1))).fragments == ()
+    empty = enc._make(sp, [(0, 1)], 4, (5, 4))
+    assert empty.is_empty() and empty.measure() == 0
     assert intersect(got, make(sp, [arc], (F(6, 5), F(3, 2)))).fragments \
         == ((F(6, 5), F(5, 4), *arc),)
     assert intersect(got, make(sp, [arc], (F(13, 10), F(3, 2)))).is_empty()
+    # so is a ball whose center lies off the band, or off the interval
+    assert ball_set(sp, (F(2), F(0)), F(1, 10)).is_empty()
+    assert ball_set(interval(), (F(3, 2),), F(1, 10)).is_empty()
+
+
+def test_an_annulus_set_without_its_radial_segment_is_refused():
+    # every annulus set is one radial segment times arcs, so a hand-built
+    # set of boxes, stacked radially or not, is not one
+    sp = annulus(F(1, 2))
+    ball = ball_set(sp, (F(1), F(0)), F(1, 4))
+    with pytest.raises(UsageError, match="radial segment"):
+        intersect(ball, enc.EnclosureSet(sp, [(3, 4, 0, 1), (4, 5, 0, 1)], 4))
+    with pytest.raises(UsageError, match="radial segment"):
+        enc.EnclosureSet(sp, [(0, 1)], 4)
+    # the empty set has no arcs for a segment to multiply
+    assert enc.EnclosureSet(sp, (), 4).is_empty()
 
 
 # -- fragment cap --------------------------------------------------------------

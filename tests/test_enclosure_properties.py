@@ -374,18 +374,15 @@ def image_in_ball(system, a, ball):
     the set a and the ball (``set_step``) gives for every segment or arc
     of a, each met with the ball's lifted to the step's unit W
     (``reference.meet``); on the annulus times the meet of a's radial
-    segment's image (``radial_step``) with the ball's, and empty where
-    that is."""
+    segment's image (``radial_step``) with the ball's."""
     space = system.space
     step, w = set_step(system, a.unit, ball.unit)
     ball = lift(ball, w // ball.unit)
-    nums, radial = a.nums, None
+    radial = None
     if a.radial is not None:
         lo, hi = radial_step(system, a.radial, a.unit, ball.unit)
         radial = (max(lo, ball.radial[0]), min(hi, ball.radial[1]))
-        if radial[0] > radial[1]:
-            nums = ()
-    pieces = [c for f in nums for p in step(f)
+    pieces = [c for f in a.nums for p in step(f)
               for c in meet(space, p, ball.nums[0], w)]
     return enc._make(space, pieces, w, radial)
 
@@ -484,6 +481,8 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
     checks its sets against the reference step)."""
     system, a, ball = draw_small_step(name, data)
     space = system.space
+    # the annulus's arcs are compared in the circle's normal form
+    arc_space = circle() if space.kind == "annulus" else space
     step, w = set_step(system, a.unit, ball.unit)
     assert w % ball.unit == 0
     for frag in a.nums:
@@ -494,8 +493,8 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
                 assert p[0] <= p[1]
             else:
                 assert p[-1] >= 0
-        assert enc._make(space, got, w) == \
-            make(space, image_pieces(system, values))
+        assert enc._make(arc_space, got, w) == \
+            make(arc_space, image_pieces(system, values))
     if a.radial is not None and a.nums:
         lo, hi = radial_step(system, a.radial, a.unit, ball.unit)
         assert lo <= hi
