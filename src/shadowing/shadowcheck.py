@@ -30,11 +30,16 @@ fragments, unit and radial segment, and a set object is built only when
 a set is read by index.
 The pull-back and the re-check are loops that the map runs itself, each
 with no call per step (its ``pull_back`` and ``tracks``). A pull-back step
-takes the preimages of its point on a scale that grows by the slope
-numerators, and reads each on the shadow set's own unit by one division,
-comparing it inline with the set's segment or arcs (on the annulus, the
-radius with the radial segment, then the angle with the arcs), so no
-fragment is lifted to the growing scale. A re-check step applies the map
+keeps the smallest preimage of its point in [0, 1) that lies in the
+shadow set before it, on a scale that grows by the slope numerators. A
+circle or interval map solves for it fragment by fragment and, in each,
+piece by piece over the pieces the fragment crosses: the point's lift
+that lands in a sub-piece's image is read on the set's own unit by one
+division of small integers, so only the kept preimage is made and no
+fragment is lifted to the growing scale. The spiral has one preimage
+per step and compares its radius with the radial segment, then its angle
+with the arcs. The witness's orbit is then re-checked in full, whatever
+the pull-back: a re-check step applies the map
 on the integer lattice and compares the orbit point with the trajectory
 point by cross-multiplying their scales (``orbit_tracks``): no gcd, no
 table and no lifted point.
@@ -331,21 +336,23 @@ def orbit_tracks(system, points, x0, eps) -> bool:
 def pull_back_witness(system, sets, m):
     """Candidate witness: a point of A_0 pulled back from a point of A_m
     through per-step preimages, staying inside each recorded shadow set.
-    Preimages are tried in increasing order and the first one inside the
-    set is kept. Returns None if some pull-back step finds no preimage in
-    the set, which exact sets rule out (A_n lies in the image of A_{n-1}).
+    At each step the smallest preimage in [0, 1) that lies in the set is
+    kept. Returns None if some pull-back step finds no preimage in the
+    set, which exact sets rule out (A_n lies in the image of A_{n-1}).
 
     The loop is the map's ``pull_back``, which makes no call per step. A
-    step computes the preimages on a scale that grows by the slope
-    numerators and tests each against the fragments of A_n, read inline on
-    A_n's own unit: a coordinate c becomes floor(c * unit / scale), one
-    short of its fragment's upper end when the division leaves a remainder
-    (the value then lies strictly inside the next lattice cell). a lies in
-    the arc (s, l) when (a - s) mod unit <= l - short, and in the segment
-    (lo, hi), which does not wrap, when lo <= a <= hi - short; on the
-    annulus the radius takes the segment test and the angle the arc
-    test. So no fragment is lifted to the growing scale, and only the
-    witness is turned into Fractions. A plain sequence of
+    circle or interval map finds each kept preimage fragment by fragment
+    and, in each fragment, piece by piece over the pieces it crosses: the
+    image of a sub-piece is a segment on A_n's own unit, and one division
+    of small integers says which lift of the point lands in it and how
+    far past its start, a remainder taking the point one more cell along.
+    The first sub-piece, in increasing order, that holds a preimage holds
+    the smallest, and only that preimage is made. On the annulus the
+    radius is compared with the radial segment, then the angle with the
+    arcs, each read on A_n's unit by one division. So no fragment is
+    lifted to the growing scale, and only the witness is turned into
+    Fractions. The caller re-checks the witness's orbit in full
+    (``orbit_tracks``), however it was found. A plain sequence of
     ``EnclosureSet``s is put in a ``SetRecord`` first."""
     if not isinstance(sets, SetRecord):
         sets = SetRecord.of(sets)

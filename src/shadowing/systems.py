@@ -17,8 +17,13 @@ goes. The two witness loops of a decision run in the map, each with no
 call per step: ``pull_back`` takes a point back through a record of
 shadow sets, its preimages over a unit that grows by the lcm of the
 slope numerators (the spiral's by lam's numerator), keeping at each step
-the first preimage in the set, and ``tracks`` steps an orbit as
-``apply_scaled`` does and compares it with a trajectory point by point.
+the smallest preimage in [0, 1) that lies in the set, and ``tracks``
+steps an orbit as ``apply_scaled`` does and compares it with a
+trajectory point by point. A circle or interval map finds that preimage
+by solving for it fragment by fragment and, in each fragment, piece by
+piece over the pieces the fragment crosses, on small integers over the
+set's unit; it makes no preimage it does not keep. The re-check of the
+witness (``tracks``) does not depend on how the preimage was found.
 Each carries its per-scale constants (k, and the spiral's w and alpha
 over the unit) across its steps by the product that grows the unit.
 A map of one linear piece (doubling, the rotations, x -> -2x, the
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,22 +120,25 @@ class PiecewiseLinearMap:
         bps_base = tuple(int(b * base) for b in bps)
         vals_base = tuple(int(v * base) for v in values)
         slopes_q = tuple(int(sl * q) for sl in slopes)
+        consts = tuple(v * q - sl * b
+                       for b, v, sl in zip(bps_base, vals_base, slopes_q))
         object.__setattr__(self, "_lattice", (
-            bps_base[1:], q, slopes_q,
-            tuple(v * q - sl * b
-                  for b, v, sl in zip(bps_base, vals_base, slopes_q)),
-            base, self.space.kind == "circle"))
-        # per piece: its value range over the base and the preimage line
-        # t = (c + J * inv) * k + r * inv over p times the unit (see
-        # pull_back), inv = p / slope
-        pieces = []
-        for b, v_start, v_end, sl in zip(bps_base, vals_base, vals_base[1:],
-                                         slopes):
+            bps_base[1:], q, slopes_q, consts, base,
+            self.space.kind == "circle"))
+        # the pull-back's walk (see pull_back), a row per piece: its end
+        # over the base (1 for the last piece), its slope over q, the
+        # slope's size and its constant, as above, then its inverse. On a
+        # unit k * base, the preimage on the piece of a point x over the
+        # unit, lifted by w turns, is x * inv + (c0 + w * base * inv) * k
+        # over p times the unit, with inv = p / slope; turn = base * |inv|
+        walk = []
+        for b, v, end, sl, sq, c in zip(bps_base, vals_base,
+                                        bps_base[1:] + (base,), slopes,
+                                        slopes_q, consts):
             inv = p * sl.denominator // sl.numerator
-            pieces.append((min(v_start, v_end), max(v_start, v_end),
-                           b * p - v_start * inv, inv))
-        object.__setattr__(self, "_pieces", (
-            p, base, self.space.kind == "circle", tuple(pieces)))
+            walk.append((end, sq, abs(sq), c, b * p - v * inv,
+                         base * abs(inv), inv))
+        object.__setattr__(self, "_walk", (p, tuple(walk)))
         # the corners of the map past 0: (position, piece after it, value),
         # numerators over the base. A circle map's lift runs on over
         # [1, 2), one turn up; it has a corner at 1 only where the last and
@@ -246,60 +254,86 @@ class PiecewiseLinearMap:
                                out)
 
     def pull_back(self, point, scale, sets, m):
-        """``shadowcheck.pull_back_witness``'s loop, which says how a
-        candidate is tested: the point, numerators over ``scale`` (a
-        multiple of lattice_base), pulled back through the record's sets
-        ``sets.nums[n]`` over ``sets.units[n]`` for n = m - 1, ..., 0.
-        Returns (numerators, scale), or None where a step finds no
-        preimage in its set. No call per step and nothing built per
-        candidate.
+        """``shadowcheck.pull_back_witness``'s loop: the point, numerators
+        over ``scale`` (a multiple of lattice_base), pulled back through
+        the record's sets ``sets.nums[n]`` over ``sets.units[n]`` for n =
+        m - 1, ..., 0, keeping at each step the smallest preimage in
+        [0, 1) that lies in the set (in ``enclosure``'s normal form).
+        Returns (numerators, scale), or None where a step finds none. No
+        call per step, and only the kept preimage is made.
 
-        With k = scale / lattice_base and (j, r) = divmod(x, k), the point
-        is (j + r/k) / lattice_base, so which pieces and windings J = j +
-        i * lattice_base reach it is decided on small integers, and each
-        preimage t = (c + J * inv) * k + r * inv, over the scale times p,
-        costs two products by k-sized numbers; k is carried by p. The
-        pieces come in order and each gives its preimages in increasing
-        order. A preimage at a breakpoint comes twice, once from each
-        piece, and on the circle 1 comes after 0; a twin gets the same
-        test as the first, so it never moves the first hit."""
-        p, base, circle, pieces = self._pieces
-        frags, units = sets.nums, sets.units
+        The preimage is solved for fragment by fragment in increasing
+        order, on the circle from the part past 1 of a last arc that
+        wraps, and in each over the pieces it crosses, so the first
+        sub-piece [a, b] that holds one holds the smallest. With the
+        set's unit a multiple of lattice_base (a set over another unit is
+        lifted to one) and d = unit * q, the point lies in cell j of the
+        grid 1/d, past it by r/k, k = scale / lattice_base. The image of
+        [a, b] is a segment over d from the piece's constant at the unit
+        plus its slope times a, of the slope's size times b - a; one
+        division of small integers by d gives the lift's turn w and how
+        far rem the lift lies past that start (before it on a decreasing
+        piece), and the lift lies in the image when rem, plus one if r >
+        0, is at most that size. On the interval, where no other lift is
+        the point, the modulus 2d + 2 leaves a point before the start a
+        remainder past every size. The preimage is a + rem / size over
+        the unit plus less than 1 / size, so the next cell is a + rem //
+        size wherever the next d is this unit, as where the units nest
+        by q (every generated trajectory); the first step, and a step
+        whose units do not nest, divides x instead. The kept preimage is
+        x * inv + (c0 - w * turn) * k over the scale times p, the lcm of
+        the slope numerators, so k is carried by p."""
+        inner, q, _, _, base, circle = self._lattice
+        p, walk = self._walk
         x = point[0]
         k = scale // base
-        for n in range(m - 1, -1, -1):
-            j, r = divmod(x, k)
-            top = 1 if r else 0  # J + r/k <= hi needs J <= hi - top
-            scale *= p
-            arcs, unit = frags[n], units[n]
-            for lo, hi, c, inv in pieces:
+        kept = prev = None
+        for arcs, unit in zip(reversed(sets.nums[:m]),
+                              reversed(sets.units[:m])):
+            if unit != kept:  # the unit's constants
+                lift = base // math.gcd(unit, base)
+                kept = unit if lift == 1 else None
+                if lift != 1:
+                    arcs = tuple(tuple(c * lift for c in f) for f in arcs)
+                    unit *= lift
+                ku, d = unit // base, unit * q
+                mod = d if circle else 2 * d + 2
+            if d != prev:  # the point's cell, by one division
+                j, r = divmod(x * (ku * q), k)
+                top = 1 if r else 0
+            if circle:
+                s, l = arcs[-1]
+                if s + l >= unit and s:  # the last arc's wrap comes first
+                    arcs = ((0, s + l - unit), *arcs[:-1], (s, unit - s))
+            for a, e in arcs:  # an arc (s, l) or a segment (lo, hi)
                 if circle:
-                    js = range(j - (j - lo) // base * base, hi - top + 1, base)
-                    if inv < 0:
-                        js = reversed(js)
-                elif lo <= j <= hi - top:
-                    js = (j,)
+                    e += a
+                if inner:
+                    i = bisect_right(inner, a // ku)
+                    pieces = walk[i:bisect_left(inner, -(-e // ku), i) + 1]
                 else:
-                    continue
-                for J in js:
-                    t = (c + J * inv) * k + r * inv
-                    a, rem = divmod(t * unit, scale)
-                    short = 1 if rem else 0
-                    for s, e in arcs:  # an arc (s, l) or a segment (lo, hi)
-                        if ((a - s) % unit <= e - short if circle
-                                else s <= a <= e - short):
-                            break
+                    pieces = walk
+                for b, sl, size, c, c0, turn, inv in pieces:
+                    c *= ku
+                    if sl > 0:
+                        w, rem = divmod(j - c - sl * a, mod)
                     else:
-                        continue  # not in the set: the next candidate
-                    break
+                        w, rem = divmod(c + sl * a - j - top, mod)
+                    b *= ku
+                    if rem + top <= size * ((b if b < e else e) - a):
+                        break
+                    a = b
                 else:
-                    continue  # no candidate of this piece is in the set
+                    continue  # no preimage in this fragment
                 break
             else:
                 return None
-            x = t
+            x = x * inv + (c0 - w * turn) * k
             k *= p
-        return (x,), scale
+            j, prev = a + rem // size, unit
+            if not top and rem % size:
+                top = 1
+        return (x,), k * base
 
     def tracks(self, z, z_scale, points, eps) -> bool:
         """``shadowcheck.orbit_tracks``'s loop: whether the orbit of z,
@@ -390,7 +424,8 @@ class AnnulusSpiral:
         out), out that scale, and none where its radius is more than w *
         out from out. w * out and alpha * out are taken once and carried
         by p. Each step tests the radius against the set's radial segment
-        once, then the angle against its arcs as a circle map does."""
+        once, then the angle against its arcs, each read on the set's
+        unit by one division."""
         p, q, a, b = self._lattice
         w_num, w_den = self.space.w_ratio
         frags, units, radials = sets.nums, sets.units, sets.radials

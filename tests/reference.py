@@ -366,8 +366,8 @@ def pick_point(s):
 
 def contains(s, point) -> bool:
     """Whether the point of rationals lies in the enclosure set s, read
-    from its ``Fraction`` fragments: ``shadowcheck.pull_back_witness``
-    tests its candidates the same way on integers."""
+    from its ``Fraction`` fragments: the set membership that
+    ``shadowcheck.pull_back_witness`` decides on integers."""
     kind = s.space.kind
     for f in s.fragments:
         if kind == "circle":

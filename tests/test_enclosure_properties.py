@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shadowing import EnclosureCapError, annulus, circle, interval
 from shadowing import enclosure as enc
@@ -516,3 +516,71 @@ def test_a_pull_back_step_keeps_the_first_preimage_in_the_set(name, data):
     x = pick_point(image)
     want = next(p for p in preimages(system, x) if contains(a, p))
     assert pull_back_witness(system, [a, image], 1) == want
+
+
+def draw_lattice_set(space, unit, data, through):
+    """A set in normal form of the point ``through`` (a numerator over
+    ``unit``, or None) and one to three fragments whose ends are
+    numerators over ``unit``, ends and lengths drawn often at 0 and at
+    the unit, so fragments that touch 0 or 1, wrap, or are single points
+    come up often."""
+    end = st.one_of(st.sampled_from([0, unit]), st.integers(0, unit))
+    frags = data.draw(st.lists(st.tuples(end, end), min_size=1,
+                               max_size=3), label=f"fragments over {unit}")
+    circle = space.kind == "circle"
+    if circle:
+        frags = [(s % unit, l) for s, l in frags]
+    if through is not None:
+        frags.append((through, 0 if circle else through))
+    return enc._make(space, frags, unit)
+
+
+@pytest.mark.parametrize("name", sorted(set(STEP_SYSTEMS) - {
+    "spiral", "spiral-2/3"}))
+@settings(PROPERTY, max_examples=200)  # an off-by-one cell shows rarely
+@given(data=st.data())
+def test_a_pull_back_through_small_sets_keeps_the_first_preimage(name,
+                                                                 data):
+    """The map's ``pull_back`` of a point over twice A_2's unit through
+    A_1 and A_0, sets of small units drawn freely (so a step may find no
+    preimage), or holding an orbit z, f(z), f(f(z)) whose end the point
+    lies on or one cell off: at each step the first preimage, in
+    increasing order, that ``reference.contains`` puts in the set, or
+    None. The units are u, u * q and u * q^2, as a generated trajectory's
+    nest, so the second step reads the point's cell carried from the
+    first; on some draws A_2's unit is cut to u, so it divides again,
+    and on some u is not a multiple of the lattice base (as a ball's
+    over the denominators of its center and radius may not be)."""
+    system = STEP_SYSTEMS[name]
+    circle, base = system.space.kind == "circle", system.lattice_base
+    q = system._lattice[1]
+    u = data.draw(st.sampled_from([1, 2, 3, 5, 10]), label="unit factor")
+    off_base = data.draw(st.booleans(), label="units off the lattice base")
+    if not off_base:
+        u *= base
+    units = [u, u * q, u * q * q]
+    orbit = [None] * 3
+    if not off_base and data.draw(st.booleans(), label="an orbit"):
+        orbit[0] = data.draw(st.integers(0, u - circle), label="z")
+        for n in (1, 2):
+            (orbit[n],), _ = system.apply_scaled((orbit[n - 1],),
+                                                 units[n - 1])
+    elif data.draw(st.booleans(), label="units that do not nest"):
+        units[2] = u
+    sets = [draw_lattice_set(system.space, unit, data, z)
+            for unit, z in zip(units, orbit)]
+    scale = 2 * math.lcm(units[2], base)
+    if orbit[2] is None:
+        x = data.draw(st.integers(0, scale - circle), label="point")
+    else:
+        x = 2 * orbit[2] + data.draw(st.sampled_from([0, -1, 1]),
+                                     label="off the orbit")
+        x = x % scale if circle else min(max(x, 0), scale)
+    want = (F(x, scale),)
+    for a in reversed(sets[:2]):
+        want = next((p for p in preimages(system, want) if contains(a, p)),
+                    None)
+        if want is None:
+            break
+    got = system.pull_back((x,), scale, enc.SetRecord.of(sets), 2)
+    assert (None if got is None else (F(got[0][0], got[1]),)) == want

@@ -40,17 +40,21 @@ recorded before the spiral's step clipped its box inline and the walk
 and the re-check carried their per-scale constants.
 
 The ``pwl-check`` digests pin the stored trajectory and the ``check``
-verdict JSON, witness included, of five trajectories that run the
+verdict JSON, witness included, of the trajectories that run the
 interval, multi-piece and decreasing arithmetic through ``check``: tent
 ``s=3/2``, the two-piece circle map ``pwl:0:5/2,2/5:5/3`` at small and
 at large d and eps (where its images are cut and its shadow sets
 normalized), ``pwl:0:3,1/2:-1``, whose witness is pulled back through a
 decreasing piece, and ``pwl:0:-2``, the one-piece circle map x -> -2x,
 whose one image arc runs backwards from the image of a fragment's start
-(a Yes whose witness has about 350 bits). The first four were recorded
-before the pull-back and the re-check ran inline in the maps, the fifth
-before the walk stepped its point and propagation mapped and clipped a
-one-fragment set inline.
+(a Yes whose witness has about 350 bits), and two doubling checks of one
+trajectory at eps 49/100, where most pull-back steps find two
+preimages in a set that is not the whole circle and the last arc wraps
+past 1, and at eps 1/2, where every set is the whole circle. The first
+four were recorded before the pull-back and the re-check ran inline in
+the maps, the fifth before the walk stepped its point and propagation
+mapped and clipped a one-fragment set inline, the two doubling checks
+while the pull-back still tried every preimage of its point in turn.
 
 The ``bounds`` digests pin the exit status, stdout and stderr of the
 README's three ``bounds`` examples and of three cover searches that fail:
@@ -144,6 +148,14 @@ GOLDEN = {
             "a79acd9616b9d758ccac23211b303cc8a43221adb440b0a6ae22a645e5adbf6d",
         "pwl-flip/verdict.json":
             "5874477b77c5d31482e5ad8f3e445b2ae4d06c49e739fe6bd18cc3a469bd3107",
+        "doubling-two-preimages/traj.csv":
+            "ad590c7ac047de8303139dbfcafa52d10e62897805d828246c6b1dd82e451833",
+        "doubling-two-preimages/verdict.json":
+            "1ff7a18ce511621646a6f1219bf7db1af1adcf8811014865a1fe7bdca6162c5d",
+        "doubling-whole-circle/traj.csv":
+            "ad590c7ac047de8303139dbfcafa52d10e62897805d828246c6b1dd82e451833",
+        "doubling-whole-circle/verdict.json":
+            "b05d0312a1c3d2ba76a09e81fd0d2746b0434677d9eb5fa8e1492133f479de78",
     },
     # exit status, stdout digest, stderr digest
     "bounds": {
@@ -283,6 +295,8 @@ PWL_CHECKS = {
     "pwl-cut": ("pwl:0:5/2,2/5:5/3", "0.3", "1/5", "100", "6/25"),
     "pwl-decreasing": ("pwl:0:3,1/2:-1", "0.3", "0.02", "300", "0.05"),
     "pwl-flip": ("pwl:0:-2", "0.3", "0.02", "300", "0.05"),
+    "doubling-two-preimages": ("doubling", "0.3", "0.02", "300", "49/100"),
+    "doubling-whole-circle": ("doubling", "0.3", "0.02", "300", "1/2"),
 }
 
 

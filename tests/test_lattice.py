@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
-                       generate, load_trajectory, orbit_tracks, pwl,
-                       rotation, save_trajectory, shadow_set_forward, tent,
-                       trial_stream)
+                       generate, load_trajectory, orbit_tracks,
+                       parse_system, pwl, rotation, save_trajectory,
+                       shadow_set_forward, tent, trial_stream)
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.shadowcheck import pull_back_witness
 
@@ -292,19 +292,23 @@ def denominator(values) -> int:
     return math.lcm(*(F(v).denominator for v in values))
 
 
-def test_hostile_denominators_keep_the_scale_down(tmp_path):
+@pytest.mark.parametrize("spec", ["doubling", "pwl:0:5/2,2/5:5/3",
+                                  "pwl:0:-2", "pwl:0:3,1/2:-1"])
+def test_hostile_denominators_keep_the_scale_down(tmp_path, spec):
     """Points k/p_n with a different prime p_n at each step: the kernel
     reduces each set once per step, so its unit stays within the lcm of the
     denominators that the previous set and the new ball carry, instead of
-    collecting every prime seen so far."""
-    system = doubling()
+    collecting every prime seen so far. The witness is pulled back through
+    sets whose units do not divide its scale, on doubling and on circle
+    maps of two pieces, of a negative slope and of a decreasing piece."""
+    system = parse_system(spec)
     eps = F(1, 20)
     n = 60
     sampled = generate(system, (F(3, 10),), F(1, 50), n, trial_stream(11))
     hostile = tuple((F(round(y[0] * p), p) % 1,)
                     for y, p in zip(sampled.points, primes_above(1000, n + 1)))
     save_trajectory(Pseudotrajectory(hostile, F(1, 40), Provenance("loaded")),
-                    "doubling", tmp_path / "hostile")
+                    spec, tmp_path / "hostile")
     traj, _ = load_trajectory(tmp_path / "hostile")
     assert traj.points == hostile
 

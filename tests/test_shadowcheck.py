@@ -507,15 +507,17 @@ def test_orbit_tracks_rejects_one_lattice_unit_past_eps(system, x0, eps,
                     (k, excess, type(given))
 
 
-# -- a pull-back step reads its candidates on the set's unit ------------------
+# -- a pull-back step decides each preimage on the set's unit -----------------
 
 @pytest.mark.parametrize("case", ["circle", "interval", "annulus-angle",
                                   "annulus-radius"])
 def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
     """A set over unit 10 and a point whose preimage lies 1/100 past the
     end of a fragment, inside the lattice cell that the fragment's end
-    starts: the pull-back reads that candidate as outside, and keeps the
-    next one inside (on the circle and interval) or finds none."""
+    starts: the pull-back finds that preimage outside the fragment (the
+    point lies past the image of the fragment's end by less than a cell),
+    and keeps the next one inside (on the circle and interval) or finds
+    none."""
     if case == "circle":
         system, frags, point = DBL, [(F(0), F(3, 10)), (F(4, 5), F(1, 10))], \
             (F(31, 50),)
@@ -552,11 +554,12 @@ def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
 ], ids=["interval-on-end", "interval-on-start", "interval-0-or-1",
         "circle-on-end"])
 def test_a_candidate_on_a_fragments_end_is_inside_it(kind, y, want):
-    """Over unit 10, a preimage on a fragment's end, which the division
-    leaves no remainder, lies in the fragment and is kept (one in the
-    lattice cell past the end is not: see the test above). On the
-    interval the test does not wrap: the preimage 0 lies outside [1/10,
-    3/10] and [3/5, 1], and the next one, 1, is kept."""
+    """Over unit 10, a preimage on a fragment's end, where the point lies
+    on the image of the end with no remainder, lies in the fragment and
+    is kept (one in the lattice cell past the end is not: see the test
+    above). On the interval the point has no other lift: the preimage 0
+    lies outside [1/10, 3/10] and [3/5, 1], and the next one, 1, is
+    kept."""
     if kind == "interval":
         system, frags = tent(2), [(F(1, 10), F(3, 10)), (F(3, 5), F(1))]
     else:
