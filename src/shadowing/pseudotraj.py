@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import operator
 import re
@@ -377,34 +378,81 @@ def save_trajectory(traj: Pseudotrajectory, system_spec: str, base) -> None:
 
 def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
     """Read a trajectory written by save_trajectory; returns (traj,
-    system_spec). A sidecar that is not a JSON object with "system" and
-    "d", a file that is not UTF-8, or a row that ``_ratio_rows`` refuses,
-    is a ``UsageError``. The rows go on nested scales
+    system_spec). The CSV is read once as text. Text spelled as
+    save_trajectory writes it is parsed by ``_saved_rows`` in one regex
+    pass; any other text, and every malformed file, goes through
+    ``_ratio_rows``, which raises each refusal. A sidecar that is not a
+    JSON object with "system" and "d", a file that is not UTF-8, a row
+    that ``_ratio_rows`` refuses, or a sidecar "N" that is not the row
+    count minus 1, is a ``UsageError``. The rows go on nested scales
     (``ScaledPoints.nested``)."""
     base = Path(base)
     sidecar = json_object(base.with_suffix(".json"), ("system", "d"))
     path = base.with_suffix(".csv")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = _ratio_rows(csv.reader(fh), path)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text") from exc
+    rows = _saved_rows(text)
+    if rows is None:
+        rows = _ratio_rows(csv.reader(io.StringIO(text, newline="")), path)
     prov = Provenance(sidecar.get("provenance", "loaded"),
                       sidecar.get("seed"), sidecar.get("trial"))
     # an empty file has no points, which Pseudotrajectory refuses
     traj = Pseudotrajectory(ScaledPoints.nested(rows), frac(sidecar["d"]),
                             prov)
+    # a CSV cut short (or grown) must not be checked as another horizon
+    n = sidecar.get("N", traj.horizon)
+    if type(n) is not int or n != traj.horizon:
+        raise UsageError(f"{path}: {len(rows)} row(s), so N is "
+                         f"{traj.horizon}, but the sidecar says N is {n!r}")
     return traj, sidecar["system"]
 
 
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+# a body row as save_trajectory writes it, after each header it writes: n
+# in digits, then each coordinate as a token that _INT_RATIO takes
+_SAVED_ROW = {
+    header: re.compile("^([0-9]+)" + f",{_INT_RATIO.pattern}" * width + "\n",
+                       re.M)
+    for width, header in ((1, "n,coord0"), (2, "n,coord0,coord1"))
+}
+
+
+def _saved_rows(text: str) -> list | None:
+    """The rows of ``text`` as (numerator, denominator) pairs, as
+    ``_ratio_rows`` reads them, where the text is spelled as
+    save_trajectory writes it: its header, then rows each ended by "\\n",
+    each row's n its index in decimal and each coordinate a token that
+    ``_INT_RATIO`` takes. Any other text is None, for ``_ratio_rows``.
+    Every match of the row pattern is one whole line, so one match per
+    "\\n" means every line matched."""
+    header, _, body = text.partition("\n")
+    row = _SAVED_ROW.get(header)
+    if row is None or not body.endswith("\n"):
+        return None
+    found = row.findall(body)
+    if len(found) != body.count("\n"):
+        return None
+    # column by column: the n column, then each coordinate's numerators
+    # and denominators ("" where the token is an integer)
+    n, *tokens = zip(*found)
+    if n != tuple(map(str, range(len(found)))):
+        return None
+    return list(zip(*[zip(map(int, nums), [int(d) if d else 1 for d in dens])
+                      for nums, dens in zip(tokens[::2], tokens[1::2])]))
 
 
 def _ratio_rows(reader, path) -> list:
     """The coordinates of each row after the header, in one pass, as
     (numerator, denominator) pairs for ``ScaledPoints.nested``: an integer
     or a ratio with a nonzero denominator is parsed to ints, any other
-    token is read by ``frac``. The header must be n,coord0 or
+    token is read by ``frac``. ``load_trajectory`` calls it on every text
+    that ``_saved_rows`` does not read: quoted fields, CRLF line ends,
+    other spellings of n or of a coordinate, a last row with no "\\n", and
+    every malformed file. The header must be n,coord0 or
     n,coord0,coord1, as ``save_trajectory`` writes it. Any other header is
     a ``UsageError``, and so is a token that ``Fraction`` rejects (raised
     from the error it raises), a blank line, a row whose field count

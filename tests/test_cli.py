@@ -425,6 +425,10 @@ def malformed(tmp_path):
                              "text.json: not valid JSON"),
         "sidecar-without-d": (check("no-d", sidecar='{"system": "doubling"}'),
                               "no-d.json: no d"),
+        "sidecar-N-disagrees": (
+            check("cut", sidecar='{"system": "doubling", "d": "1/50", '
+                  '"N": 500}'),
+            "cut.csv: 2 row(s), so N is 1, but the sidecar says N is 500"),
         "config-not-json": (config("text", "{trials: 1"),
                             "config-text.json: not valid JSON"),
         "config-trials-x": (config("x", json.dumps({**good, "trials": "x"})),
@@ -486,7 +490,8 @@ def generate(spec, out) -> list:
     "estimate-horizons-10,x", "check-eps-abc", "bounds-eps-abc", "csv-abc",
     "csv-1/0", "csv-header-x,y", "csv-extra-field", "csv-short-row",
     "csv-wrong-n",
-    "csv-n-not-integer", "csv-blank-line", "sidecar-not-json", "sidecar-without-d", "config-not-json",
+    "csv-n-not-integer", "csv-blank-line", "sidecar-not-json",
+    "sidecar-without-d", "sidecar-N-disagrees", "config-not-json",
     "config-trials-x", "config-without-d", "config-system-5",
     "config-system-list",
     "config-trials-1.5", "config-trials-true", "config-seed-2.0",

@@ -15,7 +15,7 @@ from shadowing import (DomainError, SearchFailure, UsageError,
                        decide_shadowable, doubling, generate, load_trajectory,
                        parse_system, rotation, save_trajectory, trial_stream,
                        worst_case_pseudotrajectory)
-from shadowing import annulus_spiral, tent
+from shadowing import annulus_spiral, pseudotraj, tent
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
 from shadowing.spaces import ScaledPoints
 
@@ -271,8 +271,15 @@ def fraction_loaded(base) -> ScaledPoints:
     return ScaledPoints(nums, scales)
 
 
+def no_csv_reader(*args, **kwargs):
+    raise AssertionError("the csv module read a file save_trajectory wrote")
+
+
 @pytest.mark.parametrize("name", ["doubling", "rotation", "tent", "annulus"])
-def test_loaded_points_equal_fraction_parsing(tmp_path, name):
+def test_loaded_points_equal_fraction_parsing(tmp_path, monkeypatch, name):
+    """A file save_trajectory wrote is read in one regex pass over its text,
+    never by the csv module, to the points Fraction parsing gives; tent and
+    annulus points have denominators that do not nest."""
     system, spec, y0 = {
         "doubling": (DBL, "doubling", (F(3, 10),)),
         "rotation": (ROT, "rotation:alpha=610/987", (F(0),)),
@@ -284,24 +291,42 @@ def test_loaded_points_equal_fraction_parsing(tmp_path, name):
     traj = generate(system, y0, F(1, 50), 200, trial_stream(13))
     base = tmp_path / name
     save_trajectory(traj, spec, base)
-    loaded, _ = load_trajectory(base)
     ref = fraction_loaded(base)
+    monkeypatch.setattr(pseudotraj.csv, "reader", no_csv_reader)
+    loaded, _ = load_trajectory(base)
     assert loaded.scaled.nums == ref.nums
     assert loaded.scaled.scales == ref.scales
     assert loaded.points == tuple(ref) == traj.points
 
 
 def test_loader_parses_other_tokens_as_fractions(tmp_path):
-    base = tmp_path / "hand"
-    base.with_suffix(".json").write_text(
-        '{"system": "doubling", "d": "1/50"}')
-    base.with_suffix(".csv").write_text(
-        "n,coord0\n0,2/4\n1,0.5\n2,-0\n3, 3/7\n4,1_000/3\n5,6/14\n")
-    loaded, _ = load_trajectory(base)
-    ref = fraction_loaded(base)
-    assert loaded.scaled.nums == ref.nums
-    assert loaded.scaled.scales == ref.scales
-    assert loaded.points == tuple(ref)
+    """Spellings save_trajectory does not write, and files it wrote then
+    edited, read as Fraction parsing reads them: a decimal in one row of a
+    saved 1000-row file and a last row with no newline go through the csv
+    reader; -0 and a zero-padded denominator are tokens either reader
+    takes."""
+    traj = generate(DBL, (F(3, 10),), F(1, 50), 1000, trial_stream(13))
+    save_trajectory(traj, "doubling", tmp_path / "saved")
+    saved = tmp_path.joinpath("saved.csv").read_text()
+    lines = saved.splitlines(keepends=True)
+    lines[501] = "500,0.5\n"
+    texts = {
+        "hand": "n,coord0\n0,2/4\n1,0.5\n2,-0\n3, 3/7\n4,1_000/3\n5,6/14\n",
+        "decimal-row": "".join(lines),
+        "no-final-newline": saved[:-1],
+        "minus-zero": "n,coord0\n0,1/3\n1,-0\n2,-0/4\n",
+        "padded-denominator": "n,coord0,coord1\n0,1/007,2/3\n1,3/007,5/0014\n",
+    }
+    for name, text in texts.items():
+        base = tmp_path / name
+        base.with_suffix(".json").write_text(
+            '{"system": "doubling", "d": "1/50"}')
+        base.with_suffix(".csv").write_text(text)
+        loaded, _ = load_trajectory(base)
+        ref = fraction_loaded(base)
+        assert loaded.scaled.nums == ref.nums, name
+        assert loaded.scaled.scales == ref.scales, name
+        assert loaded.points == tuple(ref), name
 
 
 @pytest.mark.parametrize("token, error", [("1/0", ZeroDivisionError),
