@@ -20,7 +20,7 @@ from .shadowcheck import (ShadowVerdict, Verdict, decide_horizons,
                           decide_shadowable, orbit_tracks,
                           rotation_first_failure, shadow_set_forward)
 from .spaces import Point, Space, annulus, circle, interval
-from .systems import (AnnulusSpiral, PiecewiseLinearMap, annulus_spiral,
+from .systems import (PiecewiseLinearMap, ProductMap, annulus_spiral,
                       doubling, parse_system, pwl, rotation, tent)
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ from .enclosure import _normalize_segs, ball_set
 from .errors import DomainError, SearchFailure, UsageError
 from .rationals import frac, jsonable, point_text
 from .spaces import Space, scaled_point
-from .systems import AnnulusSpiral
 
 
 def delta_for_inclusion(system, d) -> Fraction:
@@ -58,13 +57,12 @@ def tube_delta(system, d, eps) -> Fraction:
 def eta(space: Space, delta, d) -> Fraction:
     """Ratio of the smallest delta-ball measure to the largest d-ball measure.
 
-    A ball truncated to the space is a radial segment crossed with an arc.
-    In a segment of length L (1 on the interval, 2w on the annulus) a
-    radius-r ball spans at least min(r, L), at an end, and at most
-    min(2r, L); an arc always spans min(2r, 1). So eta is
-    min(delta, 1) / min(2d, 1) on the interval,
-    min(2 delta, 1) / min(2d, 1) on the circle and
-    min(delta, 2w) min(2 delta, 1) / (min(2d, 2w) min(2d, 1)) on the annulus.
+    A ball truncated to the space is a segment, an arc, or on the annulus
+    a segment of the band times an arc. In a segment of length L (hi -
+    lo; 2w on the annulus) a radius-r ball spans at least min(r, L), at
+    an end, and at most min(2r, L); an arc always spans min(2r, 1). So
+    eta is min(delta, L) / min(2d, L) on an interval, min(2 delta, 1) /
+    min(2d, 1) on the circle and their product on the annulus.
     """
     delta = frac(delta)
     d = frac(d)
@@ -72,15 +70,12 @@ def eta(space: Space, delta, d) -> Fraction:
         raise DomainError("delta must be positive")
     if delta > d:
         raise DomainError("expected delta <= d")
-    one = Fraction(1)
-    if space.kind == "circle":
-        value = min(2 * delta, one) / min(2 * d, one)
-    elif space.kind == "interval":
-        value = min(delta, one) / min(2 * d, one)
-    else:
-        width = 2 * space.w
-        value = (min(delta, width) * min(2 * delta, one)
-                 / (min(2 * d, width) * min(2 * d, one)))
+    value = Fraction(1)
+    if space.kind != "circle":  # the segment
+        lo, hi = space.ends
+        value *= min(delta, hi - lo) / min(2 * d, hi - lo)
+    if space.kind != "interval":  # the arc
+        value *= min(2 * delta, Fraction(1)) / min(2 * d, Fraction(1))
     return value
 
 
@@ -283,14 +278,14 @@ class ProofQuantities(_Record):
     y0: tuple
 
 
-def attractor_quantities(system: AnnulusSpiral, eps, y0,
-                         d=None) -> ProofQuantities:
+def attractor_quantities(system, eps, y0, d=None) -> ProofQuantities:
     """Absorbing-band data for the annulus contraction-rotation.
 
     The invariant circle r = 1 attracts the whole annulus. With
     rho = min(eps/4, w/2) the band W = {|r - 1| <= rho} absorbs: its image
     is the band of half-width lam * rho, and pseudotrajectories re-enter
-    because |r_{n+1} - 1| <= lam |r_n - 1| + d.
+    because |r_{n+1} - 1| <= lam |r_n - 1| + d. lam is the slope of the
+    spiral's radial factor and w the half-length of its interval.
 
     Returns rho, the entry time n0, the noise ceiling d0 = (1 -
     BAND_MARGIN) * min(eps/4, (1 - lam) rho) that keeps the band
@@ -303,39 +298,43 @@ def attractor_quantities(system: AnnulusSpiral, eps, y0,
     working noise level ``d`` (default d0/2); as d < d0 < (1 - lam) rho,
     the search ends.
 
-    The record is memoized on (system, eps, canonical y0, d) once d is
-    resolved, so a call with d=None and one with the d it resolved to
-    share one record; it is immutable. Arguments are checked before the
-    cache is asked, so a refused d raises at every call.
+    The record is memoized on values (lam, w, the Lipschitz constant, eps,
+    canonical y0, d) once d is resolved, so a call with d=None and one
+    with the d it resolved to share one record; it is immutable.
+    Arguments are checked before the cache is asked, so a refused d
+    raises at every call.
     """
-    if not isinstance(system, AnnulusSpiral):
+    if system.space.kind != "annulus":
         raise UsageError("attractor quantities are defined for annulus spirals")
+    radial = system.factors[0]
+    lam = radial.slopes[0]
+    lo, hi = radial.space.ends
+    w = (hi - lo) / 2
     eps = frac(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
     y0 = system.space.canonical(tuple(frac(c) for c in y0))
-    rho, d0 = _band(system, eps)
+    rho, d0 = _band(lam, w, eps)
     if d is None:
         d_used = d0 / 2
     else:
         d_used = frac(d)
         if not 0 < d_used < d0:
             raise DomainError(f"need 0 < d < d0 = {d0}, got {d_used}")
-    return _band_record(system, eps, y0, d_used)
+    return _band_record(lam, w, system.lipschitz, eps, y0, d_used)
 
 
-def _band(system, eps) -> tuple:
+def _band(lam, w, eps) -> tuple:
     """(rho, d0): the band's half-width and the noise ceiling."""
-    rho = min(eps / 4, system.space.w / 2)
-    return rho, (1 - BAND_MARGIN) * min(eps / 4, (1 - system.lam) * rho)
+    rho = min(eps / 4, w / 2)
+    return rho, (1 - BAND_MARGIN) * min(eps / 4, (1 - lam) * rho)
 
 
 @functools.lru_cache(maxsize=64)
-def _band_record(system, eps, y0, d_used) -> ProofQuantities:
+def _band_record(lam, w, lipschitz, eps, y0, d_used) -> ProofQuantities:
     """``attractor_quantities`` once its arguments are checked and d is
     resolved."""
-    lam = system.lam
-    rho, d0 = _band(system, eps)
+    rho, d0 = _band(lam, w, eps)
     n0 = 0
     gap = abs(y0[0] - 1)
     room = rho - d_used / (1 - lam)
@@ -343,7 +342,7 @@ def _band_record(system, eps, y0, d_used) -> ProofQuantities:
         gap *= lam
         n0 += 1
 
-    delta = delta_for_inclusion(system, d_used)
+    delta = d_used / (2 * (1 + lipschitz))  # delta_for_inclusion's radius
     settle = 0
     reach = rho
     while reach > delta / 4:
@@ -354,4 +353,3 @@ def _band_record(system, eps, y0, d_used) -> ProofQuantities:
         d=d_used, delta=delta, eps0=eps / 4, rho=rho,
         band_lo=1 - rho, band_hi=1 + rho, n0=n0, d0=d0, settle_s=settle,
         lam=lam, margin=BAND_MARGIN, y0=y0)
-

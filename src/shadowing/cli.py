@@ -22,7 +22,7 @@ from .pseudotraj import (Provenance, generate, load_trajectory,
                          save_trajectory, trial_stream)
 from .rationals import frac, json_object, json_text, jsonable, parse_point
 from .shadowcheck import decide_shadowable
-from .systems import AnnulusSpiral, parse_system
+from .systems import parse_system
 
 DEFAULT_DICHOTOMY = {
     "shadowing": {
@@ -103,7 +103,7 @@ def cmd_bounds(args) -> int:
     d = frac(args.d)
     eps = frac(args.eps) if args.eps else None
     y0 = parse_point(args.y0) if args.y0 else None
-    if isinstance(system, AnnulusSpiral):
+    if system.space.kind == "annulus":
         if eps is None or y0 is None:
             raise UsageError("annulus bounds need --eps and --y0")
         q = bounds_mod.attractor_quantities(system, eps, y0, d=d)
@@ -202,6 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # every number read or written is an exact rational that a verdict
+    # depends on, and what generate writes, check must read back: no
+    # limit on the digits of an integer's decimal string
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

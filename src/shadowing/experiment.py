@@ -33,16 +33,16 @@ from . import bounds as bounds_mod
 from .binomial import clopper_pearson
 from .errors import DomainError, EnclosureCapError, InvariantViolation, UsageError
 # generate, orbit_tracks, pull_back_witness and shadow_set_forward are
-# not called here: a trial's walk feeds shadow_sets, which takes each
-# step on bare integers, and horizon_verdicts pulls the
-# witness back and re-checks it through shadowcheck's own names. They
-# stay importable here because bench/probes.py looks all four up here
-from .pseudotraj import LatticeWalk, generate, trial_stream
+# not called here: a trial's walk feeds horizon_verdicts, which
+# propagates, pulls the witness back and re-checks it through
+# shadowcheck's own names. They stay importable here because
+# bench/probes.py looks all four up here
+from .pseudotraj import generate, trial_stream
 from .rationals import (frac, json_join, json_text, jsonable, parse_point,
                         point_text)
 from .shadowcheck import (horizon_verdicts, orbit_tracks, pull_back_witness,
-                          shadow_set_forward, shadow_sets)
-from .systems import AnnulusSpiral, parse_system
+                          shadow_set_forward)
+from .systems import parse_system
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class ExperimentResult:
 
 
 def _outside_band(taken, n, rho) -> bool:
-    """Whether point n of ``taken`` lies outside the annulus band
+    """Whether point n of ``taken``, radii, lies outside the annulus band
     |r - 1| <= rho, read exactly from its numerator and scale."""
     return abs(taken.nums[n][0] - taken.scales[n]) * rho.denominator \
         > rho.numerator * taken.scales[n]
@@ -165,23 +165,23 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
     """Sample one trajectory while its shadow set lives, decide every
     horizon prefix on it.
 
-    Sampling and propagation are one loop that stops at the first empty
-    set; no verdict reads a later point. ``band`` is (rho, n0) for
-    attractor runs: every point from step n0 on must lie in the absorbing
-    band, else the bound computation is wrong. The check reads the walk's
-    exact points from n0 on, sampling on past a trial that stopped sooner.
-    A step moves the radius by |r' - 1| <= lam |r - 1| + d, truncated or
-    not, so when lam * rho + d <= rho (every d < d0) one point in the band
-    keeps every later one in it and the check stops at the first point;
-    otherwise it reads on to the largest horizon.
+    Sampling and propagation are one pass over the map's walk
+    (``horizon_verdicts``) that stops at the first empty set. ``band`` is
+    (rho, n0) for attractor runs: every point from step n0 on must lie in
+    the absorbing band, else the bound computation is wrong. The check
+    reads the walk's exact radii (its first factor's points) from n0 on,
+    sampling on past a trial that stopped sooner. A step moves the radius
+    by |r' - 1| <= lam |r - 1| + d, truncated or not, so when lam * rho +
+    d <= rho (every d < d0) one point in the band keeps every later one in
+    it and the check stops at the first point; otherwise it reads on to
+    the largest horizon.
     """
-    walk = LatticeWalk(system, config.y0, config.d, config.max_horizon,
+    walk = system.walk(config.y0, config.d, config.max_horizon,
                        trial_stream(config.seed, trial))
     steps = iter(walk)
     try:
-        found = horizon_verdicts(system,
-                                 shadow_sets(system, steps, config.eps),
-                                 walk.taken, config.eps, config.horizons)
+        found = horizon_verdicts(system, steps, walk.taken, config.eps,
+                                 config.horizons)
         outcome = TrialOutcome(trial, found.first_empty,
                                tuple(v.value for v in found.verdicts))
     except EnclosureCapError as exc:
@@ -190,14 +190,16 @@ def _run_trial(system, config: ExperimentConfig, trial: int,
                                error=str(exc))
     if band is not None:
         rho, n0 = band
-        closed = system.lam * rho + config.d <= rho
-        taken = walk.taken
+        lam = system.factors[0].slopes[0]
+        closed = lam * rho + config.d <= rho
+        radii = walk.taken[0]
         for n in range(n0, config.max_horizon + 1):
-            while len(taken) <= n:
+            while len(radii) <= n:
                 next(steps)
-            if _outside_band(taken, n, rho):
+            if _outside_band(radii, n, rho):
+                point = tuple(t[n][0] for t in walk.taken)
                 raise InvariantViolation(
-                    f"trial {trial}: point {point_text(taken[n])} at step "
+                    f"trial {trial}: point {point_text(point)} at step "
                     f"{n} escaped the absorbing band of half-width {rho} "
                     f"(entry step {n0})")
             if closed:
@@ -349,7 +351,7 @@ def run_attractor_experiment(config: ExperimentConfig, out=None,
     report.json under ``out`` when it is given, after ``emit``'s files.
     """
     system = config.system
-    if not isinstance(system, AnnulusSpiral):
+    if system.space.kind != "annulus":
         raise UsageError("attractor experiment needs an annulus spiral system")
     q = bounds_mod.attractor_quantities(system, config.eps, config.y0,
                                         d=config.d)

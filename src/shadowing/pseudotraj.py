@@ -182,15 +182,17 @@ def _words(n: int) -> list:
 
 
 class LatticeWalk:
-    """The random d-pseudotrajectory of length n from y0, one step at a time.
+    """The random d-pseudotrajectory of length n from y0, one step at a time,
+    of a map of the circle or an interval.
 
     Each step draws y_{k+1} uniformly from the d-ball around f(y_k) in the
-    space, from one uniform double per coordinate, on an integer lattice
-    (``__iter__``, the one sampler). ``rng`` is a stream of the integers k
-    of those doubles k / 2**53, as ``trial_stream`` returns it; a step reads
-    its ndim integers only when it is sampled, and the walk reads at most
-    n * ndim of them in all, so it may be handed a stream that never ends.
-    The points equal those of the ``Fraction`` chain that the tests keep in
+    space, from one uniform double, on an integer lattice (``__iter__``,
+    the one sampler). ``rng`` is a stream of the integers k of those
+    doubles k / 2**53, as ``trial_stream`` returns it; a step reads its
+    integer only when it is sampled, and the walk reads at most n of them
+    in all, so it may be handed a stream that never ends, or one that
+    another walk reads too (``systems.ProductWalk``). The points equal
+    those of the ``Fraction`` chain that the tests keep in
     ``tests/reference.py``, and a shorter horizon gives a prefix. The scale
     starts at 2**53 times the lcm of the denominators of d, y0 and the
     map's parameters; it grows only by a non-integer slope's denominator
@@ -220,51 +222,47 @@ class LatticeWalk:
     def __iter__(self):
         """The walk's loop: the map's point step, then the draw on the
         lattice. A map of one linear piece (doubling, the rotations, the
-        spiral) hands over its constants for the first scale (``line``),
-        and the step is taken inline: y goes to c + f * y over the scale
-        times q, the spiral's angle by c_t + q * theta, and c is carried
-        across every change of scale by its factor, as the scale is, so
-        the spiral's alpha over the scale is never divided out again. A
-        map with corners (tent, ``pwl`` maps of several pieces) is stepped
-        by its ``apply_scaled``. The center of an arc is not reduced
-        modulo the scale, since the draw is.
+        radial contraction) hands over its constants for the first scale
+        (``line``), and the step is taken inline: y goes to c + f * y over
+        the scale times q, and c is carried across every change of scale
+        by its factor, as the scale is. A map with corners (tent, ``pwl``
+        maps of several pieces) is stepped by its ``apply_scaled``. The
+        center of an arc is not reduced modulo the scale, since the draw
+        is.
 
         An arc is drawn as center - r + 2r * k / 2**53 mod 1, or k /
         2**53 where it is the whole circle, at the same scale. A segment,
-        the interval or the annulus's radial one truncated to [lo, hi], is
-        drawn as lo + (hi - lo) * k / 2**53, at the scale times the power
-        of two, at most 2**53, that keeps the draw exact; an untruncated
-        step keeps the scale. The annulus then draws its arc at the grown
-        scale. The scale is a multiple of 2**53 and of the denominators of
-        d and w, which are read as integers, so no ``Fraction`` is
-        touched.
+        the interval's truncated to its ends [lo, hi], is drawn as lo +
+        (hi - lo) * k / 2**53, at the scale times the power of two, at
+        most 2**53, that keeps the draw exact; an untruncated step keeps
+        the scale. The scale is a multiple of 2**53 and of the
+        denominators of d and of the interval's ends, which are read as
+        integers, so no ``Fraction`` is touched.
 
         Every scale is an integer multiple of the one before it: the map
         multiplies it by q, the lcm of its slope denominators, and a
         truncated step by its power of two. So the draw's constants are
         worked out once, at the first scale, and carried across every
-        change of scale by its quotient: r = d * scale, the annulus
-        half-width w * scale and the arc's draw step, 2r >> 53 or scale
+        change of scale by its quotient: r = d * scale, the interval's
+        ends over the scale and the arc's draw step, 2r >> 53 or scale
         >> 53. Whether the arc is the whole circle does not depend on the
         scale. The truncation bounds are met by comparison."""
         system, draws = self.system, self._draws
         space = system.space
-        circle, annulus = space.kind == "circle", space.kind == "annulus"
-        w_num, w_den = space.w_ratio if annulus else (0, 1)
+        circle = space.kind == "circle"
+        lo_num, hi_num, den = (0, 0, 1) if circle else space.ends_ratio
         nums, scales = self.taken.nums, self.taken.scales
         add_num, add_scale = nums.append, scales.append
         y, scale = nums[0], scales[0]
         r = self.d.numerator * (scale // self.d.denominator)
         arc = 2 * r < scale
         arc_step = (2 * r if arc else scale) >> 53
-        w = w_num * (scale // w_den)
+        floor, ceil = lo_num * (scale // den), hi_num * (scale // den)
         kept = scale
         line = system.line(scale)
-        c0 = c1 = 0  # carried whether or not the map has one piece
+        c0 = 0  # carried whether or not the map has one piece
         if line is None:
             apply = system.apply_scaled
-        elif annulus:
-            q, c0, f0, c1, f1 = line
         else:
             q, c0, f0 = line
         yield y, scale
@@ -273,22 +271,20 @@ class LatticeWalk:
                 (c,), scale = apply(y, scale)
                 if scale != kept:
                     g = scale // kept
-                    kept, r, arc_step, w = scale, r * g, arc_step * g, w * g
+                    kept, r, arc_step = scale, r * g, arc_step * g
+                    floor, ceil = floor * g, ceil * g
             else:  # the one piece, its constants carried by q
                 c = c0 + f0 * y[0]
-                if annulus:
-                    theta = c1 + f1 * y[1]
                 if q != 1:
                     scale *= q
-                    r, arc_step, w, c0, c1 = (r * q, arc_step * q, w * q,
-                                              c0 * q, c1 * q)
+                    r, arc_step, c0 = r * q, arc_step * q, c0 * q
+                    floor, ceil = floor * q, ceil * q
             if circle:
                 k = next(draws)
                 y = ((c - r + arc_step * k) % scale if arc
                      else arc_step * k,)
             else:
                 lo, hi = c - r, c + r
-                floor, ceil = (scale - w, scale + w) if annulus else (0, scale)
                 if lo < floor:
                     lo = floor
                 if hi > ceil:
@@ -299,16 +295,10 @@ class LatticeWalk:
                     grow = TWO53 // low_bit
                     lo, span = lo * grow, span * grow
                     scale *= grow
-                    kept, r, arc_step, w, c0, c1 = (
-                        scale, r * grow, arc_step * grow, w * grow,
-                        c0 * grow, c1 * grow)
-                else:
-                    grow = 1
+                    kept, r, arc_step, c0 = (scale, r * grow,
+                                             arc_step * grow, c0 * grow)
+                    floor, ceil = floor * grow, ceil * grow
                 y = (lo + (span >> 53) * next(draws),)
-                if annulus:
-                    k = next(draws)
-                    y += ((theta * grow - r + arc_step * k) % scale if arc
-                          else arc_step * k,)
             add_num(y)
             add_scale(scale)
             yield y, scale
@@ -317,11 +307,14 @@ class LatticeWalk:
 def generate(system, y0: Point, d, n: int, rng,
              provenance: Provenance | None = None) -> Pseudotrajectory:
     """Sample a random d-pseudotrajectory of length n from y0: every step
-    of a ``LatticeWalk``."""
-    walk = LatticeWalk(system, y0, d, n, rng)
+    of the map's ``walk``, a product's factors' points joined."""
+    walk = system.walk(y0, d, n, rng)
     for _ in walk:
         pass
-    return Pseudotrajectory(walk.taken, walk.d,
+    taken = walk.taken
+    if isinstance(taken, tuple):
+        taken = ScaledPoints.joined(taken)
+    return Pseudotrajectory(taken, walk.d,
                             provenance or Provenance("random"))
 
 
@@ -384,8 +377,10 @@ def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
     ``_ratio_rows``, which raises each refusal. A sidecar that is not a
     JSON object with "system" and "d", a file that is not UTF-8, a row
     that ``_ratio_rows`` refuses, or a sidecar "N" that is not the row
-    count minus 1, is a ``UsageError``. The rows go on nested scales
-    (``ScaledPoints.nested``)."""
+    count minus 1, is a ``UsageError``, and so is a number with more
+    digits than Python's integer string conversion limit lets ``int``
+    read (``sys.set_int_max_str_digits``; the CLI lifts it). The rows go
+    on nested scales (``ScaledPoints.nested``)."""
     base = Path(base)
     sidecar = json_object(base.with_suffix(".json"), ("system", "d"))
     path = base.with_suffix(".csv")
@@ -394,7 +389,10 @@ def load_trajectory(base) -> tuple[Pseudotrajectory, str]:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text") from exc
-    rows = _saved_rows(text)
+    try:
+        rows = _saved_rows(text)
+    except ValueError:  # past the int-string limit: _ratio_rows names it
+        rows = None
     if rows is None:
         rows = _ratio_rows(csv.reader(io.StringIO(text, newline="")), path)
     prov = Provenance(sidecar.get("provenance", "loaded"),
@@ -455,7 +453,8 @@ def _ratio_rows(reader, path) -> list:
     every malformed file. The header must be n,coord0 or
     n,coord0,coord1, as ``save_trajectory`` writes it. Any other header is
     a ``UsageError``, and so is a token that ``Fraction`` rejects (raised
-    from the error it raises), a blank line, a row whose field count
+    from the error it raises), a number past the int-string digit limit,
+    a blank line, a row whose field count
     differs from the header's, or a row whose n, read as an integer, is
     not its 0-based index; the message names the file and the line."""
     match = _INT_RATIO.fullmatch
@@ -482,7 +481,11 @@ def _ratio_rows(reader, path) -> list:
         for token in row[1:]:
             m = match(token)
             if m is not None:
-                ratios.append((int(m[1]), int(m[2] or 1)))
+                try:
+                    ratios.append((int(m[1]), int(m[2] or 1)))
+                except ValueError as exc:  # the int-string digit limit
+                    raise UsageError(f"{path}: line {reader.line_num}: "
+                                     f"{exc}") from exc
                 continue
             try:
                 ratios.append(frac(token).as_integer_ratio())

@@ -19,30 +19,28 @@ step on a map of one linear piece: its constants for the unit
 (``line``), carried across each change of unit, map each fragment of A_n
 inside the loop. A map with corners hands the loop the image pieces of
 each fragment from its step for the two units (``image_step``), kept
-while they stay. Every set is a segment factor times an arc factor: an
-interval set is one segment, a circle set is arcs, and an annulus set is
-one radial segment times arcs. So a step is a segment step, which maps
-the segment and cuts it at the ball's, and an arc step, which clips
-every image arc to the ball's; the annulus takes both. One arc or none
-is the next arc factor as it stands, and only more arcs are put in
-normal form. The sets are kept as a ``SetRecord``, each set's bare
-fragments, unit and radial segment, and a set object is built only when
-a set is read by index.
+while they stay. An interval set is one segment and a circle set is
+arcs, so a step is a segment step, which maps the segment and cuts it at
+the ball's, or an arc step, which clips every image arc to the ball's.
+One arc or none is the next set as it stands, and only more arcs are put
+in normal form. The sets are kept as a ``SetRecord``, each set's bare
+fragments and unit, and a set object is built only when a set is read
+by index.
 The pull-back and the re-check are loops that the map runs itself, each
 with no call per step (its ``pull_back`` and ``tracks``). A pull-back step
-keeps the smallest preimage of its point in [0, 1) that lies in the
-shadow set before it, on a scale that grows by the slope numerators. A
-circle or interval map solves for it fragment by fragment and, in each,
-piece by piece over the pieces the fragment crosses: the point's lift
-that lands in a sub-piece's image is read on the set's own unit by one
-division of small integers, so only the kept preimage is made and no
-fragment is lifted to the growing scale. The spiral has one preimage
-per step and compares its radius with the radial segment, then its angle
-with the arcs. The witness's orbit is then re-checked in full, whatever
-the pull-back: a re-check step applies the map
-on the integer lattice and compares the orbit point with the trajectory
-point by cross-multiplying their scales (``orbit_tracks``): no gcd, no
-table and no lifted point.
+keeps the smallest preimage of its point that lies in the shadow set
+before it, on a scale that grows by the slope numerators. The map solves
+for it fragment by fragment and, in each, piece by piece over the pieces
+the fragment crosses: the point's lift that lands in a sub-piece's image
+is read on the set's own unit by one division of small integers, so only
+the kept preimage is made and no fragment is lifted to the growing
+scale. The witness's orbit is then re-checked in full, whatever the
+pull-back: a re-check step applies the map on the integer lattice and
+compares the orbit point with the trajectory point by cross-multiplying
+their scales (``orbit_tracks``): no gcd, no table and no lifted point.
+The spiral is a product map under the max metric (``systems.ProductMap``),
+so ``horizon_verdicts`` decides it factor by factor, each with its own
+sets, pull-back and re-check, and takes the conjunction.
 A shadow set whose normal form has more fragments than the fragment cap
 raises ``EnclosureCapError`` instead of giving a verdict; the image
 f(A_n) alone is never put in normal form, so its size does not count.
@@ -60,9 +58,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from . import enclosure
-from .enclosure import EnclosureSet, SetRecord
+from .enclosure import SetRecord
 from .errors import DomainError, InvariantViolation, UsageError
 from .pseudotraj import Pseudotrajectory
 from .rationals import frac
@@ -76,20 +76,27 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class ShadowVerdict:
+    """A verdict, its witness, its first empty step and the last shadow
+    set as one set per factor of the map: their product. ``set_stats``
+    counts the last factor's fragments (a spiral set's arcs), none if a
+    factor's set is empty, and multiplies the factors' measures."""
+
     verdict: Verdict
     witness: tuple | None
     n_empty: int | None
-    final_set: EnclosureSet
+    final_sets: tuple
 
     def to_json(self) -> dict:
+        sets = self.final_sets
+        empty = any(s.is_empty() for s in sets)
         return {
             "verdict": self.verdict.value,
             "witness": None if self.witness is None
             else [str(c) for c in self.witness],
             "n_empty": self.n_empty,
             "set_stats": {
-                "fragments": self.final_set.fragment_count(),
-                "measure": str(self.final_set.measure()),
+                "fragments": 0 if empty else sets[-1].fragment_count(),
+                "measure": str(math.prod(s.measure() for s in sets)),
                 "variant": "exact",  # every set is exact; kept in the output
             },
         }
@@ -99,110 +106,101 @@ class ShadowVerdict:
 class HorizonVerdicts:
     """What ``horizon_verdicts`` found: a verdict per horizon, the first
     empty step (None if every A_n is nonempty), the witness of the longest
-    Yes prefix (None if no horizon is Yes) and the record of the shadow
-    sets it read."""
+    Yes prefix (None if no horizon is Yes) and the records of the shadow
+    sets it read, one ``SetRecord`` per factor of the map."""
 
     verdicts: tuple
     first_empty: int | None
     witness: tuple | None
-    sets: SetRecord
+    records: tuple
 
 
 def shadow_sets(system, points, eps) -> SetRecord:
     """The shadow sets A_0, A_1, ..., up to and including the first empty
-    one, of points given as (numerators, scale) pairs, as a ``SetRecord``
-    of each set's bare fragments, unit and radial segment. A point is
-    read only when its set is built, so a ``LatticeWalk`` samples none
-    after that.
+    one, of a map of the circle or an interval, of points given as
+    (numerators, scale) pairs, as a ``SetRecord`` of each set's bare
+    fragments and unit. A point is read only when its set is built, so a
+    ``LatticeWalk`` samples none after that.
 
     The ball around y_n is taken over P_n = lcm(scale of y_n, den(eps),
     lattice_base of the map) and lifted to W_n, the lcm of P_n and the
     unit of the image of A_{n-1}. A map of one linear piece (doubling,
-    the rotations, the spiral) hands over its piece for the unit of
-    A_{n-1} as constants (``line``): the image of each segment and arc is
-    one segment or arc, mapped inside the loop by those constants times
-    W_n over the image's unit. They are worked out again only when either
-    unit changes, so doubling and the rotations take them once per
-    trajectory; the map's own constants are carried to the next set's
-    unit by the factor of the step, so they are asked of the map only at
-    the first step and after a set is reduced, and the spiral neither
-    builds a closure nor divides by alpha's denominator at each step. A
-    map with corners makes its step for the two units (``image_step``)
-    again only when either changes, and gives the image pieces of each
-    fragment by the corner walk. The segment step, on the interval and on
-    the annulus's radius, cuts the image segment at the ball's (the
-    touching pieces of a segment's image give their hull); the arc step,
-    on the circle and the annulus's angle, clips every image arc to the
-    ball's by the one arc clip, and has no arcs to clip on the annulus
-    once the radial segment is cut empty. One clipped arc or none is the
-    next arc factor as it stands, and only more arcs are normalized
-    (``enclosure._make``), which raises ``EnclosureCapError`` carrying
-    A_n when A_n has more fragments than the cap, read at every call.
-    Every ball is built inline, with no call: its arc by one modulo from
-    a diameter taken once per unit, its segment by cutting at the ends of
-    the interval or of the band [1 - w, 1 + w], taken once per unit. Each
-    step appends the set's fragments, unit and radial segment to the
+    the rotations, the radial contraction) hands over its piece for the
+    unit of A_{n-1} as constants (``line``): the image of each segment or
+    arc is one segment or arc, mapped inside the loop by those constants
+    times W_n over the image's unit. They are worked out again only when
+    either unit changes, so doubling and the rotations take them once per
+    trajectory; the map's own constant is carried to the next set's unit
+    by the factor of the step, so it is asked of the map only at the
+    first step and after a set is reduced. A map with corners makes its
+    step for the two units (``image_step``) again only when either
+    changes, and gives the image pieces of each fragment by the corner
+    walk. The segment step, on an interval, cuts the image segment at the
+    ball's (the touching pieces of a segment's image give their hull);
+    the arc step, on the circle, clips every image arc to the ball's by
+    the one arc clip. One clipped arc or none is the next set as it
+    stands, and only more arcs are normalized (``enclosure._make``),
+    which raises ``EnclosureCapError`` carrying A_n when A_n has more
+    fragments than the cap, read at every call. Every ball is built
+    inline, with no call: its arc by one modulo from a diameter taken
+    once per unit, its segment by cutting at the interval's ends, taken
+    once per unit. Each step appends the set's fragments and unit to the
     record and builds no ``EnclosureSet``. A generated trajectory's
     scales nest, so W_n is P_n, with no gcd on an untruncated step, and
     no set is reduced. Where a point's scale is a multiple of the one
     before it and that one was P_{n-1}, P_n is the scale, and the ball's
-    radius eps * P_n and the band's half-width w * P_n are carried across
+    radius eps * P_n and the interval's ends over P_n are carried across
     the change by the quotient, with no division by the denominator of
-    eps or of w; on the annulus and the non-integer slopes that is every
-    step. Otherwise (points read from a file, say) A_n is reduced by one
-    gcd (``enclosure._reduced``), so its unit never exceeds the lcm of
-    the denominators that A_{n-1} and the ball really carry. eps is read
-    by ``frac`` and converted to integers once.
+    eps or of the ends; on the non-integer slopes that is every step.
+    Otherwise (points read from a file, say) A_n is reduced by one gcd
+    (``enclosure._reduced``), so its unit never exceeds the lcm of the
+    denominators that A_{n-1} and the ball really carry. eps is read by
+    ``frac`` and converted to integers once.
     """
     eps = frac(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
     space, line = system.space, system.line
-    circle, interval = space.kind == "circle", space.kind == "interval"
-    annulus = not circle and not interval
-    w_num, w_den = space.w_ratio if annulus else (0, 1)
+    interval = space.kind == "interval"
+    lo_num, hi_num, den = space.ends_ratio if interval else (0, 0, 1)
     eps_num, eps_den = eps.numerator, eps.denominator
     base = math.lcm(eps_den, system.lattice_base)
     one_piece = line(base) is not None
     if not one_piece:
         image_step = system.image_step
-    record = SetRecord(space, [], [], [])
+    record = SetRecord(space, [], [])
     add_nums, add_unit = record.nums.append, record.units.append
-    add_radial = record.radials.append
-    nums = radial = None
+    nums = None
     point_scale = step_u = step_unit = line_u = None
     lift = 0  # no radius to carry yet
-    cs = fs = ca = fa = 0  # the segment's and the arc's constants
-    blo = bhi = bs = bl = 0  # the ball's segment and arc
+    c = f = 0  # the map's constants
+    blo = bhi = bs = bl = 0  # the ball's segment or arc
     for y, s in points:
         if s != point_scale:
             g, rem = divmod(s, point_scale) if lift == 1 else (0, 1)
             if rem:
                 unit = s if s % base == 0 else math.lcm(s, base)
                 lift, radius = unit // s, eps_num * (unit // eps_den)
-                width = w_num * (unit // w_den)
+                floor, ceil = lo_num * (unit // den), hi_num * (unit // den)
             else:  # the scales nest, as a generated trajectory's do
-                unit, radius, width = s, radius * g, width * g
+                unit, radius = s, radius * g
+                floor, ceil = floor * g, ceil * g
             point_scale, diameter = s, 2 * radius
-            floor, ceil = (unit - width, unit + width) if annulus \
-                else (0, unit)
         if lift != 1:
-            y = tuple(c * lift for c in y)
-        if not circle:  # the ball's segment, cut at the ends
+            y = tuple(x * lift for x in y)
+        if interval:  # the ball's segment, cut at the ends
             blo, bhi = y[0] - radius, y[0] + radius
             if blo < floor:
                 blo = floor
             if bhi > ceil:
                 bhi = ceil
-        if not interval:  # the ball's arc, or the whole circle
+        else:  # the ball's arc, or the whole circle
             bs, bl = ((0, unit) if diameter >= unit else
-                      ((y[-1] - radius) % unit, diameter))
+                      ((y[0] - radius) % unit, diameter))
         if nums is None:
             nums, u = ((blo, bhi),) if interval else ((bs, bl),), unit
-            radial = (blo, bhi) if annulus else None
             add_nums(nums)
             add_unit(u)
-            add_radial(radial)
             continue
         if u != step_u or unit != step_unit:  # new units: W and the image
             step_u, step_unit = u, unit
@@ -212,31 +210,27 @@ def shadow_sets(system, points, eps) -> SetRecord:
                 # the map's constants are for line_u: carried from the
                 # step before, unless u was reduced since
                 if u != line_u:
-                    # the segment's constants, then the arc's; a circle
-                    # or interval map has one pair, for whichever it has
-                    q, *consts = line(u)
-                    cs, fs, ca, fa = consts if annulus else consts * 2
+                    q, c, f = line(u)
                 out = u * q
                 if unit == out:  # the image's unit: no lift
-                    w, m = out, 1
-                    cms, fms, cma, fma = cs, fs, ca, fa
+                    w, cm, fm = out, c, f
                 else:
                     w = math.lcm(out, unit)
                     m = w // out
-                    cms, fms, cma, fma = cs * m, fs * m, ca * m, fa * m
-                g = q * m  # w / u: the next step's u, unless reduced
+                    cm, fm = c * m, f * m
+                g = w // u  # the next step's u, unless reduced
                 if g != 1:
-                    cs, ca = cs * g, ca * g
+                    c *= g
                 line_u = w
         if unit != w:
             k = w // unit
             blo, bhi, bs, bl = blo * k, bhi * k, bs * k, bl * k
-        if not circle:
-            # the segment step: the image of the interval's one segment
-            # or of the annulus's radial segment, cut at the ball's
+        if interval:
+            # the segment step: the image of the one segment, cut at the
+            # ball's
             if one_piece:
-                lo, hi = radial if annulus else nums[0]
-                lo, hi = cms + fms * lo, cms + fms * hi
+                lo, hi = nums[0]
+                lo, hi = cm + fm * lo, cm + fm * hi
                 if lo > hi:
                     lo, hi = hi, lo
             else:
@@ -248,13 +242,8 @@ def shadow_sets(system, points, eps) -> SetRecord:
                 lo = blo
             if hi > bhi:
                 hi = bhi
-            if interval:
-                nums = ((lo, hi),) if lo <= hi else ()
-            else:
-                radial = (lo, hi)
-                if lo > hi:  # the empty set, whatever its arcs
-                    nums = ()
-        if not interval:
+            nums = ((lo, hi),) if lo <= hi else ()
+        else:
             # the arc step: every image arc clipped to the ball's; a
             # one-piece map's arcs are its fragments, mapped here by its
             # constants
@@ -263,11 +252,11 @@ def shadow_sets(system, points, eps) -> SetRecord:
             elif len(nums) == 1:
                 pieces = step(nums[0])
             else:
-                pieces = [p for f in nums for p in step(f)]
+                pieces = [p for x in nums for p in step(x)]
             got = ()
             for fx, fl in pieces:
                 if one_piece:
-                    fx, fl = cma + fma * fx, fma * fl
+                    fx, fl = cm + fm * fx, fm * fl
                     if fl < 0:
                         fx, fl = fx + fl, -fl
                 # the arc from fx over the length fl met with the ball's
@@ -288,13 +277,12 @@ def shadow_sets(system, points, eps) -> SetRecord:
                 if t >= 0:
                     got += ((fx, t if t <= fl else fl),)
             nums = got if len(got) < 2 else \
-                enclosure._make(space, got, w, radial).nums
+                enclosure._make(space, got, w).nums
         u = w
         if u != unit:
-            nums, u, radial = enclosure._reduced(nums, u, base, radial)
+            nums, u = enclosure._reduced(nums, u, base)
         add_nums(nums)
         add_unit(u)
-        add_radial(radial)
         if not nums:
             break
     return record
@@ -308,7 +296,6 @@ def shadow_set_forward(system, traj: Pseudotrajectory, eps) -> SetRecord:
     more = len(points) - len(sets)
     sets.nums.extend([sets.nums[-1]] * more)
     sets.units.extend([sets.units[-1]] * more)
-    sets.radials.extend([sets.radials[-1]] * more)
     return sets
 
 
@@ -323,7 +310,7 @@ def orbit_tracks(system, points, x0, eps) -> bool:
     den(eps), by cross-multiplying: no step takes a gcd or builds a lifted point. The
     map multiplies z_scale by the same q at every step (the lcm of its
     slope denominators). Where s grows by q too, as on every untruncated
-    step of a generated spiral or tent trajectory, the lifts of the two
+    step of a generated radius or tent trajectory, the lifts of the two
     points stay and the common unit and the bound are carried by q; at
     any other change of either scale the products are made again.
     ``Fraction`` points are put on scales first."""
@@ -347,11 +334,10 @@ def pull_back_witness(system, sets, m):
     of small integers says which lift of the point lands in it and how
     far past its start, a remainder taking the point one more cell along.
     The first sub-piece, in increasing order, that holds a preimage holds
-    the smallest, and only that preimage is made. On the annulus the
-    radius is compared with the radial segment, then the angle with the
-    arcs, each read on A_n's unit by one division. So no fragment is
+    the smallest, and only that preimage is made. So no fragment is
     lifted to the growing scale, and only the witness is turned into
-    Fractions. The caller re-checks the witness's orbit in full
+    Fractions. A product map's witness is pulled back factor by factor
+    (``horizon_verdicts``). The caller re-checks the witness's orbit in full
     (``orbit_tracks``), however it was found. A plain sequence of
     ``EnclosureSet``s is put in a ``SetRecord`` first."""
     if not isinstance(sets, SetRecord):
@@ -364,46 +350,78 @@ def pull_back_witness(system, sets, m):
     return tuple(Fraction(c, scale) for c in x)
 
 
-def horizon_verdicts(system, sets, points: ScaledPoints, eps,
+def horizon_verdicts(system, steps, taken, eps,
                      horizons) -> HorizonVerdicts:
-    """Certified verdicts for eps-shadowability of each horizon prefix,
-    from the record of the shadow sets A_0, A_1, ... (all N + 1, or to the
-    first empty one) and the points they were built from. The first empty
-    set is read from the last: when that is nonempty, none is.
+    """The one decision entry: certified verdicts for eps-shadowability
+    of each horizon prefix of the points that ``steps`` yields as
+    (numerators, scale) pairs, read only as needed, and that ``taken``
+    (a ``ScaledPoints``) holds once read, as a ``LatticeWalk`` does. The
+    shadow sets are propagated to the first empty one (``shadow_sets``).
 
     Horizon m is No when some A_n with n <= m is empty, else Yes. One
     witness is pulled back, at the largest Yes horizon, and its orbit
-    re-checked against that prefix of ``points``; it then tracks every
-    shorter prefix too, so Yes can turn into No, never back. Exact sets
-    always yield a witness that passes, so a failure is a bug and raises
-    ``InvariantViolation`` rather than a verdict.
+    re-checked against that prefix; it then tracks every shorter prefix
+    too. Exact sets always yield a witness that passes, so a failure is a
+    bug and raises ``InvariantViolation`` rather than a verdict.
+
+    A product map is decided factor by factor: ``steps`` yields per step
+    its factors' points and ``taken`` is their tuple of ``ScaledPoints``
+    (a ``systems.ProductWalk``'s). Its shadow sets are the products of its
+    factors', so its first empty step is their smallest and each verdict
+    their conjunction. The last factor (the spiral's angle) is propagated
+    first; the others only on the points that read. Each factor's witness
+    is pulled back from the one largest Yes horizon and re-checked.
     """
-    # shadow_sets stops at the first empty set; shadow_set_forward
-    # repeats it to the end
-    nums = sets.nums
-    first_empty = None if nums[-1] else nums.index(())
+    factors = getattr(system, "factors", None)
+    if factors is None:
+        records, factors, taken = ((shadow_sets(system, steps, eps),),
+                                   (system,), (taken,))
+    else:
+        lead = shadow_sets(factors[-1], map(itemgetter(-1), steps), eps)
+        records = tuple(
+            shadow_sets(f, islice(zip(t.nums, t.scales), len(lead)), eps)
+            for f, t in zip(factors[:-1], taken)) + (lead,)
+    return _verdicts(factors, records, taken, eps, horizons)
+
+
+def _verdicts(factors, records, taken, eps, horizons) -> HorizonVerdicts:
+    """``horizon_verdicts`` once each factor's shadow sets are in its
+    record, to its first empty set or repeated past it."""
+    empties = [r.nums.index(()) for r in records if not r.nums[-1]]
+    first_empty = min(empties) if empties else None
     verdicts = tuple(
         Verdict.NO if first_empty is not None and m >= first_empty
         else Verdict.YES for m in horizons)
     yes = [m for m, v in zip(horizons, verdicts) if v is Verdict.YES]
     witness = None
     if yes:
-        m = max(yes)
-        witness = pull_back_witness(system, sets, m)
-        if witness is None or not orbit_tracks(
-                system, points[:m + 1], witness, eps):
-            raise InvariantViolation(
-                f"witness extraction failed at horizon {m}")
-    return HorizonVerdicts(verdicts, first_empty, witness, sets)
+        m, witness = max(yes), ()
+        for f, sets, points in zip(factors, records, taken):
+            part = pull_back_witness(f, sets, m)
+            if part is None or not orbit_tracks(f, points[:m + 1], part,
+                                                eps):
+                raise InvariantViolation(
+                    f"witness extraction failed at horizon {m}")
+            witness += part
+    return HorizonVerdicts(verdicts, first_empty, witness, records)
 
 
 def decide_horizons(system, traj: Pseudotrajectory, eps,
                     horizons) -> HorizonVerdicts:
-    """``horizon_verdicts`` on all N + 1 sets of a whole trajectory, whose
-    points are first checked to lie in the space (``Space.check_scaled``)."""
-    system.space.check_scaled(traj.scaled)
-    return horizon_verdicts(system, shadow_set_forward(system, traj, eps),
-                            traj.scaled, eps, horizons)
+    """``horizon_verdicts`` on a whole trajectory, whose points are first
+    checked to lie in the space (``Space.check_scaled``): all N + 1 sets
+    of ``shadow_set_forward``, or a product's factors on each coordinate
+    of the points over their scales."""
+    points = traj.scaled
+    system.space.check_scaled(points)
+    factors = getattr(system, "factors", None)
+    if factors is None:
+        return _verdicts((system,), (shadow_set_forward(system, traj, eps),),
+                         (points,), eps, horizons)
+    taken = tuple(points.coordinate(i) for i in range(len(factors)))
+    return horizon_verdicts(
+        system, zip(*(zip(t.nums, t.scales) for t in taken)), taken, eps,
+        horizons)
 
 
 def decide_shadowable(system, traj: Pseudotrajectory, eps) -> ShadowVerdict:
@@ -415,7 +433,7 @@ def decide_shadowable(system, traj: Pseudotrajectory, eps) -> ShadowVerdict:
     """
     found = decide_horizons(system, traj, eps, (traj.horizon,))
     return ShadowVerdict(found.verdicts[0], found.witness, found.first_empty,
-                         found.sets[-1])
+                         tuple(r[-1] for r in found.records))
 
 
 # -- closed-form rotation oracle ------------------------------------------

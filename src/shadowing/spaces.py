@@ -1,15 +1,17 @@
 """Compact metric measure spaces: circle, interval and annulus.
 
 Points are tuples of numbers, one coordinate for the circle ([0,1) with
-wraparound) and the interval ([0,1]), two for the annulus ((r, theta) with
-r in [1-w, 1+w], 0 < w < 1, and angular theta in [0,1)). The annulus
-carries the max metric, so metric balls are axis-aligned boxes and uniform
-sampling inside a ball factorizes per coordinate.
+wraparound) and for an interval (its ``ends``, [0, 1] unless given), two
+for the annulus ((r, theta) with r in [1-w, 1+w], 0 < w < 1, and angular
+theta in [0,1)). The annulus carries the max metric, so metric balls are
+axis-aligned boxes and uniform sampling inside a ball factorizes per
+coordinate: the annulus is the band [1 - w, 1 + w] times the circle, and
+its maps are products, stepped factor by factor (``systems.ProductMap``).
 
-Reference measures are normalized length on the circle and interval (total
-mass 1) and the radial-by-angular product on the annulus (total mass 2w).
-Balls are truncated at non-periodic boundaries, keeping every ball's
-measure strictly positive; the sampling kernel normalizes by the truncated
+Reference measures are length on the circle and on an interval and the
+radial-by-angular product on the annulus (total mass 2w). Balls are
+truncated at non-periodic boundaries, keeping every ball's measure
+strictly positive; the sampling kernel normalizes by the truncated
 measure.
 
 Points enter and leave as ``Fraction`` coordinates (``canonical``,
@@ -23,11 +25,8 @@ it there in canonical form, checked and reduced on the lattice,
 finds the net balls around a point or fragment, all by integer floors,
 ceilings and cross-multiplied comparisons. The net's grid layout is
 known here alone: ``net_center`` builds a center, ``net_runs`` inverts
-the layout.
-The annulus half-width is kept as an integer pair too (``Space.w_ratio``),
-so a step at a new scale reads no ``Fraction``; the sampler, which draws
-a point of a ball on the same integers, is the loop of
-``pseudotraj.LatticeWalk``.
+the layout. An interval's ends are kept as integers too
+(``Space.ends_ratio``), so a step at a new scale reads no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -111,6 +110,22 @@ class ScaledPoints(Sequence):
             scales.append(scale)
         return cls(nums, scales)
 
+    @classmethod
+    def joined(cls, parts) -> "ScaledPoints":
+        """The points whose coordinates are those of the points of
+        ``parts`` (ScaledPoints of one length, a factor's each), in turn,
+        each point over the lcm of its parts' scales."""
+        nums, scales = [], []
+        for row in zip(*(zip(p.nums, p.scales) for p in parts)):
+            scale = math.lcm(*(s for _, s in row))
+            nums.append(tuple(c * (scale // s) for y, s in row for c in y))
+            scales.append(scale)
+        return cls(nums, scales)
+
+    def coordinate(self, i: int) -> "ScaledPoints":
+        """The points' coordinate i, each over its point's scale."""
+        return ScaledPoints([(y[i],) for y in self.nums], self.scales)
+
     def __len__(self) -> int:
         return len(self.nums)
 
@@ -126,14 +141,16 @@ class Space:
     """A compact metric space with a reference measure.
 
     kind is one of ``circle``, ``interval``, ``annulus``; ``w`` is the
-    annulus half-width (None otherwise) and ``w_ratio`` the same width as
-    an integer (numerator, denominator) pair, converted once here for the
-    integer kernel. Instances are immutable and safe to share across
-    concurrent readers.
+    annulus half-width (None otherwise). ``ends`` are an interval's ends,
+    [0, 1] unless given, or the annulus's radial ends 1 -+ w, and
+    ``ends_ratio`` the same as integers (lo, hi, den) over one
+    denominator, for the integer kernel. Instances are immutable and safe
+    to share across concurrent readers.
     """
 
     kind: str
     w: Fraction | None = None
+    ends: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("circle", "interval", "annulus"):
@@ -142,9 +159,19 @@ class Space:
             if self.w is None or not 0 < self.w < 1:
                 raise DomainError("annulus half-width w must satisfy "
                                   "0 < w < 1, so every radius is positive")
-            object.__setattr__(self, "w_ratio", self.w.as_integer_ratio())
+            ends = (1 - self.w, 1 + self.w)
         elif self.w is not None:
             raise UsageError(f"{self.kind} space takes no width parameter")
+        elif self.kind == "interval":
+            ends = tuple(map(frac, self.ends or (0, 1)))
+            if not ends[0] < ends[1]:
+                raise UsageError(f"interval ends must be lo < hi, got {ends}")
+        else:
+            return
+        den = math.lcm(*(e.denominator for e in ends))
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "ends_ratio", tuple(
+            e.numerator * (den // e.denominator) for e in ends) + (den,))
 
     @property
     def ndim(self) -> int:
@@ -155,7 +182,7 @@ class Space:
         if self.kind == "circle":
             return HALF
         if self.kind == "interval":
-            return Fraction(1)
+            return self.ends[1] - self.ends[0]
         return max(2 * self.w, HALF)
 
     # -- points ---------------------------------------------------------
@@ -198,8 +225,8 @@ class Space:
         """Raise unless every point, numerators over its scale, lies in the
         space, by integer comparisons: ``UsageError`` for a wrong count of
         coordinates, ``DomainError`` for an interval coordinate outside
-        [0, 1] or a radius outside the annulus band [1 - w, 1 + w]. Angles
-        wrap, so a circle point costs one ``len``."""
+        the interval's ends or a radius outside the annulus band [1 - w,
+        1 + w]. Angles wrap, so a circle point costs one ``len``."""
         ndim = self.ndim
         for n, y in enumerate(points.nums):
             if len(y) != ndim:
@@ -207,10 +234,9 @@ class Space:
                                  f"{ndim} coordinate(s), got {len(y)}")
         if self.kind == "circle":
             return
-        w_num, w_den = self.w_ratio if self.kind == "annulus" else (0, 1)
+        lo, hi, den = self.ends_ratio
         for n, (y, s) in enumerate(zip(points.nums, points.scales)):
-            if (not 0 <= y[0] <= s if self.kind == "interval"
-                    else abs(y[0] - s) * w_den > w_num * s):
+            if not lo * s <= y[0] * den <= hi * s:
                 raise DomainError(f"point {n} {point_text(points[n])} lies "
                                   f"outside the {self.kind}")
 
@@ -224,6 +250,9 @@ class Space:
         if self.kind == "annulus":
             raise UsageError("the annulus has no cover net; its bounds come "
                              "from the absorbing band")
+        if self.kind == "interval" and self.ends != (0, 1):
+            raise UsageError("the cover net is laid on [0, 1], not on "
+                             f"[{self.ends[0]}, {self.ends[1]}]")
         if delta1 <= 0:
             raise DomainError("net radius must be positive")
         return max(-(-delta1.denominator // delta1.numerator), 1)
@@ -267,8 +296,8 @@ def circle() -> Space:
     return Space("circle")
 
 
-def interval() -> Space:
-    return Space("interval")
+def interval(lo=0, hi=1) -> Space:
+    return Space("interval", ends=(frac(lo), frac(hi)))
 
 
 def annulus(w) -> Space:

@@ -2,50 +2,43 @@
 
 Every shipped map is piecewise linear with rational parameters: circle and
 interval maps are built on one piecewise-linear engine (doubling, tent,
-rotations and general ``pwl`` maps are thin constructors over it), and the
-annulus carries a contraction-rotation. Point evaluation, images of
-enclosure sets and pointwise preimages are therefore computed exactly;
-outer and inner image enclosures coincide.
+rotations, general ``pwl`` maps and the spiral's radial contraction are
+thin constructors over it), and the spiral on the annulus is the product
+of the contraction r -> (1 - lam) + lam r of the band [1 - w, 1 + w] and
+the rotation by alpha (``ProductMap``). Point evaluation, images of
+enclosure sets and pointwise preimages are therefore exact.
 
-Each map evaluates at a scale: ``apply_scaled`` takes a point as integer
-numerators over a ``unit``, a multiple of the map's ``lattice_base``, and
-returns numerators over the output unit, ``unit`` times the lcm of the
-slope denominators, so integer-slope maps keep the scale. No method
-builds a table for the unit: a piecewise-linear map reads its parameters
-over the lattice base and scales them by k = unit / lattice_base as it
-goes. The two witness loops of a decision run in the map, each with no
-call per step: ``pull_back`` takes a point back through a record of
-shadow sets, its preimages over a unit that grows by the lcm of the
-slope numerators (the spiral's by lam's numerator), keeping at each step
-the smallest preimage in [0, 1) that lies in the set, and ``tracks``
-steps an orbit as ``apply_scaled`` does and compares it with a
-trajectory point by point. A circle or interval map finds that preimage
-by solving for it fragment by fragment and, in each fragment, piece by
-piece over the pieces the fragment crosses, on small integers over the
-set's unit; it makes no preimage it does not keep. The re-check of the
-witness (``tracks``) does not depend on how the preimage was found.
-Each carries its per-scale constants (k, and the spiral's w and alpha
-over the unit) across its steps by the product that grows the unit.
-A map of one linear piece (doubling, the rotations, x -> -2x, the
-spiral) hands its piece over as constants for a unit (``line``): the
-point x over the unit goes to c + f * x over the unit times q, with c
-linear in the unit. The walk (``pseudotraj.LatticeWalk``) and
-propagation (``shadowcheck.shadow_sets``) step points and fragments on
-them inline and carry c across each change of unit by its factor, so the
-spiral's alpha over the unit is not divided out again. A map with corners
+A piecewise-linear map evaluates at a scale: ``apply_scaled`` takes a
+point as integer numerators over a ``unit``, a multiple of the map's
+``lattice_base``, and returns numerators over the unit times q, the lcm
+of the slope denominators. No method builds a table for the unit: the
+map reads its parameters over the lattice base and scales them by k =
+unit / lattice_base as it goes. The two witness loops of a decision run
+in the map, with no call per step: ``pull_back`` takes a point back
+through a record of shadow sets, keeping at each step the smallest
+preimage that lies in the set, solved for fragment by fragment and piece
+by piece on small integers over the set's unit (a one-to-one map makes
+its one preimage first), and ``tracks`` steps an orbit as
+``apply_scaled`` does and compares it with a trajectory point by point.
+A map of one linear piece (doubling, the rotations, x -> -2x, the radial
+contraction) hands its piece over as constants for a unit (``line``):
+the point x over the unit goes to c + f * x over the unit times q, with c
+linear in the unit. The walk (``pseudotraj.LatticeWalk``) and propagation
+(``shadowcheck.shadow_sets``) step points and fragments on them inline
+and carry c across each change of unit by its factor. A map with corners
 (tent, ``pwl`` maps of several pieces) has no ``line``: the walk calls
 its ``apply_scaled``, and propagation its ``image_step``, the corner
-walk. For the units of a set and of a ball it gives one step, which walks
-the linear pieces of a fragment and returns the image arcs or segments,
-one per piece crossed, over the lcm of the image's unit and the ball's,
-and nothing else. Every image piece is clipped to its ball in
-``shadow_sets``, by the one arc clip there. A circle or interval map's
+walk, which gives the image arcs or segments of a fragment, one per
+linear piece crossed, over the lcm of the image's unit and a ball's.
 ``apply_set``, the image of a whole set that the cover search takes,
-puts the corner walk's pieces for every fragment in normal form with
-``enclosure._make``; on a map of one piece that walk crosses no corner.
-The spiral has no set step of its own: ``shadow_sets`` maps its radial
-segment and its arcs on its ``line``, with the interval's segment step
-and the circle's arc step.
+puts the corner walk's pieces in normal form.
+An interval map's interval has rational ends, [0, 1] for tent and the
+``pwl`` maps and [1 - w, 1 + w] for the radial contraction; they bound
+its values and its truncated draws and balls.
+A product map has no kernel loop of its own: its walk is its factors'
+walks on one stream (``ProductWalk``), and a decision decides each factor
+on its coordinate and takes the conjunction
+(``shadowcheck.horizon_verdicts``), which the max metric makes exact.
 Each map converts its ``Fraction`` parameters to integers once, when it is
 built, so evaluating at a new scale reads no ``Fraction``.
 """
@@ -61,19 +54,22 @@ from fractions import Fraction
 from . import enclosure
 from .enclosure import EnclosureSet
 from .errors import DomainError, UsageError
+from .pseudotraj import LatticeWalk
 from .rationals import frac
 from .spaces import Space, annulus, circle, interval
 
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
-    """A continuous piecewise-linear self-map of the circle or interval.
+    """A continuous piecewise-linear self-map of the circle or an interval.
 
     ``breakpoints`` are the left endpoints of the linear pieces (the first
-    must be 0), ``slopes`` the per-piece slopes, ``offset`` the value at 0.
-    On the circle the map is taken mod 1 and must close up (integer total
-    winding); on the interval all piece values must stay inside [0, 1].
-    Slopes must be nonzero so pointwise preimages are finite.
+    must be 0 on the circle and the interval's lower end lo on an
+    interval [lo, hi]), ``slopes`` the per-piece slopes, ``offset`` the
+    value at the first breakpoint. On the circle the map is taken mod 1
+    and must close up (integer total winding); on an interval all piece
+    values must stay inside its ends. Slopes must be nonzero so pointwise
+    preimages are finite.
     """
 
     space: Space
@@ -85,28 +81,33 @@ class PiecewiseLinearMap:
     def __post_init__(self):
         if self.space.kind not in ("circle", "interval"):
             raise UsageError("piecewise-linear maps live on circle or interval")
+        circle = self.space.kind == "circle"
+        lo, hi = (Fraction(0), Fraction(1)) if circle else self.space.ends
         bps = self.breakpoints
-        if not bps or bps[0] != 0 or len(bps) != len(self.slopes):
-            raise UsageError("need matching breakpoints (starting at 0) and slopes")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])) or bps[-1] >= 1:
-            raise UsageError("breakpoints must increase strictly inside [0, 1)")
+        if not bps or bps[0] != lo or len(bps) != len(self.slopes):
+            raise UsageError(f"need matching breakpoints (starting at {lo}) "
+                             "and slopes")
+        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])) or bps[-1] >= hi:
+            raise UsageError("breakpoints must increase strictly inside "
+                             f"[{lo}, {hi})")
         if any(s == 0 for s in self.slopes):
             raise UsageError("zero slopes are not supported")
         values = [self.offset]
-        ends = list(bps[1:]) + [Fraction(1)]
+        ends = list(bps[1:]) + [hi]
         for b, e, s in zip(bps, ends, self.slopes):
             values.append(values[-1] + s * (e - b))
         degree = values[-1] - values[0]
-        if self.space.kind == "circle":
+        if circle:
             if degree != int(degree):
                 raise UsageError("circle map must have integer winding number")
             object.__setattr__(self, "degree", int(degree))
         else:
-            if any(v < 0 or v > 1 for v in values):
-                raise UsageError("interval map must send [0, 1] into itself")
+            if any(v < lo or v > hi for v in values):
+                raise UsageError(f"interval map must send [{lo}, {hi}] into "
+                                 "itself")
             object.__setattr__(self, "degree", None)
         base = math.lcm(*(Fraction(v).denominator
-                          for v in tuple(bps) + tuple(values)))
+                          for v in (*bps, *values, hi)))
         slopes = [Fraction(sl) for sl in self.slopes]
         q = math.lcm(*(sl.denominator for sl in slopes))
         p = math.lcm(*(abs(sl.numerator) for sl in slopes))
@@ -126,15 +127,16 @@ class PiecewiseLinearMap:
             bps_base[1:], q, slopes_q, consts, base,
             self.space.kind == "circle"))
         # the pull-back's walk (see pull_back), a row per piece: its end
-        # over the base (1 for the last piece), its slope over q, the
-        # slope's size and its constant, as above, then its inverse. On a
-        # unit k * base, the preimage on the piece of a point x over the
-        # unit, lifted by w turns, is x * inv + (c0 + w * base * inv) * k
-        # over p times the unit, with inv = p / slope; turn = base * |inv|
+        # over the base (1, or the interval's upper end, for the last
+        # piece), its slope over q, the slope's size and its constant, as
+        # above, then its inverse. On a unit k * base, the preimage on the
+        # piece of a point x over the unit, lifted by w turns, is x * inv
+        # + (c0 + w * base * inv) * k over p times the unit, with inv = p
+        # / slope; turn = base * |inv|
         walk = []
         for b, v, end, sl, sq, c in zip(bps_base, vals_base,
-                                        bps_base[1:] + (base,), slopes,
-                                        slopes_q, consts):
+                                        bps_base[1:] + (int(hi * base),),
+                                        slopes, slopes_q, consts):
             inv = p * sl.denominator // sl.numerator
             walk.append((end, sq, abs(sq), c, b * p - v * inv,
                          base * abs(inv), inv))
@@ -174,6 +176,9 @@ class PiecewiseLinearMap:
         if circle:
             return (v % out,), out
         return (v,), out
+
+    def walk(self, y0, d, n, rng) -> LatticeWalk:
+        return LatticeWalk(self, y0, d, n, rng)
 
     def line(self, unit):
         """The map's one linear piece at ``unit`` (a multiple of
@@ -258,7 +263,8 @@ class PiecewiseLinearMap:
         over ``scale`` (a multiple of lattice_base), pulled back through
         the record's sets ``sets.nums[n]`` over ``sets.units[n]`` for n =
         m - 1, ..., 0, keeping at each step the smallest preimage in
-        [0, 1) that lies in the set (in ``enclosure``'s normal form).
+        the circle's [0, 1) or in the interval that lies in the set (in
+        ``enclosure``'s normal form).
         Returns (numerators, scale), or None where a step finds none. No
         call per step, and only the kept preimage is made.
 
@@ -270,24 +276,46 @@ class PiecewiseLinearMap:
         lifted to one) and d = unit * q, the point lies in cell j of the
         grid 1/d, past it by r/k, k = scale / lattice_base. The image of
         [a, b] is a segment over d from the piece's constant at the unit
-        plus its slope times a, of the slope's size times b - a; one
-        division of small integers by d gives the lift's turn w and how
-        far rem the lift lies past that start (before it on a decreasing
-        piece), and the lift lies in the image when rem, plus one if r >
-        0, is at most that size. On the interval, where no other lift is
-        the point, the modulus 2d + 2 leaves a point before the start a
-        remainder past every size. The preimage is a + rem / size over
+        plus its slope times a, of the slope's size times b - a. On the
+        circle one division of small integers by d gives the lift's turn
+        w and how far rem the lift lies past that start (before it on a
+        decreasing piece); on an interval no other lift is the point, so
+        w is 0 and rem is the point's own distance past the start, which
+        is negative for a point before it, however long the interval. The
+        lift lies in the image when rem is at least 0 and, plus one if r
+        > 0, at most that size. The preimage is a + rem / size over
         the unit plus less than 1 / size, so the next cell is a + rem //
         size wherever the next d is this unit, as where the units nest
         by q (every generated trajectory); the first step, and a step
         whose units do not nest, divides x instead. The kept preimage is
         x * inv + (c0 - w * turn) * k over the scale times p, the lcm of
-        the slope numerators, so k is carried by p."""
+        the slope numerators, so k is carried by p.
+
+        A one-to-one map (one piece, on an interval or of slope -+1 on
+        the circle: the spiral's factors) makes its one preimage a step
+        and finds it in the set's fragments by one division."""
         inner, q, _, _, base, circle = self._lattice
         p, walk = self._walk
         x = point[0]
         k = scale // base
+        if not inner and (not circle or p == q == 1):
+            *_, c0, _, inv = walk[0]
+            for arcs, unit in zip(reversed(sets.nums[:m]),
+                                  reversed(sets.units[:m])):
+                x, k = x * inv + c0 * k, k * p
+                if circle:
+                    x %= k * base
+                j, r = divmod(x * unit, k * base)
+                short = 1 if r else 0
+                for a, e in arcs:  # an arc (s, l) or a segment (lo, hi)
+                    if ((j - a) % unit <= e - short if circle
+                            else a <= j <= e - short):
+                        break
+                else:
+                    return None
+            return (x,), k * base
         kept = prev = None
+        w = 0  # the lift's turn, 0 on an interval
         for arcs, unit in zip(reversed(sets.nums[:m]),
                               reversed(sets.units[:m])):
             if unit != kept:  # the unit's constants
@@ -297,7 +325,6 @@ class PiecewiseLinearMap:
                     arcs = tuple(tuple(c * lift for c in f) for f in arcs)
                     unit *= lift
                 ku, d = unit // base, unit * q
-                mod = d if circle else 2 * d + 2
             if d != prev:  # the point's cell, by one division
                 j, r = divmod(x * (ku * q), k)
                 top = 1 if r else 0
@@ -315,12 +342,11 @@ class PiecewiseLinearMap:
                     pieces = walk
                 for b, sl, size, c, c0, turn, inv in pieces:
                     c *= ku
-                    if sl > 0:
-                        w, rem = divmod(j - c - sl * a, mod)
-                    else:
-                        w, rem = divmod(c + sl * a - j - top, mod)
+                    rem = j - c - sl * a if sl > 0 else c + sl * a - j - top
+                    if circle:
+                        w, rem = divmod(rem, d)
                     b *= ku
-                    if rem + top <= size * ((b if b < e else e) - a):
+                    if 0 <= rem <= size * ((b if b < e else e) - a) - top:
                         break
                     a = b
                 else:
@@ -372,116 +398,55 @@ class PiecewiseLinearMap:
 
 
 @dataclass(frozen=True)
-class AnnulusSpiral:
-    """Contraction toward the unit circle composed with a rigid rotation:
-    (r, theta) -> (1 + lam*(r-1), theta + alpha)."""
+class ProductMap:
+    """The product (x, y) -> (g(x), h(y)) of an interval map g and a
+    circle map h, its ``factors``, on the annulus ``space`` whose radial
+    band is g's interval. Under the max metric the shadow set at step n
+    is R_n x T_n, one set per factor, and an orbit tracks a trajectory
+    exactly when each coordinate tracks its own; so each factor is
+    sampled, propagated, pulled back and re-checked as the map it is.
+    """
 
     space: Space
-    lam: Fraction
-    alpha: Fraction
+    factors: tuple
     kind: str = "annulus_spiral"
-
-    def __post_init__(self):
-        if self.space.kind != "annulus":
-            raise UsageError("spiral maps live on an annulus")
-        if not 0 < self.lam < 1:
-            raise DomainError("contraction factor must satisfy 0 < lam < 1")
-        # lam = p / q and alpha = a / b as ints: (p, q, a, b)
-        object.__setattr__(self, "_lattice", self.lam.as_integer_ratio()
-                           + self.alpha.as_integer_ratio())
 
     @property
     def lipschitz(self):
-        return max(self.lam, Fraction(1))
+        return max(f.lipschitz for f in self.factors)
 
     @property
     def lattice_base(self) -> int:
-        return math.lcm(self.alpha.denominator, self.space.w.denominator)
+        return math.lcm(*(f.lattice_base for f in self.factors))
 
-    def apply_scaled(self, point, unit):
-        """The map at a point given as numerators over ``unit``:
-        (numerators, out unit)."""
-        p, q, a, b = self._lattice
-        out = unit * q
-        r, theta = point
-        return (out + p * (r - unit), (theta * q + a * (out // b)) % out), out
-
-    def line(self, unit):
-        """The map's one linear piece at ``unit``, as the circle maps'
-        ``line``: (q, c_r, p, c_t, q), where (r, theta) over ``unit`` goes
-        to (c_r + p * r, c_t + q * theta) over out = unit * q, the angle
-        taken mod out, with c_r = (q - p) * unit and c_t = alpha * out.
-        Both are linear in the unit, so a caller carries them across a
-        change of unit by its factor, with no division by alpha's
-        denominator."""
-        p, q, a, b = self._lattice
-        return q, (q - p) * unit, p, a * (unit * q // b), q
-
-    def pull_back(self, point, scale, sets, m):
-        """``shadowcheck.pull_back_witness``'s loop on the annulus, as the
-        circle maps' ``pull_back``: the one preimage over the scale times
-        p, lam's numerator, is (out + q * (r - scale), theta * p - alpha *
-        out), out that scale, and none where its radius is more than w *
-        out from out. w * out and alpha * out are taken once and carried
-        by p. Each step tests the radius against the set's radial segment
-        once, then the angle against its arcs, each read on the set's
-        unit by one division."""
-        p, q, a, b = self._lattice
-        w_num, w_den = self.space.w_ratio
-        frags, units, radials = sets.nums, sets.units, sets.radials
-        r, theta = point
-        out = scale * p
-        reach, turn = w_num * (out // w_den), a * (out // b)
-        for n in range(m - 1, -1, -1):
-            r = out + q * (r - scale)
-            if r - out > reach or out - r > reach:
-                return None
-            theta = (theta * p - turn) % out
-            scale, arcs, unit = out, frags[n], units[n]
-            lo, hi = radials[n]
-            x, rem = divmod(r * unit, scale)
-            if not lo <= x <= hi - (1 if rem else 0):
-                return None
-            x, rem = divmod(theta * unit, scale)
-            short = 1 if rem else 0
-            for s, l in arcs:
-                if (x - s) % unit <= l - short:
-                    break
-            else:
-                return None
-            out, reach, turn = out * p, reach * p, turn * p
-        return (r, theta), scale
+    def walk(self, y0, d, n, rng) -> "ProductWalk":
+        return ProductWalk(self, y0, d, n, rng)
 
     def tracks(self, z, z_scale, points, eps) -> bool:
-        """``shadowcheck.orbit_tracks``'s loop on the annulus: the orbit
-        of z, numerators over ``z_scale`` (a multiple of lattice_base),
-        stepped as ``apply_scaled`` steps it, inline, with alpha * out
-        carried by q, and the max distance compared inline: no call per
-        step."""
-        p, q, a, b = self._lattice
-        eps_num, eps_den = eps.numerator, eps.denominator
-        r, theta = z
-        out = z_scale * q
-        turn = a * (out // b)
-        kept_z = kept_s = 0
-        for (yr, yt), s in zip(points.nums, points.scales):
-            if s != kept_s or z_scale != kept_z:
-                if s == kept_s * q and z_scale == kept_z * q:
-                    # both scales grew by q: the lifts stay
-                    common, bound = common * q, bound * q
-                else:
-                    z_lift, y_lift = s * eps_den, z_scale * eps_den
-                    common, bound = z_scale * z_lift, eps_num * z_scale * s
-                kept_z, kept_s = z_scale, s
-            t = r * z_lift - yr * y_lift
-            if t > bound or -t > bound:
-                return False
-            t = (theta * z_lift - yt * y_lift) % common
-            if t > bound and common - t > bound:
-                return False
-            r, theta = out + p * (r - z_scale), (theta * q + turn) % out
-            z_scale, out, turn = out, out * q, turn * q
-        return True
+        """``shadowcheck.orbit_tracks``'s loop: each factor's ``tracks``
+        on its coordinate of z and of the points."""
+        return all(f.tracks((c,), z_scale, points.coordinate(i), eps)
+                   for i, (f, c) in enumerate(zip(self.factors, z)))
+
+
+class ProductWalk:
+    """The random walk of a ``ProductMap``: one ``pseudotraj.LatticeWalk``
+    per factor, from its coordinate of y0 (checked first as a point of the
+    product), each on its own scale, all reading one stream in lockstep,
+    the first factor's step first: the radius's draw, then the angle's.
+    Iterating (once) yields per step the tuple of the factors' points;
+    ``taken`` is the tuple of their ``taken`` points, ``d`` their d.
+    """
+
+    def __init__(self, system, y0, d, n, rng):
+        system.space.lattice_point(y0)
+        self.walks = tuple(LatticeWalk(f, (c,), d, n, rng)
+                           for f, c in zip(system.factors, y0))
+        self.taken = tuple(w.taken for w in self.walks)
+        self.d = self.walks[0].d
+
+    def __iter__(self):
+        return zip(*self.walks)
 
 
 # -- constructors ---------------------------------------------------------
@@ -515,8 +480,18 @@ def pwl(pairs, offset=0, space_kind: str = "circle") -> PiecewiseLinearMap:
                               tuple(s for _, s in pairs), frac(offset))
 
 
-def annulus_spiral(lam, alpha, w) -> AnnulusSpiral:
-    return AnnulusSpiral(annulus(w), frac(lam), frac(alpha) % 1)
+def annulus_spiral(lam, alpha, w) -> ProductMap:
+    """The spiral (r, theta) -> (1 + lam (r - 1), theta + alpha) on the
+    annulus of half-width w: the contraction r -> (1 - lam) + lam r of
+    the band [1 - w, 1 + w] times ``rotation(alpha)``."""
+    space, lam = annulus(w), frac(lam)
+    angular = rotation(alpha)
+    if not 0 < lam < 1:
+        raise DomainError("contraction factor must satisfy 0 < lam < 1")
+    lo, hi = space.ends
+    radial = PiecewiseLinearMap(interval(lo, hi), (lo,), (lam,),
+                                1 - lam * space.w, kind="contraction")
+    return ProductMap(space, (radial, angular))
 
 
 def parse_system(text: str):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shadowing import (AnnulusSpiral, DomainError, PiecewiseLinearMap,
-                       UsageError)
+from shadowing import DomainError, PiecewiseLinearMap, UsageError
 from shadowing.pseudotraj import Pseudotrajectory
 
 from reference import piece_values
@@ -69,7 +68,7 @@ def brute_force_oracle(system, traj: Pseudotrajectory, eps,
     """
     if grid_resolution <= 0:
         raise DomainError("grid resolution must be positive")
-    if isinstance(system, AnnulusSpiral):
+    if system.space.ndim != 1:
         raise UsageError("grid oracle supports one-dimensional maps only")
     eps_f = float(eps)
     res = float(grid_resolution)

@@ -7,11 +7,13 @@ evaluation from a piecewise-linear map's breakpoints, values and slopes,
 the image of a fragment and of a set, pointwise preimages, orbits,
 prefixes and splicing of pseudotrajectories, set representatives and
 membership, the tube bound eta^L, the rotations' deviation lift and the
-closed-form verdicts. Sets are built from ``Fraction`` fragments, on the
-annulus arcs times a radial segment (``make``), and intersected pairwise
-(``intersect``: a segment meet times arc meets on the annulus) through
-the package's normal form; the cover search's scan for a net ball outside
-the image takes one ball and one such intersection per center. The tests
+closed-form verdicts. Sets are built from ``Fraction`` fragments
+(``make``) and intersected pairwise (``intersect``) through the package's
+normal form; the cover search's scan for a net ball outside the image
+takes one ball and one such intersection per center. The spiral has an
+oracle of its own (``spiral_oracle``): ``Fraction`` boxes, a radial
+segment times arcs, propagated jointly with their own meet and normal
+form, which use none of the package's set or product code. The tests
 compare the integer paths with these; nothing in the package calls them.
 """
 
@@ -21,8 +23,8 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from shadowing import (AnnulusSpiral, DomainError, SearchFailure,
-                       UsageError, decide_horizons, rotation_first_failure)
+from shadowing import (DomainError, SearchFailure, UsageError,
+                       decide_horizons, rotation_first_failure)
 from shadowing import enclosure
 from shadowing.enclosure import ball_set
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
@@ -75,8 +77,8 @@ def ball_measure(space, center, radius):
     if space.kind == "circle":
         return min(2 * radius, Fraction(1))
     if space.kind == "interval":
-        c = center[0]
-        return min(c + radius, 1) - max(c - radius, 0)
+        c, (lo, hi) = center[0], space.ends
+        return min(c + radius, hi) - max(c - radius, lo)
     rc = center[0]
     radial = min(rc + radius, 1 + space.w) - max(rc - radius, 1 - space.w)
     return radial * min(2 * radius, Fraction(1))
@@ -102,8 +104,8 @@ def sample_uniform_ball(space, center, radius, draws):
     if space.kind == "circle":
         return (_sample_arc(center[0], radius, draws),)
     if space.kind == "interval":
-        lo = max(center[0] - radius, 0)
-        hi = min(center[0] + radius, 1)
+        lo = max(center[0] - radius, space.ends[0])
+        hi = min(center[0] + radius, space.ends[1])
         return (lo + (hi - lo) * uniform(draws),)
     rc = center[0]
     lo = max(rc - radius, 1 - space.w)
@@ -122,8 +124,11 @@ def _sample_arc(center, radius, draws):
 
 def random_point(space, draws):
     """Uniform point of the whole space."""
-    if space.kind in ("circle", "interval"):
+    if space.kind == "circle":
         return (uniform(draws),)
+    if space.kind == "interval":
+        lo, hi = space.ends
+        return (lo + (hi - lo) * uniform(draws),)
     r = 1 - space.w + 2 * space.w * uniform(draws)
     return (r, uniform(draws))
 
@@ -144,9 +149,11 @@ def grid_centers(space, h):
 # -- maps --------------------------------------------------------------------
 
 def piece_values(system) -> tuple:
-    """A piecewise-linear map's values at its breakpoints and at 1."""
+    """A piecewise-linear map's values at its breakpoints and at 1, or
+    at the upper end of its interval."""
+    hi = system.space.ends[1] if system.space.kind == "interval" else 1
     values = [system.offset]
-    ends = list(system.breakpoints[1:]) + [Fraction(1)]
+    ends = list(system.breakpoints[1:]) + [Fraction(hi)]
     for b, e, s in zip(system.breakpoints, ends, system.slopes):
         values.append(values[-1] + s * (e - b))
     return tuple(values)
@@ -155,11 +162,10 @@ def piece_values(system) -> tuple:
 def apply(system, point):
     """The map at a point, on its ``Fraction`` parameters: on piece i a
     piecewise-linear map sends x to values[i] + slopes[i] * (x -
-    breakpoints[i]); the spiral sends (r, theta) to (1 + lam (r - 1),
-    theta + alpha)."""
-    if isinstance(system, AnnulusSpiral):
-        r, theta = point
-        return (1 + system.lam * (r - 1), (theta + system.alpha) % 1)
+    breakpoints[i]); a product map sends each coordinate by its factor."""
+    factors = getattr(system, "factors", None)
+    if factors is not None:
+        return tuple(apply(f, (c,))[0] for f, c in zip(factors, point))
     bps, vals = system.breakpoints, piece_values(system)
     x = point[0]
     i = bisect_right(bps, x) - 1
@@ -170,7 +176,11 @@ def apply(system, point):
 def lattice_apply(system, point):
     """The map's ``apply_scaled`` at a point of rationals, over the lcm of
     the point's denominators and the lattice base, read back as
-    Fractions."""
+    Fractions; a product map's factors' at each coordinate."""
+    factors = getattr(system, "factors", None)
+    if factors is not None:
+        return tuple(lattice_apply(f, (c,))[0]
+                     for f, c in zip(factors, point))
     image, out = system.apply_scaled(
         *scaled_point(point, system.lattice_base))
     return tuple(Fraction(c, out) for c in image)
@@ -178,14 +188,10 @@ def lattice_apply(system, point):
 
 def image_pieces(system, frag) -> list:
     """The image of one arc or segment of ``Fraction`` coordinates, as raw
-    fragments: the spiral turns an arc by alpha; a piecewise-linear map's
-    arc or segment is cut at every breakpoint inside it (on the circle's
-    lift over two turns) and each part goes to the arc or segment between
-    its ends' values under ``apply``'s lines, lifted by the degree per
-    turn."""
-    if isinstance(system, AnnulusSpiral):
-        s, l = frag
-        return [((s + system.alpha) % 1, l)]
+    fragments: a piecewise-linear map's arc or segment is cut at every
+    breakpoint inside it (on the circle's lift over two turns) and each
+    part goes to the arc or segment between its ends' values under
+    ``apply``'s lines, lifted by the degree per turn."""
     bps, vals, slopes = system.breakpoints, piece_values(system), system.slopes
     circle = system.space.kind == "circle"
 
@@ -196,7 +202,7 @@ def image_pieces(system, frag) -> list:
             vals[-1] - vals[0])
 
     lo, hi = (frag[0], frag[0] + frag[1]) if circle else frag
-    cuts = [b + turn for turn in (0, 1) for b in bps]
+    cuts = [b + turn for turn in ((0, 1) if circle else (0,)) for b in bps]
     ends = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
     pieces = []
     for a, b in zip(ends, ends[1:]):
@@ -207,22 +213,12 @@ def image_pieces(system, frag) -> list:
     return [(min(p[0] for p in pieces), max(p[1] for p in pieces))]
 
 
-def image_radial(system, radial) -> tuple:
-    """The spiral's image of a radial segment of ``Fraction`` ends: each
-    end r goes to 1 + lam (r - 1)."""
-    return tuple(1 + system.lam * (r - 1) for r in radial)
-
-
 def image_set(system, s):
-    """f(s) in normal form, from ``image_pieces`` of every arc or segment
-    and on the annulus ``image_radial`` of its radial segment, over the
-    unit that the package gives an image of s: s's unit, lifted to a
-    multiple of the lattice base, times q, the lcm of the slope
-    denominators (the spiral's lam's)."""
-    if isinstance(system, AnnulusSpiral):
-        q = system.lam.denominator
-    else:
-        q = math.lcm(*(Fraction(sl).denominator for sl in system.slopes))
+    """f(s) in normal form, from ``image_pieces`` of every arc or segment,
+    over the unit that the package gives an image of s: s's unit, lifted
+    to a multiple of the lattice base, times q, the lcm of the slope
+    denominators."""
+    q = math.lcm(*(Fraction(sl).denominator for sl in system.slopes))
     unit = math.lcm(s.unit, system.lattice_base) * q
 
     def over_unit(values):
@@ -233,11 +229,7 @@ def image_set(system, s):
     pieces = [over_unit(piece) for frag in s.nums
               for piece in image_pieces(
                   system, tuple(Fraction(c, s.unit) for c in frag))]
-    radial = None
-    if s.radial is not None:
-        radial = over_unit(image_radial(
-            system, (Fraction(c, s.unit) for c in s.radial)))
-    return enclosure._make(system.space, pieces, unit, radial)
+    return enclosure._make(system.space, pieces, unit)
 
 
 def preimages(system, point) -> list:
@@ -245,15 +237,7 @@ def preimages(system, point) -> list:
     i a piecewise-linear map takes every value between values[i] and
     values[i + 1] once, so a value y + J (J = 0 on the interval, any
     integer winding on the circle) in that range has the one preimage
-    breakpoints[i] + (y + J - values[i]) / slopes[i] there. The spiral's
-    one preimage is (1 + (r - 1) / lam, theta - alpha), none where its
-    radius leaves the band."""
-    if isinstance(system, AnnulusSpiral):
-        r, theta = point
-        r = 1 + (r - 1) / system.lam
-        if abs(r - 1) > system.space.w:
-            return []
-        return [(r, (theta - system.alpha) % 1)]
+    breakpoints[i] + (y + J - values[i]) / slopes[i] there."""
     y = point[0]
     circle = system.space.kind == "circle"
     vals = piece_values(system)
@@ -281,28 +265,20 @@ def orbit(system, x0, n: int) -> list:
 
 # -- sets --------------------------------------------------------------------
 
-def make(space, fragments, radial=None):
+def make(space, fragments):
     """The normal form (``enclosure._make``) of fragments of rational
-    coordinates, segments or arcs, times the radial segment ``radial`` on
-    the annulus, over the lcm of their denominators."""
+    coordinates, segments or arcs, over the lcm of their denominators."""
     frags = [tuple(f) for f in fragments]
-    if radial is not None:
-        frags.append(tuple(radial))
     nums, unit = scaled_point([c for f in frags for c in f])
     coords = iter(nums)
     frags = [tuple(next(coords) for _ in f) for f in frags]
-    if radial is not None:
-        radial = frags.pop()
-    return enclosure._make(space, frags, unit, radial)
+    return enclosure._make(space, frags, unit)
 
 
 def lift(s, factor):
     """The set s over a unit ``factor`` times its own."""
-    radial = s.radial
-    if radial is not None:
-        radial = tuple(c * factor for c in radial)
     return enclosure.EnclosureSet(s.space, enclosure._lift(s.nums, factor),
-                                  s.unit * factor, radial)
+                                  s.unit * factor)
 
 
 def intersect_arcs(a, b, unit) -> list:
@@ -342,19 +318,14 @@ def meet(space, piece, ball, unit) -> list:
 
 def intersect(a, b):
     """A & B: the normal form of the pairwise meets of their segments or
-    arcs, over the lcm of their units; on the annulus, times the meet of
-    their radial segments."""
+    arcs, over the lcm of their units."""
     if a.space != b.space:
         raise UsageError("cannot intersect sets over different spaces")
     unit = math.lcm(a.unit, b.unit)
     a, b = lift(a, unit // a.unit), lift(b, unit // b.unit)
-    radial = None
-    if a.space.kind == "annulus":
-        radial = (max(a.radial[0], b.radial[0]),
-                  min(a.radial[1], b.radial[1]))
     meet = intersect_segs if a.space.kind == "interval" else intersect_arcs
     pieces = [p for x in a.nums for y in b.nums for p in meet(x, y, unit)]
-    return enclosure._make(a.space, pieces, unit, radial)
+    return enclosure._make(a.space, pieces, unit)
 
 
 def pick_point(s):
@@ -368,13 +339,10 @@ def contains(s, point) -> bool:
     """Whether the point of rationals lies in the enclosure set s, read
     from its ``Fraction`` fragments: the set membership that
     ``shadowcheck.pull_back_witness`` decides on integers."""
-    kind = s.space.kind
+    circle = s.space.kind == "circle"
     for f in s.fragments:
-        if kind == "circle":
-            if (point[0] - f[0]) % 1 <= f[1]:
-                return True
-        elif f[0] <= point[0] <= f[1] and (
-                kind == "interval" or (point[1] - f[2]) % 1 <= f[3]):
+        if ((point[0] - f[0]) % 1 <= f[1] if circle
+                else f[0] <= point[0] <= f[1]):
             return True
     return False
 
@@ -515,3 +483,73 @@ def rotation_lift_first_failure(system, traj: Pseudotrajectory,
 def in_absorbing_band(point, rho) -> bool:
     """Membership in the band {|r - 1| <= rho} of an annulus point."""
     return abs(point[0] - 1) <= rho
+
+
+# -- the spiral's joint oracle -------------------------------------------------
+
+def arc_segments(arc) -> list:
+    """An arc (start, length) of the circle as segments of [0, 1]."""
+    s, l = arc
+    if l >= 1:
+        return [(Fraction(0), Fraction(1))]
+    s %= 1
+    if s + l <= 1:
+        return [(s, s + l)]
+    return [(s, Fraction(1)), (Fraction(0), s + l - 1)]
+
+
+def normal_arcs(segments) -> list:
+    """The arcs (start, length) of a union of segments of [0, 1], merged
+    where they overlap or touch and joined across 0, sorted by start; the
+    whole circle is [(0, 1)]."""
+    merged = []
+    for lo, hi in sorted(segments):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    if merged == [(0, 1)]:
+        return [(Fraction(0), Fraction(1))]
+    if len(merged) > 1 and merged[0][0] == 0 and merged[-1][1] == 1:
+        (_, head), (tail, _) = merged.pop(0), merged.pop()
+        merged.append((tail, head + 1))
+    return sorted((lo, hi - lo) for lo, hi in merged)
+
+
+def spiral_oracle(lam, alpha, w, points, eps):
+    """The spiral (r, theta) -> (1 + lam (r - 1), theta + alpha) on the
+    annulus of half-width w, decided on ``Fraction`` boxes alone: A_0 is
+    the eps-box around y_0 cut to the band, and A_{n+1} the image box of
+    A_n met with the eps-box around y_{n+1}, the radial segment's meet
+    times the arcs' meets, to the first empty box. Returns (first empty
+    step or None, witness at the last horizon that is Yes, or None): the
+    witness is the midpoint of the last box's radial segment and of its
+    longest arc (the first such by start), pulled back through the boxes,
+    each of which it must lie in."""
+    boxes = []
+    for r, theta in points:
+        lo, hi = max(r - eps, 1 - w), min(r + eps, 1 + w)
+        ball = arc_segments((theta - eps, 2 * eps))
+        if boxes:
+            (plo, phi), arcs = boxes[-1]
+            lo = max(lo, 1 + lam * (plo - 1))
+            hi = min(hi, 1 + lam * (phi - 1))
+            image = [seg for s, l in arcs
+                     for seg in arc_segments((s + alpha, l))]
+            ball = [(max(a, c), min(b, d)) for a, b in image
+                    for c, d in ball if max(a, c) <= min(b, d)]
+        boxes.append(((lo, hi), normal_arcs(ball) if lo <= hi else []))
+        if not boxes[-1][1]:
+            break
+    first_empty = len(boxes) - 1 if not boxes[-1][1] else None
+    m = len(boxes) - 1 if first_empty is None else first_empty - 1
+    if m < 0:
+        return first_empty, None
+    (lo, hi), arcs = boxes[m]
+    s, l = max(arcs, key=lambda a: (a[1], -a[0]))
+    r, theta = (lo + hi) / 2, (s + l / 2) % 1
+    for n in range(m - 1, -1, -1):
+        r, theta = 1 + (r - 1) / lam, (theta - alpha) % 1
+        (lo, hi), arcs = boxes[n]
+        assert lo <= r <= hi and any((theta - s) % 1 <= l for s, l in arcs)
+    return first_empty, (r, theta)

@@ -13,11 +13,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_the_public_api_is_pinned():
     """Any change to the names the package exports edits this list."""
     assert sorted(shadowing.__all__) == [
-        "AnnulusSpiral", "CoverTime", "DichotomyQuantities", "DomainError",
+        "CoverTime", "DichotomyQuantities", "DomainError",
         "EnclosureCapError", "EnclosureSet", "ExperimentConfig",
         "ExperimentResult", "HorizonStat", "InvariantViolation",
-        "PiecewiseLinearMap", "Point", "ProofQuantities", "Provenance",
-        "Pseudotrajectory", "SearchFailure", "ShadowVerdict", "Space",
+        "PiecewiseLinearMap", "Point", "ProductMap", "ProofQuantities",
+        "Provenance", "Pseudotrajectory", "SearchFailure", "ShadowVerdict", "Space",
         "TrialOutcome", "UsageError", "Verdict", "annulus", "annulus_spiral",
         "attractor_quantities", "ball_set", "binomial", "bounds", "circle",
         "clopper_pearson", "cover_time", "decide_horizons",

@@ -25,6 +25,7 @@ from reference import (ball_measure, dist, epsilon_net, exact_orbit,
 ROT = rotation(F(610, 987))
 DBL = doubling()
 SPIRAL = annulus_spiral(F(1, 2), F(610, 987), F(1, 2))
+LAM, ALPHA, W = F(1, 2), F(610, 987), F(1, 2)  # SPIRAL's parameters
 
 
 # -- inclusion radius --------------------------------------------------------
@@ -41,8 +42,7 @@ def _probe_arrays(system, d, n, seed):
     delta = float(delta_for_inclusion(system, d))
     rng = np.random.default_rng(seed)
     if system.space.kind == "annulus":
-        w = float(system.space.w)
-        lam, alpha = float(system.lam), float(system.alpha)
+        w, lam, alpha = float(W), float(LAM), float(ALPHA)
 
         def apply(r, t):
             return 1 + lam * (r - 1), (t + alpha) % 1.0
@@ -401,7 +401,7 @@ def test_attractor_quantities_reference_case():
 
 def test_attractor_band_is_absorbing_algebra():
     q = attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)))
-    lam = SPIRAL.lam
+    lam = LAM
     # image band has half-width lam*rho; adding any d < d0 stays inside
     assert lam * q.rho + q.d0 < q.rho
     # true orbits from the band settle within delta/4 of the circle by S
@@ -416,8 +416,7 @@ def test_attractor_rejects_bad_inputs():
         attractor_quantities(SPIRAL, F(1, 5), (F(9, 5), F(0)))
 
 
-def test_the_band_record_is_memoized_once_d_is_resolved(monkeypatch,
-                                                        capsys):
+def test_the_band_record_is_memoized_once_d_is_resolved(capsys):
     """A call with d=None and one with the d it resolves to share one
     record, whatever form the inputs take; a refused d is refused at every
     call, and so is a start outside the annulus. The ``attractor`` command
@@ -431,14 +430,11 @@ def test_the_band_record_is_memoized_once_d_is_resolved(monkeypatch,
             attractor_quantities(SPIRAL, F(1, 5), (F(7, 5), F(0)), d=q.d0)
         with pytest.raises(DomainError, match="outside the annulus"):
             attractor_quantities(SPIRAL, F(1, 5), (F(9, 5), F(0)))
-    calls = []
-    original = bounds.delta_for_inclusion
-    monkeypatch.setattr(bounds, "delta_for_inclusion",
-                        lambda *args: calls.append(args) or original(*args))
     bounds._band_record.cache_clear()
     assert main(["attractor", "--trials", "2", "--horizons", "5"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    info = bounds._band_record.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_pseudotrajectories_confined_after_entry():
@@ -452,7 +448,7 @@ def test_pseudotrajectories_confined_after_entry():
 
 
 def test_entry_time_matches_direct_iteration():
-    lam, rho = SPIRAL.lam, F(1, 20)
+    lam, rho = LAM, F(1, 20)
     for d, entry in ((F(9, 800), 4), (F(111, 5000), 7)):
         # |r_n - 1| <= lam^n |r0 - 1| + d / (1 - lam), at most rho from n0 on
         n = 0

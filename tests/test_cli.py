@@ -732,3 +732,54 @@ def test_the_printed_text_is_the_written_text_encoded_once(
     indented.clear()
     assert run(capsys, *argv) == (0, printed, "")
     assert len(indented) == encodings
+
+
+# -- numbers past Python's integer string conversion limit --------------------
+
+def test_a_long_doubling_trajectory_round_trips(tmp_path, capsys):
+    """A 16,000-step doubling trajectory: its witness has more digits than
+    Python's default int-string limit lets ``str`` write, and ``main``
+    lifts that limit, so ``check`` prints the Yes and its witness (exit
+    0) rather than dying on it."""
+    base = tmp_path / "long"
+    assert run(capsys, "generate", "--system", "doubling", "--y0", "0.3",
+               "--d", "0.02", "--n", "16000", "--seed", "7",
+               "--out", str(base))[0] == 0
+    code, out, err = run(capsys, "check", "--traj", str(base), "--eps",
+                         "0.05")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "Yes"
+    assert max(len(c) for c in payload["witness"]) > 4300
+
+
+def long_token_trajectory(tmp_path):
+    """A stored doubling trajectory whose row 1 holds a ratio of 5,000
+    digits over 5,001."""
+    base = tmp_path / "digits"
+    base.with_suffix(".csv").write_text(
+        f"n,coord0\n0,3/10\n1,{'3' * 5000}/{'3' * 5000}1\n")
+    base.with_suffix(".json").write_text(
+        json.dumps({"system": "doubling", "d": "1/50", "N": 1}))
+    return base
+
+
+def test_a_coordinate_of_five_thousand_digits_checks(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "--traj",
+                         str(long_token_trajectory(tmp_path)), "--eps", "1/2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "Yes"
+
+
+def test_a_library_load_past_the_digit_limit_names_its_line(tmp_path):
+    """With Python's default limit kept, as a library caller keeps it, a
+    token past it is a ``UsageError`` naming the file and the line."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        base = long_token_trajectory(tmp_path)
+        with pytest.raises(shadowing.UsageError,
+                           match=r"digits\.csv: line 3: "):
+            shadowing.load_trajectory(base)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,5 +1,5 @@
-"""Segment and arc algebra for enclosure sets, and its products on the
-annulus."""
+"""Segment and arc algebra for enclosure sets, on intervals of any ends,
+the annulus's band among them, and on the circle."""
 
 from fractions import Fraction as F
 
@@ -136,63 +136,59 @@ def test_interval_sets():
     assert intersect(a, make(sp, [(F(9, 10), F(1))])).is_empty()
 
 
-# -- annulus: a radial segment times arcs -------------------------------------
+# -- the annulus's factors: a band segment times arcs --------------------------
 
-def test_annulus_ball_and_intersection():
-    sp = annulus(F(1, 2))
-    b = ball_set(sp, (F(29, 20), F(3, 10)), F(1, 10))
-    assert b.fragments == ((F(27, 20), F(3, 2), F(1, 5), F(1, 5)),)
-    assert b.measure() == F(3, 100)
-    other = ball_set(sp, (F(7, 5), F(2, 5)), F(1, 10))
-    got = intersect(b, other)
-    assert len(got.fragments) == 1
-    rlo, rhi, s, l = got.fragments[0]
-    assert (rlo, rhi) == (F(27, 20), F(3, 2))
-    assert (s, l) == (F(3, 10), F(1, 10))
-    p = pick_point(got)
-    assert contains(got, p) and contains(b, p) and contains(other, p)
+BAND = interval(F(1, 2), F(3, 2))  # the radial factor of the annulus w = 1/2
 
 
-def test_annulus_box_union_merges_aligned():
-    sp = annulus(F(1, 2))
-    radial = (F(1), F(6, 5))
+def test_an_annulus_ball_is_a_band_segment_times_an_arc():
+    """The max-metric ball around (29/20, 3/10) of radius 1/10 is the
+    band's segment [27/20, 3/2], cut at the band's end, times the arc
+    (1/5, 1/5): of measure 3/20 times 1/5. Each factor meets the other
+    ball's factor on its own."""
+    seg = ball_set(BAND, (F(29, 20),), F(1, 10))
+    arc = ball_set(circle(), (F(3, 10),), F(1, 10))
+    assert seg.fragments == ((F(27, 20), F(3, 2)),)
+    assert arc.fragments == ((F(1, 5), F(1, 5)),)
+    assert seg.measure() * arc.measure() == F(3, 100)
+    got_seg = intersect(seg, ball_set(BAND, (F(7, 5),), F(1, 10)))
+    got_arc = intersect(arc, ball_set(circle(), (F(2, 5),), F(1, 10)))
+    assert got_seg.fragments == ((F(27, 20), F(3, 2)),)
+    assert got_arc.fragments == ((F(3, 10), F(1, 10)),)
+    for got, ball in ((got_seg, seg), (got_arc, arc)):
+        p = pick_point(got)
+        assert contains(got, p) and contains(ball, p)
+
+
+def test_aligned_arcs_merge():
     a = (F(0), F(1, 10))
     b = (F(1, 10), F(1, 10))
-    merged = make(sp, [a, b], radial)
-    assert merged.fragments == ((F(1), F(6, 5), F(0), F(1, 5)),)
-    across = make(sp, [(F(9, 10), F(1, 10)), a], radial)
-    assert across.fragments == ((F(1), F(6, 5), F(9, 10), F(1, 5)),)
+    assert make(circle(), [a, b]).fragments == ((F(0), F(1, 5)),)
+    across = make(circle(), [(F(9, 10), F(1, 10)), a])
+    assert across.fragments == ((F(9, 10), F(1, 5)),)
 
 
-def test_an_empty_arc_or_radial_segment_is_dropped():
-    sp = annulus(F(1, 2))
+def test_an_empty_arc_or_segment_is_dropped():
     arc = (F(0), F(1, 4))
-    # an arc of negative length is empty, and so is the set of an empty
-    # radial segment, whatever its arcs
-    got = make(sp, [arc, (F(1, 2), F(-1, 4))], (F(1), F(5, 4)))
-    assert got.fragments == ((F(1), F(5, 4), *arc),)
-    assert make(sp, [arc], (F(5, 4), F(1))).fragments == ()
-    empty = enc._make(sp, [(0, 1)], 4, (5, 4))
+    # an arc of negative length is empty, and so is a segment whose ends
+    # cross
+    assert make(circle(), [arc, (F(1, 2), F(-1, 4))]).fragments == (arc,)
+    assert make(BAND, [(F(5, 4), F(1))]).fragments == ()
+    empty = enc._make(BAND, [(5, 4)], 4)
     assert empty.is_empty() and empty.measure() == 0
-    assert intersect(got, make(sp, [arc], (F(6, 5), F(3, 2)))).fragments \
-        == ((F(6, 5), F(5, 4), *arc),)
-    assert intersect(got, make(sp, [arc], (F(13, 10), F(3, 2)))).is_empty()
+    seg = make(BAND, [(F(1), F(5, 4))])
+    assert intersect(seg, make(BAND, [(F(6, 5), F(3, 2))])).fragments \
+        == ((F(6, 5), F(5, 4)),)
+    assert intersect(seg, make(BAND, [(F(13, 10), F(3, 2))])).is_empty()
     # so is a ball whose center lies off the band, or off the interval
-    assert ball_set(sp, (F(2), F(0)), F(1, 10)).is_empty()
+    assert ball_set(BAND, (F(2),), F(1, 10)).is_empty()
     assert ball_set(interval(), (F(3, 2),), F(1, 10)).is_empty()
 
 
-def test_an_annulus_set_without_its_radial_segment_is_refused():
-    # every annulus set is one radial segment times arcs, so a hand-built
-    # set of boxes, stacked radially or not, is not one
-    sp = annulus(F(1, 2))
-    ball = ball_set(sp, (F(1), F(0)), F(1, 4))
-    with pytest.raises(UsageError, match="radial segment"):
-        intersect(ball, enc.EnclosureSet(sp, [(3, 4, 0, 1), (4, 5, 0, 1)], 4))
-    with pytest.raises(UsageError, match="radial segment"):
-        enc.EnclosureSet(sp, [(0, 1)], 4)
-    # the empty set has no arcs for a segment to multiply
-    assert enc.EnclosureSet(sp, (), 4).is_empty()
+def test_the_annulus_has_no_sets_of_its_own():
+    # every annulus ball is a band segment times an arc, one set per factor
+    with pytest.raises(UsageError, match="a segment times an arc"):
+        ball_set(annulus(F(1, 2)), (F(1), F(0)), F(1, 4))
 
 
 # -- fragment cap --------------------------------------------------------------

@@ -4,12 +4,13 @@ Sets are built with ``reference.make`` from random fragments whose
 coordinates have small denominators, so touching, nested, wrapping and
 single-point fragments come up often. Membership is compared with a direct
 reading of the raw fragments: an arc ``(s, l)`` holds the points s + t mod
-1 for 0 <= t <= l, a segment ``(lo, hi)`` the points lo..hi, and an
-annulus set, drawn as one radial segment and raw arcs (every annulus set
-is such a product), the points whose radius lies in the segment and whose
-angle lies in an arc. The arcs are drawn freely, so they overlap, wrap,
-cover the whole ring or have zero width; the segment may have zero height
-or be empty. Each normal form is exact and depends only on the point set.
+1 for 0 <= t <= l, and a segment ``(lo, hi)`` the points lo..hi, on the
+interval [0, 1] and on the band [1/2, 3/2], the radial factor of the
+annulus of half-width 1/2 (the annulus has no sets of its own: its sets
+are a band set times a circle set, each stepped by its factor). The arcs
+are drawn freely, so they overlap, wrap, cover the whole circle or have
+zero width; a segment may be a point or be empty. Each normal form is
+exact and depends only on the point set.
 """
 
 import math
@@ -19,44 +20,40 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowing import EnclosureCapError, annulus, circle, interval
+from shadowing import EnclosureCapError, circle, interval
 from shadowing import enclosure as enc
 from shadowing import pwl
 from shadowing.shadowcheck import pull_back_witness, shadow_sets
 from shadowing.spaces import ScaledPoints
-from reference import (contains, image_pieces, image_radial, image_set,
-                       intersect, lattice_apply, lift, make, meet,
-                       pick_point, preimages)
+from reference import (contains, image_pieces, image_set, intersect,
+                       lattice_apply, lift, make, meet, pick_point, preimages)
 from test_lattice import PROPERTY, SYSTEMS
 
-SPACES = {"circle": circle(), "interval": interval(), "annulus": annulus(F(1, 2))}
+SPACES = {"circle": circle(), "interval": interval(),
+          "band": interval(F(1, 2), F(3, 2))}
 
 coord = st.fractions(0, 1, max_denominator=12)
 angle = coord.map(lambda s: s % 1)
 # lengths up to 5/4 include the whole circle; negative ones are empty
 length = st.one_of(st.sampled_from([F(0), F(1)]),
                    st.fractions(F(-1, 4), F(5, 4), max_denominator=12))
-radius = st.fractions(F(1, 2), F(3, 2), max_denominator=12)
 
 raw_arcs = st.lists(st.tuples(angle, length), max_size=5)
-# lo > hi gives an empty segment
-raw_segments = st.lists(st.tuples(coord, coord), max_size=5)
-# one radial segment and raw arcs; rlo > rhi gives an empty segment
-raw_annulus = st.tuples(
-    st.one_of(st.tuples(radius, radius).map(sorted),
-              radius.map(lambda r: (r, r)), st.tuples(radius, radius)),
-    raw_arcs)
-
-RAW = {"circle": raw_arcs, "interval": raw_segments, "annulus": raw_annulus}
 
 
-def make_raw(space, raw):
-    """``make`` of drawn fragments: on the annulus, of the arcs times the
-    radial segment."""
-    if space.kind == "annulus":
-        radial, arcs = raw
-        return make(space, arcs, radial)
-    return make(space, raw)
+def ends_of(space):
+    """A segment end of the interval ``space``, ends included."""
+    return st.fractions(*space.ends, max_denominator=12)
+
+
+def raw_fragments(space):
+    """Raw arcs, or raw segments of the interval, where lo > hi gives an
+    empty segment and lo = hi a point."""
+    if space.kind == "circle":
+        return raw_arcs
+    end = ends_of(space)
+    return st.lists(st.one_of(st.tuples(end, end), end.map(lambda x: (x, x))),
+                    max_size=5)
 
 
 def in_arc(s, l, x):
@@ -68,40 +65,28 @@ def in_arc(s, l, x):
 def brute_contains(kind, raw, point):
     if kind == "circle":
         return any(in_arc(s, l, point[0]) for s, l in raw)
-    if kind == "interval":
-        return any(lo <= point[0] <= hi for lo, hi in raw)
-    (rlo, rhi), arcs = raw
-    return rlo <= point[0] <= rhi and any(in_arc(s, l, point[1])
-                                          for s, l in arcs)
+    return any(lo <= point[0] <= hi for lo, hi in raw)
 
 
 def probe_points(kind, data, *raws):
     """Random points plus every fragment end and midpoint of ``raws``."""
-    radials = [raw[0] for raw in raws] if kind == "annulus" else []
-    frags = [f for raw in raws
-             for f in (raw[1] if kind == "annulus" else raw)]
+    frags = [f for raw in raws for f in raw]
     extra = st.fractions(0, 1, max_denominator=50)
-    if kind == "interval":
-        xs = {c for lo, hi in frags for c in (lo, hi, (lo + hi) / 2)}
-        xs |= set(data.draw(st.lists(extra, max_size=10), label="extra"))
+    if kind != "circle":
+        lo, hi = SPACES[kind].ends
+        xs = {c for a, b in frags for c in (a, b, (a + b) / 2)}
+        xs |= {lo + (hi - lo) * x for x in
+               data.draw(st.lists(extra, max_size=10), label="extra")}
         return [(x,) for x in sorted(xs)]
     thetas = {F(0)} | {c % 1 for s, l in frags for c in (s, s + l, s + l / 2)}
-    if kind == "circle":
-        thetas |= {x % 1 for x in
-                   data.draw(st.lists(extra, max_size=10), label="extra")}
-        return [(t,) for t in sorted(thetas)]
-    rs = {F(1, 2), F(3, 2)} | {c for lo, hi in radials
-                               for c in (lo, hi, (lo + hi) / 2)}
-    pts = [(r, t) for r in sorted(rs) for t in sorted(thetas)]
-    pts += data.draw(st.lists(st.tuples(extra.map(lambda x: x + F(1, 2)),
-                                        extra.map(lambda x: x % 1)),
-                              max_size=10), label="extra")
-    return pts
+    thetas |= {x % 1 for x in
+               data.draw(st.lists(extra, max_size=10), label="extra")}
+    return [(t,) for t in sorted(thetas)]
 
 
 def draw_set(kind, data, label):
-    raw = data.draw(RAW[kind], label=label)
-    return raw, make_raw(SPACES[kind], raw)
+    raw = data.draw(raw_fragments(SPACES[kind]), label=label)
+    return raw, make(SPACES[kind], raw)
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -109,11 +94,7 @@ def draw_set(kind, data, label):
 @given(data=st.data())
 def test_normalizing_twice_equals_once(kind, data):
     _, once = draw_set(kind, data, "a")
-    frags = once.fragments
-    if kind == "annulus" and frags:  # boxes: their one segment, their arcs
-        twice = make(SPACES[kind], [f[2:] for f in frags], frags[0][:2])
-    else:
-        twice = make(SPACES[kind], frags)
+    twice = make(SPACES[kind], once.fragments)
     assert twice.fragments == once.fragments
 
 
@@ -122,7 +103,7 @@ def split(kind, frag, data):
     inside it or at one of its ends (for an arc crossing 0, often at 0
     itself)."""
     u = data.draw(st.fractions(0, 1, max_denominator=24), label="cut")
-    if kind == "interval":
+    if kind != "circle":
         lo, hi = frag
         m = lo + u * (hi - lo)
         return [(lo, m), (m, hi)] if lo <= hi else [frag]
@@ -138,17 +119,10 @@ def split(kind, frag, data):
 @PROPERTY
 @given(data=st.data())
 def test_normal_form_ignores_how_fragments_are_cut(kind, data):
-    """Cutting the segments or arcs, the annulus's under its one radial
-    segment, leaves the normal form as it was."""
+    """Cutting the segments or arcs leaves the normal form as it was."""
     raw, es = draw_set(kind, data, "a")
-    if kind == "annulus":
-        radial, arcs = raw
-        pieces = [p for f in arcs for p in split(kind, f, data)]
-        cut = make(SPACES[kind], pieces, radial)
-    else:
-        pieces = [p for f in raw for p in split(kind, f, data)]
-        cut = make(SPACES[kind], pieces)
-    assert cut.fragments == es.fragments
+    pieces = [p for f in raw for p in split(kind, f, data)]
+    assert make(SPACES[kind], pieces).fragments == es.fragments
 
 
 def arcs_overlap(a, b):
@@ -160,10 +134,7 @@ def arcs_overlap(a, b):
 def interiors_meet(kind, a, b):
     if kind == "circle":
         return arcs_overlap(a, b)
-    radial = min(a[1], b[1]) > max(a[0], b[0])
-    if kind == "interval":
-        return radial
-    return radial and arcs_overlap(a[2:], b[2:])
+    return min(a[1], b[1]) > max(a[0], b[0])
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -194,14 +165,8 @@ def points_in(kind, frags, data):
               data.draw(st.fractions(0, 1, max_denominator=50), label="t")]
         if kind == "interval":
             pts += [(f[0] + t * (f[1] - f[0]),) for t in ts]
-            continue
-        *radial, s, l = f
-        thetas = [(s + t * l) % 1 for t in ts]
-        if kind == "circle":
-            pts += [(x,) for x in thetas]
         else:
-            pts += [(radial[0] + t * (radial[1] - radial[0]), x)
-                    for t in ts for x in thetas]
+            pts += [((f[0] + t * f[1]) % 1,) for t in ts]
     return pts
 
 
@@ -210,15 +175,12 @@ def points_in(kind, frags, data):
 @given(data=st.data())
 def test_image_of_a_set_contains_the_images_of_its_points(name, data):
     """The reference image of a set, which the shadow-set tests hold
-    ``shadow_sets`` to, and a circle or interval map's ``apply_set`` (the
-    spiral has none) hold the lattice image of every point of the set."""
+    ``shadow_sets`` to, and the map's ``apply_set`` hold the lattice image
+    of every point of the set."""
     system = SYSTEMS[name]
-    kind = system.space.kind
-    s = make_raw(system.space, data.draw(RAW[kind], label="s"))
-    images = [image_set(system, s)]
-    if kind != "annulus":
-        images.append(system.apply_set(s))
-    for x in points_in(kind, s.fragments, data):
+    s = make(system.space, data.draw(raw_fragments(system.space), label="s"))
+    images = [image_set(system, s), system.apply_set(s)]
+    for x in points_in(system.space.kind, s.fragments, data):
         assert contains(s, x), x
         for image in images:
             assert contains(image, lattice_apply(system, x)), x
@@ -267,12 +229,11 @@ STEP_SYSTEMS = {**SYSTEMS, "pwl-circle": pwl([(0, 3), (F(1, 2), -1)])}
 def draw_ball(space, data):
     """A ball's center and radius (both Fractions); radii of 1/2 and more
     cover the whole circle."""
-    x = data.draw(angle, label="center")
+    x = data.draw(angle if space.kind == "circle" else ends_of(space),
+                  label="center")
     r = data.draw(st.one_of(
         st.sampled_from([F(1, 2), F(3, 4)]),
         st.fractions(F(1, 24), F(3, 4), max_denominator=24)), label="radius")
-    if space.kind == "annulus":
-        return (data.draw(radius, label="center r"), x), r
     return (x,), r
 
 
@@ -304,11 +265,11 @@ def touching_ball(system, a, data):
     if (system.space.kind == "interval" or not image
             or not data.draw(st.booleans(), label="touching ball")):
         return None
-    *radial, s, l = data.draw(st.sampled_from(image), label="image arc")
+    s, l = data.draw(st.sampled_from(image), label="image arc")
     r = data.draw(st.fractions(F(1, 24), F(1, 4), max_denominator=24),
                   label="touching radius")
     x = (s + l + r if data.draw(st.booleans(), label="after") else s - r) % 1
-    return ((radial[0], x) if radial else (x,)), r
+    return (x,), r
 
 
 def draw_step(name, data):
@@ -318,8 +279,8 @@ def draw_step(name, data):
     system = STEP_SYSTEMS[name]
     space = system.space
     raw = (draw_arcs(system, data) if space.kind == "circle"
-           else data.draw(RAW[space.kind], label="a"))
-    a = make_raw(space, raw)
+           else data.draw(raw_fragments(space), label="a"))
+    a = make(space, raw)
     center, r = touching_ball(system, a, data) or draw_ball(space, data)
     lifts = st.sampled_from([1, 2, 3, 5, 7])
     unit = math.lcm(system.lattice_base, a.unit) * data.draw(
@@ -333,15 +294,12 @@ def line_step(system, u, unit):
     """A one-piece map's step as ``shadow_sets`` takes it inline, in
     ``image_step``'s form (step, W), W = lcm(u * q, unit): each segment
     or arc over ``u`` mapped by the map's ``line`` constants for ``u``
-    times W / (u * q) (the spiral's angle constants for its arcs); an
-    arc's image starts at the image of its start, or of its end where the
+    times W / (u * q); an arc's image starts at the image of its start, or of its end where the
     slope is negative."""
-    line = system.line(u)
-    q = line[0]
+    q, c, f = system.line(u)
     w = math.lcm(u * q, unit)
     m = w // (u * q)
     kind = system.space.kind
-    c, f = line[-2:]
 
     def step(frag):
         if kind == "interval":
@@ -350,15 +308,6 @@ def line_step(system, u, unit):
         s, l = m * (c + f * s), m * f * l
         return [(s + l, -l) if l < 0 else (s, l)]
     return step, w
-
-
-def radial_step(system, radial, u, unit):
-    """The spiral's image of a radial segment over ``u`` as
-    ``shadow_sets`` takes it inline, over W = lcm(u * q, unit): its ends
-    mapped by the radial ``line`` constants for ``u`` times W / (u * q)."""
-    q, c, f = system.line(u)[:3]
-    m = math.lcm(u * q, unit) // (u * q)
-    return tuple(m * (c + f * r) for r in radial)
 
 
 def set_step(system, u, unit):
@@ -373,18 +322,13 @@ def image_in_ball(system, a, ball):
     """The normal form of the pieces that the map's step for the units of
     the set a and the ball (``set_step``) gives for every segment or arc
     of a, each met with the ball's lifted to the step's unit W
-    (``reference.meet``); on the annulus times the meet of a's radial
-    segment's image (``radial_step``) with the ball's."""
+    (``reference.meet``)."""
     space = system.space
     step, w = set_step(system, a.unit, ball.unit)
     ball = lift(ball, w // ball.unit)
-    radial = None
-    if a.radial is not None:
-        lo, hi = radial_step(system, a.radial, a.unit, ball.unit)
-        radial = (max(lo, ball.radial[0]), min(hi, ball.radial[1]))
     pieces = [c for f in a.nums for p in step(f)
               for c in meet(space, p, ball.nums[0], w)]
-    return enc._make(space, pieces, w, radial)
+    return enc._make(space, pieces, w)
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
@@ -392,13 +336,11 @@ def image_in_ball(system, a, ball):
 @given(data=st.data())
 def test_one_step_equals_image_then_intersect(name, data):
     """The pieces of the map's step, met with B and put in normal form,
-    are intersect(image_set(A), B): the same set over the same unit, with
-    the same radial segment on the annulus."""
+    are intersect(image_set(A), B): the same set over the same unit."""
     system, a, ball = draw_step(name, data)
     want = intersect(image_set(system, a), ball)
     got = image_in_ball(system, a, ball)
-    assert (got.nums, got.unit, got.radial) == \
-        (want.nums, want.unit, want.radial)
+    assert (got.nums, got.unit) == (want.nums, want.unit)
 
 
 def draw_points(system, data):
@@ -408,9 +350,6 @@ def draw_points(system, data):
     space = system.space
     n = data.draw(st.integers(2, 4), label="points")
     pts = [draw_ball(space, data)[0] for _ in range(n)]
-    if space.kind == "annulus":
-        w = space.w
-        pts = [(min(max(r, 1 - w), 1 + w), x) for r, x in pts]
     eps = data.draw(st.fractions(F(1, 24), F(1, 2), max_denominator=24),
                     label="eps")
     return ScaledPoints.from_points(pts), eps
@@ -462,7 +401,7 @@ def draw_small_step(name, data):
     two of a drawn normal form, put in normal form again."""
     system, a, ball = draw_step(name, data)
     keep = data.draw(st.sampled_from([1, 2]), label="fragments kept")
-    a = enc._make(a.space, list(a.nums[:keep]), a.unit, a.radial)
+    a = enc._make(a.space, list(a.nums[:keep]), a.unit)
     return system, a, ball
 
 
@@ -474,15 +413,12 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
     ``line`` constants as ``shadow_sets`` takes them), made for A's unit
     and a ball's, gives for each segment or arc of A its image
     (``reference.image_pieces``) as pieces over the step's unit W, an
-    arc's length at least 0 and a segment's ends in order; on the
-    annulus the radial segment of a nonempty A goes to its image
-    (``image_radial``), in order. ``shadow_sets`` clips them to the ball
+    arc's length at least 0 and a segment's ends in order.
+    ``shadow_sets`` clips them to the ball
     (``test_shadow_sets_fail_the_cap_exactly_when_a_shadow_set_outgrows_it``
     checks its sets against the reference step)."""
     system, a, ball = draw_small_step(name, data)
     space = system.space
-    # the annulus's arcs are compared in the circle's normal form
-    arc_space = circle() if space.kind == "annulus" else space
     step, w = set_step(system, a.unit, ball.unit)
     assert w % ball.unit == 0
     for frag in a.nums:
@@ -493,13 +429,8 @@ def test_the_one_fragment_step_is_the_image_of_the_fragment(name, data):
                 assert p[0] <= p[1]
             else:
                 assert p[-1] >= 0
-        assert enc._make(arc_space, got, w) == \
-            make(arc_space, image_pieces(system, values))
-    if a.radial is not None and a.nums:
-        lo, hi = radial_step(system, a.radial, a.unit, ball.unit)
-        assert lo <= hi
-        assert (F(lo, w), F(hi, w)) == image_radial(
-            system, (F(c, a.unit) for c in a.radial))
+        assert enc._make(space, got, w) == \
+            make(space, image_pieces(system, values))
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
@@ -521,10 +452,11 @@ def test_a_pull_back_step_keeps_the_first_preimage_in_the_set(name, data):
 def draw_lattice_set(space, unit, data, through):
     """A set in normal form of the point ``through`` (a numerator over
     ``unit``, or None) and one to three fragments whose ends are
-    numerators over ``unit``, ends and lengths drawn often at 0 and at
-    the unit, so fragments that touch 0 or 1, wrap, or are single points
-    come up often."""
-    end = st.one_of(st.sampled_from([0, unit]), st.integers(0, unit))
+    numerators over ``unit``, ends and lengths drawn often at the ends of
+    the circle or interval, so fragments that touch them, wrap, or are
+    single points come up often."""
+    lo, hi = lattice_ends(space, unit)
+    end = st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
     frags = data.draw(st.lists(st.tuples(end, end), min_size=1,
                                max_size=3), label=f"fragments over {unit}")
     circle = space.kind == "circle"
@@ -535,8 +467,16 @@ def draw_lattice_set(space, unit, data, through):
     return enc._make(space, frags, unit)
 
 
-@pytest.mark.parametrize("name", sorted(set(STEP_SYSTEMS) - {
-    "spiral", "spiral-2/3"}))
+def lattice_ends(space, unit):
+    """The first and last numerators over ``unit`` in the circle's [0, 1]
+    or the interval."""
+    if space.kind == "circle":
+        return 0, unit
+    lo, hi = space.ends
+    return math.ceil(lo * unit), math.floor(hi * unit)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
 @settings(PROPERTY, max_examples=200)  # an off-by-one cell shows rarely
 @given(data=st.data())
 def test_a_pull_back_through_small_sets_keeps_the_first_preimage(name,
@@ -561,7 +501,8 @@ def test_a_pull_back_through_small_sets_keeps_the_first_preimage(name,
     units = [u, u * q, u * q * q]
     orbit = [None] * 3
     if not off_base and data.draw(st.booleans(), label="an orbit"):
-        orbit[0] = data.draw(st.integers(0, u - circle), label="z")
+        lo, hi = lattice_ends(system.space, u)
+        orbit[0] = data.draw(st.integers(lo, hi - circle), label="z")
         for n in (1, 2):
             (orbit[n],), _ = system.apply_scaled((orbit[n - 1],),
                                                  units[n - 1])
@@ -570,12 +511,13 @@ def test_a_pull_back_through_small_sets_keeps_the_first_preimage(name,
     sets = [draw_lattice_set(system.space, unit, data, z)
             for unit, z in zip(units, orbit)]
     scale = 2 * math.lcm(units[2], base)
+    lo, hi = lattice_ends(system.space, scale)
     if orbit[2] is None:
-        x = data.draw(st.integers(0, scale - circle), label="point")
+        x = data.draw(st.integers(lo, hi - circle), label="point")
     else:
         x = 2 * orbit[2] + data.draw(st.sampled_from([0, -1, 1]),
                                      label="off the orbit")
-        x = x % scale if circle else min(max(x, 0), scale)
+        x = x % scale if circle else min(max(x, lo), hi)
     want = (F(x, scale),)
     for a in reversed(sets[:2]):
         want = next((p for p in preimages(system, want) if contains(a, p)),

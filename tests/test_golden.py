@@ -23,7 +23,12 @@ once, when the eight always-null dichotomy keys (``delta1``, ``eta_lo``,
 ``block_length``) left their ``quantities`` objects; no other byte moved.
 
 The annulus ``check`` digests pin the bytes of the annulus sets' path
-through ``check``, one radial segment times arcs. The wide annulus
+through ``check``, one radial segment times arcs, and the two trajectory
+CSVs pin the order in which a spiral's walk reads its draws, the radius's
+then the angle's at every step; the CSV digests were recorded while the
+spiral was still one map of both coordinates, before it became the product
+of its radial contraction and its rotation, each sampled, propagated and
+pulled back on its own, and no digest here moved then. The wide annulus
 ``check`` (d = 1/5, eps = 9/20) puts the arcs of sets of two or more in
 normal form 19 times before its witness is pulled back; its digests were
 recorded while that normal form was still an angular sweep over arbitrary
@@ -186,6 +191,10 @@ GOLDEN = {
             "ce01cc9ba999c612ce19f9efabbf6be2a0b77bfbae30f2b635ae90a121e9fc52"),
     },
     "annulus-check": {
+        "traj50.csv":
+            "3d2da86334dc7f6be06b622e8b42e7a6dc97c37b90d6cfbe04ef8c322ebfced1",
+        "traj1000.csv":
+            "efa1e6fbdfe4f67b8e13195ad7ac03151452c5f02f88e3226ccba71c8cb94d6e",
         "verdict50_eps0.05.json":
             "f062552b82d31b3dfb1dfbdedd5d56c5587ddd96876ed1b6d5fa2070a47a235f",
         "verdict50_eps0.2.json":
@@ -270,8 +279,8 @@ def check_digests(tmp, capsys) -> dict:
 
 
 def annulus_check_digests(tmp, capsys) -> dict:
-    """``check`` JSONs of one spiral trajectory: the annulus sets'
-    bytes."""
+    """The spiral trajectories of the shipped attractor's d and seed, and
+    their ``check`` JSONs: the draw order's bytes and the spiral's sets'."""
     out = {}
     for n in (50, 1000):
         base = tmp / f"traj{n}"
@@ -279,6 +288,7 @@ def annulus_check_digests(tmp, capsys) -> dict:
                      "annulus:lambda=1/2,alpha=610/987,w=0.5", "--y0", "1.4,0",
                      "--d", "9/800", "--n", str(n), "--seed", "44",
                      "--out", str(base)]) == 0
+        out[f"traj{n}.csv"] = sha(base.with_suffix(".csv"))
         for eps in ("0.05", "0.2"):
             verdict = tmp / f"verdict{n}_eps{eps}.json"
             assert main(["check", "--traj", str(base), "--eps", eps,

@@ -6,7 +6,9 @@ fused. The references here take the steps one at a time: the ``Fraction``
 sampler and map of ``tests/reference.py``, one draw at a time, for the
 chain; the reference ``image_set`` and ``intersect`` for the shadow sets;
 the ``Fraction`` ``pick_point`` and ``preimages`` of ``tests/reference.py``
-with ``contains`` for the pull-back.
+with ``contains`` for the pull-back. The spiral, a product of two of these
+maps, is held to ``reference.spiral_oracle``, which propagates its boxes
+jointly.
 """
 
 import math
@@ -15,23 +17,39 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shadowing import (annulus_spiral, ball_set, decide_shadowable, doubling,
-                       generate, load_trajectory, orbit_tracks,
-                       parse_system, pwl, rotation, save_trajectory,
-                       shadow_set_forward, tent, trial_stream)
+from shadowing import (PiecewiseLinearMap, annulus_spiral, ball_set,
+                       decide_horizons, decide_shadowable, doubling, generate,
+                       interval, load_trajectory, orbit_tracks, parse_system,
+                       pwl, rotation, save_trajectory, shadow_set_forward,
+                       tent, trial_stream)
 from shadowing.pseudotraj import Provenance, Pseudotrajectory
-from shadowing.shadowcheck import pull_back_witness
+from shadowing.shadowcheck import horizon_verdicts, pull_back_witness
 
 from reference import (apply, contains, image_set, intersect, pick_point,
-                       preimages, sample_uniform_ball)
+                       preimages, sample_uniform_ball, spiral_oracle)
+
+# the spirals by their parameters (lam, alpha, w)
+SPIRALS = {
+    "spiral": (F(1, 2), F(610, 987), F(1, 2)),
+    # a contraction off the dyadic grid: its scale grows by 3 per step
+    "spiral-2/3": (F(2, 3), F(610, 987), F(1, 2)),
+}
 
 SYSTEMS = {
     "doubling": doubling(),
     "rotation": rotation(F(610, 987)),
     "tent": tent(F(3, 2)),
-    "spiral": annulus_spiral(F(1, 2), F(610, 987), F(1, 2)),
-    # a contraction off the dyadic grid: its scale grows by 3 per step
-    "spiral-2/3": annulus_spiral(F(2, 3), F(610, 987), F(1, 2)),
+    # the spirals' radial factors, contractions of the band [1/2, 3/2]
+    **{name.replace("spiral", "radial"): annulus_spiral(*p).factors[0]
+       for name, p in SPIRALS.items()},
+    # a band of length 9/5, more than 1, and a tent on an interval of
+    # length 14/5, more than 2: its sets have two segments, and the image
+    # of one can lie more than 2 above a point whose preimage a pull-back
+    # seeks, where a modulus of 2d + 2 takes a lift before it for one in it
+    "radial-wide": annulus_spiral(F(3, 4), F(1, 3), F(9, 10)).factors[0],
+    "long-tent": PiecewiseLinearMap(
+        interval(F(1, 10), F(29, 10)), (F(1, 10), F(3, 2)),
+        (F(3, 2), F(-3, 2)), F(1, 10)),
     # negative and non-integer slopes, breakpoints off the dyadic grid
     "pwl": pwl([(0, F(3, 2)), (F(1, 3), F(-3, 4)), (F(2, 3), F(3, 2))],
                space_kind="interval"),
@@ -79,12 +97,15 @@ def reference_witness(system, sets, m):
 
 def start_point(system, data):
     space = system.space
+    if space.kind == "interval":
+        return (data.draw(st.fractions(*space.ends, max_denominator=1000),
+                          label="x0"),)
     x = data.draw(st.fractions(0, 1, max_denominator=1000), label="x0")
     if space.kind == "annulus":
         r = data.draw(st.fractions(1 - space.w, 1 + space.w,
                                    max_denominator=1000), label="r0")
         return (r, x % 1)
-    return (x % 1,) if space.kind == "circle" else (x,)
+    return (x % 1,)
 
 
 STEP_BOUNDS = [F(1, 50), F(3, 200), F(1, 7), F(9, 800)]
@@ -147,8 +168,108 @@ def test_tent_lattice_equals_fractions(data):
 
 @PROPERTY
 @given(data=st.data())
+def test_radial_lattice_equals_fractions(data):
+    lattice_matches_fractions("radial", data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_wide_radial_lattice_equals_fractions(data):
+    lattice_matches_fractions("radial-wide", data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_long_tent_lattice_equals_fractions(data):
+    lattice_matches_fractions("long-tent", data)
+
+
+@pytest.mark.parametrize("w", [F(1, 4), F(1, 2), F(9, 10)])
+@PROPERTY
+@given(data=st.data())
+def test_radial_pull_backs_match_fraction_preimages(w, data):
+    """The radial factor on bands up to 9/5 long, at tolerances up to
+    9/10: its chain, sets, witness and re-check are the references', the
+    witness pulled back through ``reference.preimages`` and ``contains``,
+    so a lift taken for a point outside a segment would show."""
+    lam = data.draw(st.sampled_from([F(1, 2), F(2, 3), F(3, 4)]), label="lam")
+    system = annulus_spiral(lam, F(610, 987), w).factors[0]
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    n = data.draw(st.integers(0, 40), label="n")
+    d = data.draw(st.sampled_from([F(1, 50), F(1, 7), F(1, 3)]), label="d")
+    eps = data.draw(st.sampled_from([F(1, 20), F(1, 5), F(1, 2), F(9, 10)]),
+                    label="eps")
+    chain_matches(system, seed, n, d, eps, start_point(system, data))
+
+
+def spiral_matches(params, seed, n, d, eps, y0):
+    """The chain of the spiral of ``params`` (lam, alpha, w) is the
+    ``Fraction`` chain, which draws the radius, then the angle, at every
+    step; its first empty step, verdicts and witness, decided on the whole
+    trajectory and on the walk as a trial streams it, are
+    ``reference.spiral_oracle``'s, and the witness's orbit tracks the
+    chain."""
+    lam, alpha, w = params
+    system = annulus_spiral(lam, alpha, w)
+    rng_lattice, rng_ref = trial_stream(seed), trial_stream(seed)
+    traj = generate(system, y0, d, n, rng_lattice)
+    points = reference_chain(system, y0, d, n, rng_ref)
+    assert traj.points == points
+    assert next(rng_lattice) == next(rng_ref)  # same stream position
+    first_empty, witness = spiral_oracle(lam, alpha, w, points, eps)
+    horizons = tuple(range(n + 1))
+    walk = system.walk(y0, d, n, trial_stream(seed))
+    for found in (decide_horizons(system, traj, eps, horizons),
+                  horizon_verdicts(system, iter(walk), walk.taken, eps,
+                                   horizons)):
+        assert found.first_empty == first_empty
+        assert found.verdicts == tuple(
+            "No" if first_empty is not None and m >= first_empty else "Yes"
+            for m in horizons)
+        assert found.witness == witness
+    if witness is not None:
+        m = n if first_empty is None else first_empty - 1
+        assert orbit_tracks(system, traj.scaled[:m + 1], witness, eps)
+        assert orbit_tracks(system, points[:m + 1], witness, eps)
+    return first_empty
+
+
+@PROPERTY
+@given(data=st.data())
 def test_spiral_lattice_equals_fractions(data):
-    lattice_matches_fractions("spiral", data)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    n = data.draw(st.integers(0, 60), label="n")
+    d = data.draw(st.sampled_from(STEP_BOUNDS), label="d")
+    eps = data.draw(st.sampled_from(TOLERANCES), label="eps")
+    spiral_matches(SPIRALS["spiral"], seed, n, d, eps,
+                   start_point(annulus_spiral(*SPIRALS["spiral"]), data))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data())
+def test_spirals_match_the_joint_oracle(data):
+    """Spirals of several contractions, turns and band widths, from
+    anywhere in the band or on its edges, at step bounds that truncate the
+    radial draws at the band, against the joint ``Fraction`` boxes of
+    ``reference.spiral_oracle``, which use none of the product code."""
+    lam = data.draw(st.sampled_from([F(1, 2), F(2, 3), F(3, 4)]), label="lam")
+    alpha = data.draw(st.one_of(
+        st.sampled_from([F(0), F(1, 2), F(610, 987)]),
+        st.fractions(0, 1, max_denominator=1000).map(lambda a: a % 1)),
+        label="alpha")
+    w = data.draw(st.sampled_from([F(1, 4), F(1, 2), F(9, 10)]), label="w")
+    r0 = data.draw(st.one_of(
+        st.sampled_from([1 - w, 1 + w, F(1)]),
+        st.fractions(1 - w, 1 + w, max_denominator=1000)), label="r0")
+    theta0 = data.draw(st.fractions(0, 1, max_denominator=1000),
+                       label="theta0") % 1
+    d = data.draw(st.sampled_from([F(1, 50), F(1, 7), F(1, 3), F(3, 4)]),
+                  label="d")
+    eps = data.draw(st.sampled_from([F(1, 200), F(1, 20), F(1, 5), F(1, 2),
+                                     F(9, 10)]), label="eps")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    n = data.draw(st.integers(0, 40), label="n")
+    spiral_matches((lam, alpha, w), seed, n, d, eps, (r0, theta0))
 
 
 @PROPERTY
@@ -211,11 +332,11 @@ def test_a_one_piece_interval_walk_carries_its_constant_across_truncations(
 @example(seed=5, n=60, d=F(1, 3), eps=F(1, 20), r0=F(3, 2), theta0=F(0))
 def test_spirals_from_the_band_edge_match_fractions(name, seed, n, d, eps, r0,
                                                     theta0):
-    """The walk carries r, the half-width and the arc's draw step across
-    every change of scale, and the spiral's step clips its radial segment
-    and its arcs inline; on both spirals the chain, sets, witness and
-    re-check are the references'."""
-    chain_matches(SYSTEMS[name], seed, n, d, eps, (r0, theta0 % 1))
+    """The radial walk carries r, the band's ends and the draw step across
+    every change of scale, and the angle's keeps its own scale; on both
+    spirals the chain, verdicts, witness and re-check are the
+    references'."""
+    spiral_matches(SPIRALS[name], seed, n, d, eps, (r0, theta0 % 1))
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -223,8 +344,8 @@ def test_truncated_spiral_draws_grow_the_scale_by_a_power_of_two(seed):
     """The band-edge examples above reach the truncated draws: from r0 =
     3/2 at d = 1/3 the scale of the lambda = 2/3 spiral grows by 3 at
     every step and by 3 * 2**j, 0 < j <= 53, at some."""
-    traj = generate(SYSTEMS["spiral-2/3"], (F(3, 2), F(0)), F(1, 3), 60,
-                    trial_stream(seed))
+    traj = generate(annulus_spiral(*SPIRALS["spiral-2/3"]), (F(3, 2), F(0)),
+                    F(1, 3), 60, trial_stream(seed))
     scales = traj.scaled.scales
     growth = [b // a for a, b in zip(scales, scales[1:])]
     assert all(a * g == b for a, b, g in zip(scales, scales[1:], growth))
@@ -239,7 +360,8 @@ def test_a_step_of_half_a_turn_or_more_draws_a_uniform_angle():
     the ``Fraction`` chain draws it; on the annulus the radial draw is
     truncated to the band at every step."""
     for name in ("doubling", "rotation", "spiral"):
-        system = SYSTEMS[name]
+        system = (annulus_spiral(*SPIRALS[name]) if name == "spiral"
+                  else SYSTEMS[name])
         y0 = (F(7, 5), F(0)) if name == "spiral" else (F(3, 10),)
         for d in (F(1, 2), F(3, 4)):
             traj = generate(system, y0, d, 20, trial_stream(5))
@@ -251,9 +373,9 @@ def test_empty_tails_match_the_full_walk():
     """Propagation stops at the first empty set; the sets it returns must
     still be the reference's, which steps image_set and intersect over the
     whole horizon."""
-    for name in ("tent", "spiral", "pwl"):
+    for name in ("tent", "radial", "pwl"):
         system = SYSTEMS[name]
-        y0 = (F(7, 5), F(0)) if name == "spiral" else (F(3, 10),)
+        y0 = (F(7, 5),) if name == "radial" else (F(3, 10),)
         traj = generate(system, y0, F(1, 7), 40, trial_stream(3))
         sets = shadow_set_forward(system, traj, F(1, 200))
         ref = reference_sets(system, traj.points, F(1, 200))
@@ -264,11 +386,11 @@ def test_empty_tails_match_the_full_walk():
 
 def test_saturated_sets_give_exact_witnesses():
     """eps >= 1/2 makes the shadow sets the whole circle or interval, one
-    fragment (0, unit); the witness pulled back from its midpoint stays
-    exact."""
-    for name in ("doubling", "tent", "spiral"):
+    fragment (0, unit), and on the band a long segment; the witness pulled
+    back from its midpoint stays exact."""
+    for name in ("doubling", "tent", "radial"):
         system = SYSTEMS[name]
-        y0 = (F(13, 10), F(1, 2)) if name == "spiral" else (F(1, 3),)
+        y0 = (F(13, 10),) if name == "radial" else (F(1, 3),)
         traj = generate(system, y0, F(1, 10), 12, trial_stream(416))
         verdict = decide_shadowable(system, traj, F(3, 5))
         ref = reference_sets(system, traj.points, F(3, 5))

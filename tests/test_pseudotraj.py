@@ -484,13 +484,16 @@ def test_annulus_trajectory_round_trip(tmp_path):
 # the largest point-scale bits of trial 0, seed 3, d = 1/50, among the
 # first 501 points and among all 2001: the integer slopes keep the scale,
 # the rotation's is the lcm of its denominators, and a contraction or a
-# non-integer slope adds its denominator's bits at every step
+# non-integer slope adds its denominator's bits at every step. A spiral's
+# point is over the lcm of its factors' scales (SPIRAL_SCALE_BITS), whose
+# radial lattice base, 4, is the denominator of the contraction's values
+# 1 -+ lam w = 3/4, 5/4
 SCALE_BITS = {
     "doubling": ((F(3, 10),), 59, 59),
     "rotation:alpha=610/987": ((F(0),), 69, 69),
     "tent:s=2": ((F(3, 10),), 484, 1603),
     "tent:s=3/2": ((F(3, 10),), 560, 2060),
-    "annulus:lambda=1/2,alpha=610/987,w=0.5": ((F(7, 5), F(0)), 569, 2069),
+    "annulus:lambda=1/2,alpha=610/987,w=0.5": ((F(7, 5), F(0)), 570, 2070),
 }
 
 
@@ -503,3 +506,19 @@ def test_point_scale_bits_are_pinned(spec):
     traj = generate(parse_system(spec), y0, F(1, 50), 2000, trial_stream(3))
     bits = [s.bit_length() for s in traj.scaled.scales]
     assert (max(bits[:501]), max(bits)) == (at_500, at_2000)
+
+
+# the same bits of each factor's own scale in the spiral's walk: the radius
+# grows by lam's denominator at every step, and the angle stays on the
+# rotation's lattice, as the rotation alone does
+SPIRAL_SCALE_BITS = {"radial": (560, 2060), "angular": (69, 69)}
+
+
+def test_the_spiral_factors_keep_their_own_scales():
+    system = parse_system("annulus:lambda=1/2,alpha=610/987,w=0.5")
+    walk = system.walk((F(7, 5), F(0)), F(1, 50), 2000, trial_stream(3))
+    for _ in walk:
+        pass
+    for name, points in zip(SPIRAL_SCALE_BITS, walk.taken):
+        bits = [s.bit_length() for s in points.scales]
+        assert (max(bits[:501]), max(bits)) == SPIRAL_SCALE_BITS[name]

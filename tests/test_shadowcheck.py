@@ -27,7 +27,8 @@ from test_lattice import reference_sets
 
 ROT = rotation(F(610, 987))
 DBL = doubling()
-SPIRAL = annulus_spiral(F(1, 2), F(610, 987), F(1, 2))
+LAM, ALPHA, W = F(1, 2), F(610, 987), F(1, 2)
+SPIRAL = annulus_spiral(LAM, ALPHA, W)
 EPS = F(1, 20)
 D = F(1, 50)
 
@@ -40,12 +41,8 @@ def fragment_points(es, rng, k=20):
         u = F(rng.random())
         if es.space.kind == "circle":
             pts.append(((frag[0] + frag[1] * u) % 1,))
-        elif es.space.kind == "interval":
-            pts.append((frag[0] + (frag[1] - frag[0]) * u,))
         else:
-            v = F(rng.random())
-            pts.append((frag[0] + (frag[1] - frag[0]) * u,
-                        (frag[2] + frag[3] * v) % 1))
+            pts.append((frag[0] + (frag[1] - frag[0]) * u,))
     return pts
 
 
@@ -82,13 +79,27 @@ def drift_past_failure(n):
 def test_propagation_stops_at_first_empty_set(case):
     """``shadow_sets`` reads no point past the first empty set: a step
     maps and clips its set only after it has read its point, so reading
-    first + 1 points bounds the steps at first."""
-    if case == "rotation":
-        system, traj, first = ROT, drift_past_failure(30), 11
-    else:
-        system, first = SPIRAL, 100
+    first + 1 points bounds the steps at first. On the annulus, the
+    spiral's angle empties first, at step 100, and the radius reads no
+    point past it."""
+    if case == "annulus":
         traj = generate(SPIRAL, (F(7, 5), F(0)), F(9, 800), 300,
                         trial_stream(44, 0))
+        parts, read = tuple(traj.scaled.coordinate(i) for i in (0, 1)), []
+
+        def counted_steps():
+            for step in zip(*(zip(p.nums, p.scales) for p in parts)):
+                read.append(step)
+                yield step
+
+        found = shadowcheck.horizon_verdicts(SPIRAL, counted_steps(), parts,
+                                             EPS, ())
+        assert found.first_empty == 100 and len(read) == 101
+        assert [len(r) for r in found.records] == [101, 101]
+        assert found.records[1][100].is_empty()
+        assert not found.records[0][100].is_empty()
+        return
+    system, traj, first = ROT, drift_past_failure(30), 11
     assert first_empty_step(system, traj, EPS) == first
     points, read = traj.scaled, []
 
@@ -145,7 +156,7 @@ def test_shadow_sets_prefix_independent():
 def test_set_recursion_containments():
     rng = random.Random(402)
     for system, y0 in [(DBL, (F(1, 3),)), (ROT, (F(0),)),
-                       (SPIRAL, (F(7, 5), F(0)))]:
+                       (SPIRAL.factors[0], (F(7, 5),))]:
         traj = generate(system, y0, D, 25, trial_stream(403))
         sets = shadow_set_forward(system, traj, EPS)
         for n in range(1, len(sets)):
@@ -415,7 +426,7 @@ def test_brute_force_rejects_annulus():
 def annulus_product_oracle(system, traj, eps):
     """Max-metric shadowing splits into an angular span test and a radial
     interval-intersection test; both are checked in exact arithmetic."""
-    lam, alpha, w = system.lam, system.alpha, system.space.w
+    lam, alpha, w = LAM, ALPHA, W
     # angular: continuous lift of deviations, span at most 2 eps
     dev = F(0)
     devs = [dev]
@@ -526,22 +537,17 @@ def test_a_candidate_within_a_cell_past_a_fragment_is_outside_it(case):
         system, frags, point = tent(2), [(F(0), F(3, 10)),
                                          (F(3, 5), F(7, 10))], (F(31, 50),)
         want = (F(69, 100),)
-    else:
-        alpha = SPIRAL.alpha
-        if case == "annulus-angle":
-            radial, frags, point = (F(1, 2), F(3, 2)), [(F(0), F(3, 10))], \
-                (F(1), (F(31, 100) + alpha) % 1)
-        else:
-            radial, frags, point = (F(1, 2), F(13, 10)), [(F(0), F(1, 2))], \
-                (F(1) + F(31, 200), F(1, 5) + alpha)
-        system, want = SPIRAL, None
-    if case.startswith("annulus"):
-        a = make(system.space, frags, radial)
-        b = make(system.space, [(point[1], 0)], (point[0], point[0]))
-    else:
-        a = make(system.space, frags)
-        b = make(system.space, [(point[0], 0) if case == "circle"
-                                else (point[0], point[0])])
+    elif case == "annulus-angle":  # the spiral's angle: the rotation
+        system, frags, point = SPIRAL.factors[1], [(F(0), F(3, 10))], \
+            ((F(31, 100) + ALPHA) % 1,)
+        want = None
+    else:  # the spiral's radius: 1 + 31/100 lies past [1/2, 13/10]
+        system, frags, point = SPIRAL.factors[0], [(F(1, 2), F(13, 10))], \
+            (F(1) + F(31, 200),)
+        want = None
+    a = make(system.space, frags)
+    b = make(system.space, [(point[0], 0) if system.space.kind == "circle"
+                            else (point[0], point[0])])
     assert a.unit == 10 and shadowcheck.pull_back_witness(
         system, [a, b], 1) == want
 

@@ -102,16 +102,17 @@ def test_rotation_images_are_isometric():
 
 def test_spiral_box_image_is_exact():
     """The spiral's image of the ball around (7/5, 0), as ``shadow_sets``
-    maps it, lies inside the ball of the same radius around (6/5, 1/4),
-    the image of its center, so A_1 is the image box itself."""
+    maps each factor's, lies inside the ball of the same radius around
+    (6/5, 1/4), the image of its center, so A_1 is the image box itself:
+    the radial segment's image times the arc's."""
     spiral = annulus_spiral(F(1, 2), F(1, 4), F(1, 2))
     points = ScaledPoints.from_points([(F(7, 5), F(0)), (F(6, 5), F(1, 4))])
-    sets = shadow_sets(spiral, zip(points.nums, points.scales), F(1, 20))
-    rlo, rhi, s, l = sets[1].fragments[0]
-    assert len(sets[1].fragments) == 1
-    assert (rlo, rhi) == (F(1 + F(1, 2) * (F(27, 20) - 1)),
-                          F(1 + F(1, 2) * (F(29, 20) - 1)))
-    assert (s, l) == ((F(19, 20) + F(1, 4)) % 1, F(1, 10))
+    radial, angular = (
+        shadow_sets(f, zip(points.coordinate(i).nums, points.scales),
+                    F(1, 20)) for i, f in enumerate(spiral.factors))
+    assert radial[1].fragments == ((1 + F(1, 2) * (F(27, 20) - 1),
+                                    1 + F(1, 2) * (F(29, 20) - 1)),)
+    assert angular[1].fragments == (((F(19, 20) + F(1, 4)) % 1, F(1, 10)),)
 
 
 @pytest.mark.parametrize("system", [
@@ -199,35 +200,28 @@ ARC_UNIT = 120
 
 def clipped_image(system, a, ball):
     """The meets, by ``reference.intersect_arcs``, of the ball's arc with
-    the image of each arc of the set a lifted to the ball's unit, and on
-    the annulus the meet, by ``reference.intersect_segs``, of the image
-    of a's radial segment with the ball's (None elsewhere, and where that
-    meet is empty, which leaves no arc), as (arcs, radial): an arc's
-    image starts at the image of its start (slope > 0) or end (slope <
-    0); the radial segment's ends are the images of its own."""
+    the image of each arc of the set a lifted to the ball's unit, or on
+    an interval the meet, by ``reference.intersect_segs``, of the image
+    of a's segment with the ball's: an arc's image starts at the image of
+    its start (slope > 0) or end (slope < 0); a segment's ends are the
+    images of its own."""
     u, w = a.unit, ball.unit
-    annulus = system.space.kind == "annulus"
-    radial = None
-    if annulus:
-        (lo, _), out = system.apply_scaled((a.radial[0], 0), u)
-        (hi, _), _ = system.apply_scaled((a.radial[1], 0), u)
-        m = w // out
-        radial = intersect_segs((lo * m, hi * m), ball.radial)
-        if not radial:
-            return [], None
-        radial = radial[0]
+    slope = system.slopes[0]
     pieces = []
-    for start, length in a.nums:
-        if annulus:
-            (_, x), out = system.apply_scaled((a.radial[0], start), u)
-            length *= w // u
-        else:
-            slope = system.slopes[0]
-            x = start if slope > 0 else (start + length) % u
-            (x,), out = system.apply_scaled((x,), u)
-            length = int(abs(slope) * length * (w // u))
+    for frag in a.nums:
+        if system.space.kind == "interval":
+            ends = []
+            for x in frag:
+                (x,), out = system.apply_scaled((x,), u)
+                ends.append(x * (w // out))
+            pieces += intersect_segs(sorted(ends), ball.nums[0])
+            continue
+        start, length = frag
+        x = start if slope > 0 else (start + length) % u
+        (x,), out = system.apply_scaled((x,), u)
+        length = int(abs(slope) * length * (w // u))
         pieces += intersect_arcs((x * (w // out), length), ball.nums[0], w)
-    return pieces, radial
+    return pieces
 
 
 def check_steps(system, points, e):
@@ -241,8 +235,8 @@ def check_steps(system, points, e):
     for n in range(1, len(sets.units)):
         (y, s) = points[n]
         ball = enclosure._ball(space, y, e * (s // u), s)
-        arcs, radial = clipped_image(system, sets[n - 1], ball)
-        assert sets[n] == enclosure._make(space, arcs, s, radial)
+        assert sets[n] == enclosure._make(
+            space, clipped_image(system, sets[n - 1], ball), s)
     return sets
 
 
@@ -276,7 +270,7 @@ def test_the_one_piece_arc_clip_is_intersect_arcs(name, y0, e, over, y2, k):
     system, u = ONE_PIECE[name], ARC_UNIT
     a0 = enclosure._ball(system.space, (y0,), e, u)
     whole = enclosure.EnclosureSet(system.space, ((0, u),), u)
-    image = clipped_image(system, a0, whole)[0][0]
+    image = clipped_image(system, a0, whole)[0]
     y1 = (image[0] + image[1] - over + e) % u
     sets = check_steps(system, [((y0,), u), ((y1,), u), ((y2 % (u * k),),
                                                             u * k)], e)
@@ -284,8 +278,8 @@ def test_the_one_piece_arc_clip_is_intersect_arcs(name, y0, e, over, y2, k):
 
 
 # the spiral (r, theta) -> (1 + (r - 1) / 2, theta + 7/60) on y_0 over the
-# unit 120, whose radial range is [60, 180]; its images' units are 240 and
-# 480, y_1 is over 240 and y_2 over 480 * k
+# unit 120, whose radial range is [60, 180]; its radial images' units are
+# 240 and 480, y_1 is over 240 and y_2 over 480 * k
 BOX_SPIRAL = annulus_spiral(F(1, 2), F(7, 60), F(1, 2))
 OVERLAP = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1, 240))
 
@@ -308,24 +302,29 @@ OVERLAP = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1, 240))
 @example(r0=120, t0=20, e=10, rover=20, tover=1, r2=480, t2=230, k=2)
 def test_the_spiral_clip_is_a_segment_meet_times_arc_meets(
         r0, t0, e, rover, tover, r2, t2, k):
-    """``shadow_sets`` maps the radial segment and each arc by the
-    spiral's constants and clips them to the ball inline: A_1 and A_2 are
-    the normal forms of ``reference.intersect_segs`` on the image's radial
-    segment times ``reference.intersect_arcs`` on its arcs. y_1's ball
-    reaches ``rover`` below the top of A_0's image radially and starts
-    ``tover`` before the end of its arc, so A_1 is a box of any radial
-    height and any arc length from none and 0 up, drawn apart, and A_2 is
-    the image of such a box met with any ball."""
-    system, u = BOX_SPIRAL, ARC_UNIT
-    a0 = enclosure._ball(system.space, (r0, t0), e, u)
-    ring = enclosure.EnclosureSet(system.space, ((0, 2 * u),), 2 * u,
-                                  (0, 4 * u))
-    ((start, length),), (_, hi) = clipped_image(system, a0, ring)
+    """``shadow_sets`` maps the radial segment by the radial factor's
+    constants and each arc by the rotation's, and clips them to the
+    ball's inline: A_1 and A_2 are the normal forms of
+    ``reference.intersect_segs`` on the image's radial segment times
+    those of ``reference.intersect_arcs`` on its arcs. y_1's ball reaches
+    ``rover`` below the top of A_0's image radially and starts ``tover``
+    before the end of its arc, so A_1 is a box of any radial height and
+    any arc length from none and 0 up, drawn apart, and A_2 is the image
+    of such a box met with any ball."""
+    (radial, angular), u = BOX_SPIRAL.factors, ARC_UNIT
+    a0 = [enclosure._ball(f.space, (c,), e, u)
+          for f, c in ((radial, r0), (angular, t0))]
+    ((_, hi),) = clipped_image(radial, a0[0], enclosure.EnclosureSet(
+        radial.space, ((0, 4 * u),), 2 * u))
+    ((start, length),) = clipped_image(angular, a0[1], enclosure.EnclosureSet(
+        angular.space, ((0, 2 * u),), 2 * u))
     r1 = min(max(hi - rover + 2 * e, u), 3 * u)
     t1 = (start + length - tover + 2 * e) % (2 * u)
-    sets = check_steps(system, [((r0, t0), u), ((r1, t1), 2 * u),
-                                ((r2 * k, t2 * k), 4 * u * k)], e)
-    assert sets[0] == a0
+    for f, a, y0, y1, y2 in ((radial, a0[0], r0, r1, r2),
+                             (angular, a0[1], t0, t1, t2)):
+        sets = check_steps(f, [((y0,), u), ((y1,), 2 * u),
+                               ((y2 * k,), 4 * u * k)], e)
+        assert sets[0] == a
 
 
 def test_full_coverage_of_saturating_image():
@@ -344,7 +343,7 @@ def test_full_coverage_of_saturating_image():
 
 def test_preimages_invert_apply():
     systems = [doubling(), rotation(F(610, 987)), tent(F(3, 2)),
-               annulus_spiral(F(1, 2), F(610, 987), F(1, 2)),
+               *annulus_spiral(F(1, 2), F(610, 987), F(1, 2)).factors,
                pwl([(F(0), F(3)), (F(1, 2), F(-1))])]
     rng = trial_stream(304)
     for system in systems:
@@ -377,9 +376,10 @@ def test_preimages_come_sorted_and_once():
 
 
 def test_spiral_preimage_leaves_band():
-    spiral = annulus_spiral(F(1, 2), F(1, 4), F(1, 2))
-    assert preimages(spiral, (F(29, 20), F(0))) == []
-    assert preimages(spiral, (F(6, 5), F(1, 4))) == [(F(7, 5), F(0))]
+    radial, angular = annulus_spiral(F(1, 2), F(1, 4), F(1, 2)).factors
+    assert preimages(radial, (F(29, 20),)) == []
+    assert preimages(radial, (F(6, 5),)) == [(F(7, 5),)]
+    assert preimages(angular, (F(1, 4),)) == [(F(0),)]
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -391,7 +391,10 @@ def test_parse_system_grammar():
     t = parse_system("tent:s=1.5")
     assert t.slopes == (F(3, 2), F(-3, 2))
     spiral = parse_system("annulus:lambda=1/2,alpha=610/987,w=0.5")
-    assert spiral.lam == F(1, 2) and spiral.space.w == F(1, 2)
+    radial, angular = spiral.factors
+    assert spiral.space.w == F(1, 2) and radial.slopes == (F(1, 2),)
+    assert radial.space.ends == (F(1, 2), F(3, 2))
+    assert angular == rotation(F(610, 987))
     p = parse_system("pwl:0:2,0.5:-2,space=interval")
     assert p.space.kind == "interval"
     assert lattice_apply(p, (F(1, 4),)) == (F(1, 2),)

@@ -1,7 +1,7 @@
 """The streaming trial kernel against the whole-trajectory decision.
 
 ``experiment._run_trial`` samples a trajectory only while its shadow set
-lives. The annulus band check reads the same walk's exact points from the
+lives. The annulus band check reads the same walk's exact radii from the
 entry step on: an exact step moves the radius by at most lam |r - 1| + d,
 so a band with lam * rho + d <= rho holds every point after one inside it
 and the check stops there. The references here sample every point with
@@ -15,9 +15,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from shadowing import (ExperimentConfig, InvariantViolation,
+from shadowing import (ExperimentConfig, InvariantViolation, annulus_spiral,
                        attractor_quantities, decide_horizons, enclosure,
-                       experiment, generate, parse_system, pwl, trial_stream)
+                       experiment, generate, parse_system, pwl, shadowcheck,
+                       trial_stream)
 from shadowing.enclosure import EnclosureSet
 from shadowing.errors import DomainError, EnclosureCapError
 from shadowing.experiment import TrialOutcome, _run_trial
@@ -26,7 +27,8 @@ from shadowing.shadowcheck import pull_back_witness, shadow_sets
 from shadowing.spaces import ScaledPoints
 
 from reference import contains, image_set, intersect, pick_point, preimages
-from test_lattice import PROPERTY, SYSTEMS, reference_witness, start_point
+from test_lattice import (PROPERTY, SPIRALS, SYSTEMS, reference_witness,
+                          start_point)
 
 STARTS = {
     "doubling": ((F(3, 10),), F(1, 50)),
@@ -34,6 +36,10 @@ STARTS = {
     "tent": ((F(1, 3),), F(1, 50)),
     "spiral": ((F(7, 5), F(0)), F(9, 800)),
     "spiral-2/3": ((F(3, 2), F(0)), F(1, 7)),
+    "radial": ((F(7, 5),), F(9, 800)),
+    "radial-2/3": ((F(3, 2),), F(1, 7)),
+    "radial-wide": ((F(19, 10),), F(1, 7)),
+    "long-tent": ((F(1, 3),), F(1, 50)),
     "pwl": ((F(1, 2),), F(1, 50)),
     "circle-pwl": ((F(3, 10),), F(1, 50)),
     "pwl-flip": ((F(3, 10),), F(1, 50)),
@@ -57,11 +63,21 @@ SPECS = {
 }
 
 
+# the maps of SPECS, built by their constructors
+TRIAL_SYSTEMS = {name: annulus_spiral(*SPIRALS[name]) if name in SPIRALS
+                 else SYSTEMS[name] for name in SPECS}
+
+
+def lam_of(spiral):
+    """A spiral's contraction factor, the slope of its radial factor."""
+    return spiral.factors[0].slopes[0]
+
+
 def config(name, eps, horizons, seed=11, trials=1):
     y0, d = STARTS[name]
     cfg = ExperimentConfig(system_spec=SPECS[name], y0=y0, d=d, eps=eps,
                            horizons=horizons, trials=trials, seed=seed)
-    assert cfg.system == SYSTEMS[name]
+    assert cfg.system == TRIAL_SYSTEMS[name]
     return cfg
 
 
@@ -78,9 +94,9 @@ def whole_trajectory_outcome(system, cfg, trial):
                         tuple(v.value for v in found.verdicts))
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(TRIAL_SYSTEMS))
 def test_streamed_trials_equal_whole_trajectory_decisions(name):
-    system = SYSTEMS[name]
+    system = TRIAL_SYSTEMS[name]
     seen_no = seen_yes = False
     for eps in (F(1, 200), F(1, 20), F(1, 4)):
         for horizons in ((), (0,), (5, 40), (10, 50, 120)):
@@ -122,8 +138,8 @@ class SampledSteps:
     """The steps that trials sampled: the draws their walks read from
     their streams, ndim per step."""
 
-    def __init__(self):
-        self.draws = self.ndim = 0
+    def __init__(self, ndim):
+        self.draws, self.ndim = 0, ndim
 
     def __len__(self):
         assert self.draws % self.ndim == 0
@@ -133,22 +149,18 @@ class SampledSteps:
         self.draws = 0
 
 
-def count_samples(monkeypatch):
+def count_samples(monkeypatch, ndim=1):
     """Count the steps that ``_run_trial`` samples from here on, by the
-    draws its walk reads from the trial's stream."""
-    steps = SampledSteps()
+    draws its walk reads from the trial's stream, ``ndim`` per step (2 on
+    the annulus: the radius's, then the angle's)."""
+    steps = SampledSteps(ndim)
 
-    class CountingWalk(LatticeWalk):
-        def __init__(self, system, y0, d, n, rng):
-            def counted():
-                for k in rng:
-                    steps.draws += 1
-                    yield k
+    def counted(*args):
+        for k in trial_stream(*args):
+            steps.draws += 1
+            yield k
 
-            steps.ndim = system.space.ndim
-            super().__init__(system, y0, d, n, counted())
-
-    monkeypatch.setattr(experiment, "LatticeWalk", CountingWalk)
+    monkeypatch.setattr(experiment, "trial_stream", counted)
     return steps
 
 
@@ -189,8 +201,7 @@ def fresh_step_sets(system, points, eps):
             eps.numerator * (unit // eps.denominator), unit)
         nxt = intersect(image_set(system, sets[-1]), ball) if sets else ball
         sets.append(nxt if nxt.unit == unit else EnclosureSet(
-            space, *enclosure._reduced(nxt.nums, nxt.unit, base,
-                                       nxt.radial)))
+            space, *enclosure._reduced(nxt.nums, nxt.unit, base)))
         if nxt.is_empty():
             break
     return sets
@@ -222,8 +233,8 @@ def test_the_kept_step_equals_a_fresh_step(name, data):
                        trial_stream(seed))
     sets = shadow_sets(system, iter(walk), eps)
     want = fresh_step_sets(system, walk.taken, eps)
-    assert [(s.nums, s.unit, s.radial) for s in sets] == \
-        [(s.nums, s.unit, s.radial) for s in want]
+    assert [(s.nums, s.unit) for s in sets] == \
+        [(s.nums, s.unit) for s in want]
     m = len(sets) - 1 - sets[-1].is_empty()
     if m >= 0:
         assert pull_back_witness(system, sets, m) == \
@@ -293,8 +304,8 @@ def test_a_lowered_cap_fails_only_a_shadow_set_above_it(monkeypatch, case):
     monkeypatch.setattr(enclosure, "DEFAULT_FRAGMENT_CAP", 1)
     if over is None:
         got = shadow_sets(system, zip(points.nums, points.scales), eps)
-        assert [(s.nums, s.unit, s.radial) for s in got] == \
-            [(s.nums, s.unit, s.radial) for s in want]
+        assert [(s.nums, s.unit) for s in got] == \
+            [(s.nums, s.unit) for s in want]
         return
     with pytest.raises(EnclosureCapError) as got:
         shadow_sets(system, zip(points.nums, points.scales), eps)
@@ -322,8 +333,8 @@ def test_a_one_fragment_tent_step_across_the_corner_makes_no_make(
     assert len(step(sets[0].nums[0])) == 2
     assert calls == []
     assert [s.fragments for s in sets] == [((F(9, 20), F(3, 4)),)] * 6
-    assert [(s.nums, s.unit, s.radial) for s in sets] == \
-        [(s.nums, s.unit, s.radial)
+    assert [(s.nums, s.unit) for s in sets] == \
+        [(s.nums, s.unit)
          for s in fresh_step_sets(system, points, F(3, 20))]
 
 
@@ -346,7 +357,7 @@ def test_cut_images_are_normalized_mid_trial(monkeypatch):
         return sets
 
     monkeypatch.setattr(enclosure, "_make", counted_make)
-    monkeypatch.setattr(experiment, "shadow_sets", counted_shadow_sets)
+    monkeypatch.setattr(shadowcheck, "shadow_sets", counted_shadow_sets)
     for trial in range(cfg.trials):
         got = _run_trial(system, cfg, trial)
         assert got == whole_trajectory_outcome(system, cfg, trial)
@@ -400,7 +411,7 @@ def test_an_exact_step_moves_the_radius_by_at_most_lam_gap_plus_d(name):
         gaps = radial_gaps(generate(system, y0, d, 1000,
                                     trial_stream(44, trial)).scaled)
         for gap, nxt in zip(gaps, gaps[1:]):
-            assert nxt <= system.lam * gap + d
+            assert nxt <= lam_of(system) * gap + d
 
 
 def test_a_closed_band_keeps_every_exact_step_inside():
@@ -410,12 +421,13 @@ def test_a_closed_band_keeps_every_exact_step_inside():
     whole annulus."""
     for name, (spec, y0, d) in BANDS.items():
         system = parse_system(spec)
-        tight = d / (1 - system.lam)
+        lam = lam_of(system)
+        tight = d / (1 - lam)
         for trial in range(2):
             gaps = radial_gaps(generate(system, y0, d, 1000,
                                         trial_stream(44, trial)).scaled)
             for rho in (tight, tight * 5 / 4, tight * 2):
-                assert system.lam * rho + d <= rho
+                assert lam * rho + d <= rho
                 entry = next(n for n, gap in enumerate(gaps) if gap <= rho)
                 assert all(gap <= rho for gap in gaps[entry:])
                 assert name == "narrow" or entry > 0
@@ -424,7 +436,7 @@ def test_a_closed_band_keeps_every_exact_step_inside():
 def radius_after_one_step(system, d, gap, k):
     """|r - 1| one exact step past the radius 1 + gap, for the radial draw
     k."""
-    _, (y, s) = LatticeWalk(system, (1 + gap, F(0)), d, 1, iter([k, 0]))
+    _, ((y, s), _) = system.walk((1 + gap, F(0)), d, 1, iter([k, 0]))
     return abs(F(y[0] - s, s))
 
 
@@ -451,7 +463,7 @@ def test_weaker_closure_tests_admit_escapes():
             escaped += max(gaps) > rho
     assert closed and escaped
     system, cfg, (rho, n0), message = late_violation_case()
-    assert system.lam * rho + cfg.d > rho
+    assert lam_of(system) * rho + cfg.d > rho
     assert f" at step {n0} " not in message  # taken[n0] lies in the band
     with pytest.raises(InvariantViolation) as info:
         _run_trial(system, cfg, 0, (rho, n0))
@@ -487,7 +499,7 @@ def band_gaps(system, cfg, n0):
 def late_violation_case():
     """A band that only the farthest radius from step 700 on leaves: one
     violation, well after the first empty step."""
-    system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
+    system, cfg, n0 = TRIAL_SYSTEMS["spiral"], LATE_CONFIG, 700
     gaps = band_gaps(system, cfg, n0)
     widest, second = sorted(set(gaps))[:-3:-1]
     rho = (widest + second) / 2
@@ -517,14 +529,14 @@ def test_band_violation_after_a_cap_error_raises(monkeypatch):
         raise EnclosureCapError("fragment cap 0 exceeded for exact "
                                 "enclosure", partial=sets[-1])
 
-    monkeypatch.setattr(experiment, "shadow_sets", over_the_cap)
+    monkeypatch.setattr(shadowcheck, "shadow_sets", over_the_cap)
     with pytest.raises(InvariantViolation) as info:
         _run_trial(system, cfg, 0, band)
     assert str(info.value) == message
 
 
 def test_shipped_attractor_trials_stay_in_their_band():
-    system = SYSTEMS["spiral"]
+    system = TRIAL_SYSTEMS["spiral"]
     q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)), d=F(9, 800))
     cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
                            d=F(9, 800), eps=q.eps0,
@@ -549,11 +561,11 @@ def test_the_band_is_checked_from_its_entry_step_on():
 def test_a_band_met_with_equality_is_confirmed_exactly(monkeypatch):
     """rho equal to the widest gap from n0 on: a band that is not closed,
     read to the largest horizon, whose widest radius lies on its edge."""
-    system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
+    system, cfg, n0 = TRIAL_SYSTEMS["spiral"], LATE_CONFIG, 700
     rho = max(band_gaps(system, cfg, n0))
-    assert system.lam * rho + cfg.d > rho
+    assert lam_of(system) * rho + cfg.d > rho
     assert band_message(system, cfg, 0, rho, n0) is None
-    calls = count_samples(monkeypatch)
+    calls = count_samples(monkeypatch, 2)
     got = _run_trial(system, cfg, 0, (rho, n0))
     assert len(calls) == cfg.max_horizon
     assert got == whole_trajectory_outcome(system, cfg, 0)
@@ -565,14 +577,14 @@ def test_shipped_attractor_trials_need_no_exact_scan(monkeypatch):
     """The shipped run's band is closed and entered before the first empty
     step: a trial checks the one point taken[n0] that it already holds,
     samples no point beyond its shadow sets and never calls ``generate``."""
-    system = SYSTEMS["spiral"]
+    system = TRIAL_SYSTEMS["spiral"]
     q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
     cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
                            d=q.d, eps=q.eps0, horizons=(100, 300, 1000),
                            trials=4, seed=44)
-    assert system.lam * q.rho + q.d <= q.rho
+    assert lam_of(system) * q.rho + q.d <= q.rho
     monkeypatch.setattr(experiment, "generate", None)
-    calls = count_samples(monkeypatch)
+    calls = count_samples(monkeypatch, 2)
     for trial in range(4):
         calls.clear()
         got = _run_trial(system, cfg, trial, (q.rho, q.n0))
@@ -595,7 +607,7 @@ def count_band_reads(monkeypatch):
 def test_a_shipped_trial_reads_one_tail_enclosure(monkeypatch):
     """The tail past the entry step is the walk's exact points: a closed
     band reads only the point at n0 and none of the later ones."""
-    system = SYSTEMS["spiral"]
+    system = TRIAL_SYSTEMS["spiral"]
     q = attractor_quantities(system, F(1, 5), (F(7, 5), F(0)))
     cfg = ExperimentConfig(system_spec=SPIRAL_SPEC, y0=(F(7, 5), F(0)),
                            d=q.d, eps=q.eps0, horizons=(100, 300, 1000),
@@ -610,10 +622,10 @@ def test_a_shipped_trial_reads_one_tail_enclosure(monkeypatch):
 
 def test_a_closed_band_past_the_first_empty_step_samples_to_its_entry(
         monkeypatch):
-    system, cfg, n0 = SYSTEMS["spiral"], LATE_CONFIG, 700
+    system, cfg, n0 = TRIAL_SYSTEMS["spiral"], LATE_CONFIG, 700
     rho = F(1, 20)
-    assert system.lam * rho + cfg.d <= rho
-    calls = count_samples(monkeypatch)
+    assert lam_of(system) * rho + cfg.d <= rho
+    calls = count_samples(monkeypatch, 2)
     got = _run_trial(system, cfg, 0, (rho, n0))
     assert got.first_empty < n0
     assert len(calls) == n0
@@ -627,8 +639,8 @@ def test_a_band_that_is_not_closed_is_read_to_its_end(monkeypatch):
     system, cfg, (rho, n0), message = late_violation_case()
     gaps = band_gaps(system, cfg, n0)
     step = n0 + gaps.index(max(gaps))
-    calls = count_samples(monkeypatch)
-    assert system.lam * F(1, 50) + cfg.d > F(1, 50)
+    calls = count_samples(monkeypatch, 2)
+    assert lam_of(system) * F(1, 50) + cfg.d > F(1, 50)
     _run_trial(system, cfg, 0, (F(1, 50), n0))
     assert len(calls) == cfg.max_horizon
     calls.clear()
@@ -639,11 +651,11 @@ def test_a_band_that_is_not_closed_is_read_to_its_end(monkeypatch):
 
 
 def test_a_walk_reads_n_times_ndim_draws_of_an_endless_stream():
-    """A trial stream never ends. A walk stopped anywhere and resumed on
-    the same iterator reads 2 draws per sampled step, n * ndim in all,
-    gives the points of ``generate`` and then stops without a further
-    read."""
-    system, (y0, d) = SYSTEMS["spiral"], STARTS["spiral"]
+    """A trial stream never ends. A spiral's walk, its factors' walks on
+    one stream, stopped anywhere and resumed on the same iterator reads 2
+    draws per sampled step, n * ndim in all, gives the points of
+    ``generate`` and then stops without a further read."""
+    system, (y0, d) = TRIAL_SYSTEMS["spiral"], STARTS["spiral"]
     whole = generate(system, y0, d, 1000, trial_stream(44)).scaled
     for stop in (0, 1, 37, 1000):
         read = []
@@ -653,7 +665,7 @@ def test_a_walk_reads_n_times_ndim_draws_of_an_endless_stream():
                 read.append(k)
                 yield k
 
-        walk = LatticeWalk(system, y0, d, 1000, counted(trial_stream(44)))
+        walk = system.walk(y0, d, 1000, counted(trial_stream(44)))
         steps = iter(walk)
         for _ in zip(range(stop + 1), steps):
             pass
@@ -661,5 +673,6 @@ def test_a_walk_reads_n_times_ndim_draws_of_an_endless_stream():
         assert len(list(steps)) == 1000 - stop
         assert next(steps, None) is None
         assert len(read) == 1000 * system.space.ndim
-        assert walk.taken.nums == whole.nums
-        assert walk.taken.scales == whole.scales
+        joined = ScaledPoints.joined(walk.taken)
+        assert joined.nums == whole.nums
+        assert joined.scales == whole.scales
